@@ -34,12 +34,6 @@ def bound_add(a: Bound, b: Bound) -> Bound:
     return (a[0] + b[0], a[1] or b[1])
 
 
-def bound_neg_satisfiable(a: Bound, b: Bound) -> bool:
-    """Can x satisfy both x <= a and -x <= b (i.e. is [(-b), a] nonempty)?"""
-    s = bound_add(a, b)
-    return s[0] is None or s[0] > 0 or (s[0] == 0 and not s[1])
-
-
 @dataclass(frozen=True)
 class DifferenceBoundMatrix:
     n: int  # number of real clocks; matrix is (n+1) x (n+1)

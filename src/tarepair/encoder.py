@@ -10,7 +10,8 @@ the final location vector.
 ``eliminate_clock_variables`` rewrites every clock occurrence as the sum
 of delays since the clock's last reset, dropping C0/R/D entirely; the
 eliminated system ranges over delay variables only, which keeps later
-quantifier eliminations small.
+quantifier eliminations small. ``with_resets`` evaluates the same delay-only
+atoms under another reset pattern, which is how reset repairs are checked.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ class TdtConstraintSystem:
         atoms: tuple[TraceAtom, ...],
         eliminated: bool,
         source: "TdtConstraintSystem | None" = None,
+        reset_at: dict[tuple[int, int], bool] | None = None,
     ):
         self.network = network
         self.stt = stt
@@ -90,14 +92,20 @@ class TdtConstraintSystem:
         self.source = source
         self.n = len(stt.steps)
         # reset_at[(c, j)]: clock c is reset by the transition(s) fired at step j.
-        reset_at: dict[tuple[int, int], bool] = {}
-        for j, move in enumerate(stt.steps):
-            resets: set[int] = set()
-            for ai, ti in move:
-                resets |= network.automata[ai].transitions[ti].resets
-            for c in range(network.n_clocks):
-                reset_at[(c, j)] = c in resets
+        if reset_at is None:
+            reset_at = {}
+            for j, move in enumerate(stt.steps):
+                resets: set[int] = set()
+                for ai, ti in move:
+                    resets |= network.automata[ai].transitions[ti].resets
+                for c in range(network.n_clocks):
+                    reset_at[(c, j)] = c in resets
         self.reset_at = reset_at
+
+    def with_resets(self, reset_at: dict[tuple[int, int], bool]) -> "TdtConstraintSystem":
+        """The delay-only system over the same A/U/I/G atoms under another reset pattern."""
+        kept = tuple(ta for ta in self.atoms if ta.block in ("A", "U", "I", "G"))
+        return TdtConstraintSystem(self.network, self.stt, self.prop, kept, True, reset_at=reset_at)
 
     # -- variable bookkeeping ------------------------------------------------
 

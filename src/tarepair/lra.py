@@ -13,7 +13,7 @@ There is no rounding anywhere: verdicts and models are exact.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Iterable, Sequence
@@ -33,13 +33,21 @@ class QeBudgetExceeded(Exception):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearAtom:
     """``sum(coeff * var) rel const`` with exact rational coefficients."""
 
     coeffs: tuple[tuple[str, Fraction], ...]  # sorted by variable, no zeros
     rel: Rel
     const: Fraction
+    # Atoms key the hard-check memo and hashing Fractions is slow, so each
+    # atom computes its hash once.
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.coeffs, self.rel, self.const)))
+        return self._hash
 
     @staticmethod
     def make(coeffs: dict[str, Fraction], rel: Rel, const) -> "LinearAtom":
@@ -209,14 +217,6 @@ def formula_atoms(f: Formula) -> list[LinearAtom]:
     for c in f.children:  # type: ignore[union-attr]
         out.extend(formula_atoms(c))
     return out
-
-
-def substitute_formula(f: Formula, assignment: dict[str, Fraction]) -> Formula:
-    if isinstance(f, FAtom):
-        return FAtom(f.atom.substitute(assignment))
-    if isinstance(f, FAnd):
-        return f_and([substitute_formula(c, assignment) for c in f.children])
-    return f_or([substitute_formula(c, assignment) for c in f.children])
 
 
 def to_smtlib(f: Formula) -> str:
@@ -494,7 +494,7 @@ def _interval_of(rows, var_idx, valuation, varlist):
     return lo, lo_strict, hi, hi_strict
 
 
-def pick_value(lo, lo_strict, hi, hi_strict, prefer_small_integer: bool = True) -> Fraction | None:
+def pick_value(lo, lo_strict, hi, hi_strict) -> Fraction | None:
     """Deterministic representative of a rational interval, or None if empty.
 
     Prefers the integer of minimal absolute value (ties: the positive one);

@@ -10,7 +10,11 @@ For the bound analysis the variation variables are free rationals, so the
 hard constraint is materialized by quantifier elimination over the delay
 variables. For the discrete analyses (operator, clock reference, resets,
 urgency) the selectors are enumerated outside elimination: a candidate
-assignment reduces both quantifiers to two exact satisfiability checks.
+assignment reduces both quantifiers to two exact satisfiability checks over
+delay sums. A reset assignment is checked under the reset pattern its edit
+produces, property included. Each ``HardConstraint`` memoizes its verdicts
+by the instantiated atoms and negated property, since many assignments of
+one run reduce to the same query.
 """
 
 from __future__ import annotations
@@ -53,13 +57,20 @@ def formula_to_dnf(f: Formula) -> list[list[LinearAtom]]:
 class HardConstraint:
     """(exists delays. T^var) and (forall delays. T^var => Phi), checkable
     either per concrete assignment or, for the bound kind, as a formula
-    over the free variation variables."""
+    over the free variation variables.
+
+    Per-assignment checks run on delay sums: the reset kind evaluates the
+    edited reset pattern (``VariedSystem.edited_system``), every other kind
+    instantiates its delay-only groups. Verdicts are memoized for the life
+    of the instance.
+    """
 
     def __init__(self, vs: VariedSystem, qe_budget: int = DEFAULT_QE_BUDGET):
         self.vs = vs
         self.qe_budget = qe_budget
         self.neg_phi = vs.base.property_formula(negated=True)
         self.formula: Formula | None = None
+        self._verdicts: dict[tuple[tuple[LinearAtom, ...], Formula], bool] = {}
         if vs.kind == "bound":
             self.formula = self._bound_formula()
 
@@ -74,13 +85,34 @@ class HardConstraint:
             parts.append(f_and([f_or([a.negated_formula() for a in projected])]))
         return f_and(parts)
 
+    def query(
+        self, assignment: dict[str, object]
+    ) -> tuple[tuple[LinearAtom, ...], Formula] | None:
+        """The delay-only atoms and negated property that decide an assignment.
+
+        None when the assignment is no syntactic edit (a reset assignment
+        that toggles one transition's reset twice).
+        """
+        if self.vs.kind != "reset":
+            return tuple(self.vs.instantiate(assignment)), self.neg_phi
+        edited = self.vs.edited_system(assignment)
+        if edited is None:
+            return None
+        return tuple(edited.linear_atoms()), edited.property_formula(negated=True)
+
     def check(self, assignment: dict[str, object]) -> bool:
         """Is this full assignment a repair (feasible, no violating realization)?"""
-        atoms = self.vs.instantiate(assignment)
-        if not is_satisfiable(atoms, self.qe_budget).sat:
+        query = self.query(assignment)
+        if query is None:
             return False
-        bad = f_and([conjunction(atoms), self.neg_phi])
-        return not is_satisfiable(bad, self.qe_budget).sat
+        verdict = self._verdicts.get(query)
+        if verdict is None:
+            atoms, neg_phi = query
+            verdict = is_satisfiable(atoms, self.qe_budget).sat and not is_satisfiable(
+                f_and([conjunction(atoms), neg_phi]), self.qe_budget
+            ).sat
+            self._verdicts[query] = verdict
+        return verdict
 
     def check_with_zeros(self, zeros: frozenset[str]) -> bool:
         """Bound kind: is the hard formula satisfiable with these variables pinned to 0?"""
@@ -92,8 +124,9 @@ class HardConstraint:
 
 @dataclass(frozen=True)
 class MaxSmtProblem:
+    """Every unblocked variable is soft-pinned to its zero meaning."""
+
     hard: HardConstraint
-    soft: tuple[str, ...]  # variable names pinned to their zero meaning
     blocked: frozenset[str] = frozenset()  # variables hard-asserted to zero
 
 

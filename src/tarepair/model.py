@@ -28,18 +28,6 @@ OP_TEXT = {Op.LT: "<", Op.LE: "<=", Op.EQ: "=", Op.GE: ">=", Op.GT: ">"}
 TEXT_OP = {"<": Op.LT, "<=": Op.LE, "=": Op.EQ, "==": Op.EQ, ">=": Op.GE, ">": Op.GT}
 
 
-def op_holds(op: Op, lhs: Fraction, rhs: Fraction) -> bool:
-    if op == Op.LT:
-        return lhs < rhs
-    if op == Op.LE:
-        return lhs <= rhs
-    if op == Op.EQ:
-        return lhs == rhs
-    if op == Op.GE:
-        return lhs >= rhs
-    return lhs > rhs
-
-
 @dataclass(frozen=True)
 class AtomicClockConstraint:
     """One atom ``clock op bound``; guards and invariants are conjunctions of these."""

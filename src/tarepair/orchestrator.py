@@ -10,11 +10,14 @@ non-decreasing modification count, and no modified set repeats.
 Within one set, a value assignment whose repaired trace system is implied
 by an already-emitted candidate's is skipped: such a repair permits no
 realization the earlier one did not already permit. This keeps, e.g., a
-``w = 1`` suggestion out when ``w <= 1`` was already proposed.
+``w = 1`` suggestion out when ``w <= 1`` was already proposed. A candidate
+whose edits equal an emitted one's is skipped too: when a transition fires
+twice, the reset flips of both steps become the same edit.
 
 Every emitted candidate is re-verified against the semantic repair
-contract (the repaired model still realizes the trace, and no realization
-violates the property) and then admissibility-checked.
+contract on the repaired model's delay-only trace system (the repaired
+model still realizes the trace, and no realization violates the property)
+and then admissibility-checked.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 
 from .admissibility import check_admissible, DEFAULT_UNTIMED_BUDGET
 from .checker import DEFAULT_STATE_BUDGET, SymbolicTimedTrace, check
-from .encoder import encode, feasible, violating
+from .encoder import eliminate_clock_variables, encode, feasible, violating
 from .lra import DEFAULT_QE_BUDGET, QeBudgetExceeded, conjunction, f_and, is_satisfiable
 from .maxsmt import (
     HardConstraint,
@@ -42,7 +45,7 @@ from .model import (
     indexed_constraints,
     validate,
 )
-from .variations import VariedSystem, vary
+from .variations import VariedSystem, reset_targets, vary
 
 
 class RepairKind(enum.Enum):
@@ -170,10 +173,6 @@ def apply_candidate(
     return network
 
 
-# Short alias: repair application is a pure model transformation.
-apply = apply_candidate
-
-
 def _candidate_from_assignment(
     vs: VariedSystem, kind: RepairKind, assignment: dict[str, object]
 ) -> RepairCandidate:
@@ -226,17 +225,8 @@ def _candidate_from_assignment(
             )
         elif kind == RepairKind.RESET:
             clock, step = var.anchor
-            move = vs.base.stt.steps[step]
             originally_reset = vs.base.reset_at[(clock, step)]
-            if originally_reset:
-                targets = [
-                    (ai, ti)
-                    for ai, ti in move
-                    if clock in network.automata[ai].transitions[ti].resets
-                ]
-            else:
-                targets = [move[0]]
-            for ai, ti in targets:
+            for ai, ti in reset_targets(vs.base, clock, step):
                 auto = network.automata[ai]
                 what = "remove" if originally_reset else "add"
                 mods.append(
@@ -326,7 +316,7 @@ def run(
             return RepairRun(kind, None, reason="no-violation-found")
         tdt = verdict.trace
 
-    enc = encode(network, tdt, prop)
+    enc = eliminate_clock_variables(encode(network, tdt, prop))
     runout = RepairRun(kind, tdt)
     if not violating(enc):
         # A supplied trace without violating realizations leaves nothing to
@@ -345,9 +335,9 @@ def run(
         len(atoms) for g in vs.groups for _, atoms in g.branches
     )
 
-    soft = tuple(v.name for v in vs.variables)
     blocked: set[str] = set()
     original_cache: dict = {}
+    emitted_edits: set[frozenset] = set()
     search = SearchState()
     min_mods = 0
     while True:
@@ -355,7 +345,7 @@ def run(
             runout.reason = "budget"
             return runout
         try:
-            sol = max_sat(MaxSmtProblem(hard, soft, frozenset(blocked)), search, min_mods)
+            sol = max_sat(MaxSmtProblem(hard, frozenset(blocked)), search, min_mods)
         except QeBudgetExceeded:
             runout.reason = "qe-timeout"
             runout.timeouts += 1
@@ -373,17 +363,20 @@ def run(
                 runout.reason = "qe-timeout"
                 runout.timeouts += 1
                 return runout
-        emitted_atoms: list[list] = []
+        emitted_atoms: list[tuple] = []
         for assignment in assignments:
             if len(runout.candidates) >= max_repairs:
                 runout.reason = "budget"
                 return runout
-            inst = vs.instantiate(assignment)
+            inst, _ = hard.query(assignment)
             if any(_entails(inst, prev, qe_budget) for prev in emitted_atoms):
                 continue
             candidate = _candidate_from_assignment(vs, kind, assignment)
+            edits = frozenset((m.anchor, m.new) for m in candidate.modifications)
+            if edits in emitted_edits:
+                continue
             repaired = apply_candidate(network, candidate)
-            reenc = encode(repaired, tdt, prop)
+            reenc = eliminate_clock_variables(encode(repaired, tdt, prop))
             if not feasible(reenc) or violating(reenc):
                 raise AssertionError(
                     f"semantic repair contract violated by {candidate.describe_modifications()}"
@@ -398,6 +391,7 @@ def run(
             runout.witnesses.append(verdict.witness)
             runout.witness_files.append(None)
             emitted_atoms.append(inst)
+            emitted_edits.add(edits)
         blocked.update(sol.modified)
 
 

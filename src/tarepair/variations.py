@@ -10,8 +10,13 @@ Each encoder introduces variation variables with a declared domain and a
   choice.
 - clock reference: each constraint's clock position ranges over the clocks
   of the owning automaton, the delay sum substituted per branch.
-- resets: one boolean flip per (clock, trace step); flips invert the
-  reset/flow linking equations, so clock variables stay explicit.
+- resets: one boolean flip per (clock, trace step). A flip stands for the
+  syntactic edit it becomes: adding the reset on the step's first
+  transition, or removing it from every transition of the step that resets
+  the clock. Assignments are checked on the delay-only system under the
+  reset pattern that edit produces (``VariedSystem.edited_system``); the
+  explicit-clock reset/flow groups are kept only for the reported variable
+  and constraint counts and as a test oracle.
 - urgency: one boolean flip per distinct location visited by the trace;
   flips invert the zero-delay obligation of the location's steps.
 
@@ -98,14 +103,32 @@ class VariedSystem:
             parts.append(f_and([FAtom(sel), conjunction(atoms)]))
         return f_or(parts)
 
-    def full_formula(self) -> Formula:
-        """The whole varied system as one formula (selector variables explicit)."""
-        parts: list[Formula] = [conjunction(self.base_atoms)]
-        if self.kind == "bound":
-            parts.append(conjunction(self.free_atoms))
-        else:
-            parts.extend(self.group_formula(g) for g in self.groups)
-        return f_and(parts)
+    def edited_system(self, assignment: dict[str, object]) -> TdtConstraintSystem | None:
+        """Reset kind: the delay-only system under the reset pattern the edit produces.
+
+        Each flip toggles the resets that ``reset_targets`` names, on every
+        step where those transitions fire. None when two flips toggle the
+        same (transition, clock): the two edits cancel, so the assignment
+        is no repair.
+        """
+        base = self.base
+        toggled: set[tuple[tuple[int, int], int]] = set()
+        for var in self.variables:
+            if assignment[var.name]:
+                clock, step = var.anchor
+                for target in reset_targets(base, clock, step):
+                    if (target, clock) in toggled:
+                        return None
+                    toggled.add((target, clock))
+        automata = base.network.automata
+        reset_at = {}
+        for j, move in enumerate(base.stt.steps):
+            for c in range(base.network.n_clocks):
+                reset_at[(c, j)] = any(
+                    (c in automata[ai].transitions[ti].resets) != (((ai, ti), c) in toggled)
+                    for ai, ti in move
+                )
+        return base.with_resets(reset_at)
 
     def variable_named(self, name: str) -> VariationVariable:
         for v in self.variables:
@@ -161,6 +184,11 @@ def vary_bounds(sys: TdtConstraintSystem) -> VariedSystem:
             coeffs = sys.atom_coeffs(ta)
             coeffs[vname] = Fraction(-1)  # lhs ~ b + v  <=>  lhs - v ~ b
             free.extend(comparison_atom(coeffs, ta.op, ta.bound))
+        if instances[0].op == Op.GT:
+            # Repaired bounds are clamped at 0. That is exact for c >= b + v,
+            # but c > b + v with b + v < 0 always holds and c > 0 does not,
+            # so a strict lower bound may not go below 0: -v <= b.
+            free.append(LinearAtom.make({vname: Fraction(-1)}, Rel.LE, instances[0].bound))
     return VariedSystem(sys, "bound", tuple(base), (), tuple(free), tuple(variables))
 
 
@@ -220,11 +248,29 @@ def vary_clock_refs(sys: TdtConstraintSystem) -> VariedSystem:
     return VariedSystem(sys, "clockref", tuple(base), tuple(groups))
 
 
-def vary_resets(sys: TdtConstraintSystem) -> VariedSystem:
-    """One boolean flip per (clock, step); true inverts the reset status there.
+def reset_targets(sys: TdtConstraintSystem, clock: int, step: int) -> list[tuple[int, int]]:
+    """The transitions whose reset of ``clock`` the flip at ``step`` toggles.
 
-    Works on the explicit-clock system: flipping resets changes which delay
-    sums make up a clock, so clock variables cannot be eliminated up front.
+    Adding a reset puts it on the step's first transition; removing one
+    takes it off every transition of the step that resets the clock.
+    """
+    move = sys.stt.steps[step]
+    if sys.reset_at[(clock, step)]:
+        return [
+            (ai, ti) for ai, ti in move if clock in sys.network.automata[ai].transitions[ti].resets
+        ]
+    return [move[0]]
+
+
+def vary_resets(sys: TdtConstraintSystem) -> VariedSystem:
+    """One boolean flip per (clock, step); true toggles the reset edit there.
+
+    Assignments are checked through ``VariedSystem.edited_system``: delay
+    sums under the reset pattern the edit produces, so a transition that
+    fires twice is edited at both steps. The explicit-clock groups built
+    here, where a flip inverts the reset/flow equation of its step only,
+    are kept for the reported variable and constraint counts and serve
+    as the per-step oracle in the tests.
     """
     if sys.eliminated:
         sys = sys.source

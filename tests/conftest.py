@@ -50,3 +50,32 @@ def random_single_ta(rng: random.Random, max_clocks=3, max_const=3, max_locs=4):
         "property": f"{clocks[0]} <= {rng.randint(0, max_const)}",
     }
     return parse_model(json.dumps(doc))
+
+
+def loop_model(clocks=("x", "y"), prop="!@a.L1 || y <= 2"):
+    """One automaton whose shortest violation fires the same transition twice.
+
+    L0 (invariant x <= 1) loops on t0 (guard x >= 1, reset x) and leaves on
+    t1 (guard y >= 2) for the urgent L1, so the diagnostic trace is t0, t0,
+    t1. Returns the JSON document text.
+    """
+    doc = {
+        "automata": [
+            {
+                "name": "a",
+                "initial": "L0",
+                "clocks": list(clocks),
+                "locations": [
+                    {"name": "L0", "invariant": ["x <= 1"]},
+                    {"name": "L1", "urgent": True, "invariant": []},
+                ],
+                "transitions": [
+                    {"source": "L0", "target": "L0", "guard": ["x >= 1"], "resets": ["x"]},
+                    {"source": "L0", "target": "L1", "guard": ["y >= 2"], "resets": []},
+                ],
+            }
+        ],
+        "channels": [],
+        "property": prop,
+    }
+    return json.dumps(doc)

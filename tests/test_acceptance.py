@@ -139,7 +139,7 @@ def test_criterion_06_maxsmt_minimality():
             if not names or len(names) > 10:
                 continue
             hard = HardConstraint(vs)
-            sol = max_sat(MaxSmtProblem(hard, tuple(names)))
+            sol = max_sat(MaxSmtProblem(hard))
             best = None if sol is None else len(sol.modified)
             exhaustive = None
             for m in range(0, len(names) + 1):

@@ -5,6 +5,8 @@ import json
 from tarepair import bundled_model_path
 from tarepair.cli import main
 
+from conftest import loop_model
+
 BUNDLE = str(bundled_model_path("client_db"))
 SAFE = str(bundled_model_path("safe_idle"))
 
@@ -115,3 +117,13 @@ def test_repair_dump_smt(tmp_path, capsys):
     assert main(["repair", BUNDLE, "--kind", "urgent", "--out", str(tmp_path / "r"), "--dump-smt", str(dump)]) == 0
     text = dump.read_text()
     assert text.startswith("(declare-const") and "(check-sat)" in text
+
+
+def test_reset_repair_and_seed_on_repeated_transition_model(tmp_path, capsys):
+    model = tmp_path / "loop.json"
+    model.write_text(loop_model(), encoding="utf-8")
+    out_dir = tmp_path / "rep"
+    assert main(["repair", str(model), "--kind", "reset", "--out", str(out_dir)]) == 0
+    report = (out_dir / "report.txt").read_text()
+    assert "[001] add reset of y on a transition 1 (step 2)  admissible=yes" in report
+    assert main(["seed", str(model), "--out", str(tmp_path / "seeding")]) == 0

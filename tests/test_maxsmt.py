@@ -3,10 +3,10 @@
 import itertools
 from fractions import Fraction as F
 
-from tarepair import load_bundled_model
+from tarepair import load_bundled_model, maxsmt
 from tarepair.checker import check
 from tarepair.encoder import encode
-from tarepair.lra import FAtom, LinearAtom, Rel, f_and, is_satisfiable
+from tarepair.lra import FAtom, LinearAtom, Rel, conjunction, f_and, is_satisfiable
 from tarepair.maxsmt import (
     HardConstraint,
     MaxSmtProblem,
@@ -43,7 +43,7 @@ def test_universal_part_excludes_all_zero():
 
 def test_max_sat_minimality_on_bound_kind():
     net, vs, hard = _bundle_hard("bound")
-    sol = max_sat(MaxSmtProblem(hard, tuple(v.name for v in vs.variables)))
+    sol = max_sat(MaxSmtProblem(hard))
     assert sol is not None
     assert len(sol.modified) == 1
 
@@ -55,7 +55,7 @@ def test_max_sat_agrees_with_exhaustive_subsets():
     for kind in ("bound", "operator", "clockref", "urgent"):
         net, vs, hard = _bundle_hard(kind)
         names = [v.name for v in vs.variables]
-        sol = max_sat(MaxSmtProblem(hard, tuple(names)))
+        sol = max_sat(MaxSmtProblem(hard))
         if sol is None:
             best = None
         else:
@@ -158,16 +158,65 @@ def test_unreparable_model_yields_no_solution():
     assert not verdict.safe
     vs = vary(encode(net, verdict.trace, prop), "bound")
     hard = HardConstraint(vs)
-    assert max_sat(MaxSmtProblem(hard, tuple(v.name for v in vs.variables))) is None
+    assert max_sat(MaxSmtProblem(hard)) is None
     rr = orch_run(net, prop, RepairKind.BOUND)
     assert rr.candidates == [] and rr.reason == "exhausted"
 
 
 def test_blocking_and_memo_reuse():
     net, vs, hard = _bundle_hard("bound")
-    soft = tuple(v.name for v in vs.variables)
     state = SearchState()
-    first = max_sat(MaxSmtProblem(hard, soft), state)
-    second = max_sat(MaxSmtProblem(hard, soft, frozenset(first.modified)), state, len(first.modified))
+    first = max_sat(MaxSmtProblem(hard), state)
+    second = max_sat(MaxSmtProblem(hard, frozenset(first.modified)), state, len(first.modified))
     assert first.modified == ("v0",)
     assert second.modified == ("v2",)
+
+
+def _explicit_clock_check(vs, assignment):
+    """Per-step oracle: the explicit-clock reset groups, each flip inverting
+    the reset/flow equation of its own step."""
+    atoms = vs.instantiate(assignment)
+    if not is_satisfiable(atoms).sat:
+        return False
+    return not is_satisfiable(f_and([conjunction(atoms), vs.base.property_formula(True)])).sat
+
+
+def test_reset_delay_check_agrees_with_explicit_clock_oracle():
+    # No bundled trace fires a transition twice, so a per-step flip and the
+    # per-transition edit it becomes coincide and both checks must agree.
+    checked = repairs = 0
+    for name in ("client_db", "oneclock", "urgent_hop", "pair_sync"):
+        net, prop = load_bundled_model(name)
+        trace = check(net, prop).trace
+        fired = [t for move in trace.steps for t in move]
+        assert len(fired) == len(set(fired)), name
+        vs = vary(encode(net, trace, prop), "reset")
+        names = [v.name for v in vs.variables]
+        assignments = [
+            {n: n in flips for n in names}
+            for m in range(3)
+            for flips in itertools.combinations(names, m)
+        ]
+        expected = [_explicit_clock_check(vs, a) for a in assignments]
+        cold = [HardConstraint(vs).check(a) for a in assignments]
+        warm = HardConstraint(vs)
+        first = [warm.check(a) for a in assignments]
+        again = [warm.check(a) for a in assignments]
+        assert cold == expected, name
+        assert first == expected and again == expected, name
+        checked += len(assignments)
+        repairs += sum(expected)
+    assert checked == 89 and 0 < repairs < checked
+
+
+def test_hard_check_memo_answers_repeated_queries(monkeypatch):
+    net, vs, hard = _bundle_hard("reset")
+    calls = []
+    solve = maxsmt.is_satisfiable
+    monkeypatch.setattr(maxsmt, "is_satisfiable", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    zero = vs.zero_assignment()
+    assert not hard.check(zero)
+    assert calls
+    before = len(calls)
+    assert not hard.check(dict(zero))
+    assert len(calls) == before

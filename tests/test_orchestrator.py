@@ -8,14 +8,18 @@ from tarepair import load_bundled_model
 from tarepair.checker import check
 from tarepair.encoder import encode, feasible, violating
 from tarepair.model import Op
-from tarepair.modelio import serialize_model
+from tarepair.modelio import parse_model, serialize_model
 from tarepair.orchestrator import (
     AnchorMismatch,
+    Modification,
+    RepairCandidate,
     RepairKind,
     apply_candidate,
     run,
     run_all_kinds,
 )
+
+from conftest import loop_model
 
 VIOLATING = ("client_db", "oneclock", "urgent_hop", "pair_sync")
 
@@ -186,3 +190,39 @@ def test_non_violating_supplied_trace_is_rejected_gracefully():
     stub = stt_from_moves(net, [((0, 0), (1, 0))])  # only the request handshake
     rr = run(net, prop, RepairKind.BOUND, tdt=stub)
     assert rr.candidates == [] and rr.reason == "trace-not-violating"
+
+
+def test_reset_run_on_repeated_transition():
+    # t0 fires at steps 0 and 1; removing its reset of x edits both steps,
+    # which the per-step flip alone does not describe.
+    net, prop = parse_model(loop_model())
+    rr = run(net, prop, RepairKind.RESET)
+    descs = [cand.describe_modifications() for cand in rr.candidates]
+    assert descs == [["add reset of y on a transition 1 (step 2)"]]
+    assert rr.admissible == [True]
+    assert rr.reason == "exhausted"
+
+
+def test_reset_flips_of_one_transition_yield_one_candidate():
+    # Adding the reset of z at step 0 or at step 1 is the same edit of t0.
+    net, prop = parse_model(loop_model(("x", "y", "z"), "!@a.L1 || z <= 2"))
+    rr = run(net, prop, RepairKind.RESET)
+    descs = [cand.describe_modifications() for cand in rr.candidates]
+    assert descs == [
+        ["add reset of z on a transition 0 (step 0)"],
+        ["add reset of z on a transition 1 (step 2)"],
+    ]
+
+
+def test_bound_repair_keeps_strict_lower_bounds_at_or_above_zero():
+    # With y >= 2 made y > 2, v = -3 means y > -1 (always true), but the
+    # applied bound is clamped to y > 0, which breaks the repair contract.
+    net, prop = parse_model(loop_model())
+    edit = RepairCandidate(
+        RepairKind.OPERATOR, (Modification("constraint", ("constraint", 2), Op.GE, Op.GT, "y > 2"),), ()
+    )
+    mutant = apply_candidate(net, edit)
+    rr = run(mutant, prop, RepairKind.BOUND)
+    assert rr.candidates
+    for cand in rr.candidates:
+        assert dict(cand.assignment)["v2"] >= -2
