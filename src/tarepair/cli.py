@@ -58,7 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_repair.add_argument("--max-repairs", type=int, default=DEFAULT_MAX_REPAIRS)
     p_repair.add_argument("--qe-budget", type=int, default=DEFAULT_QE_BUDGET)
     p_repair.add_argument("--state-budget", type=int, default=20_000)
-    p_repair.add_argument("--dump-smt", help="debug: write the trace constraint system as SMT-LIB2 text")
+    p_repair.add_argument(
+        "--dump-smt", help="debug: write the trace constraint system over delays as SMT-LIB2 text"
+    )
 
     p_seed = sub.add_parser("seed", help="fault-seeding benchmark campaign")
     p_seed.add_argument("model")

@@ -1,17 +1,14 @@
-"""Encoding of a symbolic timed trace as a linear constraint system.
+"""Encoding of a symbolic timed trace as a linear constraint system over delays.
 
-The system conjoins the classic blocks over per-step clock values c_j and
-delays d_j: clock initialization (C0), time advancement (A), clock resets
-(R), urgent locations (U), sojourn flow (D), location invariants at entry
+The system ranges over one delay variable d_j per trace step (the sojourn
+before step j fires, d_n after the last step) and conjoins: time advancement
+(A, d_j >= 0), urgent locations (U, d_j = 0), location invariants at entry
 and exit of every step (I), transition guards (G), and the property read
-at step n+1. Location predicates are resolved statically: the trace fixes
-the final location vector.
-
-``eliminate_clock_variables`` rewrites every clock occurrence as the sum
-of delays since the clock's last reset, dropping C0/R/D entirely; the
-eliminated system ranges over delay variables only, which keeps later
-quantifier eliminations small. ``with_resets`` evaluates the same delay-only
-atoms under another reset pattern, which is how reset repairs are checked.
+after d_n. Each clock occurrence is the sum of the delays since the clock's
+last reset, so clocks need no variables of their own. Location predicates
+are resolved statically: the trace fixes the final location vector.
+``with_resets`` evaluates the same atoms under another reset pattern, which
+is how reset repairs are checked.
 """
 
 from __future__ import annotations
@@ -48,12 +45,11 @@ from .model import (
 class TraceAtom:
     """One block atom, kept at the model level so encoders can vary it.
 
-    I/G atoms carry their global constraint index, owning automaton and the
-    entry/exit copy tag; structural atoms (A, U, C0, R, D) only carry the
-    step and, where relevant, the clock.
+    I/G atoms carry their clock, global constraint index, owning automaton
+    and the entry/exit copy tag; A and U atoms only carry the step.
     """
 
-    block: str  # "C0" | "A" | "R" | "U" | "D" | "I" | "G"
+    block: str  # "A" | "U" | "I" | "G"
     step: int
     clock: int | None = None
     op: Op | None = None
@@ -67,12 +63,8 @@ def delta_var(j: int) -> str:
     return f"d{j}"
 
 
-def clock_var(c: int, j: int) -> str:
-    return f"k{c}_{j}"
-
-
 class TdtConstraintSystem:
-    """Trace constraint system, in explicit-clock or delay-only form."""
+    """Trace constraint system over the delay variables d0..dn."""
 
     def __init__(
         self,
@@ -80,16 +72,12 @@ class TdtConstraintSystem:
         stt: SymbolicTimedTrace,
         prop: SafetyProperty,
         atoms: tuple[TraceAtom, ...],
-        eliminated: bool,
-        source: "TdtConstraintSystem | None" = None,
         reset_at: dict[tuple[int, int], bool] | None = None,
     ):
         self.network = network
         self.stt = stt
         self.prop = prop
         self.atoms = atoms
-        self.eliminated = eliminated
-        self.source = source
         self.n = len(stt.steps)
         # reset_at[(c, j)]: clock c is reset by the transition(s) fired at step j.
         if reset_at is None:
@@ -103,23 +91,13 @@ class TdtConstraintSystem:
         self.reset_at = reset_at
 
     def with_resets(self, reset_at: dict[tuple[int, int], bool]) -> "TdtConstraintSystem":
-        """The delay-only system over the same A/U/I/G atoms under another reset pattern."""
-        kept = tuple(ta for ta in self.atoms if ta.block in ("A", "U", "I", "G"))
-        return TdtConstraintSystem(self.network, self.stt, self.prop, kept, True, reset_at=reset_at)
+        """The same atoms under another reset pattern."""
+        return TdtConstraintSystem(self.network, self.stt, self.prop, self.atoms, reset_at)
 
     # -- variable bookkeeping ------------------------------------------------
 
     def delta_vars(self) -> list[str]:
         return [delta_var(j) for j in range(self.n + 1)]
-
-    def clock_vars(self) -> list[str]:
-        if self.eliminated:
-            return []
-        return [
-            clock_var(c, j)
-            for c in range(self.network.n_clocks)
-            for j in range(self.n + 2)
-        ]
 
     def last_reset(self, c: int, j: int) -> int:
         """First step of the delay sum that makes up clock c's value at step j."""
@@ -137,14 +115,8 @@ class TdtConstraintSystem:
     # -- materialization -----------------------------------------------------
 
     def atom_coeffs(self, ta: TraceAtom) -> dict[str, Fraction]:
-        """Left-hand side of an I/G atom in the system's current form."""
-        exit_copy = ta.copy == "exit"
-        if self.eliminated:
-            return self.clock_value_coeffs(ta.clock, ta.step, exit_copy)
-        coeffs = {clock_var(ta.clock, ta.step): Fraction(1)}
-        if exit_copy:
-            coeffs[delta_var(ta.step)] = Fraction(1)
-        return coeffs
+        """Left-hand side of an I/G atom: its clock's delay sum at entry or exit."""
+        return self.clock_value_coeffs(ta.clock, ta.step, ta.copy == "exit")
 
     def materialize(self, ta: TraceAtom) -> list[LinearAtom]:
         if ta.block in ("I", "G"):
@@ -153,22 +125,6 @@ class TdtConstraintSystem:
             return [LinearAtom.make({delta_var(ta.step): Fraction(-1)}, Rel.LE, 0)]
         if ta.block == "U":
             return [LinearAtom.make({delta_var(ta.step): Fraction(1)}, Rel.EQ, 0)]
-        if ta.block == "C0":
-            return [LinearAtom.make({clock_var(ta.clock, 0): Fraction(1)}, Rel.EQ, 0)]
-        if ta.block == "R":
-            return [LinearAtom.make({clock_var(ta.clock, ta.step + 1): Fraction(1)}, Rel.EQ, 0)]
-        if ta.block == "D":
-            return [
-                LinearAtom.make(
-                    {
-                        clock_var(ta.clock, ta.step + 1): Fraction(1),
-                        clock_var(ta.clock, ta.step): Fraction(-1),
-                        delta_var(ta.step): Fraction(-1),
-                    },
-                    Rel.EQ,
-                    0,
-                )
-            ]
         raise ValueError(f"unknown block {ta.block}")
 
     def linear_atoms(self) -> list[LinearAtom]:
@@ -178,11 +134,6 @@ class TdtConstraintSystem:
         return out
 
     # -- the property at step n+1 ---------------------------------------------
-
-    def final_clock_coeffs(self, c: int) -> dict[str, Fraction]:
-        if self.eliminated:
-            return self.clock_value_coeffs(c, self.n + 1, False)
-        return {clock_var(c, self.n + 1): Fraction(1)}
 
     def property_formula(self, negated: bool) -> Formula:
         """Phi (or its negation) with clocks at index n+1 and predicates folded."""
@@ -200,7 +151,8 @@ class TdtConstraintSystem:
                 inner = e.children[0]
                 return TRUE if final[inner.automaton] != inner.location else FALSE
             if e.kind == PropKind.ATOM:
-                atoms = comparison_atom(self.final_clock_coeffs(e.atom.clock), e.atom.op, e.atom.bound)
+                coeffs = self.clock_value_coeffs(e.atom.clock, self.n + 1, False)
+                atoms = comparison_atom(coeffs, e.atom.op, e.atom.bound)
                 return conjunction(atoms)
             parts = [go(c) for c in e.children]
             return f_and(parts) if e.kind == PropKind.AND else f_or(parts)
@@ -214,7 +166,7 @@ class TdtConstraintSystem:
 def encode(
     network: TimedAutomatonNetwork, stt: SymbolicTimedTrace, prop: SafetyProperty
 ) -> TdtConstraintSystem:
-    """Encode an STT as the eight-block trace constraint system (explicit clocks)."""
+    """Encode an STT as the A/U/I/G trace constraint system over delays."""
     index_of: dict[tuple, int] = {}
     for ref in indexed_constraints(network):
         if ref.kind == "invariant":
@@ -224,8 +176,6 @@ def encode(
 
     n = len(stt.steps)
     atoms: list[TraceAtom] = []
-    for c in range(network.n_clocks):
-        atoms.append(TraceAtom("C0", 0, clock=c))
     for j in range(n + 1):
         atoms.append(TraceAtom("A", j))
     for j in range(n + 1):
@@ -266,22 +216,7 @@ def encode(
                         automaton=ai,
                     )
                 )
-    sys_resets = TdtConstraintSystem(network, stt, prop, (), False)
-    for j in range(n + 1):
-        for c in range(network.n_clocks):
-            if j < n and sys_resets.reset_at[(c, j)]:
-                atoms.append(TraceAtom("R", j, clock=c))
-            else:
-                atoms.append(TraceAtom("D", j, clock=c))
-    return TdtConstraintSystem(network, stt, prop, tuple(atoms), False)
-
-
-def eliminate_clock_variables(sys: TdtConstraintSystem) -> TdtConstraintSystem:
-    """Replace each clock occurrence by its delay sum; C0/R/D become vacuous."""
-    if sys.eliminated:
-        return sys
-    kept = tuple(ta for ta in sys.atoms if ta.block in ("A", "U", "I", "G"))
-    return TdtConstraintSystem(sys.network, sys.stt, sys.prop, kept, True, source=sys)
+    return TdtConstraintSystem(network, stt, prop, tuple(atoms))
 
 
 def feasible(sys: TdtConstraintSystem) -> bool:

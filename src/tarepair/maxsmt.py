@@ -6,12 +6,13 @@ pin each variation variable to its "no change" value; a repair is an
 assignment satisfying the hard constraint while keeping as many soft pins
 as possible (equivalently, modifying as few constraints as possible).
 
-For the bound analysis the variation variables are free rationals, so the
-hard constraint is materialized by quantifier elimination over the delay
-variables. For the discrete analyses (operator, clock reference, resets,
-urgency) the selectors are enumerated outside elimination: a candidate
-assignment reduces both quantifiers to two exact satisfiability checks over
-delay sums. A reset assignment is checked under the reset pattern its edit
+Every trace system ranges over the delay variables d0..dn alone. For the
+bound analysis the variation variables are free rationals, so the hard
+constraint is materialized by quantifier elimination over the delays. For
+the discrete analyses (operator, clock reference, resets, urgency) the
+selectors are enumerated outside elimination: a candidate assignment
+reduces both quantifiers to two exact satisfiability checks over delay
+sums. A reset assignment is checked under the reset pattern its edit
 produces, property included. Each ``HardConstraint`` memoizes its verdicts
 by the instantiated atoms and negated property, since many assignments of
 one run reduce to the same query.
@@ -61,7 +62,7 @@ class HardConstraint:
 
     Per-assignment checks run on delay sums: the reset kind evaluates the
     edited reset pattern (``VariedSystem.edited_system``), every other kind
-    instantiates its delay-only groups. Verdicts are memoized for the life
+    instantiates its branch groups. Verdicts are memoized for the life
     of the instance.
     """
 
@@ -76,7 +77,7 @@ class HardConstraint:
 
     def _bound_formula(self) -> Formula:
         vs = self.vs
-        quantified = vs.base.delta_vars() + vs.base.clock_vars()
+        quantified = vs.base.delta_vars()
         atoms = list(vs.base_atoms) + list(vs.free_atoms)
         existential = eliminate(atoms, quantified, self.qe_budget)
         parts: list[Formula] = [conjunction(existential)]

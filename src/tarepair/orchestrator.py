@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .admissibility import check_admissible, DEFAULT_UNTIMED_BUDGET
 from .checker import DEFAULT_STATE_BUDGET, SymbolicTimedTrace, check
-from .encoder import eliminate_clock_variables, encode, feasible, violating
+from .encoder import encode, feasible, violating
 from .lra import DEFAULT_QE_BUDGET, QeBudgetExceeded, conjunction, f_and, is_satisfiable
 from .maxsmt import (
     HardConstraint,
@@ -229,6 +229,9 @@ def _candidate_from_assignment(
             for ai, ti in reset_targets(vs.base, clock, step):
                 auto = network.automata[ai]
                 what = "remove" if originally_reset else "add"
+                # The edit acts wherever the transition fires.
+                fired = [j for j, move in enumerate(vs.base.stt.steps) if (ai, ti) in move]
+                steps = f"step {fired[0]}" if len(fired) == 1 else f"steps {', '.join(map(str, fired))}"
                 mods.append(
                     Modification(
                         "reset",
@@ -236,7 +239,7 @@ def _candidate_from_assignment(
                         originally_reset,
                         not originally_reset,
                         f"{what} reset of {network.clock_names[clock]} on "
-                        f"{auto.name} transition {ti} (step {step})",
+                        f"{auto.name} transition {ti} ({steps})",
                     )
                 )
         else:  # URGENT
@@ -277,7 +280,16 @@ class RepairRun:
     reason: str = "exhausted"
     timeouts: int = 0
     variable_count: int = 0
+    """The delays d0..dn plus the variation variables. The reset kind adds
+    C*(n+2) for C clocks: the per-step clock variables of an explicit-clock
+    encoding, which the reset analysis does not solve but the campaign's Vr
+    column has always counted."""
     constraint_count: int = 0
+    """Fixed atoms, bound-variation atoms and the atoms of every branch of
+    every group. The reset kind has no groups: it counts the trace system's
+    atoms plus 2*C*(n+1), the explicit-clock encoding's clock equations
+    (initial values, trailing flows and both branches of each reset flip)
+    that the campaign's Cn column has always counted."""
     witness_files: list[str | None] = field(default_factory=list)
 
     @property
@@ -297,14 +309,11 @@ def run(
     qe_budget: int = DEFAULT_QE_BUDGET,
     state_budget: int = DEFAULT_STATE_BUDGET,
     admissibility_budget: int = DEFAULT_UNTIMED_BUDGET,
-    recheck: bool = False,
 ) -> RepairRun:
     """Compute, apply and admissibility-check repairs of one kind.
 
     Without a supplied trace the model is checked first; a Safe verdict
-    yields an empty run. ``recheck`` additionally model-checks each
-    repaired network for fresh violations elsewhere (off by default: the
-    repair contract is local to the trace).
+    yields an empty run.
     """
     kind = RepairKind(kind) if not isinstance(kind, RepairKind) else kind
     problems = [d for d in validate(network, prop) if not d.startswith("warning:")]
@@ -316,7 +325,7 @@ def run(
             return RepairRun(kind, None, reason="no-violation-found")
         tdt = verdict.trace
 
-    enc = eliminate_clock_variables(encode(network, tdt, prop))
+    enc = encode(network, tdt, prop)
     runout = RepairRun(kind, tdt)
     if not violating(enc):
         # A supplied trace without violating realizations leaves nothing to
@@ -330,10 +339,15 @@ def run(
         runout.reason = "qe-timeout"
         runout.timeouts = 1
         return runout
-    runout.variable_count = len(vs.base.delta_vars()) + len(vs.base.clock_vars()) + len(vs.variables)
-    runout.constraint_count = len(vs.base_atoms) + len(vs.free_atoms) + sum(
-        len(atoms) for g in vs.groups for _, atoms in g.branches
-    )
+    runout.variable_count = len(vs.base.delta_vars()) + len(vs.variables)
+    if kind == RepairKind.RESET:
+        clocks = network.n_clocks
+        runout.variable_count += clocks * (vs.base.n + 2)
+        runout.constraint_count = len(vs.base.linear_atoms()) + 2 * clocks * (vs.base.n + 1)
+    else:
+        runout.constraint_count = len(vs.base_atoms) + len(vs.free_atoms) + sum(
+            len(atoms) for g in vs.groups for _, atoms in g.branches
+        )
 
     blocked: set[str] = set()
     original_cache: dict = {}
@@ -376,13 +390,11 @@ def run(
             if edits in emitted_edits:
                 continue
             repaired = apply_candidate(network, candidate)
-            reenc = eliminate_clock_variables(encode(repaired, tdt, prop))
+            reenc = encode(repaired, tdt, prop)
             if not feasible(reenc) or violating(reenc):
                 raise AssertionError(
                     f"semantic repair contract violated by {candidate.describe_modifications()}"
                 )
-            if recheck:
-                check(repaired, prop, state_budget)
             verdict = check_admissible(
                 network, repaired, admissibility_budget, original_cache
             )

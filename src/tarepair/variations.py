@@ -13,10 +13,9 @@ Each encoder introduces variation variables with a declared domain and a
 - resets: one boolean flip per (clock, trace step). A flip stands for the
   syntactic edit it becomes: adding the reset on the step's first
   transition, or removing it from every transition of the step that resets
-  the clock. Assignments are checked on the delay-only system under the
-  reset pattern that edit produces (``VariedSystem.edited_system``); the
-  explicit-clock reset/flow groups are kept only for the reported variable
-  and constraint counts and as a test oracle.
+  the clock. An assignment is instantiated as the trace system under the
+  reset pattern that edit produces (``VariedSystem.edited_system``), so it
+  has no branch groups.
 - urgency: one boolean flip per distinct location visited by the trace;
   flips invert the zero-delay obligation of the location's steps.
 
@@ -29,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .encoder import TdtConstraintSystem, TraceAtom, clock_var, delta_var, eliminate_clock_variables
-from .lra import FAtom, Formula, LinearAtom, Rel, comparison_atom, conjunction, f_and, f_or
+from .encoder import TdtConstraintSystem, TraceAtom, delta_var
+from .lra import LinearAtom, Rel, comparison_atom
 from .model import Op
 
 KINDS = ("bound", "operator", "clockref", "reset", "urgent")
@@ -79,12 +78,19 @@ class VariedSystem:
         self.variables = variables if variables is not None else tuple(g.var for g in groups)
 
     def zero_assignment(self) -> dict[str, object]:
-        if self.kind == "bound":
-            return {v.name: Fraction(0) for v in self.variables}
-        return {g.var.name: g.var.zero for g in self.groups}
+        return {v.name: v.zero for v in self.variables}
 
     def instantiate(self, assignment: dict[str, object]) -> list[LinearAtom]:
-        """Plain conjunction under a full assignment of the variation variables."""
+        """Plain conjunction under a full assignment of the variation variables.
+
+        Reset kind: the atoms of ``edited_system``; raises ValueError for an
+        assignment that is no syntactic edit.
+        """
+        if self.kind == "reset":
+            edited = self.edited_system(assignment)
+            if edited is None:
+                raise ValueError("reset assignment toggles one reset twice")
+            return edited.linear_atoms()
         atoms = list(self.base_atoms)
         if self.kind == "bound":
             values = {name: Fraction(val) for name, val in assignment.items()}
@@ -93,15 +99,6 @@ class VariedSystem:
             for g in self.groups:
                 atoms.extend(g.atoms_for(assignment[g.var.name]))
         return atoms
-
-    def group_formula(self, g: BranchGroup) -> Formula:
-        """Exclusive-or over the group's branches, each tagged with its selector value."""
-        parts = []
-        for value, atoms in g.branches:
-            num = Fraction(value if not isinstance(value, (Op, bool)) else int(value))
-            sel = LinearAtom.make({g.var.name: Fraction(1)}, Rel.EQ, num)
-            parts.append(f_and([FAtom(sel), conjunction(atoms)]))
-        return f_or(parts)
 
     def edited_system(self, assignment: dict[str, object]) -> TdtConstraintSystem | None:
         """Reset kind: the delay-only system under the reset pattern the edit produces.
@@ -161,7 +158,6 @@ def _constraint_description(sys: TdtConstraintSystem, idx: int) -> str:
 
 def vary_bounds(sys: TdtConstraintSystem) -> VariedSystem:
     """Every indexed bound b becomes b + v; one shared rational v per constraint."""
-    sys = eliminate_clock_variables(sys)
     grouped = _indexed_trace_atoms(sys)
     base = [
         la for ta in sys.atoms if ta.block not in ("I", "G") for la in sys.materialize(ta)
@@ -194,7 +190,6 @@ def vary_bounds(sys: TdtConstraintSystem) -> VariedSystem:
 
 def vary_operators(sys: TdtConstraintSystem) -> VariedSystem:
     """Each constraint's operator ranges over <, <=, =, >=, >; copies share the choice."""
-    sys = eliminate_clock_variables(sys)
     grouped = _indexed_trace_atoms(sys)
     base = [
         la for ta in sys.atoms if ta.block not in ("I", "G") for la in sys.materialize(ta)
@@ -221,7 +216,6 @@ def vary_operators(sys: TdtConstraintSystem) -> VariedSystem:
 
 def vary_clock_refs(sys: TdtConstraintSystem) -> VariedSystem:
     """Each constraint's clock position ranges over the owning automaton's clocks."""
-    sys = eliminate_clock_variables(sys)
     grouped = _indexed_trace_atoms(sys)
     base = [
         la for ta in sys.atoms if ta.block not in ("I", "G") for la in sys.materialize(ta)
@@ -265,51 +259,28 @@ def reset_targets(sys: TdtConstraintSystem, clock: int, step: int) -> list[tuple
 def vary_resets(sys: TdtConstraintSystem) -> VariedSystem:
     """One boolean flip per (clock, step); true toggles the reset edit there.
 
-    Assignments are checked through ``VariedSystem.edited_system``: delay
-    sums under the reset pattern the edit produces, so a transition that
-    fires twice is edited at both steps. The explicit-clock groups built
-    here, where a flip inverts the reset/flow equation of its step only,
-    are kept for the reported variable and constraint counts and serve
-    as the per-step oracle in the tests.
+    Assignments are instantiated through ``VariedSystem.edited_system``:
+    delay sums under the reset pattern the edit produces, so a transition
+    that fires twice is edited at both steps.
     """
-    if sys.eliminated:
-        sys = sys.source
-        assert sys is not None, "reset variation needs the pre-elimination system"
-    base = [
-        la
-        for ta in sys.atoms
-        if not (ta.block in ("R", "D") and ta.step < sys.n)
-        for la in sys.materialize(ta)
-    ]
-    groups = []
+    variables = []
     for j in range(sys.n):
         for c in range(sys.network.n_clocks):
             originally_reset = sys.reset_at[(c, j)]
-            var = VariationVariable(
-                name=f"rv{c}_{j}",
-                kind="reset",
-                anchor=(c, j),
-                domain=(False, True),
-                zero=False,
-                description=(
-                    f"{'remove' if originally_reset else 'add'} reset of "
-                    f"{sys.network.clock_names[c]} at step {j}"
-                ),
+            variables.append(
+                VariationVariable(
+                    name=f"rv{c}_{j}",
+                    kind="reset",
+                    anchor=(c, j),
+                    domain=(False, True),
+                    zero=False,
+                    description=(
+                        f"{'remove' if originally_reset else 'add'} reset of "
+                        f"{sys.network.clock_names[c]} at step {j}"
+                    ),
+                )
             )
-            reset_atom = LinearAtom.make({clock_var(c, j + 1): Fraction(1)}, Rel.EQ, 0)
-            flow_atom = LinearAtom.make(
-                {
-                    clock_var(c, j + 1): Fraction(1),
-                    clock_var(c, j): Fraction(-1),
-                    delta_var(j): Fraction(-1),
-                },
-                Rel.EQ,
-                0,
-            )
-            keep = reset_atom if originally_reset else flow_atom
-            flip = flow_atom if originally_reset else reset_atom
-            groups.append(BranchGroup(var, ((False, (keep,)), (True, (flip,)))))
-    return VariedSystem(sys, "reset", tuple(base), tuple(groups))
+    return VariedSystem(sys, "reset", (), (), variables=tuple(variables))
 
 
 def vary_urgency(sys: TdtConstraintSystem) -> VariedSystem:
@@ -318,7 +289,6 @@ def vary_urgency(sys: TdtConstraintSystem) -> VariedSystem:
     Revisited locations share a flip, so flipping one location constrains
     every step where it is resident.
     """
-    sys = eliminate_clock_variables(sys)
     base = [la for ta in sys.atoms if ta.block != "U" for la in sys.materialize(ta)]
     visited: dict[tuple[int, int], list[int]] = {}
     for j, locvec in enumerate(sys.stt.locations):

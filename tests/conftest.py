@@ -3,6 +3,8 @@
 import json
 import random
 
+from tarepair import dbm
+from tarepair.model import prop_to_dnf
 from tarepair.modelio import parse_model
 
 
@@ -79,3 +81,38 @@ def loop_model(clocks=("x", "y"), prop="!@a.L1 || y <= 2"):
         "property": prop,
     }
     return json.dumps(doc)
+
+
+def dbm_replay(network, prop, stt):
+    """(feasible, violating) of a trace, replayed on ``network`` with zones.
+
+    An oracle for the delay encoding that shares no code with it: exact
+    zones, no extrapolation. The final zone holds the clock values after
+    the last delay; the trace is feasible when it is non-empty and
+    violating when it meets the negated property at the final locations.
+    """
+
+    def settle(zone, locvec):
+        invariants = [a for ai, li in enumerate(locvec) for a in network.automata[ai].invariants[li]]
+        zone = dbm.and_atoms(zone, invariants)
+        if not any(li in network.automata[ai].urgent for ai, li in enumerate(locvec)):
+            zone = dbm.and_atoms(dbm.up(zone), invariants)
+        return zone
+
+    zone = settle(dbm.zero_zone(network.n_clocks), stt.locations[0])
+    for move, locvec in zip(stt.steps, stt.locations[1:]):
+        resets = set()
+        for ai, ti in move:
+            trans = network.automata[ai].transitions[ti]
+            zone = dbm.and_atoms(zone, trans.guard)
+            resets |= trans.resets
+        zone = settle(dbm.reset_many(zone, resets), locvec)
+    if dbm.is_empty(zone):
+        return False, False
+    final = stt.locations[-1]
+    violating = any(
+        dbm.intersects(zone, [lit.atom for lit in disjunct if lit.atom is not None])
+        for disjunct in prop_to_dnf(prop.negate())
+        if all(lit.atom is not None or (final[lit.automaton] == lit.location) == lit.positive for lit in disjunct)
+    )
+    return True, violating

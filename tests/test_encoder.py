@@ -1,19 +1,13 @@
-"""Trace constraint system blocks, elimination, and feasibility."""
+"""Trace constraint system blocks, delay sums, and feasibility."""
 
 import random
 from fractions import Fraction as F
 
+from conftest import dbm_replay, random_single_ta
 from tarepair import load_bundled_model
-from tarepair.checker import SymbolicTimedTrace, check, stt_from_moves
-from tarepair.encoder import (
-    clock_var,
-    delta_var,
-    eliminate_clock_variables,
-    encode,
-    feasible,
-    violating,
-)
-from tarepair.lra import is_satisfiable
+from tarepair.checker import SymbolicTimedTrace, check, enabled_moves, stt_from_moves
+from tarepair.encoder import delta_var, encode, feasible, violating
+from tarepair.lra import formula_atoms, is_satisfiable
 from tarepair.modelio import parse_model
 
 
@@ -26,13 +20,10 @@ def test_minimal_zero_step_system():
     net, prop = parse_model(text)
     stt = SymbolicTimedTrace((), (tuple([0]),))
     sys = encode(net, stt, prop)
-    blocks = sorted({ta.block for ta in sys.atoms})
-    assert blocks == ["A", "C0", "D"]
-    atoms = sys.linear_atoms()
-    # c_0 = 0, d_0 >= 0, c_1 = c_0 + d_0
-    assert len(atoms) == 3
-    eli = eliminate_clock_variables(sys)
-    assert [a.text() for a in eli.linear_atoms()] == ["- d0 <= 0"]
+    assert [ta.block for ta in sys.atoms] == ["A"]
+    assert [a.text() for a in sys.linear_atoms()] == ["- d0 <= 0"]
+    # c starts at 0, so the property reads it as the one delay d0
+    assert [a.text() for a in formula_atoms(sys.property_formula(negated=False))] == ["d0 <= 1"]
 
 
 def test_running_example_invariant_doubling():
@@ -42,29 +33,29 @@ def test_running_example_invariant_doubling():
     sys = encode(net, verdict.trace, prop)
     w_atoms = [ta for ta in sys.atoms if ta.block == "I" and ta.constraint_index == 2]
     assert [ta.copy for ta in w_atoms] == ["entry", "exit"]
-    eli = eliminate_clock_variables(sys)
-    texts = {a.text() for ta in w_atoms for a in (eli.materialize(ta))}
+    texts = {a.text() for ta in w_atoms for a in sys.materialize(ta)}
     assert texts == {"0 <= 2", "d1 <= 2"}
 
 
-def test_reset_shapes_r_and_d_blocks():
+def test_reset_shapes_delay_sums():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
     sys = encode(net, verdict.trace, prop)
     y = net.clock_index("y")
-    # y is reset entering step 2 (db.t1 fired at step 1): R at step 1, no D for y there.
-    assert any(ta.block == "R" and ta.step == 1 and ta.clock == y for ta in sys.atoms)
-    assert not any(ta.block == "D" and ta.step == 1 and ta.clock == y for ta in sys.atoms)
-    # the trailing step has flow equations for every clock
+    # y is reset entering step 2 (db.t1 fired at step 1): its delay sum restarts there.
+    assert [sys.reset_at[(y, j)] for j in range(sys.n)] == [False, True, False]
+    assert [sorted(sys.clock_value_coeffs(y, j, False)) for j in range(sys.n + 2)] == [
+        [], ["d0"], [], ["d2"], ["d2", "d3"]
+    ]
+    # the trailing delay counts towards every clock's final value
     n = sys.n
-    trailing = [ta for ta in sys.atoms if ta.block == "D" and ta.step == n]
-    assert len(trailing) == net.n_clocks
+    assert all(delta_var(n) in sys.clock_value_coeffs(c, n + 1, False) for c in range(net.n_clocks))
 
 
 def test_delay_sum_substitution():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
-    sys = eliminate_clock_variables(encode(net, verdict.trace, prop))
+    sys = encode(net, verdict.trace, prop)
     x = net.clock_index("x")
     # x is reset at step 0, so its value at step 3 is d1 + d2.
     assert sys.clock_value_coeffs(x, 3, False) == {delta_var(1): F(1), delta_var(2): F(1)}
@@ -83,7 +74,7 @@ def test_delay_sum_substitution():
     """
     net2, prop2 = parse_model(text)
     stt = stt_from_moves(net2, [((0, 0),), ((0, 1),), ((0, 2),)])
-    sys2 = eliminate_clock_variables(encode(net2, stt, prop2))
+    sys2 = encode(net2, stt, prop2)
     assert sys2.clock_value_coeffs(0, 3, False) == {
         delta_var(0): F(1),
         delta_var(1): F(1),
@@ -96,10 +87,11 @@ def test_phi_reads_clocks_at_step_n_plus_one():
     verdict = check(net, prop)
     sys = encode(net, verdict.trace, prop)
     phi = sys.property_formula(negated=False)
-    from tarepair.lra import formula_atoms
-
+    # x <= 4, x reset at step 0: x's value after the last delay is d1 + d2 + d3
+    assert [a.text() for a in formula_atoms(phi)] == ["d1 + d2 + d3 <= 4"]
+    x = net.clock_index("x")
     vars_used = {v for a in formula_atoms(phi) for v in a.variables()}
-    assert vars_used == {clock_var(net.clock_index("x"), sys.n + 1)}
+    assert vars_used == set(sys.clock_value_coeffs(x, sys.n + 1, False))
 
 
 def test_feasibility_and_violation_on_running_example():
@@ -107,64 +99,21 @@ def test_feasibility_and_violation_on_running_example():
     verdict = check(net, prop)
     sys = encode(net, verdict.trace, prop)
     assert feasible(sys) and violating(sys)
-    eli = eliminate_clock_variables(sys)
-    assert feasible(eli) and violating(eli)
-    # only delay variables remain after elimination
-    used = {v for a in eli.linear_atoms() for v in a.variables()}
-    assert used <= set(eli.delta_vars())
+    used = {v for a in sys.linear_atoms() for v in a.variables()}
+    assert used <= set(sys.delta_vars())
 
 
 def test_injected_contradiction_infeasible():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
-    sys = eliminate_clock_variables(encode(net, verdict.trace, prop))
+    sys = encode(net, verdict.trace, prop)
     from tarepair.lra import atom_lt
 
     atoms = sys.linear_atoms() + [atom_lt({delta_var(0): F(1)}, 0)]
     assert not is_satisfiable(atoms).sat
 
 
-def _random_network(rng):
-    """Small random single-automaton model for elimination equivalence."""
-    n_clocks = rng.randint(1, 3)
-    n_locs = rng.randint(2, 4)
-    clocks = [f"c{i}" for i in range(n_clocks)]
-    locations = []
-    for li in range(n_locs):
-        inv = []
-        if rng.random() < 0.5:
-            inv.append(f"{rng.choice(clocks)} <= {rng.randint(1, 3)}")
-        locations.append({"name": f"l{li}", "invariant": inv})
-    transitions = []
-    for _ in range(rng.randint(1, 4)):
-        src, tgt = rng.randrange(n_locs), rng.randrange(n_locs)
-        guard = []
-        if rng.random() < 0.5:
-            op = rng.choice(["<=", ">=", "<", ">", "="])
-            guard.append(f"{rng.choice(clocks)} {op} {rng.randint(0, 3)}")
-        transitions.append(
-            {
-                "source": f"l{src}",
-                "target": f"l{tgt}",
-                "guard": guard,
-                "resets": [c for c in clocks if rng.random() < 0.3],
-            }
-        )
-    doc = {
-        "automata": [
-            {"name": "p", "initial": "l0", "clocks": clocks, "locations": locations, "transitions": transitions}
-        ],
-        "channels": [],
-        "property": f"{clocks[0]} <= {rng.randint(0, 3)}",
-    }
-    import json
-
-    return parse_model(json.dumps(doc))
-
-
 def _random_walk(net, rng, max_len=4):
-    from tarepair.checker import enabled_moves
-
     locvec = tuple(a.initial for a in net.automata)
     moves = []
     for _ in range(rng.randint(1, max_len)):
@@ -180,20 +129,21 @@ def _random_walk(net, rng, max_len=4):
     return moves
 
 
-def test_elimination_preserves_satisfiability_on_random_traces():
+def test_encoding_agrees_with_dbm_replay_on_random_traces():
     rng = random.Random(20240)
-    checked = 0
-    while checked < 20:
-        net, prop = _random_network(rng)
+    outcomes = []
+    while len(outcomes) < 200:
+        net, prop = random_single_ta(rng)
         moves = _random_walk(net, rng)
         if not moves:
             continue
         stt = stt_from_moves(net, moves)
         sys = encode(net, stt, prop)
-        eli = eliminate_clock_variables(sys)
-        assert feasible(sys) == feasible(eli)
-        assert violating(sys) == violating(eli)
-        checked += 1
+        outcome = (feasible(sys), violating(sys))
+        assert outcome == dbm_replay(net, prop, stt), moves
+        outcomes.append(outcome)
+    # every verdict pair occurs, so the agreement is not vacuous
+    assert set(outcomes) == {(False, False), (True, False), (True, True)}
 
 
 def test_smtlib_dump_round():

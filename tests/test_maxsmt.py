@@ -3,10 +3,11 @@
 import itertools
 from fractions import Fraction as F
 
+from conftest import dbm_replay, loop_model
 from tarepair import load_bundled_model, maxsmt
 from tarepair.checker import check
 from tarepair.encoder import encode
-from tarepair.lra import FAtom, LinearAtom, Rel, conjunction, f_and, is_satisfiable
+from tarepair.lra import FAtom, LinearAtom, Rel, f_and, is_satisfiable
 from tarepair.maxsmt import (
     HardConstraint,
     MaxSmtProblem,
@@ -16,6 +17,8 @@ from tarepair.maxsmt import (
     sample_repair_values,
 )
 from tarepair.model import Op
+from tarepair.modelio import parse_model
+from tarepair.orchestrator import RepairKind, _candidate_from_assignment, apply_candidate
 from tarepair.variations import vary
 
 
@@ -135,7 +138,7 @@ def test_unreparable_model_yields_no_solution():
     import json
 
     from tarepair.modelio import parse_model
-    from tarepair.orchestrator import RepairKind, run as orch_run
+    from tarepair.orchestrator import run as orch_run
 
     net, prop = parse_model(
         json.dumps(
@@ -172,24 +175,16 @@ def test_blocking_and_memo_reuse():
     assert second.modified == ("v2",)
 
 
-def _explicit_clock_check(vs, assignment):
-    """Per-step oracle: the explicit-clock reset groups, each flip inverting
-    the reset/flow equation of its own step."""
-    atoms = vs.instantiate(assignment)
-    if not is_satisfiable(atoms).sat:
-        return False
-    return not is_satisfiable(f_and([conjunction(atoms), vs.base.property_formula(True)])).sat
-
-
-def test_reset_delay_check_agrees_with_explicit_clock_oracle():
-    # No bundled trace fires a transition twice, so a per-step flip and the
-    # per-transition edit it becomes coincide and both checks must agree.
-    checked = repairs = 0
-    for name in ("client_db", "oneclock", "urgent_hop", "pair_sync"):
-        net, prop = load_bundled_model(name)
+def test_reset_check_agrees_with_dbm_replay():
+    # Every assignment with at most two flips: the check must equal the
+    # replay of the applied edit on the repaired model. The loop models fire
+    # t0 twice, so a flip there edits both steps; an assignment that
+    # toggles one reset twice is no edit and no repair.
+    cases = [load_bundled_model(name) for name in ("client_db", "oneclock", "urgent_hop", "pair_sync")]
+    cases += [parse_model(loop_model()), parse_model(loop_model(("x", "y", "z"), "!@a.L1 || z <= 2"))]
+    checked = repairs = cancelled = 0
+    for net, prop in cases:
         trace = check(net, prop).trace
-        fired = [t for move in trace.steps for t in move]
-        assert len(fired) == len(set(fired)), name
         vs = vary(encode(net, trace, prop), "reset")
         names = [v.name for v in vs.variables]
         assignments = [
@@ -197,16 +192,24 @@ def test_reset_delay_check_agrees_with_explicit_clock_oracle():
             for m in range(3)
             for flips in itertools.combinations(names, m)
         ]
-        expected = [_explicit_clock_check(vs, a) for a in assignments]
+        expected = []
+        for a in assignments:
+            if HardConstraint(vs).query(a) is None:
+                expected.append(False)
+                cancelled += 1
+                continue
+            repaired = apply_candidate(net, _candidate_from_assignment(vs, RepairKind.RESET, a))
+            feasible, violating = dbm_replay(repaired, prop, trace)
+            expected.append(feasible and not violating)
         cold = [HardConstraint(vs).check(a) for a in assignments]
         warm = HardConstraint(vs)
         first = [warm.check(a) for a in assignments]
         again = [warm.check(a) for a in assignments]
-        assert cold == expected, name
-        assert first == expected and again == expected, name
+        assert cold == expected
+        assert first == expected and again == expected
         checked += len(assignments)
         repairs += sum(expected)
-    assert checked == 89 and 0 < repairs < checked
+    assert checked == 157 and 0 < repairs < checked and cancelled > 0
 
 
 def test_hard_check_memo_answers_repeated_queries(monkeypatch):

@@ -204,12 +204,13 @@ def test_reset_run_on_repeated_transition():
 
 
 def test_reset_flips_of_one_transition_yield_one_candidate():
-    # Adding the reset of z at step 0 or at step 1 is the same edit of t0.
+    # Adding the reset of z at step 0 or at step 1 is the same edit of t0,
+    # and its description names both steps where t0 fires.
     net, prop = parse_model(loop_model(("x", "y", "z"), "!@a.L1 || z <= 2"))
     rr = run(net, prop, RepairKind.RESET)
     descs = [cand.describe_modifications() for cand in rr.candidates]
     assert descs == [
-        ["add reset of z on a transition 0 (step 0)"],
+        ["add reset of z on a transition 0 (steps 0, 1)"],
         ["add reset of z on a transition 1 (step 2)"],
     ]
 

@@ -1,12 +1,16 @@
-"""Variation encoders: zero-meaning contract, XOR branches, substitutions."""
+"""Variation encoders: zero-meaning contract, branches, substitutions."""
 
 from fractions import Fraction as F
 
+import pytest
+
+from conftest import loop_model
 from tarepair import load_bundled_model
 from tarepair.checker import check
-from tarepair.encoder import delta_var, encode, eliminate_clock_variables
-from tarepair.lra import FAtom, LinearAtom, Rel, f_and, is_satisfiable
+from tarepair.encoder import delta_var, encode
+from tarepair.lra import LinearAtom, Rel, is_satisfiable
 from tarepair.model import Op
+from tarepair.modelio import parse_model
 from tarepair.variations import KINDS, vary, vary_bounds, vary_clock_refs, vary_operators, vary_resets, vary_urgency
 
 VIOLATING = ("client_db", "oneclock", "urgent_hop", "pair_sync")
@@ -21,7 +25,7 @@ def corpus_systems():
 
 def test_zero_meaning_equisatisfiable_for_all_encoders_and_traces():
     for name, net, sys in corpus_systems():
-        base = is_satisfiable(eliminate_clock_variables(sys).linear_atoms()).sat
+        base = is_satisfiable(sys.linear_atoms()).sat
         for kind in KINDS:
             vs = vary(sys, kind)
             inst = vs.instantiate(vs.zero_assignment())
@@ -45,7 +49,7 @@ def test_bound_variation_shares_variable_between_copies():
 def test_bound_variation_counts_one_variable_per_trace_constraint():
     for name, net, sys in corpus_systems():
         vs = vary_bounds(sys)
-        trace_indices = {ta.constraint_index for ta in eliminate_clock_variables(sys).atoms if ta.block in ("I", "G")}
+        trace_indices = {ta.constraint_index for ta in sys.atoms if ta.block in ("I", "G")}
         assert len(vs.variables) == len(trace_indices), name
 
 
@@ -61,40 +65,10 @@ def test_operator_variation_branch_instantiation():
     assert [a.text() for a in ge] == ["- d1 <= -1"]
 
 
-def test_operator_xor_admits_exactly_one_branch():
-    # Brute force over the five branches on a one-variable system: any
-    # satisfying assignment fixes the selector to exactly one operator index.
-    net, prop = load_bundled_model()
-    verdict = check(net, prop)
-    vs = vary_operators(encode(net, verdict.trace, prop))
-    group = next(g for g in vs.groups if g.var.name == "ov4")
-    xor = vs.group_formula(group)
-    for k in Op:
-        pin = FAtom(LinearAtom.make({"ov4": F(1)}, Rel.EQ, int(k)))
-        res = is_satisfiable(f_and([xor, pin]), want_model=True)
-        assert res.sat  # every single branch is realizable in isolation
-        satisfied = [
-            kk
-            for kk in Op
-            if all(a.evaluate({delta_var(1): res.model[delta_var(1)]}) for a in group.atoms_for(kk))
-            and res.model["ov4"] == int(kk)
-        ]
-        assert satisfied == [k]
-    # two selector values at once are contradictory
-    two = f_and(
-        [
-            xor,
-            FAtom(LinearAtom.make({"ov4": F(1)}, Rel.EQ, 0)),
-            FAtom(LinearAtom.make({"ov4": F(1)}, Rel.EQ, 1)),
-        ]
-    )
-    assert not is_satisfiable(two).sat
-
-
 def test_clock_ref_branches_substitute_delay_sums():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
-    sys = eliminate_clock_variables(encode(net, verdict.trace, prop))
+    sys = encode(net, verdict.trace, prop)
     vs = vary_clock_refs(sys)
     # constraint #0 is z <= 2 on serReceiving (step 3, entry+exit copies)
     group = next(g for g in vs.groups if g.var.name == "cv0")
@@ -111,7 +85,7 @@ def test_clock_ref_zero_branch_restores_base():
     verdict = check(net, prop)
     vs = vary_clock_refs(encode(net, verdict.trace, prop))
     zero_inst = vs.instantiate(vs.zero_assignment())
-    base = eliminate_clock_variables(encode(net, verdict.trace, prop)).linear_atoms()
+    base = encode(net, verdict.trace, prop).linear_atoms()
     assert {a.text() for a in zero_inst} == {a.text() for a in base}
 
 
@@ -119,24 +93,43 @@ def test_reset_variation_flip_semantics():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
     vs = vary_resets(encode(net, verdict.trace, prop))
+    # one flip per (clock, step) with a transition, step-major
+    assert [v.name for v in vs.variables] == [
+        f"rv{c}_{j}" for j in range(len(verdict.trace)) for c in range(net.n_clocks)
+    ]
     y = net.clock_index("y")
-    group = next(g for g in vs.groups if g.var.anchor == (y, 1))
-    keep = group.atoms_for(False)
-    flip = group.atoms_for(True)
-    # originally reset: keep pins y_2 = 0, flip lets the value flow
-    assert len(keep) == 1 and len(flip) == 1
-    assert set(keep[0].variables()) == {f"k{y}_2"}
-    assert set(flip[0].variables()) == {f"k{y}_2", f"k{y}_1", delta_var(1)}
-    # flips exist only for (clock, step) pairs with a transition
-    assert len(vs.groups) == net.n_clocks * len(verdict.trace)
+    var = next(v for v in vs.variables if v.anchor == (y, 1))
+    assert var.description == "remove reset of y at step 1"
+    assignment = vs.zero_assignment()
+    assignment[var.name] = True
+    edited = vs.edited_system(assignment)
+    # originally reset: the flip lets y's delay sum run on from step 0
+    resets = {k for k, v in vs.base.reset_at.items() if v}
+    assert {k for k, v in edited.reset_at.items() if v} == resets - {(y, 1)}
+    assert [sorted(edited.clock_value_coeffs(y, j, False)) for j in (2, 3)] == [
+        ["d0", "d1"],
+        ["d0", "d1", "d2"],
+    ]
 
 
-def test_reset_variation_requires_explicit_clocks():
-    net, prop = load_bundled_model()
+def test_reset_variation_instantiates_the_edited_system():
+    net, prop = parse_model(loop_model())
     verdict = check(net, prop)
-    eli = eliminate_clock_variables(encode(net, verdict.trace, prop))
-    vs = vary_resets(eli)  # transparently uses the pre-elimination source
-    assert vs.base.eliminated is False
+    sys = encode(net, verdict.trace, prop)
+    vs = vary_resets(sys)
+    assert vs.base is sys and vs.base_atoms == () and vs.groups == ()
+    zero = vs.zero_assignment()
+    assert vs.instantiate(zero) == sys.linear_atoms()
+    x = net.clock_index("x")
+    one = dict(zero, **{f"rv{x}_0": True})  # remove t0's reset of x, at steps 0 and 1
+    edited = vs.edited_system(one)
+    assert [edited.reset_at[(x, j)] for j in range(sys.n)] == [False, False, False]
+    assert vs.instantiate(one) == edited.linear_atoms()
+    # flipping x at both steps toggles t0's reset twice: no syntactic edit
+    twice = dict(one, **{f"rv{x}_1": True})
+    assert vs.edited_system(twice) is None
+    with pytest.raises(ValueError):
+        vs.instantiate(twice)
 
 
 def test_urgency_variation_branches():
@@ -163,8 +156,7 @@ def test_encoders_leave_other_blocks_untouched():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
     sys = encode(net, verdict.trace, prop)
-    eli = eliminate_clock_variables(sys)
-    base_texts = {a.text() for ta in eli.atoms if ta.block == "A" for a in eli.materialize(ta)}
+    base_texts = {a.text() for ta in sys.atoms if ta.block == "A" for a in sys.materialize(ta)}
     for kind in ("bound", "operator", "clockref", "urgent"):
         vs = vary(sys, kind)
         assert base_texts <= {a.text() for a in vs.base_atoms}, kind
