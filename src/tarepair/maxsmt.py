@@ -12,16 +12,19 @@ constraint is materialized by quantifier elimination over the delays. For
 the discrete analyses (operator, clock reference, resets, urgency) the
 selectors are enumerated outside elimination: a candidate assignment
 reduces both quantifiers to two exact satisfiability checks over delay
-sums. A reset assignment is checked under the reset pattern its edit
-produces, property included. Each ``HardConstraint`` memoizes its verdicts
+sums. A reset assignment is checked under the reset pattern its edits
+produce, property included. Each ``HardConstraint`` memoizes its verdicts
 by the instantiated atoms and negated property, since many assignments of
 one run reduce to the same query.
+
+``max_sat`` is one pass over the modified sets of a run: it yields every
+repairing set in ascending size and blocks the variables of each set it
+yields, so the sets it yields share no variable.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lra import (
@@ -86,26 +89,16 @@ class HardConstraint:
             parts.append(f_and([f_or([a.negated_formula() for a in projected])]))
         return f_and(parts)
 
-    def query(
-        self, assignment: dict[str, object]
-    ) -> tuple[tuple[LinearAtom, ...], Formula] | None:
-        """The delay-only atoms and negated property that decide an assignment.
-
-        None when the assignment is no syntactic edit (a reset assignment
-        that toggles one transition's reset twice).
-        """
+    def query(self, assignment: dict[str, object]) -> tuple[tuple[LinearAtom, ...], Formula]:
+        """The delay-only atoms and negated property that decide an assignment."""
         if self.vs.kind != "reset":
             return tuple(self.vs.instantiate(assignment)), self.neg_phi
         edited = self.vs.edited_system(assignment)
-        if edited is None:
-            return None
         return tuple(edited.linear_atoms()), edited.property_formula(negated=True)
 
     def check(self, assignment: dict[str, object]) -> bool:
         """Is this full assignment a repair (feasible, no violating realization)?"""
         query = self.query(assignment)
-        if query is None:
-            return False
         verdict = self._verdicts.get(query)
         if verdict is None:
             atoms, neg_phi = query
@@ -123,46 +116,13 @@ class HardConstraint:
         return is_satisfiable(f_and([self.formula, pins]), self.qe_budget).sat
 
 
-@dataclass(frozen=True)
-class MaxSmtProblem:
-    """Every unblocked variable is soft-pinned to its zero meaning."""
-
-    hard: HardConstraint
-    blocked: frozenset[str] = frozenset()  # variables hard-asserted to zero
-
-
-@dataclass(frozen=True)
-class Solution:
-    assignment: tuple[tuple[str, object], ...]  # full assignment, all variables
-    modified: tuple[str, ...]
-    kept: frozenset[str]
-
-    def as_dict(self) -> dict[str, object]:
-        return dict(self.assignment)
-
-
-@dataclass
-class SearchState:
-    """Unsat-memo carried across max_sat calls of one enumeration loop."""
-
-    failed_kept: list[frozenset[str]] = field(default_factory=list)
-
-    def known_unsat(self, kept: frozenset[str]) -> bool:
-        return any(f <= kept for f in self.failed_kept)
-
-    def record_unsat(self, kept: frozenset[str]) -> None:
-        self.failed_kept.append(kept)
-
-
 def nonzero_values(var) -> list[object]:
     """Domain of one variable without its zero meaning, in deterministic order."""
     assert var.domain is not None
     return [v for v in var.domain if v != var.zero]
 
 
-def repairing_assignments(
-    hard: HardConstraint, modified: tuple[str, ...], limit: int | None = None
-):
+def repairing_assignments(hard: HardConstraint, modified: tuple[str, ...]):
     """All repairing value combinations on exactly the given modified set.
 
     Discrete kinds only; values run over each variable's non-zero domain in
@@ -177,8 +137,6 @@ def repairing_assignments(
         assignment.update({v.name: val for v, val in zip(mvars, combo)})
         if hard.check(assignment):
             found.append(assignment)
-            if limit is not None and len(found) >= limit:
-                break
     return found
 
 
@@ -229,43 +187,36 @@ def sample_repair_values(
     return values
 
 
-def max_sat(
-    problem: MaxSmtProblem,
-    state: SearchState | None = None,
-    min_modifications: int = 0,
-) -> Solution | None:
-    """Assignment maximizing the number of unmodified variation variables.
+def max_sat(hard: HardConstraint):
+    """Every repairing modified set, fewest modified variation variables first.
 
-    Searches modification counts in ascending order (subsets in
-    lexicographic order), so the first satisfiable subset is optimal and
-    deterministic. Kept-sets known unsatisfiable prune their supersets.
-    Returns None when the hard constraint admits no repair.
+    Yields ``(modified, assignments)``. Sets run in ascending size and in
+    lexicographic order within a size, so the first yield is optimal and
+    the order deterministic. The bound kind yields one sampled rational
+    assignment per set, the discrete kinds every repairing assignment on
+    it. Once yielded, a set's variables stay pinned to zero: later sets
+    never modify them.
     """
-    state = state or SearchState()
-    hard = problem.hard
     vs = hard.vs
-    names = [v.name for v in vs.variables if v.name not in problem.blocked]
     all_names = [v.name for v in vs.variables]
-    for m in range(min_modifications, len(names) + 1):
-        for combo in itertools.combinations(names, m):
-            kept = frozenset(all_names) - set(combo)
-            if state.known_unsat(kept):
+    blocked: set[str] = set()
+    size = 0
+    while size <= len(all_names) - len(blocked):
+        names = [n for n in all_names if n not in blocked]
+        for combo in itertools.combinations(names, size):
+            if not blocked.isdisjoint(combo):
                 continue
             if vs.kind == "bound":
-                if hard.check_with_zeros(kept):
-                    values = sample_repair_values(hard, combo)
-                    if values is None:
-                        state.record_unsat(kept)
-                        continue
-                    assignment = {n: Fraction(0) for n in all_names}
-                    assignment.update(values)
-                    return Solution(
-                        tuple(sorted(assignment.items())), combo, kept
-                    )
-                state.record_unsat(kept)
+                if not hard.check_with_zeros(frozenset(all_names) - set(combo)):
+                    continue
+                values = sample_repair_values(hard, combo)
+                if values is None:
+                    continue
+                assignments = [{n: values.get(n, Fraction(0)) for n in all_names}]
             else:
-                found = repairing_assignments(hard, combo, limit=1)
-                if found:
-                    return Solution(tuple(sorted(found[0].items())), combo, kept)
-                state.record_unsat(kept)
-    return None
+                assignments = repairing_assignments(hard, combo)
+                if not assignments:
+                    continue
+            blocked.update(combo)
+            yield combo, assignments
+        size += 1

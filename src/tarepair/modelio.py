@@ -375,17 +375,34 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> TraceDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    if not isinstance(doc, dict):
+        raise ModelFormatError("top level: expected an object")
     if "labels" in doc:
+        if not isinstance(doc["labels"], list):
+            raise ModelFormatError("labels: expected a list")
         return TraceDocument((), (), (), tuple(doc["labels"]))
     steps = []
     locs = [a.initial for a in network.automata]
     initial = tuple(locs)
-    for si, sdoc in enumerate(doc.get("steps", [])):
+    step_docs = doc.get("steps", [])
+    if not isinstance(step_docs, list):
+        raise ModelFormatError("steps: expected a list")
+    for si, sdoc in enumerate(step_docs):
         path = f"steps[{si}]"
+        if not isinstance(sdoc, dict) or not isinstance(sdoc.get("fired"), list):
+            raise ModelFormatError(f"{path}: expected an object with a 'fired' list")
         fired = []
         for fdoc in sdoc["fired"]:
-            ai = network.automaton_index(fdoc["automaton"])
-            ti = fdoc["transitionIndex"]
+            if not isinstance(fdoc, dict):
+                raise ModelFormatError(f"{path}: expected a fired transition object, got {fdoc!r}")
+            name = fdoc.get("automaton")
+            try:
+                ai = network.automaton_index(name)
+            except KeyError:
+                raise ModelFormatError(f"{path}: unknown automaton {name!r}") from None
+            ti = fdoc.get("transitionIndex")
+            if isinstance(ti, bool) or not isinstance(ti, int):
+                raise ModelFormatError(f"{path}: transition index {ti!r} is not an integer")
             auto = network.automata[ai]
             if not (0 <= ti < len(auto.transitions)):
                 raise ModelFormatError(f"{path}: transition index {ti} out of range")

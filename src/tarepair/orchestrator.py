@@ -1,18 +1,17 @@
 """End-to-end repair loop: trace, variation, MaxSMT, application, admissibility.
 
-Each round asks the MaxSMT search for the smallest set of variation
-variables that still admits a repair, enumerates the repairing value
-assignments on exactly that set (discrete kinds; the bound kind samples
-one rational assignment), and then blocks the set by hard-asserting its
-variables to zero before the next round. Candidates therefore appear in
-non-decreasing modification count, and no modified set repeats.
+One pass of the MaxSMT search yields the repairing sets of variation
+variables, smallest first, each with its repairing value assignments
+(discrete kinds; the bound kind samples one rational assignment); the
+search blocks each set's variables once it is yielded. Candidates
+therefore appear in non-decreasing modification count, and no modified
+set repeats. Each variation variable is one syntactic edit, so distinct
+assignments are distinct repairs.
 
 Within one set, a value assignment whose repaired trace system is implied
 by an already-emitted candidate's is skipped: such a repair permits no
 realization the earlier one did not already permit. This keeps, e.g., a
-``w = 1`` suggestion out when ``w <= 1`` was already proposed. A candidate
-whose edits equal an emitted one's is skipped too: when a transition fires
-twice, the reset flips of both steps become the same edit.
+``w = 1`` suggestion out when ``w <= 1`` was already proposed.
 
 Every emitted candidate is re-verified against the semantic repair
 contract on the repaired model's delay-only trace system (the repaired
@@ -31,13 +30,9 @@ from .admissibility import check_admissible, DEFAULT_UNTIMED_BUDGET
 from .checker import DEFAULT_STATE_BUDGET, SymbolicTimedTrace, check
 from .encoder import encode, feasible, violating
 from .lra import DEFAULT_QE_BUDGET, QeBudgetExceeded, conjunction, f_and, is_satisfiable
-from .maxsmt import (
-    HardConstraint,
-    MaxSmtProblem,
-    SearchState,
-    max_sat,
-    repairing_assignments,
-)
+# repairing_assignments is not called here; it stays importable under this
+# module's name because bench/tracing.py wraps it here.
+from .maxsmt import HardConstraint, max_sat, repairing_assignments  # noqa: F401
 from .model import (
     AtomicClockConstraint,
     Op,
@@ -45,7 +40,7 @@ from .model import (
     indexed_constraints,
     validate,
 )
-from .variations import VariedSystem, reset_targets, vary
+from .variations import VariedSystem, vary
 
 
 class RepairKind(enum.Enum):
@@ -75,9 +70,6 @@ class RepairCandidate:
 
     def describe_modifications(self) -> list[str]:
         return [m.description for m in self.modifications]
-
-    def modified_anchors(self) -> frozenset[tuple]:
-        return frozenset(m.anchor for m in self.modifications)
 
     def inverse(self) -> "RepairCandidate":
         return RepairCandidate(
@@ -224,24 +216,11 @@ def _candidate_from_assignment(
                 )
             )
         elif kind == RepairKind.RESET:
-            clock, step = var.anchor
-            originally_reset = vs.base.reset_at[(clock, step)]
-            for ai, ti in reset_targets(vs.base, clock, step):
-                auto = network.automata[ai]
-                what = "remove" if originally_reset else "add"
-                # The edit acts wherever the transition fires.
-                fired = [j for j, move in enumerate(vs.base.stt.steps) if (ai, ti) in move]
-                steps = f"step {fired[0]}" if len(fired) == 1 else f"steps {', '.join(map(str, fired))}"
-                mods.append(
-                    Modification(
-                        "reset",
-                        ("reset", ai, ti, clock),
-                        originally_reset,
-                        not originally_reset,
-                        f"{what} reset of {network.clock_names[clock]} on "
-                        f"{auto.name} transition {ti} ({steps})",
-                    )
-                )
+            ai, ti, clock = var.anchor
+            old = clock in network.automata[ai].transitions[ti].resets
+            mods.append(
+                Modification("reset", ("reset", ai, ti, clock), old, not old, var.description)
+            )
         else:  # URGENT
             ai, li = var.anchor
             auto = network.automata[ai]
@@ -280,16 +259,17 @@ class RepairRun:
     reason: str = "exhausted"
     timeouts: int = 0
     variable_count: int = 0
-    """The delays d0..dn plus the variation variables. The reset kind adds
-    C*(n+2) for C clocks: the per-step clock variables of an explicit-clock
-    encoding, which the reset analysis does not solve but the campaign's Vr
-    column has always counted."""
+    """The delays d0..dn plus the variation variables. The reset kind counts
+    the size of an explicit-clock encoding instead, which the campaign's Vr
+    column has always reported: the n+1 delays, C*(n+2) per-step clock
+    variables for C clocks, and C*n reset flips, one per (clock, step). It
+    does not read the number of reset variables, which is one per edit."""
     constraint_count: int = 0
     """Fixed atoms, bound-variation atoms and the atoms of every branch of
     every group. The reset kind has no groups: it counts the trace system's
     atoms plus 2*C*(n+1), the explicit-clock encoding's clock equations
-    (initial values, trailing flows and both branches of each reset flip)
-    that the campaign's Cn column has always counted."""
+    (initial values, trailing flows and both branches of each per-(clock,
+    step) reset choice) that the campaign's Cn column has always counted."""
     witness_files: list[str | None] = field(default_factory=list)
 
     @property
@@ -332,85 +312,47 @@ def run(
         # repair; the all-zero assignment would be a spurious empty repair.
         runout.reason = "trace-not-violating"
         return runout
+    original_cache: dict = {}
     try:
         vs = vary(enc, kind.value)
         hard = HardConstraint(vs, qe_budget)
+        n, clocks = vs.base.n, network.n_clocks
+        if kind == RepairKind.RESET:
+            runout.variable_count = n + 1 + clocks * (n + 2) + clocks * n
+            runout.constraint_count = len(vs.base.linear_atoms()) + 2 * clocks * (n + 1)
+        else:
+            runout.variable_count = n + 1 + len(vs.variables)
+            runout.constraint_count = len(vs.base_atoms) + len(vs.free_atoms) + sum(
+                len(atoms) for g in vs.groups for _, atoms in g.branches
+            )
+        if max_repairs <= 0:
+            runout.reason = "budget"
+            return runout
+        for _, assignments in max_sat(hard):
+            emitted_atoms: list[tuple] = []
+            for assignment in assignments:
+                inst, _ = hard.query(assignment)
+                if any(_entails(inst, prev, qe_budget) for prev in emitted_atoms):
+                    continue
+                candidate = _candidate_from_assignment(vs, kind, assignment)
+                repaired = apply_candidate(network, candidate)
+                reenc = encode(repaired, tdt, prop)
+                if not feasible(reenc) or violating(reenc):
+                    raise AssertionError(
+                        f"semantic repair contract violated by {candidate.describe_modifications()}"
+                    )
+                verdict = check_admissible(
+                    network, repaired, admissibility_budget, original_cache
+                )
+                runout.candidates.append(candidate)
+                runout.admissible.append(verdict.equal)
+                runout.witnesses.append(verdict.witness)
+                runout.witness_files.append(None)
+                emitted_atoms.append(inst)
+                if len(runout.candidates) >= max_repairs:
+                    runout.reason = "budget"
+                    return runout
     except QeBudgetExceeded:
         runout.reason = "qe-timeout"
         runout.timeouts = 1
-        return runout
-    runout.variable_count = len(vs.base.delta_vars()) + len(vs.variables)
-    if kind == RepairKind.RESET:
-        clocks = network.n_clocks
-        runout.variable_count += clocks * (vs.base.n + 2)
-        runout.constraint_count = len(vs.base.linear_atoms()) + 2 * clocks * (vs.base.n + 1)
-    else:
-        runout.constraint_count = len(vs.base_atoms) + len(vs.free_atoms) + sum(
-            len(atoms) for g in vs.groups for _, atoms in g.branches
-        )
-
-    blocked: set[str] = set()
-    original_cache: dict = {}
-    emitted_edits: set[frozenset] = set()
-    search = SearchState()
-    min_mods = 0
-    while True:
-        if len(runout.candidates) >= max_repairs:
-            runout.reason = "budget"
-            return runout
-        try:
-            sol = max_sat(MaxSmtProblem(hard, frozenset(blocked)), search, min_mods)
-        except QeBudgetExceeded:
-            runout.reason = "qe-timeout"
-            runout.timeouts += 1
-            return runout
-        if sol is None:
-            runout.reason = "exhausted"
-            return runout
-        min_mods = len(sol.modified)
-        if kind == RepairKind.BOUND:
-            assignments = [sol.as_dict()]
-        else:
-            try:
-                assignments = repairing_assignments(hard, sol.modified)
-            except QeBudgetExceeded:
-                runout.reason = "qe-timeout"
-                runout.timeouts += 1
-                return runout
-        emitted_atoms: list[tuple] = []
-        for assignment in assignments:
-            if len(runout.candidates) >= max_repairs:
-                runout.reason = "budget"
-                return runout
-            inst, _ = hard.query(assignment)
-            if any(_entails(inst, prev, qe_budget) for prev in emitted_atoms):
-                continue
-            candidate = _candidate_from_assignment(vs, kind, assignment)
-            edits = frozenset((m.anchor, m.new) for m in candidate.modifications)
-            if edits in emitted_edits:
-                continue
-            repaired = apply_candidate(network, candidate)
-            reenc = encode(repaired, tdt, prop)
-            if not feasible(reenc) or violating(reenc):
-                raise AssertionError(
-                    f"semantic repair contract violated by {candidate.describe_modifications()}"
-                )
-            verdict = check_admissible(
-                network, repaired, admissibility_budget, original_cache
-            )
-            runout.candidates.append(candidate)
-            runout.admissible.append(verdict.equal)
-            runout.witnesses.append(verdict.witness)
-            runout.witness_files.append(None)
-            emitted_atoms.append(inst)
-            emitted_edits.add(edits)
-        blocked.update(sol.modified)
-
-
-def run_all_kinds(network, prop, kinds=None, **kwargs) -> list[RepairRun]:
-    """Run the selected analyses independently on one shared trace."""
-    kinds = [RepairKind(k) for k in (kinds or [k.value for k in RepairKind])]
-    verdict = check(network, prop, kwargs.get("state_budget", DEFAULT_STATE_BUDGET))
-    if verdict.safe:
-        return [RepairRun(k, None, reason="no-violation-found") for k in kinds]
-    return [run(network, prop, k, tdt=verdict.trace, **kwargs) for k in kinds]
+    return runout

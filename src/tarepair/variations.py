@@ -10,12 +10,13 @@ Each encoder introduces variation variables with a declared domain and a
   choice.
 - clock reference: each constraint's clock position ranges over the clocks
   of the owning automaton, the delay sum substituted per branch.
-- resets: one boolean flip per (clock, trace step). A flip stands for the
-  syntactic edit it becomes: adding the reset on the step's first
-  transition, or removing it from every transition of the step that resets
-  the clock. An assignment is instantiated as the trace system under the
-  reset pattern that edit produces (``VariedSystem.edited_system``), so it
-  has no branch groups.
+- resets: one boolean flip per (transition, clock) reset toggle the trace
+  offers: at each step a clock is removed from every transition of the
+  step that resets it, or else added on the step's first transition. A
+  flip is exactly one syntactic edit and acts wherever its transition
+  fires. An assignment is instantiated as the trace system under the reset
+  pattern its edits produce (``VariedSystem.edited_system``), so it has no
+  branch groups.
 - urgency: one boolean flip per distinct location visited by the trace;
   flips invert the zero-delay obligation of the location's steps.
 
@@ -83,14 +84,10 @@ class VariedSystem:
     def instantiate(self, assignment: dict[str, object]) -> list[LinearAtom]:
         """Plain conjunction under a full assignment of the variation variables.
 
-        Reset kind: the atoms of ``edited_system``; raises ValueError for an
-        assignment that is no syntactic edit.
+        Reset kind: the atoms of ``edited_system``.
         """
         if self.kind == "reset":
-            edited = self.edited_system(assignment)
-            if edited is None:
-                raise ValueError("reset assignment toggles one reset twice")
-            return edited.linear_atoms()
+            return self.edited_system(assignment).linear_atoms()
         atoms = list(self.base_atoms)
         if self.kind == "bound":
             values = {name: Fraction(val) for name, val in assignment.items()}
@@ -100,29 +97,20 @@ class VariedSystem:
                 atoms.extend(g.atoms_for(assignment[g.var.name]))
         return atoms
 
-    def edited_system(self, assignment: dict[str, object]) -> TdtConstraintSystem | None:
+    def edited_system(self, assignment: dict[str, object]) -> TdtConstraintSystem:
         """Reset kind: the delay-only system under the reset pattern the edit produces.
 
-        Each flip toggles the resets that ``reset_targets`` names, on every
-        step where those transitions fire. None when two flips toggle the
-        same (transition, clock): the two edits cancel, so the assignment
-        is no repair.
+        Each true flip toggles its transition's reset of its clock on every
+        step where that transition fires.
         """
         base = self.base
-        toggled: set[tuple[tuple[int, int], int]] = set()
-        for var in self.variables:
-            if assignment[var.name]:
-                clock, step = var.anchor
-                for target in reset_targets(base, clock, step):
-                    if (target, clock) in toggled:
-                        return None
-                    toggled.add((target, clock))
+        toggled = {var.anchor for var in self.variables if assignment[var.name]}
         automata = base.network.automata
         reset_at = {}
         for j, move in enumerate(base.stt.steps):
             for c in range(base.network.n_clocks):
                 reset_at[(c, j)] = any(
-                    (c in automata[ai].transitions[ti].resets) != (((ai, ti), c) in toggled)
+                    (c in automata[ai].transitions[ti].resets) != ((ai, ti, c) in toggled)
                     for ai, ti in move
                 )
         return base.with_resets(reset_at)
@@ -242,45 +230,37 @@ def vary_clock_refs(sys: TdtConstraintSystem) -> VariedSystem:
     return VariedSystem(sys, "clockref", tuple(base), tuple(groups))
 
 
-def reset_targets(sys: TdtConstraintSystem, clock: int, step: int) -> list[tuple[int, int]]:
-    """The transitions whose reset of ``clock`` the flip at ``step`` toggles.
-
-    Adding a reset puts it on the step's first transition; removing one
-    takes it off every transition of the step that resets the clock.
-    """
-    move = sys.stt.steps[step]
-    if sys.reset_at[(clock, step)]:
-        return [
-            (ai, ti) for ai, ti in move if clock in sys.network.automata[ai].transitions[ti].resets
-        ]
-    return [move[0]]
-
-
 def vary_resets(sys: TdtConstraintSystem) -> VariedSystem:
-    """One boolean flip per (clock, step); true toggles the reset edit there.
+    """One boolean flip per (transition, clock) reset toggle; true applies it.
 
-    Assignments are instantiated through ``VariedSystem.edited_system``:
-    delay sums under the reset pattern the edit produces, so a transition
-    that fires twice is edited at both steps.
+    At step j the offered toggles remove clock c from every transition of
+    the step that resets it, or else add c on the step's first transition.
+    Flips run step by step, then clock by clock, then over the step's
+    transitions; a toggle met again at a later step keeps its first place
+    and its one variable, since the edit acts wherever its transition
+    fires. Assignments are instantiated through ``VariedSystem.edited_system``.
     """
-    variables = []
-    for j in range(sys.n):
+    automata = sys.network.automata
+    steps = sys.stt.steps
+    variables: dict[tuple[int, int, int], VariationVariable] = {}
+    for move in steps:
         for c in range(sys.network.n_clocks):
-            originally_reset = sys.reset_at[(c, j)]
-            variables.append(
-                VariationVariable(
-                    name=f"rv{c}_{j}",
+            resetting = [(ai, ti) for ai, ti in move if c in automata[ai].transitions[ti].resets]
+            for ai, ti in resetting or move[:1]:
+                fired = [str(j) for j, other in enumerate(steps) if (ai, ti) in other]
+                where = f"step{'s' if len(fired) > 1 else ''} {', '.join(fired)}"
+                variables[(ai, ti, c)] = VariationVariable(
+                    name=f"rv{ai}_{ti}_{c}",
                     kind="reset",
-                    anchor=(c, j),
+                    anchor=(ai, ti, c),
                     domain=(False, True),
                     zero=False,
                     description=(
-                        f"{'remove' if originally_reset else 'add'} reset of "
-                        f"{sys.network.clock_names[c]} at step {j}"
+                        f"{'remove' if resetting else 'add'} reset of {sys.network.clock_names[c]} "
+                        f"on {automata[ai].name} transition {ti} ({where})"
                     ),
                 )
-            )
-    return VariedSystem(sys, "reset", (), (), variables=tuple(variables))
+    return VariedSystem(sys, "reset", (), (), variables=tuple(variables.values()))
 
 
 def vary_urgency(sys: TdtConstraintSystem) -> VariedSystem:

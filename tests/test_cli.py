@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tarepair import bundled_model_path
 from tarepair.cli import main
 
@@ -127,3 +129,27 @@ def test_reset_repair_and_seed_on_repeated_transition_model(tmp_path, capsys):
     report = (out_dir / "report.txt").read_text()
     assert "[001] add reset of y on a transition 1 (step 2)  admissible=yes" in report
     assert main(["seed", str(model), "--out", str(tmp_path / "seeding")]) == 0
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"steps": [{"fired": [{"automaton": "nobody", "transitionIndex": 0}]}]},
+        {"steps": [{"delay": 1}]},
+        [{"fired": [{"automaton": "client", "transitionIndex": 0}]}],
+        {"steps": [{"fired": [{"automaton": "client", "transitionIndex": "0"}]}]},
+        {"labels": 5},
+    ],
+    ids=[
+        "unknown-automaton",
+        "step-without-fired",
+        "top-level-array",
+        "string-transition-index",
+        "labels-not-a-list",
+    ],
+)
+def test_malformed_trace_document_is_a_usage_error(tmp_path, capsys, doc):
+    trace_file = tmp_path / "tdt.json"
+    trace_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["repair", BUNDLE, "--tdt", str(trace_file), "--out", str(tmp_path / "rep")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

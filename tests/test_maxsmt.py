@@ -10,8 +10,6 @@ from tarepair.encoder import encode
 from tarepair.lra import FAtom, LinearAtom, Rel, f_and, is_satisfiable
 from tarepair.maxsmt import (
     HardConstraint,
-    MaxSmtProblem,
-    SearchState,
     max_sat,
     repairing_assignments,
     sample_repair_values,
@@ -46,9 +44,8 @@ def test_universal_part_excludes_all_zero():
 
 def test_max_sat_minimality_on_bound_kind():
     net, vs, hard = _bundle_hard("bound")
-    sol = max_sat(MaxSmtProblem(hard))
-    assert sol is not None
-    assert len(sol.modified) == 1
+    modified, assignments = next(max_sat(hard))
+    assert len(modified) == 1 and len(assignments) == 1
 
 
 def test_max_sat_agrees_with_exhaustive_subsets():
@@ -58,11 +55,8 @@ def test_max_sat_agrees_with_exhaustive_subsets():
     for kind in ("bound", "operator", "clockref", "urgent"):
         net, vs, hard = _bundle_hard(kind)
         names = [v.name for v in vs.variables]
-        sol = max_sat(MaxSmtProblem(hard))
-        if sol is None:
-            best = None
-        else:
-            best = len(sol.modified)
+        first = next(max_sat(hard), None)
+        best = None if first is None else len(first[0])
         exhaustive = None
         for m in range(0, len(names) + 1):
             found = False
@@ -72,7 +66,7 @@ def test_max_sat_agrees_with_exhaustive_subsets():
                     if ok and sample_repair_values(hard, combo) is None:
                         ok = False
                 else:
-                    ok = bool(repairing_assignments(hard, combo, limit=1))
+                    ok = bool(repairing_assignments(hard, combo))
                 if ok:
                     found = True
                     break
@@ -161,28 +155,36 @@ def test_unreparable_model_yields_no_solution():
     assert not verdict.safe
     vs = vary(encode(net, verdict.trace, prop), "bound")
     hard = HardConstraint(vs)
-    assert max_sat(MaxSmtProblem(hard)) is None
+    assert next(max_sat(hard), None) is None
     rr = orch_run(net, prop, RepairKind.BOUND)
     assert rr.candidates == [] and rr.reason == "exhausted"
 
 
-def test_blocking_and_memo_reuse():
+def test_blocking_and_memo_reuse(monkeypatch):
+    # One pass: each yielded set's variables are blocked for the rest of the
+    # search, and no kept set is checked twice.
     net, vs, hard = _bundle_hard("bound")
-    state = SearchState()
-    first = max_sat(MaxSmtProblem(hard), state)
-    second = max_sat(MaxSmtProblem(hard, frozenset(first.modified)), state, len(first.modified))
-    assert first.modified == ("v0",)
-    assert second.modified == ("v2",)
+    kept_checked = []
+    check_with_zeros = hard.check_with_zeros
+
+    def recording(kept):
+        kept_checked.append(kept)
+        return check_with_zeros(kept)
+
+    monkeypatch.setattr(hard, "check_with_zeros", recording)
+    sets = [modified for modified, _ in max_sat(hard)]
+    assert sets[:2] == [("v0",), ("v2",)]
+    assert all(set(a).isdisjoint(b) for a, b in itertools.combinations(sets, 2))
+    assert kept_checked and len(kept_checked) == len(set(kept_checked))
 
 
 def test_reset_check_agrees_with_dbm_replay():
     # Every assignment with at most two flips: the check must equal the
     # replay of the applied edit on the repaired model. The loop models fire
-    # t0 twice, so a flip there edits both steps; an assignment that
-    # toggles one reset twice is no edit and no repair.
+    # t0 twice, so a flip there edits both steps.
     cases = [load_bundled_model(name) for name in ("client_db", "oneclock", "urgent_hop", "pair_sync")]
     cases += [parse_model(loop_model()), parse_model(loop_model(("x", "y", "z"), "!@a.L1 || z <= 2"))]
-    checked = repairs = cancelled = 0
+    checked = repairs = 0
     for net, prop in cases:
         trace = check(net, prop).trace
         vs = vary(encode(net, trace, prop), "reset")
@@ -194,10 +196,6 @@ def test_reset_check_agrees_with_dbm_replay():
         ]
         expected = []
         for a in assignments:
-            if HardConstraint(vs).query(a) is None:
-                expected.append(False)
-                cancelled += 1
-                continue
             repaired = apply_candidate(net, _candidate_from_assignment(vs, RepairKind.RESET, a))
             feasible, violating = dbm_replay(repaired, prop, trace)
             expected.append(feasible and not violating)
@@ -209,7 +207,7 @@ def test_reset_check_agrees_with_dbm_replay():
         assert first == expected and again == expected
         checked += len(assignments)
         repairs += sum(expected)
-    assert checked == 157 and 0 < repairs < checked and cancelled > 0
+    assert checked == 122 and 0 < repairs < checked
 
 
 def test_hard_check_memo_answers_repeated_queries(monkeypatch):

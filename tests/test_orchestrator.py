@@ -9,6 +9,8 @@ from tarepair.checker import check
 from tarepair.encoder import encode, feasible, violating
 from tarepair.model import Op
 from tarepair.modelio import parse_model, serialize_model
+from tarepair.seeding import seed
+from tarepair.variations import vary
 from tarepair.orchestrator import (
     AnchorMismatch,
     Modification,
@@ -16,7 +18,6 @@ from tarepair.orchestrator import (
     RepairKind,
     apply_candidate,
     run,
-    run_all_kinds,
 )
 
 from conftest import loop_model
@@ -154,14 +155,6 @@ def test_max_repairs_cap():
     assert len(rr.candidates) == 1 and rr.reason == "budget"
 
 
-def test_run_all_kinds_shares_one_trace():
-    net, prop = load_bundled_model()
-    runs = run_all_kinds(net, prop)
-    assert [r.kind for r in runs] == list(RepairKind)
-    traces = {id(r.trace) for r in runs}
-    assert len(traces) == 1
-
-
 def test_clockref_run_includes_receive_window_swap():
     # Exchanging clock z in z <= 2 with clock y is an admissible repair.
     net, prop = load_bundled_model()
@@ -213,6 +206,32 @@ def test_reset_flips_of_one_transition_yield_one_candidate():
         ["add reset of z on a transition 0 (steps 0, 1)"],
         ["add reset of z on a transition 1 (step 2)"],
     ]
+
+
+def test_reset_variables_are_per_transition_on_a_shared_step():
+    # Seeding w's reset onto client.t0 makes step 0 fire two transitions
+    # that both reset w: each removal is its own variable, and the run is
+    # the one a per-(clock, step) flip gave.
+    net, prop = load_bundled_model()
+    mutant = seed(net)[65]
+    assert mutant.description == "seed reset: add w on client.t0"
+    trace = check(mutant.network, prop).trace
+    vs = vary(encode(mutant.network, trace, prop), "reset")
+    w = net.clock_index("w")
+    assert [v.description for v in vs.variables if v.anchor[2] == w] == [
+        "remove reset of w on client transition 0 (step 0)",
+        "remove reset of w on db transition 0 (step 0)",
+        "add reset of w on db transition 1 (step 1)",
+        "add reset of w on client transition 1 (step 2)",
+    ]
+    rr = run(mutant.network, prop, RepairKind.RESET, tdt=trace)
+    assert [cand.describe_modifications() for cand in rr.candidates] == [
+        ["add reset of x on db transition 1 (step 1)"],
+        ["remove reset of y on db transition 1 (step 1)"],
+        ["add reset of x on client transition 1 (step 2)"],
+        ["remove reset of z on client transition 1 (step 2)"],
+    ]
+    assert rr.reason == "exhausted" and (rr.variable_count, rr.constraint_count) == (36, 44)
 
 
 def test_bound_repair_keeps_strict_lower_bounds_at_or_above_zero():

@@ -2,8 +2,6 @@
 
 from fractions import Fraction as F
 
-import pytest
-
 from conftest import loop_model
 from tarepair import load_bundled_model
 from tarepair.checker import check
@@ -93,13 +91,16 @@ def test_reset_variation_flip_semantics():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
     vs = vary_resets(encode(net, verdict.trace, prop))
-    # one flip per (clock, step) with a transition, step-major
-    assert [v.name for v in vs.variables] == [
-        f"rv{c}_{j}" for j in range(len(verdict.trace)) for c in range(net.n_clocks)
+    # one flip per offered (transition, clock) toggle: step-major, then clock;
+    # an add goes on the step's first transition
+    assert [v.anchor for v in vs.variables] == [
+        (0, 0, 0), (0, 0, 1), (0, 0, 2), (1, 0, 3),
+        (1, 1, 0), (1, 1, 1), (1, 1, 2), (1, 1, 3),
+        (0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 1, 3),
     ]
     y = net.clock_index("y")
-    var = next(v for v in vs.variables if v.anchor == (y, 1))
-    assert var.description == "remove reset of y at step 1"
+    var = next(v for v in vs.variables if v.anchor == (1, 1, y))
+    assert var.description == "remove reset of y on db transition 1 (step 1)"
     assignment = vs.zero_assignment()
     assignment[var.name] = True
     edited = vs.edited_system(assignment)
@@ -118,18 +119,16 @@ def test_reset_variation_instantiates_the_edited_system():
     sys = encode(net, verdict.trace, prop)
     vs = vary_resets(sys)
     assert vs.base is sys and vs.base_atoms == () and vs.groups == ()
+    x, y = net.clock_index("x"), net.clock_index("y")
+    # t0 fires at steps 0 and 1 but offers each toggle once: 4 flips, not 2 per step
+    assert [v.anchor for v in vs.variables] == [(0, 0, x), (0, 0, y), (0, 1, x), (0, 1, y)]
+    assert vs.variables[0].description == "remove reset of x on a transition 0 (steps 0, 1)"
     zero = vs.zero_assignment()
     assert vs.instantiate(zero) == sys.linear_atoms()
-    x = net.clock_index("x")
-    one = dict(zero, **{f"rv{x}_0": True})  # remove t0's reset of x, at steps 0 and 1
+    one = dict(zero, **{vs.variables[0].name: True})  # remove t0's reset of x, at steps 0 and 1
     edited = vs.edited_system(one)
     assert [edited.reset_at[(x, j)] for j in range(sys.n)] == [False, False, False]
     assert vs.instantiate(one) == edited.linear_atoms()
-    # flipping x at both steps toggles t0's reset twice: no syntactic edit
-    twice = dict(one, **{f"rv{x}_1": True})
-    assert vs.edited_system(twice) is None
-    with pytest.raises(ValueError):
-        vs.instantiate(twice)
 
 
 def test_urgency_variation_branches():
