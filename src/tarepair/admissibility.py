@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .checker import Exhausted, enabled_moves, initial_state, move_label, successor
-from .model import TimedAutomatonNetwork, max_constant
+from .checker import Exhausted, MoveIndex, initial_state, move_label, successor
+from .model import TimedAutomatonNetwork, constant_scale, max_constant
 
 SILENT = None  # edge label of internal moves
 
@@ -48,7 +48,8 @@ def build_untimed(
     """
     if k is None:
         k = max_constant(network)
-    init = initial_state(network, k)
+    init = initial_state(network, k, constant_scale(network))
+    moves = MoveIndex(network)
     ids = {init: 0}
     order = [init]
     edges: list[list[tuple[str | None, int]]] = [[]]
@@ -57,7 +58,7 @@ def build_untimed(
         state = queue.popleft()
         sid = ids[state]
         locvec, zone = state
-        for move in enabled_moves(network, locvec):
+        for move in moves.enabled(locvec):
             nxt = successor(network, locvec, zone, move, k)
             if nxt is None:
                 continue

@@ -17,7 +17,9 @@ from . import dbm
 from .model import (
     DnfLiteral,
     SafetyProperty,
+    SyncKind,
     TimedAutomatonNetwork,
+    constant_scale,
     max_constant,
     prop_to_dnf,
 )
@@ -49,32 +51,51 @@ class Verdict:
     states_explored: int = 0
 
 
-def enabled_moves(network: TimedAutomatonNetwork, locvec: tuple[int, ...]):
-    """Structurally enabled moves from a location vector, in deterministic order.
+class MoveIndex:
+    """The moves of one network, indexed by location; built once per exploration.
 
-    Internal moves yield one (automaton, transition) pair; handshakes yield
-    the sender pair followed by the receiver pair.
+    ``outgoing[ai][li]`` lists ``(ti, channel)`` for the internal (channel
+    None) and send transitions leaving location li of automaton ai, and
+    ``receivers[ai][li]`` maps a channel to the receive transitions leaving
+    li, both in transition order.
     """
-    from .model import SyncKind
 
-    autos = network.automata
-    for ai, auto in enumerate(autos):
-        for ti, t in enumerate(auto.transitions):
-            if t.source != locvec[ai]:
-                continue
-            if t.sync == SyncKind.INTERNAL:
-                yield ((ai, ti),)
-            elif t.sync == SyncKind.SEND:
-                for aj, other in enumerate(autos):
-                    if aj == ai:
-                        continue
-                    for tj, u in enumerate(other.transitions):
-                        if (
-                            u.source == locvec[aj]
-                            and u.sync == SyncKind.RECEIVE
-                            and u.channel == t.channel
-                        ):
+    def __init__(self, network: TimedAutomatonNetwork) -> None:
+        self.outgoing: list[list[list[tuple[int, int | None]]]] = []
+        self.receivers: list[list[dict[int, list[int]]]] = []
+        for auto in network.automata:
+            outgoing = [[] for _ in range(auto.n_locations)]
+            receivers = [{} for _ in range(auto.n_locations)]
+            for ti, t in enumerate(auto.transitions):
+                if t.sync == SyncKind.RECEIVE:
+                    receivers[t.source].setdefault(t.channel, []).append(ti)
+                else:
+                    outgoing[t.source].append((ti, t.channel if t.sync == SyncKind.SEND else None))
+            self.outgoing.append(outgoing)
+            self.receivers.append(receivers)
+
+    def enabled(self, locvec: tuple[int, ...]):
+        """Structurally enabled moves from a location vector, in deterministic order.
+
+        Moves come in lexicographic (automaton, transition) order of the
+        internal or sending transition, then of the receiver. Internal moves
+        yield one (automaton, transition) pair; handshakes yield the sender
+        pair followed by the receiver pair.
+        """
+        receivers = self.receivers
+        for ai, li in enumerate(locvec):
+            for ti, channel in self.outgoing[ai][li]:
+                if channel is None:
+                    yield ((ai, ti),)
+                    continue
+                for aj, lj in enumerate(locvec):
+                    if aj != ai:
+                        for tj in receivers[aj][lj].get(channel, ()):
                             yield ((ai, ti), (aj, tj))
+
+    def fires(self, locvec: tuple[int, ...], step: tuple[tuple[int, int], ...]) -> bool:
+        """Is ``step``, as sorted (automaton, transition) pairs, one enabled move?"""
+        return any(tuple(sorted(move)) == step for move in self.enabled(locvec))
 
 
 def move_label(network: TimedAutomatonNetwork, move) -> str | None:
@@ -83,9 +104,8 @@ def move_label(network: TimedAutomatonNetwork, move) -> str | None:
     return None if t.channel is None else network.channel_names[t.channel]
 
 
-def _invariant_atoms(network: TimedAutomatonNetwork, locvec):
-    for ai, li in enumerate(locvec):
-        yield from network.automata[ai].invariants[li]
+def _invariant_atoms(network: TimedAutomatonNetwork, locvec) -> list:
+    return [a for ai, li in enumerate(locvec) for a in network.automata[ai].invariants[li]]
 
 
 def _is_urgent_vector(network: TimedAutomatonNetwork, locvec) -> bool:
@@ -105,22 +125,25 @@ def successor(network: TimedAutomatonNetwork, locvec, zone, move, k: int):
         resets |= t.resets
         newvec[ai] = t.target
     z = dbm.reset_many(z, resets)
-    z = dbm.and_atoms(z, _invariant_atoms(network, newvec))
+    invariants = _invariant_atoms(network, newvec)
+    z = dbm.and_atoms(z, invariants)
     if dbm.is_empty(z):
         return None
     if not _is_urgent_vector(network, newvec):
-        z = dbm.and_atoms(dbm.up(z), _invariant_atoms(network, newvec))
+        z = dbm.and_atoms(dbm.up(z), invariants)
     z = dbm.extrapolate(z, k)
     return tuple(newvec), z
 
 
-def initial_state(network: TimedAutomatonNetwork, k: int):
+def initial_state(network: TimedAutomatonNetwork, k: int, scale: int):
+    """Initial symbolic state; ``scale`` is the zones' (``model.constant_scale``)."""
     locvec = tuple(a.initial for a in network.automata)
-    z = dbm.and_atoms(dbm.zero_zone(network.n_clocks), _invariant_atoms(network, locvec))
+    invariants = _invariant_atoms(network, locvec)
+    z = dbm.and_atoms(dbm.zero_zone(network.n_clocks, scale), invariants)
     if dbm.is_empty(z):
         raise ValueError("initial state violates its own invariants")
     if not _is_urgent_vector(network, locvec):
-        z = dbm.and_atoms(dbm.up(z), _invariant_atoms(network, locvec))
+        z = dbm.and_atoms(dbm.up(z), invariants)
     return locvec, dbm.extrapolate(z, k)
 
 
@@ -155,11 +178,12 @@ def check(
     k = max_constant(network, prop)
     bad = prop_to_dnf(prop.negate())
     try:
-        init = initial_state(network, k)
+        init = initial_state(network, k, constant_scale(network, prop))
     except ValueError:
         # The initial state violates its own invariants: no reachable
         # states, so the property holds vacuously.
         return Verdict(True, None, 0)
+    moves = MoveIndex(network)
     parents: dict = {init: None}
     queue = deque([init])
     explored = 0
@@ -187,7 +211,7 @@ def check(
                 tuple(tuple(sorted(m)) for m in steps), tuple(locations)
             )
             return Verdict(False, trace, explored)
-        for move in enabled_moves(network, locvec):
+        for move in moves.enabled(locvec):
             nxt = successor(network, locvec, zone, move, k)
             if nxt is None or nxt in parents:
                 continue
@@ -197,14 +221,20 @@ def check(
 
 
 def stt_from_moves(network: TimedAutomatonNetwork, moves) -> SymbolicTimedTrace:
-    """Build an STT from a raw move list, replaying location vectors."""
+    """Build an STT from a raw move list, replaying location vectors.
+
+    Raises ValueError for a step that is no enabled move: one internal
+    transition, or one matching send/receive pair, leaving the current
+    location vector.
+    """
+    index = MoveIndex(network)
+    steps = tuple(tuple(sorted(m)) for m in moves)
     locations = [tuple(a.initial for a in network.automata)]
-    for move in moves:
+    for j, step in enumerate(steps):
+        if not index.fires(locations[-1], step):
+            raise ValueError(f"step {j} is no enabled move of the network")
         vec = list(locations[-1])
-        for ai, ti in move:
-            t = network.automata[ai].transitions[ti]
-            if t.source != locations[-1][ai]:
-                raise ValueError("move does not leave the current location vector")
-            vec[ai] = t.target
+        for ai, ti in step:
+            vec[ai] = network.automata[ai].transitions[ti].target
         locations.append(tuple(vec))
-    return SymbolicTimedTrace(tuple(tuple(sorted(m)) for m in moves), tuple(locations))
+    return SymbolicTimedTrace(steps, tuple(locations))

@@ -1,82 +1,118 @@
 """Difference bound matrices over the network clock set plus a reference clock.
 
-Entry (i, j) bounds clock_i - clock_j by (value, strict); value None is
-+infinity. Every public operation returns a canonical matrix (closed under
-shortest paths), so matrices compare and hash structurally. Bounds are
-Fractions: repaired models may carry rational constants.
+Entry (i, j) bounds clock_i - clock_j. A bound ``(c, strict)`` is stored as
+one int, ``2*c*scale + (0 if strict else 1)``, the raw encoding of UPPAAL
+(Bengtsson & Yi, "Timed Automata: Semantics, Algorithms and Tools", 2004):
+integer ``<`` orders bounds, the sum of two finite bounds is
+``a + b - ((a | b) & 1)``, and ``RAW_INF`` stands for +infinity. ``scale``
+is fixed per exploration: the least common multiple of the denominators of
+every constant in the model (``model.constant_scale``), so repaired models
+with rational constants stay integral. An atom that is not a multiple of
+``1/scale`` is a caller error and raises ValueError. A zone is one flat
+row-major tuple of ``(n+1)^2`` raw bounds.
+
+Every public operation returns a canonical matrix (closed under shortest
+paths), so at a fixed scale matrices compare and hash structurally, and a
+canonical zone has exactly one encoding. Intersecting with an atom
+tightens one entry (two for ``=``) and re-closes the matrix in O(n^2)
+through that entry; ``extrapolate`` re-relaxes only the entries it
+loosened, and only ``canonicalize`` runs the full O(n^3) closure.
+``bound(i, j)`` decodes an entry back to ``(Fraction | None, strict)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .model import AtomicClockConstraint, Op
+from .model import AtomicClockConstraint
 
 Bound = tuple[Fraction | None, bool]  # (value, strict); (None, True) is +inf
 
 INF: Bound = (None, True)
 ZERO: Bound = (Fraction(0), False)
 
+LE_ZERO = 1  # raw (0, <=)
+RAW_INF = 1 << 256  # above every sum of up to 2^55 raw constants below _RAW_LIMIT
+_RAW_LIMIT = 1 << 200
 
-def bound_lt(a: Bound, b: Bound) -> bool:
-    """Is bound a strictly tighter than b?"""
-    if b[0] is None:
-        return a[0] is not None
-    if a[0] is None:
-        return False
-    return a[0] < b[0] or (a[0] == b[0] and a[1] and not b[1])
-
-
-def bound_add(a: Bound, b: Bound) -> Bound:
-    if a[0] is None or b[0] is None:
-        return INF
-    return (a[0] + b[0], a[1] or b[1])
+# Weak bit of the raw bound an atom puts on clock - 0 (upper) and on
+# 0 - clock (lower), indexed by Op; None where the operator sets none.
+_UPPER_WEAK = (0, 1, 1, None, None)  # <, <=, =
+_LOWER_WEAK = (None, None, 1, 1, 0)  # =, >=, >
 
 
-@dataclass(frozen=True)
-class DifferenceBoundMatrix:
+class DifferenceBoundMatrix(NamedTuple):
+    """A zone; a named tuple, so equality and hashing run at C speed."""
+
     n: int  # number of real clocks; matrix is (n+1) x (n+1)
-    m: tuple[tuple[Bound, ...], ...]
+    scale: int  # every bound is a multiple of 1/scale
+    m: tuple[int, ...]  # raw bounds, row-major
     empty: bool = False
 
     def bound(self, i: int, j: int) -> Bound:
-        return self.m[i][j]
+        raw = self.m[i * (self.n + 1) + j]
+        if raw == RAW_INF:
+            return INF
+        return (Fraction(raw >> 1, self.scale), not raw & 1)
 
 
-def _close(rows: list[list[Bound]], n: int) -> tuple[tuple[tuple[Bound, ...], ...], bool]:
-    for k in range(n + 1):
-        row_k = rows[k]
-        for i in range(n + 1):
-            d_ik = rows[i][k]
-            if d_ik[0] is None:
-                continue
-            row_i = rows[i]
-            for j in range(n + 1):
-                via = bound_add(d_ik, row_k[j])
-                if bound_lt(via, row_i[j]):
-                    row_i[j] = via
-    empty = any(bound_lt(rows[i][i], ZERO) for i in range(n + 1))
-    if empty:
-        # One canonical representation for the empty zone.
-        bad: Bound = (Fraction(0), True)
-        row = tuple(bad for _ in range(n + 1))
-        return tuple(row for _ in range(n + 1)), True
-    for i in range(n + 1):
-        rows[i][i] = ZERO
-    return tuple(tuple(r) for r in rows), empty
+def _empty(d: DifferenceBoundMatrix) -> DifferenceBoundMatrix:
+    """The one canonical empty zone: every entry (0, <)."""
+    return DifferenceBoundMatrix(d.n, d.scale, (0,) * len(d.m), True)
+
+
+def _tighten(m: list[int], dim: int, i: int, j: int, b: int) -> bool:
+    """Add clock_i - clock_j <= b to a closed matrix and re-close it in O(n^2).
+
+    Every new shortest path uses the new edge once: m[k][l] becomes
+    min(m[k][l], m[k][i] + b + m[j][l]). Row j and column i keep their
+    values, so updating in place is safe. False iff b closes a negative
+    cycle, which can only run through m[j][i].
+    """
+    d_ji = m[j * dim + i]
+    if d_ji != RAW_INF and b + d_ji - ((b | d_ji) & 1) < LE_ZERO:
+        return False
+    jbase = j * dim
+    row_j = [(l, m[jbase + l]) for l in range(dim) if m[jbase + l] != RAW_INF]
+    for kbase in range(0, dim * dim, dim):
+        d_ki = m[kbase + i]
+        if d_ki == RAW_INF:
+            continue
+        d_kij = d_ki + b - ((d_ki | b) & 1)
+        for l, d_jl in row_j:
+            via = d_kij + d_jl - ((d_kij | d_jl) & 1)
+            if via < m[kbase + l]:
+                m[kbase + l] = via
+    return True
 
 
 def canonicalize(d: DifferenceBoundMatrix) -> DifferenceBoundMatrix:
-    rows = [list(r) for r in d.m]
-    closed, empty = _close(rows, d.n)
-    return DifferenceBoundMatrix(d.n, closed, empty)
+    """Full Floyd-Warshall closure of an arbitrary matrix."""
+    dim = d.n + 1
+    m = list(d.m)
+    for k in range(dim):
+        kbase = k * dim
+        for ibase in range(0, dim * dim, dim):
+            d_ik = m[ibase + k]
+            if d_ik == RAW_INF:
+                continue
+            for j in range(dim):
+                d_kj = m[kbase + j]
+                if d_kj == RAW_INF:
+                    continue
+                via = d_ik + d_kj - ((d_ik | d_kj) & 1)
+                if via < m[ibase + j]:
+                    m[ibase + j] = via
+    if any(m[i] < LE_ZERO for i in range(0, dim * dim, dim + 1)):
+        return _empty(d)  # a negative cycle
+    m[:: dim + 1] = [LE_ZERO] * dim
+    return DifferenceBoundMatrix(d.n, d.scale, tuple(m))
 
 
-def zero_zone(n: int) -> DifferenceBoundMatrix:
-    """The singleton zone where every clock equals 0."""
-    row = tuple(ZERO for _ in range(n + 1))
-    return DifferenceBoundMatrix(n, tuple(row for _ in range(n + 1)))
+def zero_zone(n: int, scale: int = 1) -> DifferenceBoundMatrix:
+    """The singleton zone where every clock equals 0, at ``scale``."""
+    return DifferenceBoundMatrix(n, scale, (LE_ZERO,) * ((n + 1) * (n + 1)))
 
 
 def is_empty(d: DifferenceBoundMatrix) -> bool:
@@ -87,34 +123,44 @@ def up(d: DifferenceBoundMatrix) -> DifferenceBoundMatrix:
     """Delay closure: remove the upper bounds on all clocks."""
     if d.empty:
         return d
-    rows = [list(r) for r in d.m]
-    for i in range(1, d.n + 1):
-        rows[i][0] = INF
+    dim = d.n + 1
+    m = list(d.m)
+    m[dim::dim] = [RAW_INF] * d.n
     # Still canonical: M[i][j] <= M[i][0] + M[0][j] cannot be violated by
     # weakening M[i][0], and paths through 0 only got longer.
-    return DifferenceBoundMatrix(d.n, tuple(tuple(r) for r in rows), False)
+    return DifferenceBoundMatrix(d.n, d.scale, tuple(m))
 
 
 def and_atom(d: DifferenceBoundMatrix, atom: AtomicClockConstraint) -> DifferenceBoundMatrix:
-    """Intersect with an atomic constraint and re-canonicalize."""
+    """Intersect with an atomic constraint; the result is canonical."""
     if d.empty:
         return d
+    bound = atom.bound
+    v, rem = divmod(bound.numerator * d.scale, bound.denominator)
+    if rem or v >= _RAW_LIMIT:
+        raise ValueError(f"constant {bound} is not a multiple of 1/{d.scale} below 2^200")
+    dim = d.n + 1
     c = atom.clock + 1
-    limits: list[tuple[int, int, Bound]] = []
-    if atom.op in (Op.LT, Op.LE, Op.EQ):
-        limits.append((c, 0, (atom.bound, atom.op == Op.LT)))
-    if atom.op in (Op.GT, Op.GE, Op.EQ):
-        limits.append((0, c, (-atom.bound, atom.op == Op.GT)))
-    rows = [list(r) for r in d.m]
-    changed = False
-    for i, j, b in limits:
-        if bound_lt(b, rows[i][j]):
-            rows[i][j] = b
-            changed = True
-    if not changed:
+    m = d.m
+    rows = None
+    upper = _UPPER_WEAK[atom.op]
+    if upper is not None:
+        b = 2 * v + upper
+        if b < m[c * dim]:
+            rows = list(m)
+            if not _tighten(rows, dim, c, 0, b):
+                return _empty(d)
+    lower = _LOWER_WEAK[atom.op]
+    if lower is not None:
+        b = lower - 2 * v
+        if b < (m if rows is None else rows)[c]:
+            if rows is None:
+                rows = list(m)
+            if not _tighten(rows, dim, 0, c, b):
+                return _empty(d)
+    if rows is None:
         return d
-    closed, empty = _close(rows, d.n)
-    return DifferenceBoundMatrix(d.n, closed, empty)
+    return DifferenceBoundMatrix(d.n, d.scale, tuple(rows))
 
 
 def and_atoms(d: DifferenceBoundMatrix, atoms) -> DifferenceBoundMatrix:
@@ -129,13 +175,12 @@ def reset(d: DifferenceBoundMatrix, clock: int) -> DifferenceBoundMatrix:
     """Set one clock to 0 (input must be canonical; output stays canonical)."""
     if d.empty:
         return d
+    dim = d.n + 1
     c = clock + 1
-    rows = [list(r) for r in d.m]
-    for j in range(d.n + 1):
-        rows[c][j] = rows[0][j]
-        rows[j][c] = rows[j][0]
-    rows[c][c] = ZERO
-    return DifferenceBoundMatrix(d.n, tuple(tuple(r) for r in rows), False)
+    m = list(d.m)
+    m[c * dim : (c + 1) * dim] = m[:dim]  # row c := row 0
+    m[c::dim] = m[::dim]  # column c := column 0, which sets m[c][c] to (0, <=)
+    return DifferenceBoundMatrix(d.n, d.scale, tuple(m))
 
 
 def reset_many(d: DifferenceBoundMatrix, clocks) -> DifferenceBoundMatrix:
@@ -145,7 +190,7 @@ def reset_many(d: DifferenceBoundMatrix, clocks) -> DifferenceBoundMatrix:
 
 
 def extrapolate(d: DifferenceBoundMatrix, k: int) -> DifferenceBoundMatrix:
-    """Classic maximal-constant extrapolation, then closure.
+    """Classic maximal-constant extrapolation, then closure of the loosened entries.
 
     Bounds above k become infinite, bounds below -k become (-k, <); this
     keeps the zone graph finite while preserving reachability and the
@@ -153,24 +198,28 @@ def extrapolate(d: DifferenceBoundMatrix, k: int) -> DifferenceBoundMatrix:
     """
     if d.empty:
         return d
-    kf = Fraction(k)
-    rows = [list(r) for r in d.m]
-    changed = False
-    for i in range(d.n + 1):
-        for j in range(d.n + 1):
-            v, s = rows[i][j]
-            if v is None:
-                continue
-            if v > kf:
-                rows[i][j] = INF
-                changed = True
-            elif v < -kf:
-                rows[i][j] = (-kf, True)
-                changed = True
-    if not changed:
+    hi = 2 * k * d.scale + 1  # raw (k, <=)
+    lo = -2 * k * d.scale  # raw (-k, <)
+    old = d.m
+    m = [RAW_INF if r > hi else lo if r < lo else r for r in old]
+    if tuple(m) == old:
         return d
-    closed, empty = _close(rows, d.n)
-    return DifferenceBoundMatrix(d.n, closed, empty)
+    # The other entries stay shortest paths: no path got shorter, and each
+    # is still an edge. So closing re-relaxes only the loosened entries,
+    # in Floyd-Warshall order, and the zone cannot become empty.
+    dim = d.n + 1
+    loosened = [(idx, idx - idx % dim, idx % dim) for idx, r in enumerate(m) if r != old[idx]]
+    for mid in range(dim):
+        mbase = mid * dim
+        for idx, ibase, j in loosened:
+            d_im = m[ibase + mid]
+            d_mj = m[mbase + j]
+            if d_im == RAW_INF or d_mj == RAW_INF:
+                continue
+            via = d_im + d_mj - ((d_im | d_mj) & 1)
+            if via < m[idx]:
+                m[idx] = via
+    return DifferenceBoundMatrix(d.n, d.scale, tuple(m))
 
 
 def intersects(d: DifferenceBoundMatrix, atoms) -> bool:

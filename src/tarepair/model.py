@@ -9,6 +9,7 @@ freely between concurrent analyses.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator
@@ -199,9 +200,22 @@ def max_constant(network: TimedAutomatonNetwork, prop: SafetyProperty | None = N
     if prop is not None:
         for atom in prop.iter_atoms():
             best = max(best, atom.bound)
-    import math
-
     return max(1, math.ceil(best))
+
+
+def constant_scale(network: TimedAutomatonNetwork, prop: SafetyProperty | None = None) -> int:
+    """Least common multiple of the denominators of every model constant.
+
+    Zones of one exploration store bounds as integer multiples of 1/scale
+    (see ``dbm``); include the property when its atoms meet the zones.
+    """
+    scale = 1
+    for ref in indexed_constraints(network):
+        scale = math.lcm(scale, ref.atom.bound.denominator)
+    if prop is not None:
+        for atom in prop.iter_atoms():
+            scale = math.lcm(scale, atom.bound.denominator)
+    return scale
 
 
 def validate(network: TimedAutomatonNetwork, prop: SafetyProperty | None = None) -> list[str]:

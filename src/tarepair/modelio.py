@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
+from .checker import MoveIndex
 from .model import (
     AtomicClockConstraint,
     OP_TEXT,
@@ -384,6 +385,7 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> TraceDocument:
     steps = []
     locs = [a.initial for a in network.automata]
     initial = tuple(locs)
+    moves = MoveIndex(network)
     step_docs = doc.get("steps", [])
     if not isinstance(step_docs, list):
         raise ModelFormatError("steps: expected a list")
@@ -412,6 +414,11 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> TraceDocument:
                 )
             fired.append((ai, ti))
         fired.sort()
+        if not moves.fires(tuple(locs), tuple(fired)):
+            raise ModelFormatError(
+                f"{path}: fired transitions are not one internal transition"
+                " or one matching send/receive pair"
+            )
         for ai, ti in fired:
             locs[ai] = network.automata[ai].transitions[ti].target
         delay = sdoc.get("delay")

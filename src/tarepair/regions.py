@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .admissibility import UntimedAutomaton
-from .checker import Exhausted, enabled_moves, move_label
+from .checker import Exhausted, MoveIndex, move_label
 from .model import AtomicClockConstraint, Op, TimedAutomatonNetwork, max_constant
 
 
@@ -112,6 +112,7 @@ def build_region_untimed(
     if not _satisfies_all(r0, _invariant_atoms(network, locvec0)):
         raise ValueError("initial state violates its own invariants")
     init = (locvec0, r0)
+    moves = MoveIndex(network)
     ids = {init: 0}
     order = [init]
     edges: list[list[tuple[str | None, int]]] = [[]]
@@ -137,7 +138,7 @@ def build_region_untimed(
             nxt = delay_successor(region, k)
             if nxt is not None and _satisfies_all(nxt, _invariant_atoms(network, locvec)):
                 edges[sid].append((None, intern((locvec, nxt))))
-        for move in enabled_moves(network, locvec):
+        for move in moves.enabled(locvec):
             ok = True
             resets: set[int] = set()
             newvec = list(locvec)

@@ -2,9 +2,10 @@
 
 import json
 import random
+from dataclasses import replace
 
 from tarepair import dbm
-from tarepair.model import prop_to_dnf
+from tarepair.model import AtomicClockConstraint, constant_scale, prop_to_dnf
 from tarepair.modelio import parse_model
 
 
@@ -99,7 +100,7 @@ def dbm_replay(network, prop, stt):
             zone = dbm.and_atoms(dbm.up(zone), invariants)
         return zone
 
-    zone = settle(dbm.zero_zone(network.n_clocks), stt.locations[0])
+    zone = settle(dbm.zero_zone(network.n_clocks, constant_scale(network, prop)), stt.locations[0])
     for move, locvec in zip(stt.steps, stt.locations[1:]):
         resets = set()
         for ai, ti in move:
@@ -116,3 +117,23 @@ def dbm_replay(network, prop, stt):
         if all(lit.atom is not None or (final[lit.automaton] == lit.location) == lit.positive for lit in disjunct)
     )
     return True, violating
+
+
+def scaled_model(network, prop, factor):
+    """Copy of a network and property with every constant multiplied by ``factor``."""
+
+    def atom(a):
+        return AtomicClockConstraint(a.clock, a.op, a.bound * factor)
+
+    def expr(e):
+        return replace(e, atom=e.atom and atom(e.atom), children=tuple(expr(c) for c in e.children))
+
+    automata = tuple(
+        replace(
+            auto,
+            invariants=tuple(tuple(atom(a) for a in inv) for inv in auto.invariants),
+            transitions=tuple(replace(t, guard=tuple(atom(a) for a in t.guard)) for t in auto.transitions),
+        )
+        for auto in network.automata
+    )
+    return replace(network, automata=automata), expr(prop)

@@ -1,8 +1,12 @@
 """Untimed-language construction and equivalence, with the region oracle."""
 
 import json
+from fractions import Fraction as F
 
-from tarepair import load_bundled_model
+import pytest
+
+from conftest import scaled_model
+from tarepair import bundled_model_path, load_bundled_model
 from tarepair.admissibility import (
     accepts,
     build_untimed,
@@ -125,3 +129,17 @@ def test_admissibility_shared_extrapolation_constant():
     verdict = check_admissible(net, loosened)
     # the language is unchanged: transmission still possible, all handshakes live
     assert verdict.equal
+
+
+@pytest.mark.parametrize(
+    "old, new, equal", [('"w <= 2"', '"w <= 3/2"', True), ('"z >= 1"', '"z >= 5/2"', False)]
+)
+def test_rational_repair_admissibility_matches_doubled_copies(old, new, equal):
+    net, prop = load_bundled_model()
+    text = bundled_model_path("client_db").read_text(encoding="utf-8")
+    assert old in text
+    repaired, _ = parse_model(text.replace(old, new))
+    verdict = check_admissible(net, repaired)
+    doubled = check_admissible(scaled_model(net, prop, 2)[0], scaled_model(repaired, prop, 2)[0])
+    assert verdict == doubled
+    assert verdict.equal == equal

@@ -1,10 +1,17 @@
 """Zone-checker verdicts, shortest traces, and cross-module soundness."""
 
+import itertools
+import json
+import random
+from fractions import Fraction as F
+
 import pytest
 
+from conftest import scaled_model
 from tarepair import load_bundled_model
-from tarepair.checker import Exhausted, check, enabled_moves, stt_from_moves
+from tarepair.checker import Exhausted, MoveIndex, check, stt_from_moves
 from tarepair.encoder import encode, feasible, violating
+from tarepair.model import SyncKind, constant_scale
 from tarepair.modelio import parse_model, parse_property
 
 
@@ -59,13 +66,14 @@ def test_verdicts_sound_for_all_violating_corpus_models():
 def _all_move_sequences(net, depth):
     """Every structurally valid move sequence up to the given length."""
     init = tuple(a.initial for a in net.automata)
+    moves = MoveIndex(net)
 
     def walk(locvec, prefix):
         if prefix:
             yield prefix
         if len(prefix) >= depth:
             return
-        for move in enabled_moves(net, locvec):
+        for move in moves.enabled(locvec):
             vec = list(locvec)
             for ai, ti in move:
                 vec[ai] = net.automata[ai].transitions[ti].target
@@ -111,3 +119,76 @@ def test_invariant_bound_safe_model():
     """
     net, prop = parse_model(text)
     assert check(net, prop).safe
+
+
+@pytest.mark.parametrize("factor", [F(1, 2), F(3, 4), F(3, 2)])
+def test_rational_constants_explore_like_their_doubled_copy(factor):
+    # Times 3/4, client_db reads z >= 3/4, w <= 3/2, x <= 3, ...; scaling
+    # every constant (and so k) scales the zone graph and keeps its shape.
+    net, prop = scaled_model(*load_bundled_model(), factor)
+    doubled, doubled_prop = scaled_model(net, prop, 2)
+    assert constant_scale(net, prop) > 1
+    a, b = check(net, prop), check(doubled, doubled_prop)
+    assert not a.safe
+    assert (a.trace, a.states_explored) == (b.trace, b.states_explored)
+    assert a.states_explored == check(*load_bundled_model()).states_explored
+
+
+def test_step_that_is_no_move_is_rejected():
+    net, _ = load_bundled_model()
+    with pytest.raises(ValueError, match="no enabled move"):
+        stt_from_moves(net, [((1, 0),)])  # db's req? receive without its sender
+    with pytest.raises(ValueError, match="no enabled move"):
+        stt_from_moves(net, [((0, 0), (0, 0))])
+    assert len(stt_from_moves(net, [((0, 0), (1, 0))])) == 1
+
+
+def _scan_moves(network, locvec):
+    """The direct enumeration that ``MoveIndex`` replaced: every transition of every automaton."""
+    autos = network.automata
+    for ai, auto in enumerate(autos):
+        for ti, t in enumerate(auto.transitions):
+            if t.source != locvec[ai]:
+                continue
+            if t.sync == SyncKind.INTERNAL:
+                yield ((ai, ti),)
+            elif t.sync == SyncKind.SEND:
+                for aj, other in enumerate(autos):
+                    if aj == ai:
+                        continue
+                    for tj, u in enumerate(other.transitions):
+                        if u.source == locvec[aj] and u.sync == SyncKind.RECEIVE and u.channel == t.channel:
+                            yield ((ai, ti), (aj, tj))
+
+
+def _random_sync_network(rng):
+    automata = []
+    for ai in range(3):
+        transitions = [
+            {
+                "source": f"l{rng.randrange(3)}",
+                "target": f"l{rng.randrange(3)}",
+                "sync": rng.choice(["", "a!", "a?", "b!", "b?"]),
+                "guard": [],
+                "resets": [],
+            }
+            for _ in range(8)
+        ]
+        locations = [{"name": f"l{li}", "invariant": []} for li in range(3)]
+        automata.append(
+            {"name": f"p{ai}", "initial": "l0", "clocks": ["x"], "locations": locations, "transitions": transitions}
+        )
+    return parse_model(json.dumps({"automata": automata, "channels": ["a", "b"], "property": "true"}))[0]
+
+
+def test_move_index_matches_a_direct_scan():
+    rng = random.Random(5)
+    handshakes = 0
+    for _ in range(30):
+        net = _random_sync_network(rng)
+        index = MoveIndex(net)
+        for locvec in itertools.product(range(3), repeat=3):
+            moves = list(index.enabled(locvec))
+            assert moves == list(_scan_moves(net, locvec)), locvec
+            handshakes += sum(len(m) == 2 for m in moves)
+    assert handshakes > 1000

@@ -139,6 +139,8 @@ def test_reset_repair_and_seed_on_repeated_transition_model(tmp_path, capsys):
         [{"fired": [{"automaton": "client", "transitionIndex": 0}]}],
         {"steps": [{"fired": [{"automaton": "client", "transitionIndex": "0"}]}]},
         {"labels": 5},
+        {"steps": [{"fired": [{"automaton": "client", "transitionIndex": 0}] * 2}]},
+        {"steps": [{"fired": [{"automaton": "db", "transitionIndex": 0}]}]},
     ],
     ids=[
         "unknown-automaton",
@@ -146,6 +148,8 @@ def test_reset_repair_and_seed_on_repeated_transition_model(tmp_path, capsys):
         "top-level-array",
         "string-transition-index",
         "labels-not-a-list",
+        "one-transition-fired-twice",
+        "receive-without-sender",
     ],
 )
 def test_malformed_trace_document_is_a_usage_error(tmp_path, capsys, doc):

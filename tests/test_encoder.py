@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 from conftest import dbm_replay, random_single_ta
 from tarepair import load_bundled_model
-from tarepair.checker import SymbolicTimedTrace, check, enabled_moves, stt_from_moves
+from tarepair.checker import MoveIndex, SymbolicTimedTrace, check, stt_from_moves
 from tarepair.encoder import delta_var, encode, feasible, violating
 from tarepair.lra import formula_atoms, is_satisfiable
 from tarepair.modelio import parse_model
@@ -115,9 +115,10 @@ def test_injected_contradiction_infeasible():
 
 def _random_walk(net, rng, max_len=4):
     locvec = tuple(a.initial for a in net.automata)
+    index = MoveIndex(net)
     moves = []
     for _ in range(rng.randint(1, max_len)):
-        options = list(enabled_moves(net, locvec))
+        options = list(index.enabled(locvec))
         if not options:
             break
         move = rng.choice(options)
