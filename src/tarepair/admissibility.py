@@ -113,12 +113,11 @@ class Equivalence:
     witness: tuple[str, ...] | None = None  # accepted by exactly one side
 
 
-DEFAULT_PAIR_BUDGET = 200_000
+# State pairs that equivalent() visits before it gives up.
+PAIR_BUDGET = 200_000
 
 
-def equivalent(
-    a: UntimedAutomaton, b: UntimedAutomaton, pair_budget: int = DEFAULT_PAIR_BUDGET
-) -> Equivalence:
+def equivalent(a: UntimedAutomaton, b: UntimedAutomaton) -> Equivalence:
     """Language equality via on-the-fly determinization and pairwise search.
 
     Both languages are prefix closed with every state accepting, so the
@@ -134,8 +133,8 @@ def equivalent(
     while queue:
         (pa, pb), word = queue.popleft()
         visited += 1
-        if visited > pair_budget:
-            raise Exhausted(f"equivalence check exceeded {pair_budget} state pairs")
+        if visited > PAIR_BUDGET:
+            raise Exhausted(f"equivalence check exceeded {PAIR_BUDGET} state pairs")
         for label in alphabet:
             na, nb = _post(a, pa, label), _post(b, pb, label)
             if bool(na) != bool(nb):

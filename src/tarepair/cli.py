@@ -106,6 +106,8 @@ def _cmd_repair(args) -> int:
     tdt = None
     if args.tdt:
         doc = parse_trace(Path(args.tdt).read_text(encoding="utf-8"), network)
+        if doc.labels is not None:
+            raise ModelFormatError(f"{args.tdt}: a repair needs a trace of steps, not a label sequence")
         from .checker import stt_from_moves
 
         tdt = stt_from_moves(network, [step.fired for step in doc.steps])

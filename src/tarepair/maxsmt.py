@@ -12,10 +12,11 @@ constraint is materialized by quantifier elimination over the delays. For
 the discrete analyses (operator, clock reference, resets, urgency) the
 selectors are enumerated outside elimination: a candidate assignment
 reduces both quantifiers to two exact satisfiability checks over delay
-sums. A reset assignment is checked under the reset pattern its edits
-produce, property included. Each ``HardConstraint`` memoizes its verdicts
-by the instantiated atoms and negated property, since many assignments of
-one run reduce to the same query.
+sums. ``VariedSystem.instantiate`` gives those sums, under the reset
+pattern its edits produce for a reset assignment, property included. Each
+``HardConstraint`` memoizes its verdicts by the instantiated atoms and
+negated property, since many assignments of one run reduce to the same
+query.
 
 ``max_sat`` is one pass over the modified sets of a run: it yields every
 repairing set in ascending size and blocks the variables of each set it
@@ -63,16 +64,14 @@ class HardConstraint:
     either per concrete assignment or, for the bound kind, as a formula
     over the free variation variables.
 
-    Per-assignment checks run on delay sums: the reset kind evaluates the
-    edited reset pattern (``VariedSystem.edited_system``), every other kind
-    instantiates its branch groups. Verdicts are memoized for the life
-    of the instance.
+    Per-assignment checks run on the delay sums of
+    ``VariedSystem.instantiate``. Verdicts are memoized for the life of the
+    instance.
     """
 
     def __init__(self, vs: VariedSystem, qe_budget: int = DEFAULT_QE_BUDGET):
         self.vs = vs
         self.qe_budget = qe_budget
-        self.neg_phi = vs.base.property_formula(negated=True)
         self.formula: Formula | None = None
         self._verdicts: dict[tuple[tuple[LinearAtom, ...], Formula], bool] = {}
         if vs.kind == "bound":
@@ -84,21 +83,14 @@ class HardConstraint:
         atoms = list(vs.base_atoms) + list(vs.free_atoms)
         existential = eliminate(atoms, quantified, self.qe_budget)
         parts: list[Formula] = [conjunction(existential)]
-        for disjunct in formula_to_dnf(self.neg_phi):
+        for disjunct in formula_to_dnf(vs.neg_phi):
             projected = eliminate(atoms + disjunct, quantified, self.qe_budget)
             parts.append(f_and([f_or([a.negated_formula() for a in projected])]))
         return f_and(parts)
 
-    def query(self, assignment: dict[str, object]) -> tuple[tuple[LinearAtom, ...], Formula]:
-        """The delay-only atoms and negated property that decide an assignment."""
-        if self.vs.kind != "reset":
-            return tuple(self.vs.instantiate(assignment)), self.neg_phi
-        edited = self.vs.edited_system(assignment)
-        return tuple(edited.linear_atoms()), edited.property_formula(negated=True)
-
     def check(self, assignment: dict[str, object]) -> bool:
         """Is this full assignment a repair (feasible, no violating realization)?"""
-        query = self.query(assignment)
+        query = self.vs.instantiate(assignment)
         verdict = self._verdicts.get(query)
         if verdict is None:
             atoms, neg_phi = query
@@ -140,14 +132,17 @@ def repairing_assignments(hard: HardConstraint, modified: tuple[str, ...]):
     return found
 
 
-def sample_repair_values(
-    hard: HardConstraint, modified: tuple[str, ...], scan_limit: int = 64
-) -> dict[str, Fraction] | None:
+# Largest integer magnitude sample_repair_values tries before it falls back
+# to a rational model.
+SCAN_LIMIT = 64
+
+
+def sample_repair_values(hard: HardConstraint, modified: tuple[str, ...]) -> dict[str, Fraction] | None:
     """Concrete rational values for the modified bound variables.
 
     Each variable is fixed in turn to the integer of minimal absolute value
     that keeps the pinned hard formula satisfiable (positive before
-    negative); when no integer fits within the scan limit, a rational
+    negative); when no integer fits within ``SCAN_LIMIT``, a rational
     interior point from an exact model is used instead. The final full
     assignment is re-verified.
     """
@@ -163,7 +158,7 @@ def sample_repair_values(
 
     for name in modified:
         chosen = None
-        for magnitude in range(1, scan_limit + 1):
+        for magnitude in range(1, SCAN_LIMIT + 1):
             for val in (Fraction(magnitude), Fraction(-magnitude)):
                 trial = f_and(
                     [pinned_formula(), FAtom(LinearAtom.make({name: Fraction(1)}, Rel.EQ, val))]

@@ -5,8 +5,9 @@ variables, smallest first, each with its repairing value assignments
 (discrete kinds; the bound kind samples one rational assignment); the
 search blocks each set's variables once it is yielded. Candidates
 therefore appear in non-decreasing modification count, and no modified
-set repeats. Each variation variable is one syntactic edit, so distinct
-assignments are distinct repairs.
+set repeats. Each variation variable is one syntactic edit
+(``variations.edit``), so distinct assignments are distinct repairs, and
+``apply_candidate`` applies each edit by its anchor alone.
 
 Within one set, a value assignment whose repaired trace system is implied
 by an already-emitted candidate's is skipped: such a repair permits no
@@ -24,23 +25,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from fractions import Fraction
-
-from .admissibility import check_admissible, DEFAULT_UNTIMED_BUDGET
+from .admissibility import check_admissible
 from .checker import DEFAULT_STATE_BUDGET, SymbolicTimedTrace, check
 from .encoder import encode, feasible, violating
 from .lra import DEFAULT_QE_BUDGET, QeBudgetExceeded, conjunction, f_and, is_satisfiable
 # repairing_assignments is not called here; it stays importable under this
 # module's name because bench/tracing.py wraps it here.
 from .maxsmt import HardConstraint, max_sat, repairing_assignments  # noqa: F401
-from .model import (
-    AtomicClockConstraint,
-    Op,
-    TimedAutomatonNetwork,
-    indexed_constraints,
-    validate,
-)
-from .variations import VariedSystem, vary
+from .model import AtomicClockConstraint, TimedAutomatonNetwork, indexed_constraints, validate
+from .variations import AnchorMismatch, Modification, VariedSystem, edit, vary
 
 
 class RepairKind(enum.Enum):
@@ -49,17 +42,6 @@ class RepairKind(enum.Enum):
     CLOCKREF = "clockref"
     RESET = "reset"
     URGENT = "urgent"
-
-
-@dataclass(frozen=True)
-class Modification:
-    """One anchored syntactic edit; applying then reverting is the identity."""
-
-    target: str  # "constraint" | "reset" | "urgent"
-    anchor: tuple
-    old: object
-    new: object
-    description: str
 
 
 @dataclass(frozen=True)
@@ -75,166 +57,72 @@ class RepairCandidate:
         return RepairCandidate(
             self.kind,
             tuple(
-                Modification(m.target, m.anchor, m.new, m.old, f"revert {m.description}")
+                Modification(m.anchor, m.new, m.old, f"revert {m.description}")
                 for m in self.modifications
             ),
             self.assignment,
         )
 
 
-class AnchorMismatch(ValueError):
-    """The model no longer matches a modification's recorded old value."""
+def _put(items: tuple, i: int, item) -> tuple:
+    return items[:i] + (item,) + items[i + 1 :]
+
+
+def _toggle(members: frozenset, member, m: Modification, what: str) -> frozenset:
+    """``members`` with ``member`` set to ``m.new``, once it is found at ``m.old``."""
+    if (member in members) != m.old:
+        raise AnchorMismatch(f"{what} is {member in members}, expected {m.old}")
+    return members | {member} if m.new else members - {member}
 
 
 def _replace_constraint_atom(network, idx: int, new_atom: AtomicClockConstraint, old_atom):
     ref = indexed_constraints(network)[idx]
     if ref.atom != old_atom:
-        raise AnchorMismatch(
-            f"constraint #{idx} is {ref.atom}, expected {old_atom}"
-        )
+        raise AnchorMismatch(f"constraint #{idx} is {ref.atom}, expected {old_atom}")
     auto = network.automata[ref.automaton]
     if ref.kind == "invariant":
-        inv = list(auto.invariants[ref.location])
-        inv[ref.atom_pos] = new_atom
-        invariants = list(auto.invariants)
-        invariants[ref.location] = tuple(inv)
-        auto = replace(auto, invariants=tuple(invariants))
+        inv = _put(auto.invariants[ref.location], ref.atom_pos, new_atom)
+        auto = replace(auto, invariants=_put(auto.invariants, ref.location, inv))
     else:
         trans = auto.transitions[ref.transition]
-        guard = list(trans.guard)
-        guard[ref.atom_pos] = new_atom
-        transitions = list(auto.transitions)
-        transitions[ref.transition] = replace(trans, guard=tuple(guard))
-        auto = replace(auto, transitions=tuple(transitions))
-    automata = list(network.automata)
-    automata[ref.automaton] = auto
-    return replace(network, automata=tuple(automata))
+        trans = replace(trans, guard=_put(trans.guard, ref.atom_pos, new_atom))
+        auto = replace(auto, transitions=_put(auto.transitions, ref.transition, trans))
+    return replace(network, automata=_put(network.automata, ref.automaton, auto))
 
 
 def apply_candidate(
     network: TimedAutomatonNetwork, candidate: RepairCandidate
 ) -> TimedAutomatonNetwork:
-    """Pure application of a candidate's modifications to the model."""
+    """Pure application of a candidate's modifications, each by its anchor."""
     for m in candidate.modifications:
-        if m.target == "constraint":
-            idx = m.anchor[1]
-            ref = indexed_constraints(network)[idx]
-            atom = ref.atom
-            if candidate.kind == RepairKind.BOUND:
-                if atom.bound != m.old:
-                    raise AnchorMismatch(f"constraint #{idx} bound is {atom.bound}, expected {m.old}")
-                new_atom = AtomicClockConstraint(atom.clock, atom.op, Fraction(m.new))
-            elif candidate.kind == RepairKind.OPERATOR:
-                if atom.op != m.old:
-                    raise AnchorMismatch(f"constraint #{idx} operator is {atom.op}, expected {m.old}")
-                new_atom = AtomicClockConstraint(atom.clock, m.new, atom.bound)
-            else:
-                if atom.clock != m.old:
-                    raise AnchorMismatch(f"constraint #{idx} clock is {atom.clock}, expected {m.old}")
-                new_atom = AtomicClockConstraint(m.new, atom.op, atom.bound)
-            network = _replace_constraint_atom(network, idx, new_atom, atom)
-        elif m.target == "reset":
-            _, ai, ti, clock = m.anchor
+        target, *where = m.anchor
+        if target == "constraint":
+            (idx,) = where
+            network = _replace_constraint_atom(network, idx, m.new, m.old)
+        elif target == "reset":
+            ai, ti, clock = where
             auto = network.automata[ai]
             trans = auto.transitions[ti]
-            has = clock in trans.resets
-            if has != m.old:
-                raise AnchorMismatch(
-                    f"reset of clock {clock} on {auto.name}.t{ti} is {has}, expected {m.old}"
-                )
-            resets = (trans.resets - {clock}) if has else (trans.resets | {clock})
-            transitions = list(auto.transitions)
-            transitions[ti] = replace(trans, resets=frozenset(resets))
-            automata = list(network.automata)
-            automata[ai] = replace(auto, transitions=tuple(transitions))
-            network = replace(network, automata=tuple(automata))
-        elif m.target == "urgent":
-            _, ai, li = m.anchor
+            resets = _toggle(trans.resets, clock, m, f"reset of clock {clock} on {auto.name}.t{ti}")
+            auto = replace(auto, transitions=_put(auto.transitions, ti, replace(trans, resets=resets)))
+            network = replace(network, automata=_put(network.automata, ai, auto))
+        elif target == "urgent":
+            ai, li = where
             auto = network.automata[ai]
-            is_urgent = li in auto.urgent
-            if is_urgent != m.old:
-                raise AnchorMismatch(
-                    f"urgency of {auto.name} location {li} is {is_urgent}, expected {m.old}"
-                )
-            urgent = (auto.urgent - {li}) if is_urgent else (auto.urgent | {li})
-            automata = list(network.automata)
-            automata[ai] = replace(auto, urgent=frozenset(urgent))
-            network = replace(network, automata=tuple(automata))
+            auto = replace(auto, urgent=_toggle(auto.urgent, li, m, f"urgency of {auto.name} location {li}"))
+            network = replace(network, automata=_put(network.automata, ai, auto))
         else:
-            raise ValueError(f"unknown modification target {m.target}")
+            raise ValueError(f"unknown modification target {target}")
     return network
 
 
 def _candidate_from_assignment(
     vs: VariedSystem, kind: RepairKind, assignment: dict[str, object]
 ) -> RepairCandidate:
-    network = vs.base.network
-    refs = indexed_constraints(network)
-    mods: list[Modification] = []
-    for var in vs.variables:
-        value = assignment[var.name]
-        if value == var.zero:
-            continue
-        if kind == RepairKind.BOUND:
-            idx = var.anchor[0]
-            old = refs[idx].atom.bound
-            # A lower-bound guard may be relaxed past 0; clocks never go
-            # negative, so clamping to 0 applies the same constraint.
-            new = max(Fraction(0), old + Fraction(value))
-            mods.append(
-                Modification(
-                    "constraint",
-                    ("constraint", idx),
-                    old,
-                    new,
-                    f"{var.description}: bound {old} -> {new} (v = {Fraction(value)})",
-                )
-            )
-        elif kind == RepairKind.OPERATOR:
-            idx = var.anchor[0]
-            old = refs[idx].atom.op
-            mods.append(
-                Modification(
-                    "constraint",
-                    ("constraint", idx),
-                    old,
-                    value,
-                    f"{var.description}: operator {old.name} -> {Op(value).name}",
-                )
-            )
-        elif kind == RepairKind.CLOCKREF:
-            idx = var.anchor[0]
-            old = refs[idx].atom.clock
-            names = network.clock_names
-            mods.append(
-                Modification(
-                    "constraint",
-                    ("constraint", idx),
-                    old,
-                    value,
-                    f"{var.description}: clock {names[old]} -> {names[value]}",
-                )
-            )
-        elif kind == RepairKind.RESET:
-            ai, ti, clock = var.anchor
-            old = clock in network.automata[ai].transitions[ti].resets
-            mods.append(
-                Modification("reset", ("reset", ai, ti, clock), old, not old, var.description)
-            )
-        else:  # URGENT
-            ai, li = var.anchor
-            auto = network.automata[ai]
-            old = li in auto.urgent
-            mods.append(
-                Modification(
-                    "urgent",
-                    ("urgent", ai, li),
-                    old,
-                    not old,
-                    var.description,
-                )
-            )
-    mods.sort(key=lambda m: m.anchor)
+    mods = sorted(
+        (edit(vs, var, assignment[var.name]) for var in vs.variables if assignment[var.name] != var.zero),
+        key=lambda m: m.anchor,
+    )
     return RepairCandidate(kind, tuple(mods), tuple(sorted(assignment.items())))
 
 
@@ -288,7 +176,6 @@ def run(
     max_repairs: int = DEFAULT_MAX_REPAIRS,
     qe_budget: int = DEFAULT_QE_BUDGET,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    admissibility_budget: int = DEFAULT_UNTIMED_BUDGET,
 ) -> RepairRun:
     """Compute, apply and admissibility-check repairs of one kind.
 
@@ -331,7 +218,7 @@ def run(
         for _, assignments in max_sat(hard):
             emitted_atoms: list[tuple] = []
             for assignment in assignments:
-                inst, _ = hard.query(assignment)
+                inst, _ = vs.instantiate(assignment)
                 if any(_entails(inst, prev, qe_budget) for prev in emitted_atoms):
                     continue
                 candidate = _candidate_from_assignment(vs, kind, assignment)
@@ -341,9 +228,7 @@ def run(
                     raise AssertionError(
                         f"semantic repair contract violated by {candidate.describe_modifications()}"
                     )
-                verdict = check_admissible(
-                    network, repaired, admissibility_budget, original_cache
-                )
+                verdict = check_admissible(network, repaired, original_cache=original_cache)
                 runout.candidates.append(candidate)
                 runout.admissible.append(verdict.equal)
                 runout.witnesses.append(verdict.witness)

@@ -5,7 +5,10 @@ shifted by {-10, -1, +1, +ceil(0.1*M), +M} where M is the maximal clock
 bound occurring in the model (results clamped at 0, duplicates removed),
 comparison operators swapped for each of the other four, referenced
 clocks swapped for every other clock of the automaton, one reset toggle
-per transition and clock, and one urgency toggle per location.
+per transition and clock, and one urgency toggle per location. Each
+mutant is one ``Modification`` of the kind a repair analysis makes:
+``apply_candidate`` builds the mutant, and the inverse of its ``edit``
+restores the original.
 
 The campaign model-checks every mutant and, for the violating ones, runs
 the selected repair analyses, aggregating the table columns #Sd, #T, Ln,
@@ -16,7 +19,7 @@ randomness, so campaign reports are byte-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .checker import Exhausted, check
@@ -25,14 +28,8 @@ from .model import (
     TimedAutomatonNetwork,
     indexed_constraints,
 )
-from .orchestrator import (
-    DEFAULT_MAX_REPAIRS,
-    Modification,
-    RepairCandidate,
-    RepairKind,
-    apply_candidate,
-    run,
-)
+from .orchestrator import DEFAULT_MAX_REPAIRS, RepairCandidate, RepairKind, apply_candidate, run
+from .variations import Modification
 
 SEED_KINDS = ("bound", "operator", "clockref", "reset", "urgent")
 
@@ -66,10 +63,12 @@ def seed(network: TimedAutomatonNetwork, kinds=SEED_KINDS) -> list[Mutant]:
     """
     mutants: list[Mutant] = []
     refs = indexed_constraints(network)
+    names = network.clock_names
     m = model_max_bound(network)
 
-    def edit(kind: RepairKind, mods) -> RepairCandidate:
-        return RepairCandidate(kind, tuple(mods), ())
+    def mutate(kind: str, anchor: tuple, old, new, description: str) -> None:
+        cand = RepairCandidate(RepairKind(kind), (Modification(anchor, old, new, description),), ())
+        mutants.append(Mutant(kind, description, apply_candidate(network, cand), cand))
 
     if "bound" in kinds:
         for ref in refs:
@@ -79,103 +78,58 @@ def seed(network: TimedAutomatonNetwork, kinds=SEED_KINDS) -> list[Mutant]:
                 if new == ref.atom.bound or new in seen:
                     continue
                 seen.add(new)
-                cand = edit(
-                    RepairKind.BOUND,
-                    [
-                        Modification(
-                            "constraint",
-                            ("constraint", ref.index),
-                            ref.atom.bound,
-                            new,
-                            f"seed bound #{ref.index}: {ref.atom.bound} -> {new}",
-                        )
-                    ],
-                )
-                mutants.append(
-                    Mutant("bound", cand.modifications[0].description, apply_candidate(network, cand), cand)
+                mutate(
+                    "bound",
+                    ("constraint", ref.index),
+                    ref.atom,
+                    replace(ref.atom, bound=new),
+                    f"seed bound #{ref.index}: {ref.atom.bound} -> {new}",
                 )
     if "operator" in kinds:
         for ref in refs:
             for op in Op:
-                if op == ref.atom.op:
-                    continue
-                cand = edit(
-                    RepairKind.OPERATOR,
-                    [
-                        Modification(
-                            "constraint",
-                            ("constraint", ref.index),
-                            ref.atom.op,
-                            op,
-                            f"seed operator #{ref.index}: {ref.atom.op.name} -> {op.name}",
-                        )
-                    ],
-                )
-                mutants.append(
-                    Mutant("operator", cand.modifications[0].description, apply_candidate(network, cand), cand)
-                )
+                if op != ref.atom.op:
+                    mutate(
+                        "operator",
+                        ("constraint", ref.index),
+                        ref.atom,
+                        replace(ref.atom, op=op),
+                        f"seed operator #{ref.index}: {ref.atom.op.name} -> {op.name}",
+                    )
     if "clockref" in kinds:
         for ref in refs:
-            owner = network.automata[ref.automaton]
-            for clock in sorted(owner.clocks):
-                if clock == ref.atom.clock:
-                    continue
-                cand = edit(
-                    RepairKind.CLOCKREF,
-                    [
-                        Modification(
-                            "constraint",
-                            ("constraint", ref.index),
-                            ref.atom.clock,
-                            clock,
-                            f"seed clock #{ref.index}: {network.clock_names[ref.atom.clock]}"
-                            f" -> {network.clock_names[clock]}",
-                        )
-                    ],
-                )
-                mutants.append(
-                    Mutant("clockref", cand.modifications[0].description, apply_candidate(network, cand), cand)
-                )
+            for clock in sorted(network.automata[ref.automaton].clocks):
+                if clock != ref.atom.clock:
+                    mutate(
+                        "clockref",
+                        ("constraint", ref.index),
+                        ref.atom,
+                        replace(ref.atom, clock=clock),
+                        f"seed clock #{ref.index}: {names[ref.atom.clock]} -> {names[clock]}",
+                    )
     if "reset" in kinds:
         for ai, auto in enumerate(network.automata):
             for ti, trans in enumerate(auto.transitions):
                 for clock in sorted(auto.clocks):
                     has = clock in trans.resets
-                    cand = edit(
-                        RepairKind.RESET,
-                        [
-                            Modification(
-                                "reset",
-                                ("reset", ai, ti, clock),
-                                has,
-                                not has,
-                                f"seed reset: {'remove' if has else 'add'} "
-                                f"{network.clock_names[clock]} on {auto.name}.t{ti}",
-                            )
-                        ],
-                    )
-                    mutants.append(
-                        Mutant("reset", cand.modifications[0].description, apply_candidate(network, cand), cand)
+                    mutate(
+                        "reset",
+                        ("reset", ai, ti, clock),
+                        has,
+                        not has,
+                        f"seed reset: {'remove' if has else 'add'} {names[clock]} on {auto.name}.t{ti}",
                     )
     if "urgent" in kinds:
         for ai, auto in enumerate(network.automata):
             for li in range(auto.n_locations):
                 old = li in auto.urgent
-                cand = edit(
-                    RepairKind.URGENT,
-                    [
-                        Modification(
-                            "urgent",
-                            ("urgent", ai, li),
-                            old,
-                            not old,
-                            f"seed urgency: {auto.name}.{auto.location_names[li]} "
-                            f"{'non-urgent' if old else 'urgent'}",
-                        )
-                    ],
-                )
-                mutants.append(
-                    Mutant("urgent", cand.modifications[0].description, apply_candidate(network, cand), cand)
+                mutate(
+                    "urgent",
+                    ("urgent", ai, li),
+                    old,
+                    not old,
+                    f"seed urgency: {auto.name}.{auto.location_names[li]} "
+                    f"{'non-urgent' if old else 'urgent'}",
                 )
     return mutants
 

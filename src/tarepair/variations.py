@@ -12,26 +12,31 @@ Each encoder introduces variation variables with a declared domain and a
   of the owning automaton, the delay sum substituted per branch.
 - resets: one boolean flip per (transition, clock) reset toggle the trace
   offers: at each step a clock is removed from every transition of the
-  step that resets it, or else added on the step's first transition. A
-  flip is exactly one syntactic edit and acts wherever its transition
-  fires. An assignment is instantiated as the trace system under the reset
-  pattern its edits produce (``VariedSystem.edited_system``), so it has no
-  branch groups.
+  step that resets it, or else added on the step's first transition whose
+  automaton declares the clock. A flip is exactly one syntactic edit and
+  acts wherever its transition fires. An assignment is instantiated as the
+  trace system under the reset pattern its edits produce
+  (``VariedSystem.edited_system``), so it has no branch groups.
 - urgency: one boolean flip per distinct location visited by the trace;
   flips invert the zero-delay obligation of the location's steps.
 
 Setting every variable to its zero meaning reproduces a system that is
 equisatisfiable with the unvaried one.
+
+Each variable is one syntactic edit of the model, and ``edit`` turns a
+non-zero value of it into that edit, a ``Modification``: a constraint edit
+replaces one indexed atom by another, a reset or urgency edit toggles one
+flag. Seeding builds each of its mutants as one such edit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .encoder import TdtConstraintSystem, TraceAtom, delta_var
-from .lra import LinearAtom, Rel, comparison_atom
-from .model import Op
+from .lra import Formula, LinearAtom, Rel, comparison_atom
+from .model import Op, indexed_constraints
 
 KINDS = ("bound", "operator", "clockref", "reset", "urgent")
 
@@ -44,6 +49,33 @@ class VariationVariable:
     domain: tuple | None  # None: free rational (bound variation)
     zero: object
     description: str
+
+
+@dataclass(frozen=True)
+class Modification:
+    """One anchored syntactic edit; applying then reverting is the identity.
+
+    The anchor names the part of the model the edit changes:
+
+    - ``("constraint", i)``: the i-th atom of ``model.indexed_constraints``.
+      ``old`` and ``new`` are whole ``AtomicClockConstraint`` atoms; a
+      bound, operator or clock edit is one whose atoms differ in that field.
+    - ``("reset", a, t, c)``: whether transition t of automaton a resets
+      clock c. ``old`` and ``new`` are that flag.
+    - ``("urgent", a, l)``: whether location l of automaton a is urgent.
+      ``old`` and ``new`` are that flag.
+
+    Applying an edit first checks that the model holds ``old`` at the anchor.
+    """
+
+    anchor: tuple
+    old: object
+    new: object
+    description: str
+
+
+class AnchorMismatch(ValueError):
+    """The model no longer matches a modification's recorded old value."""
 
 
 @dataclass(frozen=True)
@@ -77,17 +109,21 @@ class VariedSystem:
         self.groups = groups
         self.free_atoms = free_atoms  # bound variation: atoms mentioning the v's
         self.variables = variables if variables is not None else tuple(g.var for g in groups)
+        self.neg_phi = base.property_formula(negated=True)
 
     def zero_assignment(self) -> dict[str, object]:
         return {v.name: v.zero for v in self.variables}
 
-    def instantiate(self, assignment: dict[str, object]) -> list[LinearAtom]:
-        """Plain conjunction under a full assignment of the variation variables.
+    def instantiate(self, assignment: dict[str, object]) -> tuple[tuple[LinearAtom, ...], Formula]:
+        """The delay-only conjunction and negated property under a full assignment.
 
-        Reset kind: the atoms of ``edited_system``.
+        The reset kind reads both off ``edited_system``, since its edits move
+        the delay sums of the property's clocks too; the other kinds keep
+        the base property and instantiate their atoms.
         """
         if self.kind == "reset":
-            return self.edited_system(assignment).linear_atoms()
+            edited = self.edited_system(assignment)
+            return tuple(edited.linear_atoms()), edited.property_formula(negated=True)
         atoms = list(self.base_atoms)
         if self.kind == "bound":
             values = {name: Fraction(val) for name, val in assignment.items()}
@@ -95,7 +131,7 @@ class VariedSystem:
         else:
             for g in self.groups:
                 atoms.extend(g.atoms_for(assignment[g.var.name]))
-        return atoms
+        return tuple(atoms), self.neg_phi
 
     def edited_system(self, assignment: dict[str, object]) -> TdtConstraintSystem:
         """Reset kind: the delay-only system under the reset pattern the edit produces.
@@ -132,8 +168,6 @@ def _indexed_trace_atoms(sys: TdtConstraintSystem) -> dict[int, list[TraceAtom]]
 
 
 def _constraint_description(sys: TdtConstraintSystem, idx: int) -> str:
-    from .model import indexed_constraints
-
     ref = indexed_constraints(sys.network)[idx]
     auto = sys.network.automata[ref.automaton]
     where = (
@@ -234,19 +268,22 @@ def vary_resets(sys: TdtConstraintSystem) -> VariedSystem:
     """One boolean flip per (transition, clock) reset toggle; true applies it.
 
     At step j the offered toggles remove clock c from every transition of
-    the step that resets it, or else add c on the step's first transition.
-    Flips run step by step, then clock by clock, then over the step's
-    transitions; a toggle met again at a later step keeps its first place
-    and its one variable, since the edit acts wherever its transition
-    fires. Assignments are instantiated through ``VariedSystem.edited_system``.
+    the step that resets it, or else add c on the step's first transition
+    whose automaton declares c, so no toggle names a clock its automaton
+    does not declare. Flips run step by step, then clock by clock, then
+    over the step's transitions; a toggle met again at a later step keeps
+    its first place and its one variable, since the edit acts wherever its
+    transition fires. Assignments are instantiated through
+    ``VariedSystem.edited_system``.
     """
     automata = sys.network.automata
     steps = sys.stt.steps
     variables: dict[tuple[int, int, int], VariationVariable] = {}
     for move in steps:
         for c in range(sys.network.n_clocks):
-            resetting = [(ai, ti) for ai, ti in move if c in automata[ai].transitions[ti].resets]
-            for ai, ti in resetting or move[:1]:
+            declaring = [(ai, ti) for ai, ti in move if c in automata[ai].clocks]
+            resetting = [(ai, ti) for ai, ti in declaring if c in automata[ai].transitions[ti].resets]
+            for ai, ti in resetting or declaring[:1]:
                 fired = [str(j) for j, other in enumerate(steps) if (ai, ti) in other]
                 where = f"step{'s' if len(fired) > 1 else ''} {', '.join(fired)}"
                 variables[(ai, ti, c)] = VariationVariable(
@@ -310,3 +347,36 @@ def vary(sys: TdtConstraintSystem, kind: str) -> VariedSystem:
     if kind == "urgent":
         return vary_urgency(sys)
     raise ValueError(f"unknown repair kind {kind!r}")
+
+
+def edit(vs: VariedSystem, var: VariationVariable, value) -> Modification:
+    """The syntactic edit that a non-zero ``value`` of ``var`` makes to the model.
+
+    A reset or urgency flip toggles its flag. The other kinds replace the
+    indexed atom by one with the bound shifted by ``value`` (clamped at
+    0), or with ``value`` as its operator or clock.
+    """
+    network = vs.base.network
+    if var.kind == "reset":
+        ai, ti, c = var.anchor
+        old = c in network.automata[ai].transitions[ti].resets
+        return Modification(("reset", ai, ti, c), old, not old, var.description)
+    if var.kind == "urgent":
+        ai, li = var.anchor
+        old = li in network.automata[ai].urgent
+        return Modification(("urgent", ai, li), old, not old, var.description)
+    (idx,) = var.anchor
+    old = indexed_constraints(network)[idx].atom
+    if var.kind == "bound":
+        # A lower-bound guard may be relaxed past 0; clocks never go
+        # negative, so clamping to 0 applies the same constraint.
+        new = replace(old, bound=max(Fraction(0), old.bound + Fraction(value)))
+        change = f"bound {old.bound} -> {new.bound} (v = {Fraction(value)})"
+    elif var.kind == "operator":
+        new = replace(old, op=Op(value))
+        change = f"operator {old.op.name} -> {new.op.name}"
+    else:
+        new = replace(old, clock=value)
+        names = network.clock_names
+        change = f"clock {names[old.clock]} -> {names[new.clock]}"
+    return Modification(("constraint", idx), old, new, f"{var.description}: {change}")

@@ -46,7 +46,7 @@ def test_criterion_01_running_example_bound_repair():
         (cand, adm)
         for cand, adm in zip(rr.candidates, rr.admissible)
         if any(
-            m.anchor == ("constraint", 2) and m.old == F(2) and m.new == F(1)
+            m.anchor == ("constraint", 2) and m.old.bound == F(2) and m.new.bound == F(1)
             for m in cand.modifications
         )
     ]
@@ -65,7 +65,7 @@ def test_criterion_02_operator_variation():
     net, prop = load_bundled_model()
     rr = run(net, prop, RepairKind.OPERATOR)
     repl = [
-        (m.anchor, m.new)
+        (m.anchor, m.new.op)
         for cand in rr.candidates
         for m in cand.modifications
     ]
@@ -281,7 +281,7 @@ def test_criterion_09_zero_meaning_equisatisfiability():
         base = is_satisfiable(enc.linear_atoms()).sat
         for kind in KINDS:
             vs = vary(enc, kind)
-            inst = vs.instantiate(vs.zero_assignment())
+            inst, _ = vs.instantiate(vs.zero_assignment())
             assert is_satisfiable(inst).sat == base, (name, kind)
             cases += 1
     assert cases == 20
@@ -297,10 +297,10 @@ def test_criterion_10_seeding_protocol():
     counts = {k: len(v) for k, v in by_kind.items()}
     assert counts == {"bound": 20, "operator": 24, "clockref": 18, "reset": 28, "urgent": 7}
     # delta set with clamping and dedup on w <= 2 (M = 2): {0, 1, 3, 4}
-    w_bounds = [m.edit.modifications[0].new for m in by_kind["bound"] if "#2" in m.description]
+    w_bounds = [m.edit.modifications[0].new.bound for m in by_kind["bound"] if "#2" in m.description]
     assert w_bounds == [F(0), F(1), F(3), F(4)]
     # on y <= 1: -10 and -1 both clamp/land at 0, +1 and +0.1M dedup at 2: {0, 2, 3}
-    y_bounds = [m.edit.modifications[0].new for m in by_kind["bound"] if "#3" in m.description]
+    y_bounds = [m.edit.modifications[0].new.bound for m in by_kind["bound"] if "#3" in m.description]
     assert y_bounds == [F(0), F(2), F(3)]
     _report(10, f"mutant enumeration matches the documented operator and delta sets ({len(mutants)} mutants)")
 

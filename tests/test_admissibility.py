@@ -120,7 +120,10 @@ def test_admissibility_shared_extrapolation_constant():
         RepairKind.BOUND,
         (
             Modification(
-                "constraint", ("constraint", 2), ref.atom.bound, Fraction(9), "loosen w <= 2 to w <= 9"
+                ("constraint", 2),
+                ref.atom,
+                AtomicClockConstraint(ref.atom.clock, ref.atom.op, Fraction(9)),
+                "loosen w <= 2 to w <= 9",
             ),
         ),
         (),

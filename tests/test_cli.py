@@ -141,6 +141,7 @@ def test_reset_repair_and_seed_on_repeated_transition_model(tmp_path, capsys):
         {"labels": 5},
         {"steps": [{"fired": [{"automaton": "client", "transitionIndex": 0}] * 2}]},
         {"steps": [{"fired": [{"automaton": "db", "transitionIndex": 0}]}]},
+        {"labels": ["req"]},
     ],
     ids=[
         "unknown-automaton",
@@ -150,6 +151,7 @@ def test_reset_repair_and_seed_on_repeated_transition_model(tmp_path, capsys):
         "labels-not-a-list",
         "one-transition-fired-twice",
         "receive-without-sender",
+        "labels-only",
     ],
 )
 def test_malformed_trace_document_is_a_usage_error(tmp_path, capsys, doc):

@@ -3,6 +3,8 @@
 import itertools
 from fractions import Fraction as F
 
+import pytest
+
 from conftest import dbm_replay, loop_model
 from tarepair import load_bundled_model, maxsmt
 from tarepair.checker import check
@@ -11,6 +13,7 @@ from tarepair.lra import FAtom, LinearAtom, Rel, f_and, is_satisfiable
 from tarepair.maxsmt import (
     HardConstraint,
     max_sat,
+    nonzero_values,
     repairing_assignments,
     sample_repair_values,
 )
@@ -178,25 +181,27 @@ def test_blocking_and_memo_reuse(monkeypatch):
     assert kept_checked and len(kept_checked) == len(set(kept_checked))
 
 
-def test_reset_check_agrees_with_dbm_replay():
-    # Every assignment with at most two flips: the check must equal the
-    # replay of the applied edit on the repaired model. The loop models fire
-    # t0 twice, so a flip there edits both steps.
+def _check_against_dbm_replay(kind):
+    """(assignments checked, repairs among them) after asserting agreement.
+
+    Every assignment with at most two modified variables, each at every
+    non-zero value: the hard check must equal the replay of the applied
+    edit on the repaired model, for a fresh and for a warm memo.
+    """
     cases = [load_bundled_model(name) for name in ("client_db", "oneclock", "urgent_hop", "pair_sync")]
     cases += [parse_model(loop_model()), parse_model(loop_model(("x", "y", "z"), "!@a.L1 || z <= 2"))]
     checked = repairs = 0
     for net, prop in cases:
         trace = check(net, prop).trace
-        vs = vary(encode(net, trace, prop), "reset")
-        names = [v.name for v in vs.variables]
-        assignments = [
-            {n: n in flips for n in names}
-            for m in range(3)
-            for flips in itertools.combinations(names, m)
-        ]
+        vs = vary(encode(net, trace, prop), kind)
+        assignments = []
+        for m in range(3):
+            for modified in itertools.combinations(vs.variables, m):
+                for values in itertools.product(*(nonzero_values(v) for v in modified)):
+                    assignments.append(dict(vs.zero_assignment(), **{v.name: x for v, x in zip(modified, values)}))
         expected = []
         for a in assignments:
-            repaired = apply_candidate(net, _candidate_from_assignment(vs, RepairKind.RESET, a))
+            repaired = apply_candidate(net, _candidate_from_assignment(vs, RepairKind(kind), a))
             feasible, violating = dbm_replay(repaired, prop, trace)
             expected.append(feasible and not violating)
         cold = [HardConstraint(vs).check(a) for a in assignments]
@@ -207,7 +212,21 @@ def test_reset_check_agrees_with_dbm_replay():
         assert first == expected and again == expected
         checked += len(assignments)
         repairs += sum(expected)
+    return checked, repairs
+
+
+def test_reset_check_agrees_with_dbm_replay():
+    # The loop models fire t0 twice, so a flip there edits both steps.
+    checked, repairs = _check_against_dbm_replay("reset")
     assert checked == 122 and 0 < repairs < checked
+
+
+@pytest.mark.parametrize("kind, count", [("operator", 450), ("clockref", 141), ("urgent", 52)])
+def test_discrete_check_agrees_with_dbm_replay(kind, count):
+    # The branch tables against the applied edit: the check of an
+    # assignment reads its kind's branches, the replay the edited model.
+    checked, repairs = _check_against_dbm_replay(kind)
+    assert checked == count and 0 < repairs < checked
 
 
 def test_hard_check_memo_answers_repeated_queries(monkeypatch):

@@ -1,13 +1,15 @@
 """Repair loop behavior: candidates, blocking, application, determinism."""
 
+import importlib.util
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from tarepair import load_bundled_model
 from tarepair.checker import check
 from tarepair.encoder import encode, feasible, violating
-from tarepair.model import Op
+from tarepair.model import AtomicClockConstraint, Op, indexed_constraints, validate
 from tarepair.modelio import parse_model, serialize_model
 from tarepair.seeding import seed
 from tarepair.variations import vary
@@ -16,6 +18,7 @@ from tarepair.orchestrator import (
     Modification,
     RepairCandidate,
     RepairKind,
+    _candidate_from_assignment,
     apply_candidate,
     run,
 )
@@ -31,12 +34,12 @@ def test_bound_run_contains_the_w_repair():
     hits = [
         (cand, adm)
         for cand, adm in zip(rr.candidates, rr.admissible)
-        if any(m.anchor == ("constraint", 2) and m.new == 1 for m in cand.modifications)
+        if any(m.anchor == ("constraint", 2) and m.new.bound == 1 for m in cand.modifications)
     ]
     assert len(hits) == 1
     cand, adm = hits[0]
     assert adm and len(cand.modifications) == 1
-    assert cand.modifications[0].old == 2
+    assert cand.modifications[0].old.bound == 2
 
 
 def test_urgency_run_two_inadmissible_candidates():
@@ -54,7 +57,7 @@ def test_operator_run_dominance_filter():
     # that <= does not, so only < and <= are emitted.
     net, prop = load_bundled_model()
     rr = run(net, prop, RepairKind.OPERATOR)
-    news = [m.new for cand in rr.candidates for m in cand.modifications]
+    news = [m.new.op for cand in rr.candidates for m in cand.modifications]
     assert news == [Op.LT, Op.LE]
     assert rr.admissible == [True, True]
 
@@ -126,7 +129,7 @@ def test_apply_detects_anchor_mismatch():
 def test_operator_application_text():
     net, prop = load_bundled_model()
     rr = run(net, prop, RepairKind.OPERATOR)
-    lt = next(c for c in rr.candidates if c.modifications[0].new == Op.LT)
+    lt = next(c for c in rr.candidates if c.modifications[0].new.op == Op.LT)
     repaired = apply_candidate(net, lt)
     text = serialize_model(repaired, prop)
     assert "w < 1" in text and "w >= 1" not in text
@@ -165,7 +168,7 @@ def test_clockref_run_includes_receive_window_swap():
         for cand, adm in zip(rr.candidates, rr.admissible)
         if len(cand.modifications) == 1
         and cand.modifications[0].anchor == ("constraint", 0)
-        and cand.modifications[0].new == y
+        and cand.modifications[0].new.clock == y
     ]
     assert hit == [True]
 
@@ -238,11 +241,37 @@ def test_bound_repair_keeps_strict_lower_bounds_at_or_above_zero():
     # With y >= 2 made y > 2, v = -3 means y > -1 (always true), but the
     # applied bound is clamped to y > 0, which breaks the repair contract.
     net, prop = parse_model(loop_model())
-    edit = RepairCandidate(
-        RepairKind.OPERATOR, (Modification("constraint", ("constraint", 2), Op.GE, Op.GT, "y > 2"),), ()
-    )
+    y_ge_2 = indexed_constraints(net)[2].atom
+    y_gt_2 = AtomicClockConstraint(y_ge_2.clock, Op.GT, y_ge_2.bound)
+    edit = RepairCandidate(RepairKind.OPERATOR, (Modification(("constraint", 2), y_ge_2, y_gt_2, "y > 2"),), ())
     mutant = apply_candidate(net, edit)
     rr = run(mutant, prop, RepairKind.BOUND)
     assert rr.candidates
     for cand in rr.candidates:
         assert dict(cand.assignment)["v2"] >= -2
+
+
+def _fischer(n, perm):
+    """Fischer's protocol from the benchmark's generator, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "fischer.py"
+    spec = importlib.util.spec_from_file_location("bench_fischer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return parse_model(module.fischer(n, perm))
+
+
+def test_reset_variables_toggle_only_declared_clocks():
+    # Each Fischer process declares its own clock only, and the id automaton
+    # none. A toggle of another automaton's clock edits no valid model.
+    net, prop = _fischer(3, 0)
+    mutant = next(m for m in seed(net, kinds=("operator",)) if m.description == "seed operator #1: GT -> LT")
+    trace = check(mutant.network, prop).trace
+    vs = vary(encode(mutant.network, trace, prop), "reset")
+    automata = mutant.network.automata
+    assert len(vs.variables) == len(trace) == 6
+    for var in vs.variables:
+        ai, _, clock = var.anchor
+        assert clock in automata[ai].clocks, var.description
+        flip = dict(vs.zero_assignment(), **{var.name: True})
+        repaired = apply_candidate(mutant.network, _candidate_from_assignment(vs, RepairKind.RESET, flip))
+        assert [d for d in validate(repaired, prop) if not d.startswith("warning:")] == [], var.description

@@ -33,7 +33,7 @@ def test_bundle_mutant_counts_golden():
 def test_bound_mutants_clamp_and_dedup():
     net, _ = load_bundled_model()
     bound_ms = [m for m in seed(net, kinds=("bound",)) if "#2" in m.description]
-    news = [m.edit.modifications[0].new for m in bound_ms]
+    news = [m.edit.modifications[0].new.bound for m in bound_ms]
     assert news == [F(0), F(1), F(3), F(4)]
 
 

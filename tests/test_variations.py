@@ -24,10 +24,12 @@ def corpus_systems():
 def test_zero_meaning_equisatisfiable_for_all_encoders_and_traces():
     for name, net, sys in corpus_systems():
         base = is_satisfiable(sys.linear_atoms()).sat
+        neg_phi = sys.property_formula(negated=True)
         for kind in KINDS:
             vs = vary(sys, kind)
-            inst = vs.instantiate(vs.zero_assignment())
+            inst, inst_neg_phi = vs.instantiate(vs.zero_assignment())
             assert is_satisfiable(inst).sat == base, (name, kind)
+            assert inst_neg_phi == neg_phi, (name, kind)
 
 
 def test_bound_variation_shares_variable_between_copies():
@@ -82,7 +84,7 @@ def test_clock_ref_zero_branch_restores_base():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
     vs = vary_clock_refs(encode(net, verdict.trace, prop))
-    zero_inst = vs.instantiate(vs.zero_assignment())
+    zero_inst, _ = vs.instantiate(vs.zero_assignment())
     base = encode(net, verdict.trace, prop).linear_atoms()
     assert {a.text() for a in zero_inst} == {a.text() for a in base}
 
@@ -124,11 +126,14 @@ def test_reset_variation_instantiates_the_edited_system():
     assert [v.anchor for v in vs.variables] == [(0, 0, x), (0, 0, y), (0, 1, x), (0, 1, y)]
     assert vs.variables[0].description == "remove reset of x on a transition 0 (steps 0, 1)"
     zero = vs.zero_assignment()
-    assert vs.instantiate(zero) == sys.linear_atoms()
+    # no base atoms and no groups, yet not the empty conjunction
+    atoms, neg_phi = vs.instantiate(zero)
+    assert atoms and atoms == tuple(sys.linear_atoms())
+    assert neg_phi == sys.property_formula(negated=True)
     one = dict(zero, **{vs.variables[0].name: True})  # remove t0's reset of x, at steps 0 and 1
     edited = vs.edited_system(one)
     assert [edited.reset_at[(x, j)] for j in range(sys.n)] == [False, False, False]
-    assert vs.instantiate(one) == edited.linear_atoms()
+    assert vs.instantiate(one) == (tuple(edited.linear_atoms()), edited.property_formula(negated=True))
 
 
 def test_urgency_variation_branches():
