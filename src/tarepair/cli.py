@@ -199,10 +199,8 @@ def main(argv=None) -> int:
         if args.command == "seed":
             return _cmd_seed(args)
         return _cmd_admissible(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ModelFormatError as e:
+    except (OSError, UnicodeDecodeError, ModelFormatError) as e:
+        # an unreadable or unwritable path, or a file that is not UTF-8 text
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exhausted as e:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .model import AtomicClockConstraint
+from .model import AtomicClockConstraint, Op
 
 Bound = tuple[Fraction | None, bool]  # (value, strict); (None, True) is +inf
 
@@ -57,9 +57,18 @@ class DifferenceBoundMatrix(NamedTuple):
         return (Fraction(raw >> 1, self.scale), not raw & 1)
 
 
-def _empty(d: DifferenceBoundMatrix) -> DifferenceBoundMatrix:
+def empty_zone(n: int, scale: int = 1) -> DifferenceBoundMatrix:
     """The one canonical empty zone: every entry (0, <)."""
-    return DifferenceBoundMatrix(d.n, d.scale, (0,) * len(d.m), True)
+    return DifferenceBoundMatrix(n, scale, (0,) * ((n + 1) * (n + 1)), True)
+
+
+def raw_constant(bound: Fraction, scale: int) -> int:
+    """The raw bound ``(bound, <)``, ``2*bound*scale``; ValueError unless it is
+    a multiple of ``1/scale`` below 2^200."""
+    v, rem = divmod(bound.numerator * scale, bound.denominator)
+    if rem or v >= _RAW_LIMIT:
+        raise ValueError(f"constant {bound} is not a multiple of 1/{scale} below 2^200")
+    return 2 * v
 
 
 def _tighten(m: list[int], dim: int, i: int, j: int, b: int) -> bool:
@@ -105,7 +114,7 @@ def canonicalize(d: DifferenceBoundMatrix) -> DifferenceBoundMatrix:
                 if via < m[ibase + j]:
                     m[ibase + j] = via
     if any(m[i] < LE_ZERO for i in range(0, dim * dim, dim + 1)):
-        return _empty(d)  # a negative cycle
+        return empty_zone(d.n, d.scale)  # a negative cycle
     m[:: dim + 1] = [LE_ZERO] * dim
     return DifferenceBoundMatrix(d.n, d.scale, tuple(m))
 
@@ -136,7 +145,7 @@ def and_atom(d: DifferenceBoundMatrix, atom: AtomicClockConstraint) -> Differenc
     if d.empty:
         return d
     bound = atom.bound
-    v, rem = divmod(bound.numerator * d.scale, bound.denominator)
+    v, rem = divmod(bound.numerator * d.scale, bound.denominator)  # raw_constant, inlined on this hot path
     if rem or v >= _RAW_LIMIT:
         raise ValueError(f"constant {bound} is not a multiple of 1/{d.scale} below 2^200")
     dim = d.n + 1
@@ -149,7 +158,7 @@ def and_atom(d: DifferenceBoundMatrix, atom: AtomicClockConstraint) -> Differenc
         if b < m[c * dim]:
             rows = list(m)
             if not _tighten(rows, dim, c, 0, b):
-                return _empty(d)
+                return empty_zone(d.n, d.scale)
     lower = _LOWER_WEAK[atom.op]
     if lower is not None:
         b = lower - 2 * v
@@ -157,10 +166,27 @@ def and_atom(d: DifferenceBoundMatrix, atom: AtomicClockConstraint) -> Differenc
             if rows is None:
                 rows = list(m)
             if not _tighten(rows, dim, 0, c, b):
-                return _empty(d)
+                return empty_zone(d.n, d.scale)
     if rows is None:
         return d
     return DifferenceBoundMatrix(d.n, d.scale, tuple(rows))
+
+
+def constrain(m: list[int], dim: int, i: int, j: int, op: Op, strict: int) -> bool:
+    """Conjoin ``x_i - x_j op c`` to a closed raw matrix in place, ``strict`` being
+    ``raw_constant(c, scale)``; False iff the matrix becomes empty (it is then
+    left part-updated). With ``i == j`` the atom reads ``0 op c``."""
+    upper = _UPPER_WEAK[op]
+    if upper is not None:
+        b = strict + upper
+        if b < m[i * dim + j] and not _tighten(m, dim, i, j, b):
+            return False
+    lower = _LOWER_WEAK[op]
+    if lower is not None:
+        b = lower - strict
+        if b < m[j * dim + i] and not _tighten(m, dim, j, i, b):
+            return False
+    return True
 
 
 def and_atoms(d: DifferenceBoundMatrix, atoms) -> DifferenceBoundMatrix:

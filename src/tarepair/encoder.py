@@ -7,16 +7,25 @@ and exit of every step (I), transition guards (G), and the property read
 after d_n. Each clock occurrence is the sum of the delays since the clock's
 last reset, so clocks need no variables of their own. Location predicates
 are resolved statically: the trace fixes the final location vector.
-``with_resets`` evaluates the same atoms under another reset pattern, which
-is how reset repairs are checked.
+
+Every atom is a sum of consecutive delays ``d_a + ... + d_b ~ c``, that is
+the difference constraint ``T_{b+1} - T_a ~ c`` over the prefix times
+``T_0..T_{n+1}``. ``TdtConstraintSystem.decide`` decides the system so, as
+a DBM in ``dbm``'s raw encoding (Bengtsson & Yi 2004), under repair edits
+applied as overrides of its atoms compiled once. ``feasible`` and
+``violating`` decide it by linear rational arithmetic instead: the
+reference, and the contract re-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .checker import SymbolicTimedTrace
+from .dbm import LE_ZERO, RAW_INF, DifferenceBoundMatrix, constrain, empty_zone, raw_constant
 from .lra import (
     Formula,
     LinearAtom,
@@ -36,8 +45,10 @@ from .model import (
     PropertyExpr,
     SafetyProperty,
     TimedAutomatonNetwork,
+    constant_scale,
     indexed_constraints,
     prop_nnf,
+    prop_to_dnf,
 )
 
 
@@ -72,45 +83,22 @@ class TdtConstraintSystem:
         stt: SymbolicTimedTrace,
         prop: SafetyProperty,
         atoms: tuple[TraceAtom, ...],
-        reset_at: dict[tuple[int, int], bool] | None = None,
     ):
         self.network = network
         self.stt = stt
         self.prop = prop
         self.atoms = atoms
         self.n = len(stt.steps)
-        # reset_at[(c, j)]: clock c is reset by the transition(s) fired at step j.
-        if reset_at is None:
-            reset_at = {}
-            for j, move in enumerate(stt.steps):
-                resets: set[int] = set()
-                for ai, ti in move:
-                    resets |= network.automata[ai].transitions[ti].resets
-                for c in range(network.n_clocks):
-                    reset_at[(c, j)] = c in resets
-        self.reset_at = reset_at
-
-    def with_resets(self, reset_at: dict[tuple[int, int], bool]) -> "TdtConstraintSystem":
-        """The same atoms under another reset pattern."""
-        return TdtConstraintSystem(self.network, self.stt, self.prop, self.atoms, reset_at)
 
     # -- variable bookkeeping ------------------------------------------------
 
     def delta_vars(self) -> list[str]:
         return [delta_var(j) for j in range(self.n + 1)]
 
-    def last_reset(self, c: int, j: int) -> int:
-        """First step of the delay sum that makes up clock c's value at step j."""
-        r = 0
-        for i in range(min(j, self.n)):
-            if self.reset_at[(c, i)] and i + 1 <= j:
-                r = i + 1
-        return r
-
     def clock_value_coeffs(self, c: int, j: int, include_exit: bool) -> dict[str, Fraction]:
         """Delay-sum form of clock c at entry of step j (plus d_j when include_exit)."""
         hi = j if include_exit else j - 1
-        return {delta_var(i): Fraction(1) for i in range(self.last_reset(c, j), hi + 1)}
+        return {delta_var(i): Fraction(1) for i in range(self._delay_sum_starts[c][j], hi + 1)}
 
     # -- materialization -----------------------------------------------------
 
@@ -162,6 +150,95 @@ class TdtConstraintSystem:
     def to_smtlib(self) -> str:
         return to_smtlib(f_and([conjunction(self.linear_atoms()), self.property_formula(True)]))
 
+    # -- difference logic over the prefix times T_0..T_{n+1} ------------------
+
+    def _compile(self, scale: int) -> tuple[tuple, tuple]:
+        """The I/G atoms ``(constraint index, step, point, clock, op, raw c)``,
+        each bounding ``T_point - T_start`` (point: the step for an entry copy,
+        the next for an exit copy), and the negated property's disjuncts of
+        ``(clock, op, raw c)`` at point n+1, location literals folded."""
+        atoms = tuple(
+            (ta.constraint_index, ta.step, ta.step + (ta.copy == "exit"), ta.clock, ta.op, raw_constant(ta.bound, scale))
+            for ta in self.atoms
+            if ta.block in ("I", "G")
+        )
+        final = self.stt.locations[-1]
+        disjuncts = tuple(
+            tuple((lit.atom.clock, lit.atom.op, raw_constant(lit.atom.bound, scale)) for lit in d if lit.atom is not None)
+            for d in prop_to_dnf(self.prop.negate())
+            if all(lit.atom is not None or (final[lit.automaton] == lit.location) == lit.positive for lit in d)
+        )
+        return atoms, disjuncts
+
+    def _starts(self, toggled: frozenset = frozenset()) -> list[list[int]]:
+        """starts[c][j]: the first step of clock c's delay sum at step j (0..n+1), with
+        the reset of c on transition t of automaton a toggled for each ``(a, t, c)``."""
+        automata = self.network.automata
+        starts = []
+        for c in range(self.network.n_clocks):
+            row = [0]
+            for j, move in enumerate(self.stt.steps):
+                reset = any((c in automata[ai].transitions[ti].resets) != ((ai, ti, c) in toggled) for ai, ti in move)
+                row.append(j + 1 if reset else row[-1])
+            starts.append(row + row[-1:])  # the property reads clocks after the last delay
+        return starts
+
+    @cached_property
+    def _delay_sum_starts(self) -> list[list[int]]:
+        return self._starts()
+
+    @cached_property
+    def _unedited(self) -> tuple:
+        """The urgent steps, the closed A block (``T_i - T_j <= 0`` for every
+        ``i <= j``), the constants' scale and the system compiled at it."""
+        dim = self.n + 2
+        ordered = tuple(LE_ZERO if j >= i else RAW_INF for i in range(dim) for j in range(dim))
+        scale = constant_scale(self.network, self.prop)
+        return _urgent_steps(self.network, self.stt.locations), ordered, scale, self._compile(scale)
+
+    def decide(self, edits=()) -> tuple[DifferenceBoundMatrix, bool]:
+        """The closed DBM over ``T_0..T_{n+1}`` and whether it meets the negated property.
+
+        ``edits`` (``variations.Modification``) override the compiled
+        system, so the result is that of ``encode`` on the edited model. An
+        empty system gives the canonical empty DBM and False.
+        """
+        constraint = {m.anchor[1]: m.new for m in edits if m.anchor[0] == "constraint"}
+        resets = frozenset(m.anchor[1:] for m in edits if m.anchor[0] == "reset")
+        urgency = frozenset(m.anchor[1:] for m in edits if m.anchor[0] == "urgent")
+        urgent, ordered, unedited_scale, compiled = self._unedited
+        scale = lcm(unedited_scale, *(a.bound.denominator for a in constraint.values()))
+        overrides = {idx: (a.clock, a.op, raw_constant(a.bound, scale)) for idx, a in constraint.items()}
+        atoms, disjuncts = compiled if scale == unedited_scale else self._compile(scale)
+        starts = self._starts(resets) if resets else self._delay_sum_starts
+        if urgency:
+            urgent = _urgent_steps(self.network, self.stt.locations, urgency)
+        dim = self.n + 2
+        m = list(ordered)
+        for j in urgent:
+            constrain(m, dim, j + 1, j, Op.EQ, 0)  # zero-weight edges close no negative cycle
+        for idx, step, point, clock, op, strict in atoms:
+            if idx in overrides:
+                clock, op, strict = overrides[idx]
+            if not constrain(m, dim, point, starts[clock][step], op, strict):
+                return empty_zone(self.n + 1, scale), False
+        last = self.n + 1
+
+        def meets(disjunct) -> bool:
+            mm = m.copy()
+            return all(constrain(mm, dim, last, starts[c][last], op, strict) for c, op, strict in disjunct)
+
+        return DifferenceBoundMatrix(self.n + 1, scale, tuple(m)), any(meets(d) for d in disjuncts)
+
+
+def _urgent_steps(network: TimedAutomatonNetwork, locations, toggled: frozenset = frozenset()) -> list[int]:
+    """The steps whose sojourn must be zero; ``toggled`` holds urgency edits ``(a, l)``."""
+    return [
+        j
+        for j, locvec in enumerate(locations)
+        if any((li in network.automata[ai].urgent) != ((ai, li) in toggled) for ai, li in enumerate(locvec))
+    ]
+
 
 def encode(
     network: TimedAutomatonNetwork, stt: SymbolicTimedTrace, prop: SafetyProperty
@@ -178,10 +255,7 @@ def encode(
     atoms: list[TraceAtom] = []
     for j in range(n + 1):
         atoms.append(TraceAtom("A", j))
-    for j in range(n + 1):
-        locvec = stt.locations[j]
-        if any(li in network.automata[ai].urgent for ai, li in enumerate(locvec)):
-            atoms.append(TraceAtom("U", j))
+    atoms.extend(TraceAtom("U", j) for j in _urgent_steps(network, stt.locations))
     for j in range(n + 1):
         for ai, li in enumerate(stt.locations[j]):
             for pi, inv_atom in enumerate(network.automata[ai].invariants[li]):

@@ -13,7 +13,7 @@ There is no rounding anywhere: verdicts and models are exact.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Iterable, Sequence
@@ -40,14 +40,6 @@ class LinearAtom:
     coeffs: tuple[tuple[str, Fraction], ...]  # sorted by variable, no zeros
     rel: Rel
     const: Fraction
-    # Atoms key the hard-check memo and hashing Fractions is slow, so each
-    # atom computes its hash once.
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.coeffs, self.rel, self.const)))
-        return self._hash
 
     @staticmethod
     def make(coeffs: dict[str, Fraction], rel: Rel, const) -> "LinearAtom":

@@ -6,17 +6,15 @@ pin each variation variable to its "no change" value; a repair is an
 assignment satisfying the hard constraint while keeping as many soft pins
 as possible (equivalently, modifying as few constraints as possible).
 
-Every trace system ranges over the delay variables d0..dn alone. For the
-bound analysis the variation variables are free rationals, so the hard
-constraint is materialized by quantifier elimination over the delays. For
-the discrete analyses (operator, clock reference, resets, urgency) the
-selectors are enumerated outside elimination: a candidate assignment
-reduces both quantifiers to two exact satisfiability checks over delay
-sums. ``VariedSystem.instantiate`` gives those sums, under the reset
-pattern its edits produce for a reset assignment, property included. Each
-``HardConstraint`` memoizes its verdicts by the instantiated atoms and
-negated property, since many assignments of one run reduce to the same
-query.
+Every kind checks a concrete assignment one way: ``HardConstraint.edits``
+makes the ``variations.edit`` of each non-zero variable (once per value
+and run), and ``TdtConstraintSystem.decide`` applies them to the base
+trace system and decides both quantifiers by difference logic. So the
+discrete analyses (operator, clock reference, resets, urgency) make no
+linear rational arithmetic call. For the bound analysis, whose variables
+are free rationals, the hard constraint is also a formula over them,
+projected by quantifier elimination over the delays; it picks the modified
+sets and samples their values.
 
 ``max_sat`` is one pass over the modified sets of a run: it yields every
 repairing set in ascending size and blocks the variables of each set it
@@ -42,7 +40,7 @@ from .lra import (
     f_or,
     is_satisfiable,
 )
-from .variations import VariedSystem
+from .variations import Modification, VariedSystem, edit
 
 
 def formula_to_dnf(f: Formula) -> list[list[LinearAtom]]:
@@ -63,42 +61,41 @@ class HardConstraint:
     """(exists delays. T^var) and (forall delays. T^var => Phi), checkable
     either per concrete assignment or, for the bound kind, as a formula
     over the free variation variables.
-
-    Per-assignment checks run on the delay sums of
-    ``VariedSystem.instantiate``. Verdicts are memoized for the life of the
-    instance.
     """
 
     def __init__(self, vs: VariedSystem, qe_budget: int = DEFAULT_QE_BUDGET):
         self.vs = vs
         self.qe_budget = qe_budget
-        self.formula: Formula | None = None
-        self._verdicts: dict[tuple[tuple[LinearAtom, ...], Formula], bool] = {}
-        if vs.kind == "bound":
-            self.formula = self._bound_formula()
+        self.formula = self._bound_formula() if vs.kind == "bound" else None
+        self._edits: dict[tuple[str, object], Modification] = {}
 
     def _bound_formula(self) -> Formula:
         vs = self.vs
         quantified = vs.base.delta_vars()
-        atoms = list(vs.base_atoms) + list(vs.free_atoms)
+        atoms = list(vs.free_atoms)
         existential = eliminate(atoms, quantified, self.qe_budget)
         parts: list[Formula] = [conjunction(existential)]
-        for disjunct in formula_to_dnf(vs.neg_phi):
+        for disjunct in formula_to_dnf(vs.base.property_formula(negated=True)):
             projected = eliminate(atoms + disjunct, quantified, self.qe_budget)
             parts.append(f_and([f_or([a.negated_formula() for a in projected])]))
         return f_and(parts)
 
+    def edits(self, assignment: dict[str, object]) -> list[Modification]:
+        """The modifications that the assignment's non-zero variables make."""
+        out = []
+        for var in self.vs.variables:
+            value = assignment[var.name]
+            if value != var.zero:
+                m = self._edits.get((var.name, value))
+                if m is None:
+                    m = self._edits[(var.name, value)] = edit(self.vs, var, value)
+                out.append(m)
+        return out
+
     def check(self, assignment: dict[str, object]) -> bool:
         """Is this full assignment a repair (feasible, no violating realization)?"""
-        query = self.vs.instantiate(assignment)
-        verdict = self._verdicts.get(query)
-        if verdict is None:
-            atoms, neg_phi = query
-            verdict = is_satisfiable(atoms, self.qe_budget).sat and not is_satisfiable(
-                f_and([conjunction(atoms), neg_phi]), self.qe_budget
-            ).sat
-            self._verdicts[query] = verdict
-        return verdict
+        zone, violating = self.vs.base.decide(self.edits(assignment))
+        return not zone.empty and not violating
 
     def check_with_zeros(self, zeros: frozenset[str]) -> bool:
         """Bound kind: is the hard formula satisfiable with these variables pinned to 0?"""
@@ -122,7 +119,7 @@ def repairing_assignments(hard: HardConstraint, modified: tuple[str, ...]):
     """
     vs = hard.vs
     zeros = {v.name: v.zero for v in vs.variables if v.name not in modified}
-    mvars = [vs.variable_named(name) for name in modified]
+    mvars = [v for name in modified for v in vs.variables if v.name == name]
     found = []
     for combo in itertools.product(*(nonzero_values(v) for v in mvars)):
         assignment = dict(zeros)

@@ -12,12 +12,15 @@ set repeats. Each variation variable is one syntactic edit
 Within one set, a value assignment whose repaired trace system is implied
 by an already-emitted candidate's is skipped: such a repair permits no
 realization the earlier one did not already permit. This keeps, e.g., a
-``w = 1`` suggestion out when ``w <= 1`` was already proposed.
+``w = 1`` suggestion out when ``w <= 1`` was already proposed. Like the
+search, this filter decides by difference logic: implication is inclusion
+of the closed DBMs of ``TdtConstraintSystem.decide``.
 
 Every emitted candidate is re-verified against the semantic repair
-contract on the repaired model's delay-only trace system (the repaired
-model still realizes the trace, and no realization violates the property)
-and then admissibility-checked.
+contract on the repaired model's delay-only trace system by linear
+rational arithmetic, an engine other than the one that found it (the
+repaired model still realizes the trace, and no realization violates the
+property), and then admissibility-checked.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ from dataclasses import dataclass, field, replace
 from .admissibility import check_admissible
 from .checker import DEFAULT_STATE_BUDGET, SymbolicTimedTrace, check
 from .encoder import encode, feasible, violating
-from .lra import DEFAULT_QE_BUDGET, QeBudgetExceeded, conjunction, f_and, is_satisfiable
+# is_satisfiable is not called here; it stays importable under this module's
+# name because bench/tracing.py wraps it here.
+from .lra import DEFAULT_QE_BUDGET, QeBudgetExceeded, is_satisfiable  # noqa: F401
 # repairing_assignments is not called here; it stays importable under this
 # module's name because bench/tracing.py wraps it here.
 from .maxsmt import HardConstraint, max_sat, repairing_assignments  # noqa: F401
-from .model import AtomicClockConstraint, TimedAutomatonNetwork, indexed_constraints, validate
-from .variations import AnchorMismatch, Modification, VariedSystem, edit, vary
+from .model import AtomicClockConstraint, Op, TimedAutomatonNetwork, indexed_constraints, validate
+from .variations import AnchorMismatch, Modification, VariedSystem, vary
 
 
 class RepairKind(enum.Enum):
@@ -116,23 +121,30 @@ def apply_candidate(
     return network
 
 
-def _candidate_from_assignment(
-    vs: VariedSystem, kind: RepairKind, assignment: dict[str, object]
-) -> RepairCandidate:
-    mods = sorted(
-        (edit(vs, var, assignment[var.name]) for var in vs.variables if assignment[var.name] != var.zero),
-        key=lambda m: m.anchor,
-    )
+def _candidate_from_assignment(hard: HardConstraint, kind: RepairKind, assignment: dict[str, object]) -> RepairCandidate:
+    """The candidate made of the edits that the hard check of ``assignment`` decided."""
+    mods = sorted(hard.edits(assignment), key=lambda m: m.anchor)
     return RepairCandidate(kind, tuple(mods), tuple(sorted(assignment.items())))
 
 
-def _entails(new_atoms, old_atoms, budget: int) -> bool:
-    """Does the new conjunction imply every atom of the old one?"""
-    new_conj = conjunction(new_atoms)
-    for a in old_atoms:
-        if is_satisfiable(f_and([new_conj, a.negated_formula()]), budget).sat:
-            return False
-    return True
+def _entails(new, old) -> bool:
+    """Does the new closed zone lie inside the old one?"""
+    return new.empty or (new.scale == old.scale and all(a <= b for a, b in zip(new.m, old.m)))
+
+
+def _sizes(vs: VariedSystem) -> tuple[int, int]:
+    """``RepairRun.variable_count`` and ``constraint_count`` of a run; see there."""
+    sys, n, clocks = vs.base, vs.base.n, vs.base.network.n_clocks
+    if vs.kind == "reset":
+        return n + 1 + clocks * (n + 2) + clocks * n, len(sys.atoms) + 2 * clocks * (n + 1)
+    varied = [ta for ta in sys.atoms if ta.block in ("I", "G")]
+    extra = {  # linear atoms beyond the trace system's, which has one per trace atom
+        "bound": len(vs.free_atoms) - len(sys.atoms),
+        "operator": (len(Op) - 1) * len(varied),
+        "clockref": sum(len(sys.network.automata[ta.automaton].clocks) - 1 for ta in varied),
+        "urgent": (n + 1) * len(sys.network.automata) - sum(ta.block == "U" for ta in sys.atoms),
+    }
+    return n + 1 + len(vs.variables), len(sys.atoms) + extra[vs.kind]
 
 
 @dataclass
@@ -153,11 +165,17 @@ class RepairRun:
     variables for C clocks, and C*n reset flips, one per (clock, step). It
     does not read the number of reset variables, which is one per edit."""
     constraint_count: int = 0
-    """Fixed atoms, bound-variation atoms and the atoms of every branch of
-    every group. The reset kind has no groups: it counts the trace system's
-    atoms plus 2*C*(n+1), the explicit-clock encoding's clock equations
-    (initial values, trailing flows and both branches of each per-(clock,
-    step) reset choice) that the campaign's Cn column has always counted."""
+    """A closed form of the trace's shape, as the campaign's Cn column has
+    always reported it. With #A, #U and #IG the trace system's A, U and I/G
+    atoms, n steps, C clocks and N automata:
+
+    - bound: #A + #U + #IG + one clamp atom per varied ``>`` bound;
+    - operator: #A + #U + 5*#IG;
+    - clockref: #A + #U + the sum over I/G atoms of their automaton's clocks;
+    - reset: #A + #U + #IG + 2*C*(n+1), the explicit-clock encoding's clock
+      equations (initial values, trailing flows and both branches of each
+      per-(clock, step) reset choice);
+    - urgent: #A + #IG + (n+1)*N."""
     witness_files: list[str | None] = field(default_factory=list)
 
     @property
@@ -203,25 +221,17 @@ def run(
     try:
         vs = vary(enc, kind.value)
         hard = HardConstraint(vs, qe_budget)
-        n, clocks = vs.base.n, network.n_clocks
-        if kind == RepairKind.RESET:
-            runout.variable_count = n + 1 + clocks * (n + 2) + clocks * n
-            runout.constraint_count = len(vs.base.linear_atoms()) + 2 * clocks * (n + 1)
-        else:
-            runout.variable_count = n + 1 + len(vs.variables)
-            runout.constraint_count = len(vs.base_atoms) + len(vs.free_atoms) + sum(
-                len(atoms) for g in vs.groups for _, atoms in g.branches
-            )
+        runout.variable_count, runout.constraint_count = _sizes(vs)
         if max_repairs <= 0:
             runout.reason = "budget"
             return runout
         for _, assignments in max_sat(hard):
-            emitted_atoms: list[tuple] = []
+            emitted = []  # the zones of this set's candidates
             for assignment in assignments:
-                inst, _ = vs.instantiate(assignment)
-                if any(_entails(inst, prev, qe_budget) for prev in emitted_atoms):
+                zone, _ = enc.decide(hard.edits(assignment))
+                if any(_entails(zone, prev) for prev in emitted):
                     continue
-                candidate = _candidate_from_assignment(vs, kind, assignment)
+                candidate = _candidate_from_assignment(hard, kind, assignment)
                 repaired = apply_candidate(network, candidate)
                 reenc = encode(repaired, tdt, prop)
                 if not feasible(reenc) or violating(reenc):
@@ -233,7 +243,7 @@ def run(
                 runout.admissible.append(verdict.equal)
                 runout.witnesses.append(verdict.witness)
                 runout.witness_files.append(None)
-                emitted_atoms.append(inst)
+                emitted.append(zone)
                 if len(runout.candidates) >= max_repairs:
                     runout.reason = "budget"
                     return runout

@@ -1,32 +1,32 @@
-"""The five variation-extended constraint systems behind the repair analyses.
+"""The five variation encodings behind the repair analyses.
 
 Each encoder introduces variation variables with a declared domain and a
-"no change" value, and replaces the affected blocks:
+"no change" value; each variable is one syntactic edit of the model:
 
 - bound: every indexed I/G atom ``c ~ b`` becomes ``c ~ b + v`` with one
   shared rational v per constraint index (entry and exit copies share v).
-- operator: each constraint becomes an exclusive choice over the five
-  comparison operators, both invariant copies instantiated under the same
-  choice.
-- clock reference: each constraint's clock position ranges over the clocks
-  of the owning automaton, the delay sum substituted per branch.
+  This kind alone also keeps the varied system as linear atoms over the
+  delays and the v's (``VariedSystem.free_atoms``), which the MaxSMT search
+  projects by quantifier elimination.
+- operator: each constraint's operator ranges over the five comparison
+  operators.
+- clock reference: each constraint's clock ranges over the clocks of the
+  owning automaton.
 - resets: one boolean flip per (transition, clock) reset toggle the trace
   offers: at each step a clock is removed from every transition of the
   step that resets it, or else added on the step's first transition whose
-  automaton declares the clock. A flip is exactly one syntactic edit and
-  acts wherever its transition fires. An assignment is instantiated as the
-  trace system under the reset pattern its edits produce
-  (``VariedSystem.edited_system``), so it has no branch groups.
+  automaton declares the clock. A flip acts wherever its transition fires.
 - urgency: one boolean flip per distinct location visited by the trace;
-  flips invert the zero-delay obligation of the location's steps.
+  a flip inverts the zero-delay obligation of every step the location is
+  resident at.
 
-Setting every variable to its zero meaning reproduces a system that is
-equisatisfiable with the unvaried one.
-
-Each variable is one syntactic edit of the model, and ``edit`` turns a
-non-zero value of it into that edit, a ``Modification``: a constraint edit
-replaces one indexed atom by another, a reset or urgency edit toggles one
-flag. Seeding builds each of its mutants as one such edit.
+``edit`` turns a non-zero value of a variable into its edit, a
+``Modification``: a constraint edit replaces one indexed atom by another,
+a reset or urgency edit toggles one flag. An assignment is decided by
+applying its edits to the base trace system
+(``TdtConstraintSystem.decide``), so setting every variable to its zero
+meaning decides the unvaried system. Seeding builds each of its mutants as
+one such edit.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .encoder import TdtConstraintSystem, TraceAtom, delta_var
-from .lra import Formula, LinearAtom, Rel, comparison_atom
+from .encoder import TdtConstraintSystem, TraceAtom
+from .lra import LinearAtom, Rel, comparison_atom
 from .model import Op, indexed_constraints
 
 KINDS = ("bound", "operator", "clockref", "reset", "urgent")
@@ -79,83 +79,17 @@ class AnchorMismatch(ValueError):
 
 
 @dataclass(frozen=True)
-class BranchGroup:
-    var: VariationVariable
-    branches: tuple[tuple[object, tuple[LinearAtom, ...]], ...]  # (value, atoms)
-
-    def atoms_for(self, value) -> tuple[LinearAtom, ...]:
-        for v, atoms in self.branches:
-            if v == value:
-                return atoms
-        raise KeyError(f"{value!r} not in domain of {self.var.name}")
-
-
 class VariedSystem:
-    """A trace system with variation variables; instantiating every variable
-    at a concrete value yields a plain conjunction again."""
+    """A trace system with the variation variables of one repair kind."""
 
-    def __init__(
-        self,
-        base: TdtConstraintSystem,
-        kind: str,
-        base_atoms: tuple[LinearAtom, ...],
-        groups: tuple[BranchGroup, ...],
-        free_atoms: tuple[LinearAtom, ...] = (),
-        variables: tuple[VariationVariable, ...] | None = None,
-    ):
-        self.base = base
-        self.kind = kind
-        self.base_atoms = base_atoms
-        self.groups = groups
-        self.free_atoms = free_atoms  # bound variation: atoms mentioning the v's
-        self.variables = variables if variables is not None else tuple(g.var for g in groups)
-        self.neg_phi = base.property_formula(negated=True)
+    base: TdtConstraintSystem
+    kind: str
+    variables: tuple[VariationVariable, ...]
+    free_atoms: tuple[LinearAtom, ...] = ()
+    """Bound kind only: the whole system over the delays and the v's."""
 
     def zero_assignment(self) -> dict[str, object]:
         return {v.name: v.zero for v in self.variables}
-
-    def instantiate(self, assignment: dict[str, object]) -> tuple[tuple[LinearAtom, ...], Formula]:
-        """The delay-only conjunction and negated property under a full assignment.
-
-        The reset kind reads both off ``edited_system``, since its edits move
-        the delay sums of the property's clocks too; the other kinds keep
-        the base property and instantiate their atoms.
-        """
-        if self.kind == "reset":
-            edited = self.edited_system(assignment)
-            return tuple(edited.linear_atoms()), edited.property_formula(negated=True)
-        atoms = list(self.base_atoms)
-        if self.kind == "bound":
-            values = {name: Fraction(val) for name, val in assignment.items()}
-            atoms.extend(a.substitute(values) for a in self.free_atoms)
-        else:
-            for g in self.groups:
-                atoms.extend(g.atoms_for(assignment[g.var.name]))
-        return tuple(atoms), self.neg_phi
-
-    def edited_system(self, assignment: dict[str, object]) -> TdtConstraintSystem:
-        """Reset kind: the delay-only system under the reset pattern the edit produces.
-
-        Each true flip toggles its transition's reset of its clock on every
-        step where that transition fires.
-        """
-        base = self.base
-        toggled = {var.anchor for var in self.variables if assignment[var.name]}
-        automata = base.network.automata
-        reset_at = {}
-        for j, move in enumerate(base.stt.steps):
-            for c in range(base.network.n_clocks):
-                reset_at[(c, j)] = any(
-                    (c in automata[ai].transitions[ti].resets) != ((ai, ti, c) in toggled)
-                    for ai, ti in move
-                )
-        return base.with_resets(reset_at)
-
-    def variable_named(self, name: str) -> VariationVariable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
 
 
 def _indexed_trace_atoms(sys: TdtConstraintSystem) -> dict[int, list[TraceAtom]]:
@@ -181,10 +115,7 @@ def _constraint_description(sys: TdtConstraintSystem, idx: int) -> str:
 def vary_bounds(sys: TdtConstraintSystem) -> VariedSystem:
     """Every indexed bound b becomes b + v; one shared rational v per constraint."""
     grouped = _indexed_trace_atoms(sys)
-    base = [
-        la for ta in sys.atoms if ta.block not in ("I", "G") for la in sys.materialize(ta)
-    ]
-    free: list[LinearAtom] = []
+    atoms = [la for ta in sys.atoms if ta.block not in ("I", "G") for la in sys.materialize(ta)]
     variables = []
     for idx, instances in grouped.items():
         vname = f"v{idx}"
@@ -201,24 +132,19 @@ def vary_bounds(sys: TdtConstraintSystem) -> VariedSystem:
         for ta in instances:
             coeffs = sys.atom_coeffs(ta)
             coeffs[vname] = Fraction(-1)  # lhs ~ b + v  <=>  lhs - v ~ b
-            free.extend(comparison_atom(coeffs, ta.op, ta.bound))
+            atoms.extend(comparison_atom(coeffs, ta.op, ta.bound))
         if instances[0].op == Op.GT:
             # Repaired bounds are clamped at 0. That is exact for c >= b + v,
             # but c > b + v with b + v < 0 always holds and c > 0 does not,
             # so a strict lower bound may not go below 0: -v <= b.
-            free.append(LinearAtom.make({vname: Fraction(-1)}, Rel.LE, instances[0].bound))
-    return VariedSystem(sys, "bound", tuple(base), (), tuple(free), tuple(variables))
+            atoms.append(LinearAtom.make({vname: Fraction(-1)}, Rel.LE, instances[0].bound))
+    return VariedSystem(sys, "bound", tuple(variables), tuple(atoms))
 
 
 def vary_operators(sys: TdtConstraintSystem) -> VariedSystem:
     """Each constraint's operator ranges over <, <=, =, >=, >; copies share the choice."""
-    grouped = _indexed_trace_atoms(sys)
-    base = [
-        la for ta in sys.atoms if ta.block not in ("I", "G") for la in sys.materialize(ta)
-    ]
-    groups = []
-    for idx, instances in grouped.items():
-        var = VariationVariable(
+    variables = tuple(
+        VariationVariable(
             name=f"ov{idx}",
             kind="operator",
             anchor=(idx,),
@@ -226,42 +152,26 @@ def vary_operators(sys: TdtConstraintSystem) -> VariedSystem:
             zero=instances[0].op,
             description=_constraint_description(sys, idx),
         )
-        branches = []
-        for op in Op:
-            atoms: list[LinearAtom] = []
-            for ta in instances:
-                atoms.extend(comparison_atom(sys.atom_coeffs(ta), op, ta.bound))
-            branches.append((op, tuple(atoms)))
-        groups.append(BranchGroup(var, tuple(branches)))
-    return VariedSystem(sys, "operator", tuple(base), tuple(groups))
+        for idx, instances in _indexed_trace_atoms(sys).items()
+    )
+    return VariedSystem(sys, "operator", variables)
 
 
 def vary_clock_refs(sys: TdtConstraintSystem) -> VariedSystem:
-    """Each constraint's clock position ranges over the owning automaton's clocks."""
-    grouped = _indexed_trace_atoms(sys)
-    base = [
-        la for ta in sys.atoms if ta.block not in ("I", "G") for la in sys.materialize(ta)
-    ]
-    groups = []
-    for idx, instances in grouped.items():
-        owner = sys.network.automata[instances[0].automaton]
-        var = VariationVariable(
+    """Each constraint's clock ranges over the owning automaton's clocks."""
+    automata = sys.network.automata
+    variables = tuple(
+        VariationVariable(
             name=f"cv{idx}",
             kind="clockref",
             anchor=(idx,),
-            domain=tuple(sorted(owner.clocks)),
+            domain=tuple(sorted(automata[instances[0].automaton].clocks)),
             zero=instances[0].clock,
             description=_constraint_description(sys, idx),
         )
-        branches = []
-        for clock in sorted(owner.clocks):
-            atoms: list[LinearAtom] = []
-            for ta in instances:
-                coeffs = sys.clock_value_coeffs(clock, ta.step, ta.copy == "exit")
-                atoms.extend(comparison_atom(coeffs, ta.op, ta.bound))
-            branches.append((clock, tuple(atoms)))
-        groups.append(BranchGroup(var, tuple(branches)))
-    return VariedSystem(sys, "clockref", tuple(base), tuple(groups))
+        for idx, instances in _indexed_trace_atoms(sys).items()
+    )
+    return VariedSystem(sys, "clockref", variables)
 
 
 def vary_resets(sys: TdtConstraintSystem) -> VariedSystem:
@@ -273,8 +183,7 @@ def vary_resets(sys: TdtConstraintSystem) -> VariedSystem:
     does not declare. Flips run step by step, then clock by clock, then
     over the step's transitions; a toggle met again at a later step keeps
     its first place and its one variable, since the edit acts wherever its
-    transition fires. Assignments are instantiated through
-    ``VariedSystem.edited_system``.
+    transition fires.
     """
     automata = sys.network.automata
     steps = sys.stt.steps
@@ -297,7 +206,7 @@ def vary_resets(sys: TdtConstraintSystem) -> VariedSystem:
                         f"on {automata[ai].name} transition {ti} ({where})"
                     ),
                 )
-    return VariedSystem(sys, "reset", (), (), variables=tuple(variables.values()))
+    return VariedSystem(sys, "reset", tuple(variables.values()))
 
 
 def vary_urgency(sys: TdtConstraintSystem) -> VariedSystem:
@@ -306,33 +215,23 @@ def vary_urgency(sys: TdtConstraintSystem) -> VariedSystem:
     Revisited locations share a flip, so flipping one location constrains
     every step where it is resident.
     """
-    base = [la for ta in sys.atoms if ta.block != "U" for la in sys.materialize(ta)]
-    visited: dict[tuple[int, int], list[int]] = {}
-    for j, locvec in enumerate(sys.stt.locations):
-        for ai, li in enumerate(locvec):
-            visited.setdefault((ai, li), []).append(j)
-    groups = []
-    for (ai, li), steps in sorted(visited.items()):
-        auto = sys.network.automata[ai]
-        urgent = li in auto.urgent
-        var = VariationVariable(
+    automata = sys.network.automata
+    visited = sorted({(ai, li) for locvec in sys.stt.locations for ai, li in enumerate(locvec)})
+    variables = tuple(
+        VariationVariable(
             name=f"uv{ai}_{li}",
             kind="urgent",
             anchor=(ai, li),
             domain=(False, True),
             zero=False,
             description=(
-                f"make {auto.name}.{auto.location_names[li]} "
-                f"{'non-urgent' if urgent else 'urgent'}"
+                f"make {automata[ai].name}.{automata[ai].location_names[li]} "
+                f"{'non-urgent' if li in automata[ai].urgent else 'urgent'}"
             ),
         )
-        zero_delays = tuple(
-            LinearAtom.make({delta_var(j): Fraction(1)}, Rel.EQ, 0) for j in steps
-        )
-        keep = zero_delays if urgent else ()
-        flip = () if urgent else zero_delays
-        groups.append(BranchGroup(var, ((False, keep), (True, flip))))
-    return VariedSystem(sys, "urgent", tuple(base), tuple(groups))
+        for ai, li in visited
+    )
+    return VariedSystem(sys, "urgent", variables)
 
 
 def vary(sys: TdtConstraintSystem, kind: str) -> VariedSystem:

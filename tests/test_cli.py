@@ -110,6 +110,27 @@ def test_usage_error_exit_codes(capsys):
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "{dir}"],
+        ["check", "{binary}"],
+        ["repair", BUNDLE, "--tdt", "{dir}", "--out", "{dir}/rep"],
+        ["repair", BUNDLE, "--dump-smt", "{dir}", "--out", "{dir}/rep"],
+        ["repair", BUNDLE, "--out", "{file}"],
+    ],
+    ids=["check-directory", "check-binary-file", "tdt-directory", "dump-smt-directory", "out-existing-file"],
+)
+def test_unusable_path_is_a_usage_error(tmp_path, capsys, args):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(bytes(range(128, 256)))
+    existing = tmp_path / "file"
+    existing.write_text("", encoding="utf-8")
+    paths = {"dir": str(tmp_path), "binary": str(binary), "file": str(existing)}
+    assert main([a.format(**paths) for a in args]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_budget_exhaustion_exit_code(capsys):
     assert main(["check", BUNDLE, "--state-budget", "1"]) == 3
 

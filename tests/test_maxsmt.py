@@ -6,10 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import dbm_replay, loop_model
-from tarepair import load_bundled_model, maxsmt
+from tarepair import load_bundled_model
 from tarepair.checker import check
-from tarepair.encoder import encode
-from tarepair.lra import FAtom, LinearAtom, Rel, f_and, is_satisfiable
+from tarepair.encoder import encode, feasible, violating
+from tarepair.lra import FAtom, LinearAtom, Rel, conjunction, f_and, is_satisfiable
 from tarepair.maxsmt import (
     HardConstraint,
     max_sat,
@@ -19,7 +19,7 @@ from tarepair.maxsmt import (
 )
 from tarepair.model import Op
 from tarepair.modelio import parse_model
-from tarepair.orchestrator import RepairKind, _candidate_from_assignment, apply_candidate
+from tarepair.orchestrator import RepairKind, _candidate_from_assignment, _entails, apply_candidate
 from tarepair.variations import vary
 
 
@@ -181,37 +181,39 @@ def test_blocking_and_memo_reuse(monkeypatch):
     assert kept_checked and len(kept_checked) == len(set(kept_checked))
 
 
-def _check_against_dbm_replay(kind):
-    """(assignments checked, repairs among them) after asserting agreement.
+def _edited_systems(kind):
+    """(hard constraint, assignment, re-encoded repaired model) triples.
 
     Every assignment with at most two modified variables, each at every
-    non-zero value: the hard check must equal the replay of the applied
-    edit on the repaired model, for a fresh and for a warm memo.
+    non-zero value, on the four violating bundled models and both loop
+    models (which fire t0 twice and revisit L0).
     """
     cases = [load_bundled_model(name) for name in ("client_db", "oneclock", "urgent_hop", "pair_sync")]
     cases += [parse_model(loop_model()), parse_model(loop_model(("x", "y", "z"), "!@a.L1 || z <= 2"))]
-    checked = repairs = 0
     for net, prop in cases:
         trace = check(net, prop).trace
         vs = vary(encode(net, trace, prop), kind)
-        assignments = []
+        hard = HardConstraint(vs)
         for m in range(3):
             for modified in itertools.combinations(vs.variables, m):
                 for values in itertools.product(*(nonzero_values(v) for v in modified)):
-                    assignments.append(dict(vs.zero_assignment(), **{v.name: x for v, x in zip(modified, values)}))
-        expected = []
-        for a in assignments:
-            repaired = apply_candidate(net, _candidate_from_assignment(vs, RepairKind(kind), a))
-            feasible, violating = dbm_replay(repaired, prop, trace)
-            expected.append(feasible and not violating)
-        cold = [HardConstraint(vs).check(a) for a in assignments]
-        warm = HardConstraint(vs)
-        first = [warm.check(a) for a in assignments]
-        again = [warm.check(a) for a in assignments]
-        assert cold == expected
-        assert first == expected and again == expected
-        checked += len(assignments)
-        repairs += sum(expected)
+                    a = dict(vs.zero_assignment(), **{v.name: x for v, x in zip(modified, values)})
+                    repaired = apply_candidate(net, _candidate_from_assignment(hard, RepairKind(kind), a))
+                    yield hard, a, encode(repaired, trace, prop)
+
+
+def _check_against_dbm_replay(kind):
+    """(assignments checked, repairs among them) after asserting agreement.
+
+    The hard check of each assignment must equal the replay of the applied
+    edit on the repaired model.
+    """
+    checked = repairs = 0
+    for hard, a, reenc in _edited_systems(kind):
+        feasible, violating = dbm_replay(reenc.network, reenc.prop, reenc.stt)
+        assert hard.check(a) == (feasible and not violating), a
+        checked += 1
+        repairs += feasible and not violating
     return checked, repairs
 
 
@@ -223,20 +225,56 @@ def test_reset_check_agrees_with_dbm_replay():
 
 @pytest.mark.parametrize("kind, count", [("operator", 450), ("clockref", 141), ("urgent", 52)])
 def test_discrete_check_agrees_with_dbm_replay(kind, count):
-    # The branch tables against the applied edit: the check of an
-    # assignment reads its kind's branches, the replay the edited model.
+    # The edits applied to the base system against the edited model: the
+    # check of an assignment overrides the base atoms, the replay reads the
+    # repaired model.
     checked, repairs = _check_against_dbm_replay(kind)
     assert checked == count and 0 < repairs < checked
 
 
-def test_hard_check_memo_answers_repeated_queries(monkeypatch):
-    net, vs, hard = _bundle_hard("reset")
-    calls = []
-    solve = maxsmt.is_satisfiable
-    monkeypatch.setattr(maxsmt, "is_satisfiable", lambda *a, **k: calls.append(1) or solve(*a, **k))
-    zero = vs.zero_assignment()
-    assert not hard.check(zero)
-    assert calls
-    before = len(calls)
-    assert not hard.check(dict(zero))
-    assert len(calls) == before
+@pytest.mark.parametrize("kind", ["operator", "clockref", "reset", "urgent"])
+def test_difference_logic_agrees_with_lra(kind):
+    # LRA, the reference engine, decides the re-encoded repaired model.
+    outcomes = set()
+    for hard, a, reenc in _edited_systems(kind):
+        zone, violates = hard.vs.base.decide(hard.edits(a))
+        outcome = (feasible(reenc), violating(reenc))
+        assert (not zone.empty, violates) == outcome, a
+        outcomes.add(outcome)
+    assert len(outcomes) == 3
+
+
+@pytest.mark.parametrize("kind", ["operator", "clockref", "reset", "urgent"])
+def test_edits_close_to_the_edited_models_zone(kind):
+    # Overriding the base system's atoms by the edits gives exactly the
+    # closed DBM of the repaired model's own encoding.
+    empty = 0
+    for hard, a, reenc in _edited_systems(kind):
+        zone, _ = hard.vs.base.decide(hard.edits(a))
+        assert zone == reenc.decide()[0], a
+        empty += zone.empty
+    assert empty
+
+
+def _lra_entails(new_atoms, old_atoms) -> bool:
+    """Does the new conjunction imply every atom of the old one? (by LRA)"""
+    new_conj = conjunction(new_atoms)
+    return not any(is_satisfiable(f_and([new_conj, a.negated_formula()])).sat for a in old_atoms)
+
+
+@pytest.mark.parametrize("kind", ["operator", "clockref", "reset", "urgent"])
+def test_zone_inclusion_agrees_with_lra_entailment(kind):
+    # Each assignment against the one before it and against the unedited
+    # system of its model, both ways.
+    verdicts = set()
+    for hard, a, reenc in _edited_systems(kind):
+        system = hard.vs.base.decide(hard.edits(a))[0], reenc.linear_atoms()  # (zone, atoms)
+        if a == hard.vs.zero_assignment():  # the first assignment of each model
+            unedited = previous = system
+        for other in (previous, unedited):
+            for new, old in ((system, other), (other, system)):
+                verdict = _entails(new[0], old[0])
+                assert verdict == _lra_entails(new[1], old[1]), a
+                verdicts.add(verdict)
+        previous = system
+    assert verdicts == {True, False}

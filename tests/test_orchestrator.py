@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from tarepair import load_bundled_model
+from tarepair import load_bundled_model, maxsmt
 from tarepair.checker import check
 from tarepair.encoder import encode, feasible, violating
+from tarepair.maxsmt import HardConstraint
 from tarepair.model import AtomicClockConstraint, Op, indexed_constraints, validate
 from tarepair.modelio import parse_model, serialize_model
 from tarepair.seeding import seed
@@ -179,6 +180,25 @@ def test_qe_budget_timeout_recorded():
     assert rr.reason == "qe-timeout" and rr.timeouts == 1 and rr.candidates == []
 
 
+@pytest.mark.parametrize("name", ["client_db", "oneclock", "urgent_hop", "pair_sync"])
+def test_discrete_kinds_make_no_lra_call_in_the_search(name, monkeypatch):
+    # Their search decides by difference logic, so no QE budget can run out:
+    # a budget of one atom gives the default budget's candidates and reason.
+    net, prop = load_bundled_model(name)
+    kinds = ("operator", "clockref", "reset", "urgent")
+    default = {kind: run(net, prop, kind) for kind in kinds}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the search called lra")
+
+    monkeypatch.setattr(maxsmt, "is_satisfiable", forbidden)
+    monkeypatch.setattr(maxsmt, "eliminate", forbidden)
+    for kind in kinds:
+        tight = run(net, prop, kind, qe_budget=1)
+        assert tight.candidates == default[kind].candidates and tight.reason == default[kind].reason, kind
+        assert tight.timeouts == 0, kind
+
+
 def test_non_violating_supplied_trace_is_rejected_gracefully():
     from tarepair.checker import stt_from_moves
 
@@ -273,5 +293,5 @@ def test_reset_variables_toggle_only_declared_clocks():
         ai, _, clock = var.anchor
         assert clock in automata[ai].clocks, var.description
         flip = dict(vs.zero_assignment(), **{var.name: True})
-        repaired = apply_candidate(mutant.network, _candidate_from_assignment(vs, RepairKind.RESET, flip))
+        repaired = apply_candidate(mutant.network, _candidate_from_assignment(HardConstraint(vs), RepairKind.RESET, flip))
         assert [d for d in validate(repaired, prop) if not d.startswith("warning:")] == [], var.description

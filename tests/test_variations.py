@@ -1,14 +1,16 @@
-"""Variation encoders: zero-meaning contract, branches, substitutions."""
+"""Variation encoders: zero-meaning contract, edits and the systems they make."""
 
 from fractions import Fraction as F
 
 from conftest import loop_model
 from tarepair import load_bundled_model
 from tarepair.checker import check
-from tarepair.encoder import delta_var, encode
-from tarepair.lra import LinearAtom, Rel, is_satisfiable
+from tarepair.encoder import delta_var, encode, feasible, violating
+from tarepair.lra import LinearAtom, Rel
+from tarepair.maxsmt import HardConstraint
 from tarepair.model import Op
 from tarepair.modelio import parse_model
+from tarepair.orchestrator import RepairKind, _candidate_from_assignment, apply_candidate
 from tarepair.variations import KINDS, vary, vary_bounds, vary_clock_refs, vary_operators, vary_resets, vary_urgency
 
 VIOLATING = ("client_db", "oneclock", "urgent_hop", "pair_sync")
@@ -21,15 +23,34 @@ def corpus_systems():
         yield name, net, encode(net, verdict.trace, prop)
 
 
+def edited(vs, **values):
+    """The trace system of the model that the given variable values edit."""
+    assignment = dict(vs.zero_assignment(), **values)
+    candidate = _candidate_from_assignment(HardConstraint(vs), RepairKind(vs.kind), assignment)
+    base = vs.base
+    return encode(apply_candidate(base.network, candidate), base.stt, base.prop)
+
+
+def texts(sys, block, idx=None):
+    """The delay sums of one block's atoms, or of one constraint index's."""
+    return [
+        a.text()
+        for ta in sys.atoms
+        if ta.block == block and idx in (None, ta.constraint_index)
+        for a in sys.materialize(ta)
+    ]
+
+
 def test_zero_meaning_equisatisfiable_for_all_encoders_and_traces():
     for name, net, sys in corpus_systems():
-        base = is_satisfiable(sys.linear_atoms()).sat
-        neg_phi = sys.property_formula(negated=True)
+        expected = (feasible(sys), violating(sys))
         for kind in KINDS:
             vs = vary(sys, kind)
-            inst, inst_neg_phi = vs.instantiate(vs.zero_assignment())
-            assert is_satisfiable(inst).sat == base, (name, kind)
-            assert inst_neg_phi == neg_phi, (name, kind)
+            hard = HardConstraint(vs)
+            zero = vs.zero_assignment()
+            assert hard.edits(zero) == [], (name, kind)
+            zone, violates = vs.base.decide(hard.edits(zero))
+            assert (not zone.empty, violates) == expected, (name, kind)
 
 
 def test_bound_variation_shares_variable_between_copies():
@@ -57,12 +78,9 @@ def test_operator_variation_branch_instantiation():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
     vs = vary_operators(encode(net, verdict.trace, prop))
-    group = next(g for g in vs.groups if g.var.name == "ov4")
-    assert group.var.zero == Op.GE
-    lt = group.atoms_for(Op.LT)
-    assert [a.text() for a in lt] == ["d1 < 1"]
-    ge = group.atoms_for(Op.GE)
-    assert [a.text() for a in ge] == ["- d1 <= -1"]
+    assert next(v.zero for v in vs.variables if v.name == "ov4") == Op.GE
+    assert texts(edited(vs, ov4=Op.LT), "G", 4) == ["d1 < 1"]
+    assert texts(edited(vs), "G", 4) == ["- d1 <= -1"]
 
 
 def test_clock_ref_branches_substitute_delay_sums():
@@ -71,22 +89,22 @@ def test_clock_ref_branches_substitute_delay_sums():
     sys = encode(net, verdict.trace, prop)
     vs = vary_clock_refs(sys)
     # constraint #0 is z <= 2 on serReceiving (step 3, entry+exit copies)
-    group = next(g for g in vs.groups if g.var.name == "cv0")
-    assert group.var.zero == net.clock_index("z")
-    assert len(group.branches) == 4  # clocks x, y, z, w of the owning automaton
+    var = next(v for v in vs.variables if v.name == "cv0")
+    assert var.zero == net.clock_index("z")
+    assert len(var.domain) == 4  # clocks x, y, z, w of the owning automaton
     y = net.clock_index("y")
-    y_atoms = group.atoms_for(y)
-    # y's value at step 3 entry is d2: branch asserts d2 <= 2 and d2 + d3 <= 2
-    assert {a.text() for a in y_atoms} == {"d2 <= 2", "d2 + d3 <= 2"}
+    # y's value at step 3 entry is d2: the edit asserts d2 <= 2 and d2 + d3 <= 2
+    assert set(texts(edited(vs, cv0=y), "I", 0)) == {"d2 <= 2", "d2 + d3 <= 2"}
 
 
 def test_clock_ref_zero_branch_restores_base():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
     vs = vary_clock_refs(encode(net, verdict.trace, prop))
-    zero_inst, _ = vs.instantiate(vs.zero_assignment())
-    base = encode(net, verdict.trace, prop).linear_atoms()
-    assert {a.text() for a in zero_inst} == {a.text() for a in base}
+    zero = edited(vs)
+    base = encode(net, verdict.trace, prop)
+    assert {a.text() for a in zero.linear_atoms()} == {a.text() for a in base.linear_atoms()}
+    assert vs.base.decide(HardConstraint(vs).edits(vs.zero_assignment())) == base.decide()
 
 
 def test_reset_variation_flip_semantics():
@@ -103,16 +121,17 @@ def test_reset_variation_flip_semantics():
     y = net.clock_index("y")
     var = next(v for v in vs.variables if v.anchor == (1, 1, y))
     assert var.description == "remove reset of y on db transition 1 (step 1)"
-    assignment = vs.zero_assignment()
-    assignment[var.name] = True
-    edited = vs.edited_system(assignment)
+    flipped = edited(vs, **{var.name: True})
     # originally reset: the flip lets y's delay sum run on from step 0
-    resets = {k for k, v in vs.base.reset_at.items() if v}
-    assert {k for k, v in edited.reset_at.items() if v} == resets - {(y, 1)}
-    assert [sorted(edited.clock_value_coeffs(y, j, False)) for j in (2, 3)] == [
+    assert [sorted(flipped.clock_value_coeffs(y, j, False)) for j in (2, 3)] == [
         ["d0", "d1"],
         ["d0", "d1", "d2"],
     ]
+    # and leaves every other clock's delay sums as they were
+    for c in range(net.n_clocks):
+        for j in range(vs.base.n + 2):
+            if c != y:
+                assert flipped.clock_value_coeffs(c, j, True) == vs.base.clock_value_coeffs(c, j, True)
 
 
 def test_reset_variation_instantiates_the_edited_system():
@@ -120,47 +139,48 @@ def test_reset_variation_instantiates_the_edited_system():
     verdict = check(net, prop)
     sys = encode(net, verdict.trace, prop)
     vs = vary_resets(sys)
-    assert vs.base is sys and vs.base_atoms == () and vs.groups == ()
+    assert vs.base is sys and vs.free_atoms == ()
     x, y = net.clock_index("x"), net.clock_index("y")
     # t0 fires at steps 0 and 1 but offers each toggle once: 4 flips, not 2 per step
     assert [v.anchor for v in vs.variables] == [(0, 0, x), (0, 0, y), (0, 1, x), (0, 1, y)]
     assert vs.variables[0].description == "remove reset of x on a transition 0 (steps 0, 1)"
-    zero = vs.zero_assignment()
-    # no base atoms and no groups, yet not the empty conjunction
-    atoms, neg_phi = vs.instantiate(zero)
-    assert atoms and atoms == tuple(sys.linear_atoms())
-    assert neg_phi == sys.property_formula(negated=True)
-    one = dict(zero, **{vs.variables[0].name: True})  # remove t0's reset of x, at steps 0 and 1
-    edited = vs.edited_system(one)
-    assert [edited.reset_at[(x, j)] for j in range(sys.n)] == [False, False, False]
-    assert vs.instantiate(one) == (tuple(edited.linear_atoms()), edited.property_formula(negated=True))
+    zero = edited(vs)
+    assert [a.text() for a in zero.linear_atoms()] == [a.text() for a in sys.linear_atoms()]
+    assert zero.property_formula(negated=True) == sys.property_formula(negated=True)
+    one = {vs.variables[0].name: True}  # remove t0's reset of x, at steps 0 and 1
+    flipped = edited(vs, **one)
+    # x is never reset now: its delay sum runs from step 0 at every step
+    assert [len(flipped.clock_value_coeffs(x, j, False)) for j in range(sys.n + 2)] == [0, 1, 2, 3, 4]
+    hard = HardConstraint(vs)
+    assert sys.decide(hard.edits(dict(vs.zero_assignment(), **one))) == flipped.decide()
 
 
 def test_urgency_variation_branches():
     net, prop = load_bundled_model("urgent_hop")
     verdict = check(net, prop)
     vs = vary_urgency(encode(net, verdict.trace, prop))
-    hop = next(g for g in vs.groups if g.var.anchor == (0, 1))  # the urgent location
-    assert hop.atoms_for(False) != () and hop.atoms_for(True) == ()
-    rest = next(g for g in vs.groups if g.var.anchor == (0, 0))
-    assert rest.atoms_for(False) == ()
-    assert [a.text() for a in rest.atoms_for(True)] == ["d0 = 0"]
+    hop = next(v for v in vs.variables if v.anchor == (0, 1))  # the urgent location
+    rest = next(v for v in vs.variables if v.anchor == (0, 0))
+    zero = texts(edited(vs), "U")
+    assert zero != [] and texts(edited(vs, **{hop.name: True}), "U") == []
+    assert texts(edited(vs, **{rest.name: True}), "U") == ["d0 = 0"] + zero
 
 
 def test_urgency_revisited_location_shares_one_flip():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
     vs = vary_urgency(encode(net, verdict.trace, prop))
-    ra = next(g for g in vs.groups if g.var.name == "uv1_0")  # db.reqAwaiting
-    flipped = ra.atoms_for(True)
-    assert {a.text() for a in flipped} == {"d0 = 0", "d3 = 0"}
+    assert texts(edited(vs), "U") == []
+    # db.reqAwaiting is resident at steps 0 and 3
+    assert texts(edited(vs, uv1_0=True), "U") == ["d0 = 0", "d3 = 0"]
 
 
 def test_encoders_leave_other_blocks_untouched():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
     sys = encode(net, verdict.trace, prop)
-    base_texts = {a.text() for ta in sys.atoms if ta.block == "A" for a in sys.materialize(ta)}
-    for kind in ("bound", "operator", "clockref", "urgent"):
+    for kind in KINDS:
         vs = vary(sys, kind)
-        assert base_texts <= {a.text() for a in vs.base_atoms}, kind
+        for var in vs.variables:
+            value = F(-1) if var.domain is None else next(x for x in var.domain if x != var.zero)
+            assert texts(edited(vs, **{var.name: value}), "A") == texts(sys, "A"), (kind, var.name)
