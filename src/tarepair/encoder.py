@@ -6,15 +6,18 @@ before step j fires, d_n after the last step) and conjoins: time advancement
 and exit of every step (I), transition guards (G), and the property read
 after d_n. Each clock occurrence is the sum of the delays since the clock's
 last reset, so clocks need no variables of their own. Location predicates
-are resolved statically: the trace fixes the final location vector.
+are resolved statically: the trace fixes the final location vector. The
+negated property is derived once (``negated_property``, a DNF of clock
+atoms) and every decision procedure reads it.
 
 Every atom is a sum of consecutive delays ``d_a + ... + d_b ~ c``, that is
 the difference constraint ``T_{b+1} - T_a ~ c`` over the prefix times
 ``T_0..T_{n+1}``. ``TdtConstraintSystem.decide`` decides the system so, as
 a DBM in ``dbm``'s raw encoding (Bengtsson & Yi 2004), under repair edits
 applied as overrides of its atoms compiled once. ``feasible`` and
-``violating`` decide it by linear rational arithmetic instead: the
-reference, and the contract re-check.
+``violating`` decide it by linear rational arithmetic instead, the
+negated property's disjuncts as one choice group of
+``lra.is_satisfiable``: the reference, and the contract re-check.
 """
 
 from __future__ import annotations
@@ -26,28 +29,14 @@ from math import lcm
 
 from .checker import SymbolicTimedTrace
 from .dbm import LE_ZERO, RAW_INF, DifferenceBoundMatrix, constrain, empty_zone, raw_constant
-from .lra import (
-    Formula,
-    LinearAtom,
-    Rel,
-    TRUE,
-    FALSE,
-    comparison_atom,
-    conjunction,
-    f_and,
-    f_or,
-    is_satisfiable,
-    to_smtlib,
-)
+from .lra import LinearAtom, Rel, comparison_atom, is_satisfiable, to_smtlib
 from .model import (
+    AtomicClockConstraint,
     Op,
-    PropKind,
-    PropertyExpr,
     SafetyProperty,
     TimedAutomatonNetwork,
     constant_scale,
     indexed_constraints,
-    prop_nnf,
     prop_to_dnf,
 )
 
@@ -121,34 +110,30 @@ class TdtConstraintSystem:
             out.extend(self.materialize(ta))
         return out
 
-    # -- the property at step n+1 ---------------------------------------------
+    # -- the negated property, read after the last delay ----------------------
 
-    def property_formula(self, negated: bool) -> Formula:
-        """Phi (or its negation) with clocks at index n+1 and predicates folded."""
-        expr = prop_nnf(self.prop.negate() if negated else self.prop)
+    @cached_property
+    def negated_property(self) -> tuple[tuple[AtomicClockConstraint, ...], ...]:
+        """The disjuncts of the negated property's DNF as clock atoms; a
+        disjunct whose location literals the final locations falsify is
+        dropped, and the other location literals are dropped as true."""
         final = self.stt.locations[-1]
+        return tuple(
+            tuple(lit.atom for lit in d if lit.atom is not None)
+            for d in prop_to_dnf(self.prop.negate())
+            if all(lit.atom is not None or (final[lit.automaton] == lit.location) == lit.positive for lit in d)
+        )
 
-        def go(e: PropertyExpr) -> Formula:
-            if e.kind == PropKind.TRUE:
-                return TRUE
-            if e.kind == PropKind.FALSE:
-                return FALSE
-            if e.kind == PropKind.LOC:
-                return TRUE if final[e.automaton] == e.location else FALSE
-            if e.kind == PropKind.NOT:  # NNF: negation only on location predicates
-                inner = e.children[0]
-                return TRUE if final[inner.automaton] != inner.location else FALSE
-            if e.kind == PropKind.ATOM:
-                coeffs = self.clock_value_coeffs(e.atom.clock, self.n + 1, False)
-                atoms = comparison_atom(coeffs, e.atom.op, e.atom.bound)
-                return conjunction(atoms)
-            parts = [go(c) for c in e.children]
-            return f_and(parts) if e.kind == PropKind.AND else f_or(parts)
-
-        return go(expr)
+    def negated_property_atoms(self) -> list[list[LinearAtom]]:
+        """``negated_property`` over the delays: one choice group of ``lra.is_satisfiable``."""
+        last = self.n + 1
+        return [
+            [la for a in d for la in comparison_atom(self.clock_value_coeffs(a.clock, last, False), a.op, a.bound)]
+            for d in self.negated_property
+        ]
 
     def to_smtlib(self) -> str:
-        return to_smtlib(f_and([conjunction(self.linear_atoms()), self.property_formula(True)]))
+        return to_smtlib(self.linear_atoms(), [self.negated_property_atoms()])
 
     # -- difference logic over the prefix times T_0..T_{n+1} ------------------
 
@@ -156,17 +141,14 @@ class TdtConstraintSystem:
         """The I/G atoms ``(constraint index, step, point, clock, op, raw c)``,
         each bounding ``T_point - T_start`` (point: the step for an entry copy,
         the next for an exit copy), and the negated property's disjuncts of
-        ``(clock, op, raw c)`` at point n+1, location literals folded."""
+        ``(clock, op, raw c)`` at point n+1 (``negated_property``)."""
         atoms = tuple(
             (ta.constraint_index, ta.step, ta.step + (ta.copy == "exit"), ta.clock, ta.op, raw_constant(ta.bound, scale))
             for ta in self.atoms
             if ta.block in ("I", "G")
         )
-        final = self.stt.locations[-1]
         disjuncts = tuple(
-            tuple((lit.atom.clock, lit.atom.op, raw_constant(lit.atom.bound, scale)) for lit in d if lit.atom is not None)
-            for d in prop_to_dnf(self.prop.negate())
-            if all(lit.atom is not None or (final[lit.automaton] == lit.location) == lit.positive for lit in d)
+            tuple((a.clock, a.op, raw_constant(a.bound, scale)) for a in d) for d in self.negated_property
         )
         return atoms, disjuncts
 
@@ -300,5 +282,4 @@ def feasible(sys: TdtConstraintSystem) -> bool:
 
 def violating(sys: TdtConstraintSystem) -> bool:
     """Satisfiability of the system conjoined with the negated property."""
-    f = f_and([conjunction(sys.linear_atoms()), sys.property_formula(True)])
-    return is_satisfiable(f).sat
+    return is_satisfiable(sys.linear_atoms(), [sys.negated_property_atoms()]).sat

@@ -1,6 +1,12 @@
 """Exact linear rational arithmetic: satisfiability, Fourier-Motzkin projection,
 and deterministic sample-point extraction.
 
+Every query has one shape: a conjunction of atoms, plus one choice out of
+each of some groups of alternatives (each alternative a list of atoms).
+``is_satisfiable`` solves the combinations one conjunction at a time, and
+``to_smtlib`` prints the same query; ``LinearAtom.negation`` gives an
+atom's complement as such a group.
+
 Atoms are kept with Fraction coefficients at the API, but every conjunction
 is compiled to primitive integer rows before solving, so the hot paths
 (emptiness checks, projections) run on machine integers. Equalities are
@@ -13,6 +19,7 @@ There is no rounding anywhere: verdicts and models are exact.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
@@ -57,39 +64,15 @@ class LinearAtom:
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.coeffs)
 
-    def evaluate(self, assignment: dict[str, Fraction]) -> bool:
-        lhs = sum((c * assignment[v] for v, c in self.coeffs), Fraction(0))
-        if self.rel == Rel.LT:
-            return lhs < self.const
-        if self.rel == Rel.LE:
-            return lhs <= self.const
-        return lhs == self.const
-
-    def substitute(self, assignment: dict[str, Fraction]) -> "LinearAtom":
-        """Pin some variables to constants; the rest stay symbolic."""
-        const = self.const
-        kept = []
-        for v, c in self.coeffs:  # already sorted; order survives filtering
-            value = assignment.get(v)
-            if value is None:
-                kept.append((v, c))
-            else:
-                const = const - c * value
-        return LinearAtom(tuple(kept), self.rel, const)
-
-    def negated_formula(self) -> "Formula":
-        """Negation as a formula (an equality negates to a disjunction)."""
+    def negation(self) -> list[list["LinearAtom"]]:
+        """The complement as alternatives of ``is_satisfiable``'s choice
+        groups: one atom, or two for an equality."""
         neg = {v: -c for v, c in self.coeffs}
         if self.rel == Rel.LT:  # not(x < c)  <=>  -x <= -c
-            return FAtom(LinearAtom.make(neg, Rel.LE, -self.const))
+            return [[LinearAtom.make(neg, Rel.LE, -self.const)]]
         if self.rel == Rel.LE:  # not(x <= c) <=>  -x < -c
-            return FAtom(LinearAtom.make(neg, Rel.LT, -self.const))
-        return FOr(
-            (
-                FAtom(LinearAtom(self.coeffs, Rel.LT, self.const)),
-                FAtom(LinearAtom.make(neg, Rel.LT, -self.const)),
-            )
-        )
+            return [[LinearAtom.make(neg, Rel.LT, -self.const)]]
+        return [[LinearAtom(self.coeffs, Rel.LT, self.const)], [LinearAtom.make(neg, Rel.LT, -self.const)]]
 
     def text(self) -> str:
         if not self.coeffs:
@@ -142,79 +125,11 @@ def comparison_atom(coeffs: dict[str, Fraction], op, const) -> list[LinearAtom]:
     return [atom_gt(coeffs, const)]
 
 
-# --- formulas ---------------------------------------------------------------
-
-
-class Formula:
-    """Negation-free tree of And/Or over linear atoms."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class FAtom(Formula):
-    atom: LinearAtom
-
-
-@dataclass(frozen=True)
-class FAnd(Formula):
-    children: tuple[Formula, ...]
-
-
-@dataclass(frozen=True)
-class FOr(Formula):
-    children: tuple[Formula, ...]
-
-
-TRUE = FAnd(())
-FALSE = FOr(())
-
-
-def f_and(children: Iterable[Formula]) -> Formula:
-    flat: list[Formula] = []
-    for c in children:
-        if isinstance(c, FAnd):
-            flat.extend(c.children)
-        elif c == FALSE:
-            return FALSE
-        else:
-            flat.append(c)
-    if len(flat) == 1:
-        return flat[0]
-    return FAnd(tuple(flat))
-
-
-def f_or(children: Iterable[Formula]) -> Formula:
-    flat: list[Formula] = []
-    for c in children:
-        if isinstance(c, FOr):
-            flat.extend(c.children)
-        elif c == TRUE or (isinstance(c, FAnd) and not c.children):
-            return TRUE
-        else:
-            flat.append(c)
-    if len(flat) == 1:
-        return flat[0]
-    return FOr(tuple(flat))
-
-
-def conjunction(atoms: Iterable[LinearAtom]) -> Formula:
-    return f_and([FAtom(a) for a in atoms])
-
-
-def formula_atoms(f: Formula) -> list[LinearAtom]:
-    if isinstance(f, FAtom):
-        return [f.atom]
-    out: list[LinearAtom] = []
-    for c in f.children:  # type: ignore[union-attr]
-        out.extend(formula_atoms(c))
-    return out
-
-
-def to_smtlib(f: Formula) -> str:
-    """SMT-LIB2-compatible dump for external cross-checking (debug aid)."""
-    names = sorted({v for a in formula_atoms(f) for v in a.variables()})
-    decls = "".join(f"(declare-const {v} Real)\n" for v in names)
+def to_smtlib(atoms: Sequence[LinearAtom], choices: Sequence[Sequence[Sequence[LinearAtom]]] = ()) -> str:
+    """SMT-LIB2 text of the query ``is_satisfiable(atoms, choices)`` decides,
+    for external cross-checking (debug aid)."""
+    if not all(choices):  # an empty group is false
+        return "(assert false)\n(check-sat)\n"
 
     def term(atom: LinearAtom) -> str:
         if not atom.coeffs:
@@ -232,15 +147,21 @@ def to_smtlib(f: Formula) -> str:
         )
         return f"({atom.rel.value} {lhs} {rhs})"
 
-    def go(g: Formula) -> str:
-        if isinstance(g, FAtom):
-            return term(g.atom)
-        op = "and" if isinstance(g, FAnd) else "or"
-        if not g.children:
-            return "true" if op == "and" else "false"
-        return f"({op} " + " ".join(go(c) for c in g.children) + ")"
+    def conj(terms: list[str]) -> str:
+        if not terms:
+            return "true"
+        return terms[0] if len(terms) == 1 else "(and " + " ".join(terms) + ")"
 
-    return decls + f"(assert {go(f)})\n(check-sat)\n"
+    terms = [term(a) for a in atoms]
+    for group in choices:
+        if len(group) == 1:  # a forced choice joins the conjunction
+            terms.extend(term(a) for a in group[0])
+        else:
+            terms.append("(or " + " ".join(conj([term(a) for a in alt]) for alt in group) + ")")
+    mentioned = list(atoms) + [a for group in choices for alt in group for a in alt]
+    names = sorted({v for a in mentioned for v in a.variables()})
+    decls = "".join(f"(declare-const {v} Real)\n" for v in names)
+    return decls + f"(assert {conj(terms)})\n(check-sat)\n"
 
 
 # --- integer row core -------------------------------------------------------
@@ -519,9 +440,6 @@ class SatResult:
     sat: bool
     model: dict[str, Fraction] | None = None
 
-    def __bool__(self) -> bool:
-        return self.sat
-
 
 def _solve_conjunction(atoms: Sequence[LinearAtom], budget: int, want_model: bool) -> SatResult:
     allvars = sorted({v for a in atoms for v in a.variables()})
@@ -543,44 +461,22 @@ def _solve_conjunction(atoms: Sequence[LinearAtom], budget: int, want_model: boo
 
 
 def is_satisfiable(
-    f: Formula | Sequence[LinearAtom],
+    atoms: Sequence[LinearAtom],
+    choices: Sequence[Sequence[Sequence[LinearAtom]]] = (),
     budget: int = DEFAULT_QE_BUDGET,
     want_model: bool = False,
 ) -> SatResult:
-    """Exact satisfiability of a formula; optionally extracts a rational model.
+    """Exact satisfiability of the conjunction ``atoms`` plus one alternative
+    (a list of atoms) out of each group of ``choices``; optionally extracts a
+    rational model.
 
-    Or-nodes are branched in order (first satisfiable branch wins), so
-    returned models are deterministic.
+    The combinations run in ``itertools.product`` order, first group
+    slowest, and the first satisfiable one wins, so returned models are
+    deterministic. An empty group is false and an empty alternative true.
     """
-    if not isinstance(f, Formula):
-        return _solve_conjunction(list(f), budget, want_model)
-
-    def branch(g: Formula, acc: list[LinearAtom]) -> SatResult:
-        ors: list[FOr] = []
-
-        def collect(h: Formula, into: list[LinearAtom]) -> bool:
-            if isinstance(h, FAtom):
-                into.append(h.atom)
-                return True
-            if isinstance(h, FAnd):
-                return all(collect(c, into) for c in h.children)
-            if not h.children:  # empty Or == false
-                return False
-            ors.append(h)
-            return True
-
-        base = list(acc)
-        if not collect(g, base):
-            return SatResult(False)
-        if not ors:
-            return _solve_conjunction(base, budget, want_model)
-        pivot = ors[0]
-        rest = ors[1:]
-        for child in pivot.children:
-            sub = f_and([child] + rest) if rest else child
-            res = branch(sub, base)
-            if res.sat:
-                return res
-        return SatResult(False)
-
-    return branch(f, [])
+    atoms = list(atoms)
+    for combination in itertools.product(*choices):
+        res = _solve_conjunction(atoms + [a for alt in combination for a in alt], budget, want_model)
+        if res.sat:
+            return res
+    return SatResult(False)

@@ -13,8 +13,10 @@ trace system and decides both quantifiers by difference logic. So the
 discrete analyses (operator, clock reference, resets, urgency) make no
 linear rational arithmetic call. For the bound analysis, whose variables
 are free rationals, the hard constraint is also a formula over them,
-projected by quantifier elimination over the delays; it picks the modified
-sets and samples their values.
+projected by quantifier elimination over the delays: the existential
+projection conjoined with, per disjunct of the negated property, one
+choice group of ``lra.is_satisfiable`` (the complement of that disjunct's
+projection). It picks the modified sets and samples their values.
 
 ``max_sat`` is one pass over the modified sets of a run: it yields every
 repairing set in ascending size and blocks the variables of each set it
@@ -26,41 +28,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .lra import (
-    DEFAULT_QE_BUDGET,
-    FAnd,
-    FAtom,
-    FOr,
-    Formula,
-    LinearAtom,
-    Rel,
-    conjunction,
-    eliminate,
-    f_and,
-    f_or,
-    is_satisfiable,
-)
+from .lra import DEFAULT_QE_BUDGET, LinearAtom, atom_eq, eliminate, is_satisfiable
 from .variations import Modification, VariedSystem, edit
-
-
-def formula_to_dnf(f: Formula) -> list[list[LinearAtom]]:
-    if isinstance(f, FAtom):
-        return [[f.atom]]
-    if isinstance(f, FAnd):
-        out: list[list[LinearAtom]] = [[]]
-        for c in f.children:
-            out = [d + cd for d in out for cd in formula_to_dnf(c)]
-        return out
-    out = []
-    for c in f.children:
-        out.extend(formula_to_dnf(c))
-    return out
 
 
 class HardConstraint:
     """(exists delays. T^var) and (forall delays. T^var => Phi), checkable
     either per concrete assignment or, for the bound kind, as a formula
-    over the free variation variables.
+    over the free variation variables: ``formula`` is its ``(atoms,
+    choices)`` query for ``lra.is_satisfiable``.
     """
 
     def __init__(self, vs: VariedSystem, qe_budget: int = DEFAULT_QE_BUDGET):
@@ -69,16 +45,18 @@ class HardConstraint:
         self.formula = self._bound_formula() if vs.kind == "bound" else None
         self._edits: dict[tuple[str, object], Modification] = {}
 
-    def _bound_formula(self) -> Formula:
+    def _bound_formula(self) -> tuple[list[LinearAtom], list[list[list[LinearAtom]]]]:
+        """The existential projection, and per negated-property disjunct one
+        choice group: the complement of its projection, atom by atom."""
         vs = self.vs
         quantified = vs.base.delta_vars()
         atoms = list(vs.free_atoms)
         existential = eliminate(atoms, quantified, self.qe_budget)
-        parts: list[Formula] = [conjunction(existential)]
-        for disjunct in formula_to_dnf(vs.base.property_formula(negated=True)):
-            projected = eliminate(atoms + disjunct, quantified, self.qe_budget)
-            parts.append(f_and([f_or([a.negated_formula() for a in projected])]))
-        return f_and(parts)
+        groups = [
+            [alt for a in eliminate(atoms + disjunct, quantified, self.qe_budget) for alt in a.negation()]
+            for disjunct in vs.base.negated_property_atoms()
+        ]
+        return existential, groups
 
     def edits(self, assignment: dict[str, object]) -> list[Modification]:
         """The modifications that the assignment's non-zero variables make."""
@@ -99,10 +77,8 @@ class HardConstraint:
 
     def check_with_zeros(self, zeros: frozenset[str]) -> bool:
         """Bound kind: is the hard formula satisfiable with these variables pinned to 0?"""
-        pins = conjunction(
-            LinearAtom.make({v: Fraction(1)}, Rel.EQ, 0) for v in sorted(zeros)
-        )
-        return is_satisfiable(f_and([self.formula, pins]), self.qe_budget).sat
+        atoms, choices = self.formula
+        return is_satisfiable(atoms + [atom_eq({v: 1}, 0) for v in sorted(zeros)], choices, self.qe_budget).sat
 
 
 def nonzero_values(var) -> list[object]:
@@ -146,27 +122,22 @@ def sample_repair_values(hard: HardConstraint, modified: tuple[str, ...]) -> dic
     vs = hard.vs
     zeros = {v.name: Fraction(0) for v in vs.variables if v.name not in modified}
     pinned: dict[str, Fraction] = dict(zeros)
+    atoms, choices = hard.formula
 
-    def pinned_formula() -> Formula:
-        pins = [
-            FAtom(LinearAtom.make({v: Fraction(1)}, Rel.EQ, c)) for v, c in sorted(pinned.items())
-        ]
-        return f_and([hard.formula] + pins)
+    def pinned_atoms() -> list[LinearAtom]:
+        return atoms + [atom_eq({v: 1}, c) for v, c in sorted(pinned.items())]
 
     for name in modified:
         chosen = None
         for magnitude in range(1, SCAN_LIMIT + 1):
             for val in (Fraction(magnitude), Fraction(-magnitude)):
-                trial = f_and(
-                    [pinned_formula(), FAtom(LinearAtom.make({name: Fraction(1)}, Rel.EQ, val))]
-                )
-                if is_satisfiable(trial, hard.qe_budget).sat:
+                if is_satisfiable(pinned_atoms() + [atom_eq({name: 1}, val)], choices, hard.qe_budget).sat:
                     chosen = val
                     break
             if chosen is not None:
                 break
         if chosen is None:
-            res = is_satisfiable(pinned_formula(), hard.qe_budget, want_model=True)
+            res = is_satisfiable(pinned_atoms(), choices, hard.qe_budget, want_model=True)
             if not res.sat:
                 return None
             chosen = res.model.get(name, Fraction(0))

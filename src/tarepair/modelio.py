@@ -43,11 +43,27 @@ def parse_rational(value: Any, path: str) -> Fraction:
     if isinstance(value, str):
         m = re.fullmatch(r"\s*(-?\d+)\s*/\s*(\d+)\s*", value)
         if m:
+            if int(m.group(2)) == 0:
+                raise ModelFormatError(f"{path}: zero denominator in {value!r}")
             return Fraction(int(m.group(1)), int(m.group(2)))
         m = re.fullmatch(r"\s*(-?\d+)\s*", value)
         if m:
             return Fraction(int(m.group(1)))
     raise ModelFormatError(f"{path}: expected an integer or 'p/q' string, got {value!r}")
+
+
+def _typed(value: Any, kind: type, path: str) -> Any:
+    """``value`` when it is a ``kind`` (list, dict or str); a ModelFormatError otherwise."""
+    if not isinstance(value, kind):
+        expected = {list: "a list", dict: "an object", str: "a string"}[kind]
+        raise ModelFormatError(f"{path}: expected {expected}, got {value!r}")
+    return value
+
+
+def _strings(value: Any, path: str) -> list[str]:
+    for i, item in enumerate(_typed(value, list, path)):
+        _typed(item, str, f"{path}[{i}]")
+    return value
 
 
 def format_rational(value: Fraction) -> int | str:
@@ -61,13 +77,16 @@ _ATOM_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)\s*(<=|>=|==|<|>|=)\s*(\S+)\s
 
 
 def parse_atom(text: str, clock_names: list[str], path: str) -> AtomicClockConstraint:
-    m = _ATOM_RE.match(text)
+    m = _ATOM_RE.match(text) if isinstance(text, str) else None
     if not m:
         raise ModelFormatError(f"{path}: malformed constraint atom {text!r}")
     name, op, bound = m.groups()
     if name not in clock_names:
         raise ModelFormatError(f"{path}: unknown clock {name!r}")
-    return AtomicClockConstraint(clock_names.index(name), TEXT_OP[op], parse_rational(bound, path))
+    value = parse_rational(bound, path)
+    if value < 0:
+        raise ModelFormatError(f"{path}: negative clock bound in {text!r}")
+    return AtomicClockConstraint(clock_names.index(name), TEXT_OP[op], value)
 
 
 def atom_text(atom: AtomicClockConstraint, clock_names: tuple[str, ...]) -> str:
@@ -206,34 +225,41 @@ def parse_model(text: str) -> tuple[TimedAutomatonNetwork, SafetyProperty]:
         if key not in doc:
             raise ModelFormatError(f"top level: missing key {key!r}")
 
-    channel_names = list(doc["channels"])
+    channel_names = list(_strings(doc["channels"], "channels"))
+    adocs = _typed(doc["automata"], list, "automata")
     clock_names: list[str] = []
-    for adoc in doc["automata"]:
-        for c in adoc.get("clocks", []):
+    for ai, adoc in enumerate(adocs):
+        for c in _strings(_typed(adoc, dict, f"automata[{ai}]").get("clocks", []), f"automata[{ai}].clocks"):
             if c not in clock_names:
                 clock_names.append(c)
 
     automata = []
-    for ai, adoc in enumerate(doc["automata"]):
+    for ai, adoc in enumerate(adocs):
         path = f"automata[{ai}]"
         name = adoc.get("name")
         if not name:
             raise ModelFormatError(f"{path}: missing automaton name")
-        loc_names = [ldoc["name"] for ldoc in adoc.get("locations", [])]
+        _typed(name, str, f"{path}.name")
+        loc_names = []
         invariants = []
         urgent = set()
-        for li, ldoc in enumerate(adoc.get("locations", [])):
+        for li, ldoc in enumerate(_typed(adoc.get("locations", []), list, f"{path}.locations")):
             lpath = f"{path}.locations[{li}]"
+            loc_names.append(_typed(_typed(ldoc, dict, lpath).get("name"), str, f"{lpath}.name"))
             invariants.append(
-                tuple(parse_atom(s, clock_names, lpath) for s in ldoc.get("invariant", []))
+                tuple(
+                    parse_atom(s, clock_names, lpath)
+                    for s in _typed(ldoc.get("invariant", []), list, f"{lpath}.invariant")
+                )
             )
             if ldoc.get("urgent", False):
                 urgent.add(li)
         if adoc.get("initial") not in loc_names:
             raise ModelFormatError(f"{path}: initial location {adoc.get('initial')!r} not found")
         transitions = []
-        for ti, tdoc in enumerate(adoc.get("transitions", [])):
+        for ti, tdoc in enumerate(_typed(adoc.get("transitions", []), list, f"{path}.transitions")):
             tpath = f"{path}.transitions[{ti}]"
+            _typed(tdoc, dict, tpath)
             for endpoint in ("source", "target"):
                 if tdoc.get(endpoint) not in loc_names:
                     raise ModelFormatError(f"{tpath}: unknown {endpoint} {tdoc.get(endpoint)!r}")
@@ -248,7 +274,7 @@ def parse_model(text: str) -> tuple[TimedAutomatonNetwork, SafetyProperty]:
                     raise ModelFormatError(f"{tpath}: unknown channel {ch_name!r}")
                 channel = channel_names.index(ch_name)
             resets = []
-            for cname in tdoc.get("resets", []):
+            for cname in _typed(tdoc.get("resets", []), list, f"{tpath}.resets"):
                 if cname not in clock_names:
                     raise ModelFormatError(f"{tpath}: reset of unknown clock {cname!r}")
                 resets.append(clock_names.index(cname))
@@ -256,7 +282,9 @@ def parse_model(text: str) -> tuple[TimedAutomatonNetwork, SafetyProperty]:
                 Transition(
                     source=loc_names.index(tdoc["source"]),
                     target=loc_names.index(tdoc["target"]),
-                    guard=tuple(parse_atom(s, clock_names, tpath) for s in tdoc.get("guard", [])),
+                    guard=tuple(
+                        parse_atom(s, clock_names, tpath) for s in _typed(tdoc.get("guard", []), list, f"{tpath}.guard")
+                    ),
                     channel=channel,
                     sync=kind,
                     resets=frozenset(resets),
@@ -275,7 +303,7 @@ def parse_model(text: str) -> tuple[TimedAutomatonNetwork, SafetyProperty]:
         )
 
     network = TimedAutomatonNetwork(tuple(automata), tuple(clock_names), tuple(channel_names))
-    prop = parse_property(doc["property"], network)
+    prop = parse_property(_typed(doc["property"], str, "property"), network)
     diags = [d for d in validate(network, prop) if not d.startswith("warning:")]
     if diags:
         raise ModelFormatError("; ".join(diags))

@@ -3,8 +3,10 @@
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 from tarepair import dbm
+from tarepair.lra import LinearAtom, Rel
 from tarepair.model import AtomicClockConstraint, constant_scale, prop_to_dnf
 from tarepair.modelio import parse_model
 
@@ -137,3 +139,26 @@ def scaled_model(network, prop, factor):
         for auto in network.automata
     )
     return replace(network, automata=automata), expr(prop)
+
+
+def holds(atom, valuation):
+    """Does a linear atom hold at ``valuation``, a value for each of its variables?"""
+    lhs = sum((c * valuation[v] for v, c in atom.coeffs), Fraction(0))
+    if atom.rel == Rel.LT:
+        return lhs < atom.const
+    if atom.rel == Rel.LE:
+        return lhs <= atom.const
+    return lhs == atom.const
+
+
+def substitute(atom, assignment):
+    """A linear atom with some variables pinned to constants; the rest stay symbolic."""
+    const = atom.const
+    kept = []
+    for v, c in atom.coeffs:  # already sorted; order survives filtering
+        value = assignment.get(v)
+        if value is None:
+            kept.append((v, c))
+        else:
+            const = const - c * value
+    return LinearAtom(tuple(kept), atom.rel, const)

@@ -29,7 +29,7 @@ from tarepair.regions import build_region_untimed
 from tarepair.seeding import campaign, seed
 from tarepair.variations import KINDS, vary
 
-from conftest import random_single_ta
+from conftest import holds, random_single_ta, substitute
 
 CORPUS_VIOLATING = ("client_db", "oneclock", "urgent_hop", "pair_sync")
 
@@ -185,8 +185,8 @@ def test_criterion_07_qe_extension_oracle():
         substituted = [a for a in atoms]
         for _ in range(1000):
             point = {v: F(rng.randint(-8, 8), rng.choice([1, 2])) for v in keep}
-            in_projection = all(a.substitute(point).evaluate({}) for a in projected)
-            extendable = is_satisfiable([a.substitute(point) for a in substituted]).sat
+            in_projection = all(holds(substitute(a, point), {}) for a in projected)
+            extendable = is_satisfiable([substitute(a, point) for a in substituted]).sat
             assert in_projection == extendable, (atoms, kill, point)
             points_checked += 1
         instances += 1

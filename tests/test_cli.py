@@ -180,3 +180,45 @@ def test_malformed_trace_document_is_a_usage_error(tmp_path, capsys, doc):
     trace_file.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["repair", BUNDLE, "--tdt", str(trace_file), "--out", str(tmp_path / "rep")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _without_first_location_name(doc):
+    del doc["automata"][0]["locations"][0]["name"]
+
+
+def _first_invariant(text):
+    return lambda doc: doc["automata"][0]["locations"][0].update(invariant=[text])
+
+
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (lambda doc: doc.update(automata=5), "automata: expected a list"),
+        (lambda doc: doc.update(automata=[5]), "automata[0]: expected an object"),
+        (_without_first_location_name, "automata[0].locations[0].name: expected a string"),
+        (lambda doc: doc.update(channels=7), "channels: expected a list"),
+        (lambda doc: doc.update(property=5), "property: expected a string"),
+        (lambda doc: doc["automata"][0].update(clocks=[["x"]]), "automata[0].clocks[0]: expected a string"),
+        (_first_invariant("x <= 1/0"), "automata[0].locations[0]: zero denominator"),
+        (lambda doc: doc.update(property="y <= 1/0"), "property: zero denominator"),
+        (_first_invariant("x <= -1"), "automata[0].locations[0]: negative clock bound"),
+    ],
+    ids=[
+        "automata-not-a-list",
+        "automaton-not-an-object",
+        "location-without-name",
+        "channels-not-a-list",
+        "property-not-a-string",
+        "clock-name-not-a-string",
+        "zero-denominator-in-invariant",
+        "zero-denominator-in-property",
+        "negative-invariant-bound",
+    ],
+)
+def test_malformed_model_document_is_a_usage_error(tmp_path, capsys, mutate, where):
+    doc = json.loads(loop_model())
+    mutate(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(model)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}")

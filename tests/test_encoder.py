@@ -7,8 +7,16 @@ from conftest import dbm_replay, random_single_ta
 from tarepair import load_bundled_model
 from tarepair.checker import MoveIndex, SymbolicTimedTrace, check, stt_from_moves
 from tarepair.encoder import delta_var, encode, feasible, violating
-from tarepair.lra import formula_atoms, is_satisfiable
-from tarepair.modelio import parse_model
+from tarepair.lra import is_satisfiable
+from tarepair.model import prop_to_dnf
+from tarepair.modelio import parse_model, parse_property
+
+
+def property_atoms(sys):
+    """The property over the delays, for a property whose negation folds to one atom."""
+    ((negated,),) = sys.negated_property_atoms()
+    ((atom,),) = negated.negation()
+    return [atom]
 
 
 def test_minimal_zero_step_system():
@@ -23,7 +31,7 @@ def test_minimal_zero_step_system():
     assert [ta.block for ta in sys.atoms] == ["A"]
     assert [a.text() for a in sys.linear_atoms()] == ["- d0 <= 0"]
     # c starts at 0, so the property reads it as the one delay d0
-    assert [a.text() for a in formula_atoms(sys.property_formula(negated=False))] == ["d0 <= 1"]
+    assert [a.text() for a in property_atoms(sys)] == ["d0 <= 1"]
 
 
 def test_running_example_invariant_doubling():
@@ -85,11 +93,11 @@ def test_phi_reads_clocks_at_step_n_plus_one():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
     sys = encode(net, verdict.trace, prop)
-    phi = sys.property_formula(negated=False)
+    phi = property_atoms(sys)
     # x <= 4, x reset at step 0: x's value after the last delay is d1 + d2 + d3
-    assert [a.text() for a in formula_atoms(phi)] == ["d1 + d2 + d3 <= 4"]
+    assert [a.text() for a in phi] == ["d1 + d2 + d3 <= 4"]
     x = net.clock_index("x")
-    vars_used = {v for a in formula_atoms(phi) for v in a.variables()}
+    vars_used = {v for a in phi for v in a.variables()}
     assert vars_used == set(sys.clock_value_coeffs(x, sys.n + 1, False))
 
 
@@ -129,24 +137,43 @@ def _random_walk(net, rng, max_len=4):
     return moves
 
 
+def compound_property(net, rng):
+    """A property whose negation has two or more disjuncts, one with a location literal."""
+    clocks, locations = net.clock_names, net.automata[0].location_names
+    op = rng.choice(["<=", ">=", "<", ">", "="])
+    text = (
+        f"{rng.choice(clocks)} <= {rng.randint(0, 3)}"
+        f" && (!@p.{rng.choice(locations)} || {rng.choice(clocks)} {op} {rng.randint(0, 3)})"
+    )
+    prop = parse_property(text, net)
+    dnf = prop_to_dnf(prop.negate())
+    assert len(dnf) >= 2 and any(lit.atom is None for d in dnf for lit in d)
+    return prop
+
+
 def test_encoding_agrees_with_dbm_replay_on_random_traces():
+    # Each trace is checked against its model's property and against a
+    # compound one, drawn from a second generator so the traces stay put.
     rng = random.Random(20240)
-    outcomes = []
-    while len(outcomes) < 200:
+    prop_rng = random.Random(20241)
+    outcomes = {"simple": [], "compound": []}
+    while len(outcomes["simple"]) < 200:
         net, prop = random_single_ta(rng)
         moves = _random_walk(net, rng)
         if not moves:
             continue
         stt = stt_from_moves(net, moves)
-        sys = encode(net, stt, prop)
-        outcome = (feasible(sys), violating(sys))
-        assert outcome == dbm_replay(net, prop, stt), moves
-        # difference logic over the prefix times against LRA
-        zone, violates = sys.decide()
-        assert (not zone.empty, violates) == outcome, moves
-        outcomes.append(outcome)
+        for name, phi in (("simple", prop), ("compound", compound_property(net, prop_rng))):
+            sys = encode(net, stt, phi)
+            outcome = (feasible(sys), violating(sys))
+            assert outcome == dbm_replay(net, phi, stt), moves
+            # difference logic over the prefix times against LRA
+            zone, violates = sys.decide()
+            assert (not zone.empty, violates) == outcome, moves
+            outcomes[name].append(outcome)
     # every verdict pair occurs, so the agreement is not vacuous
-    assert set(outcomes) == {(False, False), (True, False), (True, True)}
+    for found in outcomes.values():
+        assert set(found) == {(False, False), (True, False), (True, True)}
 
 
 def test_smtlib_dump_round():

@@ -1,10 +1,12 @@
 """Engine-level checks: satisfiability, projection, sampling, budgets."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from conftest import holds, substitute
 from tarepair.lra import (
     LinearAtom,
     QeBudgetExceeded,
@@ -14,11 +16,7 @@ from tarepair.lra import (
     atom_gt,
     atom_le,
     atom_lt,
-    conjunction,
     eliminate,
-    f_and,
-    f_or,
-    FAtom,
     is_satisfiable,
     pick_value,
     to_smtlib,
@@ -46,7 +44,7 @@ def test_model_satisfies_all_atoms():
         atom_eq({"a": F(1), "c": F(-2)}, 0),
     ]
     res = is_satisfiable(atoms, want_model=True)
-    assert res.sat and all(a.evaluate(res.model) for a in atoms)
+    assert res.sat and all(holds(a, res.model) for a in atoms)
 
 
 def test_eliminate_single_variable():
@@ -98,21 +96,24 @@ def test_projection_extension_oracle_small():
         projected = eliminate(atoms, kill)
         for _ in range(50):
             point = {v: F(random.randint(-8, 8), random.choice([1, 2])) for v in keep}
-            in_projection = all(a.substitute(point).evaluate({}) for a in projected)
-            extendable = is_satisfiable([a.substitute(point) for a in atoms]).sat
+            in_projection = all(holds(substitute(a, point), {}) for a in projected)
+            extendable = is_satisfiable([substitute(a, point) for a in atoms]).sat
             assert in_projection == extendable
 
 
 def test_or_branching_and_negated_equality():
-    f = f_and(
-        [
-            conjunction([atom_ge({"x": F(1)}, 0), atom_le({"x": F(1)}, 0)]),
-            atom_eq({"x": F(1)}, 0).negated_formula(),
-        ]
-    )
-    assert not is_satisfiable(f).sat
-    g = f_or([FAtom(atom_lt({"x": F(1)}, 0)), FAtom(atom_gt({"x": F(1)}, 3))])
-    assert is_satisfiable(f_and([g, FAtom(atom_ge({"x": F(1)}, 2))]), want_model=True).model["x"] == 4
+    x = {"x": F(1)}
+    assert not is_satisfiable([atom_ge(x, 0), atom_le(x, 0)], [atom_eq(x, 0).negation()]).sat
+    assert is_satisfiable([atom_ge(x, 0), atom_le(x, 1)], [atom_eq(x, 0).negation()], want_model=True).model["x"] == 1
+    g = [[atom_lt(x, 0)], [atom_gt(x, 3)]]
+    assert is_satisfiable([atom_ge(x, 2)], [g], want_model=True).model["x"] == 4
+    # an empty group is false, an empty alternative true
+    assert not is_satisfiable([], [[]]).sat
+    assert is_satisfiable([atom_ge(x, 2)], [[[]]]).sat
+    # combinations run first group slowest: (x >= 5, x <= -1) is unsat, and
+    # (x >= 5, x >= 0) comes next and gives 5, before (x <= 1, x <= -1) gives -1
+    groups = [[[atom_ge(x, 5)], [atom_le(x, 1)]], [[atom_le(x, -1)], [atom_ge(x, 0)]]]
+    assert is_satisfiable([], groups, want_model=True).model["x"] == 5
 
 
 def test_pick_value_rules():
@@ -142,42 +143,74 @@ def _solve3(rows):
     return [a[r][3] for r in range(n)]
 
 
-def test_random_systems_against_vertex_enumeration_oracle():
-    # Non-strict 3-variable systems: satisfiable iff some basic solution of
-    # the box-extended system satisfies every constraint.
-    import itertools
+def _feasible_by_vertices(atoms, names, box=1000):
+    """Non-strict systems over three variables: satisfiable iff some basic
+    solution of the box-extended system satisfies every atom."""
+    rows = [([dict(a.coeffs).get(v, 0) for v in names], a.const) for a in atoms]
+    for i in range(3):  # box hyperplanes guarantee vertices exist
+        unit = [0, 0, 0]
+        unit[i] = 1
+        rows.append((unit, box))
+        rows.append((unit, -box))
+    for combo in itertools.combinations(rows, 3):
+        point = _solve3(combo)
+        if point is not None and all(holds(a, dict(zip(names, point))) for a in atoms):
+            return True
+    return False
 
+
+def _random_atom(rng, names, rels=(Rel.LE, Rel.EQ)):
+    coeffs = [rng.randint(-2, 2) for _ in range(3)]
+    const = rng.randint(-4, 4)
+    rel = rng.choice(rels)
+    return LinearAtom.make(dict(zip(names, map(F, coeffs))), rel, F(const))
+
+
+def test_random_systems_against_vertex_enumeration_oracle():
+    # The query is satisfiable iff some combination of one alternative per
+    # choice group is, and the model satisfies the first such combination
+    # in product order (first group slowest).
     rng = random.Random(424242)
-    box = 1000
+    choice_rng = random.Random(4242)
     names = ["x0", "x1", "x2"]
+    verdicts = []
     for _ in range(40):
-        atoms = []
-        raw = []
-        for _ in range(rng.randint(2, 6)):
-            coeffs = [rng.randint(-2, 2) for _ in range(3)]
-            const = rng.randint(-4, 4)
-            rel = rng.choice([Rel.LE, Rel.EQ])
-            raw.append((coeffs, const, rel))
-            atoms.append(LinearAtom.make(dict(zip(names, map(F, coeffs))), rel, F(const)))
-        rows = [(c, b) for c, b, _ in raw]
-        for i in range(3):  # box hyperplanes guarantee vertices exist
-            unit = [0, 0, 0]
-            unit[i] = 1
-            rows.append((unit, box))
-            rows.append((unit, -box))
-        feasible_vertex = False
-        for combo in itertools.combinations(rows, 3):
-            point = _solve3(combo)
-            if point is None:
-                continue
-            valuation = dict(zip(names, point))
-            if all(a.evaluate(valuation) for a in atoms):
-                feasible_vertex = True
-                break
-        assert is_satisfiable(atoms).sat == feasible_vertex
+        atoms = [_random_atom(rng, names) for _ in range(rng.randint(2, 6))]
+        choices = [
+            [
+                [_random_atom(choice_rng, names, (Rel.LE,)) for _ in range(choice_rng.randint(0, 2))]
+                for _ in range(choice_rng.randint(1, 3))
+            ]
+            for _ in range(choice_rng.randint(0, 2))
+        ]
+        combinations = list(itertools.product(*choices))
+        first = next(
+            (c for c in combinations if _feasible_by_vertices(atoms + [a for alt in c for a in alt], names)),
+            None,
+        )
+        res = is_satisfiable(atoms, choices, want_model=True)
+        assert res.sat == (first is not None)
+        if res.sat:
+            assert all(holds(a, res.model) for a in atoms + [a for alt in first for a in alt])
+        verdicts.append(None if first is None else combinations.index(first))
+    # both verdicts occur, and some query is first satisfied past its first combination
+    assert None in verdicts and 0 in verdicts and max(v or 0 for v in verdicts) > 0
 
 
 def test_smtlib_dump_mentions_all_variables():
-    text = to_smtlib(conjunction([atom_le({"x": F(1), "y": F(1, 2)}, 2)]))
+    text = to_smtlib([atom_le({"x": F(1), "y": F(1, 2)}, 2)])
     assert "(declare-const x Real)" in text and "(declare-const y Real)" in text
     assert "(check-sat)" in text
+
+
+def test_smtlib_dump_prints_the_choice_groups():
+    x, y = {"x": F(1)}, {"y": F(1)}
+    forced = [[atom_le(y, 1)]]
+    either = [[atom_lt(x, 0)], [], [atom_gt(x, 3), atom_eq(y, 0)]]
+    text = to_smtlib([atom_ge(x, 2)], [forced, either])
+    assert text == (
+        "(declare-const x Real)\n(declare-const y Real)\n"
+        "(assert (and (<= (* -1 x) -2) (<= (* 1 y) 1) (or (< (* 1 x) 0) true (and (< (* -1 x) -3) (= (* 1 y) 0)))))\n"
+        "(check-sat)\n"
+    )
+    assert to_smtlib([atom_ge(x, 2)], [forced, []]) == "(assert false)\n(check-sat)\n"

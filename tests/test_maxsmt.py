@@ -9,7 +9,7 @@ from conftest import dbm_replay, loop_model
 from tarepair import load_bundled_model
 from tarepair.checker import check
 from tarepair.encoder import encode, feasible, violating
-from tarepair.lra import FAtom, LinearAtom, Rel, conjunction, f_and, is_satisfiable
+from tarepair.lra import LinearAtom, Rel, is_satisfiable
 from tarepair.maxsmt import (
     HardConstraint,
     max_sat,
@@ -33,16 +33,18 @@ def _bundle_hard(kind):
 def test_bound_hard_constraint_admits_the_w_repair():
     net, vs, hard = _bundle_hard("bound")
     # v2 = -1 (w <= 2 -> 1) with every other variable 0 satisfies the formula.
-    pins = [FAtom(LinearAtom.make({v.name: F(1)}, Rel.EQ, F(-1) if v.name == "v2" else F(0))) for v in vs.variables]
-    assert is_satisfiable(f_and([hard.formula] + pins)).sat
+    atoms, choices = hard.formula
+    pins = [LinearAtom.make({v.name: F(1)}, Rel.EQ, F(-1) if v.name == "v2" else F(0)) for v in vs.variables]
+    assert is_satisfiable(atoms + pins, choices).sat
 
 
 def test_universal_part_excludes_all_zero():
     net, vs, hard = _bundle_hard("bound")
     # the all-zero assignment reproduces the violating system, so it is no repair
     assert not hard.check(vs.zero_assignment())
-    pins = [FAtom(LinearAtom.make({v.name: F(1)}, Rel.EQ, 0)) for v in vs.variables]
-    assert not is_satisfiable(f_and([hard.formula] + pins)).sat
+    atoms, choices = hard.formula
+    pins = [LinearAtom.make({v.name: F(1)}, Rel.EQ, 0) for v in vs.variables]
+    assert not is_satisfiable(atoms + pins, choices).sat
 
 
 def test_max_sat_minimality_on_bound_kind():
@@ -111,10 +113,10 @@ def test_sampling_prefers_small_integers():
 
 def test_sampling_falls_back_to_interior_point():
     # A synthetic hard formula forcing v into (1/4, 1/2): no integer fits.
-    from tarepair.lra import atom_gt, atom_lt, conjunction
+    from tarepair.lra import atom_gt, atom_lt
 
     class Fake:
-        formula = conjunction([atom_gt({"v": F(1)}, F(1, 4)), atom_lt({"v": F(1)}, F(1, 2))])
+        formula = [atom_gt({"v": F(1)}, F(1, 4)), atom_lt({"v": F(1)}, F(1, 2))], []
         qe_budget = 10_000
 
         class vs:
@@ -258,8 +260,7 @@ def test_edits_close_to_the_edited_models_zone(kind):
 
 def _lra_entails(new_atoms, old_atoms) -> bool:
     """Does the new conjunction imply every atom of the old one? (by LRA)"""
-    new_conj = conjunction(new_atoms)
-    return not any(is_satisfiable(f_and([new_conj, a.negated_formula()])).sat for a in old_atoms)
+    return not any(is_satisfiable(new_atoms, [a.negation()]).sat for a in old_atoms)
 
 
 @pytest.mark.parametrize("kind", ["operator", "clockref", "reset", "urgent"])

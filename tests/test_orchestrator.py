@@ -295,3 +295,48 @@ def test_reset_variables_toggle_only_declared_clocks():
         flip = dict(vs.zero_assignment(), **{var.name: True})
         repaired = apply_candidate(mutant.network, _candidate_from_assignment(HardConstraint(vs), RepairKind.RESET, flip))
         assert [d for d in validate(repaired, prop) if not d.startswith("warning:")] == [], var.description
+
+
+@pytest.mark.parametrize(
+    "prop, groups, expected",
+    [
+        (
+            "(!@a.L1 || y <= 2) && (x <= 1 || y < 3)",
+            [4, 3],
+            [
+                (
+                    [
+                        "constraint #0 (a.L0 invariant: x <= 1): bound 1 -> 2/3 (v = -1/3)",
+                        "constraint #1 (a transition 0 guard: x >= 1): bound 1 -> 0 (v = -1)",
+                    ],
+                    {"v0": F(-1, 3), "v1": F(-1), "v2": F(0)},
+                )
+            ],
+        ),
+        (
+            "!@a.L1 || (y <= 2 && x <= 0)",
+            [3, 3],
+            [
+                (
+                    [
+                        "constraint #0 (a.L0 invariant: x <= 1): bound 1 -> 0 (v = -1)",
+                        "constraint #1 (a transition 0 guard: x >= 1): bound 1 -> 0 (v = -1)",
+                        "constraint #2 (a transition 1 guard: y >= 2): bound 2 -> 0 (v = -2)",
+                    ],
+                    {"v0": F(-1), "v1": F(-1), "v2": F(-2)},
+                )
+            ],
+        ),
+    ],
+    ids=["conjunction-of-disjunctions", "disjunction-under-location"],
+)
+def test_bound_run_with_a_multi_disjunct_negated_property(prop, groups, expected):
+    # One choice group per disjunct of the negated property; the first run
+    # falls back to a rational model in sampling.
+    net, prop = parse_model(loop_model(prop=prop))
+    trace = check(net, prop).trace
+    hard = HardConstraint(vary(encode(net, trace, prop), "bound"))
+    assert [len(group) for group in hard.formula[1]] == groups
+    rr = run(net, prop, RepairKind.BOUND, tdt=trace)
+    got = [(c.describe_modifications(), dict(c.assignment)) for c in rr.candidates]
+    assert got == expected and rr.admissible == [True] and rr.reason == "exhausted"

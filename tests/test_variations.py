@@ -146,7 +146,7 @@ def test_reset_variation_instantiates_the_edited_system():
     assert vs.variables[0].description == "remove reset of x on a transition 0 (steps 0, 1)"
     zero = edited(vs)
     assert [a.text() for a in zero.linear_atoms()] == [a.text() for a in sys.linear_atoms()]
-    assert zero.property_formula(negated=True) == sys.property_formula(negated=True)
+    assert zero.negated_property_atoms() == sys.negated_property_atoms()
     one = {vs.variables[0].name: True}  # remove t0's reset of x, at steps 0 and 1
     flipped = edited(vs, **one)
     # x is never reset now: its delay sum runs from step 0 at every step
