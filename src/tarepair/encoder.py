@@ -14,7 +14,10 @@ Every atom is a sum of consecutive delays ``d_a + ... + d_b ~ c``, that is
 the difference constraint ``T_{b+1} - T_a ~ c`` over the prefix times
 ``T_0..T_{n+1}``. ``TdtConstraintSystem.decide`` decides the system so, as
 a DBM in ``dbm``'s raw encoding (Bengtsson & Yi 2004), under repair edits
-applied as overrides of its atoms compiled once. ``feasible`` and
+applied as overrides of its atoms compiled once, in three steps that the
+MaxSMT search also runs one by one: ``close`` the system under the edits'
+timing without the edited constraints, ``conjoin`` each edited
+constraint, and test ``meets_negated_property``. ``feasible`` and
 ``violating`` decide it by linear rational arithmetic instead, the
 negated property's disjuncts as one choice group of
 ``lra.is_satisfiable``: the reference, and the contract re-check.
@@ -78,6 +81,7 @@ class TdtConstraintSystem:
         self.prop = prop
         self.atoms = atoms
         self.n = len(stt.steps)
+        self._compiled_at: dict[int, tuple[tuple, tuple]] = {}  # _compile per scale
 
     # -- variable bookkeeping ------------------------------------------------
 
@@ -87,7 +91,7 @@ class TdtConstraintSystem:
     def clock_value_coeffs(self, c: int, j: int, include_exit: bool) -> dict[str, Fraction]:
         """Delay-sum form of clock c at entry of step j (plus d_j when include_exit)."""
         hi = j if include_exit else j - 1
-        return {delta_var(i): Fraction(1) for i in range(self._delay_sum_starts[c][j], hi + 1)}
+        return {delta_var(i): Fraction(1) for i in range(self._unedited_timing[1][c][j], hi + 1)}
 
     # -- materialization -----------------------------------------------------
 
@@ -152,7 +156,7 @@ class TdtConstraintSystem:
         )
         return atoms, disjuncts
 
-    def _starts(self, toggled: frozenset = frozenset()) -> list[list[int]]:
+    def _starts(self, toggled: frozenset = frozenset()) -> tuple[tuple[int, ...], ...]:
         """starts[c][j]: the first step of clock c's delay sum at step j (0..n+1), with
         the reset of c on transition t of automaton a toggled for each ``(a, t, c)``."""
         automata = self.network.automata
@@ -162,64 +166,108 @@ class TdtConstraintSystem:
             for j, move in enumerate(self.stt.steps):
                 reset = any((c in automata[ai].transitions[ti].resets) != ((ai, ti, c) in toggled) for ai, ti in move)
                 row.append(j + 1 if reset else row[-1])
-            starts.append(row + row[-1:])  # the property reads clocks after the last delay
-        return starts
+            starts.append(tuple(row + row[-1:]))  # the property reads clocks after the last delay
+        return tuple(starts)
 
     @cached_property
-    def _delay_sum_starts(self) -> list[list[int]]:
-        return self._starts()
+    def _unedited_timing(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        return _urgent_steps(self.network, self.stt.locations), self._starts()
 
     @cached_property
-    def _unedited(self) -> tuple:
-        """The urgent steps, the closed A block (``T_i - T_j <= 0`` for every
-        ``i <= j``), the constants' scale and the system compiled at it."""
+    def scale(self) -> int:
+        """The scale of the unedited system's constants in the DBM raw encoding."""
+        return constant_scale(self.network, self.prop)
+
+    @cached_property
+    def _ordered(self) -> tuple[int, ...]:
+        """The closed A block: ``T_i - T_j <= 0`` for every ``i <= j``."""
         dim = self.n + 2
-        ordered = tuple(LE_ZERO if j >= i else RAW_INF for i in range(dim) for j in range(dim))
-        scale = constant_scale(self.network, self.prop)
-        return _urgent_steps(self.network, self.stt.locations), ordered, scale, self._compile(scale)
+        return tuple(LE_ZERO if j >= i else RAW_INF for i in range(dim) for j in range(dim))
+
+    @cached_property
+    def _points(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Per constraint index, the ``(step, point)`` of each of its I/G atoms (see ``_compile``)."""
+        points: dict[int, list[tuple[int, int]]] = {}
+        for idx, step, point, *_ in self._compiled(self.scale)[0]:
+            points.setdefault(idx, []).append((step, point))
+        return {idx: tuple(p) for idx, p in points.items()}
+
+    def _compiled(self, scale: int) -> tuple[tuple, tuple]:
+        if scale not in self._compiled_at:
+            self._compiled_at[scale] = self._compile(scale)
+        return self._compiled_at[scale]
+
+    def timing(self, edits=()) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The zero-delay steps and the delay-sum start table (``_starts``) under the
+        urgency and reset ``edits``: the edited system up to its I/G atoms' clocks,
+        operators and bounds, so equal timings give equal systems under equal atoms."""
+        resets = frozenset(m.anchor[1:] for m in edits if m.anchor[0] == "reset")
+        urgency = frozenset(m.anchor[1:] for m in edits if m.anchor[0] == "urgent")
+        urgent, starts = self._unedited_timing
+        if urgency:
+            urgent = _urgent_steps(self.network, self.stt.locations, urgency)
+        return urgent, self._starts(resets) if resets else starts
+
+    def close(self, timing, scale: int, skip=frozenset()) -> list[int] | None:
+        """The closed raw DBM over ``T_0..T_{n+1}`` of the system under ``timing``
+        with constants at ``scale``, leaving out the I/G atoms whose constraint
+        index is in ``skip``; None when it is empty."""
+        urgent, starts = timing
+        dim = self.n + 2
+        m = list(self._ordered)
+        for j in urgent:
+            constrain(m, dim, j + 1, j, Op.EQ, 0)  # zero-weight edges close no negative cycle
+        for idx, step, point, clock, op, strict in self._compiled(scale)[0]:
+            if idx not in skip and not constrain(m, dim, point, starts[clock][step], op, strict):
+                return None
+        return m
+
+    def conjoin(self, m: list[int], timing, scale: int, idx: int, atom: AtomicClockConstraint) -> bool:
+        """Conjoin to ``m`` in place the I/G atoms of constraint index ``idx``, each
+        with the clock, operator and bound of ``atom``; False iff ``m`` becomes empty."""
+        starts = timing[1]
+        strict = raw_constant(atom.bound, scale)
+        dim = self.n + 2
+        start = starts[atom.clock]
+        return all(constrain(m, dim, point, start[step], atom.op, strict) for step, point in self._points.get(idx, ()))
+
+    def meets_negated_property(self, m: list[int], timing, scale: int) -> bool:
+        """Does the non-empty closed DBM ``m`` meet a disjunct of the negated property?"""
+        starts = timing[1]
+        dim, last = self.n + 2, self.n + 1
+
+        def meets(disjunct) -> bool:
+            mm = m.copy()
+            return all(constrain(mm, dim, last, starts[c][last], op, strict) for c, op, strict in disjunct)
+
+        return any(meets(d) for d in self._compiled(scale)[1])
 
     def decide(self, edits=()) -> tuple[DifferenceBoundMatrix, bool]:
         """The closed DBM over ``T_0..T_{n+1}`` and whether it meets the negated property.
 
         ``edits`` (``variations.Modification``) override the compiled
         system, so the result is that of ``encode`` on the edited model. An
-        empty system gives the canonical empty DBM and False.
+        empty system gives the canonical empty DBM and False. The system is
+        closed without the edited constraints' atoms, which are then
+        conjoined under their edits; closure is canonical, so the order
+        does not show.
         """
         constraint = {m.anchor[1]: m.new for m in edits if m.anchor[0] == "constraint"}
-        resets = frozenset(m.anchor[1:] for m in edits if m.anchor[0] == "reset")
-        urgency = frozenset(m.anchor[1:] for m in edits if m.anchor[0] == "urgent")
-        urgent, ordered, unedited_scale, compiled = self._unedited
-        scale = lcm(unedited_scale, *(a.bound.denominator for a in constraint.values()))
-        overrides = {idx: (a.clock, a.op, raw_constant(a.bound, scale)) for idx, a in constraint.items()}
-        atoms, disjuncts = compiled if scale == unedited_scale else self._compile(scale)
-        starts = self._starts(resets) if resets else self._delay_sum_starts
-        if urgency:
-            urgent = _urgent_steps(self.network, self.stt.locations, urgency)
-        dim = self.n + 2
-        m = list(ordered)
-        for j in urgent:
-            constrain(m, dim, j + 1, j, Op.EQ, 0)  # zero-weight edges close no negative cycle
-        for idx, step, point, clock, op, strict in atoms:
-            if idx in overrides:
-                clock, op, strict = overrides[idx]
-            if not constrain(m, dim, point, starts[clock][step], op, strict):
-                return empty_zone(self.n + 1, scale), False
-        last = self.n + 1
-
-        def meets(disjunct) -> bool:
-            mm = m.copy()
-            return all(constrain(mm, dim, last, starts[c][last], op, strict) for c, op, strict in disjunct)
-
-        return DifferenceBoundMatrix(self.n + 1, scale, tuple(m)), any(meets(d) for d in disjuncts)
+        timing = self.timing(edits)
+        scale = lcm(self.scale, *(a.bound.denominator for a in constraint.values()))
+        m = self.close(timing, scale, constraint.keys())
+        if m is None or not all(self.conjoin(m, timing, scale, idx, a) for idx, a in constraint.items()):
+            return empty_zone(self.n + 1, scale), False
+        return DifferenceBoundMatrix(self.n + 1, scale, tuple(m)), self.meets_negated_property(m, timing, scale)
 
 
-def _urgent_steps(network: TimedAutomatonNetwork, locations, toggled: frozenset = frozenset()) -> list[int]:
+def _urgent_steps(network: TimedAutomatonNetwork, locations, toggled: frozenset = frozenset()) -> tuple[int, ...]:
     """The steps whose sojourn must be zero; ``toggled`` holds urgency edits ``(a, l)``."""
-    return [
+    return tuple(
         j
         for j, locvec in enumerate(locations)
         if any((li in network.automata[ai].urgent) != ((ai, li) in toggled) for ai, li in enumerate(locvec))
-    ]
+    )
 
 
 def encode(

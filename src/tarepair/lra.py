@@ -19,7 +19,6 @@ There is no rounding anywhere: verdicts and models are exact.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
@@ -473,10 +472,27 @@ def is_satisfiable(
     The combinations run in ``itertools.product`` order, first group
     slowest, and the first satisfiable one wins, so returned models are
     deterministic. An empty group is false and an empty alternative true.
+    With two or more groups, each proper prefix of a combination (``atoms``
+    plus alternatives of the first k groups) is solved first and every
+    combination under an unsatisfiable one is skipped, which skips no
+    satisfiable combination; a prefix whose solve exceeds the budget prunes
+    nothing.
     """
-    atoms = list(atoms)
-    for combination in itertools.product(*choices):
-        res = _solve_conjunction(atoms + [a for alt in combination for a in alt], budget, want_model)
-        if res.sat:
-            return res
-    return SatResult(False)
+    prune = len(choices) > 1
+
+    def first_sat(prefix: list[LinearAtom], k: int) -> SatResult:
+        if k == len(choices):
+            return _solve_conjunction(prefix, budget, want_model)
+        if prune:
+            try:
+                if not _solve_conjunction(prefix, budget, False).sat:
+                    return SatResult(False)
+            except QeBudgetExceeded:
+                pass
+        for alt in choices[k]:
+            res = first_sat(prefix + list(alt), k + 1)
+            if res.sat:
+                return res
+        return SatResult(False)
+
+    return first_sat(list(atoms), 0)

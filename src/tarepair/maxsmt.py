@@ -11,7 +11,19 @@ makes the ``variations.edit`` of each non-zero variable (once per value
 and run), and ``TdtConstraintSystem.decide`` applies them to the base
 trace system and decides both quantifiers by difference logic. So the
 discrete analyses (operator, clock reference, resets, urgency) make no
-linear rational arithmetic call. For the bound analysis, whose variables
+linear rational arithmetic call, and each decides every distinct edited
+system once, with pruning:
+
+- operator and clock reference: ``repairing_assignments`` closes the
+  system once per modified set without the set's constraints and walks
+  the set's values depth first, conjoining one variable's edited atoms
+  per level; a level that closes empty prunes every assignment below it;
+- resets and urgency: the edits change only the timing of the system (its
+  zero-delay steps and delay-sum starts), so ``HardConstraint.check``
+  keeps one verdict per timing; and reset toggles whose clock nothing
+  reads after their transition first fires start blocked in ``max_sat``.
+
+For the bound analysis, whose variables
 are free rationals, the hard constraint is also a formula over them,
 projected by quantifier elimination over the delays: the existential
 projection conjoined with, per disjunct of the negated property, one
@@ -29,7 +41,7 @@ import itertools
 from fractions import Fraction
 
 from .lra import DEFAULT_QE_BUDGET, LinearAtom, atom_eq, eliminate, is_satisfiable
-from .variations import Modification, VariedSystem, edit
+from .variations import Modification, VariationVariable, VariedSystem, edit
 
 
 class HardConstraint:
@@ -44,6 +56,7 @@ class HardConstraint:
         self.qe_budget = qe_budget
         self.formula = self._bound_formula() if vs.kind == "bound" else None
         self._edits: dict[tuple[str, object], Modification] = {}
+        self._verdicts: dict[tuple, bool] = {}  # reset and urgent kinds: per timing
 
     def _bound_formula(self) -> tuple[list[LinearAtom], list[list[list[LinearAtom]]]]:
         """The existential projection, and per negated-property disjunct one
@@ -58,22 +71,35 @@ class HardConstraint:
         ]
         return existential, groups
 
+    def edit(self, var: VariationVariable, value) -> Modification:
+        """``variations.edit`` of one non-zero value, made once per run."""
+        m = self._edits.get((var.name, value))
+        if m is None:
+            m = self._edits[(var.name, value)] = edit(self.vs, var, value)
+        return m
+
     def edits(self, assignment: dict[str, object]) -> list[Modification]:
         """The modifications that the assignment's non-zero variables make."""
-        out = []
-        for var in self.vs.variables:
-            value = assignment[var.name]
-            if value != var.zero:
-                m = self._edits.get((var.name, value))
-                if m is None:
-                    m = self._edits[(var.name, value)] = edit(self.vs, var, value)
-                out.append(m)
-        return out
+        return [self.edit(var, assignment[var.name]) for var in self.vs.variables if assignment[var.name] != var.zero]
 
     def check(self, assignment: dict[str, object]) -> bool:
-        """Is this full assignment a repair (feasible, no violating realization)?"""
-        zone, violating = self.vs.base.decide(self.edits(assignment))
-        return not zone.empty and not violating
+        """Is this full assignment a repair (feasible, no violating realization)?
+
+        Reset and urgency edits change only the edited system's timing
+        (``TdtConstraintSystem.timing``), so those kinds decide each distinct
+        timing once and keep its verdict.
+        """
+        base = self.vs.base
+        edits = self.edits(assignment)
+        if self.vs.kind not in ("reset", "urgent"):
+            zone, violating = base.decide(edits)
+            return not zone.empty and not violating
+        timing = base.timing(edits)
+        verdict = self._verdicts.get(timing)
+        if verdict is None:
+            m = base.close(timing, base.scale)
+            verdict = self._verdicts[timing] = m is not None and not base.meets_negated_property(m, timing, base.scale)
+        return verdict
 
     def check_with_zeros(self, zeros: frozenset[str]) -> bool:
         """Bound kind: is the hard formula satisfiable with these variables pinned to 0?"""
@@ -91,18 +117,65 @@ def repairing_assignments(hard: HardConstraint, modified: tuple[str, ...]):
     """All repairing value combinations on exactly the given modified set.
 
     Discrete kinds only; values run over each variable's non-zero domain in
-    lexicographic order, so enumeration is deterministic.
+    lexicographic order, so enumeration is deterministic and follows
+    ``itertools.product``. Operator and clock-reference edits replace whole
+    atoms, so those kinds close the trace system once without the set's
+    constraints and conjoin one variable's edited atoms per level of a
+    depth-first walk: a level that closes empty prunes every assignment
+    below it, and each leaf is the DBM ``decide`` builds for it.
     """
     vs = hard.vs
     zeros = {v.name: v.zero for v in vs.variables if v.name not in modified}
     mvars = [v for name in modified for v in vs.variables if v.name == name]
+    if vs.kind not in ("operator", "clockref"):
+        combos = itertools.product(*(nonzero_values(v) for v in mvars))
+        assignments = (dict(zeros, **{v.name: val for v, val in zip(mvars, combo)}) for combo in combos)
+        return [a for a in assignments if hard.check(a)]
+    base = vs.base
+    timing, scale = base.timing(), base.scale
     found = []
-    for combo in itertools.product(*(nonzero_values(v) for v in mvars)):
-        assignment = dict(zeros)
-        assignment.update({v.name: val for v, val in zip(mvars, combo)})
-        if hard.check(assignment):
-            found.append(assignment)
+
+    def walk(m: list[int], values: tuple) -> None:
+        if len(values) == len(mvars):
+            if not base.meets_negated_property(m, timing, scale):
+                found.append(dict(zeros, **{v.name: val for v, val in zip(mvars, values)}))
+            return
+        var = mvars[len(values)]
+        for value in nonzero_values(var):
+            edited = m.copy()
+            if base.conjoin(edited, timing, scale, var.anchor[0], hard.edit(var, value).new):
+                walk(edited, values + (value,))
+
+    m = base.close(timing, scale, {v.anchor[0] for v in mvars})
+    if m is not None:
+        walk(m, ())
     return found
+
+
+def dead_reset_toggles(vs: VariedSystem) -> set[str]:
+    """Reset variables whose clock no I/G atom and no property atom reads after
+    the first step where their transition fires.
+
+    Such a toggle moves only the start of its clock's delay sums after that
+    step, which nothing reads, so it leaves the edited system unchanged
+    whatever else is edited.
+    """
+    base = vs.base
+    last_read = {}  # clock -> last step whose atoms read it
+    for ta in base.atoms:
+        if ta.block in ("I", "G"):
+            last_read[ta.clock] = max(last_read.get(ta.clock, -1), ta.step)
+    for disjunct in base.negated_property:
+        for a in disjunct:
+            last_read[a.clock] = base.n + 1
+    steps = base.stt.steps
+    dead = set()
+    for var in vs.variables:
+        ai, ti, c = var.anchor
+        first = next(j for j, move in enumerate(steps) if (ai, ti) in move)
+        if last_read.get(c, -1) <= first:
+            dead.add(var.name)
+    return dead
 
 
 # Largest integer magnitude sample_repair_values tries before it falls back
@@ -159,10 +232,17 @@ def max_sat(hard: HardConstraint):
     assignment per set, the discrete kinds every repairing assignment on
     it. Once yielded, a set's variables stay pinned to zero: later sets
     never modify them.
+
+    The reset kind starts with its dead toggles (``dead_reset_toggles``)
+    blocked: a set holding one repairs only if the set without it does,
+    which is searched first and, when it repairs, blocks the larger set.
+    Only the empty set, which repairs when the trace has no violation,
+    would not block it, so then they are unblocked.
     """
     vs = hard.vs
     all_names = [v.name for v in vs.variables]
-    blocked: set[str] = set()
+    dead = dead_reset_toggles(vs) if vs.kind == "reset" else set()
+    blocked: set[str] = set(dead)
     size = 0
     while size <= len(all_names) - len(blocked):
         names = [n for n in all_names if n not in blocked]
@@ -181,5 +261,7 @@ def max_sat(hard: HardConstraint):
                 if not assignments:
                     continue
             blocked.update(combo)
+            if not combo:
+                blocked -= dead
             yield combo, assignments
         size += 1

@@ -53,9 +53,9 @@ def parse_rational(value: Any, path: str) -> Fraction:
 
 
 def _typed(value: Any, kind: type, path: str) -> Any:
-    """``value`` when it is a ``kind`` (list, dict or str); a ModelFormatError otherwise."""
+    """``value`` when it is a ``kind`` (list, dict, str or bool); a ModelFormatError otherwise."""
     if not isinstance(value, kind):
-        expected = {list: "a list", dict: "an object", str: "a string"}[kind]
+        expected = {list: "a list", dict: "an object", str: "a string", bool: "a boolean"}[kind]
         raise ModelFormatError(f"{path}: expected {expected}, got {value!r}")
     return value
 
@@ -252,7 +252,7 @@ def parse_model(text: str) -> tuple[TimedAutomatonNetwork, SafetyProperty]:
                     for s in _typed(ldoc.get("invariant", []), list, f"{lpath}.invariant")
                 )
             )
-            if ldoc.get("urgent", False):
+            if _typed(ldoc.get("urgent", False), bool, f"{lpath}.urgent"):
                 urgent.add(li)
         if adoc.get("initial") not in loc_names:
             raise ModelFormatError(f"{path}: initial location {adoc.get('initial')!r} not found")

@@ -202,6 +202,10 @@ def _first_invariant(text):
         (_first_invariant("x <= 1/0"), "automata[0].locations[0]: zero denominator"),
         (lambda doc: doc.update(property="y <= 1/0"), "property: zero denominator"),
         (_first_invariant("x <= -1"), "automata[0].locations[0]: negative clock bound"),
+        (
+            lambda doc: doc["automata"][0]["locations"][0].update(urgent="false"),
+            "automata[0].locations[0].urgent: expected a boolean",
+        ),
     ],
     ids=[
         "automata-not-a-list",
@@ -213,6 +217,7 @@ def _first_invariant(text):
         "zero-denominator-in-invariant",
         "zero-denominator-in-property",
         "negative-invariant-bound",
+        "urgent-not-a-boolean",
     ],
 )
 def test_malformed_model_document_is_a_usage_error(tmp_path, capsys, mutate, where):

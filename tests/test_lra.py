@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import holds, substitute
+from tarepair import lra
 from tarepair.lra import (
     LinearAtom,
     QeBudgetExceeded,
@@ -195,6 +196,70 @@ def test_random_systems_against_vertex_enumeration_oracle():
         verdicts.append(None if first is None else combinations.index(first))
     # both verdicts occur, and some query is first satisfied past its first combination
     assert None in verdicts and 0 in verdicts and max(v or 0 for v in verdicts) > 0
+
+
+def _product_reference(atoms, choices):
+    """The unpruned search: every combination in product order, first
+    satisfiable wins. Returns its result and the combinations it solved."""
+    for solved, combination in enumerate(itertools.product(*choices), 1):
+        res = lra._solve_conjunction(atoms + [a for alt in combination for a in alt], lra.DEFAULT_QE_BUDGET, True)
+        if res.sat:
+            return res, solved
+    return lra.SatResult(False), solved
+
+
+def _random_queries(seed, count):
+    rng = random.Random(seed)
+    names = ["x0", "x1", "x2"]
+    for _ in range(count):
+        atoms = [_random_atom(rng, names) for _ in range(rng.randint(1, 4))]
+        choices = [
+            [
+                [_random_atom(rng, names, (Rel.LE, Rel.LT)) for _ in range(rng.randint(0, 2))]
+                for _ in range(rng.randint(1, 3))
+            ]
+            for _ in range(rng.randint(2, 4))
+        ]
+        yield atoms, choices
+
+
+def test_pruned_choice_search_returns_the_products_first_model(monkeypatch):
+    # Two to four groups: the prefix-pruned search gives the verdict and the
+    # very model of the first satisfiable combination, and solves fewer
+    # whole combinations.
+    real = lra._solve_conjunction
+    combinations = []  # whole combinations solved, the only solves asking a model
+
+    def recording(atoms, budget, want_model):
+        combinations.append(want_model)
+        return real(atoms, budget, want_model)
+
+    sat = pruned = 0
+    for atoms, choices in _random_queries(777, 60):
+        combinations.clear()
+        monkeypatch.setattr(lra, "_solve_conjunction", recording)
+        res = is_satisfiable(atoms, choices, want_model=True)
+        monkeypatch.setattr(lra, "_solve_conjunction", real)
+        ref, solved = _product_reference(atoms, choices)
+        assert res == ref
+        sat += res.sat
+        pruned += combinations.count(True) < solved
+    assert 0 < sat < 60 and pruned > 0
+
+
+def test_prefix_over_the_budget_prunes_nothing(monkeypatch):
+    # Every prefix solve (the ones asking no model) exceeds the budget: the
+    # search then solves every combination in product order, as unpruned.
+    real = lra._solve_conjunction
+
+    def prefixes_exceed(atoms, budget, want_model):
+        if not want_model:
+            raise QeBudgetExceeded("prefix")
+        return real(atoms, budget, want_model)
+
+    monkeypatch.setattr(lra, "_solve_conjunction", prefixes_exceed)
+    for atoms, choices in _random_queries(778, 30):
+        assert is_satisfiable(atoms, choices, want_model=True) == _product_reference(atoms, choices)[0]
 
 
 def test_smtlib_dump_mentions_all_variables():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tarepair import load_bundled_model, maxsmt
+from tarepair import load_bundled_model, lra, maxsmt
 from tarepair.checker import check
 from tarepair.encoder import encode, feasible, violating
 from tarepair.maxsmt import HardConstraint
@@ -340,3 +340,29 @@ def test_bound_run_with_a_multi_disjunct_negated_property(prop, groups, expected
     rr = run(net, prop, RepairKind.BOUND, tdt=trace)
     got = [(c.describe_modifications(), dict(c.assignment)) for c in rr.candidates]
     assert got == expected and rr.admissible == [True] and rr.reason == "exhausted"
+
+
+def test_bound_run_prunes_the_product_of_its_choice_groups(monkeypatch):
+    # Four groups of 6, 4, 6 and 4 alternatives make 576 combinations per
+    # query; solving every one cost this run 81,752 conjunctions. The
+    # prefix-pruned search finds the same candidate with far fewer.
+    net, prop = parse_model(loop_model(prop="!@a.L1 || (y <= 2 && x <= 0) || y == 7"))
+    trace = check(net, prop).trace
+    hard = HardConstraint(vary(encode(net, trace, prop), "bound"))
+    assert [len(group) for group in hard.formula[1]] == [6, 4, 6, 4]
+    solves = []
+    real = lra._solve_conjunction
+    monkeypatch.setattr(lra, "_solve_conjunction", lambda *args: solves.append(args) or real(*args))
+    rr = run(net, prop, RepairKind.BOUND, tdt=trace)
+    got = [(c.describe_modifications(), dict(c.assignment)) for c in rr.candidates]
+    assert got == [
+        (
+            [
+                "constraint #0 (a.L0 invariant: x <= 1): bound 1 -> 7/2 (v = 5/2)",
+                "constraint #2 (a transition 1 guard: y >= 2): bound 2 -> 7 (v = 5)",
+            ],
+            {"v0": F(5, 2), "v1": F(0), "v2": F(5)},
+        )
+    ]
+    assert rr.admissible == [True] and rr.reason == "exhausted"
+    assert len(solves) <= 1_208
