@@ -5,7 +5,9 @@ language as the network it was computed for. The language is the
 prefix-closed set of channel-action sequences observable in runs: every
 state accepts, internal transitions are silent and removed by
 epsilon-closure. Both automata are built with one shared extrapolation
-constant so their abstractions are comparable.
+constant so their abstractions are comparable. A network whose initial
+valuation violates its initial invariants has no run, so its language is
+empty: it does not even contain the empty word.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .checker import Exhausted, MoveIndex, initial_state, move_label, successor
+from . import dbm
+from .checker import Exhausted, MoveTable
 from .model import TimedAutomatonNetwork, constant_scale, max_constant
 
 SILENT = None  # edge label of internal moves
@@ -21,7 +24,10 @@ SILENT = None  # edge label of internal moves
 
 @dataclass(frozen=True)
 class UntimedAutomaton:
-    """Finite automaton over action labels; all states accepting."""
+    """Finite automaton over action labels; all states accepting.
+
+    With no states it is ``EMPTY_LANGUAGE``, which accepts no word at all.
+    """
 
     n_states: int
     initial: int
@@ -31,6 +37,8 @@ class UntimedAutomaton:
     def successors(self, state: int, label: str | None) -> list[int]:
         return [t for lab, t in self.edges[state] if lab == label]
 
+
+EMPTY_LANGUAGE = UntimedAutomaton(0, 0, (), ())
 
 DEFAULT_UNTIMED_BUDGET = 5_000
 
@@ -48,20 +56,24 @@ def build_untimed(
     """
     if k is None:
         k = max_constant(network)
-    init = initial_state(network, k, constant_scale(network))
-    moves = MoveIndex(network)
+    table = MoveTable(network, k, constant_scale(network))
+    init = table.initial_state()
+    if init is None:
+        return EMPTY_LANGUAGE
     ids = {init: 0}
     order = [init]
     edges: list[list[tuple[str | None, int]]] = [[]]
     queue = deque([init])
+    post = dbm.post
     while queue:
         state = queue.popleft()
         sid = ids[state]
         locvec, zone = state
-        for move in moves.enabled(locvec):
-            nxt = successor(network, locvec, zone, move, k)
-            if nxt is None:
+        for move, label, target, guard, resets, invariants, delay in table.moves(locvec):
+            z = post(zone, guard, resets, invariants, delay, k)
+            if z is None:
                 continue
+            nxt = (target, z)
             if nxt not in ids:
                 if len(ids) >= state_budget:
                     raise Exhausted(f"untimed automaton exceeded {state_budget} states")
@@ -69,7 +81,6 @@ def build_untimed(
                 order.append(nxt)
                 edges.append([])
                 queue.append(nxt)
-            label = move_label(network, move)
             if label is None and visible_internal:
                 ai, ti = move[0]
                 label = f"{network.automata[ai].name}.t{ti}"
@@ -90,6 +101,11 @@ def _closure(ua: UntimedAutomaton, states: frozenset[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
+def _start(ua: UntimedAutomaton) -> frozenset[int]:
+    """States reached by the empty word; none for the empty language."""
+    return _closure(ua, frozenset([ua.initial])) if ua.n_states else frozenset()
+
+
 def _post(ua: UntimedAutomaton, states: frozenset[int], label: str) -> frozenset[int]:
     out = set()
     for s in states:
@@ -99,12 +115,12 @@ def _post(ua: UntimedAutomaton, states: frozenset[int], label: str) -> frozenset
 
 def accepts(ua: UntimedAutomaton, word) -> bool:
     """Is the label sequence a prefix of some run (subset simulation)?"""
-    cur = _closure(ua, frozenset([ua.initial]))
+    cur = _start(ua)
     for label in word:
         cur = _post(ua, cur, label)
         if not cur:
             return False
-    return True
+    return bool(cur)
 
 
 @dataclass(frozen=True)
@@ -126,7 +142,9 @@ def equivalent(a: UntimedAutomaton, b: UntimedAutomaton) -> Equivalence:
     word as the witness.
     """
     alphabet = sorted(set(a.alphabet) | set(b.alphabet))
-    start = (_closure(a, frozenset([a.initial])), _closure(b, frozenset([b.initial])))
+    start = (_start(a), _start(b))
+    if bool(start[0]) != bool(start[1]):
+        return Equivalence(False, ())  # exactly one side has no run
     seen = {start}
     queue: deque = deque([(start, ())])
     visited = 0

@@ -5,7 +5,8 @@ zone) states, so a Violated verdict carries a trace of minimal transition
 count. Enabled moves are enumerated in lexicographic (automaton index,
 transition index) order, which makes the reported trace deterministic.
 Urgency is enforced directly: when any current location is urgent, the
-delay closure is skipped.
+delay closure is skipped. A ``MoveTable`` compiles each location vector's
+moves once per exploration, and ``dbm.post`` computes each successor.
 """
 
 from __future__ import annotations
@@ -104,47 +105,74 @@ def move_label(network: TimedAutomatonNetwork, move) -> str | None:
     return None if t.channel is None else network.channel_names[t.channel]
 
 
-def _invariant_atoms(network: TimedAutomatonNetwork, locvec) -> list:
-    return [a for ai, li in enumerate(locvec) for a in network.automata[ai].invariants[li]]
+class MoveTable:
+    """The moves of one network compiled for one exploration at ``k`` and ``scale``.
 
+    ``moves(locvec)`` lists, once per location vector and in
+    ``MoveIndex.enabled`` order, a tuple per enabled move: the move, its
+    label, the target vector, the guard as raw ``dbm.atom_edges``, the
+    sorted reset matrix indices, and the target's invariant edges and
+    whether it may delay (no location of it is urgent): the arguments of
+    ``dbm.post`` for that move.
+    """
 
-def _is_urgent_vector(network: TimedAutomatonNetwork, locvec) -> bool:
-    return any(li in network.automata[ai].urgent for ai, li in enumerate(locvec))
+    def __init__(self, network: TimedAutomatonNetwork, k: int, scale: int) -> None:
+        self.network = network
+        self.k = k
+        self.scale = scale
+        self._index = MoveIndex(network)
+        self._transitions = [
+            [
+                (t.target, tuple(e for a in t.guard for e in dbm.atom_edges(a, scale)), t.resets)
+                for t in auto.transitions
+            ]
+            for auto in network.automata
+        ]
+        self._vectors: dict[tuple[int, ...], tuple[tuple, bool]] = {}
+        self._moves: dict[tuple[int, ...], list[tuple]] = {}
 
+    def _vector(self, locvec: tuple[int, ...]) -> tuple[tuple, bool]:
+        """(invariant edges, may delay) of one location vector."""
+        entry = self._vectors.get(locvec)
+        if entry is None:
+            autos = self.network.automata
+            invariants = tuple(
+                e
+                for ai, li in enumerate(locvec)
+                for a in autos[ai].invariants[li]
+                for e in dbm.atom_edges(a, self.scale)
+            )
+            delay = not any(li in autos[ai].urgent for ai, li in enumerate(locvec))
+            entry = self._vectors[locvec] = (invariants, delay)
+        return entry
 
-def successor(network: TimedAutomatonNetwork, locvec, zone, move, k: int):
-    """Symbolic successor under one move, or None if disabled."""
-    z = zone
-    resets: set[int] = set()
-    newvec = list(locvec)
-    for ai, ti in move:
-        t = network.automata[ai].transitions[ti]
-        z = dbm.and_atoms(z, t.guard)
-        if dbm.is_empty(z):
-            return None
-        resets |= t.resets
-        newvec[ai] = t.target
-    z = dbm.reset_many(z, resets)
-    invariants = _invariant_atoms(network, newvec)
-    z = dbm.and_atoms(z, invariants)
-    if dbm.is_empty(z):
-        return None
-    if not _is_urgent_vector(network, newvec):
-        z = dbm.and_atoms(dbm.up(z), invariants)
-    z = dbm.extrapolate(z, k)
-    return tuple(newvec), z
+    def moves(self, locvec: tuple[int, ...]) -> list[tuple]:
+        """The compiled enabled moves of one location vector."""
+        entries = self._moves.get(locvec)
+        if entries is None:
+            entries = self._moves[locvec] = []
+            for move in self._index.enabled(locvec):
+                target = list(locvec)
+                guard: tuple = ()
+                resets: set[int] = set()
+                for ai, ti in move:
+                    tgt, edges, clocks = self._transitions[ai][ti]
+                    target[ai] = tgt
+                    guard += edges
+                    resets |= clocks
+                target = tuple(target)
+                invariants, delay = self._vector(target)
+                label = move_label(self.network, move)
+                entries.append((move, label, target, guard, sorted(c + 1 for c in resets), invariants, delay))
+        return entries
 
-
-def initial_state(network: TimedAutomatonNetwork, k: int, scale: int):
-    """Initial symbolic state; ``scale`` is the zones' (``model.constant_scale``)."""
-    locvec = tuple(a.initial for a in network.automata)
-    invariants = _invariant_atoms(network, locvec)
-    z = dbm.and_atoms(dbm.zero_zone(network.n_clocks, scale), invariants)
-    if dbm.is_empty(z):
-        raise ValueError("initial state violates its own invariants")
-    if not _is_urgent_vector(network, locvec):
-        z = dbm.and_atoms(dbm.up(z), invariants)
-    return locvec, dbm.extrapolate(z, k)
+    def initial_state(self):
+        """The initial symbolic state, or None where the initial valuation
+        violates the initial locations' invariants (the network has no run)."""
+        locvec = tuple(a.initial for a in self.network.automata)
+        invariants, delay = self._vector(locvec)
+        zone = dbm.post(dbm.zero_zone(self.network.n_clocks, self.scale), (), (), invariants, delay, self.k)
+        return None if zone is None else (locvec, zone)
 
 
 def _violates(network, locvec, zone, bad_dnf: list[list[DnfLiteral]]) -> bool:
@@ -177,16 +205,15 @@ def check(
     """
     k = max_constant(network, prop)
     bad = prop_to_dnf(prop.negate())
-    try:
-        init = initial_state(network, k, constant_scale(network, prop))
-    except ValueError:
-        # The initial state violates its own invariants: no reachable
-        # states, so the property holds vacuously.
+    table = MoveTable(network, k, constant_scale(network, prop))
+    init = table.initial_state()
+    if init is None:
+        # No reachable states, so the property holds vacuously.
         return Verdict(True, None, 0)
-    moves = MoveIndex(network)
     parents: dict = {init: None}
     queue = deque([init])
     explored = 0
+    post = dbm.post
     while queue:
         state = queue.popleft()
         explored += 1
@@ -211,9 +238,12 @@ def check(
                 tuple(tuple(sorted(m)) for m in steps), tuple(locations)
             )
             return Verdict(False, trace, explored)
-        for move in moves.enabled(locvec):
-            nxt = successor(network, locvec, zone, move, k)
-            if nxt is None or nxt in parents:
+        for move, _label, target, guard, resets, invariants, delay in table.moves(locvec):
+            z = post(zone, guard, resets, invariants, delay, k)
+            if z is None:
+                continue
+            nxt = (target, z)
+            if nxt in parents:
                 continue
             parents[nxt] = (state, move)
             queue.append(nxt)

@@ -36,6 +36,17 @@ EXIT_EXHAUSTED = 3
 ALL_KINDS = [k.value for k in RepairKind]
 
 
+def _budget(text: str) -> int:
+    """A budget option's value: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tarepair",
@@ -46,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="model-check a timed safety property")
     p_check.add_argument("model", help="model file (JSON)")
     p_check.add_argument("--trace-out", help="write the diagnostic trace to this file")
-    p_check.add_argument("--state-budget", type=int, default=20_000)
+    p_check.add_argument("--state-budget", type=_budget, default=20_000)
 
     p_repair = sub.add_parser("repair", help="compute and check syntactic repairs")
     p_repair.add_argument("model")
@@ -55,9 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kind", choices=ALL_KINDS + ["all"], default="all", help="repair analysis to run"
     )
     p_repair.add_argument("--out", default="repairs", help="output directory")
-    p_repair.add_argument("--max-repairs", type=int, default=DEFAULT_MAX_REPAIRS)
-    p_repair.add_argument("--qe-budget", type=int, default=DEFAULT_QE_BUDGET)
-    p_repair.add_argument("--state-budget", type=int, default=20_000)
+    p_repair.add_argument("--max-repairs", type=_budget, default=DEFAULT_MAX_REPAIRS)
+    p_repair.add_argument("--qe-budget", type=_budget, default=DEFAULT_QE_BUDGET)
+    p_repair.add_argument("--state-budget", type=_budget, default=20_000)
     p_repair.add_argument(
         "--dump-smt", help="debug: write the trace constraint system over delays as SMT-LIB2 text"
     )
@@ -66,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seed.add_argument("model")
     p_seed.add_argument("--kinds", nargs="*", choices=list(SEED_KINDS), default=list(SEED_KINDS))
     p_seed.add_argument("--out", default="seeding", help="output directory")
-    p_seed.add_argument("--max-repairs", type=int, default=DEFAULT_MAX_REPAIRS)
+    p_seed.add_argument("--max-repairs", type=_budget, default=DEFAULT_MAX_REPAIRS)
 
     p_adm = sub.add_parser("admissible", help="compare the untimed languages of two models")
     p_adm.add_argument("model_a")

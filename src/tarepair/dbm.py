@@ -18,6 +18,11 @@ tightens one entry (two for ``=``) and re-closes the matrix in O(n^2)
 through that entry; ``extrapolate`` re-relaxes only the entries it
 loosened, and only ``canonicalize`` runs the full O(n^3) closure.
 ``bound(i, j)`` decodes an entry back to ``(Fraction | None, strict)``.
+
+``post`` is the explorers' kernel: one whole symbolic step (guard, resets,
+invariants, delay, extrapolation) on one list copy of the zone, with the
+atoms already compiled to raw edges by ``atom_edges``. The per-operation
+functions compose to the same canonical zone and serve as its reference.
 """
 
 from __future__ import annotations
@@ -94,6 +99,56 @@ def _tighten(m: list[int], dim: int, i: int, j: int, b: int) -> bool:
             if via < m[kbase + l]:
                 m[kbase + l] = via
     return True
+
+
+def atom_edges(atom: AtomicClockConstraint, scale: int) -> tuple[tuple[int, int, int], ...]:
+    """The raw edges ``(i, j, b)``, each bounding clock_i - clock_j by ``b``, that
+    conjoin ``atom`` at ``scale``: the upper edge before the lower one, as
+    ``and_atom`` applies them. ValueError for an atom off the scale."""
+    v = raw_constant(atom.bound, scale)
+    c = atom.clock + 1
+    upper, lower = _UPPER_WEAK[atom.op], _LOWER_WEAK[atom.op]
+    edges = [] if upper is None else [(c, 0, v + upper)]
+    if lower is not None:
+        edges.append((0, c, lower - v))
+    return tuple(edges)
+
+
+def _conjoin(m: list[int], dim: int, edges) -> bool:
+    """Apply raw edges to a closed matrix in place; False iff it becomes empty."""
+    for i, j, b in edges:
+        if b < m[i * dim + j] and not _tighten(m, dim, i, j, b):
+            return False
+    return True
+
+
+def post(
+    d: DifferenceBoundMatrix, guard, resets, invariants, delay: bool, k: int
+) -> DifferenceBoundMatrix | None:
+    """The extrapolated successor of a non-empty canonical zone under one step.
+
+    ``guard`` and ``invariants`` are raw edges from ``atom_edges`` at
+    ``d.scale``; ``resets`` are the sorted matrix indices (clock + 1) set to 0.
+    The result equals ``extrapolate(and_atoms(up(Z), inv), k)``, or
+    ``extrapolate(Z, k)`` without ``delay``, where ``Z`` is
+    ``and_atoms(reset_many(and_atoms(d, guard), resets), inv)``; None where a
+    conjunction empties the zone. Canonical DBMs are unique, so computing it
+    on one list gives the same zone as the composition.
+    """
+    dim = d.n + 1
+    m = list(d.m)
+    if not _conjoin(m, dim, guard):
+        return None
+    for c in resets:
+        m[c * dim : (c + 1) * dim] = m[:dim]  # row c := row 0
+        m[c::dim] = m[::dim]  # column c := column 0
+    if not _conjoin(m, dim, invariants):
+        return None
+    if delay:
+        m[dim::dim] = [RAW_INF] * d.n  # up
+        _conjoin(m, dim, invariants)  # cannot empty: the undelayed zone satisfies them
+    _extrapolate(m, dim, 2 * k * d.scale)
+    return DifferenceBoundMatrix(d.n, d.scale, tuple(m))
 
 
 def canonicalize(d: DifferenceBoundMatrix) -> DifferenceBoundMatrix:
@@ -215,26 +270,22 @@ def reset_many(d: DifferenceBoundMatrix, clocks) -> DifferenceBoundMatrix:
     return d
 
 
-def extrapolate(d: DifferenceBoundMatrix, k: int) -> DifferenceBoundMatrix:
-    """Classic maximal-constant extrapolation, then closure of the loosened entries.
+def _extrapolate(m: list[int], dim: int, raw_k: int) -> bool:
+    """Extrapolate a closed raw matrix in place at ``raw_k``, the raw ``(k, <)``;
+    False iff no entry changed.
 
-    Bounds above k become infinite, bounds below -k become (-k, <); this
-    keeps the zone graph finite while preserving reachability and the
-    untimed language for any k at least the maximal model constant.
+    The other entries stay shortest paths: no path got shorter, and each
+    is still an edge. So closing re-relaxes only the loosened entries, in
+    Floyd-Warshall order, and the zone cannot become empty.
     """
-    if d.empty:
-        return d
-    hi = 2 * k * d.scale + 1  # raw (k, <=)
-    lo = -2 * k * d.scale  # raw (-k, <)
-    old = d.m
-    m = [RAW_INF if r > hi else lo if r < lo else r for r in old]
-    if tuple(m) == old:
-        return d
-    # The other entries stay shortest paths: no path got shorter, and each
-    # is still an edge. So closing re-relaxes only the loosened entries,
-    # in Floyd-Warshall order, and the zone cannot become empty.
-    dim = d.n + 1
-    loosened = [(idx, idx - idx % dim, idx % dim) for idx, r in enumerate(m) if r != old[idx]]
+    hi = raw_k + 1  # raw (k, <=)
+    lo = -raw_k  # raw (-k, <)
+    loosened = [idx for idx, r in enumerate(m) if r < lo or hi < r != RAW_INF]
+    if not loosened:
+        return False
+    for idx in loosened:
+        m[idx] = lo if m[idx] < lo else RAW_INF
+    loosened = [(idx, idx - idx % dim, idx % dim) for idx in loosened]
     for mid in range(dim):
         mbase = mid * dim
         for idx, ibase, j in loosened:
@@ -245,6 +296,21 @@ def extrapolate(d: DifferenceBoundMatrix, k: int) -> DifferenceBoundMatrix:
             via = d_im + d_mj - ((d_im | d_mj) & 1)
             if via < m[idx]:
                 m[idx] = via
+    return True
+
+
+def extrapolate(d: DifferenceBoundMatrix, k: int) -> DifferenceBoundMatrix:
+    """Classic maximal-constant extrapolation, then closure of the loosened entries.
+
+    Bounds above k become infinite, bounds below -k become (-k, <); this
+    keeps the zone graph finite while preserving reachability and the
+    untimed language for any k at least the maximal model constant.
+    """
+    if d.empty:
+        return d
+    m = list(d.m)
+    if not _extrapolate(m, d.n + 1, 2 * k * d.scale):
+        return d
     return DifferenceBoundMatrix(d.n, d.scale, tuple(m))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .admissibility import UntimedAutomaton
+from .admissibility import EMPTY_LANGUAGE, UntimedAutomaton
 from .checker import Exhausted, MoveIndex, move_label
 from .model import AtomicClockConstraint, Op, TimedAutomatonNetwork, max_constant
 
@@ -104,13 +104,14 @@ def build_region_untimed(
     visible_internal: bool = False,
     state_budget: int = DEFAULT_REGION_BUDGET,
 ) -> UntimedAutomaton:
-    """Region transition system with silent delay edges, as an UntimedAutomaton."""
+    """Region transition system with silent delay edges, as an UntimedAutomaton;
+    ``EMPTY_LANGUAGE`` where the initial region violates the initial invariants."""
     if k is None:
         k = max_constant(network)
     locvec0 = tuple(a.initial for a in network.automata)
     r0 = initial_region(network.n_clocks)
     if not _satisfies_all(r0, _invariant_atoms(network, locvec0)):
-        raise ValueError("initial state violates its own invariants")
+        return EMPTY_LANGUAGE
     init = (locvec0, r0)
     moves = MoveIndex(network)
     ids = {init: 0}

@@ -5,7 +5,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from tarepair import dbm
+from tarepair import bundled_model_path, dbm
 from tarepair.lra import LinearAtom, Rel
 from tarepair.model import AtomicClockConstraint, constant_scale, prop_to_dnf
 from tarepair.modelio import parse_model
@@ -84,6 +84,16 @@ def loop_model(clocks=("x", "y"), prop="!@a.L1 || y <= 2"):
         "property": prop,
     }
     return json.dumps(doc)
+
+
+def no_run_model():
+    """The bundled client_db with invariant x >= 1 on the client's initial
+    location, which the initial valuation x = 0 violates: the network has no
+    run. Returns the JSON document text."""
+    text = bundled_model_path("client_db").read_text(encoding="utf-8")
+    initial = '{"name": "reqCreating", "urgent": false, "invariant": []}'
+    assert initial in text
+    return text.replace(initial, '{"name": "reqCreating", "urgent": false, "invariant": ["x >= 1"]}')
 
 
 def dbm_replay(network, prop, stt):

@@ -5,14 +5,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import scaled_model
+from conftest import no_run_model, scaled_model
 from tarepair import bundled_model_path, load_bundled_model
 from tarepair.admissibility import (
+    EMPTY_LANGUAGE,
+    Equivalence,
     accepts,
     build_untimed,
     check_admissible,
     equivalent,
 )
+from tarepair.checker import check
 from tarepair.model import desugar_urgency
 from tarepair.modelio import parse_model
 from tarepair.regions import build_region_untimed
@@ -146,3 +149,28 @@ def test_rational_repair_admissibility_matches_doubled_copies(old, new, equal):
     doubled = check_admissible(scaled_model(net, prop, 2)[0], scaled_model(repaired, prop, 2)[0])
     assert verdict == doubled
     assert verdict.equal == equal
+
+
+def test_network_without_a_run_has_the_empty_language():
+    bad, prop = parse_model(no_run_model())
+    assert check(bad, prop).safe  # vacuously: no reachable state
+    ua = build_untimed(bad)
+    assert ua == EMPTY_LANGUAGE and not accepts(ua, ()) and not accepts(ua, ("req",))
+    # The same network with the invariant on the other clock also has no run.
+    other, _ = parse_model(no_run_model().replace('"x >= 1"', '"y >= 1"'))
+    assert check_admissible(bad, other) == Equivalence(True)
+    for name in CORPUS:
+        net, _ = load_bundled_model(name)
+        assert accepts(build_untimed(net), ())
+        assert check_admissible(net, bad) == check_admissible(bad, net) == Equivalence(False, ()), name
+
+
+def test_region_oracle_agrees_on_the_empty_language():
+    bad, _ = parse_model(no_run_model())
+    rb = build_region_untimed(bad, visible_internal=True)
+    assert rb == EMPTY_LANGUAGE
+    assert equivalent(rb, build_untimed(bad, visible_internal=True)) == Equivalence(True)
+    for name in CORPUS:
+        net, _ = load_bundled_model(name)
+        ua, ra = build_untimed(net, visible_internal=True), build_region_untimed(net, visible_internal=True)
+        assert equivalent(ra, rb) == equivalent(ua, rb) == Equivalence(False, ()), name

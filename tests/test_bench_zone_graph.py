@@ -1,16 +1,20 @@
-"""The benchmark's zone-graph gate, run in pytest.
+"""The benchmark's zone-graph gates, run in pytest.
 
 Every item of the ``check_fischer`` workload (Fischer N=3, its
 target-process mutants, and N=4) must reproduce the verdict, the number of
 explored states and the diagnostic trace recorded in
-``bench/golden/check_fischer.json``. A change to the zone engine that
-alters the zone graph fails here rather than in ``bench/run.py``.
+``bench/golden/check_fischer.json``; every item of ``admissible_fischer``
+must reproduce its verdict and witness, and the untimed automata their
+total state count. A change to the zone engine that alters the zone graph
+fails here rather than in ``bench/run.py``.
 """
 
 import importlib.util
 import json
 import sys
 from pathlib import Path
+
+from tarepair import admissibility
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 1
@@ -36,3 +40,26 @@ def test_check_fischer_matches_golden_records():
     assert len(workload.items) == 19
     for item in workload.items:
         assert item.run() == want[item.key], item.key
+
+
+def test_admissible_fischer_matches_golden_records(monkeypatch):
+    # The twin of the admissible_fischer gate: 17 mutants, each compared
+    # with the original, so 34 untimed automata per pass.
+    workloads = _workloads()
+    workload = workloads.setup_admissible_fischer(SEED)
+    golden = json.loads((BENCH / "golden" / "admissible_fischer.json").read_text(encoding="utf-8"))
+    want = workloads.golden_records(workload, golden)
+    built = []
+    build_untimed = admissibility.build_untimed
+
+    def counted(*args, **kwargs):
+        ua = build_untimed(*args, **kwargs)
+        built.append(ua.n_states)
+        return ua
+
+    monkeypatch.setattr(admissibility, "build_untimed", counted)
+    assert len(workload.items) == 17
+    for item in workload.items:
+        assert item.run() == want[item.key], item.key
+    assert len(built) == 34
+    assert sum(built) == 17_211

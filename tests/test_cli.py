@@ -7,7 +7,7 @@ import pytest
 from tarepair import bundled_model_path
 from tarepair.cli import main
 
-from conftest import loop_model
+from conftest import loop_model, no_run_model
 
 BUNDLE = str(bundled_model_path("client_db"))
 SAFE = str(bundled_model_path("safe_idle"))
@@ -96,6 +96,15 @@ def test_admissible_inadmissible_pair(tmp_path, capsys):
     assert code == 1 and "witness: req ser ack" in out
 
 
+def test_admissible_with_a_network_without_a_run(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(no_run_model(), encoding="utf-8")
+    assert main(["admissible", BUNDLE, str(bad)]) == 1
+    assert capsys.readouterr().out == "inadmissible: untimed languages differ\nwitness: (empty word)\n"
+    assert main(["admissible", str(bad), str(bad)]) == 0
+    assert capsys.readouterr().out.startswith("equivalent")
+
+
 def test_seed_command(tmp_path, capsys):
     out_dir = tmp_path / "seeding"
     assert main(["seed", str(bundled_model_path("oneclock")), "--out", str(out_dir)]) == 0
@@ -133,6 +142,26 @@ def test_unusable_path_is_a_usage_error(tmp_path, capsys, args):
 
 def test_budget_exhaustion_exit_code(capsys):
     assert main(["check", BUNDLE, "--state-budget", "1"]) == 3
+    assert main(["check", BUNDLE, "--state-budget", "0"]) == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", BUNDLE, "--state-budget", "-1"],
+        ["repair", BUNDLE, "--state-budget", "-1"],
+        ["repair", BUNDLE, "--max-repairs", "-1"],
+        ["repair", BUNDLE, "--qe-budget", "-3"],
+        ["seed", BUNDLE, "--max-repairs", "-1"],
+        ["repair", BUNDLE, "--qe-budget", "lots"],
+    ],
+    ids=["check-state", "repair-state", "repair-max-repairs", "repair-qe", "seed-max-repairs", "not-an-integer"],
+)
+def test_negative_budget_is_a_usage_error(tmp_path, capsys, args):
+    out_dir = tmp_path / "out"
+    assert main(args + ["--out", str(out_dir)] * (args[0] != "check")) == 2
+    assert "error: argument --" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_repair_dump_smt(tmp_path, capsys):

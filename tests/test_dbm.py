@@ -4,10 +4,12 @@ from fractions import Fraction as F
 
 import fraction_dbm
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from test_bench_zone_graph import _workloads
 
-from tarepair import dbm
-from tarepair.model import AtomicClockConstraint, Op
+from tarepair import dbm, load_bundled_model
+from tarepair.checker import MoveIndex, MoveTable, move_label
+from tarepair.model import AtomicClockConstraint, Op, constant_scale, max_constant
 
 
 def atom(clock, op, bound):
@@ -162,3 +164,137 @@ def test_integer_engine_agrees_with_fraction_reference(n, scale, ops_a, ops_b):
         for b, ref_b in zones:
             assert (a == b) == (ref_a == ref_b)
             assert a != b or hash(a) == hash(b)
+
+
+def _composed(engine, zone, guard, resets, invariants, delay, k):
+    """One symbolic step as the per-operation composition ``dbm.post`` replaces."""
+    zone = engine.and_atoms(zone, guard)
+    if engine.is_empty(zone):
+        return None
+    zone = engine.and_atoms(engine.reset_many(zone, resets), invariants)
+    if engine.is_empty(zone):
+        return None
+    if delay:
+        zone = engine.and_atoms(engine.up(zone), invariants)
+    return engine.extrapolate(zone, k)
+
+
+def _kernel(zone, guard, resets, invariants, delay, k):
+    def edges(atoms):
+        return tuple(e for a in atoms for e in dbm.atom_edges(a, zone.scale))
+
+    return dbm.post(zone, edges(guard), sorted(c + 1 for c in resets), edges(invariants), delay, k)
+
+
+def _assert_same_successor(zone, ref_zone, step):
+    """``dbm.post`` against both engines' compositions; returns its zone."""
+    got = _kernel(zone, *step)
+    assert got == _composed(dbm, zone, *step), step
+    ref = _composed(fraction_dbm, ref_zone, *step)
+    assert (got is None) == (ref is None), step
+    if got is not None:
+        assert not ref.empty
+        dim = zone.n + 1
+        cells = [(i, j) for i in range(dim) for j in range(dim)]
+        assert [got.bound(i, j) for i, j in cells] == [ref.bound(i, j) for i, j in cells], step
+    return got
+
+
+ATOM = st.tuples(st.integers(0, 2), st.sampled_from(list(Op)), st.sampled_from(BOUNDS))
+
+
+@settings(max_examples=400, deadline=None)
+@example(2, 1, [("up",)], [(0, Op.GE, F(1))], {1}, [(0, Op.LE, F(2))], True, 2)  # up, then x <= 2 again
+@example(3, 1, LOWER_CHAIN[:-1], [], set(), [], False, 4)  # the loosened 0 - x is re-closed through y
+@example(3, 6, UPPER_CHAIN[:-1], [], set(), [], True, 2)
+@given(
+    st.integers(1, 3),
+    st.sampled_from([1, 6]),
+    st.lists(OPERATION, max_size=10),
+    st.lists(ATOM, max_size=3),
+    st.sets(st.integers(0, 2), max_size=3),
+    st.lists(ATOM, max_size=3),
+    st.booleans(),
+    st.integers(1, 4),
+)
+def test_post_equals_the_composed_step_on_random_zones(n, scale, ops, guard, resets, invariants, delay, k):
+    z, ref = dbm.zero_zone(n, scale), fraction_dbm.zero_zone(n)
+    for operation in ops:
+        if operation[0] == "and" and (operation[3] * scale).denominator != 1:
+            continue
+        z, ref = _apply(dbm, z, operation, n), _apply(fraction_dbm, ref, operation, n)
+    assume(not z.empty)
+
+    def atoms(raw):
+        return [atom(c % n, op, b) for c, op, b in raw if (b * scale).denominator == 1]
+
+    _assert_same_successor(z, ref, (atoms(guard), {c % n for c in resets}, atoms(invariants), delay, k))
+
+
+CORPUS = ("client_db", "oneclock", "urgent_hop", "pair_sync", "safe_idle")
+
+
+def _fischer_networks():
+    workloads = _workloads()
+    network, _prop, mutants = workloads.fischer_instance(3, workloads.fischer.draw_permutation(3, 1))
+    return [("fischer", network)] + [(m.description, m.network) for m in mutants]
+
+
+def _settle(network, locvec):
+    """(invariant atoms, may delay) of a location vector, read off the network."""
+    autos = network.automata
+    invariants = [a for ai, li in enumerate(locvec) for a in autos[ai].invariants[li]]
+    return invariants, not any(li in autos[ai].urgent for ai, li in enumerate(locvec))
+
+
+def _model_steps(network, locvec):
+    """(move, target, guard, resets, invariants, delay) of each enabled move, read off the network."""
+    for move in MoveIndex(network).enabled(locvec):
+        target, guard, resets = list(locvec), [], set()
+        for ai, ti in move:
+            t = network.automata[ai].transitions[ti]
+            target[ai] = t.target
+            guard += t.guard
+            resets |= t.resets
+        yield (move, tuple(target), guard, resets, *_settle(network, tuple(target)))
+
+
+def _to_fractions(zone):
+    dim = zone.n + 1
+    rows = tuple(tuple(zone.bound(i, j) for j in range(dim)) for i in range(dim))
+    return fraction_dbm.DifferenceBoundMatrix(zone.n, rows)
+
+
+@pytest.mark.parametrize("models", ["bundled", "fischer"])
+def test_post_equals_the_composed_step_on_every_model_state(models):
+    # Each model's zone graph, explored through the composition; every
+    # (state, move), disabled moves included, also goes through its
+    # MoveTable entry and dbm.post, and through the Fraction engine.
+    if models == "bundled":
+        networks = [(name, load_bundled_model(name)[0]) for name in CORPUS]
+    else:
+        networks = _fischer_networks()
+    pairs = 0
+    for name, network in networks:
+        k, scale = max_constant(network), constant_scale(network)
+        table = MoveTable(network, k, scale)
+        locvec = tuple(a.initial for a in network.automata)
+        zero, ref_zero = dbm.zero_zone(network.n_clocks, scale), fraction_dbm.zero_zone(network.n_clocks)
+        zone = _assert_same_successor(zero, ref_zero, ([], set(), *_settle(network, locvec), k))
+        assert table.initial_state() == (locvec, zone), name
+        seen = {(locvec, zone)}
+        queue = [(locvec, zone)]
+        while queue:
+            locvec, zone = queue.pop()
+            ref_zone = _to_fractions(zone)
+            entries = table.moves(locvec)
+            steps = list(_model_steps(network, locvec))
+            assert [e[:3] for e in entries] == [(s[0], move_label(network, s[0]), s[1]) for s in steps], name
+            for (_move, target, *step), entry in zip(steps, entries):
+                got = _assert_same_successor(zone, ref_zone, (*step, k))
+                assert got == dbm.post(zone, *entry[3:], k), name
+                pairs += 1
+                if got is not None and (target, got) not in seen:
+                    seen.add((target, got))
+                    queue.append((target, got))
+    assert pairs == (8 if models == "bundled" else 25_633)
