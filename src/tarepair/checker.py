@@ -7,6 +7,8 @@ transition index) order, which makes the reported trace deterministic.
 Urgency is enforced directly: when any current location is urgent, the
 delay closure is skipped. A ``MoveTable`` compiles each location vector's
 moves once per exploration, and ``dbm.post`` computes each successor.
+``replay`` walks one given trace the same way: the repair loop's contract
+re-check, which shares no encoding with the search's trace system.
 """
 
 from __future__ import annotations
@@ -248,6 +250,42 @@ def check(
             parents[nxt] = (state, move)
             queue.append(nxt)
     return Verdict(True, None, explored)
+
+
+def replay(network: TimedAutomatonNetwork, prop: SafetyProperty, stt: SymbolicTimedTrace) -> tuple[bool, bool]:
+    """(feasible, violating) of a trace, replayed on ``network`` with zones.
+
+    Walks only the trace's steps with ``dbm.post``, reading the visited
+    location vectors from ``stt``, so it compiles just the fired
+    transitions' guards and the visited vectors' invariants. The trace is
+    feasible when every successor is non-empty, and violating when the
+    final zone, the clock values after the last delay, meets the negated
+    property at the final locations. Every atom is diagonal-free, so
+    extrapolation at ``k = max_constant(network, prop)`` changes neither
+    the emptiness of a successor nor the meet with the property.
+    """
+    k = max_constant(network, prop)
+    scale = constant_scale(network, prop)
+    automata = network.automata
+
+    def settle(locvec):
+        """The arguments of ``dbm.post`` after the discrete part of a step into ``locvec``."""
+        invariants = tuple(
+            e for ai, li in enumerate(locvec) for a in automata[ai].invariants[li] for e in dbm.atom_edges(a, scale)
+        )
+        return invariants, not any(li in automata[ai].urgent for ai, li in enumerate(locvec))
+
+    zone = dbm.post(dbm.zero_zone(network.n_clocks, scale), (), (), *settle(stt.locations[0]), k)
+    for move, locvec in zip(stt.steps, stt.locations[1:]):
+        if zone is None:
+            break
+        transitions = [automata[ai].transitions[ti] for ai, ti in move]
+        guard = tuple(e for t in transitions for a in t.guard for e in dbm.atom_edges(a, scale))
+        resets = sorted({c + 1 for t in transitions for c in t.resets})
+        zone = dbm.post(zone, guard, resets, *settle(locvec), k)
+    if zone is None:
+        return False, False
+    return True, _violates(network, stt.locations[-1], zone, prop_to_dnf(prop.negate()))
 
 
 def stt_from_moves(network: TimedAutomatonNetwork, moves) -> SymbolicTimedTrace:

@@ -1,7 +1,8 @@
 """Command-line interface: check, repair, seed, and admissible subcommands.
 
 Exit codes: 0 success (or Safe), 1 violation found (check) / inadmissible
-(admissible), 2 usage error, 3 analysis budget exhausted. Output contains
+(admissible), 2 usage error, 3 analysis budget exhausted, 4 a repair
+candidate failed the semantic repair contract re-check. Output contains
 no timestamps or machine details, so identical inputs produce identical
 bytes.
 """
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
+EXIT_CONTRACT = 4
 
 ALL_KINDS = [k.value for k in RepairKind]
 
@@ -163,7 +165,14 @@ def _cmd_repair(args) -> int:
     total = sum(len(r.candidates) for r in runs)
     adm = sum(r.n_admissible for r in runs)
     print(f"{total} repairs computed, {adm} admissible")
-    return EXIT_OK
+    failed = [r for r in runs if r.reason == "contract-violation"]
+    for r in failed:
+        print(
+            f"error: the {r.kind.value} repair {r.rejected.describe_modifications()} "
+            "failed the semantic repair contract re-check; that analysis stopped",
+            file=sys.stderr,
+        )
+    return EXIT_CONTRACT if failed else EXIT_OK
 
 
 def _cmd_seed(args) -> int:
@@ -181,6 +190,13 @@ def _cmd_seed(args) -> int:
     (out_dir / "campaign.txt").write_text(result.to_text(), encoding="utf-8")
     print(result.to_csv().rstrip())
     print(f"details written to {out_dir / 'campaign.txt'}")
+    if result.contract_violations:
+        print(
+            "error: a candidate failed the semantic repair contract re-check in "
+            f"{result.contract_violations} of the campaign's repair analyses; see campaign.txt",
+            file=sys.stderr,
+        )
+        return EXIT_CONTRACT
     return EXIT_OK
 
 

@@ -17,10 +17,13 @@ a DBM in ``dbm``'s raw encoding (Bengtsson & Yi 2004), under repair edits
 applied as overrides of its atoms compiled once, in three steps that the
 MaxSMT search also runs one by one: ``close`` the system under the edits'
 timing without the edited constraints, ``conjoin`` each edited
-constraint, and test ``meets_negated_property``. ``feasible`` and
+constraint, and test ``meets_negated_property``; the repair loop's initial
+violation check is ``decide()`` of the unedited system. ``feasible`` and
 ``violating`` decide it by linear rational arithmetic instead, the
 negated property's disjuncts as one choice group of
-``lra.is_satisfiable``: the reference, and the contract re-check.
+``lra.is_satisfiable``: the reference, for the tests and the benchmark's
+output gate. The contract re-check of repair candidates is
+``checker.replay``, which shares no code with this encoding.
 """
 
 from __future__ import annotations

@@ -63,6 +63,18 @@ class LinearAtom:
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.coeffs)
 
+    def substitute(self, values: dict[str, Fraction]) -> "LinearAtom":
+        """The atom with the variables of ``values`` replaced by their values."""
+        const = self.const
+        kept = []
+        for v, c in self.coeffs:  # sorted, and filtering keeps the order
+            value = values.get(v)
+            if value is None:
+                kept.append((v, c))
+            else:
+                const -= c * value
+        return LinearAtom(tuple(kept), self.rel, const)
+
     def negation(self) -> list[list["LinearAtom"]]:
         """The complement as alternatives of ``is_satisfiable``'s choice
         groups: one atom, or two for an equality."""

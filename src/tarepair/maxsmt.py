@@ -101,10 +101,19 @@ class HardConstraint:
             verdict = self._verdicts[timing] = m is not None and not base.meets_negated_property(m, timing, base.scale)
         return verdict
 
+    def pinned_sat(self, values: dict[str, Fraction]) -> bool:
+        """Bound kind: is the hard formula satisfiable with the variables of
+        ``values`` pinned to them? Each pin is substituted into the atoms."""
+        atoms, choices = self.formula
+        return is_satisfiable(
+            [a.substitute(values) for a in atoms],
+            [[[a.substitute(values) for a in alt] for alt in group] for group in choices],
+            self.qe_budget,
+        ).sat
+
     def check_with_zeros(self, zeros: frozenset[str]) -> bool:
         """Bound kind: is the hard formula satisfiable with these variables pinned to 0?"""
-        atoms, choices = self.formula
-        return is_satisfiable(atoms + [atom_eq({v: 1}, 0) for v in sorted(zeros)], choices, self.qe_budget).sat
+        return self.pinned_sat(dict.fromkeys(zeros, Fraction(0)))
 
 
 def nonzero_values(var) -> list[object]:
@@ -189,28 +198,27 @@ def sample_repair_values(hard: HardConstraint, modified: tuple[str, ...]) -> dic
     Each variable is fixed in turn to the integer of minimal absolute value
     that keeps the pinned hard formula satisfiable (positive before
     negative); when no integer fits within ``SCAN_LIMIT``, a rational
-    interior point from an exact model is used instead. The final full
-    assignment is re-verified.
+    interior point from an exact model is used instead. The scan substitutes
+    the pins (``pinned_sat``); the model query conjoins them as equalities,
+    whose elimination order picks the model. The final full assignment is
+    re-verified.
     """
     vs = hard.vs
     zeros = {v.name: Fraction(0) for v in vs.variables if v.name not in modified}
     pinned: dict[str, Fraction] = dict(zeros)
-    atoms, choices = hard.formula
-
-    def pinned_atoms() -> list[LinearAtom]:
-        return atoms + [atom_eq({v: 1}, c) for v, c in sorted(pinned.items())]
-
     for name in modified:
         chosen = None
         for magnitude in range(1, SCAN_LIMIT + 1):
             for val in (Fraction(magnitude), Fraction(-magnitude)):
-                if is_satisfiable(pinned_atoms() + [atom_eq({name: 1}, val)], choices, hard.qe_budget).sat:
+                if hard.pinned_sat(dict(pinned, **{name: val})):
                     chosen = val
                     break
             if chosen is not None:
                 break
         if chosen is None:
-            res = is_satisfiable(pinned_atoms(), choices, hard.qe_budget, want_model=True)
+            atoms, choices = hard.formula
+            pins = [atom_eq({v: 1}, c) for v, c in sorted(pinned.items())]
+            res = is_satisfiable(atoms + pins, choices, hard.qe_budget, want_model=True)
             if not res.sat:
                 return None
             chosen = res.model.get(name, Fraction(0))

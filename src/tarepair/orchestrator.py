@@ -17,10 +17,12 @@ search, this filter decides by difference logic: implication is inclusion
 of the closed DBMs of ``TdtConstraintSystem.decide``.
 
 Every emitted candidate is re-verified against the semantic repair
-contract on the repaired model's delay-only trace system by linear
-rational arithmetic, an engine other than the one that found it (the
-repaired model still realizes the trace, and no realization violates the
-property), and then admissibility-checked.
+contract (the repaired model still realizes the trace, and no realization
+violates the property) by ``checker.replay``, a zone replay of the trace
+on the repaired model: an engine other than the search's difference-logic
+system over the prefix times. A candidate that fails it is not emitted and
+stops the run with reason ``contract-violation``. Emitted candidates are
+then admissibility-checked.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ import enum
 from dataclasses import dataclass, field, replace
 
 from .admissibility import check_admissible
-from .checker import DEFAULT_STATE_BUDGET, SymbolicTimedTrace, check
-from .encoder import encode, feasible, violating
-# is_satisfiable is not called here; it stays importable under this module's
-# name because bench/tracing.py wraps it here.
+from .checker import DEFAULT_STATE_BUDGET, SymbolicTimedTrace, check, replay
+# feasible, violating and is_satisfiable are not called here; they stay
+# importable under this module's name because bench/tracing.py wraps them here.
+from .encoder import encode, feasible, violating  # noqa: F401
 from .lra import DEFAULT_QE_BUDGET, QeBudgetExceeded, is_satisfiable  # noqa: F401
 # repairing_assignments is not called here; it stays importable under this
 # module's name because bench/tracing.py wraps it here.
@@ -177,6 +179,9 @@ class RepairRun:
       per-(clock, step) reset choice);
     - urgent: #A + #IG + (n+1)*N."""
     witness_files: list[str | None] = field(default_factory=list)
+    rejected: RepairCandidate | None = None
+    """The candidate that failed the contract re-check (reason
+    ``contract-violation``); it is not among ``candidates``."""
 
     @property
     def n_admissible(self) -> int:
@@ -212,7 +217,7 @@ def run(
 
     enc = encode(network, tdt, prop)
     runout = RepairRun(kind, tdt)
-    if not violating(enc):
+    if not enc.decide()[1]:
         # A supplied trace without violating realizations leaves nothing to
         # repair; the all-zero assignment would be a spurious empty repair.
         runout.reason = "trace-not-violating"
@@ -233,11 +238,11 @@ def run(
                     continue
                 candidate = _candidate_from_assignment(hard, kind, assignment)
                 repaired = apply_candidate(network, candidate)
-                reenc = encode(repaired, tdt, prop)
-                if not feasible(reenc) or violating(reenc):
-                    raise AssertionError(
-                        f"semantic repair contract violated by {candidate.describe_modifications()}"
-                    )
+                realizable, violates = replay(repaired, prop, tdt)
+                if not realizable or violates:
+                    runout.reason = "contract-violation"
+                    runout.rejected = candidate
+                    return runout
                 verdict = check_admissible(network, repaired, original_cache=original_cache)
                 runout.candidates.append(candidate)
                 runout.admissible.append(verdict.equal)

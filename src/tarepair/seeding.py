@@ -174,6 +174,7 @@ class SeedCampaign:
     rows: dict[str, KindRow]
     mutant_results: list[tuple[str, str, str]] = field(default_factory=list)
     # (mutation kind, description, outcome) per mutant, in enumeration order
+    contract_violations: int = 0  # repair runs stopped by a failed contract re-check
 
     def total(self) -> KindRow:
         out = KindRow("total")
@@ -221,8 +222,9 @@ def campaign(
 ) -> SeedCampaign:
     """Seed faults, check each mutant, repair every violating one.
 
-    Per-mutant budget overruns are recorded as timeouts and never abort
-    the campaign.
+    Per-mutant budget overruns are recorded as timeouts, and a repair run
+    stopped by a failed contract re-check on the mutant's line; neither
+    aborts the campaign.
     """
     repair_kinds = [RepairKind(k) for k in (repair_kinds if repair_kinds is not None else SEED_KINDS)]
     rows = {k: KindRow(k) for k in kinds}
@@ -242,6 +244,7 @@ def campaign(
         row.violating += 1
         row.max_trace_len = max(row.max_trace_len, len(verdict.trace))
         n_rep = n_adm = 0
+        failed = []  # kinds whose run stopped on a failed contract re-check
         for rk in repair_kinds:
             try:
                 rr = run(
@@ -261,6 +264,9 @@ def campaign(
             row.max_constraints = max(row.max_constraints, rr.constraint_count)
             n_rep += len(rr.candidates)
             n_adm += rr.n_admissible
+            if rr.reason == "contract-violation":
+                failed.append(rk.value)
+        out.contract_violations += len(failed)
         row.repairs += n_rep
         row.admissible += n_adm
         if n_adm:
@@ -270,7 +276,8 @@ def campaign(
                 mutant.kind,
                 mutant.description,
                 f"violated (trace length {len(verdict.trace)}): "
-                f"{n_rep} repairs, {n_adm} admissible",
+                f"{n_rep} repairs, {n_adm} admissible"
+                + (f"; contract violation: {', '.join(failed)}" if failed else ""),
             )
         )
     return out

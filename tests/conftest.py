@@ -5,9 +5,9 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from tarepair import bundled_model_path, dbm
-from tarepair.lra import LinearAtom, Rel
-from tarepair.model import AtomicClockConstraint, constant_scale, prop_to_dnf
+from tarepair import bundled_model_path
+from tarepair.lra import Rel
+from tarepair.model import AtomicClockConstraint
 from tarepair.modelio import parse_model
 
 
@@ -96,41 +96,6 @@ def no_run_model():
     return text.replace(initial, '{"name": "reqCreating", "urgent": false, "invariant": ["x >= 1"]}')
 
 
-def dbm_replay(network, prop, stt):
-    """(feasible, violating) of a trace, replayed on ``network`` with zones.
-
-    An oracle for the delay encoding that shares no code with it: exact
-    zones, no extrapolation. The final zone holds the clock values after
-    the last delay; the trace is feasible when it is non-empty and
-    violating when it meets the negated property at the final locations.
-    """
-
-    def settle(zone, locvec):
-        invariants = [a for ai, li in enumerate(locvec) for a in network.automata[ai].invariants[li]]
-        zone = dbm.and_atoms(zone, invariants)
-        if not any(li in network.automata[ai].urgent for ai, li in enumerate(locvec)):
-            zone = dbm.and_atoms(dbm.up(zone), invariants)
-        return zone
-
-    zone = settle(dbm.zero_zone(network.n_clocks, constant_scale(network, prop)), stt.locations[0])
-    for move, locvec in zip(stt.steps, stt.locations[1:]):
-        resets = set()
-        for ai, ti in move:
-            trans = network.automata[ai].transitions[ti]
-            zone = dbm.and_atoms(zone, trans.guard)
-            resets |= trans.resets
-        zone = settle(dbm.reset_many(zone, resets), locvec)
-    if dbm.is_empty(zone):
-        return False, False
-    final = stt.locations[-1]
-    violating = any(
-        dbm.intersects(zone, [lit.atom for lit in disjunct if lit.atom is not None])
-        for disjunct in prop_to_dnf(prop.negate())
-        if all(lit.atom is not None or (final[lit.automaton] == lit.location) == lit.positive for lit in disjunct)
-    )
-    return True, violating
-
-
 def scaled_model(network, prop, factor):
     """Copy of a network and property with every constant multiplied by ``factor``."""
 
@@ -159,16 +124,3 @@ def holds(atom, valuation):
     if atom.rel == Rel.LE:
         return lhs <= atom.const
     return lhs == atom.const
-
-
-def substitute(atom, assignment):
-    """A linear atom with some variables pinned to constants; the rest stay symbolic."""
-    const = atom.const
-    kept = []
-    for v, c in atom.coeffs:  # already sorted; order survives filtering
-        value = assignment.get(v)
-        if value is None:
-            kept.append((v, c))
-        else:
-            const = const - c * value
-    return LinearAtom(tuple(kept), atom.rel, const)

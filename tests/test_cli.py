@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tarepair import bundled_model_path
+from tarepair import bundled_model_path, orchestrator
 from tarepair.cli import main
 
 from conftest import loop_model, no_run_model
@@ -138,6 +138,25 @@ def test_unusable_path_is_a_usage_error(tmp_path, capsys, args):
     paths = {"dir": str(tmp_path), "binary": str(binary), "file": str(existing)}
     assert main([a.format(**paths) for a in args]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_contract_violation_exit_code(tmp_path, capsys, monkeypatch):
+    # A candidate that fails the re-check is an outcome with its own exit
+    # code and a message, not a traceback or "violated".
+    monkeypatch.setattr(orchestrator, "replay", lambda *args: (True, True))
+    out_dir = tmp_path / "rep"
+    assert main(["repair", BUNDLE, "--kind", "all", "--out", str(out_dir)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.endswith("0 repairs computed, 0 admissible\n")
+    errors = captured.err.splitlines()
+    assert len(errors) == 5 and all(e.startswith("error: the ") for e in errors), errors
+    assert "failed the semantic repair contract re-check" in errors[0]
+    assert (out_dir / "report.txt").read_text().count("termination: contract-violation") == 5
+    assert main(["seed", BUNDLE, "--kinds", "bound", "--out", str(tmp_path / "seed")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "contract" in err and err.count("\n") == 1
+    text = (tmp_path / "seed" / "campaign.txt").read_text()
+    assert "contract violation: bound, operator, clockref, reset, urgent" in text
 
 
 def test_budget_exhaustion_exit_code(capsys):

@@ -3,9 +3,9 @@
 import random
 from fractions import Fraction as F
 
-from conftest import dbm_replay, random_single_ta
+from conftest import random_single_ta
 from tarepair import load_bundled_model
-from tarepair.checker import MoveIndex, SymbolicTimedTrace, check, stt_from_moves
+from tarepair.checker import MoveIndex, SymbolicTimedTrace, check, replay, stt_from_moves
 from tarepair.encoder import delta_var, encode, feasible, violating
 from tarepair.lra import is_satisfiable
 from tarepair.model import prop_to_dnf
@@ -166,7 +166,7 @@ def test_encoding_agrees_with_dbm_replay_on_random_traces():
         for name, phi in (("simple", prop), ("compound", compound_property(net, prop_rng))):
             sys = encode(net, stt, phi)
             outcome = (feasible(sys), violating(sys))
-            assert outcome == dbm_replay(net, phi, stt), moves
+            assert outcome == replay(net, phi, stt), moves
             # difference logic over the prefix times against LRA
             zone, violates = sys.decide()
             assert (not zone.empty, violates) == outcome, moves

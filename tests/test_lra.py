@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import holds, substitute
+from conftest import holds
 from tarepair import lra
 from tarepair.lra import (
     LinearAtom,
@@ -97,9 +97,27 @@ def test_projection_extension_oracle_small():
         projected = eliminate(atoms, kill)
         for _ in range(50):
             point = {v: F(random.randint(-8, 8), random.choice([1, 2])) for v in keep}
-            in_projection = all(holds(substitute(a, point), {}) for a in projected)
-            extendable = is_satisfiable([substitute(a, point) for a in atoms]).sat
+            in_projection = all(holds(a.substitute(point), {}) for a in projected)
+            extendable = is_satisfiable([a.substitute(point) for a in atoms]).sat
             assert in_projection == extendable
+
+
+def test_substitute_pins_values_into_the_atom():
+    # An atom with some variables substituted holds at the others exactly
+    # where the atom holds at the full valuation.
+    rng = random.Random(5)
+    names = ["x0", "x1", "x2"]
+    for _ in range(300):
+        atom = LinearAtom.make(
+            {v: F(rng.randint(-3, 3), rng.choice([1, 2])) for v in names},
+            rng.choice(list(Rel)),
+            F(rng.randint(-4, 4)),
+        )
+        full = {v: F(rng.randint(-3, 3), rng.choice([1, 3])) for v in names}
+        pinned = {v: full[v] for v in rng.sample(names, rng.randint(0, 3))}
+        partial = atom.substitute(pinned)
+        assert set(partial.variables()) == set(atom.variables()) - set(pinned)
+        assert holds(partial, full) == holds(atom, full)
 
 
 def test_or_branching_and_negated_equality():

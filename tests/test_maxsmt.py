@@ -5,9 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import dbm_replay, loop_model
+from conftest import loop_model
 from tarepair import load_bundled_model
-from tarepair.checker import check
+from tarepair.checker import check, replay
 from tarepair.encoder import encode, feasible, violating
 from tarepair.lra import LinearAtom, Rel, is_satisfiable
 from tarepair.maxsmt import (
@@ -19,7 +19,7 @@ from tarepair.maxsmt import (
 )
 from tarepair.model import Op
 from tarepair.modelio import parse_model
-from tarepair.orchestrator import RepairKind, _candidate_from_assignment, _entails, apply_candidate
+from tarepair.orchestrator import RepairKind, _candidate_from_assignment, _entails, apply_candidate, run
 from tarepair.variations import vary
 
 
@@ -122,11 +122,13 @@ def test_sampling_falls_back_to_interior_point():
         class vs:
             variables = ()
 
+        pinned_sat = HardConstraint.pinned_sat
+
         @staticmethod
         def check(assignment):
             return True
 
-    values = sample_repair_values(Fake, ("v",))
+    values = sample_repair_values(Fake(), ("v",))
     assert values == {"v": F(3, 8)}
 
 
@@ -183,6 +185,36 @@ def test_blocking_and_memo_reuse(monkeypatch):
     assert kept_checked and len(kept_checked) == len(set(kept_checked))
 
 
+def test_substituted_pins_agree_with_conjoined_equalities(monkeypatch):
+    # Every pinned query of the bound runs on the bundled and loop models,
+    # and on a loop model under two properties whose negations have two
+    # disjuncts: the zero sets max_sat tries and the integer scan of
+    # sample_repair_values. The reference conjoins each pin as an equality,
+    # as both once did.
+    pinned_sat = HardConstraint.pinned_sat
+    outcomes = {"zeros": [], "scan": []}
+
+    def compared(hard, values):
+        got = pinned_sat(hard, values)
+        atoms, choices = hard.formula
+        pins = [LinearAtom.make({v: F(1)}, Rel.EQ, c) for v, c in sorted(values.items())]
+        assert got == is_satisfiable(atoms + pins, choices, hard.qe_budget).sat, values
+        outcomes["zeros" if not any(values.values()) else "scan"].append(got)
+        return got
+
+    monkeypatch.setattr(HardConstraint, "pinned_sat", compared)
+    cases = [load_bundled_model(name) for name in ("client_db", "oneclock", "urgent_hop", "pair_sync", "safe_idle")]
+    cases += [parse_model(loop_model()), parse_model(loop_model(("x", "y", "z"), "!@a.L1 || z <= 2"))]
+    cases += [
+        parse_model(loop_model(prop="(!@a.L1 || y <= 2) && (x <= 1 || y < 3)")),
+        parse_model(loop_model(prop="!@a.L1 || (y <= 2 && x <= 0)")),
+    ]
+    for net, prop in cases:
+        run(net, prop, RepairKind.BOUND)
+    # (queries, satisfiable ones) of each kind
+    assert {k: (len(v), sum(v)) for k, v in outcomes.items()} == {"zeros": (44, 10), "scan": (418, 13)}
+
+
 def _edited_systems(kind):
     """(hard constraint, assignment, re-encoded repaired model) triples.
 
@@ -212,7 +244,7 @@ def _check_against_dbm_replay(kind):
     """
     checked = repairs = 0
     for hard, a, reenc in _edited_systems(kind):
-        feasible, violating = dbm_replay(reenc.network, reenc.prop, reenc.stt)
+        feasible, violating = replay(reenc.network, reenc.prop, reenc.stt)
         assert hard.check(a) == (feasible and not violating), a
         checked += 1
         repairs += feasible and not violating

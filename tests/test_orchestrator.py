@@ -2,12 +2,13 @@
 
 import importlib.util
 from fractions import Fraction as F
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from tarepair import load_bundled_model, lra, maxsmt
-from tarepair.checker import check
+from tarepair import encoder, load_bundled_model, lra, maxsmt, orchestrator
+from tarepair.checker import check, replay
 from tarepair.encoder import encode, feasible, violating
 from tarepair.maxsmt import HardConstraint
 from tarepair.model import AtomicClockConstraint, Op, indexed_constraints, validate
@@ -184,19 +185,90 @@ def test_qe_budget_timeout_recorded():
 def test_discrete_kinds_make_no_lra_call_in_the_search(name, monkeypatch):
     # Their search decides by difference logic, so no QE budget can run out:
     # a budget of one atom gives the default budget's candidates and reason.
+    # Neither the initial violation check nor the contract re-check calls
+    # lra either, so a whole run makes no LRA call.
     net, prop = load_bundled_model(name)
     kinds = ("operator", "clockref", "reset", "urgent")
     default = {kind: run(net, prop, kind) for kind in kinds}
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the search called lra")
+        raise AssertionError("the run called lra")
 
     monkeypatch.setattr(maxsmt, "is_satisfiable", forbidden)
     monkeypatch.setattr(maxsmt, "eliminate", forbidden)
+    monkeypatch.setattr(encoder, "is_satisfiable", forbidden)
+    monkeypatch.setattr(orchestrator, "is_satisfiable", forbidden)
     for kind in kinds:
         tight = run(net, prop, kind, qe_budget=1)
         assert tight.candidates == default[kind].candidates and tight.reason == default[kind].reason, kind
+        assert tight.admissible == default[kind].admissible, kind
         assert tight.timeouts == 0, kind
+
+
+def test_contract_violation_stops_the_run(monkeypatch):
+    # A candidate that fails the re-check is not emitted: the run stops
+    # there with its reason, and the candidates before it stay.
+    net, prop = load_bundled_model()
+    default = run(net, prop, RepairKind.OPERATOR)
+    assert len(default.candidates) >= 2
+    calls = []
+
+    def fails_second(*args):
+        calls.append(args)
+        return (True, len(calls) == 2)
+
+    monkeypatch.setattr(orchestrator, "replay", fails_second)
+    rr = run(net, prop, RepairKind.OPERATOR)
+    assert rr.reason == "contract-violation" and rr.timeouts == 0
+    assert rr.candidates == default.candidates[:1] and rr.admissible == default.admissible[:1]
+    assert rr.rejected == default.candidates[1]
+    monkeypatch.setattr(orchestrator, "replay", lambda *args: (False, False))
+    for kind in RepairKind:
+        rr = run(net, prop, kind)
+        assert (rr.reason, rr.candidates, rr.admissible) == ("contract-violation", [], []), kind
+        assert rr.rejected is not None, kind
+
+
+@lru_cache(maxsize=None)
+def _replay_cases():
+    """(network, property, trace) of the 59 violating mutants of the client_db
+    campaign, the four violating bundled models and both loop models."""
+    net, prop = load_bundled_model()
+    models = [(m.network, prop) for m in seed(net)]
+    models += [load_bundled_model(name) for name in VIOLATING]
+    models += [parse_model(loop_model()), parse_model(loop_model(("x", "y", "z"), "!@a.L1 || z <= 2"))]
+    cases = []
+    for network, phi in models:
+        verdict = check(network, phi, 4_000)
+        if not verdict.safe:
+            cases.append((network, phi, verdict.trace))
+    assert len(cases) == 59 + 4 + 2
+    return tuple(cases)
+
+
+def _lra_contract(network, prop, stt):
+    """(feasible, violating) of a trace by LRA on its encoding: the reference."""
+    sys = encode(network, stt, prop)
+    return feasible(sys), violating(sys)
+
+
+def test_replay_agrees_with_lra_on_every_candidate(monkeypatch):
+    # The contract re-check against the LRA decision of the re-encoded
+    # model, on every candidate of every kind and on each unrepaired model.
+    # The runs re-check by LRA, so their candidates do not depend on replay.
+    monkeypatch.setattr(orchestrator, "replay", _lra_contract)
+    candidates = 0
+    for network, phi, trace in _replay_cases():
+        models = [network]
+        for kind in RepairKind:
+            rr = run(network, phi, kind, tdt=trace)
+            assert rr.reason != "contract-violation", (kind, rr.rejected)
+            models += [apply_candidate(network, cand) for cand in rr.candidates]
+            candidates += len(rr.candidates)
+        for model in models:
+            assert replay(model, phi, trace) == _lra_contract(model, phi, trace)
+        assert replay(network, phi, trace) == (True, True)
+    assert candidates == 841
 
 
 def test_non_violating_supplied_trace_is_rejected_gracefully():

@@ -3,7 +3,7 @@
 from collections import Counter
 from fractions import Fraction as F
 
-from tarepair import load_bundled_model
+from tarepair import load_bundled_model, orchestrator
 from tarepair.model import indexed_constraints
 from tarepair.modelio import serialize_model
 from tarepair.seeding import bound_deltas, campaign, model_max_bound, seed
@@ -82,6 +82,29 @@ def test_campaign_columns_and_invariants():
         assert row.admissible <= row.repairs
     csv = result.to_csv()
     assert csv.splitlines()[0] == "kind,Sd,T,Ln,R,A,S,O,Vr,Cn"
+
+
+def test_campaign_records_a_contract_violation_and_goes_on(monkeypatch):
+    # The first contract re-check of the campaign fails: that mutant's line
+    # names the analysis it stopped, and every other line is unchanged.
+    net, prop = load_bundled_model()
+    default = campaign(net, prop, kinds=("bound",), model_name="client_db")
+    calls = []
+
+    def fails_first(*args):
+        calls.append(args)
+        return (True, len(calls) == 1)
+
+    monkeypatch.setattr(orchestrator, "replay", fails_first)
+    result = campaign(net, prop, kinds=("bound",), model_name="client_db")
+    assert result.contract_violations == 1 and default.contract_violations == 0
+    changed = [(a, b) for a, b in zip(default.mutant_results, result.mutant_results) if a != b]
+    assert len(result.mutant_results) == len(default.mutant_results) == 20
+    assert len(changed) == 1
+    (_, _, before), (_, _, after) = changed[0]
+    assert after.startswith("violated (trace length ") and after.endswith("; contract violation: bound")
+    # the stopped run's candidates are not counted
+    assert after != before + "; contract violation: bound"
 
 
 def test_campaign_empty_kind_selection_still_counts_seeds():
