@@ -40,14 +40,14 @@ class UntimedAutomaton:
 
 EMPTY_LANGUAGE = UntimedAutomaton(0, 0, (), ())
 
-DEFAULT_UNTIMED_BUDGET = 5_000
+# Most states an untimed automaton may have; past it ``build_untimed`` raises Exhausted.
+UNTIMED_STATE_BUDGET = 5_000
 
 
 def build_untimed(
     network: TimedAutomatonNetwork,
     k: int | None = None,
     visible_internal: bool = False,
-    state_budget: int = DEFAULT_UNTIMED_BUDGET,
 ) -> UntimedAutomaton:
     """Full zone graph with k-extrapolation, edges labeled by channel.
 
@@ -75,8 +75,8 @@ def build_untimed(
                 continue
             nxt = (target, z)
             if nxt not in ids:
-                if len(ids) >= state_budget:
-                    raise Exhausted(f"untimed automaton exceeded {state_budget} states")
+                if len(ids) >= UNTIMED_STATE_BUDGET:
+                    raise Exhausted(f"untimed automaton exceeded {UNTIMED_STATE_BUDGET} states")
                 ids[nxt] = len(order)
                 order.append(nxt)
                 edges.append([])
@@ -169,7 +169,6 @@ def equivalent(a: UntimedAutomaton, b: UntimedAutomaton) -> Equivalence:
 def check_admissible(
     original: TimedAutomatonNetwork,
     repaired: TimedAutomatonNetwork,
-    state_budget: int = DEFAULT_UNTIMED_BUDGET,
     original_cache: dict[int, UntimedAutomaton] | None = None,
 ) -> Equivalence:
     """Shared-constant admissibility check of a repaired network.
@@ -181,8 +180,8 @@ def check_admissible(
     if original_cache is not None and k in original_cache:
         ua = original_cache[k]
     else:
-        ua = build_untimed(original, k, state_budget=state_budget)
+        ua = build_untimed(original, k)
         if original_cache is not None:
             original_cache[k] = ua
-    ub = build_untimed(repaired, k, state_budget=state_budget)
+    ub = build_untimed(repaired, k)
     return equivalent(ua, ub)

@@ -223,23 +223,12 @@ def check(
             raise Exhausted(f"state budget of {state_budget} exceeded")
         locvec, zone = state
         if _violates(network, locvec, zone, bad):
-            steps = []
-            cur = state
-            while parents[cur] is not None:
-                prev, move = parents[cur]
-                steps.append(move)
-                cur = prev
-            steps.reverse()
-            locations = [tuple(a.initial for a in network.automata)]
-            for move in steps:
-                vec = list(locations[-1])
-                for ai, ti in move:
-                    vec[ai] = network.automata[ai].transitions[ti].target
-                locations.append(tuple(vec))
-            trace = SymbolicTimedTrace(
-                tuple(tuple(sorted(m)) for m in steps), tuple(locations)
-            )
-            return Verdict(False, trace, explored)
+            path = [state]  # the states from here back to the initial one
+            while parents[path[-1]] is not None:
+                path.append(parents[path[-1]][0])
+            path.reverse()
+            steps = tuple(tuple(sorted(parents[s][1])) for s in path[1:])
+            return Verdict(False, SymbolicTimedTrace(steps, tuple(s[0] for s in path)), explored)
         for move, _label, target, guard, resets, invariants, delay in table.moves(locvec):
             z = post(zone, guard, resets, invariants, delay, k)
             if z is None:

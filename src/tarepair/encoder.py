@@ -6,32 +6,36 @@ before step j fires, d_n after the last step) and conjoins: time advancement
 and exit of every step (I), transition guards (G), and the property read
 after d_n. Each clock occurrence is the sum of the delays since the clock's
 last reset, so clocks need no variables of their own. Location predicates
-are resolved statically: the trace fixes the final location vector. The
-negated property is derived once (``negated_property``, a DNF of clock
-atoms) and every decision procedure reads it.
+are resolved statically: the trace fixes the final location vector.
 
-Every atom is a sum of consecutive delays ``d_a + ... + d_b ~ c``, that is
-the difference constraint ``T_{b+1} - T_a ~ c`` over the prefix times
-``T_0..T_{n+1}``. ``TdtConstraintSystem.decide`` decides the system so, as
-a DBM in ``dbm``'s raw encoding (Bengtsson & Yi 2004), under repair edits
-applied as overrides of its atoms compiled once, in three steps that the
-MaxSMT search also runs one by one: ``close`` the system under the edits'
-timing without the edited constraints, ``conjoin`` each edited
-constraint, and test ``meets_negated_property``; the repair loop's initial
-violation check is ``decide()`` of the unedited system. ``feasible`` and
-``violating`` decide it by linear rational arithmetic instead, the
-negated property's disjuncts as one choice group of
-``lra.is_satisfiable``: the reference, for the tests and the benchmark's
-output gate. The contract re-check of repair candidates is
-``checker.replay``, which shares no code with this encoding.
+A and U are the shape of the system: they follow from the step count and
+the zero-delay steps of ``timing``. Every other atom is one ``TraceAtom``
+row, the difference constraint ``T_point - T_start ~ c`` over the prefix
+times ``T_0..T_{n+1}``, i.e. the delay sum ``d_start + ... + d_{point-1}``
+(``delay_sum``), where ``start`` is where the row's clock was last reset.
+``atoms`` holds one row per I/G atom of the trace, ``negated_property`` one
+row per clock atom of each disjunct of the negated property's DNF.
+
+``TdtConstraintSystem.decide`` decides the system so, as a DBM in ``dbm``'s
+raw encoding (Bengtsson & Yi 2004), under repair edits applied as overrides
+of its rows, in three steps that the MaxSMT search also runs one by one:
+``close`` the system under the edits' timing without the edited
+constraints, ``conjoin`` each edited constraint, and test
+``meets_negated_property``; the repair loop's initial violation check is
+``decide()`` of the unedited system. ``feasible`` and ``violating`` decide
+it by linear rational arithmetic instead (``linear_atoms``, the negated
+property's disjuncts as one choice group of ``lra.is_satisfiable``): the
+reference, for the tests and the benchmark's output gate. The contract
+re-check of repair candidates is ``checker.replay``, which shares no code
+with this encoding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import NamedTuple
 
 from .checker import SymbolicTimedTrace
 from .dbm import LE_ZERO, RAW_INF, DifferenceBoundMatrix, constrain, empty_zone, raw_constant
@@ -47,22 +51,21 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class TraceAtom:
-    """One block atom, kept at the model level so encoders can vary it.
+class TraceAtom(NamedTuple):
+    """One row of the trace system: ``T_point - T_{starts[clock][step]} op bound``.
 
-    I/G atoms carry their clock, global constraint index, owning automaton
-    and the entry/exit copy tag; A and U atoms only carry the step.
+    An I/G atom carries its model constraint index; an invariant gives an
+    entry row (point = step) and an exit row (point = step + 1), a guard an
+    exit row. A clock atom of the negated property has index -1 and
+    step = point = n + 1, the clock values after the last delay.
     """
 
-    block: str  # "A" | "U" | "I" | "G"
+    constraint_index: int
     step: int
-    clock: int | None = None
-    op: Op | None = None
-    bound: Fraction | None = None
-    copy: str = ""  # "entry" | "exit" for I; "exit" for G
-    constraint_index: int | None = None
-    automaton: int | None = None
+    point: int
+    clock: int
+    op: Op
+    bound: Fraction
 
 
 def delta_var(j: int) -> str:
@@ -84,80 +87,57 @@ class TdtConstraintSystem:
         self.prop = prop
         self.atoms = atoms
         self.n = len(stt.steps)
-        self._compiled_at: dict[int, tuple[tuple, tuple]] = {}  # _compile per scale
 
-    # -- variable bookkeeping ------------------------------------------------
+    # -- linear atoms over the delays ------------------------------------------
 
     def delta_vars(self) -> list[str]:
         return [delta_var(j) for j in range(self.n + 1)]
 
-    def clock_value_coeffs(self, c: int, j: int, include_exit: bool) -> dict[str, Fraction]:
-        """Delay-sum form of clock c at entry of step j (plus d_j when include_exit)."""
-        hi = j if include_exit else j - 1
-        return {delta_var(i): Fraction(1) for i in range(self._unedited_timing[1][c][j], hi + 1)}
+    def delay_sum(self, clock: int, step: int, point: int) -> dict[str, Fraction]:
+        """``T_point - T_start`` as a delay sum, ``start`` being the last reset of
+        ``clock`` at or before ``step`` in the unedited system."""
+        return {delta_var(i): Fraction(1) for i in range(self._unedited_timing[1][clock][step], point)}
 
-    # -- materialization -----------------------------------------------------
+    def materialize(self, row: TraceAtom) -> list[LinearAtom]:
+        return comparison_atom(self.delay_sum(row.clock, row.step, row.point), row.op, row.bound)
 
-    def atom_coeffs(self, ta: TraceAtom) -> dict[str, Fraction]:
-        """Left-hand side of an I/G atom: its clock's delay sum at entry or exit."""
-        return self.clock_value_coeffs(ta.clock, ta.step, ta.copy == "exit")
-
-    def materialize(self, ta: TraceAtom) -> list[LinearAtom]:
-        if ta.block in ("I", "G"):
-            return comparison_atom(self.atom_coeffs(ta), ta.op, ta.bound)
-        if ta.block == "A":
-            return [LinearAtom.make({delta_var(ta.step): Fraction(-1)}, Rel.LE, 0)]
-        if ta.block == "U":
-            return [LinearAtom.make({delta_var(ta.step): Fraction(1)}, Rel.EQ, 0)]
-        raise ValueError(f"unknown block {ta.block}")
+    def shape_atoms(self) -> list[LinearAtom]:
+        """The A block (``d_j >= 0``), then the U block (``d_j = 0`` at each zero-delay step)."""
+        advance = [LinearAtom.make({delta_var(j): Fraction(-1)}, Rel.LE, 0) for j in range(self.n + 1)]
+        urgent = [LinearAtom.make({delta_var(j): Fraction(1)}, Rel.EQ, 0) for j in self._unedited_timing[0]]
+        return advance + urgent
 
     def linear_atoms(self) -> list[LinearAtom]:
-        out: list[LinearAtom] = []
-        for ta in self.atoms:
-            out.extend(self.materialize(ta))
-        return out
-
-    # -- the negated property, read after the last delay ----------------------
+        return self.shape_atoms() + [la for row in self.atoms for la in self.materialize(row)]
 
     @cached_property
-    def negated_property(self) -> tuple[tuple[AtomicClockConstraint, ...], ...]:
-        """The disjuncts of the negated property's DNF as clock atoms; a
-        disjunct whose location literals the final locations falsify is
-        dropped, and the other location literals are dropped as true."""
-        final = self.stt.locations[-1]
+    def negated_property(self) -> tuple[tuple[TraceAtom, ...], ...]:
+        """The disjuncts of the negated property's DNF as rows; a disjunct whose
+        location literals the final locations falsify is dropped, and the other
+        location literals are dropped as true."""
+        final, last = self.stt.locations[-1], self.n + 1
         return tuple(
-            tuple(lit.atom for lit in d if lit.atom is not None)
+            tuple(TraceAtom(-1, last, last, a.clock, a.op, a.bound) for a in (lit.atom for lit in d) if a is not None)
             for d in prop_to_dnf(self.prop.negate())
             if all(lit.atom is not None or (final[lit.automaton] == lit.location) == lit.positive for lit in d)
         )
 
     def negated_property_atoms(self) -> list[list[LinearAtom]]:
         """``negated_property`` over the delays: one choice group of ``lra.is_satisfiable``."""
-        last = self.n + 1
-        return [
-            [la for a in d for la in comparison_atom(self.clock_value_coeffs(a.clock, last, False), a.op, a.bound)]
-            for d in self.negated_property
-        ]
+        return [[la for row in d for la in self.materialize(row)] for d in self.negated_property]
 
     def to_smtlib(self) -> str:
         return to_smtlib(self.linear_atoms(), [self.negated_property_atoms()])
 
     # -- difference logic over the prefix times T_0..T_{n+1} ------------------
 
-    def _compile(self, scale: int) -> tuple[tuple, tuple]:
-        """The I/G atoms ``(constraint index, step, point, clock, op, raw c)``,
-        each bounding ``T_point - T_start`` (point: the step for an entry copy,
-        the next for an exit copy), and the negated property's disjuncts of
-        ``(clock, op, raw c)`` at point n+1 (``negated_property``)."""
-        atoms = tuple(
-            (ta.constraint_index, ta.step, ta.step + (ta.copy == "exit"), ta.clock, ta.op, raw_constant(ta.bound, scale))
-            for ta in self.atoms
-            if ta.block in ("I", "G")
-        )
-        disjuncts = tuple(
-            tuple((a.clock, a.op, raw_constant(a.bound, scale)) for a in d) for d in self.negated_property
-        )
-        return atoms, disjuncts
+    @cached_property
+    def by_index(self) -> dict[int, tuple[TraceAtom, ...]]:
+        """The rows of each model constraint index the trace reads, by index."""
+        grouped: dict[int, list[TraceAtom]] = {}
+        for row in self.atoms:
+            grouped.setdefault(row.constraint_index, []).append(row)
+        return {idx: tuple(rows) for idx, rows in sorted(grouped.items())}
 
     def _starts(self, toggled: frozenset = frozenset()) -> tuple[tuple[int, ...], ...]:
         """starts[c][j]: the first step of clock c's delay sum at step j (0..n+1), with
@@ -187,23 +167,10 @@ class TdtConstraintSystem:
         dim = self.n + 2
         return tuple(LE_ZERO if j >= i else RAW_INF for i in range(dim) for j in range(dim))
 
-    @cached_property
-    def _points(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Per constraint index, the ``(step, point)`` of each of its I/G atoms (see ``_compile``)."""
-        points: dict[int, list[tuple[int, int]]] = {}
-        for idx, step, point, *_ in self._compiled(self.scale)[0]:
-            points.setdefault(idx, []).append((step, point))
-        return {idx: tuple(p) for idx, p in points.items()}
-
-    def _compiled(self, scale: int) -> tuple[tuple, tuple]:
-        if scale not in self._compiled_at:
-            self._compiled_at[scale] = self._compile(scale)
-        return self._compiled_at[scale]
-
     def timing(self, edits=()) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """The zero-delay steps and the delay-sum start table (``_starts``) under the
-        urgency and reset ``edits``: the edited system up to its I/G atoms' clocks,
-        operators and bounds, so equal timings give equal systems under equal atoms."""
+        urgency and reset ``edits``: the edited system up to its rows' clocks,
+        operators and bounds, so equal timings give equal systems under equal rows."""
         resets = frozenset(m.anchor[1:] for m in edits if m.anchor[0] == "reset")
         urgency = frozenset(m.anchor[1:] for m in edits if m.anchor[0] == "urgent")
         urgent, starts = self._unedited_timing
@@ -211,49 +178,44 @@ class TdtConstraintSystem:
             urgent = _urgent_steps(self.network, self.stt.locations, urgency)
         return urgent, self._starts(resets) if resets else starts
 
+    def _constrain(self, m: list[int], starts, scale: int, rows) -> bool:
+        """Conjoin ``rows`` with constants at ``scale`` to the closed raw DBM ``m``
+        in place, under the start table ``starts``; False iff ``m`` becomes empty."""
+        dim = self.n + 2
+        return all(
+            constrain(m, dim, r.point, starts[r.clock][r.step], r.op, raw_constant(r.bound, scale)) for r in rows
+        )
+
     def close(self, timing, scale: int, skip=frozenset()) -> list[int] | None:
         """The closed raw DBM over ``T_0..T_{n+1}`` of the system under ``timing``
-        with constants at ``scale``, leaving out the I/G atoms whose constraint
-        index is in ``skip``; None when it is empty."""
+        with constants at ``scale``, leaving out the rows whose constraint index
+        is in ``skip``; None when it is empty."""
         urgent, starts = timing
         dim = self.n + 2
         m = list(self._ordered)
         for j in urgent:
             constrain(m, dim, j + 1, j, Op.EQ, 0)  # zero-weight edges close no negative cycle
-        for idx, step, point, clock, op, strict in self._compiled(scale)[0]:
-            if idx not in skip and not constrain(m, dim, point, starts[clock][step], op, strict):
-                return None
-        return m
+        rows = (r for r in self.atoms if r.constraint_index not in skip)
+        return m if self._constrain(m, starts, scale, rows) else None
 
     def conjoin(self, m: list[int], timing, scale: int, idx: int, atom: AtomicClockConstraint) -> bool:
-        """Conjoin to ``m`` in place the I/G atoms of constraint index ``idx``, each
+        """Conjoin to ``m`` in place the rows of constraint index ``idx``, each
         with the clock, operator and bound of ``atom``; False iff ``m`` becomes empty."""
-        starts = timing[1]
-        strict = raw_constant(atom.bound, scale)
-        dim = self.n + 2
-        start = starts[atom.clock]
-        return all(constrain(m, dim, point, start[step], atom.op, strict) for step, point in self._points.get(idx, ()))
+        start, strict, dim = timing[1][atom.clock], raw_constant(atom.bound, scale), self.n + 2
+        return all(constrain(m, dim, r.point, start[r.step], atom.op, strict) for r in self.by_index.get(idx, ()))
 
     def meets_negated_property(self, m: list[int], timing, scale: int) -> bool:
         """Does the non-empty closed DBM ``m`` meet a disjunct of the negated property?"""
-        starts = timing[1]
-        dim, last = self.n + 2, self.n + 1
-
-        def meets(disjunct) -> bool:
-            mm = m.copy()
-            return all(constrain(mm, dim, last, starts[c][last], op, strict) for c, op, strict in disjunct)
-
-        return any(meets(d) for d in self._compiled(scale)[1])
+        return any(self._constrain(m.copy(), timing[1], scale, d) for d in self.negated_property)
 
     def decide(self, edits=()) -> tuple[DifferenceBoundMatrix, bool]:
         """The closed DBM over ``T_0..T_{n+1}`` and whether it meets the negated property.
 
-        ``edits`` (``variations.Modification``) override the compiled
-        system, so the result is that of ``encode`` on the edited model. An
-        empty system gives the canonical empty DBM and False. The system is
-        closed without the edited constraints' atoms, which are then
-        conjoined under their edits; closure is canonical, so the order
-        does not show.
+        ``edits`` (``variations.Modification``) override the system's rows,
+        so the result is that of ``encode`` on the edited model. An empty
+        system gives the canonical empty DBM and False. The system is closed
+        without the edited constraints' rows, which are then conjoined under
+        their edits; closure is canonical, so the order does not show.
         """
         constraint = {m.anchor[1]: m.new for m in edits if m.anchor[0] == "constraint"}
         timing = self.timing(edits)
@@ -276,53 +238,27 @@ def _urgent_steps(network: TimedAutomatonNetwork, locations, toggled: frozenset 
 def encode(
     network: TimedAutomatonNetwork, stt: SymbolicTimedTrace, prop: SafetyProperty
 ) -> TdtConstraintSystem:
-    """Encode an STT as the A/U/I/G trace constraint system over delays."""
-    index_of: dict[tuple, int] = {}
+    """Encode an STT as its trace constraint system: the I rows by step, automaton
+    and position, entry before exit, then the G rows by step."""
+    refs: dict[tuple, list] = {}
     for ref in indexed_constraints(network):
-        if ref.kind == "invariant":
-            index_of[("invariant", ref.automaton, ref.location, ref.atom_pos)] = ref.index
-        else:
-            index_of[("guard", ref.automaton, ref.transition, ref.atom_pos)] = ref.index
+        where = ref.location if ref.kind == "invariant" else ref.transition
+        refs.setdefault((ref.kind, ref.automaton, where), []).append(ref)
 
-    n = len(stt.steps)
+    def rows(key: tuple, step: int, points: tuple[int, ...]) -> list[TraceAtom]:
+        return [
+            TraceAtom(ref.index, step, point, ref.atom.clock, ref.atom.op, ref.atom.bound)
+            for ref in refs.get(key, ())
+            for point in points
+        ]
+
     atoms: list[TraceAtom] = []
-    for j in range(n + 1):
-        atoms.append(TraceAtom("A", j))
-    atoms.extend(TraceAtom("U", j) for j in _urgent_steps(network, stt.locations))
-    for j in range(n + 1):
-        for ai, li in enumerate(stt.locations[j]):
-            for pi, inv_atom in enumerate(network.automata[ai].invariants[li]):
-                idx = index_of[("invariant", ai, li, pi)]
-                for copy in ("entry", "exit"):
-                    atoms.append(
-                        TraceAtom(
-                            "I",
-                            j,
-                            clock=inv_atom.clock,
-                            op=inv_atom.op,
-                            bound=inv_atom.bound,
-                            copy=copy,
-                            constraint_index=idx,
-                            automaton=ai,
-                        )
-                    )
-    for j in range(n):
-        for ai, ti in stt.steps[j]:
-            trans = network.automata[ai].transitions[ti]
-            for pi, g_atom in enumerate(trans.guard):
-                idx = index_of[("guard", ai, ti, pi)]
-                atoms.append(
-                    TraceAtom(
-                        "G",
-                        j,
-                        clock=g_atom.clock,
-                        op=g_atom.op,
-                        bound=g_atom.bound,
-                        copy="exit",
-                        constraint_index=idx,
-                        automaton=ai,
-                    )
-                )
+    for j, locvec in enumerate(stt.locations):
+        for ai, li in enumerate(locvec):
+            atoms += rows(("invariant", ai, li), j, (j, j + 1))
+    for j, move in enumerate(stt.steps):
+        for ai, ti in move:
+            atoms += rows(("guard", ai, ti), j, (j + 1,))
     return TdtConstraintSystem(network, stt, prop, tuple(atoms))
 
 

@@ -8,27 +8,28 @@ as possible (equivalently, modifying as few constraints as possible).
 
 Every kind checks a concrete assignment one way: ``HardConstraint.edits``
 makes the ``variations.edit`` of each non-zero variable (once per value
-and run), and ``TdtConstraintSystem.decide`` applies them to the base
-trace system and decides both quantifiers by difference logic. So the
-discrete analyses (operator, clock reference, resets, urgency) make no
-linear rational arithmetic call, and each decides every distinct edited
-system once, with pruning:
+and run), and ``TdtConstraintSystem.decide`` applies them to the rows of
+the base trace system and decides both quantifiers by difference logic.
+So the discrete analyses (operator, clock reference, resets, urgency)
+make no linear rational arithmetic call, and each decides every distinct
+edited system once, with pruning:
 
 - operator and clock reference: ``repairing_assignments`` closes the
   system once per modified set without the set's constraints and walks
-  the set's values depth first, conjoining one variable's edited atoms
+  the set's values depth first, conjoining one variable's edited rows
   per level; a level that closes empty prunes every assignment below it;
 - resets and urgency: the edits change only the timing of the system (its
   zero-delay steps and delay-sum starts), so ``HardConstraint.check``
-  keeps one verdict per timing; and reset toggles whose clock nothing
+  keeps one verdict per timing; and reset toggles whose clock no row
   reads after their transition first fires start blocked in ``max_sat``.
 
-For the bound analysis, whose variables
-are free rationals, the hard constraint is also a formula over them,
-projected by quantifier elimination over the delays: the existential
-projection conjoined with, per disjunct of the negated property, one
-choice group of ``lra.is_satisfiable`` (the complement of that disjunct's
-projection). It picks the modified sets and samples their values.
+For the bound analysis, whose variables are free rationals, the hard
+constraint is also a formula over them (the rows with shifted bounds,
+``VariedSystem.free_atoms``), projected by quantifier elimination over
+the delays: the existential projection conjoined with, per disjunct of
+the negated property, one choice group of ``lra.is_satisfiable`` (the
+complement of that disjunct's projection). It picks the modified sets
+and samples their values.
 
 ``max_sat`` is one pass over the modified sets of a run: it yields every
 repairing set in ascending size and blocks the variables of each set it
@@ -129,7 +130,7 @@ def repairing_assignments(hard: HardConstraint, modified: tuple[str, ...]):
     lexicographic order, so enumeration is deterministic and follows
     ``itertools.product``. Operator and clock-reference edits replace whole
     atoms, so those kinds close the trace system once without the set's
-    constraints and conjoin one variable's edited atoms per level of a
+    constraints and conjoin one variable's edited rows per level of a
     depth-first walk: a level that closes empty prunes every assignment
     below it, and each leaf is the DBM ``decide`` builds for it.
     """
@@ -162,21 +163,17 @@ def repairing_assignments(hard: HardConstraint, modified: tuple[str, ...]):
 
 
 def dead_reset_toggles(vs: VariedSystem) -> set[str]:
-    """Reset variables whose clock no I/G atom and no property atom reads after
-    the first step where their transition fires.
+    """Reset variables whose clock no row of the trace system or of the negated
+    property reads after the first step where their transition fires.
 
     Such a toggle moves only the start of its clock's delay sums after that
     step, which nothing reads, so it leaves the edited system unchanged
     whatever else is edited.
     """
     base = vs.base
-    last_read = {}  # clock -> last step whose atoms read it
-    for ta in base.atoms:
-        if ta.block in ("I", "G"):
-            last_read[ta.clock] = max(last_read.get(ta.clock, -1), ta.step)
-    for disjunct in base.negated_property:
-        for a in disjunct:
-            last_read[a.clock] = base.n + 1
+    last_read = {}  # clock -> last step whose rows read it
+    for row in itertools.chain(base.atoms, *base.negated_property):
+        last_read[row.clock] = max(last_read.get(row.clock, -1), row.step)
     steps = base.stt.steps
     dead = set()
     for var in vs.variables:

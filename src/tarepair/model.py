@@ -287,6 +287,23 @@ def validate(network: TimedAutomatonNetwork, prop: SafetyProperty | None = None)
 
     if prop is not None:
         diags.extend(_validate_property(network, prop))
+    diags.extend(_validate_constants(network, prop))
+    return diags
+
+
+def _validate_constants(network: TimedAutomatonNetwork, prop: SafetyProperty | None) -> list[str]:
+    """Constants whose raw zone encoding at ``constant_scale`` does not fit."""
+    from .dbm import raw_constant  # dbm imports this module
+
+    scale = constant_scale(network, prop)
+    bounds = {ref.atom.bound for ref in indexed_constraints(network)}
+    bounds |= {atom.bound for atom in prop.iter_atoms()} if prop is not None else set()
+    diags = []
+    for bound in sorted(bounds):
+        try:
+            raw_constant(bound, scale)
+        except ValueError:
+            diags.append(f"constant {bound} times the constant scale {scale} is not below 2^200")
     return diags
 
 

@@ -94,6 +94,11 @@ def atom_text(atom: AtomicClockConstraint, clock_names: tuple[str, ...]) -> str:
     return f"{clock_names[atom.clock]} {OP_TEXT[atom.op]} {b}"
 
 
+# Deepest nesting of '!' and '(' a property may have; every pass over a
+# property recurses once per level.
+MAX_PROPERTY_NESTING = 100
+
+
 class _PropParser:
     """Recursive-descent parser for the property grammar.
 
@@ -120,6 +125,7 @@ class _PropParser:
             self.tokens.append((m.group(1), m.start(1)))
             pos = m.end()
         self.i = 0
+        self.depth = 0  # the '!' and '(' around the current token
 
     def _fail(self, pos: int, message: str):
         line = self.text.count("\n", 0, pos) + 1
@@ -158,13 +164,18 @@ class _PropParser:
 
     def _not(self) -> PropertyExpr:
         tok, pos = self._next()
-        if tok == "!":
-            return self._not().negate()
-        if tok == "(":
-            e = self._or()
-            closing, cpos = self._next()
-            if closing != ")":
-                self._fail(cpos, "expected ')'")
+        if tok in ("!", "("):
+            self.depth += 1
+            if self.depth > MAX_PROPERTY_NESTING:
+                self._fail(pos, f"property nested deeper than {MAX_PROPERTY_NESTING} levels")
+            if tok == "!":
+                e = self._not().negate()
+            else:
+                e = self._or()
+                closing, cpos = self._next()
+                if closing != ")":
+                    self._fail(cpos, "expected ')'")
+            self.depth -= 1
             return e
         if tok == "true":
             return PropertyExpr(PropKind.TRUE)

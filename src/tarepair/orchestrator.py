@@ -137,16 +137,18 @@ def _entails(new, old) -> bool:
 def _sizes(vs: VariedSystem) -> tuple[int, int]:
     """``RepairRun.variable_count`` and ``constraint_count`` of a run; see there."""
     sys, n, clocks = vs.base, vs.base.n, vs.base.network.n_clocks
+    rows, shape = len(sys.atoms), n + 1 + len(sys.timing()[0])  # #IG and #A + #U
     if vs.kind == "reset":
-        return n + 1 + clocks * (n + 2) + clocks * n, len(sys.atoms) + 2 * clocks * (n + 1)
-    varied = [ta for ta in sys.atoms if ta.block in ("I", "G")]
-    extra = {  # linear atoms beyond the trace system's, which has one per trace atom
-        "bound": len(vs.free_atoms) - len(sys.atoms),
-        "operator": (len(Op) - 1) * len(varied),
-        "clockref": sum(len(sys.network.automata[ta.automaton].clocks) - 1 for ta in varied),
-        "urgent": (n + 1) * len(sys.network.automata) - sum(ta.block == "U" for ta in sys.atoms),
-    }
-    return n + 1 + len(vs.variables), len(sys.atoms) + extra[vs.kind]
+        return n + 1 + clocks * (n + 2) + clocks * n, shape + rows + 2 * clocks * (n + 1)
+    if vs.kind == "bound":
+        count = len(vs.free_atoms)
+    elif vs.kind == "operator":
+        count = shape + len(Op) * rows
+    elif vs.kind == "clockref":  # each row of a variable's index, once per clock of its domain
+        count = shape + sum(len(v.domain) * len(sys.by_index[v.anchor[0]]) for v in vs.variables)
+    else:
+        count = n + 1 + rows + (n + 1) * len(sys.network.automata)
+    return n + 1 + len(vs.variables), count
 
 
 @dataclass
@@ -168,8 +170,8 @@ class RepairRun:
     does not read the number of reset variables, which is one per edit."""
     constraint_count: int = 0
     """A closed form of the trace's shape, as the campaign's Cn column has
-    always reported it. With #A, #U and #IG the trace system's A, U and I/G
-    atoms, n steps, C clocks and N automata:
+    always reported it. With n steps, #A = n+1, #U the zero-delay steps and
+    #IG the trace system's rows, C clocks and N automata:
 
     - bound: #A + #U + #IG + one clamp atom per varied ``>`` bound;
     - operator: #A + #U + 5*#IG;

@@ -210,13 +210,16 @@ class SeedCampaign:
         return "\n".join(lines) + "\n"
 
 
+# The budgets of each mutant's check and repair runs.
+CAMPAIGN_STATE_BUDGET = 4_000
+CAMPAIGN_QE_BUDGET = 20_000
+
+
 def campaign(
     network: TimedAutomatonNetwork,
     prop,
     kinds=SEED_KINDS,
     repair_kinds=None,
-    state_budget: int = 4_000,
-    qe_budget: int = 20_000,
     max_repairs: int = DEFAULT_MAX_REPAIRS,
     model_name: str = "model",
 ) -> SeedCampaign:
@@ -233,7 +236,7 @@ def campaign(
         row = rows[mutant.kind]
         row.seeded += 1
         try:
-            verdict = check(mutant.network, prop, state_budget)
+            verdict = check(mutant.network, prop, CAMPAIGN_STATE_BUDGET)
         except Exhausted:
             row.timeouts += 1
             out.mutant_results.append((mutant.kind, mutant.description, "check exhausted"))
@@ -253,8 +256,8 @@ def campaign(
                     rk,
                     tdt=verdict.trace,
                     max_repairs=max_repairs,
-                    qe_budget=qe_budget,
-                    state_budget=state_budget,
+                    qe_budget=CAMPAIGN_QE_BUDGET,
+                    state_budget=CAMPAIGN_STATE_BUDGET,
                 )
             except Exhausted:
                 row.timeouts += 1

@@ -3,15 +3,16 @@
 Each encoder introduces variation variables with a declared domain and a
 "no change" value; each variable is one syntactic edit of the model:
 
-- bound: every indexed I/G atom ``c ~ b`` becomes ``c ~ b + v`` with one
-  shared rational v per constraint index (entry and exit copies share v).
-  This kind alone also keeps the varied system as linear atoms over the
-  delays and the v's (``VariedSystem.free_atoms``), which the MaxSMT search
-  projects by quantifier elimination.
+- bound: every indexed atom ``c ~ b`` becomes ``c ~ b + v`` with one
+  shared rational v per constraint index, which every trace row of the
+  index (``TdtConstraintSystem.by_index``) reads. This kind alone also keeps
+  the varied system as linear atoms over the delays and the v's
+  (``VariedSystem.free_atoms``), which the MaxSMT search projects by
+  quantifier elimination.
 - operator: each constraint's operator ranges over the five comparison
-  operators.
+  operators; the rows of one index share the choice.
 - clock reference: each constraint's clock ranges over the clocks of the
-  owning automaton.
+  owning automaton; the rows of one index share the choice.
 - resets: one boolean flip per (transition, clock) reset toggle the trace
   offers: at each step a clock is removed from every transition of the
   step that resets it, or else added on the step's first transition whose
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .encoder import TdtConstraintSystem, TraceAtom
+from .encoder import TdtConstraintSystem
 from .lra import LinearAtom, Rel, comparison_atom
 from .model import Op, indexed_constraints
 
@@ -92,15 +93,6 @@ class VariedSystem:
         return {v.name: v.zero for v in self.variables}
 
 
-def _indexed_trace_atoms(sys: TdtConstraintSystem) -> dict[int, list[TraceAtom]]:
-    """Trace instances of each model constraint index, in document order."""
-    grouped: dict[int, list[TraceAtom]] = {}
-    for ta in sys.atoms:
-        if ta.block in ("I", "G"):
-            grouped.setdefault(ta.constraint_index, []).append(ta)
-    return dict(sorted(grouped.items()))
-
-
 def _constraint_description(sys: TdtConstraintSystem, idx: int) -> str:
     ref = indexed_constraints(sys.network)[idx]
     auto = sys.network.automata[ref.automaton]
@@ -114,10 +106,9 @@ def _constraint_description(sys: TdtConstraintSystem, idx: int) -> str:
 
 def vary_bounds(sys: TdtConstraintSystem) -> VariedSystem:
     """Every indexed bound b becomes b + v; one shared rational v per constraint."""
-    grouped = _indexed_trace_atoms(sys)
-    atoms = [la for ta in sys.atoms if ta.block not in ("I", "G") for la in sys.materialize(ta)]
+    atoms = sys.shape_atoms()
     variables = []
-    for idx, instances in grouped.items():
+    for idx, rows in sys.by_index.items():
         vname = f"v{idx}"
         variables.append(
             VariationVariable(
@@ -129,47 +120,47 @@ def vary_bounds(sys: TdtConstraintSystem) -> VariedSystem:
                 description=_constraint_description(sys, idx),
             )
         )
-        for ta in instances:
-            coeffs = sys.atom_coeffs(ta)
+        for row in rows:
+            coeffs = sys.delay_sum(row.clock, row.step, row.point)
             coeffs[vname] = Fraction(-1)  # lhs ~ b + v  <=>  lhs - v ~ b
-            atoms.extend(comparison_atom(coeffs, ta.op, ta.bound))
-        if instances[0].op == Op.GT:
+            atoms.extend(comparison_atom(coeffs, row.op, row.bound))
+        if rows[0].op == Op.GT:
             # Repaired bounds are clamped at 0. That is exact for c >= b + v,
             # but c > b + v with b + v < 0 always holds and c > 0 does not,
             # so a strict lower bound may not go below 0: -v <= b.
-            atoms.append(LinearAtom.make({vname: Fraction(-1)}, Rel.LE, instances[0].bound))
+            atoms.append(LinearAtom.make({vname: Fraction(-1)}, Rel.LE, rows[0].bound))
     return VariedSystem(sys, "bound", tuple(variables), tuple(atoms))
 
 
 def vary_operators(sys: TdtConstraintSystem) -> VariedSystem:
-    """Each constraint's operator ranges over <, <=, =, >=, >; copies share the choice."""
+    """Each constraint's operator ranges over <, <=, =, >=, >; its rows share the choice."""
     variables = tuple(
         VariationVariable(
             name=f"ov{idx}",
             kind="operator",
             anchor=(idx,),
             domain=tuple(Op),
-            zero=instances[0].op,
+            zero=rows[0].op,
             description=_constraint_description(sys, idx),
         )
-        for idx, instances in _indexed_trace_atoms(sys).items()
+        for idx, rows in sys.by_index.items()
     )
     return VariedSystem(sys, "operator", variables)
 
 
 def vary_clock_refs(sys: TdtConstraintSystem) -> VariedSystem:
     """Each constraint's clock ranges over the owning automaton's clocks."""
-    automata = sys.network.automata
+    automata, refs = sys.network.automata, indexed_constraints(sys.network)
     variables = tuple(
         VariationVariable(
             name=f"cv{idx}",
             kind="clockref",
             anchor=(idx,),
-            domain=tuple(sorted(automata[instances[0].automaton].clocks)),
-            zero=instances[0].clock,
+            domain=tuple(sorted(automata[refs[idx].automaton].clocks)),
+            zero=rows[0].clock,
             description=_constraint_description(sys, idx),
         )
-        for idx, instances in _indexed_trace_atoms(sys).items()
+        for idx, rows in sys.by_index.items()
     )
     return VariedSystem(sys, "clockref", variables)
 

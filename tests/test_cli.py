@@ -254,6 +254,17 @@ def _first_invariant(text):
             lambda doc: doc["automata"][0]["locations"][0].update(urgent="false"),
             "automata[0].locations[0].urgent: expected a boolean",
         ),
+        (_first_invariant(f"x <= {2**201}"), f"constant {2**201} times the constant scale 1 is not below 2^200"),
+        (
+            # each constant fits alone, but 1/3 at the lcm of the denominators does not
+            lambda doc: doc.update(property=f"x <= 1/3 || x >= 1/{2**200 + 1}"),
+            f"constant 1/3 times the constant scale {3 * (2**200 + 1)} is not below 2^200",
+        ),
+        (lambda doc: doc.update(property="!" * 3000 + "x <= 1"), "property:1:101: property nested deeper than 100"),
+        (
+            lambda doc: doc.update(property="(" * 3000 + "x <= 1" + ")" * 3000),
+            "property:1:101: property nested deeper than 100",
+        ),
     ],
     ids=[
         "automata-not-a-list",
@@ -266,6 +277,10 @@ def _first_invariant(text):
         "zero-denominator-in-property",
         "negative-invariant-bound",
         "urgent-not-a-boolean",
+        "constant-too-large",
+        "constant-too-large-at-the-common-scale",
+        "negations-nested-too-deep",
+        "parentheses-nested-too-deep",
     ],
 )
 def test_malformed_model_document_is_a_usage_error(tmp_path, capsys, mutate, where):
@@ -273,5 +288,7 @@ def test_malformed_model_document_is_a_usage_error(tmp_path, capsys, mutate, whe
     mutate(doc)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["check", str(model)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {where}")
+    for args in (["check", str(model)], ["repair", str(model), "--out", str(tmp_path / "out")]):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1, args

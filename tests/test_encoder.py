@@ -1,4 +1,4 @@
-"""Trace constraint system blocks, delay sums, and feasibility."""
+"""Trace constraint system rows, delay sums, and feasibility."""
 
 import random
 from fractions import Fraction as F
@@ -10,6 +10,7 @@ from tarepair.encoder import delta_var, encode, feasible, violating
 from tarepair.lra import is_satisfiable
 from tarepair.model import prop_to_dnf
 from tarepair.modelio import parse_model, parse_property
+from tarepair.variations import vary_bounds
 
 
 def property_atoms(sys):
@@ -28,7 +29,8 @@ def test_minimal_zero_step_system():
     net, prop = parse_model(text)
     stt = SymbolicTimedTrace((), (tuple([0]),))
     sys = encode(net, stt, prop)
-    assert [ta.block for ta in sys.atoms] == ["A"]
+    # no I/G rows and no zero-delay step: the A block is the whole system
+    assert sys.atoms == () and sys.timing()[0] == ()
     assert [a.text() for a in sys.linear_atoms()] == ["- d0 <= 0"]
     # c starts at 0, so the property reads it as the one delay d0
     assert [a.text() for a in property_atoms(sys)] == ["d0 <= 1"]
@@ -39,9 +41,9 @@ def test_running_example_invariant_doubling():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
     sys = encode(net, verdict.trace, prop)
-    w_atoms = [ta for ta in sys.atoms if ta.block == "I" and ta.constraint_index == 2]
-    assert [ta.copy for ta in w_atoms] == ["entry", "exit"]
-    texts = {a.text() for ta in w_atoms for a in sys.materialize(ta)}
+    w_rows = [r for r in sys.atoms if r.constraint_index == 2]
+    assert [r.point - r.step for r in w_rows] == [0, 1]  # entry, then exit
+    texts = {a.text() for r in w_rows for a in sys.materialize(r)}
     assert texts == {"0 <= 2", "d1 <= 2"}
 
 
@@ -51,12 +53,12 @@ def test_reset_shapes_delay_sums():
     sys = encode(net, verdict.trace, prop)
     y = net.clock_index("y")
     # y is reset entering step 2 (db.t1 fired at step 1): its delay sum restarts there.
-    assert [sorted(sys.clock_value_coeffs(y, j, False)) for j in range(sys.n + 2)] == [
+    assert [sorted(sys.delay_sum(y, j, j)) for j in range(sys.n + 2)] == [
         [], ["d0"], [], ["d2"], ["d2", "d3"]
     ]
     # the trailing delay counts towards every clock's final value
     n = sys.n
-    assert all(delta_var(n) in sys.clock_value_coeffs(c, n + 1, False) for c in range(net.n_clocks))
+    assert all(delta_var(n) in sys.delay_sum(c, n + 1, n + 1) for c in range(net.n_clocks))
 
 
 def test_delay_sum_substitution():
@@ -65,10 +67,10 @@ def test_delay_sum_substitution():
     sys = encode(net, verdict.trace, prop)
     x = net.clock_index("x")
     # x is reset at step 0, so its value at step 3 is d1 + d2.
-    assert sys.clock_value_coeffs(x, 3, False) == {delta_var(1): F(1), delta_var(2): F(1)}
+    assert sys.delay_sum(x, 3, 3) == {delta_var(1): F(1), delta_var(2): F(1)}
     w = net.clock_index("w")
     # w is reset at step 0 too; value at step 2 is d1.
-    assert sys.clock_value_coeffs(w, 2, False) == {delta_var(1): F(1)}
+    assert sys.delay_sum(w, 2, 2) == {delta_var(1): F(1)}
     # a clock never reset sums from step 0
     text = """
     {"automata": [{"name": "p", "initial": "a", "clocks": ["c"],
@@ -82,7 +84,7 @@ def test_delay_sum_substitution():
     net2, prop2 = parse_model(text)
     stt = stt_from_moves(net2, [((0, 0),), ((0, 1),), ((0, 2),)])
     sys2 = encode(net2, stt, prop2)
-    assert sys2.clock_value_coeffs(0, 3, False) == {
+    assert sys2.delay_sum(0, 3, 3) == {
         delta_var(0): F(1),
         delta_var(1): F(1),
         delta_var(2): F(1),
@@ -98,7 +100,7 @@ def test_phi_reads_clocks_at_step_n_plus_one():
     assert [a.text() for a in phi] == ["d1 + d2 + d3 <= 4"]
     x = net.clock_index("x")
     vars_used = {v for a in phi for v in a.variables()}
-    assert vars_used == set(sys.clock_value_coeffs(x, sys.n + 1, False))
+    assert vars_used == set(sys.delay_sum(x, sys.n + 1, sys.n + 1))
 
 
 def test_feasibility_and_violation_on_running_example():
@@ -182,3 +184,38 @@ def test_smtlib_dump_round():
     sys = encode(net, verdict.trace, prop)
     dump = sys.to_smtlib()
     assert dump.startswith("(declare-const") and "(check-sat)" in dump
+
+
+PINNED_SYSTEMS = {
+    # A, then U, then the I rows (entry before exit) and the G rows, then the
+    # negated property; fixed because the elimination order of the LRA side
+    # and the QE budget count follow the atom order.
+    "client_db": (
+        "(declare-const d0 Real)\n(declare-const d1 Real)\n(declare-const d2 Real)\n(declare-const d3 Real)\n"
+        "(assert (and (<= (* -1 d0) 0) (<= (* -1 d1) 0) (<= (* -1 d2) 0) (<= (* -1 d3) 0) (<= 0 2) "
+        "(<= (* 1 d1) 2) (<= 0 1) (<= (* 1 d2) 1) (<= 0 2) (<= (* 1 d3) 2) (<= (* -1 d1) -1) (<= (* -1 d2) -1) "
+        "(< (+ (* -1 d1) (* -1 d2) (* -1 d3)) -4)))\n(check-sat)\n",
+        [
+            "- d0 <= 0", "- d1 <= 0", "- d2 <= 0", "- d3 <= 0", "- v0 <= 2", "d3 - v0 <= 2", "- v2 <= 2",
+            "d1 - v2 <= 2", "- v3 <= 1", "d2 - v3 <= 1", "- d1 + v4 <= -1", "- d2 + v5 <= -1",
+        ],
+    ),
+    "urgent_hop": (
+        "(declare-const d0 Real)\n(declare-const d1 Real)\n(declare-const d2 Real)\n"
+        "(assert (and (<= (* -1 d0) 0) (<= (* -1 d1) 0) (<= (* -1 d2) 0) (= (* 1 d1) 0) (<= 0 3) (<= (* 1 d0) 3) "
+        "(<= (+ (* 1 d0) (* 1 d1)) 3) (<= (+ (* 1 d0) (* 1 d1) (* 1 d2)) 3) "
+        "(< (+ (* -1 d0) (* -1 d1) (* -1 d2)) 0)))\n(check-sat)\n",
+        [
+            "- d0 <= 0", "- d1 <= 0", "- d2 <= 0", "d1 = 0", "- v0 <= 3", "d0 - v0 <= 3", "d0 + d1 - v1 <= 3",
+            "d0 + d1 + d2 - v1 <= 3",
+        ],
+    ),
+}
+
+
+def test_linear_atom_order_is_pinned():
+    for name, (smtlib, free_atoms) in PINNED_SYSTEMS.items():
+        net, prop = load_bundled_model(name)
+        sys = encode(net, check(net, prop).trace, prop)
+        assert sys.to_smtlib() == smtlib, name
+        assert [a.text() for a in vary_bounds(sys).free_atoms] == free_atoms, name
