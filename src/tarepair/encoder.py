@@ -87,6 +87,7 @@ class TdtConstraintSystem:
         self.prop = prop
         self.atoms = atoms
         self.n = len(stt.steps)
+        self._raws: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
 
     # -- linear atoms over the delays ------------------------------------------
 
@@ -178,13 +179,24 @@ class TdtConstraintSystem:
             urgent = _urgent_steps(self.network, self.stt.locations, urgency)
         return urgent, self._starts(resets) if resets else starts
 
-    def _constrain(self, m: list[int], starts, scale: int, rows) -> bool:
-        """Conjoin ``rows`` with constants at ``scale`` to the closed raw DBM ``m``
-        in place, under the start table ``starts``; False iff ``m`` becomes empty."""
+    def _raw_constants(self, scale: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The bounds at ``scale`` in ``dbm``'s raw encoding: one per row of
+        ``atoms``, and one tuple per ``negated_property`` disjunct, aligned
+        with its rows; computed once per scale."""
+        raws = self._raws.get(scale)
+        if raws is None:
+            raws = self._raws[scale] = (
+                tuple(raw_constant(r.bound, scale) for r in self.atoms),
+                tuple(tuple(raw_constant(r.bound, scale) for r in d) for d in self.negated_property),
+            )
+        return raws
+
+    def _constrain(self, m: list[int], starts, rows) -> bool:
+        """Conjoin ``rows``, pairs of a row and its raw constant, to the closed raw
+        DBM ``m`` in place, under the start table ``starts``; False iff ``m``
+        becomes empty."""
         dim = self.n + 2
-        return all(
-            constrain(m, dim, r.point, starts[r.clock][r.step], r.op, raw_constant(r.bound, scale)) for r in rows
-        )
+        return all(constrain(m, dim, r.point, starts[r.clock][r.step], r.op, c) for r, c in rows)
 
     def close(self, timing, scale: int, skip=frozenset()) -> list[int] | None:
         """The closed raw DBM over ``T_0..T_{n+1}`` of the system under ``timing``
@@ -195,8 +207,10 @@ class TdtConstraintSystem:
         m = list(self._ordered)
         for j in urgent:
             constrain(m, dim, j + 1, j, Op.EQ, 0)  # zero-weight edges close no negative cycle
-        rows = (r for r in self.atoms if r.constraint_index not in skip)
-        return m if self._constrain(m, starts, scale, rows) else None
+        rows = zip(self.atoms, self._raw_constants(scale)[0])
+        if skip:
+            rows = ((r, c) for r, c in rows if r.constraint_index not in skip)
+        return m if self._constrain(m, starts, rows) else None
 
     def conjoin(self, m: list[int], timing, scale: int, idx: int, atom: AtomicClockConstraint) -> bool:
         """Conjoin to ``m`` in place the rows of constraint index ``idx``, each
@@ -206,7 +220,10 @@ class TdtConstraintSystem:
 
     def meets_negated_property(self, m: list[int], timing, scale: int) -> bool:
         """Does the non-empty closed DBM ``m`` meet a disjunct of the negated property?"""
-        return any(self._constrain(m.copy(), timing[1], scale, d) for d in self.negated_property)
+        return any(
+            self._constrain(m.copy(), timing[1], zip(d, raws))
+            for d, raws in zip(self.negated_property, self._raw_constants(scale)[1])
+        )
 
     def decide(self, edits=()) -> tuple[DifferenceBoundMatrix, bool]:
         """The closed DBM over ``T_0..T_{n+1}`` and whether it meets the negated property.

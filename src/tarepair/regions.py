@@ -5,18 +5,20 @@ language: both constructions must accept the same label sequences.
 A region records, per clock, the integer part capped at the maximal
 constant k, whether the fractional part is zero, and the ordering of the
 nonzero fractional parts. Delay steps walk the region successor chain and
-appear as silent edges; model constants must be integers (regions are an
-oracle for unrepaired models, whose bounds are naturals).
+appear as silent edges. Regions need integer constants, so a network
+with rational constants is first scaled by ``model.constant_scale``, with
+k scaled to match: stretching time by a constant factor keeps the untimed
+language.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .admissibility import EMPTY_LANGUAGE, UntimedAutomaton
 from .checker import Exhausted, MoveIndex, move_label
-from .model import AtomicClockConstraint, Op, TimedAutomatonNetwork, max_constant
+from .model import AtomicClockConstraint, Op, TimedAutomatonNetwork, constant_scale, max_constant
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,23 @@ def _invariant_atoms(network, locvec):
         yield from network.automata[ai].invariants[li]
 
 
+def _scaled(network: TimedAutomatonNetwork, factor: int) -> TimedAutomatonNetwork:
+    """The network with every constant multiplied by ``factor``."""
+
+    def atoms(seq):
+        return tuple(replace(a, bound=a.bound * factor) for a in seq)
+
+    automata = tuple(
+        replace(
+            auto,
+            invariants=tuple(map(atoms, auto.invariants)),
+            transitions=tuple(replace(t, guard=atoms(t.guard)) for t in auto.transitions),
+        )
+        for auto in network.automata
+    )
+    return replace(network, automata=automata)
+
+
 DEFAULT_REGION_BUDGET = 200_000
 
 
@@ -108,6 +127,9 @@ def build_region_untimed(
     ``EMPTY_LANGUAGE`` where the initial region violates the initial invariants."""
     if k is None:
         k = max_constant(network)
+    scale = constant_scale(network)
+    if scale != 1:
+        network, k = _scaled(network, scale), k * scale
     locvec0 = tuple(a.initial for a in network.automata)
     r0 = initial_region(network.n_clocks)
     if not _satisfies_all(r0, _invariant_atoms(network, locvec0)):

@@ -6,19 +6,21 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import no_run_model, scaled_model
-from tarepair import bundled_model_path, load_bundled_model
+from tarepair import admissibility, bundled_model_path, load_bundled_model, orchestrator, seeding
 from tarepair.admissibility import (
     EMPTY_LANGUAGE,
     Equivalence,
+    ZoneGraph,
     accepts,
     build_untimed,
     check_admissible,
     equivalent,
 )
-from tarepair.checker import check
-from tarepair.model import desugar_urgency
+from tarepair.checker import Exhausted, check
+from tarepair.model import desugar_urgency, max_constant
 from tarepair.modelio import parse_model
 from tarepair.regions import build_region_untimed
+from test_bench_zone_graph import _workloads
 
 CORPUS = ("client_db", "oneclock", "urgent_hop", "pair_sync", "safe_idle")
 
@@ -174,3 +176,120 @@ def test_region_oracle_agrees_on_the_empty_language():
         net, _ = load_bundled_model(name)
         ua, ra = build_untimed(net, visible_internal=True), build_region_untimed(net, visible_internal=True)
         assert equivalent(ra, rb) == equivalent(ua, rb) == Equivalence(False, ()), name
+
+
+# The on-the-fly check against the full zone graphs (differential oracle).
+
+
+def _shared_k(a, b):
+    return max(max_constant(a), max_constant(b))
+
+
+def _assert_matches_full_graphs(pairs):
+    """``check_admissible`` equals ``equivalent`` of the full untimed automata
+    at the shared k, for every (name, original, repaired) of ``pairs``; one
+    ``original_cache`` per original serves all its pairs, fresh on the first."""
+    caches, full = {}, {}
+
+    def untimed(network, k):
+        if (id(network), k) not in full:
+            full[id(network), k] = build_untimed(network, k)
+        return full[id(network), k]
+
+    for name, a, b in pairs:
+        k = _shared_k(a, b)
+        want = equivalent(untimed(a, k), untimed(b, k))
+        assert check_admissible(a, b, original_cache=caches.setdefault(id(a), {})) == want, name
+
+
+def _both_ways(name, a, b):
+    """The pair in both directions: each side once the original."""
+    return [(name, a, b), (f"{name} (reversed)", b, a)]
+
+
+def _fischer():
+    workloads = _workloads()
+    network, _ = workloads.modelio.parse_model(workloads.fischer.fischer(3, workloads.fischer.draw_permutation(3, 1)))
+    return network
+
+
+def test_on_the_fly_check_matches_full_graphs_on_fischer_mutants():
+    network = _fischer()
+    mutants = seeding.seed(network)
+    assert len(mutants) == 77
+    _assert_matches_full_graphs(p for m in mutants for p in _both_ways(m.description, network, m.network))
+
+
+def test_on_the_fly_check_matches_full_graphs_on_bundled_mutants():
+    pairs = []
+    for name in CORPUS:
+        net, _ = load_bundled_model(name)
+        pairs += [p for m in seeding.seed(net) for p in _both_ways(f"{name}: {m.description}", net, m.network)]
+    assert len(pairs) > 200
+    _assert_matches_full_graphs(pairs)
+
+
+def _repair_candidates():
+    """(name, original, repaired, kind) of every candidate of every kind on the corpus."""
+    out = []
+    for name in CORPUS:
+        net, prop = load_bundled_model(name)
+        for kind in orchestrator.RepairKind:
+            for i, cand in enumerate(orchestrator.run(net, prop, kind).candidates):
+                out.append((f"{name} {kind.value} {i}", net, orchestrator.apply_candidate(net, cand), kind))
+    return out
+
+
+def test_on_the_fly_check_matches_full_graphs_on_repair_candidates():
+    candidates = _repair_candidates()
+    assert len(candidates) == 21
+    _assert_matches_full_graphs(p for c in candidates for p in _both_ways(*c[:3]))
+    # Bound repairs may make constants rational; the region oracle scales them.
+    # Every bound candidate's region automaton fits the default budget.
+    bound = [c for c in candidates if c[3] == orchestrator.RepairKind.BOUND]
+    assert len(bound) == 6
+    for name, a, b, _ in bound:
+        k = _shared_k(a, b)
+        assert check_admissible(a, b) == equivalent(build_region_untimed(a, k), build_region_untimed(b, k)), name
+
+
+def test_on_the_fly_check_matches_full_graphs_with_visible_internal_moves():
+    net, _ = load_bundled_model("urgent_hop")
+    others = [desugar_urgency(net), net] + [m.network for m in seeding.seed(net)]
+    differ = 0
+    for other in others:
+        k = _shared_k(net, other)
+        lazy = equivalent(ZoneGraph(net, k, visible_internal=True), ZoneGraph(other, k, visible_internal=True))
+        full = equivalent(build_untimed(net, k, visible_internal=True), build_untimed(other, k, visible_internal=True))
+        assert lazy == full
+        differ += not lazy.equal
+    assert differ > 0
+
+
+def test_region_oracle_scales_rational_constants():
+    net, prop = load_bundled_model()
+    text = bundled_model_path("client_db").read_text(encoding="utf-8")
+    for old, new in (('"w <= 2"', '"w <= 3/2"'), ('"z >= 1"', '"z >= 5/2"')):
+        repaired, _ = parse_model(text.replace(old, new))
+        k = _shared_k(net, repaired)
+        doubled = scaled_model(repaired, prop, 2)[0]
+        ra = build_region_untimed(repaired, k, visible_internal=True)
+        assert equivalent(ra, build_region_untimed(doubled, 2 * k, visible_internal=True)).equal
+        assert equivalent(ra, build_untimed(repaired, k, visible_internal=True)).equal
+        regions = equivalent(build_region_untimed(net, k), build_region_untimed(repaired, k))
+        assert check_admissible(net, repaired) == regions
+
+
+# Budget semantics: Exhausted only when the states the check needs exceed it.
+
+
+def test_budget_counts_only_the_states_the_check_needs(monkeypatch):
+    network = _fischer()
+    mutant = next(m for m in seeding.seed(network) if m.description.endswith("operator #0: LE -> EQ"))
+    assert build_untimed(network).n_states == 355
+    monkeypatch.setattr(admissibility, "UNTIMED_STATE_BUDGET", 100)
+    assert check_admissible(network, mutant.network) == Equivalence(False, ("zero1",))
+    with pytest.raises(Exhausted):
+        check_admissible(network, network)  # an equal pair expands both graphs in full
+    with pytest.raises(Exhausted):
+        build_untimed(network)
