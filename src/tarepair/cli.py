@@ -14,28 +14,18 @@ import sys
 from pathlib import Path
 
 from .admissibility import check_admissible
-from .checker import Exhausted, check
+from .checker import DEFAULT_STATE_BUDGET, Exhausted, check
 from .lra import DEFAULT_QE_BUDGET
-from .modelio import (
-    ModelFormatError,
-    TraceDocument,
-    TraceStep,
-    load_model,
-    parse_trace,
-    serialize_trace,
-    write_report,
-    write_repaired_model,
-)
-from .orchestrator import DEFAULT_MAX_REPAIRS, RepairKind, run
-from .seeding import SEED_KINDS, campaign
+from .modelio import ModelFormatError, load_model, parse_trace, serialize_trace, write_report, write_repaired_model
+from .orchestrator import DEFAULT_MAX_REPAIRS, run
+from .seeding import campaign
+from .variations import KINDS
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 EXIT_CONTRACT = 4
-
-ALL_KINDS = [k.value for k in RepairKind]
 
 
 def _budget(text: str) -> int:
@@ -59,25 +49,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="model-check a timed safety property")
     p_check.add_argument("model", help="model file (JSON)")
     p_check.add_argument("--trace-out", help="write the diagnostic trace to this file")
-    p_check.add_argument("--state-budget", type=_budget, default=20_000)
+    p_check.add_argument("--state-budget", type=_budget, default=DEFAULT_STATE_BUDGET)
 
     p_repair = sub.add_parser("repair", help="compute and check syntactic repairs")
     p_repair.add_argument("model")
     p_repair.add_argument("--tdt", help="diagnostic trace file (computed when absent)")
     p_repair.add_argument(
-        "--kind", choices=ALL_KINDS + ["all"], default="all", help="repair analysis to run"
+        "--kind", choices=[*KINDS, "all"], default="all", help="repair analysis to run"
     )
     p_repair.add_argument("--out", default="repairs", help="output directory")
     p_repair.add_argument("--max-repairs", type=_budget, default=DEFAULT_MAX_REPAIRS)
     p_repair.add_argument("--qe-budget", type=_budget, default=DEFAULT_QE_BUDGET)
-    p_repair.add_argument("--state-budget", type=_budget, default=20_000)
+    p_repair.add_argument("--state-budget", type=_budget, default=DEFAULT_STATE_BUDGET)
     p_repair.add_argument(
         "--dump-smt", help="debug: write the trace constraint system over delays as SMT-LIB2 text"
     )
 
     p_seed = sub.add_parser("seed", help="fault-seeding benchmark campaign")
     p_seed.add_argument("model")
-    p_seed.add_argument("--kinds", nargs="*", choices=list(SEED_KINDS), default=list(SEED_KINDS))
+    p_seed.add_argument("--kinds", nargs="*", choices=KINDS, default=list(KINDS))
     p_seed.add_argument("--out", default="seeding", help="output directory")
     p_seed.add_argument("--max-repairs", type=_budget, default=DEFAULT_MAX_REPAIRS)
 
@@ -103,27 +93,16 @@ def _cmd_check(args) -> int:
         )
         print(f"  step {j}: {fired} -> ({locs})")
     if args.trace_out:
-        doc = TraceDocument(
-            tuple(TraceStep(move) for move in trace.steps),
-            trace.locations[0],
-            trace.locations[-1],
-        )
-        Path(args.trace_out).write_text(serialize_trace(doc, network), encoding="utf-8")
+        Path(args.trace_out).write_text(serialize_trace(trace, network), encoding="utf-8")
         print(f"trace written to {args.trace_out}")
     return EXIT_VIOLATED
 
 
 def _cmd_repair(args) -> int:
     network, prop = load_model(args.model)
-    kinds = ALL_KINDS if args.kind == "all" else [args.kind]
-    tdt = None
+    kinds = KINDS if args.kind == "all" else [args.kind]
     if args.tdt:
-        doc = parse_trace(Path(args.tdt).read_text(encoding="utf-8"), network)
-        if doc.labels is not None:
-            raise ModelFormatError(f"{args.tdt}: a repair needs a trace of steps, not a label sequence")
-        from .checker import stt_from_moves
-
-        tdt = stt_from_moves(network, [step.fired for step in doc.steps])
+        tdt = parse_trace(Path(args.tdt).read_text(encoding="utf-8"), network)
     else:
         verdict = check(network, prop, args.state_budget)
         if verdict.safe:
@@ -140,25 +119,9 @@ def _cmd_repair(args) -> int:
         print(f"constraint system dumped to {args.dump_smt}")
     runs = []
     for kind in kinds:
-        rr = run(
-            network,
-            prop,
-            kind,
-            tdt=tdt,
-            max_repairs=args.max_repairs,
-            qe_budget=args.qe_budget,
-            state_budget=args.state_budget,
-        )
-        ordinal = 0
-        for i, cand in enumerate(rr.candidates):
-            ordinal += 1
-            path = write_repaired_model(network, prop, cand, out_dir, ordinal)
-            print(f"wrote {path}")
-            if not rr.admissible[i] and rr.witnesses[i] is not None:
-                wpath = out_dir / f"witness_{kind}_{ordinal:03d}.json"
-                wdoc = TraceDocument((), (), (), rr.witnesses[i])
-                wpath.write_text(serialize_trace(wdoc, network), encoding="utf-8")
-                rr.witness_files[i] = wpath.name
+        rr = run(network, prop, kind, tdt=tdt, max_repairs=args.max_repairs, qe_budget=args.qe_budget)
+        for ordinal, cand in enumerate(rr.candidates, start=1):
+            print(f"wrote {write_repaired_model(network, prop, cand, out_dir, ordinal)}")
         runs.append(rr)
     report = write_report(runs, out_dir, model_name=args.model)
     print(f"report written to {report}")

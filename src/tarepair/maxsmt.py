@@ -128,19 +128,20 @@ def repairing_assignments(hard: HardConstraint, modified: tuple[str, ...]):
 
     Discrete kinds only; values run over each variable's non-zero domain in
     lexicographic order, so enumeration is deterministic and follows
-    ``itertools.product``. Operator and clock-reference edits replace whole
-    atoms, so those kinds close the trace system once without the set's
-    constraints and conjoin one variable's edited rows per level of a
-    depth-first walk: a level that closes empty prunes every assignment
-    below it, and each leaf is the DBM ``decide`` builds for it.
+    ``itertools.product``. A reset or urgency flag has one non-zero value,
+    so those sets have the one assignment that turns every flag on.
+    Operator and clock-reference edits replace whole atoms, so those kinds
+    close the trace system once without the set's constraints and conjoin
+    one variable's edited rows per level of a depth-first walk: a level
+    that closes empty prunes every assignment below it, and each leaf is
+    the DBM ``decide`` builds for it.
     """
     vs = hard.vs
     zeros = {v.name: v.zero for v in vs.variables if v.name not in modified}
-    mvars = [v for name in modified for v in vs.variables if v.name == name]
     if vs.kind not in ("operator", "clockref"):
-        combos = itertools.product(*(nonzero_values(v) for v in mvars))
-        assignments = (dict(zeros, **{v.name: val for v, val in zip(mvars, combo)}) for combo in combos)
-        return [a for a in assignments if hard.check(a)]
+        flipped = dict(zeros, **dict.fromkeys(modified, True))
+        return [flipped] if hard.check(flipped) else []
+    mvars = [v for name in modified for v in vs.variables if v.name == name]
     base = vs.base
     timing, scale = base.timing(), base.scale
     found = []

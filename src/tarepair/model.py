@@ -307,8 +307,25 @@ def _validate_constants(network: TimedAutomatonNetwork, prop: SafetyProperty | N
     return diags
 
 
+# Most disjuncts the negated property's DNF may have; the checker meets
+# every zone with each of them.
+MAX_NEGATED_DISJUNCTS = 4096
+
+
+def dnf_size(e: PropertyExpr) -> int:
+    """Number of disjuncts ``prop_to_dnf`` gives for an NNF property, without building them."""
+    if e.kind == PropKind.OR:
+        return sum(dnf_size(c) for c in e.children)
+    if e.kind == PropKind.AND:
+        return math.prod(dnf_size(c) for c in e.children)
+    return 0 if e.kind == PropKind.FALSE else 1
+
+
 def _validate_property(network: TimedAutomatonNetwork, prop: PropertyExpr) -> list[str]:
     diags: list[str] = []
+    disjuncts = dnf_size(prop_nnf(prop.negate()))
+    if disjuncts > MAX_NEGATED_DISJUNCTS:
+        diags.append(f"property: its negation has {disjuncts} disjuncts, more than {MAX_NEGATED_DISJUNCTS}")
 
     def walk(e: PropertyExpr) -> None:
         if e.kind == PropKind.ATOM:

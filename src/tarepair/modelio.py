@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .checker import MoveIndex
+from .checker import MoveIndex, SymbolicTimedTrace
 from .model import (
     AtomicClockConstraint,
-    OP_TEXT,
     TEXT_OP,
     PropertyExpr,
     PropKind,
@@ -87,11 +85,6 @@ def parse_atom(text: str, clock_names: list[str], path: str) -> AtomicClockConst
     if value < 0:
         raise ModelFormatError(f"{path}: negative clock bound in {text!r}")
     return AtomicClockConstraint(clock_names.index(name), TEXT_OP[op], value)
-
-
-def atom_text(atom: AtomicClockConstraint, clock_names: tuple[str, ...]) -> str:
-    b = format_rational(atom.bound)
-    return f"{clock_names[atom.clock]} {OP_TEXT[atom.op]} {b}"
 
 
 # Deepest nesting of '!' and '(' a property may have; every pass over a
@@ -202,7 +195,7 @@ def parse_property(text: str, network: TimedAutomatonNetwork) -> SafetyProperty:
 def property_text(prop: PropertyExpr, network: TimedAutomatonNetwork) -> str:
     def go(e: PropertyExpr, parent: PropKind | None) -> str:
         if e.kind == PropKind.ATOM:
-            return atom_text(e.atom, network.clock_names)
+            return e.atom.text(network.clock_names)
         if e.kind == PropKind.LOC:
             auto = network.automata[e.automaton]
             return f"@{auto.name}.{auto.location_names[e.location]}"
@@ -332,7 +325,7 @@ def serialize_model(network: TimedAutomatonNetwork, prop: SafetyProperty) -> str
                     {
                         "name": auto.location_names[li],
                         "urgent": li in auto.urgent,
-                        "invariant": [atom_text(a, network.clock_names) for a in auto.invariants[li]],
+                        "invariant": [a.text(network.clock_names) for a in auto.invariants[li]],
                     }
                     for li in range(auto.n_locations)
                 ],
@@ -345,7 +338,7 @@ def serialize_model(network: TimedAutomatonNetwork, prop: SafetyProperty) -> str
                             if t.channel is None
                             else network.channel_names[t.channel] + t.sync.value
                         ),
-                        "guard": [atom_text(a, network.clock_names) for a in t.guard],
+                        "guard": [a.text(network.clock_names) for a in t.guard],
                         "resets": [network.clock_names[c] for c in sorted(t.resets)],
                     }
                     for t in auto.transitions
@@ -366,51 +359,29 @@ def load_model(path: str | Path) -> tuple[TimedAutomatonNetwork, SafetyProperty]
 # --- trace documents ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    fired: tuple[tuple[int, int], ...]  # (automaton, transition index), sorted
-    delay: Fraction | None = None
-
-
-@dataclass(frozen=True)
-class TraceDocument:
-    """Serialized form of a symbolic timed trace, or of a label-only witness."""
-
-    steps: tuple[TraceStep, ...]
-    initial_locations: tuple[int, ...]
-    final_locations: tuple[int, ...]
-    labels: tuple[str, ...] | None = None  # label-only witness traces
-
-
-def serialize_trace(doc: TraceDocument, network: TimedAutomatonNetwork) -> str:
-    if doc.labels is not None:
-        payload = {"labels": list(doc.labels)}
-        return json.dumps(payload, indent=2) + "\n"
+def serialize_trace(stt: SymbolicTimedTrace, network: TimedAutomatonNetwork) -> str:
     payload = {
         "steps": [
-            {
-                "fired": [
-                    {
-                        "automaton": network.automata[ai].name,
-                        "transitionIndex": ti,
-                    }
-                    for ai, ti in step.fired
-                ],
-                **({"delay": format_rational(step.delay)} if step.delay is not None else {}),
-            }
-            for step in doc.steps
+            {"fired": [{"automaton": network.automata[ai].name, "transitionIndex": ti} for ai, ti in step]}
+            for step in stt.steps
         ],
-        "initialLocations": {
-            a.name: a.location_names[li] for a, li in zip(network.automata, doc.initial_locations)
-        },
-        "finalLocations": {
-            a.name: a.location_names[li] for a, li in zip(network.automata, doc.final_locations)
-        },
+        "initialLocations": {a.name: a.location_names[li] for a, li in zip(network.automata, stt.locations[0])},
+        "finalLocations": {a.name: a.location_names[li] for a, li in zip(network.automata, stt.locations[-1])},
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def parse_trace(text: str, network: TimedAutomatonNetwork) -> TraceDocument:
+def serialize_witness(labels: tuple[str, ...]) -> str:
+    """A witness word of an admissibility check, as a label-only document."""
+    return json.dumps({"labels": list(labels)}, indent=2) + "\n"
+
+
+def parse_trace(text: str, network: TimedAutomatonNetwork) -> SymbolicTimedTrace:
+    """The trace of a step document, replayed from the initial locations.
+
+    A step's optional ``delay`` is validated and ignored; a label-only
+    witness document is no trace of steps and is rejected.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -418,12 +389,9 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> TraceDocument:
     if not isinstance(doc, dict):
         raise ModelFormatError("top level: expected an object")
     if "labels" in doc:
-        if not isinstance(doc["labels"], list):
-            raise ModelFormatError("labels: expected a list")
-        return TraceDocument((), (), (), tuple(doc["labels"]))
+        raise ModelFormatError("labels: a repair needs a trace of steps, not a label sequence")
     steps = []
-    locs = [a.initial for a in network.automata]
-    initial = tuple(locs)
+    locations = [tuple(a.initial for a in network.automata)]
     moves = MoveIndex(network)
     step_docs = doc.get("steps", [])
     if not isinstance(step_docs, list):
@@ -432,6 +400,7 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> TraceDocument:
         path = f"steps[{si}]"
         if not isinstance(sdoc, dict) or not isinstance(sdoc.get("fired"), list):
             raise ModelFormatError(f"{path}: expected an object with a 'fired' list")
+        locs = list(locations[-1])
         fired = []
         for fdoc in sdoc["fired"]:
             if not isinstance(fdoc, dict):
@@ -453,18 +422,18 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> TraceDocument:
                 )
             fired.append((ai, ti))
         fired.sort()
-        if not moves.fires(tuple(locs), tuple(fired)):
+        if not moves.fires(locations[-1], tuple(fired)):
             raise ModelFormatError(
                 f"{path}: fired transitions are not one internal transition"
                 " or one matching send/receive pair"
             )
         for ai, ti in fired:
             locs[ai] = network.automata[ai].transitions[ti].target
-        delay = sdoc.get("delay")
-        steps.append(
-            TraceStep(tuple(fired), parse_rational(delay, path) if delay is not None else None)
-        )
-    return TraceDocument(tuple(steps), initial, tuple(locs))
+        if sdoc.get("delay") is not None:
+            parse_rational(sdoc["delay"], path)
+        steps.append(tuple(fired))
+        locations.append(tuple(locs))
+    return SymbolicTimedTrace(tuple(steps), tuple(locations))
 
 
 # --- repair artifacts -----------------------------------------------------
@@ -490,7 +459,9 @@ def write_report(results, out_dir: str | Path, model_name: str = "model") -> Pat
     """Write the human-readable summary of one or more repair runs.
 
     One row per repair: kind, modified constraint anchors, variation values,
-    admissibility verdict and, for inadmissible repairs, the witness file.
+    admissibility verdict and, for an inadmissible repair with a witness,
+    the witness file ``witness_<kind>_<NNN>.json`` that this writes beside
+    the report, NNN being the row's number.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -501,15 +472,15 @@ def write_report(results, out_dir: str | Path, model_name: str = "model") -> Pat
         lines.append(f"  trace length: {len(run.trace.steps) if run.trace else 0}")
         if not run.candidates:
             lines.append("  no repairs found")
-        for i, (cand, is_adm, witness_file) in enumerate(
-            zip(run.candidates, run.admissible, run.witness_files), start=1
-        ):
+        for i, (cand, is_adm, witness) in enumerate(zip(run.candidates, run.admissible, run.witnesses), start=1):
             total += 1
             admissible += 1 if is_adm else 0
             mods = "; ".join(cand.describe_modifications())
             row = f"  [{i:03d}] {mods}  admissible={'yes' if is_adm else 'no'}"
-            if not is_adm and witness_file:
-                row += f"  witness={witness_file}"
+            if not is_adm and witness is not None:
+                wpath = out_dir / f"witness_{run.kind.value}_{i:03d}.json"
+                wpath.write_text(serialize_witness(witness), encoding="utf-8")
+                row += f"  witness={wpath.name}"
             lines.append(row)
         lines.append(f"  termination: {run.reason}")
         lines.append("")

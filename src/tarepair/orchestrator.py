@@ -27,11 +27,10 @@ then admissibility-checked.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
 
 from .admissibility import check_admissible
-from .checker import DEFAULT_STATE_BUDGET, SymbolicTimedTrace, check, replay
+from .checker import SymbolicTimedTrace, check, replay
 # feasible, violating and is_satisfiable are not called here; they stay
 # importable under this module's name because bench/tracing.py wraps them here.
 from .encoder import encode, feasible, violating  # noqa: F401
@@ -40,15 +39,7 @@ from .lra import DEFAULT_QE_BUDGET, QeBudgetExceeded, is_satisfiable  # noqa: F4
 # module's name because bench/tracing.py wraps it here.
 from .maxsmt import HardConstraint, max_sat, repairing_assignments  # noqa: F401
 from .model import AtomicClockConstraint, Op, TimedAutomatonNetwork, indexed_constraints, validate
-from .variations import AnchorMismatch, Modification, VariedSystem, vary
-
-
-class RepairKind(enum.Enum):
-    BOUND = "bound"
-    OPERATOR = "operator"
-    CLOCKREF = "clockref"
-    RESET = "reset"
-    URGENT = "urgent"
+from .variations import AnchorMismatch, Modification, RepairKind, VariedSystem, vary
 
 
 @dataclass(frozen=True)
@@ -161,7 +152,6 @@ class RepairRun:
     admissible: list[bool] = field(default_factory=list)
     witnesses: list[tuple[str, ...] | None] = field(default_factory=list)
     reason: str = "exhausted"
-    timeouts: int = 0
     variable_count: int = 0
     """The delays d0..dn plus the variation variables. The reset kind counts
     the size of an explicit-clock encoding instead, which the campaign's Vr
@@ -180,10 +170,14 @@ class RepairRun:
       equations (initial values, trailing flows and both branches of each
       per-(clock, step) reset choice);
     - urgent: #A + #IG + (n+1)*N."""
-    witness_files: list[str | None] = field(default_factory=list)
     rejected: RepairCandidate | None = None
     """The candidate that failed the contract re-check (reason
     ``contract-violation``); it is not among ``candidates``."""
+
+    @property
+    def timeouts(self) -> int:
+        """1 when the QE budget stopped the run, else 0: the campaign's O column."""
+        return 1 if self.reason == "qe-timeout" else 0
 
     @property
     def n_admissible(self) -> int:
@@ -200,19 +194,18 @@ def run(
     tdt: SymbolicTimedTrace | None = None,
     max_repairs: int = DEFAULT_MAX_REPAIRS,
     qe_budget: int = DEFAULT_QE_BUDGET,
-    state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> RepairRun:
     """Compute, apply and admissibility-check repairs of one kind.
 
-    Without a supplied trace the model is checked first; a Safe verdict
-    yields an empty run.
+    Without a supplied trace the model is checked first, within
+    ``checker.DEFAULT_STATE_BUDGET``; a Safe verdict yields an empty run.
     """
     kind = RepairKind(kind) if not isinstance(kind, RepairKind) else kind
     problems = [d for d in validate(network, prop) if not d.startswith("warning:")]
     if problems:
         raise ValueError("; ".join(problems))
     if tdt is None:
-        verdict = check(network, prop, state_budget)
+        verdict = check(network, prop)
         if verdict.safe:
             return RepairRun(kind, None, reason="no-violation-found")
         tdt = verdict.trace
@@ -249,12 +242,10 @@ def run(
                 runout.candidates.append(candidate)
                 runout.admissible.append(verdict.equal)
                 runout.witnesses.append(verdict.witness)
-                runout.witness_files.append(None)
                 emitted.append(zone)
                 if len(runout.candidates) >= max_repairs:
                     runout.reason = "budget"
                     return runout
     except QeBudgetExceeded:
         runout.reason = "qe-timeout"
-        runout.timeouts = 1
     return runout

@@ -28,10 +28,8 @@ from .model import (
     TimedAutomatonNetwork,
     indexed_constraints,
 )
-from .orchestrator import DEFAULT_MAX_REPAIRS, RepairCandidate, RepairKind, apply_candidate, run
-from .variations import Modification
-
-SEED_KINDS = ("bound", "operator", "clockref", "reset", "urgent")
+from .orchestrator import DEFAULT_MAX_REPAIRS, RepairCandidate, apply_candidate, run
+from .variations import KINDS, Modification, RepairKind
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,7 @@ def bound_deltas(m: int) -> list[Fraction]:
     return [Fraction(-10), Fraction(-1), Fraction(1), Fraction(math.ceil(0.1 * m)), Fraction(m)]
 
 
-def seed(network: TimedAutomatonNetwork, kinds=SEED_KINDS) -> list[Mutant]:
+def seed(network: TimedAutomatonNetwork, kinds=KINDS) -> list[Mutant]:
     """All single-edit mutants in deterministic order.
 
     Bound mutants clamp at 0 and deduplicate per constraint; operator
@@ -218,7 +216,7 @@ CAMPAIGN_QE_BUDGET = 20_000
 def campaign(
     network: TimedAutomatonNetwork,
     prop,
-    kinds=SEED_KINDS,
+    kinds=KINDS,
     repair_kinds=None,
     max_repairs: int = DEFAULT_MAX_REPAIRS,
     model_name: str = "model",
@@ -229,7 +227,7 @@ def campaign(
     stopped by a failed contract re-check on the mutant's line; neither
     aborts the campaign.
     """
-    repair_kinds = [RepairKind(k) for k in (repair_kinds if repair_kinds is not None else SEED_KINDS)]
+    repair_kinds = [RepairKind(k) for k in (repair_kinds if repair_kinds is not None else KINDS)]
     rows = {k: KindRow(k) for k in kinds}
     out = SeedCampaign(model_name, model_max_bound(network), rows)
     for mutant in seed(network, kinds):
@@ -257,7 +255,6 @@ def campaign(
                     tdt=verdict.trace,
                     max_repairs=max_repairs,
                     qe_budget=CAMPAIGN_QE_BUDGET,
-                    state_budget=CAMPAIGN_STATE_BUDGET,
                 )
             except Exhausted:
                 row.timeouts += 1

@@ -32,6 +32,7 @@ one such edit.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -39,7 +40,15 @@ from .encoder import TdtConstraintSystem
 from .lra import LinearAtom, Rel, comparison_atom
 from .model import Op, indexed_constraints
 
-KINDS = ("bound", "operator", "clockref", "reset", "urgent")
+class RepairKind(enum.Enum):
+    BOUND = "bound"
+    OPERATOR = "operator"
+    CLOCKREF = "clockref"
+    RESET = "reset"
+    URGENT = "urgent"
+
+
+KINDS = tuple(k.value for k in RepairKind)
 
 
 @dataclass(frozen=True)

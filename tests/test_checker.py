@@ -9,7 +9,7 @@ import pytest
 
 from conftest import scaled_model
 from tarepair import load_bundled_model
-from tarepair.checker import Exhausted, MoveIndex, check, stt_from_moves
+from tarepair.checker import Exhausted, MoveIndex, SymbolicTimedTrace, check, replay, stt_from_moves
 from tarepair.encoder import encode, feasible, violating
 from tarepair.model import SyncKind, constant_scale
 from tarepair.modelio import parse_model, parse_property
@@ -141,6 +141,12 @@ def test_step_that_is_no_move_is_rejected():
     with pytest.raises(ValueError, match="no enabled move"):
         stt_from_moves(net, [((0, 0), (0, 0))])
     assert len(stt_from_moves(net, [((0, 0), (1, 0))])) == 1
+    # replay reads each step from the move table and names the first one it lacks
+    net, prop = load_bundled_model()
+    trace = check(net, prop).trace
+    bogus = SymbolicTimedTrace(trace.steps[:1] + (((1, 0),),) + trace.steps[2:], trace.locations)
+    with pytest.raises(ValueError, match="step 1 is no enabled move"):
+        replay(net, prop, bogus)
 
 
 def _scan_moves(network, locvec):

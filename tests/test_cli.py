@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tarepair import bundled_model_path, orchestrator
+from tarepair import BUNDLED_MODELS, bundled_model_path, orchestrator
 from tarepair.cli import main
 
 from conftest import loop_model, no_run_model
@@ -33,13 +33,23 @@ def test_check_writes_trace_document(tmp_path, capsys):
 
 
 def test_repair_with_supplied_tdt(tmp_path, capsys):
-    trace_file = tmp_path / "tdt.json"
-    main(["check", BUNDLE, "--trace-out", str(trace_file)])
-    capsys.readouterr()
-    out_dir = tmp_path / "rep"
-    assert main(["repair", BUNDLE, "--tdt", str(trace_file), "--kind", "bound", "--out", str(out_dir)]) == 0
-    report = (out_dir / "report.txt").read_text()
-    assert "kind: bound" in report
+    # The trace that check writes makes repair write the very files it
+    # writes when it computes the trace itself.
+    violating = 0
+    for name in BUNDLED_MODELS:
+        model = str(bundled_model_path(name))
+        trace_file = tmp_path / f"{name}.json"
+        if main(["check", model, "--trace-out", str(trace_file)]) == 0:
+            continue
+        violating += 1
+        own, supplied = tmp_path / name / "own", tmp_path / name / "supplied"
+        assert main(["repair", model, "--kind", "all", "--out", str(own)]) == 0
+        assert main(["repair", model, "--kind", "all", "--tdt", str(trace_file), "--out", str(supplied)]) == 0
+        files = sorted(p.name for p in own.iterdir())
+        assert "report.txt" in files and files == sorted(p.name for p in supplied.iterdir()), name
+        for f in files:
+            assert (own / f).read_bytes() == (supplied / f).read_bytes(), (name, f)
+    assert violating == 4
 
 
 def test_repair_bound_writes_files_and_report(tmp_path, capsys):
@@ -230,6 +240,20 @@ def test_malformed_trace_document_is_a_usage_error(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _disjunction(terms):
+    """A property whose negation's DNF has 2**terms disjuncts."""
+    return " || ".join(f"(x <= {i} && y <= {i})" for i in range(1, terms + 1))
+
+
+def test_negated_property_at_the_disjunct_bound_is_accepted(tmp_path, capsys):
+    doc = json.loads(loop_model())
+    doc["property"] = _disjunction(12)  # 4096 disjuncts
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(model)]) == 1
+    assert capsys.readouterr().err == ""
+
+
 def _without_first_location_name(doc):
     del doc["automata"][0]["locations"][0]["name"]
 
@@ -265,6 +289,10 @@ def _first_invariant(text):
             lambda doc: doc.update(property="(" * 3000 + "x <= 1" + ")" * 3000),
             "property:1:101: property nested deeper than 100",
         ),
+        (
+            lambda doc: doc.update(property=_disjunction(13)),
+            "property: its negation has 8192 disjuncts, more than 4096",
+        ),
     ],
     ids=[
         "automata-not-a-list",
@@ -281,6 +309,7 @@ def _first_invariant(text):
         "constant-too-large-at-the-common-scale",
         "negations-nested-too-deep",
         "parentheses-nested-too-deep",
+        "negation-with-too-many-disjuncts",
     ],
 )
 def test_malformed_model_document_is_a_usage_error(tmp_path, capsys, mutate, where):

@@ -9,13 +9,16 @@ from tarepair.model import (
     AtomicClockConstraint,
     Op,
     PropertyExpr,
+    PropKind,
     SyncKind,
     TimedAutomaton,
     TimedAutomatonNetwork,
     Transition,
     desugar_urgency,
+    dnf_size,
     indexed_constraints,
     max_constant,
+    prop_nnf,
     prop_to_dnf,
     validate,
 )
@@ -150,3 +153,19 @@ def test_prop_to_dnf_negation():
     loc_lits = [l for l in lits if l.atom is None]
     assert atom_lits[0].atom.op == Op.GT and atom_lits[0].atom.bound == 4
     assert loc_lits[0].positive and loc_lits[0].location == 2
+
+
+def test_dnf_size_counts_the_disjuncts_of_prop_to_dnf():
+    net, prop = load_bundled_model()
+    x, y = (PropertyExpr.of_atom(AtomicClockConstraint(c, Op.LE, Fraction(1))) for c in (0, 1))
+    exact = PropertyExpr.of_atom(AtomicClockConstraint(0, Op.EQ, Fraction(1)))
+    false = PropertyExpr(PropKind.FALSE)
+    cases = [
+        prop,
+        PropertyExpr.disj(*(PropertyExpr.conj(x, y) for _ in range(5))),
+        PropertyExpr.conj(exact, PropertyExpr.disj(x, false), PropertyExpr(PropKind.TRUE)),
+        PropertyExpr.disj(PropertyExpr.conj(x, false), exact).negate(),
+    ]
+    for p in cases:
+        for e in (p, p.negate()):
+            assert dnf_size(prop_nnf(e)) == len(prop_to_dnf(e))

@@ -1,5 +1,6 @@
 """Round-trip stability, parse diagnostics, and report formatting."""
 
+import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from tarepair import BUNDLED_MODELS, bundled_model_path, load_bundled_model
+from tarepair import BUNDLED_MODELS, bundled_model_path, load_bundled_model, seeding
+from tarepair.checker import check
 from tarepair.model import indexed_constraints
 from tarepair.modelio import (
     ModelFormatError,
@@ -20,8 +22,12 @@ from tarepair.modelio import (
     property_text,
     serialize_model,
     serialize_trace,
+    serialize_witness,
     write_report,
 )
+from tarepair.orchestrator import RepairKind, run
+
+FISCHER = Path(__file__).resolve().parents[1] / "bench" / "fischer.py"
 
 
 def test_round_trip_all_corpus_files():
@@ -93,22 +99,44 @@ def test_constraint_indexing_stable_across_round_trip():
     assert a == b
 
 
-def test_trace_document_round_trip():
-    from tarepair.checker import check
-    from tarepair.modelio import TraceDocument, TraceStep
+def _violating_traces():
+    """(network, check trace) of the violating bundled models and Fischer N=3 mutants."""
+    spec = importlib.util.spec_from_file_location("bench_fischer", FISCHER)
+    fischer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fischer)
+    models = [load_bundled_model(name) for name in BUNDLED_MODELS]
+    network, prop = parse_model(fischer.fischer(3, 0))
+    models += [(m.network, prop) for m in seeding.seed(network)]
+    verdicts = [(net, check(net, prop)) for net, prop in models]
+    return [(net, v.trace) for net, v in verdicts if not v.safe]
 
+
+def test_trace_document_round_trip():
+    cases = _violating_traces()
+    assert len(cases) == 4 + 22
+    for net, trace in cases:
+        assert parse_trace(serialize_trace(trace, net), net) == trace
+
+
+def test_trace_document_delay_is_validated_and_ignored():
     net, prop = load_bundled_model()
-    verdict = check(net, prop)
-    doc = TraceDocument(
-        tuple(TraceStep(m) for m in verdict.trace.steps),
-        verdict.trace.locations[0],
-        verdict.trace.locations[-1],
-    )
-    text = serialize_trace(doc, net)
-    doc2 = parse_trace(text, net)
-    assert doc2.steps == doc.steps
-    assert doc2.initial_locations == doc.initial_locations
-    assert doc2.final_locations == doc.final_locations
+    trace = check(net, prop).trace
+    doc = json.loads(serialize_trace(trace, net))
+    for step, delay in zip(doc["steps"], (0, "3/2", 4)):
+        step["delay"] = delay
+    assert parse_trace(json.dumps(doc), net) == trace
+    doc["steps"][1]["delay"] = "1/0"
+    with pytest.raises(ModelFormatError, match=r"steps\[1\]: zero denominator"):
+        parse_trace(json.dumps(doc), net)
+    doc["steps"][1]["delay"] = "soon"
+    with pytest.raises(ModelFormatError, match=r"steps\[1\]: expected an integer"):
+        parse_trace(json.dumps(doc), net)
+
+
+def test_witness_document_is_no_trace():
+    net, _ = load_bundled_model()
+    with pytest.raises(ModelFormatError, match="not a label sequence"):
+        parse_trace(serialize_witness(("req", "ser")), net)
 
 
 def test_trace_document_rejects_bad_transition_index():
@@ -133,16 +161,20 @@ def test_report_empty_result_set(tmp_path):
 
 
 def test_report_rows(tmp_path):
-    from tarepair.orchestrator import RepairKind, run
-
     net, prop = load_bundled_model()
-    rr = run(net, prop, RepairKind.URGENT)
-    rr.witness_files = ["witness_urgent_001.json", "witness_urgent_002.json"]
-    path = write_report([rr], tmp_path)
+    runs = [run(net, prop, RepairKind.OPERATOR), run(net, prop, RepairKind.URGENT)]
+    assert all(runs[0].admissible) and not any(runs[1].admissible)
+    path = write_report(runs, tmp_path)
     text = Path(path).read_text()
     assert "admissible=no" in text
     assert "witness=witness_urgent_001.json" in text
-    assert "summary: 2 repairs, 0 admissible" in text
+    assert f"summary: {len(runs[0].candidates) + 2} repairs, {len(runs[0].candidates)} admissible" in text
+    for i, witness in enumerate(runs[1].witnesses, start=1):
+        doc = json.loads((tmp_path / f"witness_urgent_{i:03d}.json").read_text())
+        assert doc == {"labels": list(witness)}
+    assert json.loads((tmp_path / "witness_urgent_001.json").read_text()) == {"labels": ["req", "ser", "ack"]}
+    # admissible rows name no witness and leave no file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt", "witness_urgent_001.json", "witness_urgent_002.json"]
 
 
 def test_bundle_validates_against_schema():
