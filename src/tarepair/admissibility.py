@@ -12,7 +12,9 @@ does not even contain the empty word.
 The check runs on the fly: ``equivalent`` searches two ``ZoneGraph``s,
 which expand a state on the first query for its successors, so an unequal
 pair stops at a shortest witness and only an equal pair expands both graphs
-in full. ``Exhausted`` thus means that the states the check needs exceed
+in full. Each subset pair reads its states' successors once, grouped by
+label, and visits only the labels that leave one of its subsets.
+``Exhausted`` thus means that the states the check needs exceed
 ``UNTIMED_STATE_BUDGET``. ``build_untimed`` expands a graph in full.
 """
 
@@ -22,7 +24,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import dbm
 from .checker import Exhausted, MoveTable
 from .model import TimedAutomatonNetwork, constant_scale, max_constant
 
@@ -48,6 +49,10 @@ class UntimedAutomaton:
     def successors(self, state: int, label: str | None) -> list[int]:
         return self._by_label[state].get(label, [])
 
+    def expand(self, state: int) -> dict[str | None, list[int]]:
+        """The successors of ``state`` by label."""
+        return self._by_label[state]
+
 
 def _group(edges) -> dict[str | None, list[int]]:
     """Edge targets by label, each list in edge order."""
@@ -69,10 +74,10 @@ class ZoneGraph:
     States are (location vector, zone) pairs numbered in discovery order,
     the initial one 0; there are none when the network has no run. The
     first ``successors`` query of a state expands it: each of its moves in
-    ``MoveTable`` order goes through ``dbm.post`` once, and the targets are
-    kept in ``edges`` and grouped by label. ``alphabet`` holds every label a
-    move can carry, reachable or not: the channel names and, with
-    ``visible_internal``, the name "auto.tN" of each internal transition.
+    ``MoveTable`` order takes its successor from ``MoveTable.post``, and the
+    targets are kept in ``edges`` and grouped by label. A move's label is
+    its channel name; an internal move is silent, or with
+    ``visible_internal`` named "auto.tN" after its transition.
     """
 
     initial = 0
@@ -87,13 +92,6 @@ class ZoneGraph:
         self._ids = {state: sid for sid, state in enumerate(self.states)}
         self.edges: list[list[tuple[str | None, int]] | None] = [None] * len(self.states)
         self._by_label: list[dict[str | None, list[int]] | None] = [None] * len(self.states)
-        labels = {
-            network.channel_names[t.channel] if t.channel is not None else f"{a.name}.t{ti}"
-            for a in network.automata
-            for ti, t in enumerate(a.transitions)
-            if t.channel is not None or visible_internal
-        }
-        self.alphabet = tuple(sorted(labels))
 
     @property
     def n_states(self) -> int:
@@ -110,8 +108,9 @@ class ZoneGraph:
             return out
         locvec, zone = self.states[sid]
         edges = []
-        for move, label, target, guard, resets, invariants, delay in self._table.moves(locvec):
-            z = dbm.post(zone, guard, resets, invariants, delay, self.k)
+        post = self._table.post
+        for move, label, target, step, memo in self._table.moves(locvec):
+            z = post(zone, step, memo)
             if z is None:
                 continue
             nxt = (target, z)
@@ -173,6 +172,21 @@ def _start(ua: UntimedAutomaton) -> frozenset[int]:
     return _closure(ua, frozenset([ua.initial])) if ua.n_states else frozenset()
 
 
+def _label_targets(ua: UntimedAutomaton, states: frozenset[int]) -> dict[str, set[int]]:
+    """The targets of each visible label leaving ``states``, before closure."""
+    out: dict[str, set[int]] = {}
+    expand = ua.expand
+    for s in states:
+        for label, targets in expand(s).items():
+            if label is SILENT:
+                continue
+            if label in out:
+                out[label].update(targets)
+            else:
+                out[label] = set(targets)
+    return out
+
+
 def _post(ua: UntimedAutomaton, states: frozenset[int], label: str) -> frozenset[int]:
     successors = ua.successors
     out = set()
@@ -208,9 +222,10 @@ def equivalent(a, b) -> Equivalence:
     languages are prefix closed with every state accepting, so the
     languages differ exactly when some word is extendable in one automaton
     and dead in the other; breadth-first pairing returns a shortest such
-    word as the witness. A label neither side takes is skipped.
+    word as the witness. Each pair visits, in sorted order, the labels that
+    leave either subset: a label that leaves only one of them ends the
+    word, and only a label both take is closed into a successor pair.
     """
-    alphabet = sorted(set(a.alphabet) | set(b.alphabet))
     start = (_start(a), _start(b))
     if bool(start[0]) != bool(start[1]):
         return Equivalence(False, ())  # exactly one side has no run
@@ -222,13 +237,11 @@ def equivalent(a, b) -> Equivalence:
         visited += 1
         if visited > PAIR_BUDGET:
             raise Exhausted(f"equivalence check exceeded {PAIR_BUDGET} state pairs")
-        for label in alphabet:
-            na, nb = _post(a, pa, label), _post(b, pb, label)
-            if bool(na) != bool(nb):
+        ma, mb = _label_targets(a, pa), _label_targets(b, pb)
+        for label in sorted(ma.keys() | mb.keys()):
+            if label not in ma or label not in mb:
                 return Equivalence(False, word + (label,))
-            if not na:
-                continue
-            pair = (na, nb)
+            pair = (_closure(a, ma[label]), _closure(b, mb[label]))
             if pair not in seen:
                 seen.add(pair)
                 queue.append((pair, word + (label,)))
@@ -244,7 +257,8 @@ def check_admissible(
 
     ``original_cache`` keeps the original's ``ZoneGraph`` per extrapolation
     constant across the candidates of one repair run, so the states each
-    check expands serve the next.
+    check expands, and the successors its move table has computed, serve
+    the next.
     """
     k = max(max_constant(original), max_constant(repaired))
     if original_cache is not None and k in original_cache:

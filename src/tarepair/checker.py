@@ -6,10 +6,12 @@ count. Enabled moves are enumerated in lexicographic (automaton index,
 transition index) order, which makes the reported trace deterministic.
 Urgency is enforced directly: when any current location is urgent, the
 delay closure is skipped. A ``MoveTable`` compiles each location vector's
-moves once per exploration, and ``dbm.post`` computes each successor.
-``replay`` walks one given trace through a ``MoveTable`` the same way: the
-repair loop's contract re-check, which shares no encoding with the
-search's trace system.
+moves once per exploration, and ``MoveTable.post`` computes the successor
+of each zone under each distinct compiled step once, with ``dbm.post``:
+interleavings of independent processes reach the same zone at location
+vectors whose moves compile to the same step. ``replay`` walks one given
+trace through a ``MoveTable`` the same way: the repair loop's contract
+re-check, which shares no encoding with the search's trace system.
 """
 
 from __future__ import annotations
@@ -108,15 +110,21 @@ def move_label(network: TimedAutomatonNetwork, move) -> str | None:
     return None if t.channel is None else network.channel_names[t.channel]
 
 
+_UNSEEN = object()
+
+
 class MoveTable:
     """The moves of one network compiled for one exploration at ``k`` and ``scale``.
 
     ``moves(locvec)`` lists, once per location vector and in
     ``MoveIndex.enabled`` order, a tuple per enabled move: the move, its
-    label, the target vector, the guard as raw ``dbm.atom_edges``, the
-    sorted reset matrix indices, and the target's invariant edges and
-    whether it may delay (no location of it is urgent): the arguments of
-    ``dbm.post`` for that move.
+    label, the target vector, its step and the step's memo. The step holds
+    the arguments of ``dbm.post`` after the zone: the guard as raw
+    ``dbm.atom_edges``, the sorted reset matrix indices, the target's
+    invariant edges and whether it may delay (no location of it is urgent).
+    Moves that compile to equal steps share one memo, a dict from a zone's
+    raw bounds to its successor, for the table's lifetime; all zones of one
+    table share its clock count and scale, so the raw bounds alone key it.
     """
 
     def __init__(self, network: TimedAutomatonNetwork, k: int, scale: int) -> None:
@@ -133,6 +141,15 @@ class MoveTable:
         ]
         self._vectors: dict[tuple[int, ...], tuple[tuple, bool]] = {}
         self._moves: dict[tuple[int, ...], list[tuple]] = {}
+        self._memos: dict[tuple, dict] = {}  # step -> its memo
+
+    def post(self, zone: dbm.DifferenceBoundMatrix, step: tuple, memo: dict) -> dbm.DifferenceBoundMatrix | None:
+        """The extrapolated successor of ``zone`` under ``step``, None where it is
+        empty; computed once per zone and kept in ``step``'s ``memo``."""
+        z = memo.get(zone.m, _UNSEEN)
+        if z is _UNSEEN:
+            z = memo[zone.m] = dbm.post(zone, *step, self.k)
+        return z
 
     def _vector(self, locvec: tuple[int, ...]) -> tuple[tuple, bool]:
         """(invariant edges, may delay) of one location vector."""
@@ -165,16 +182,17 @@ class MoveTable:
                     resets |= clocks
                 target = tuple(target)
                 invariants, delay = self._vector(target)
-                label = move_label(self.network, move)
-                entries.append((move, label, target, guard, sorted(c + 1 for c in resets), invariants, delay))
+                step = (guard, tuple(sorted(c + 1 for c in resets)), invariants, delay)
+                entries.append((move, move_label(self.network, move), target, step, self._memos.setdefault(step, {})))
         return entries
 
     def initial_state(self):
         """The initial symbolic state, or None where the initial valuation
         violates the initial locations' invariants (the network has no run)."""
         locvec = tuple(a.initial for a in self.network.automata)
-        invariants, delay = self._vector(locvec)
-        zone = dbm.post(dbm.zero_zone(self.network.n_clocks, self.scale), (), (), invariants, delay, self.k)
+        zero = dbm.zero_zone(self.network.n_clocks, self.scale)
+        step = ((), (), *self._vector(locvec))
+        zone = self.post(zero, step, self._memos.setdefault(step, {}))
         return None if zone is None else (locvec, zone)
 
 
@@ -216,7 +234,7 @@ def check(
     parents: dict = {init: None}
     queue = deque([init])
     explored = 0
-    post = dbm.post
+    post = table.post
     while queue:
         state = queue.popleft()
         explored += 1
@@ -230,8 +248,8 @@ def check(
             path.reverse()
             steps = tuple(tuple(sorted(parents[s][1])) for s in path[1:])
             return Verdict(False, SymbolicTimedTrace(steps, tuple(s[0] for s in path)), explored)
-        for move, _label, target, guard, resets, invariants, delay in table.moves(locvec):
-            z = post(zone, guard, resets, invariants, delay, k)
+        for move, _label, target, step, memo in table.moves(locvec):
+            z = post(zone, step, memo)
             if z is None:
                 continue
             nxt = (target, z)
@@ -264,8 +282,8 @@ def replay(network: TimedAutomatonNetwork, prop: SafetyProperty, stt: SymbolicTi
         entry = next((e for e in table.moves(locvec) if tuple(sorted(e[0])) == step), None)
         if entry is None:
             raise ValueError(f"step {j} is no enabled move of the network")
-        _move, _label, target, guard, resets, invariants, delay = entry
-        zone = dbm.post(zone, guard, resets, invariants, delay, k)
+        _move, _label, target, compiled, memo = entry
+        zone = table.post(zone, compiled, memo)
         state = None if zone is None else (target, zone)
     if state is None:
         return False, False

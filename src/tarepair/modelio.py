@@ -380,7 +380,8 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> SymbolicTimedTrace
     """The trace of a step document, replayed from the initial locations.
 
     A step's optional ``delay`` is validated and ignored; a label-only
-    witness document is no trace of steps and is rejected.
+    witness document, or any document without ``steps``, is no trace of
+    steps and is rejected.
     """
     try:
         doc = json.loads(text)
@@ -390,10 +391,12 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> SymbolicTimedTrace
         raise ModelFormatError("top level: expected an object")
     if "labels" in doc:
         raise ModelFormatError("labels: a repair needs a trace of steps, not a label sequence")
+    if "steps" not in doc:
+        raise ModelFormatError("top level: a trace document needs a 'steps' list")
     steps = []
     locations = [tuple(a.initial for a in network.automata)]
     moves = MoveIndex(network)
-    step_docs = doc.get("steps", [])
+    step_docs = doc["steps"]
     if not isinstance(step_docs, list):
         raise ModelFormatError("steps: expected a list")
     for si, sdoc in enumerate(step_docs):

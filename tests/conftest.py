@@ -86,6 +86,40 @@ def loop_model(clocks=("x", "y"), prop="!@a.L1 || y <= 2"):
     return json.dumps(doc)
 
 
+def two_receiver_model():
+    """One send that two receivers can take from the initial location vector.
+
+    ``s`` sends ``go`` into the urgent ``b``. Receiver ``r1`` takes it
+    under ``x >= 3`` and keeps x; receiver ``r2`` takes it under
+    ``x <= 1`` and resets x. Only the handshake with ``r2`` reaches the
+    violation (``s`` in ``b`` with x below 1). Returns the JSON text.
+    """
+
+    def receiver(name, guard, resets):
+        transition = {"source": "p", "target": "q", "sync": "go?", "guard": guard, "resets": resets}
+        return {
+            "name": name,
+            "initial": "p",
+            "clocks": ["x", "y"],
+            "locations": [{"name": "p", "invariant": []}, {"name": "q", "invariant": []}],
+            "transitions": [transition],
+        }
+
+    sender = {
+        "name": "s",
+        "initial": "a",
+        "clocks": ["x", "y"],
+        "locations": [{"name": "a", "invariant": []}, {"name": "b", "urgent": True, "invariant": []}],
+        "transitions": [{"source": "a", "target": "b", "sync": "go!", "guard": [], "resets": []}],
+    }
+    doc = {
+        "automata": [sender, receiver("r1", ["x >= 3"], []), receiver("r2", ["x <= 1"], ["x"])],
+        "channels": ["go"],
+        "property": "!@s.b || x >= 1",
+    }
+    return json.dumps(doc)
+
+
 def no_run_model():
     """The bundled client_db with invariant x >= 1 on the client's initial
     location, which the initial valuation x = 0 violates: the network has no

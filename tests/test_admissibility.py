@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction as F
 
+import alphabet_equivalence
 import pytest
 
 from conftest import no_run_model, scaled_model
@@ -110,7 +111,7 @@ def test_zone_language_equals_region_language_on_corpus():
         net, _ = load_bundled_model(name)
         ua = build_untimed(net, visible_internal=True)
         ra = build_region_untimed(net, visible_internal=True)
-        assert equivalent(ua, ra).equal, name
+        assert equivalent(ua, ra) == alphabet_equivalence.equivalent(ua, ra) == Equivalence(True), name
 
 
 def test_admissibility_shared_extrapolation_constant():
@@ -176,6 +177,7 @@ def test_region_oracle_agrees_on_the_empty_language():
         net, _ = load_bundled_model(name)
         ua, ra = build_untimed(net, visible_internal=True), build_region_untimed(net, visible_internal=True)
         assert equivalent(ra, rb) == equivalent(ua, rb) == Equivalence(False, ()), name
+        assert alphabet_equivalence.equivalent(ra, rb) == alphabet_equivalence.equivalent(ua, rb), name
 
 
 # The on-the-fly check against the full zone graphs (differential oracle).
@@ -199,7 +201,25 @@ def _assert_matches_full_graphs(pairs):
     for name, a, b in pairs:
         k = _shared_k(a, b)
         want = equivalent(untimed(a, k), untimed(b, k))
+        assert want == alphabet_equivalence.equivalent(untimed(a, k), untimed(b, k)), name
         assert check_admissible(a, b, original_cache=caches.setdefault(id(a), {})) == want, name
+
+
+def _assert_matches_alphabet_search(pairs, visible_internal=False):
+    """``equivalent`` of two fresh ``ZoneGraph``s at the shared k returns what
+    the replaced per-alphabet search returns on two other fresh graphs, and
+    discovers no more states on either side; returns the states both
+    searches discovered over all ``pairs``, (new, replaced)."""
+    discovered = [0, 0]
+    for name, a, b in pairs:
+        k = _shared_k(a, b)
+        new = [ZoneGraph(a, k, visible_internal), ZoneGraph(b, k, visible_internal)]
+        old = [ZoneGraph(a, k, visible_internal), ZoneGraph(b, k, visible_internal)]
+        assert equivalent(*new) == alphabet_equivalence.equivalent(*old), name
+        assert [g.n_states <= h.n_states for g, h in zip(new, old)] == [True, True], name
+        discovered[0] += sum(g.n_states for g in new)
+        discovered[1] += sum(g.n_states for g in old)
+    return tuple(discovered)
 
 
 def _both_ways(name, a, b):
@@ -217,7 +237,9 @@ def test_on_the_fly_check_matches_full_graphs_on_fischer_mutants():
     network = _fischer()
     mutants = seeding.seed(network)
     assert len(mutants) == 77
-    _assert_matches_full_graphs(p for m in mutants for p in _both_ways(m.description, network, m.network))
+    pairs = [p for m in mutants for p in _both_ways(m.description, network, m.network)]
+    _assert_matches_full_graphs(pairs)
+    assert _assert_matches_alphabet_search(pairs) == (64_306, 64_484)
 
 
 def test_on_the_fly_check_matches_full_graphs_on_bundled_mutants():
@@ -227,6 +249,7 @@ def test_on_the_fly_check_matches_full_graphs_on_bundled_mutants():
         pairs += [p for m in seeding.seed(net) for p in _both_ways(f"{name}: {m.description}", net, m.network)]
     assert len(pairs) > 200
     _assert_matches_full_graphs(pairs)
+    _assert_matches_alphabet_search(pairs)
 
 
 def _repair_candidates():
@@ -243,14 +266,17 @@ def _repair_candidates():
 def test_on_the_fly_check_matches_full_graphs_on_repair_candidates():
     candidates = _repair_candidates()
     assert len(candidates) == 21
-    _assert_matches_full_graphs(p for c in candidates for p in _both_ways(*c[:3]))
+    pairs = [p for c in candidates for p in _both_ways(*c[:3])]
+    _assert_matches_full_graphs(pairs)
+    _assert_matches_alphabet_search(pairs)
     # Bound repairs may make constants rational; the region oracle scales them.
     # Every bound candidate's region automaton fits the default budget.
     bound = [c for c in candidates if c[3] == orchestrator.RepairKind.BOUND]
     assert len(bound) == 6
     for name, a, b, _ in bound:
         k = _shared_k(a, b)
-        assert check_admissible(a, b) == equivalent(build_region_untimed(a, k), build_region_untimed(b, k)), name
+        ra, rb = build_region_untimed(a, k), build_region_untimed(b, k)
+        assert check_admissible(a, b) == equivalent(ra, rb) == alphabet_equivalence.equivalent(ra, rb), name
 
 
 def test_on_the_fly_check_matches_full_graphs_with_visible_internal_moves():
@@ -264,6 +290,8 @@ def test_on_the_fly_check_matches_full_graphs_with_visible_internal_moves():
         assert lazy == full
         differ += not lazy.equal
     assert differ > 0
+    pairs = [(f"urgent_hop vs other {i}", net, other) for i, other in enumerate(others)]
+    _assert_matches_alphabet_search(pairs, visible_internal=True)
 
 
 def test_region_oracle_scales_rational_constants():

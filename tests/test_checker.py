@@ -7,12 +7,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import scaled_model
-from tarepair import load_bundled_model
-from tarepair.checker import Exhausted, MoveIndex, SymbolicTimedTrace, check, replay, stt_from_moves
+from conftest import scaled_model, two_receiver_model
+from tarepair import dbm, load_bundled_model
+from tarepair.checker import (
+    Exhausted,
+    MoveIndex,
+    MoveTable,
+    SymbolicTimedTrace,
+    check,
+    replay,
+    stt_from_moves,
+)
 from tarepair.encoder import encode, feasible, violating
-from tarepair.model import SyncKind, constant_scale
-from tarepair.modelio import parse_model, parse_property
+from tarepair.model import SyncKind, constant_scale, max_constant
+from tarepair.modelio import parse_model, parse_property, parse_trace, serialize_trace
+from test_bench_zone_graph import _workloads
 
 
 def test_safe_single_location_model():
@@ -198,3 +207,50 @@ def test_move_index_matches_a_direct_scan():
             assert moves == list(_scan_moves(net, locvec)), locvec
             handshakes += sum(len(m) == 2 for m in moves)
     assert handshakes > 1000
+
+
+def test_a_send_with_two_receivers_takes_the_receiver_its_step_names():
+    net, prop = parse_model(two_receiver_model())
+    to_r1, to_r2 = ((0, 0), (1, 0)), ((0, 0), (2, 0))
+    verdict = check(net, prop)
+    assert verdict.trace == SymbolicTimedTrace((to_r2,), ((0, 0, 0), (1, 0, 1)))
+    assert replay(net, prop, stt_from_moves(net, [to_r1])) == (True, False)
+    assert replay(net, prop, stt_from_moves(net, [to_r2])) == (True, True)
+    for step in (to_r1, to_r2):
+        stt = stt_from_moves(net, [step])
+        assert parse_trace(serialize_trace(stt, net), net) == stt
+    # The two handshakes compile to two steps, each with its own memo.
+    table = MoveTable(net, max_constant(net, prop), constant_scale(net, prop))
+    locvec, zone = table.initial_state()
+    (move1, _, _, step1, memo1), (move2, _, _, step2, memo2) = table.moves(locvec)
+    assert (move1, move2) == (to_r1, to_r2) and step1 != step2 and memo1 is not memo2
+    assert table.post(zone, step1, memo1) != table.post(zone, step2, memo2)
+    assert list(memo1) == list(memo2) == [zone.m]
+
+
+def test_each_distinct_successor_is_computed_once_per_exploration(monkeypatch):
+    # Interleavings reach the same zone at location vectors whose moves
+    # compile to the same step; check computes each such successor once.
+    workloads = _workloads()
+    calls, posts = [], []
+    post, memoized = dbm.post, MoveTable.post
+
+    def recorded(zone, *args):
+        calls.append((zone, args))
+        return post(zone, *args)
+
+    def counted(table, zone, step, memo):
+        posts.append(step)
+        return memoized(table, zone, step, memo)
+
+    monkeypatch.setattr(dbm, "post", recorded)
+    monkeypatch.setattr(MoveTable, "post", counted)
+    counts = []
+    for n in (3, 4):
+        net, prop = parse_model(workloads.fischer.fischer(n, workloads.fischer.draw_permutation(n, 1)))
+        calls.clear()
+        posts.clear()
+        check(net, prop)
+        assert len(calls) == len(set(calls)), n
+        counts.append((len(posts), len(calls)))
+    assert counts == [(720, 432), (11_285, 5_025)]  # (successor queries, dbm.post calls)

@@ -1,6 +1,10 @@
 """Subcommands, exit codes, and byte-stable output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +225,7 @@ def test_reset_repair_and_seed_on_repeated_transition_model(tmp_path, capsys):
         {"steps": [{"fired": [{"automaton": "client", "transitionIndex": 0}] * 2}]},
         {"steps": [{"fired": [{"automaton": "db", "transitionIndex": 0}]}]},
         {"labels": ["req"]},
+        json.loads(loop_model()),
     ],
     ids=[
         "unknown-automaton",
@@ -231,13 +236,28 @@ def test_reset_repair_and_seed_on_repeated_transition_model(tmp_path, capsys):
         "one-transition-fired-twice",
         "receive-without-sender",
         "labels-only",
+        "model-document-without-steps",
     ],
 )
 def test_malformed_trace_document_is_a_usage_error(tmp_path, capsys, doc):
     trace_file = tmp_path / "tdt.json"
     trace_file.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["repair", BUNDLE, "--tdt", str(trace_file), "--out", str(tmp_path / "rep")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _module(*args):
+    """``python -m tarepair`` with ``args``, run on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "tarepair", *args], env=env, capture_output=True, text=True)
+
+
+def test_module_entry_point_keeps_the_exit_codes():
+    violated = _module("check", BUNDLE)
+    assert violated.returncode == 1 and violated.stdout.startswith("violated:")
+    usage = _module()
+    assert usage.returncode == 2 and "usage: tarepair" in usage.stderr
 
 
 def _disjunction(terms):

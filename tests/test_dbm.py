@@ -269,12 +269,14 @@ def _to_fractions(zone):
 def test_post_equals_the_composed_step_on_every_model_state(models):
     # Each model's zone graph, explored through the composition; every
     # (state, move), disabled moves included, also goes through its
-    # MoveTable entry and dbm.post, and through the Fraction engine.
+    # MoveTable entry, through MoveTable.post's memo and straight to
+    # dbm.post, and through the Fraction engine.
     if models == "bundled":
         networks = [(name, load_bundled_model(name)[0]) for name in CORPUS]
     else:
         networks = _fischer_networks()
     pairs = 0
+    memoized = set()  # distinct (network, step, zone): the dbm.post calls of the memoized path
     for name, network in networks:
         k, scale = max_constant(network), constant_scale(network)
         table = MoveTable(network, k, scale)
@@ -290,11 +292,14 @@ def test_post_equals_the_composed_step_on_every_model_state(models):
             entries = table.moves(locvec)
             steps = list(_model_steps(network, locvec))
             assert [e[:3] for e in entries] == [(s[0], move_label(network, s[0]), s[1]) for s in steps], name
-            for (_move, target, *step), entry in zip(steps, entries):
+            for (_move, target, *step), (*_, compiled, memo) in zip(steps, entries):
                 got = _assert_same_successor(zone, ref_zone, (*step, k))
-                assert got == dbm.post(zone, *entry[3:], k), name
+                assert got == dbm.post(zone, *compiled, k), name
+                assert table.post(zone, compiled, memo) == got, name
+                memoized.add((name, compiled, zone))
                 pairs += 1
                 if got is not None and (target, got) not in seen:
                     seen.add((target, got))
                     queue.append((target, got))
     assert pairs == (8 if models == "bundled" else 25_633)
+    assert len(memoized) == (8 if models == "bundled" else 11_333)
