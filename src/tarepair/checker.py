@@ -27,7 +27,6 @@ from .model import (
     TimedAutomatonNetwork,
     constant_scale,
     max_constant,
-    prop_to_dnf,
 )
 
 
@@ -196,7 +195,7 @@ class MoveTable:
         return None if zone is None else (locvec, zone)
 
 
-def _violates(network, locvec, zone, bad_dnf: list[list[DnfLiteral]]) -> bool:
+def _violates(network, locvec, zone, bad_dnf: tuple[tuple[DnfLiteral, ...], ...]) -> bool:
     for disjunct in bad_dnf:
         ok = True
         atoms = []
@@ -225,7 +224,7 @@ def check(
     negated property. Raises Exhausted past ``state_budget`` states.
     """
     k = max_constant(network, prop)
-    bad = prop_to_dnf(prop.negate())
+    bad = prop.negated_dnf
     table = MoveTable(network, k, constant_scale(network, prop))
     init = table.initial_state()
     if init is None:
@@ -287,7 +286,7 @@ def replay(network: TimedAutomatonNetwork, prop: SafetyProperty, stt: SymbolicTi
         state = None if zone is None else (target, zone)
     if state is None:
         return False, False
-    return True, _violates(network, *state, prop_to_dnf(prop.negate()))
+    return True, _violates(network, *state, prop.negated_dnf)
 
 
 def stt_from_moves(network: TimedAutomatonNetwork, moves) -> SymbolicTimedTrace:

@@ -15,7 +15,8 @@ Every public operation returns a canonical matrix (closed under shortest
 paths), so at a fixed scale matrices compare and hash structurally, and a
 canonical zone has exactly one encoding. Intersecting with an atom
 tightens one entry (two for ``=``) and re-closes the matrix in O(n^2)
-through that entry; ``extrapolate`` re-relaxes only the entries it
+through that entry, relaxing only the rows and columns the new edge
+shortens (``_tighten``); ``extrapolate`` re-relaxes only the entries it
 loosened, and only ``canonicalize`` runs the full O(n^3) closure.
 ``bound(i, j)`` decodes an entry back to ``(Fraction | None, strict)``.
 
@@ -80,21 +81,35 @@ def _tighten(m: list[int], dim: int, i: int, j: int, b: int) -> bool:
     """Add clock_i - clock_j <= b to a closed matrix and re-close it in O(n^2).
 
     Every new shortest path uses the new edge once: m[k][l] becomes
-    min(m[k][l], m[k][i] + b + m[j][l]). Row j and column i keep their
-    values, so updating in place is safe. False iff b closes a negative
-    cycle, which can only run through m[j][i].
+    min(m[k][l], m[k][i] + b + m[j][l]). Only the rows k with
+    m[k][i] + b < m[k][j] and the columns l with b + m[j][l] < m[i][l] can
+    change (Bengtsson & Yi 2004): the matrix is closed, so by the triangle
+    inequality m[k][i] + b >= m[k][j] gives m[k][i] + b + m[j][l] >=
+    m[k][j] + m[j][l] >= m[k][l] for every l, and b + m[j][l] >= m[i][l]
+    gives m[k][i] + b + m[j][l] >= m[k][i] + m[i][l] >= m[k][l] for every k;
+    raw addition is monotone, so this holds for raw bounds. The columns are
+    chosen before row i changes, and a row is tested when it is reached,
+    before it changes. Row j and column i keep their values, so updating in
+    place is safe. False iff b closes a negative cycle, which can only run
+    through m[j][i].
     """
     d_ji = m[j * dim + i]
     if d_ji != RAW_INF and b + d_ji - ((b | d_ji) & 1) < LE_ZERO:
         return False
-    jbase = j * dim
-    row_j = [(l, m[jbase + l]) for l in range(dim) if m[jbase + l] != RAW_INF]
+    ibase, jbase = i * dim, j * dim
+    cols = []
+    for l in range(dim):
+        d_jl = m[jbase + l]
+        if d_jl != RAW_INF and b + d_jl - ((b | d_jl) & 1) < m[ibase + l]:
+            cols.append((l, d_jl))
     for kbase in range(0, dim * dim, dim):
         d_ki = m[kbase + i]
         if d_ki == RAW_INF:
             continue
         d_kij = d_ki + b - ((d_ki | b) & 1)
-        for l, d_jl in row_j:
+        if d_kij >= m[kbase + j]:
+            continue
+        for l, d_jl in cols:
             via = d_kij + d_jl - ((d_kij | d_jl) & 1)
             if via < m[kbase + l]:
                 m[kbase + l] = via

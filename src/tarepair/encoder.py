@@ -47,7 +47,6 @@ from .model import (
     TimedAutomatonNetwork,
     constant_scale,
     indexed_constraints,
-    prop_to_dnf,
 )
 
 
@@ -119,7 +118,7 @@ class TdtConstraintSystem:
         final, last = self.stt.locations[-1], self.n + 1
         return tuple(
             tuple(TraceAtom(-1, last, last, a.clock, a.op, a.bound) for a in (lit.atom for lit in d) if a is not None)
-            for d in prop_to_dnf(self.prop.negate())
+            for d in self.prop.negated_dnf
             if all(lit.atom is not None or (final[lit.automaton] == lit.location) == lit.positive for lit in d)
         )
 

@@ -64,16 +64,23 @@ class LinearAtom:
         return tuple(v for v, _ in self.coeffs)
 
     def substitute(self, values: dict[str, Fraction]) -> "LinearAtom":
-        """The atom with the variables of ``values`` replaced by their values."""
-        const = self.const
+        """The atom with the variables of ``values`` replaced by their values.
+
+        The constant is kept as an integer fraction ``num / den`` until the
+        end, so only one ``Fraction`` is normalized per atom."""
+        num, den = self.const.numerator, self.const.denominator
         kept = []
         for v, c in self.coeffs:  # sorted, and filtering keeps the order
             value = values.get(v)
             if value is None:
                 kept.append((v, c))
+                continue
+            p, q = c.numerator * value.numerator, c.denominator * value.denominator
+            if q == den:
+                num -= p
             else:
-                const -= c * value
-        return LinearAtom(tuple(kept), self.rel, const)
+                num, den = num * q - p * den, den * q
+        return LinearAtom(tuple(kept), self.rel, Fraction(num, den))
 
     def negation(self) -> list[list["LinearAtom"]]:
         """The complement as alternatives of ``is_satisfiable``'s choice

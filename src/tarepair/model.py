@@ -3,7 +3,11 @@
 Clocks, locations, automata and channels are referred to by dense integer
 ids scoped to their container; display names live in the owning container.
 All types are immutable after construction, so networks can be shared
-freely between concurrent analyses.
+freely between concurrent analyses. A network derives its constraint
+table, largest bound and constant scale once, and a property its negated
+DNF, as ``functools.cached_property`` fields: they are no dataclass fields,
+so they enter neither ``==`` nor ``hash``, and ``dataclasses.replace``
+builds an object without them.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 
@@ -105,6 +110,29 @@ class TimedAutomatonNetwork:
     def n_clocks(self) -> int:
         return len(self.clock_names)
 
+    @cached_property
+    def constraint_table(self) -> tuple[ConstraintRef, ...]:
+        """All constraint atoms of the network in global index order."""
+        out: list[ConstraintRef] = []
+        for ai, auto in enumerate(self.automata):
+            for li, inv in enumerate(auto.invariants):
+                for pi, atom in enumerate(inv):
+                    out.append(ConstraintRef(len(out), ai, "invariant", li, None, pi, atom))
+            for ti, trans in enumerate(auto.transitions):
+                for pi, atom in enumerate(trans.guard):
+                    out.append(ConstraintRef(len(out), ai, "guard", None, ti, pi, atom))
+        return tuple(out)
+
+    @cached_property
+    def largest_bound(self) -> Fraction:
+        """The largest bound of the network's own constraints; 0 without any."""
+        return max((ref.atom.bound for ref in self.constraint_table), default=Fraction(0))
+
+    @cached_property
+    def scale(self) -> int:
+        """Least common multiple of the denominators of the network's own constraints."""
+        return math.lcm(*(ref.atom.bound.denominator for ref in self.constraint_table))
+
 
 class PropKind(enum.Enum):
     ATOM = "atom"
@@ -151,6 +179,11 @@ class PropertyExpr:
         for c in self.children:
             yield from c.iter_atoms()
 
+    @cached_property
+    def negated_dnf(self) -> tuple[tuple[DnfLiteral, ...], ...]:
+        """``prop_to_dnf`` of the negation, the states that violate the property."""
+        return tuple(map(tuple, prop_to_dnf(self.negate())))
+
 
 # A safety property is checked as an invariant: the model satisfies the
 # property iff every reachable state does.
@@ -175,17 +208,9 @@ class ConstraintRef:
     atom: AtomicClockConstraint
 
 
-def indexed_constraints(network: TimedAutomatonNetwork) -> list[ConstraintRef]:
-    """All constraint atoms of the network in global index order."""
-    out: list[ConstraintRef] = []
-    for ai, auto in enumerate(network.automata):
-        for li, inv in enumerate(auto.invariants):
-            for pi, atom in enumerate(inv):
-                out.append(ConstraintRef(len(out), ai, "invariant", li, None, pi, atom))
-        for ti, trans in enumerate(auto.transitions):
-            for pi, atom in enumerate(trans.guard):
-                out.append(ConstraintRef(len(out), ai, "guard", None, ti, pi, atom))
-    return out
+def indexed_constraints(network: TimedAutomatonNetwork) -> tuple[ConstraintRef, ...]:
+    """All constraint atoms of the network in global index order (its ``constraint_table``)."""
+    return network.constraint_table
 
 
 def max_constant(network: TimedAutomatonNetwork, prop: SafetyProperty | None = None) -> int:
@@ -194,13 +219,10 @@ def max_constant(network: TimedAutomatonNetwork, prop: SafetyProperty | None = N
     Used as the zone extrapolation constant; a model without constraints
     still gets k = 1 so extrapolation is well defined.
     """
-    best = Fraction(0)
-    for ref in indexed_constraints(network):
-        best = max(best, ref.atom.bound)
+    bounds = [network.largest_bound]
     if prop is not None:
-        for atom in prop.iter_atoms():
-            best = max(best, atom.bound)
-    return max(1, math.ceil(best))
+        bounds += [atom.bound for atom in prop.iter_atoms()]
+    return max(1, math.ceil(max(bounds)))
 
 
 def constant_scale(network: TimedAutomatonNetwork, prop: SafetyProperty | None = None) -> int:
@@ -209,13 +231,9 @@ def constant_scale(network: TimedAutomatonNetwork, prop: SafetyProperty | None =
     Zones of one exploration store bounds as integer multiples of 1/scale
     (see ``dbm``); include the property when its atoms meet the zones.
     """
-    scale = 1
-    for ref in indexed_constraints(network):
-        scale = math.lcm(scale, ref.atom.bound.denominator)
-    if prop is not None:
-        for atom in prop.iter_atoms():
-            scale = math.lcm(scale, atom.bound.denominator)
-    return scale
+    if prop is None:
+        return network.scale
+    return math.lcm(network.scale, *(atom.bound.denominator for atom in prop.iter_atoms()))
 
 
 def validate(network: TimedAutomatonNetwork, prop: SafetyProperty | None = None) -> list[str]:
@@ -296,7 +314,7 @@ def _validate_constants(network: TimedAutomatonNetwork, prop: SafetyProperty | N
     from .dbm import raw_constant  # dbm imports this module
 
     scale = constant_scale(network, prop)
-    bounds = {ref.atom.bound for ref in indexed_constraints(network)}
+    bounds = {ref.atom.bound for ref in network.constraint_table}
     bounds |= {atom.bound for atom in prop.iter_atoms()} if prop is not None else set()
     diags = []
     for bound in sorted(bounds):

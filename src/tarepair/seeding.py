@@ -42,10 +42,7 @@ class Mutant:
 
 def model_max_bound(network: TimedAutomatonNetwork) -> int:
     """Maximal clock bound M occurring in the model's own constraints."""
-    best = Fraction(0)
-    for ref in indexed_constraints(network):
-        best = max(best, ref.atom.bound)
-    return int(math.ceil(best))
+    return int(math.ceil(network.largest_bound))
 
 
 def bound_deltas(m: int) -> list[Fraction]:

@@ -1,5 +1,6 @@
 """DBM algebra against hand-derived cases and structural properties."""
 
+import random
 from fractions import Fraction as F
 
 import fraction_dbm
@@ -303,3 +304,91 @@ def test_post_equals_the_composed_step_on_every_model_state(models):
                     queue.append((target, got))
     assert pairs == (8 if models == "bundled" else 25_633)
     assert len(memoized) == (8 if models == "bundled" else 11_333)
+
+
+def _raw_add(a, b):
+    return dbm.RAW_INF if dbm.RAW_INF in (a, b) else a + b - ((a | b) & 1)
+
+
+def _tie(a, t):
+    """The raw b with ``a + b == t`` in raw arithmetic, for finite a and t; None
+    where there is none (a strict a gives only strict sums)."""
+    return next((b for b in (t - a, t - a + 1) if _raw_add(a, b) == t), None)
+
+
+def _random_closed(rng, dim):
+    """A random non-empty closed raw matrix with strict, weak and infinite entries."""
+    while True:
+        cells = [
+            dbm.LE_ZERO if idx % (dim + 1) == 0 else dbm.RAW_INF if rng.random() < 0.3 else rng.randint(-4, 14)
+            for idx in range(dim * dim)
+        ]
+        zone = dbm.canonicalize(dbm.DifferenceBoundMatrix(dim - 1, 1, tuple(cells)))
+        if not zone.empty:
+            return list(zone.m)
+
+
+def _closed_with(m, dim, lowered):
+    """``canonicalize`` of ``m`` with each ``(i, j, b)`` entry lowered to ``b``."""
+    cells = list(m)
+    for i, j, b in lowered:
+        cells[i * dim + j] = min(cells[i * dim + j], b)
+    return dbm.canonicalize(dbm.DifferenceBoundMatrix(dim - 1, 1, tuple(cells)))
+
+
+def test_incremental_closure_equals_full_closure():
+    # _tighten prunes the rows and columns the new edge cannot shorten; its
+    # result must still be the full closure of the matrix with that entry
+    # lowered. Edges are drawn to make ties (m[k][i] + b == m[k][j] and
+    # b + m[j][l] == m[i][l], which the pruning skips) and negative cycles.
+    rng = random.Random(1604)
+    row_ties = col_ties = cycles = closed = 0
+    for _ in range(3000):
+        dim = rng.randint(1, 6)
+        m = _random_closed(rng, dim)
+        i, j = rng.randrange(dim), rng.randrange(dim)
+        bs = [rng.randint(-16, 16)]
+        k, l = rng.randrange(dim), rng.randrange(dim)
+        if dbm.RAW_INF not in (m[k * dim + i], m[k * dim + j]):
+            bs.append(_tie(m[k * dim + i], m[k * dim + j]))
+        if dbm.RAW_INF not in (m[j * dim + l], m[i * dim + l]):
+            bs.append(_tie(m[j * dim + l], m[i * dim + l]))
+        if m[j * dim + i] != dbm.RAW_INF:
+            bs.append(dbm.LE_ZERO - m[j * dim + i] - rng.randint(-1, 3))
+        for b in bs:
+            if b is None or b >= m[i * dim + j]:
+                continue  # callers only tighten
+            want = _closed_with(m, dim, [(i, j, b)])
+            got = m.copy()
+            assert dbm._tighten(got, dim, i, j, b) == (not want.empty), (m, i, j, b)
+            if want.empty:
+                cycles += 1
+                continue
+            assert tuple(got) == want.m, (m, i, j, b)
+            closed += 1
+            row_ties += any(_raw_add(m[r * dim + i], b) == m[r * dim + j] != dbm.RAW_INF for r in range(dim) if r != j)
+            col_ties += any(_raw_add(b, m[j * dim + c]) == m[i * dim + c] != dbm.RAW_INF for c in range(dim) if c != i)
+    assert min(row_ties, col_ties, cycles, closed) > 100
+
+
+def test_constrain_equals_full_closure():
+    rng = random.Random(1605)
+    empties = 0
+    for _ in range(2000):
+        dim = rng.randint(1, 6)
+        m = _random_closed(rng, dim)
+        i, j, op = rng.randrange(dim), rng.randrange(dim), rng.choice(list(Op))
+        strict = 2 * rng.randint(-6, 6)
+        lowered = []
+        if dbm._UPPER_WEAK[op] is not None:
+            lowered.append((i, j, strict + dbm._UPPER_WEAK[op]))
+        if dbm._LOWER_WEAK[op] is not None:
+            lowered.append((j, i, dbm._LOWER_WEAK[op] - strict))
+        want = _closed_with(m, dim, lowered)
+        got = m.copy()
+        assert dbm.constrain(got, dim, i, j, op, strict) == (not want.empty), (m, i, j, op, strict)
+        if want.empty:
+            empties += 1
+        else:
+            assert tuple(got) == want.m, (m, i, j, op, strict)
+    assert empties > 100

@@ -1,10 +1,14 @@
 """Domain type invariants, validation diagnostics, and urgency desugaring."""
 
+import copy
+import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tarepair import load_bundled_model
+from tarepair.checker import check
 from tarepair.model import (
     AtomicClockConstraint,
     Op,
@@ -14,6 +18,7 @@ from tarepair.model import (
     TimedAutomaton,
     TimedAutomatonNetwork,
     Transition,
+    constant_scale,
     desugar_urgency,
     dnf_size,
     indexed_constraints,
@@ -22,6 +27,9 @@ from tarepair.model import (
     prop_to_dnf,
     validate,
 )
+from tarepair.modelio import write_report, write_repaired_model
+from tarepair.orchestrator import RepairCandidate, apply_candidate, run
+from tarepair.variations import KINDS, Modification, RepairKind
 
 
 def single_automaton(transitions, invariants, urgent=frozenset(), n_locs=2, clocks=frozenset({0})):
@@ -169,3 +177,68 @@ def test_dnf_size_counts_the_disjuncts_of_prop_to_dnf():
     for p in cases:
         for e in (p, p.negate()):
             assert dnf_size(prop_nnf(e)) == len(prop_to_dnf(e))
+
+
+def _bound_edit(network, idx: int, bound: Fraction):
+    old = indexed_constraints(network)[idx].atom
+    new = dataclasses.replace(old, bound=bound)
+    mod = Modification(("constraint", idx), old, new, f"bound {old.bound} -> {bound}")
+    return apply_candidate(network, RepairCandidate(RepairKind.BOUND, (mod,), ()))
+
+
+def test_derived_tables_follow_an_edit_and_stay_on_the_original():
+    net, prop = load_bundled_model()
+    refs = indexed_constraints(net)
+    assert isinstance(refs, tuple)
+    assert (max_constant(net), constant_scale(net), max_constant(net, prop)) == (2, 1, 4)
+    raised = _bound_edit(net, 1, Fraction(7))  # the largest bound was 2
+    assert indexed_constraints(raised)[1].atom.bound == 7
+    assert (max_constant(raised), constant_scale(raised), max_constant(raised, prop)) == (7, 1, 7)
+    halved = _bound_edit(raised, 3, Fraction(5, 2))
+    assert indexed_constraints(halved)[3].atom.bound == Fraction(5, 2)
+    assert (max_constant(halved), constant_scale(halved), constant_scale(halved, prop)) == (7, 2, 2)
+    assert constant_scale(raised) == 1 and indexed_constraints(raised)[3].atom.bound == 1
+    assert indexed_constraints(net) is refs
+    assert [r.atom.bound for r in refs] == [2, 1, 2, 1, 1, 1]
+    assert (max_constant(net), constant_scale(net), max_constant(net, prop)) == (2, 1, 4)
+
+
+def test_derived_tables_enter_neither_equality_nor_hash():
+    warm, prop = load_bundled_model()
+    indexed_constraints(warm), max_constant(warm), constant_scale(warm), prop.negated_dnf
+    cold, cold_prop = dataclasses.replace(warm), dataclasses.replace(prop)
+    assert "constraint_table" in vars(warm) and "negated_dnf" in vars(prop)
+    assert "constraint_table" not in vars(cold) and "negated_dnf" not in vars(cold_prop)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert prop == cold_prop and hash(prop) == hash(cold_prop)
+    assert [f.name for f in dataclasses.fields(warm)] == ["automata", "clock_names", "channel_names"]
+
+
+def test_negated_dnf_is_prop_to_dnf_of_the_negation_as_tuples():
+    _, prop = load_bundled_model()
+    assert prop.negated_dnf == tuple(map(tuple, prop_to_dnf(prop.negate())))
+    assert prop.negated_dnf is prop.negated_dnf
+
+
+def _repair_all(network, prop, out_dir: Path) -> dict[str, bytes]:
+    """``tarepair repair --kind all``'s output files, as name -> bytes."""
+    verdict = check(network, prop)
+    runs = []
+    for kind in KINDS:
+        rr = run(network, prop, kind, tdt=verdict.trace)
+        for ordinal, cand in enumerate(rr.candidates, start=1):
+            write_repaired_model(network, prop, cand, out_dir, ordinal)
+        runs.append(rr)
+    write_report(runs, out_dir, model_name="client_db")
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_deep_copy_of_warmed_objects_repairs_alike(tmp_path):
+    net, prop = load_bundled_model()
+    trace = check(net, prop).trace
+    warmed = _repair_all(net, prop, tmp_path / "warm")
+    net_copy, prop_copy = copy.deepcopy((net, prop))
+    assert "constraint_table" in vars(net_copy) and "negated_dnf" in vars(prop_copy)
+    assert check(net_copy, prop_copy).trace == trace
+    assert _repair_all(net_copy, prop_copy, tmp_path / "copy") == warmed
+    assert "report.txt" in warmed and len(warmed) > 1
