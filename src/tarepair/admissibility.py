@@ -16,6 +16,14 @@ in full. Each subset pair reads its states' successors once, grouped by
 label, and visits only the labels that leave one of its subsets.
 ``Exhausted`` thus means that the states the check needs exceed
 ``UNTIMED_STATE_BUDGET``. ``build_untimed`` expands a graph in full.
+
+A repair edits one constraint, reset or urgency flag, so the two networks
+compile almost every move to the same ``dbm.post`` step. The repaired
+graph of ``check_admissible`` therefore shares the original's pool of step
+memos (``MoveTable``'s ``share``), which serves a step of either graph once.
+The table shares only at the same clock count, scale and ``k``: a raw
+bound means another constant at another scale. The pool lives as long as
+the original's graph: one check, or one repair run's ``original_cache``.
 """
 
 from __future__ import annotations
@@ -77,17 +85,25 @@ class ZoneGraph:
     ``MoveTable`` order takes its successor from ``MoveTable.post``, and the
     targets are kept in ``edges`` and grouped by label. A move's label is
     its channel name; an internal move is silent, or with
-    ``visible_internal`` named "auto.tN" after its transition.
+    ``visible_internal`` named "auto.tN" after its transition. ``share``,
+    another graph, passes its ``table`` to this one's ``MoveTable``, which
+    reuses its step memos where clock count, scale and ``k`` match.
     """
 
     initial = 0
 
-    def __init__(self, network: TimedAutomatonNetwork, k: int, visible_internal: bool = False) -> None:
+    def __init__(
+        self,
+        network: TimedAutomatonNetwork,
+        k: int,
+        visible_internal: bool = False,
+        share: ZoneGraph | None = None,
+    ) -> None:
         self.network = network
         self.k = k
         self.visible_internal = visible_internal
-        self._table = MoveTable(network, k, constant_scale(network))
-        init = self._table.initial_state()
+        self.table = MoveTable(network, k, constant_scale(network), None if share is None else share.table)
+        init = self.table.initial_state()
         self.states = [] if init is None else [init]
         self._ids = {state: sid for sid, state in enumerate(self.states)}
         self.edges: list[list[tuple[str | None, int]] | None] = [None] * len(self.states)
@@ -108,8 +124,8 @@ class ZoneGraph:
             return out
         locvec, zone = self.states[sid]
         edges = []
-        post = self._table.post
-        for move, label, target, step, memo in self._table.moves(locvec):
+        post = self.table.post
+        for move, label, target, step, memo in self.table.moves(locvec):
             z = post(zone, step, memo)
             if z is None:
                 continue
@@ -255,10 +271,12 @@ def check_admissible(
 ) -> Equivalence:
     """Shared-constant admissibility check of a repaired network, on the fly.
 
-    ``original_cache`` keeps the original's ``ZoneGraph`` per extrapolation
-    constant across the candidates of one repair run, so the states each
-    check expands, and the successors its move table has computed, serve
-    the next.
+    The repaired graph shares the original's step memos (``ZoneGraph``'s
+    ``share``) where their scales match, so a successor both graphs take
+    is computed once. ``original_cache`` keeps the original's ``ZoneGraph``
+    per extrapolation constant across the candidates of one repair run, so
+    the states each check expands, and the successors its move table (and
+    each earlier repaired graph) has computed, serve the next.
     """
     k = max(max_constant(original), max_constant(repaired))
     if original_cache is not None and k in original_cache:
@@ -267,4 +285,4 @@ def check_admissible(
         ga = ZoneGraph(original, k)
         if original_cache is not None:
             original_cache[k] = ga
-    return equivalent(ga, ZoneGraph(repaired, k))
+    return equivalent(ga, ZoneGraph(repaired, k, share=ga))

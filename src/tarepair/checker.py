@@ -9,7 +9,10 @@ delay closure is skipped. A ``MoveTable`` compiles each location vector's
 moves once per exploration, and ``MoveTable.post`` computes the successor
 of each zone under each distinct compiled step once, with ``dbm.post``:
 interleavings of independent processes reach the same zone at location
-vectors whose moves compile to the same step. ``replay`` walks one given
+vectors whose moves compile to the same step. A table may share another's
+step memos (``MoveTable``'s ``share``), as the two zone graphs of one
+admissibility check do: a repair leaves most steps as they were. ``check``
+and ``replay`` keep tables of their own. ``replay`` walks one given
 trace through a ``MoveTable`` the same way: the repair loop's contract
 re-check, which shares no encoding with the search's trace system.
 """
@@ -122,11 +125,19 @@ class MoveTable:
     ``dbm.atom_edges``, the sorted reset matrix indices, the target's
     invariant edges and whether it may delay (no location of it is urgent).
     Moves that compile to equal steps share one memo, a dict from a zone's
-    raw bounds to its successor, for the table's lifetime; all zones of one
-    table share its clock count and scale, so the raw bounds alone key it.
+    raw bounds to its successor, for the pool's lifetime; all zones of one
+    pool share its clock count and scale, so the raw bounds alone key it.
+
+    ``share``, another table, lends its pool of step memos to this one when
+    both have the same clock count, scale and ``k``: ``dbm.post`` is then a
+    function of the raw bounds and the step alone, so a step both networks
+    compile is computed once for both. Otherwise this table starts its own
+    pool; a raw bound means a different constant at another scale.
     """
 
-    def __init__(self, network: TimedAutomatonNetwork, k: int, scale: int) -> None:
+    def __init__(
+        self, network: TimedAutomatonNetwork, k: int, scale: int, share: MoveTable | None = None
+    ) -> None:
         self.network = network
         self.k = k
         self.scale = scale
@@ -140,7 +151,11 @@ class MoveTable:
         ]
         self._vectors: dict[tuple[int, ...], tuple[tuple, bool]] = {}
         self._moves: dict[tuple[int, ...], list[tuple]] = {}
-        self._memos: dict[tuple, dict] = {}  # step -> its memo
+        shape = (network.n_clocks, scale, k)
+        if share is not None and (share.network.n_clocks, share.scale, share.k) == shape:
+            self._memos: dict[tuple, dict] = share._memos  # step -> its memo
+        else:
+            self._memos = {}
 
     def post(self, zone: dbm.DifferenceBoundMatrix, step: tuple, memo: dict) -> dbm.DifferenceBoundMatrix | None:
         """The extrapolated successor of ``zone`` under ``step``, None where it is

@@ -211,10 +211,12 @@ class TdtConstraintSystem:
             rows = ((r, c) for r, c in rows if r.constraint_index not in skip)
         return m if self._constrain(m, starts, rows) else None
 
-    def conjoin(self, m: list[int], timing, scale: int, idx: int, atom: AtomicClockConstraint) -> bool:
+    def conjoin(self, m: list[int], timing, idx: int, atom: AtomicClockConstraint, strict: int) -> bool:
         """Conjoin to ``m`` in place the rows of constraint index ``idx``, each
-        with the clock, operator and bound of ``atom``; False iff ``m`` becomes empty."""
-        start, strict, dim = timing[1][atom.clock], raw_constant(atom.bound, scale), self.n + 2
+        with the clock and operator of ``atom`` and the bound ``strict``, its
+        bound as ``dbm.raw_constant`` at the scale of ``m``; False iff ``m``
+        becomes empty."""
+        start, dim = timing[1][atom.clock], self.n + 2
         return all(constrain(m, dim, r.point, start[r.step], atom.op, strict) for r in self.by_index.get(idx, ()))
 
     def meets_negated_property(self, m: list[int], timing, scale: int) -> bool:
@@ -231,13 +233,16 @@ class TdtConstraintSystem:
         so the result is that of ``encode`` on the edited model. An empty
         system gives the canonical empty DBM and False. The system is closed
         without the edited constraints' rows, which are then conjoined under
-        their edits; closure is canonical, so the order does not show.
+        their edits; closure is canonical, so the order does not show. Each
+        edited bound is converted to the raw encoding once per call.
         """
         constraint = {m.anchor[1]: m.new for m in edits if m.anchor[0] == "constraint"}
         timing = self.timing(edits)
         scale = lcm(self.scale, *(a.bound.denominator for a in constraint.values()))
         m = self.close(timing, scale, constraint.keys())
-        if m is None or not all(self.conjoin(m, timing, scale, idx, a) for idx, a in constraint.items()):
+        if m is None or not all(
+            self.conjoin(m, timing, idx, a, raw_constant(a.bound, scale)) for idx, a in constraint.items()
+        ):
             return empty_zone(self.n + 1, scale), False
         return DifferenceBoundMatrix(self.n + 1, scale, tuple(m)), self.meets_negated_property(m, timing, scale)
 

@@ -279,6 +279,109 @@ def test_on_the_fly_check_matches_full_graphs_on_repair_candidates():
         assert check_admissible(a, b) == equivalent(ra, rb) == alphabet_equivalence.equivalent(ra, rb), name
 
 
+# A repaired graph on the original's pool of step memos against a fresh one.
+
+
+def _expanded(graph):
+    sid = 0
+    while sid < graph.n_states:  # expanding a state appends the states it discovers
+        graph.expand(sid)
+        sid += 1
+    return graph
+
+
+def _assert_shared_pool_changes_nothing(pairs):
+    """For every (name, original, repaired) of ``pairs``, the repaired graph built
+    with ``share`` the original's graph and expanded in full has the states and
+    edges of a fresh one, and so has the original's graph, then expanded in
+    full on the pool. One graph per original and k serves all its pairs, as
+    ``original_cache`` does in a repair run, so its pool also holds the
+    earlier pairs' successors. Returns how many pairs shared a pool.
+
+    ``check_admissible``, which shares the pool, meets two fresh graphs in
+    ``_assert_matches_full_graphs`` on the same pairs."""
+    originals, fresh_originals = {}, {}
+    shared = 0
+    for name, a, b in pairs:
+        k = _shared_k(a, b)
+        ga = originals.setdefault((id(a), k), ZoneGraph(a, k))
+        pooled, fresh = _expanded(ZoneGraph(b, k, share=ga)), _expanded(ZoneGraph(b, k))
+        assert (pooled.states, pooled.edges) == (fresh.states, fresh.edges), name
+        if (id(a), k) not in fresh_originals:
+            fresh_originals[id(a), k] = _expanded(ZoneGraph(a, k))
+        want = fresh_originals[id(a), k]
+        assert (_expanded(ga).states, ga.edges) == (want.states, want.edges), name
+        shared += pooled.table._memos is ga.table._memos
+    return shared
+
+
+def _one_clock(guards, clocks=("x",)):
+    """l0 -go!-> l1 -done!-> l2 in one automaton, each answered by a receiver,
+    with ``guards`` on the two sends. Returns the network."""
+    doc = {
+        "automata": [
+            {
+                "name": "p",
+                "initial": "l0",
+                "clocks": list(clocks),
+                "locations": [{"name": f"l{i}", "invariant": []} for i in range(3)],
+                "transitions": [
+                    {"source": "l0", "target": "l1", "sync": "go!", "guard": [guards[0]], "resets": []},
+                    {"source": "l1", "target": "l2", "sync": "done!", "guard": [guards[1]], "resets": []},
+                ],
+            },
+            {
+                "name": "q",
+                "initial": "r",
+                "clocks": list(clocks),
+                "locations": [{"name": "r", "invariant": []}],
+                "transitions": [
+                    {"source": "r", "target": "r", "sync": "go?", "guard": [], "resets": []},
+                    {"source": "r", "target": "r", "sync": "done?", "guard": [], "resets": []},
+                ],
+            },
+        ],
+        "channels": ["go", "done"],
+        "property": "x <= 9",
+    }
+    return parse_model(json.dumps(doc))[0]
+
+
+def test_shared_pool_changes_no_graph_on_fischer_mutants():
+    # One original graph serves all 77 mutants, so its pool grows with each.
+    network = _fischer()
+    pairs = [(m.description, network, m.network) for m in seeding.seed(network)]
+    assert _assert_shared_pool_changes_nothing(pairs) == len(pairs) == 77
+
+
+def test_shared_pool_changes_no_graph_on_bundled_mutants_and_repair_candidates():
+    pairs = []
+    for name in CORPUS:
+        net, _ = load_bundled_model(name)
+        pairs += [p for m in seeding.seed(net) for p in _both_ways(f"{name}: {m.description}", net, m.network)]
+    pairs += [p for c in _repair_candidates() for p in _both_ways(*c[:3])]
+    assert _assert_shared_pool_changes_nothing(pairs) == len(pairs) == 416
+
+
+def test_shared_pool_needs_equal_scale_and_clock_count():
+    # At scale 1, x <= 2 is the raw bound 5; with a 5/2 elsewhere the scale is
+    # 2 and x <= 1 is the raw bound 5 too. Both initial zones and both first
+    # steps have equal raw encodings, so one pool would hand each graph the
+    # other's successors (zones at the other scale).
+    original = _one_clock(("x <= 2", "x >= 3"))
+    rescaled = _one_clock(("x <= 1", "x >= 5/2"))
+    k = _shared_k(original, rescaled)
+    ga, gb = ZoneGraph(original, k), ZoneGraph(rescaled, k)
+    (_, za), (_, zb) = ga.states[0], gb.states[0]
+    assert (za.scale, zb.scale) == (1, 2) and za.m == zb.m
+    assert ga.table.moves(ga.states[0][0])[0][3] == gb.table.moves(gb.states[0][0])[0][3]
+    # An added clock changes the matrices' size.
+    two_clocks = _one_clock(("x <= 2", "x >= 3"), ("x", "y"))
+    pairs = _both_ways("rescaled", original, rescaled) + _both_ways("two clocks", original, two_clocks)
+    assert _assert_shared_pool_changes_nothing(pairs) == 0
+    _assert_matches_full_graphs(pairs)
+
+
 def test_on_the_fly_check_matches_full_graphs_with_visible_internal_moves():
     net, _ = load_bundled_model("urgent_hop")
     others = [desugar_urgency(net), net] + [m.network for m in seeding.seed(net)]

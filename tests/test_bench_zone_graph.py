@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from tarepair import admissibility
+from tarepair import admissibility, dbm
 from tarepair.model import max_constant
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -45,7 +45,9 @@ def test_check_fischer_matches_golden_records():
 
 def test_admissible_fischer_matches_golden_records(monkeypatch):
     # The twin of the admissible_fischer gate: 17 mutants, each compared
-    # with the original on the fly, so two zone graphs per item.
+    # with the original on the fly, so two zone graphs per item; the
+    # mutant's graph takes its successors from the original's pool of step
+    # memos, so a step both networks compile is computed once per item.
     workloads = _workloads()
     workload = workloads.setup_admissible_fischer(SEED)
     golden = json.loads((BENCH / "golden" / "admissible_fischer.json").read_text(encoding="utf-8"))
@@ -57,13 +59,24 @@ def test_admissible_fischer_matches_golden_records(monkeypatch):
             super().__init__(*args, **kwargs)
             graphs.append(self)
 
+    posts = [0]
+    real_post = dbm.post
+
+    def counted(*args):
+        posts[0] += 1
+        return real_post(*args)
+
     monkeypatch.setattr(admissibility, "ZoneGraph", Recorded)
+    monkeypatch.setattr(dbm, "post", counted)
     assert len(workload.items) == 17
     full = []
     equal = 0
+    swept = 0  # dbm.post calls of the checks alone
     for item in workload.items:
         graphs.clear()
+        before = posts[0]
         record = item.run()
+        swept += posts[0] - before
         assert record == want[item.key], item.key
         # The full untimed automata of the pair at the shared k.
         original, mutant = item.context["original"], item.context["mutant"]
@@ -80,3 +93,4 @@ def test_admissible_fischer_matches_golden_records(monkeypatch):
     assert len(full) == 34
     assert sum(full) == 17_211
     assert equal == 5
+    assert swept == 3_766  # 5,960 with one pool of memos per graph

@@ -6,9 +6,11 @@ from fractions import Fraction as F
 import fraction_dbm
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from test_admissibility import _expanded
 from test_bench_zone_graph import _workloads
 
 from tarepair import dbm, load_bundled_model
+from tarepair.admissibility import ZoneGraph
 from tarepair.checker import MoveIndex, MoveTable, move_label
 from tarepair.model import AtomicClockConstraint, Op, constant_scale, max_constant
 
@@ -304,6 +306,28 @@ def test_post_equals_the_composed_step_on_every_model_state(models):
                     queue.append((target, got))
     assert pairs == (8 if models == "bundled" else 25_633)
     assert len(memoized) == (8 if models == "bundled" else 11_333)
+
+
+def test_post_equals_every_memo_entry_of_a_shared_pool():
+    # Fischer N=3's zone graph lends its pool of step memos to the graphs of
+    # its 17 target-process mutants, as one repair run's admissibility
+    # checks do; all are expanded in full. Every entry of the pool, whichever
+    # graph wrote it, is dbm.post of its zone and step.
+    (_, fischer), *mutants = _fischer_networks()
+    k, scale = max(max_constant(n) for _, n in mutants), constant_scale(fischer)
+    assert k == max_constant(fischer)
+    own = ZoneGraph(fischer, k)
+    graphs = [_expanded(g) for g in [own] + [ZoneGraph(network, k, share=own) for _, network in mutants]]
+    pool = own.table._memos
+    assert all(g.table._memos is pool for g in graphs)
+    entries = 0
+    for step, memo in pool.items():
+        for m, successor in memo.items():
+            assert successor == dbm.post(dbm.DifferenceBoundMatrix(fischer.n_clocks, scale, m), *step, k), step
+            entries += 1
+    alone = _expanded(ZoneGraph(fischer, k))
+    assert sum(len(memo) for memo in alone.table._memos.values()) == 432  # the original's own entries
+    assert entries == 3_880
 
 
 def _raw_add(a, b):

@@ -7,13 +7,15 @@ twice and revisit L0) and the 22 violating mutants of Fischer N=3
 
 import importlib.util
 import itertools
+import json
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from conftest import loop_model
-from tarepair import load_bundled_model, seeding
+from test_bench_zone_graph import BENCH, SEED, _workloads
+from tarepair import dbm, encoder, load_bundled_model, maxsmt, seeding
 from tarepair.checker import check
 from tarepair.encoder import TdtConstraintSystem, encode
 from tarepair.maxsmt import HardConstraint, dead_reset_toggles, max_sat, nonzero_values, repairing_assignments
@@ -143,3 +145,27 @@ def test_search_effort_on_client_db(kind, monkeypatch):
     hard = HardConstraint(vary(encode(net, check(net, prop).trace, prop), kind))
     assert list(max_sat(hard))
     assert all(counts[step] <= bound for step, bound in SEARCH_EFFORT[kind].items()), counts
+
+
+def test_edited_bounds_are_converted_once_per_run(monkeypatch):
+    # One campaign_client_db pass of the benchmark (seed 1) converts 1,482
+    # bounds to the raw DBM encoding; 2,842 when the walk's conjoin converted
+    # its edit's bound on each of its 1,638 calls. Every report stays the
+    # recorded one.
+    calls = [0]
+    real = dbm.raw_constant
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    for module in (dbm, encoder, maxsmt):
+        monkeypatch.setattr(module, "raw_constant", counted)
+    workloads = _workloads()
+    workload = workloads.setup_campaign(SEED)
+    golden = json.loads((BENCH / "golden" / "campaign_client_db.json").read_text(encoding="utf-8"))
+    want = workloads.golden_records(workload, golden)
+    calls[0] = 0
+    for item in workload.items:
+        assert item.run() == want[item.key], item.key
+    assert calls[0] <= 1_482
