@@ -18,9 +18,10 @@ label, and visits only the labels that leave one of its subsets.
 ``UNTIMED_STATE_BUDGET``. ``build_untimed`` expands a graph in full.
 
 A repair edits one constraint, reset or urgency flag, so the two networks
-compile almost every move to the same ``dbm.post`` step. The repaired
-graph of ``check_admissible`` therefore shares the original's pool of step
-memos (``MoveTable``'s ``share``), which serves a step of either graph once.
+compile almost every move to the same step. The repaired graph of
+``check_admissible`` therefore shares the original's pool of step and
+settle memos (``MoveTable``'s ``share``), which serves a step of either
+graph once.
 The table shares only at the same clock count, scale and ``k``: a raw
 bound means another constant at another scale. The pool lives as long as
 the original's graph: one check, or one repair run's ``original_cache``.
@@ -87,7 +88,7 @@ class ZoneGraph:
     its channel name; an internal move is silent, or with
     ``visible_internal`` named "auto.tN" after its transition. ``share``,
     another graph, passes its ``table`` to this one's ``MoveTable``, which
-    reuses its step memos where clock count, scale and ``k`` match.
+    reuses its pool of memos where clock count, scale and ``k`` match.
     """
 
     initial = 0
@@ -271,7 +272,7 @@ def check_admissible(
 ) -> Equivalence:
     """Shared-constant admissibility check of a repaired network, on the fly.
 
-    The repaired graph shares the original's step memos (``ZoneGraph``'s
+    The repaired graph shares the original's pool of memos (``ZoneGraph``'s
     ``share``) where their scales match, so a successor both graphs take
     is computed once. ``original_cache`` keeps the original's ``ZoneGraph``
     per extrapolation constant across the candidates of one repair run, so

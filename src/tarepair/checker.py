@@ -7,14 +7,21 @@ transition index) order, which makes the reported trace deterministic.
 Urgency is enforced directly: when any current location is urgent, the
 delay closure is skipped. A ``MoveTable`` compiles each location vector's
 moves once per exploration, and ``MoveTable.post`` computes the successor
-of each zone under each distinct compiled step once, with ``dbm.post``:
+of each zone under each distinct compiled step once, in two memoized
+stages. The first memo, one per step, serves a zone the step has seen:
 interleavings of independent processes reach the same zone at location
-vectors whose moves compile to the same step. A table may share another's
-step memos (``MoveTable``'s ``share``), as the two zone graphs of one
+vectors whose moves compile to the same step. On a miss, ``dbm.jump``
+applies the guard and the resets, and a second memo, shared by every step
+with the same target invariants and delay, serves the jumped zone's
+``dbm.settle`` (invariants, delay, extrapolation): a reset forgets a
+clock, so different zones meet after it. A table may share another's pool
+of both memos (``MoveTable``'s ``share``), as the two zone graphs of one
 admissibility check do: a repair leaves most steps as they were. ``check``
-and ``replay`` keep tables of their own. ``replay`` walks one given
-trace through a ``MoveTable`` the same way: the repair loop's contract
-re-check, which shares no encoding with the search's trace system.
+and ``replay`` keep tables of their own. ``check`` decides the negated
+property's location literals once per location vector. ``replay`` walks
+one given trace through a ``MoveTable`` the same way: the repair loop's
+contract re-check, which shares no encoding with the search's trace
+system.
 """
 
 from __future__ import annotations
@@ -115,6 +122,15 @@ def move_label(network: TimedAutomatonNetwork, move) -> str | None:
 _UNSEEN = object()
 
 
+class _StepMemo(dict):
+    """One step's memo, from a zone's raw bounds to its successor. ``settled``
+    is the memo of ``dbm.settle`` that the step shares with every step of
+    the same (invariants, delay): from a jumped zone's raw bounds to its
+    successor."""
+
+    __slots__ = ("settled",)
+
+
 class MoveTable:
     """The moves of one network compiled for one exploration at ``k`` and ``scale``.
 
@@ -125,14 +141,17 @@ class MoveTable:
     ``dbm.atom_edges``, the sorted reset matrix indices, the target's
     invariant edges and whether it may delay (no location of it is urgent).
     Moves that compile to equal steps share one memo, a dict from a zone's
-    raw bounds to its successor, for the pool's lifetime; all zones of one
-    pool share its clock count and scale, so the raw bounds alone key it.
+    raw bounds to its successor, for the pool's lifetime; steps with equal
+    (invariants, delay) share one memo of ``dbm.settle``, from a jumped
+    zone's raw bounds to its successor. All zones of one pool share its
+    clock count and scale, so the raw bounds alone key both.
 
-    ``share``, another table, lends its pool of step memos to this one when
-    both have the same clock count, scale and ``k``: ``dbm.post`` is then a
-    function of the raw bounds and the step alone, so a step both networks
-    compile is computed once for both. Otherwise this table starts its own
-    pool; a raw bound means a different constant at another scale.
+    ``share``, another table, lends its pool of memos to this one when both
+    have the same clock count, scale and ``k``: ``dbm.jump`` and
+    ``dbm.settle`` are then functions of the raw bounds and the step alone,
+    so a step both networks compile is computed once for both. Otherwise
+    this table starts its own pool; a raw bound means a different constant
+    at another scale.
     """
 
     def __init__(
@@ -153,17 +172,37 @@ class MoveTable:
         self._moves: dict[tuple[int, ...], list[tuple]] = {}
         shape = (network.n_clocks, scale, k)
         if share is not None and (share.network.n_clocks, share.scale, share.k) == shape:
-            self._memos: dict[tuple, dict] = share._memos  # step -> its memo
+            self._memos: dict[tuple, _StepMemo] = share._memos  # step -> its memo
+            self._settled: dict[tuple, dict] = share._settled  # (invariants, delay) -> its memo
         else:
-            self._memos = {}
+            self._memos, self._settled = {}, {}
 
-    def post(self, zone: dbm.DifferenceBoundMatrix, step: tuple, memo: dict) -> dbm.DifferenceBoundMatrix | None:
+    def post(self, zone: dbm.DifferenceBoundMatrix, step: tuple, memo: _StepMemo) -> dbm.DifferenceBoundMatrix | None:
         """The extrapolated successor of ``zone`` under ``step``, None where it is
-        empty; computed once per zone and kept in ``step``'s ``memo``."""
+        empty; computed once per zone and kept in ``step``'s ``memo``, and
+        settled once per jumped zone and kept in ``memo.settled``."""
         z = memo.get(zone.m, _UNSEEN)
         if z is _UNSEEN:
-            z = memo[zone.m] = dbm.post(zone, *step, self.k)
+            guard, resets, invariants, delay = step
+            jumped = dbm.jump(zone, guard, resets)
+            if jumped is None:
+                z = None
+            else:
+                key = tuple(jumped)
+                settled = memo.settled
+                z = settled.get(key, _UNSEEN)
+                if z is _UNSEEN:
+                    z = settled[key] = dbm.settle(zone, jumped, invariants, delay, self.k)
+            memo[zone.m] = z
         return z
+
+    def _memo(self, step: tuple) -> _StepMemo:
+        """The pool's memo of ``step``, made on first use."""
+        memo = self._memos.get(step)
+        if memo is None:
+            memo = self._memos[step] = _StepMemo()
+            memo.settled = self._settled.setdefault(step[2:], {})
+        return memo
 
     def _vector(self, locvec: tuple[int, ...]) -> tuple[tuple, bool]:
         """(invariant edges, may delay) of one location vector."""
@@ -197,7 +236,7 @@ class MoveTable:
                 target = tuple(target)
                 invariants, delay = self._vector(target)
                 step = (guard, tuple(sorted(c + 1 for c in resets)), invariants, delay)
-                entries.append((move, move_label(self.network, move), target, step, self._memos.setdefault(step, {})))
+                entries.append((move, move_label(self.network, move), target, step, self._memo(step)))
         return entries
 
     def initial_state(self):
@@ -206,23 +245,22 @@ class MoveTable:
         locvec = tuple(a.initial for a in self.network.automata)
         zero = dbm.zero_zone(self.network.n_clocks, self.scale)
         step = ((), (), *self._vector(locvec))
-        zone = self.post(zero, step, self._memos.setdefault(step, {}))
+        zone = self.post(zero, step, self._memo(step))
         return None if zone is None else (locvec, zone)
 
 
-def _violates(network, locvec, zone, bad_dnf: tuple[tuple[DnfLiteral, ...], ...]) -> bool:
+def _location_hits(locvec, bad_dnf: tuple[tuple[DnfLiteral, ...], ...]) -> list[list]:
+    """The clock atoms of each disjunct of ``bad_dnf`` whose location literals
+    hold at ``locvec``, in disjunct order."""
+    hits = []
     for disjunct in bad_dnf:
-        ok = True
-        atoms = []
-        for lit in disjunct:
-            if lit.atom is not None:
-                atoms.append(lit.atom)
-            elif (locvec[lit.automaton] == lit.location) != lit.positive:
-                ok = False
-                break
-        if ok and dbm.intersects(zone, atoms):
-            return True
-    return False
+        if all((locvec[lit.automaton] == lit.location) == lit.positive for lit in disjunct if lit.atom is None):
+            hits.append([lit.atom for lit in disjunct if lit.atom is not None])
+    return hits
+
+
+def _violates(locvec, zone, bad_dnf: tuple[tuple[DnfLiteral, ...], ...]) -> bool:
+    return any(dbm.intersects(zone, atoms) for atoms in _location_hits(locvec, bad_dnf))
 
 
 DEFAULT_STATE_BUDGET = 20_000
@@ -249,13 +287,17 @@ def check(
     queue = deque([init])
     explored = 0
     post = table.post
+    hits_at: dict[tuple[int, ...], list[list]] = {}  # locvec -> _location_hits
     while queue:
         state = queue.popleft()
         explored += 1
         if explored > state_budget:
             raise Exhausted(f"state budget of {state_budget} exceeded")
         locvec, zone = state
-        if _violates(network, locvec, zone, bad):
+        hits = hits_at.get(locvec)
+        if hits is None:
+            hits = hits_at[locvec] = _location_hits(locvec, bad)
+        if hits and any(dbm.intersects(zone, atoms) for atoms in hits):
             path = [state]  # the states from here back to the initial one
             while parents[path[-1]] is not None:
                 path.append(parents[path[-1]][0])
@@ -301,7 +343,7 @@ def replay(network: TimedAutomatonNetwork, prop: SafetyProperty, stt: SymbolicTi
         state = None if zone is None else (target, zone)
     if state is None:
         return False, False
-    return True, _violates(network, *state, prop.negated_dnf)
+    return True, _violates(*state, prop.negated_dnf)
 
 
 def stt_from_moves(network: TimedAutomatonNetwork, moves) -> SymbolicTimedTrace:

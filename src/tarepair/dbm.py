@@ -20,10 +20,15 @@ shortens (``_tighten``); ``extrapolate`` re-relaxes only the entries it
 loosened, and only ``canonicalize`` runs the full O(n^3) closure.
 ``bound(i, j)`` decodes an entry back to ``(Fraction | None, strict)``.
 
-``post`` is the explorers' kernel: one whole symbolic step (guard, resets,
-invariants, delay, extrapolation) on one list copy of the zone, with the
-atoms already compiled to raw edges by ``atom_edges``. The per-operation
-functions compose to the same canonical zone and serve as its reference.
+``post`` is one whole symbolic step (guard, resets, invariants, delay,
+extrapolation) on one list copy of the zone, with the atoms already
+compiled to raw edges by ``atom_edges``. The explorers run it in its two
+halves, split at the jump: ``jump`` applies the guard and the resets, and
+``settle`` the invariants, the delay and the extrapolation to the jumped
+list in place. ``settle`` depends on the jumped zone alone, not on the zone
+it came from, so a caller can memoize it by the jumped raw bounds. The
+per-operation functions compose to the same canonical zone and serve as
+the reference of ``post``, which is ``settle`` after ``jump``.
 """
 
 from __future__ import annotations
@@ -137,10 +142,48 @@ def _conjoin(m: list[int], dim: int, edges) -> bool:
     return True
 
 
+def jump(d: DifferenceBoundMatrix, guard, resets) -> list[int] | None:
+    """The first half of ``post``: ``reset_many(and_atoms(d, guard), resets)`` of a
+    non-empty canonical zone, as a new closed list of raw bounds; None where
+    the guard empties the zone.
+
+    ``guard`` holds raw edges from ``atom_edges`` at ``d.scale``; ``resets``
+    the sorted matrix indices (clock + 1) set to 0. A reset forgets a clock,
+    so zones that differ only in it meet here.
+    """
+    dim = d.n + 1
+    m = list(d.m)
+    if not _conjoin(m, dim, guard):
+        return None
+    for c in resets:
+        m[c * dim : (c + 1) * dim] = m[:dim]  # row c := row 0
+        m[c::dim] = m[::dim]  # column c := column 0
+    return m
+
+
+def settle(d: DifferenceBoundMatrix, jumped: list[int], invariants, delay: bool, k: int) -> DifferenceBoundMatrix | None:
+    """The second half of ``post``, on ``jumped`` from ``jump(d, ...)`` in place.
+
+    Conjoins the raw ``invariants`` edges, delays when ``delay`` and conjoins
+    them again, then extrapolates at ``k``; None where the invariants empty
+    the zone. ``d`` gives only the clock count and scale, so the result is a
+    function of ``jumped`` and the arguments after it.
+    """
+    dim = d.n + 1
+    if not _conjoin(jumped, dim, invariants):
+        return None
+    if delay:
+        jumped[dim::dim] = [RAW_INF] * d.n  # up
+        _conjoin(jumped, dim, invariants)  # cannot empty: the undelayed zone satisfies them
+    _extrapolate(jumped, dim, 2 * k * d.scale)
+    return DifferenceBoundMatrix(d.n, d.scale, tuple(jumped))
+
+
 def post(
     d: DifferenceBoundMatrix, guard, resets, invariants, delay: bool, k: int
 ) -> DifferenceBoundMatrix | None:
-    """The extrapolated successor of a non-empty canonical zone under one step.
+    """The extrapolated successor of a non-empty canonical zone under one step:
+    ``settle`` after ``jump``.
 
     ``guard`` and ``invariants`` are raw edges from ``atom_edges`` at
     ``d.scale``; ``resets`` are the sorted matrix indices (clock + 1) set to 0.
@@ -150,20 +193,8 @@ def post(
     conjunction empties the zone. Canonical DBMs are unique, so computing it
     on one list gives the same zone as the composition.
     """
-    dim = d.n + 1
-    m = list(d.m)
-    if not _conjoin(m, dim, guard):
-        return None
-    for c in resets:
-        m[c * dim : (c + 1) * dim] = m[:dim]  # row c := row 0
-        m[c::dim] = m[::dim]  # column c := column 0
-    if not _conjoin(m, dim, invariants):
-        return None
-    if delay:
-        m[dim::dim] = [RAW_INF] * d.n  # up
-        _conjoin(m, dim, invariants)  # cannot empty: the undelayed zone satisfies them
-    _extrapolate(m, dim, 2 * k * d.scale)
-    return DifferenceBoundMatrix(d.n, d.scale, tuple(m))
+    m = jump(d, guard, resets)
+    return None if m is None else settle(d, m, invariants, delay, k)
 
 
 def canonicalize(d: DifferenceBoundMatrix) -> DifferenceBoundMatrix:

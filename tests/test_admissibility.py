@@ -296,7 +296,8 @@ def _assert_shared_pool_changes_nothing(pairs):
     edges of a fresh one, and so has the original's graph, then expanded in
     full on the pool. One graph per original and k serves all its pairs, as
     ``original_cache`` does in a repair run, so its pool also holds the
-    earlier pairs' successors. Returns how many pairs shared a pool.
+    earlier pairs' successors. A pool lends its step memos and its settle
+    memos together. Returns how many pairs shared a pool.
 
     ``check_admissible``, which shares the pool, meets two fresh graphs in
     ``_assert_matches_full_graphs`` on the same pairs."""
@@ -311,7 +312,9 @@ def _assert_shared_pool_changes_nothing(pairs):
             fresh_originals[id(a), k] = _expanded(ZoneGraph(a, k))
         want = fresh_originals[id(a), k]
         assert (_expanded(ga).states, ga.edges) == (want.states, want.edges), name
-        shared += pooled.table._memos is ga.table._memos
+        shares = pooled.table._memos is ga.table._memos
+        assert (pooled.table._settled is ga.table._settled) == shares, name  # both memos or neither
+        shared += shares
     return shared
 
 
@@ -365,16 +368,19 @@ def test_shared_pool_changes_no_graph_on_bundled_mutants_and_repair_candidates()
 
 def test_shared_pool_needs_equal_scale_and_clock_count():
     # At scale 1, x <= 2 is the raw bound 5; with a 5/2 elsewhere the scale is
-    # 2 and x <= 1 is the raw bound 5 too. Both initial zones and both first
-    # steps have equal raw encodings, so one pool would hand each graph the
-    # other's successors (zones at the other scale).
+    # 2 and x <= 1 is the raw bound 5 too. Both initial zones, both first
+    # steps and the zones they jump to have equal raw encodings, so one pool
+    # of either memo would hand each graph the other's successors (zones at
+    # the other scale).
     original = _one_clock(("x <= 2", "x >= 3"))
     rescaled = _one_clock(("x <= 1", "x >= 5/2"))
     k = _shared_k(original, rescaled)
-    ga, gb = ZoneGraph(original, k), ZoneGraph(rescaled, k)
+    ga, gb = _expanded(ZoneGraph(original, k)), _expanded(ZoneGraph(rescaled, k))
     (_, za), (_, zb) = ga.states[0], gb.states[0]
     assert (za.scale, zb.scale) == (1, 2) and za.m == zb.m
     assert ga.table.moves(ga.states[0][0])[0][3] == gb.table.moves(gb.states[0][0])[0][3]
+    settled_a, settled_b = ga.table._settled, gb.table._settled
+    assert any(settled_a[key].keys() & settled_b[key].keys() for key in settled_a.keys() & settled_b.keys())
     # An added clock changes the matrices' size.
     two_clocks = _one_clock(("x <= 2", "x >= 3"), ("x", "y"))
     pairs = _both_ways("rescaled", original, rescaled) + _both_ways("two clocks", original, two_clocks)

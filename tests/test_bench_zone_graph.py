@@ -46,8 +46,9 @@ def test_check_fischer_matches_golden_records():
 def test_admissible_fischer_matches_golden_records(monkeypatch):
     # The twin of the admissible_fischer gate: 17 mutants, each compared
     # with the original on the fly, so two zone graphs per item; the
-    # mutant's graph takes its successors from the original's pool of step
-    # memos, so a step both networks compile is computed once per item.
+    # mutant's graph takes its successors from the original's pool of
+    # memos, so a step both networks compile is computed once per item, and
+    # a jumped zone is settled once per (invariants, delay).
     workloads = _workloads()
     workload = workloads.setup_admissible_fischer(SEED)
     golden = json.loads((BENCH / "golden" / "admissible_fischer.json").read_text(encoding="utf-8"))
@@ -59,24 +60,30 @@ def test_admissible_fischer_matches_golden_records(monkeypatch):
             super().__init__(*args, **kwargs)
             graphs.append(self)
 
-    posts = [0]
-    real_post = dbm.post
+    calls = {"jump": 0, "settle": 0}
 
-    def counted(*args):
-        posts[0] += 1
-        return real_post(*args)
+    def counted(name):
+        real = getattr(dbm, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
 
     monkeypatch.setattr(admissibility, "ZoneGraph", Recorded)
-    monkeypatch.setattr(dbm, "post", counted)
+    for name in calls:
+        monkeypatch.setattr(dbm, name, counted(name))
     assert len(workload.items) == 17
     full = []
     equal = 0
-    swept = 0  # dbm.post calls of the checks alone
+    swept = {"jump": 0, "settle": 0}  # the calls of the checks alone
     for item in workload.items:
         graphs.clear()
-        before = posts[0]
+        before = dict(calls)
         record = item.run()
-        swept += posts[0] - before
+        for name in swept:
+            swept[name] += calls[name] - before[name]
         assert record == want[item.key], item.key
         # The full untimed automata of the pair at the shared k.
         original, mutant = item.context["original"], item.context["mutant"]
@@ -93,4 +100,4 @@ def test_admissible_fischer_matches_golden_records(monkeypatch):
     assert len(full) == 34
     assert sum(full) == 17_211
     assert equal == 5
-    assert swept == 3_766  # 5,960 with one pool of memos per graph
+    assert swept == {"jump": 3_766, "settle": 1_872}  # 5,960 jumps with one pool of memos per graph

@@ -8,7 +8,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import scaled_model, two_receiver_model
-from tarepair import dbm, load_bundled_model
+from tarepair import dbm, load_bundled_model, seeding
+from tarepair.admissibility import check_admissible
 from tarepair.checker import (
     Exhausted,
     MoveIndex,
@@ -228,29 +229,65 @@ def test_a_send_with_two_receivers_takes_the_receiver_its_step_names():
     assert list(memo1) == list(memo2) == [zone.m]
 
 
+def _count_stages(monkeypatch):
+    """Record every ``dbm.jump`` call as its arguments and every ``dbm.settle``
+    call as its jumped zone's raw bounds and the arguments after it."""
+    jumps, settles = [], []
+    jump, settle = dbm.jump, dbm.settle
+
+    def recorded_jump(zone, *args):
+        jumps.append((zone, args))
+        return jump(zone, *args)
+
+    def recorded_settle(zone, jumped, *args):
+        settles.append((zone.n, zone.scale, tuple(jumped), args))
+        return settle(zone, jumped, *args)
+
+    monkeypatch.setattr(dbm, "jump", recorded_jump)
+    monkeypatch.setattr(dbm, "settle", recorded_settle)
+    return jumps, settles
+
+
 def test_each_distinct_successor_is_computed_once_per_exploration(monkeypatch):
     # Interleavings reach the same zone at location vectors whose moves
-    # compile to the same step; check computes each such successor once.
+    # compile to the same step, and a reset makes different zones meet at
+    # one jumped zone; check settles each jumped zone once per (invariants,
+    # delay).
     workloads = _workloads()
-    calls, posts = [], []
-    post, memoized = dbm.post, MoveTable.post
-
-    def recorded(zone, *args):
-        calls.append((zone, args))
-        return post(zone, *args)
+    jumps, settles = _count_stages(monkeypatch)
+    queries = []
+    memoized = MoveTable.post
 
     def counted(table, zone, step, memo):
-        posts.append(step)
+        queries.append(step)
         return memoized(table, zone, step, memo)
 
-    monkeypatch.setattr(dbm, "post", recorded)
     monkeypatch.setattr(MoveTable, "post", counted)
     counts = []
     for n in (3, 4):
         net, prop = parse_model(workloads.fischer.fischer(n, workloads.fischer.draw_permutation(n, 1)))
-        calls.clear()
-        posts.clear()
+        for calls in (queries, jumps, settles):
+            calls.clear()
         check(net, prop)
-        assert len(calls) == len(set(calls)), n
-        counts.append((len(posts), len(calls)))
-    assert counts == [(720, 432), (11_285, 5_025)]  # (successor queries, dbm.post calls)
+        assert len(settles) == len(set(settles)), n
+        counts.append((len(queries), len(jumps), len(settles)))
+    assert counts == [(720, 432, 202), (11_285, 5_025, 2_121)]  # (successor queries, jumps, settles)
+
+
+def test_no_memo_outlives_one_call(monkeypatch):
+    # A second check, replay or admissibility check on the same network
+    # objects computes every successor again: the pools live one call
+    # (check_admissible's without an original_cache).
+    workloads = _workloads()
+    net, prop = parse_model(workloads.fischer.fischer(3, workloads.fischer.draw_permutation(3, 1)))
+    mutant = next(m.network for m in seeding.seed(net) if not check(m.network, prop).safe)
+    trace = check(mutant, prop).trace
+    jumps, settles = _count_stages(monkeypatch)
+    for call in (lambda: check(net, prop), lambda: replay(mutant, prop, trace), lambda: check_admissible(net, mutant)):
+        counts = []
+        for _ in range(2):
+            jumps.clear()
+            settles.clear()
+            call()
+            counts.append((len(jumps), len(settles)))
+        assert counts[0] == counts[1] and counts[0][1] > 0, counts

@@ -182,16 +182,33 @@ def _composed(engine, zone, guard, resets, invariants, delay, k):
     return engine.extrapolate(zone, k)
 
 
-def _kernel(zone, guard, resets, invariants, delay, k):
+def _compiled(zone, guard, resets, invariants, delay, k):
+    """The arguments of ``dbm.post`` after the zone, for one step of atoms."""
+
     def edges(atoms):
         return tuple(e for a in atoms for e in dbm.atom_edges(a, zone.scale))
 
-    return dbm.post(zone, edges(guard), sorted(c + 1 for c in resets), edges(invariants), delay, k)
+    return edges(guard), sorted(c + 1 for c in resets), edges(invariants), delay, k
+
+
+def _halves(zone, guard, resets, invariants, delay, k):
+    """``dbm.settle`` after ``dbm.jump``, the jumped zone checked against the
+    per-operation guard and resets."""
+    raw_guard, raw_resets, raw_invariants, *_ = _compiled(zone, guard, resets, invariants, delay, k)
+    jumped = dbm.jump(zone, raw_guard, raw_resets)
+    reference = dbm.and_atoms(zone, guard)
+    assert (jumped is None) == reference.empty
+    if jumped is None:
+        return None
+    assert tuple(jumped) == dbm.reset_many(reference, resets).m
+    return dbm.settle(zone, jumped, raw_invariants, delay, k)
 
 
 def _assert_same_successor(zone, ref_zone, step):
-    """``dbm.post`` against both engines' compositions; returns its zone."""
-    got = _kernel(zone, *step)
+    """``dbm.post`` against ``dbm.settle`` after ``dbm.jump`` and both engines'
+    compositions; returns its zone."""
+    got = dbm.post(zone, *_compiled(zone, *step))
+    assert got == _halves(zone, *step), step
     assert got == _composed(dbm, zone, *step), step
     ref = _composed(fraction_dbm, ref_zone, *step)
     assert (got is None) == (ref is None), step
@@ -309,25 +326,37 @@ def test_post_equals_the_composed_step_on_every_model_state(models):
 
 
 def test_post_equals_every_memo_entry_of_a_shared_pool():
-    # Fischer N=3's zone graph lends its pool of step memos to the graphs of
-    # its 17 target-process mutants, as one repair run's admissibility
-    # checks do; all are expanded in full. Every entry of the pool, whichever
-    # graph wrote it, is dbm.post of its zone and step.
+    # Fischer N=3's zone graph lends its pool of memos to the graphs of its
+    # 17 target-process mutants, as one repair run's admissibility checks
+    # do; all are expanded in full. Every step memo entry of the pool,
+    # whichever graph wrote it, is dbm.post of its zone and step, and every
+    # settle memo entry is dbm.settle of its jumped zone.
     (_, fischer), *mutants = _fischer_networks()
     k, scale = max(max_constant(n) for _, n in mutants), constant_scale(fischer)
     assert k == max_constant(fischer)
     own = ZoneGraph(fischer, k)
     graphs = [_expanded(g) for g in [own] + [ZoneGraph(network, k, share=own) for _, network in mutants]]
-    pool = own.table._memos
-    assert all(g.table._memos is pool for g in graphs)
+    pool, settled = own.table._memos, own.table._settled
+    assert all(g.table._memos is pool and g.table._settled is settled for g in graphs)
+    assert all(memo.settled is settled[step[2:]] for step, memo in pool.items())
+
+    def zone(m):
+        return dbm.DifferenceBoundMatrix(fischer.n_clocks, scale, m)
+
     entries = 0
     for step, memo in pool.items():
         for m, successor in memo.items():
-            assert successor == dbm.post(dbm.DifferenceBoundMatrix(fischer.n_clocks, scale, m), *step, k), step
+            assert successor == dbm.post(zone(m), *step, k), step
             entries += 1
+    jumped = 0
+    for (invariants, delay), memo in settled.items():
+        for m, successor in memo.items():
+            assert successor == dbm.settle(zone(m), list(m), invariants, delay, k), invariants
+            jumped += 1
     alone = _expanded(ZoneGraph(fischer, k))
     assert sum(len(memo) for memo in alone.table._memos.values()) == 432  # the original's own entries
-    assert entries == 3_880
+    assert sum(len(memo) for memo in alone.table._settled.values()) == 202
+    assert (entries, jumped) == (3_880, 1_679)
 
 
 def _raw_add(a, b):
@@ -350,6 +379,31 @@ def _random_closed(rng, dim):
         zone = dbm.canonicalize(dbm.DifferenceBoundMatrix(dim - 1, 1, tuple(cells)))
         if not zone.empty:
             return list(zone.m)
+
+
+def test_post_is_settle_after_jump_on_random_closed_matrices():
+    # Closed matrices no exploration reaches, such as negative clock values,
+    # through dbm.post, through dbm.settle after dbm.jump, and through the
+    # per-operation compositions of both engines.
+    rng = random.Random(1801)
+    outcomes = {"guard": 0, "invariants": 0, "successor": 0}
+    for _ in range(1500):
+        dim = rng.randint(2, 5)
+        zone = dbm.DifferenceBoundMatrix(dim - 1, 1, tuple(_random_closed(rng, dim)))
+
+        def atoms():
+            return [atom(rng.randrange(dim - 1), rng.choice(list(Op)), rng.randint(0, 7)) for _ in range(rng.randint(0, 2))]
+
+        guard, resets, invariants = atoms(), {c for c in range(dim - 1) if rng.random() < 0.3}, atoms()
+        step = (guard, resets, invariants, rng.random() < 0.5, rng.randint(1, 7))
+        got = _assert_same_successor(zone, _to_fractions(zone), step)
+        if got is not None:
+            outcomes["successor"] += 1
+        elif dbm.and_atoms(zone, guard).empty:
+            outcomes["guard"] += 1
+        else:
+            outcomes["invariants"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def _closed_with(m, dim, lowered):
