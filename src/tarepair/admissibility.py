@@ -17,11 +17,15 @@ label, and visits only the labels that leave one of its subsets.
 ``Exhausted`` thus means that the states the check needs exceed
 ``UNTIMED_STATE_BUDGET``. ``build_untimed`` expands a graph in full.
 
+A ``ZoneGraph`` keys its states by (location vector, zone id), the id of
+the zone in its ``MoveTable``'s pool, and keeps ``states`` as (location
+vector, zone) pairs for its readers; ids never leave the graph.
+
 A repair edits one constraint, reset or urgency flag, so the two networks
 compile almost every move to the same step. The repaired graph of
-``check_admissible`` therefore shares the original's pool of step and
-settle memos (``MoveTable``'s ``share``), which serves a step of either
-graph once.
+``check_admissible`` therefore shares the original's pool of zones and of
+step and settle memos (``MoveTable``'s ``share``), which serves a step of
+either graph once.
 The table shares only at the same clock count, scale and ``k``: a raw
 bound means another constant at another scale. The pool lives as long as
 the original's graph: one check, or one repair run's ``original_cache``.
@@ -83,12 +87,13 @@ class ZoneGraph:
     States are (location vector, zone) pairs numbered in discovery order,
     the initial one 0; there are none when the network has no run. The
     first ``successors`` query of a state expands it: each of its moves in
-    ``MoveTable`` order takes its successor from ``MoveTable.post``, and the
-    targets are kept in ``edges`` and grouped by label. A move's label is
+    ``MoveTable`` order takes its successor's id from ``MoveTable.post``,
+    and the targets are kept in ``edges`` and grouped by label. A move's label is
     its channel name; an internal move is silent, or with
     ``visible_internal`` named "auto.tN" after its transition. ``share``,
     another graph, passes its ``table`` to this one's ``MoveTable``, which
-    reuses its pool of memos where clock count, scale and ``k`` match.
+    reuses its pool of zones and memos where clock count, scale and ``k``
+    match.
     """
 
     initial = 0
@@ -105,8 +110,13 @@ class ZoneGraph:
         self.visible_internal = visible_internal
         self.table = MoveTable(network, k, constant_scale(network), None if share is None else share.table)
         init = self.table.initial_state()
-        self.states = [] if init is None else [init]
-        self._ids = {state: sid for sid, state in enumerate(self.states)}
+        self._keys = []  # per state: (location vector, zone id in the pool)
+        self._ids = {}
+        self.states = []
+        if init is not None:
+            self._keys.append(init)
+            self._ids[init] = 0
+            self.states.append((init[0], self.table.zones[init[1]]))
         self.edges: list[list[tuple[str | None, int]] | None] = [None] * len(self.states)
         self._by_label: list[dict[str | None, list[int]] | None] = [None] * len(self.states)
 
@@ -123,11 +133,12 @@ class ZoneGraph:
         out = self._by_label[sid]
         if out is not None:
             return out
-        locvec, zone = self.states[sid]
+        locvec, zid = self._keys[sid]
         edges = []
         post = self.table.post
+        zones = self.table.zones
         for move, label, target, step, memo in self.table.moves(locvec):
-            z = post(zone, step, memo)
+            z = post(zid, step, memo)
             if z is None:
                 continue
             nxt = (target, z)
@@ -136,7 +147,8 @@ class ZoneGraph:
                 if len(self.states) >= UNTIMED_STATE_BUDGET:
                     raise Exhausted(f"zone graph exceeded {UNTIMED_STATE_BUDGET} states")
                 tid = self._ids[nxt] = len(self.states)
-                self.states.append(nxt)
+                self._keys.append(nxt)
+                self.states.append((target, zones[z]))
                 self.edges.append(None)
                 self._by_label.append(None)
             if label is None and self.visible_internal:

@@ -6,7 +6,12 @@ count. Enabled moves are enumerated in lexicographic (automaton index,
 transition index) order, which makes the reported trace deterministic.
 Urgency is enforced directly: when any current location is urgent, the
 delay closure is skipped. A ``MoveTable`` compiles each location vector's
-moves once per exploration, and ``MoveTable.post`` computes the successor
+moves once per exploration, each from pieces compiled once per table on
+first use (a transition's target, guard edges, resets and label; a
+location's invariant edges), and gives each distinct zone of
+its pool one small int id. The explorers key their visited states and the
+memos by ids, so a zone's raw bounds are hashed once per successor
+computed, not on every lookup. ``MoveTable.post`` computes the successor
 of each zone under each distinct compiled step once, in two memoized
 stages. The first memo, one per step, serves a zone the step has seen:
 interleavings of independent processes reach the same zone at location
@@ -15,13 +20,15 @@ applies the guard and the resets, and a second memo, shared by every step
 with the same target invariants and delay, serves the jumped zone's
 ``dbm.settle`` (invariants, delay, extrapolation): a reset forgets a
 clock, so different zones meet after it. A table may share another's pool
-of both memos (``MoveTable``'s ``share``), as the two zone graphs of one
-admissibility check do: a repair leaves most steps as they were. ``check``
-and ``replay`` keep tables of their own. ``check`` decides the negated
-property's location literals once per location vector. ``replay`` walks
-one given trace through a ``MoveTable`` the same way: the repair loop's
-contract re-check, which shares no encoding with the search's trace
-system.
+of zones and both memos (``MoveTable``'s ``share``), as the two zone graphs
+of one admissibility check do: a repair leaves most steps as they were.
+``check`` and ``replay`` keep tables of their own. ``check`` keys its
+states by (location vector, zone id), serves memo hits inline and decides
+the negated property's location literals once per location vector.
+``replay`` walks one given trace through a ``MoveTable`` the same way,
+compiling only the moves the trace takes: the repair loop's contract
+re-check, which shares no encoding with the search's trace system. An id
+means something only inside its pool: no verdict or trace carries one.
 """
 
 from __future__ import annotations
@@ -108,9 +115,10 @@ class MoveIndex:
                         for tj in receivers[aj][lj].get(channel, ()):
                             yield ((ai, ti), (aj, tj))
 
-    def fires(self, locvec: tuple[int, ...], step: tuple[tuple[int, int], ...]) -> bool:
-        """Is ``step``, as sorted (automaton, transition) pairs, one enabled move?"""
-        return any(tuple(sorted(move)) == step for move in self.enabled(locvec))
+    def find(self, locvec: tuple[int, ...], step: tuple[tuple[int, int], ...]):
+        """The enabled move whose sorted (automaton, transition) pairs equal
+        ``step``; None where there is none."""
+        return next((move for move in self.enabled(locvec) if tuple(sorted(move)) == step), None)
 
 
 def move_label(network: TimedAutomatonNetwork, move) -> str | None:
@@ -123,10 +131,10 @@ _UNSEEN = object()
 
 
 class _StepMemo(dict):
-    """One step's memo, from a zone's raw bounds to its successor. ``settled``
-    is the memo of ``dbm.settle`` that the step shares with every step of
-    the same (invariants, delay): from a jumped zone's raw bounds to its
-    successor."""
+    """One step's memo, from a zone's id to its successor's id, None where the
+    successor is empty. ``settled`` is the memo of ``dbm.settle`` that the
+    step shares with every step of the same (invariants, delay): from a
+    jumped zone's raw bounds to its successor's id, or None."""
 
     __slots__ = ("settled",)
 
@@ -134,20 +142,30 @@ class _StepMemo(dict):
 class MoveTable:
     """The moves of one network compiled for one exploration at ``k`` and ``scale``.
 
+    A pool interns zones: ``zones`` lists each distinct zone once, and its
+    index there is the zone's id, an int that means something only inside
+    the pool. The initial zero zone and each ``dbm.settle`` result are
+    interned once, so the explorers key their memos and visited states by
+    ids and hash a zone's raw bounds once per successor computed.
+
     ``moves(locvec)`` lists, once per location vector and in
     ``MoveIndex.enabled`` order, a tuple per enabled move: the move, its
     label, the target vector, its step and the step's memo. The step holds
     the arguments of ``dbm.post`` after the zone: the guard as raw
     ``dbm.atom_edges``, the sorted reset matrix indices, the target's
     invariant edges and whether it may delay (no location of it is urgent).
-    Moves that compile to equal steps share one memo, a dict from a zone's
-    raw bounds to its successor, for the pool's lifetime; steps with equal
-    (invariants, delay) share one memo of ``dbm.settle``, from a jumped
-    zone's raw bounds to its successor. All zones of one pool share its
-    clock count and scale, so the raw bounds alone key both.
+    Each step is put together from pieces compiled once per table, on first
+    use: a transition's target, guard edges, sorted reset indices and label,
+    and a location's invariant edges; a handshake joins the sender's piece
+    and the receiver's. Moves that compile to equal steps share one memo, a
+    dict from a zone's id to its successor's id, for the pool's lifetime;
+    steps with equal (invariants, delay) share one memo of ``dbm.settle``,
+    from a jumped zone's raw bounds to its successor's id. All zones of one
+    pool share its clock count and scale, so the raw bounds alone key both
+    the interning and the settle memos.
 
-    ``share``, another table, lends its pool of memos to this one when both
-    have the same clock count, scale and ``k``: ``dbm.jump`` and
+    ``share``, another table, lends its pool (zones and memos) to this one
+    when both have the same clock count, scale and ``k``: ``dbm.jump`` and
     ``dbm.settle`` are then functions of the raw bounds and the step alone,
     so a step both networks compile is computed once for both. Otherwise
     this table starts its own pool; a raw bound means a different constant
@@ -161,29 +179,39 @@ class MoveTable:
         self.k = k
         self.scale = scale
         self._index = MoveIndex(network)
-        self._transitions = [
-            [
-                (t.target, tuple(e for a in t.guard for e in dbm.atom_edges(a, scale)), t.resets)
-                for t in auto.transitions
-            ]
-            for auto in network.automata
-        ]
+        # Per transition and per location, the pieces of the steps, compiled on first use.
+        self._transitions: list[list[tuple | None]] = [[None] * len(auto.transitions) for auto in network.automata]
+        self._invariants: list[list[tuple | None]] = [[None] * auto.n_locations for auto in network.automata]
         self._vectors: dict[tuple[int, ...], tuple[tuple, bool]] = {}
         self._moves: dict[tuple[int, ...], list[tuple]] = {}
         shape = (network.n_clocks, scale, k)
         if share is not None and (share.network.n_clocks, share.scale, share.k) == shape:
+            self.zones: list[dbm.DifferenceBoundMatrix] = share.zones  # id -> zone
+            self._zone_ids: dict[tuple[int, ...], int] = share._zone_ids  # raw bounds -> id
             self._memos: dict[tuple, _StepMemo] = share._memos  # step -> its memo
             self._settled: dict[tuple, dict] = share._settled  # (invariants, delay) -> its memo
         else:
-            self._memos, self._settled = {}, {}
+            self.zones, self._zone_ids, self._memos, self._settled = [], {}, {}, {}
 
-    def post(self, zone: dbm.DifferenceBoundMatrix, step: tuple, memo: _StepMemo) -> dbm.DifferenceBoundMatrix | None:
-        """The extrapolated successor of ``zone`` under ``step``, None where it is
-        empty; computed once per zone and kept in ``step``'s ``memo``, and
-        settled once per jumped zone and kept in ``memo.settled``."""
-        z = memo.get(zone.m, _UNSEEN)
+    def _intern(self, zone: dbm.DifferenceBoundMatrix | None) -> int | None:
+        """The id of ``zone`` in the pool, added on first sight; None for None."""
+        if zone is None:
+            return None
+        zid = self._zone_ids.get(zone.m)
+        if zid is None:
+            zid = self._zone_ids[zone.m] = len(self.zones)
+            self.zones.append(zone)
+        return zid
+
+    def post(self, zid: int, step: tuple, memo: _StepMemo) -> int | None:
+        """The id of the extrapolated successor of zone ``zid`` under ``step``,
+        None where it is empty; computed once per zone and kept in ``step``'s
+        ``memo``, and settled once per jumped zone and kept in
+        ``memo.settled``."""
+        z = memo.get(zid, _UNSEEN)
         if z is _UNSEEN:
             guard, resets, invariants, delay = step
+            zone = self.zones[zid]
             jumped = dbm.jump(zone, guard, resets)
             if jumped is None:
                 z = None
@@ -192,8 +220,8 @@ class MoveTable:
                 settled = memo.settled
                 z = settled.get(key, _UNSEEN)
                 if z is _UNSEEN:
-                    z = settled[key] = dbm.settle(zone, jumped, invariants, delay, self.k)
-            memo[zone.m] = z
+                    z = settled[key] = self._intern(dbm.settle(zone, jumped, invariants, delay, self.k))
+            memo[zid] = z
         return z
 
     def _memo(self, step: tuple) -> _StepMemo:
@@ -204,49 +232,70 @@ class MoveTable:
             memo.settled = self._settled.setdefault(step[2:], {})
         return memo
 
+    def _transition(self, ai: int, ti: int) -> tuple:
+        """(target, guard edges, sorted reset matrix indices, label) of transition
+        ti of automaton ai, compiled into ``_transitions``."""
+        t = self.network.automata[ai].transitions[ti]
+        piece = self._transitions[ai][ti] = (
+            t.target,
+            tuple(e for a in t.guard for e in dbm.atom_edges(a, self.scale)),
+            tuple(sorted([c + 1 for c in t.resets])) if t.resets else (),
+            None if t.channel is None else self.network.channel_names[t.channel],
+        )
+        return piece
+
     def _vector(self, locvec: tuple[int, ...]) -> tuple[tuple, bool]:
-        """(invariant edges, may delay) of one location vector."""
+        """(invariant edges, may delay) of one location vector: the
+        concatenated invariant edges of its locations."""
         entry = self._vectors.get(locvec)
         if entry is None:
             autos = self.network.automata
-            invariants = tuple(
-                e
-                for ai, li in enumerate(locvec)
-                for a in autos[ai].invariants[li]
-                for e in dbm.atom_edges(a, self.scale)
-            )
+            compiled = self._invariants
+            invariants = ()
+            for ai, li in enumerate(locvec):
+                edges = compiled[ai][li]
+                if edges is None:
+                    edges = compiled[ai][li] = tuple(
+                        e for a in autos[ai].invariants[li] for e in dbm.atom_edges(a, self.scale)
+                    )
+                invariants += edges
             delay = not any(li in autos[ai].urgent for ai, li in enumerate(locvec))
             entry = self._vectors[locvec] = (invariants, delay)
         return entry
+
+    def compile(self, locvec: tuple[int, ...], move) -> tuple:
+        """The ``moves`` entry of one enabled move from ``locvec``."""
+        target = list(locvec)
+        ai, ti = move[0]
+        tgt, guard, resets, label = self._transitions[ai][ti] or self._transition(ai, ti)
+        target[ai] = tgt
+        if len(move) == 2:  # a handshake: the receiver's piece after the sender's
+            aj, tj = move[1]
+            tgt, edges, clocks, _ = self._transitions[aj][tj] or self._transition(aj, tj)
+            target[aj] = tgt
+            guard += edges
+            if clocks:
+                resets = tuple(sorted({*resets, *clocks})) if resets else clocks
+        target = tuple(target)
+        step = (guard, resets, *self._vector(target))
+        return move, label, target, step, self._memo(step)
 
     def moves(self, locvec: tuple[int, ...]) -> list[tuple]:
         """The compiled enabled moves of one location vector."""
         entries = self._moves.get(locvec)
         if entries is None:
-            entries = self._moves[locvec] = []
-            for move in self._index.enabled(locvec):
-                target = list(locvec)
-                guard: tuple = ()
-                resets: set[int] = set()
-                for ai, ti in move:
-                    tgt, edges, clocks = self._transitions[ai][ti]
-                    target[ai] = tgt
-                    guard += edges
-                    resets |= clocks
-                target = tuple(target)
-                invariants, delay = self._vector(target)
-                step = (guard, tuple(sorted(c + 1 for c in resets)), invariants, delay)
-                entries.append((move, move_label(self.network, move), target, step, self._memo(step)))
+            entries = self._moves[locvec] = [self.compile(locvec, move) for move in self._index.enabled(locvec)]
         return entries
 
     def initial_state(self):
-        """The initial symbolic state, or None where the initial valuation
-        violates the initial locations' invariants (the network has no run)."""
+        """The initial symbolic state as (location vector, zone id), or None where
+        the initial valuation violates the initial locations' invariants (the
+        network has no run)."""
         locvec = tuple(a.initial for a in self.network.automata)
-        zero = dbm.zero_zone(self.network.n_clocks, self.scale)
+        zero = self._intern(dbm.zero_zone(self.network.n_clocks, self.scale))
         step = ((), (), *self._vector(locvec))
-        zone = self.post(zero, step, self._memo(step))
-        return None if zone is None else (locvec, zone)
+        zid = self.post(zero, step, self._memo(step))
+        return None if zid is None else (locvec, zid)
 
 
 def _location_hits(locvec, bad_dnf: tuple[tuple[DnfLiteral, ...], ...]) -> list[list]:
@@ -283,21 +332,22 @@ def check(
     if init is None:
         # No reachable states, so the property holds vacuously.
         return Verdict(True, None, 0)
-    parents: dict = {init: None}
+    parents: dict = {init: None}  # (locvec, zone id) -> (parent state, move)
     queue = deque([init])
     explored = 0
     post = table.post
+    zones = table.zones
     hits_at: dict[tuple[int, ...], list[list]] = {}  # locvec -> _location_hits
     while queue:
         state = queue.popleft()
         explored += 1
         if explored > state_budget:
             raise Exhausted(f"state budget of {state_budget} exceeded")
-        locvec, zone = state
+        locvec, zid = state
         hits = hits_at.get(locvec)
         if hits is None:
             hits = hits_at[locvec] = _location_hits(locvec, bad)
-        if hits and any(dbm.intersects(zone, atoms) for atoms in hits):
+        if hits and any(dbm.intersects(zones[zid], atoms) for atoms in hits):
             path = [state]  # the states from here back to the initial one
             while parents[path[-1]] is not None:
                 path.append(parents[path[-1]][0])
@@ -305,7 +355,9 @@ def check(
             steps = tuple(tuple(sorted(parents[s][1])) for s in path[1:])
             return Verdict(False, SymbolicTimedTrace(steps, tuple(s[0] for s in path)), explored)
         for move, _label, target, step, memo in table.moves(locvec):
-            z = post(zone, step, memo)
+            z = memo.get(zid, _UNSEEN)
+            if z is _UNSEEN:
+                z = post(zid, step, memo)
             if z is None:
                 continue
             nxt = (target, z)
@@ -320,11 +372,11 @@ def replay(network: TimedAutomatonNetwork, prop: SafetyProperty, stt: SymbolicTi
     """(feasible, violating) of a trace, replayed on ``network`` with zones.
 
     Walks only the trace's steps through a ``MoveTable``: each step takes
-    the compiled enabled move whose sorted transitions equal it, and raises
-    ValueError when there is none. The trace is feasible when every
-    successor is non-empty, and violating when the final zone, the clock
-    values after the last delay, meets the negated property at the final
-    locations. Every atom is diagonal-free, so extrapolation at
+    the enabled move whose sorted transitions equal it, compiling that move
+    alone, and raises ValueError when there is none. The trace is feasible
+    when every successor is non-empty, and violating when the final zone,
+    the clock values after the last delay, meets the negated property at the
+    final locations. Every atom is diagonal-free, so extrapolation at
     ``k = max_constant(network, prop)`` changes neither the emptiness of a
     successor nor the meet with the property.
     """
@@ -334,16 +386,17 @@ def replay(network: TimedAutomatonNetwork, prop: SafetyProperty, stt: SymbolicTi
     for j, step in enumerate(stt.steps):
         if state is None:
             break
-        locvec, zone = state
-        entry = next((e for e in table.moves(locvec) if tuple(sorted(e[0])) == step), None)
-        if entry is None:
+        locvec, zid = state
+        move = table._index.find(locvec, step)
+        if move is None:
             raise ValueError(f"step {j} is no enabled move of the network")
-        _move, _label, target, compiled, memo = entry
-        zone = table.post(zone, compiled, memo)
-        state = None if zone is None else (target, zone)
+        _move, _label, target, compiled, memo = table.compile(locvec, move)
+        zid = table.post(zid, compiled, memo)
+        state = None if zid is None else (target, zid)
     if state is None:
         return False, False
-    return True, _violates(*state, prop.negated_dnf)
+    locvec, zid = state
+    return True, _violates(locvec, table.zones[zid], prop.negated_dnf)
 
 
 def stt_from_moves(network: TimedAutomatonNetwork, moves) -> SymbolicTimedTrace:
@@ -357,7 +410,7 @@ def stt_from_moves(network: TimedAutomatonNetwork, moves) -> SymbolicTimedTrace:
     steps = tuple(tuple(sorted(m)) for m in moves)
     locations = [tuple(a.initial for a in network.automata)]
     for j, step in enumerate(steps):
-        if not index.fires(locations[-1], step):
+        if index.find(locations[-1], step) is None:
             raise ValueError(f"step {j} is no enabled move of the network")
         vec = list(locations[-1])
         for ai, ti in step:

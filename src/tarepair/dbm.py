@@ -26,9 +26,12 @@ compiled to raw edges by ``atom_edges``. The explorers run it in its two
 halves, split at the jump: ``jump`` applies the guard and the resets, and
 ``settle`` the invariants, the delay and the extrapolation to the jumped
 list in place. ``settle`` depends on the jumped zone alone, not on the zone
-it came from, so a caller can memoize it by the jumped raw bounds. The
-per-operation functions compose to the same canonical zone and serve as
-the reference of ``post``, which is ``settle`` after ``jump``.
+it came from, so a caller can memoize it by the jumped raw bounds. Zones
+are plain values here: ``checker.MoveTable`` interns each one ``settle``
+returns and gives it an id within its pool, so the explorers hash a zone's
+raw bounds once. The per-operation functions compose to the same canonical
+zone and serve as the reference of ``post``, which is ``settle`` after
+``jump``.
 """
 
 from __future__ import annotations
@@ -322,22 +325,38 @@ def _extrapolate(m: list[int], dim: int, raw_k: int) -> bool:
 
     The other entries stay shortest paths: no path got shorter, and each
     is still an edge. So closing re-relaxes only the loosened entries, in
-    Floyd-Warshall order, and the zone cannot become empty.
+    Floyd-Warshall order, and the zone cannot become empty. A loosened
+    entry (i, j) skips the mids i and j, whose paths are the entry itself
+    (``m[i][i]`` and ``m[j][j]`` are ``LE_ZERO``), and every mid it has no
+    finite edge to. One pass over the distinct finite bounds tells most
+    matrices that need no loosening apart.
     """
     hi = raw_k + 1  # raw (k, <=)
     lo = -raw_k  # raw (-k, <)
-    loosened = [idx for idx, r in enumerate(m) if r < lo or hi < r != RAW_INF]
-    if not loosened:
+    bounds = set(m)
+    bounds.discard(RAW_INF)  # the diagonal keeps LE_ZERO, so one bound is left
+    if lo <= min(bounds) and max(bounds) <= hi:
         return False
-    for idx in loosened:
-        m[idx] = lo if m[idx] < lo else RAW_INF
-    loosened = [(idx, idx - idx % dim, idx % dim) for idx in loosened]
+    loosened = []
+    for idx, r in enumerate(m):
+        if r < lo:
+            m[idx] = lo
+        elif hi < r != RAW_INF:
+            m[idx] = RAW_INF
+        else:
+            continue
+        i, j = divmod(idx, dim)
+        loosened.append((idx, i * dim, i, j))
     for mid in range(dim):
         mbase = mid * dim
-        for idx, ibase, j in loosened:
+        for idx, ibase, i, j in loosened:
+            if mid == i or mid == j:
+                continue
             d_im = m[ibase + mid]
+            if d_im == RAW_INF:
+                continue
             d_mj = m[mbase + j]
-            if d_im == RAW_INF or d_mj == RAW_INF:
+            if d_mj == RAW_INF:
                 continue
             via = d_im + d_mj - ((d_im | d_mj) & 1)
             if via < m[idx]:

@@ -87,6 +87,7 @@ class TdtConstraintSystem:
         self.atoms = atoms
         self.n = len(stt.steps)
         self._raws: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
+        self._edited_raws: dict[tuple[Fraction, int], int] = {}  # (edited bound, scale) -> raw
 
     # -- linear atoms over the delays ------------------------------------------
 
@@ -190,6 +191,14 @@ class TdtConstraintSystem:
             )
         return raws
 
+    def _edited_raw(self, bound: Fraction, scale: int) -> int:
+        """``raw_constant(bound, scale)`` of an edited bound, converted once per
+        (bound, scale)."""
+        raw = self._edited_raws.get((bound, scale))
+        if raw is None:
+            raw = self._edited_raws[bound, scale] = raw_constant(bound, scale)
+        return raw
+
     def _constrain(self, m: list[int], starts, rows) -> bool:
         """Conjoin ``rows``, pairs of a row and its raw constant, to the closed raw
         DBM ``m`` in place, under the start table ``starts``; False iff ``m``
@@ -234,14 +243,15 @@ class TdtConstraintSystem:
         system gives the canonical empty DBM and False. The system is closed
         without the edited constraints' rows, which are then conjoined under
         their edits; closure is canonical, so the order does not show. Each
-        edited bound is converted to the raw encoding once per call.
+        edited bound is converted to the raw encoding once per (bound, scale)
+        for the system's lifetime.
         """
         constraint = {m.anchor[1]: m.new for m in edits if m.anchor[0] == "constraint"}
         timing = self.timing(edits)
         scale = lcm(self.scale, *(a.bound.denominator for a in constraint.values()))
         m = self.close(timing, scale, constraint.keys())
         if m is None or not all(
-            self.conjoin(m, timing, idx, a, raw_constant(a.bound, scale)) for idx, a in constraint.items()
+            self.conjoin(m, timing, idx, a, self._edited_raw(a.bound, scale)) for idx, a in constraint.items()
         ):
             return empty_zone(self.n + 1, scale), False
         return DifferenceBoundMatrix(self.n + 1, scale, tuple(m)), self.meets_negated_property(m, timing, scale)

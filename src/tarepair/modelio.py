@@ -425,7 +425,7 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> SymbolicTimedTrace
                 )
             fired.append((ai, ti))
         fired.sort()
-        if not moves.fires(locations[-1], tuple(fired)):
+        if moves.find(locations[-1], tuple(fired)) is None:
             raise ModelFormatError(
                 f"{path}: fired transitions are not one internal transition"
                 " or one matching send/receive pair"

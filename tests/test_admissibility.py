@@ -296,8 +296,8 @@ def _assert_shared_pool_changes_nothing(pairs):
     edges of a fresh one, and so has the original's graph, then expanded in
     full on the pool. One graph per original and k serves all its pairs, as
     ``original_cache`` does in a repair run, so its pool also holds the
-    earlier pairs' successors. A pool lends its step memos and its settle
-    memos together. Returns how many pairs shared a pool.
+    earlier pairs' successors. A pool lends its zones, its step memos and its
+    settle memos together. Returns how many pairs shared a pool.
 
     ``check_admissible``, which shares the pool, meets two fresh graphs in
     ``_assert_matches_full_graphs`` on the same pairs."""
@@ -313,7 +313,8 @@ def _assert_shared_pool_changes_nothing(pairs):
         want = fresh_originals[id(a), k]
         assert (_expanded(ga).states, ga.edges) == (want.states, want.edges), name
         shares = pooled.table._memos is ga.table._memos
-        assert (pooled.table._settled is ga.table._settled) == shares, name  # both memos or neither
+        lent = (pooled.table._settled is ga.table._settled, pooled.table.zones is ga.table.zones)
+        assert lent == (shares, shares), name  # the zones and both memos, or none of them
         shared += shares
     return shared
 
@@ -381,6 +382,9 @@ def test_shared_pool_needs_equal_scale_and_clock_count():
     assert ga.table.moves(ga.states[0][0])[0][3] == gb.table.moves(gb.states[0][0])[0][3]
     settled_a, settled_b = ga.table._settled, gb.table._settled
     assert any(settled_a[key].keys() & settled_b[key].keys() for key in settled_a.keys() & settled_b.keys())
+    # Nor may the rescaled graph intern its zones in the original's pool.
+    pooled = _expanded(ZoneGraph(rescaled, k, share=ga))
+    assert pooled.table.zones is not ga.table.zones and pooled.states == gb.states
     # An added clock changes the matrices' size.
     two_clocks = _one_clock(("x <= 2", "x >= 3"), ("x", "y"))
     pairs = _both_ways("rescaled", original, rescaled) + _both_ways("two clocks", original, two_clocks)

@@ -222,11 +222,11 @@ def test_a_send_with_two_receivers_takes_the_receiver_its_step_names():
         assert parse_trace(serialize_trace(stt, net), net) == stt
     # The two handshakes compile to two steps, each with its own memo.
     table = MoveTable(net, max_constant(net, prop), constant_scale(net, prop))
-    locvec, zone = table.initial_state()
+    locvec, zid = table.initial_state()
     (move1, _, _, step1, memo1), (move2, _, _, step2, memo2) = table.moves(locvec)
     assert (move1, move2) == (to_r1, to_r2) and step1 != step2 and memo1 is not memo2
-    assert table.post(zone, step1, memo1) != table.post(zone, step2, memo2)
-    assert list(memo1) == list(memo2) == [zone.m]
+    assert table.post(zid, step1, memo1) != table.post(zid, step2, memo2)
+    assert list(memo1) == list(memo2) == [zid]
 
 
 def _count_stages(monkeypatch):
@@ -255,14 +255,22 @@ def test_each_distinct_successor_is_computed_once_per_exploration(monkeypatch):
     # delay).
     workloads = _workloads()
     jumps, settles = _count_stages(monkeypatch)
+    # The initial successor, then one per (expanded state, move): check
+    # serves memo hits inline, so MoveTable.post sees only the misses.
     queries = []
-    memoized = MoveTable.post
+    compiled, initial = MoveTable.moves, MoveTable.initial_state
 
-    def counted(table, zone, step, memo):
-        queries.append(step)
-        return memoized(table, zone, step, memo)
+    def counted(table, locvec):
+        entries = compiled(table, locvec)
+        queries.extend(step for _, _, _, step, _ in entries)
+        return entries
 
-    monkeypatch.setattr(MoveTable, "post", counted)
+    def counted_initial(table):
+        queries.append(None)
+        return initial(table)
+
+    monkeypatch.setattr(MoveTable, "moves", counted)
+    monkeypatch.setattr(MoveTable, "initial_state", counted_initial)
     counts = []
     for n in (3, 4):
         net, prop = parse_model(workloads.fischer.fischer(n, workloads.fischer.draw_permutation(n, 1)))
@@ -276,18 +284,30 @@ def test_each_distinct_successor_is_computed_once_per_exploration(monkeypatch):
 
 def test_no_memo_outlives_one_call(monkeypatch):
     # A second check, replay or admissibility check on the same network
-    # objects computes every successor again: the pools live one call
-    # (check_admissible's without an original_cache).
+    # objects computes every successor again, and its first table starts
+    # from an empty pool of zones: the pools live one call (check_admissible's
+    # without an original_cache).
     workloads = _workloads()
     net, prop = parse_model(workloads.fischer.fischer(3, workloads.fischer.draw_permutation(3, 1)))
     mutant = next(m.network for m in seeding.seed(net) if not check(m.network, prop).safe)
     trace = check(mutant, prop).trace
     jumps, settles = _count_stages(monkeypatch)
+    pools = []  # per table made: its zones and how many it held when made
+    make = MoveTable.__init__
+
+    def recorded(table, *args, **kwargs):
+        make(table, *args, **kwargs)
+        pools.append((table.zones, len(table.zones)))
+
+    monkeypatch.setattr(MoveTable, "__init__", recorded)
     for call in (lambda: check(net, prop), lambda: replay(mutant, prop, trace), lambda: check_admissible(net, mutant)):
-        counts = []
+        counts, firsts = [], []
         for _ in range(2):
             jumps.clear()
             settles.clear()
+            pools.clear()
             call()
             counts.append((len(jumps), len(settles)))
+            firsts.append(pools[0])
         assert counts[0] == counts[1] and counts[0][1] > 0, counts
+        assert firsts[0][0] is not firsts[1][0] and firsts[1][1] == 0

@@ -303,11 +303,12 @@ def test_post_equals_the_composed_step_on_every_model_state(models):
         locvec = tuple(a.initial for a in network.automata)
         zero, ref_zero = dbm.zero_zone(network.n_clocks, scale), fraction_dbm.zero_zone(network.n_clocks)
         zone = _assert_same_successor(zero, ref_zero, ([], set(), *_settle(network, locvec), k))
-        assert table.initial_state() == (locvec, zone), name
+        init, zid = table.initial_state()
+        assert (init, table.zones[zid]) == (locvec, zone), name
         seen = {(locvec, zone)}
-        queue = [(locvec, zone)]
+        queue = [(locvec, zone, zid)]
         while queue:
-            locvec, zone = queue.pop()
+            locvec, zone, zid = queue.pop()
             ref_zone = _to_fractions(zone)
             entries = table.moves(locvec)
             steps = list(_model_steps(network, locvec))
@@ -315,12 +316,13 @@ def test_post_equals_the_composed_step_on_every_model_state(models):
             for (_move, target, *step), (*_, compiled, memo) in zip(steps, entries):
                 got = _assert_same_successor(zone, ref_zone, (*step, k))
                 assert got == dbm.post(zone, *compiled, k), name
-                assert table.post(zone, compiled, memo) == got, name
+                tid = table.post(zid, compiled, memo)
+                assert (None if tid is None else table.zones[tid]) == got, name
                 memoized.add((name, compiled, zone))
                 pairs += 1
                 if got is not None and (target, got) not in seen:
                     seen.add((target, got))
-                    queue.append((target, got))
+                    queue.append((target, got, tid))
     assert pairs == (8 if models == "bundled" else 25_633)
     assert len(memoized) == (8 if models == "bundled" else 11_333)
 
@@ -336,27 +338,44 @@ def test_post_equals_every_memo_entry_of_a_shared_pool():
     assert k == max_constant(fischer)
     own = ZoneGraph(fischer, k)
     graphs = [_expanded(g) for g in [own] + [ZoneGraph(network, k, share=own) for _, network in mutants]]
-    pool, settled = own.table._memos, own.table._settled
-    assert all(g.table._memos is pool and g.table._settled is settled for g in graphs)
+    pool, settled, zones = own.table._memos, own.table._settled, own.table.zones
+    assert all(g.table._memos is pool and g.table._settled is settled and g.table.zones is zones for g in graphs)
     assert all(memo.settled is settled[step[2:]] for step, memo in pool.items())
 
-    def zone(m):
-        return dbm.DifferenceBoundMatrix(fischer.n_clocks, scale, m)
+    def zone(zid):
+        return None if zid is None else zones[zid]
 
     entries = 0
     for step, memo in pool.items():
-        for m, successor in memo.items():
-            assert successor == dbm.post(zone(m), *step, k), step
+        for zid, successor in memo.items():
+            assert zone(successor) == dbm.post(zones[zid], *step, k), step
             entries += 1
     jumped = 0
     for (invariants, delay), memo in settled.items():
         for m, successor in memo.items():
-            assert successor == dbm.settle(zone(m), list(m), invariants, delay, k), invariants
+            jumped_zone = dbm.DifferenceBoundMatrix(fischer.n_clocks, scale, m)
+            assert zone(successor) == dbm.settle(jumped_zone, list(m), invariants, delay, k), invariants
             jumped += 1
     alone = _expanded(ZoneGraph(fischer, k))
     assert sum(len(memo) for memo in alone.table._memos.values()) == 432  # the original's own entries
     assert sum(len(memo) for memo in alone.table._settled.values()) == 202
     assert (entries, jumped) == (3_880, 1_679)
+
+
+def test_each_pool_interns_each_zone_once():
+    # After full expansions a pool lists each zone once, under the id its raw
+    # bounds map to, and every state of a graph names its zone by that id:
+    # Fischer N=3's pool alone, and the same pool lent to its mutants' graphs.
+    (_, fischer), *mutants = _fischer_networks()
+    k = max_constant(fischer)
+    alone, own = _expanded(ZoneGraph(fischer, k)), _expanded(ZoneGraph(fischer, k))
+    graphs = [_expanded(ZoneGraph(network, k, share=own)) for _, network in mutants]
+    assert len(own.table.zones) > len(alone.table.zones)
+    for graph in [alone, own] + graphs:
+        zones, ids = graph.table.zones, graph.table._zone_ids
+        assert len({z.m for z in zones}) == len(zones) == len(ids)
+        assert all(ids[z.m] == zid for zid, z in enumerate(zones))
+        assert all(zones[zid] is zone for (_, zid), (_, zone) in zip(graph._keys, graph.states, strict=True))
 
 
 def _raw_add(a, b):
@@ -447,6 +466,30 @@ def test_incremental_closure_equals_full_closure():
             row_ties += any(_raw_add(m[r * dim + i], b) == m[r * dim + j] != dbm.RAW_INF for r in range(dim) if r != j)
             col_ties += any(_raw_add(b, m[j * dim + c]) == m[i * dim + c] != dbm.RAW_INF for c in range(dim) if c != i)
     assert min(row_ties, col_ties, cycles, closed) > 100
+
+
+def test_extrapolate_equals_entrywise_then_full_closure():
+    # _extrapolate loosens the entries above (k, <=) to infinity and those
+    # below (-k, <) to (-k, <), then re-relaxes only the loosened entries,
+    # skipping their own rows and columns; its result must be the full
+    # closure of the entrywise-loosened matrix, and it reports whether any
+    # entry changed.
+    rng = random.Random(2001)
+    to_inf = to_lower = reclosed = 0
+    for _ in range(3000):
+        dim = rng.randint(1, 6)
+        m = _random_closed(rng, dim)
+        k = rng.choice((0, 1, 2, 3, 5))
+        hi, lo = 2 * k + 1, -2 * k
+        cells = [lo if r < lo else dbm.RAW_INF if hi < r else r for r in m]
+        want = dbm.canonicalize(dbm.DifferenceBoundMatrix(dim - 1, 1, tuple(cells)))
+        got = m.copy()
+        assert dbm._extrapolate(got, dim, 2 * k) == (cells != m), (m, k)
+        assert not want.empty and tuple(got) == want.m, (m, k)
+        to_inf += any(hi < r != dbm.RAW_INF for r in m)
+        to_lower += any(r < lo for r in m)
+        reclosed += want.m != tuple(cells)
+    assert min(to_inf, to_lower, reclosed) > 100, (to_inf, to_lower, reclosed)
 
 
 def test_constrain_equals_full_closure():
