@@ -17,9 +17,10 @@ label, and visits only the labels that leave one of its subsets.
 ``Exhausted`` thus means that the states the check needs exceed
 ``UNTIMED_STATE_BUDGET``. ``build_untimed`` expands a graph in full.
 
-A ``ZoneGraph`` keys its states by (location vector, zone id), the id of
-the zone in its ``MoveTable``'s pool, and keeps ``states`` as (location
-vector, zone) pairs for its readers; ids never leave the graph.
+There is one automaton type, ``UntimedAutomaton``: per state, a map from
+each label leaving it to its targets. A ``ZoneGraph`` is one filled on
+demand; it keys its states by (location vector, zone id), the id of the
+zone in its ``MoveTable``'s pool, and ids never leave the graph.
 
 A repair edits one constraint, reset or urgency flag, so the two networks
 compile almost every move to the same step. The repaired graph of
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .checker import Exhausted, MoveTable
 from .model import TimedAutomatonNetwork, constant_scale, max_constant
@@ -43,60 +43,53 @@ from .model import TimedAutomatonNetwork, constant_scale, max_constant
 SILENT = None  # edge label of internal moves
 
 
-@dataclass(frozen=True)
 class UntimedAutomaton:
     """Finite automaton over action labels; all states accepting.
 
-    With no states it is ``EMPTY_LANGUAGE``, which accepts no word at all.
+    ``expand(s)`` maps each label leaving state ``s`` to its targets, in
+    edge order. State 0 is initial; with no states the automaton accepts no
+    word at all, not even the empty one.
     """
 
-    n_states: int
-    initial: int
-    alphabet: tuple[str, ...]
-    edges: tuple[tuple[tuple[str | None, int], ...], ...]  # per state: (label, target)
+    initial = 0
 
-    @cached_property
-    def _by_label(self) -> tuple[dict[str | None, list[int]], ...]:
-        return tuple(_group(out) for out in self.edges)
+    def __init__(self, by_label: list[dict[str | None, list[int]]]) -> None:
+        self._by_label = by_label  # per state: label -> targets
+
+    @property
+    def n_states(self) -> int:
+        return len(self._by_label)
+
+    @property
+    def alphabet(self) -> tuple[str, ...]:
+        """The visible labels on its edges, sorted; of an automaton expanded in full."""
+        return tuple(sorted({lab for out in self._by_label for lab in out if lab is not None}))
 
     def successors(self, state: int, label: str | None) -> list[int]:
-        return self._by_label[state].get(label, [])
+        return self.expand(state).get(label, [])
 
     def expand(self, state: int) -> dict[str | None, list[int]]:
         """The successors of ``state`` by label."""
         return self._by_label[state]
 
 
-def _group(edges) -> dict[str | None, list[int]]:
-    """Edge targets by label, each list in edge order."""
-    out: dict[str | None, list[int]] = {}
-    for label, target in edges:
-        out.setdefault(label, []).append(target)
-    return out
-
-
-EMPTY_LANGUAGE = UntimedAutomaton(0, 0, (), ())
-
 # Most states a zone graph may discover; past it ``ZoneGraph`` raises Exhausted.
 UNTIMED_STATE_BUDGET = 5_000
 
 
-class ZoneGraph:
+class ZoneGraph(UntimedAutomaton):
     """The k-extrapolated zone graph of a network, expanded on demand.
 
-    States are (location vector, zone) pairs numbered in discovery order,
+    States are (location vector, zone id) keys numbered in discovery order,
     the initial one 0; there are none when the network has no run. The
-    first ``successors`` query of a state expands it: each of its moves in
-    ``MoveTable`` order takes its successor's id from ``MoveTable.post``,
-    and the targets are kept in ``edges`` and grouped by label. A move's label is
-    its channel name; an internal move is silent, or with
+    first ``expand`` of a state builds its label map: each of its moves in
+    ``MoveTable`` order takes its successor's id from ``MoveTable.post``.
+    A move's label is its channel name; an internal move is silent, or with
     ``visible_internal`` named "auto.tN" after its transition. ``share``,
     another graph, passes its ``table`` to this one's ``MoveTable``, which
     reuses its pool of zones and memos where clock count, scale and ``k``
     match.
     """
-
-    initial = 0
 
     def __init__(
         self,
@@ -110,23 +103,9 @@ class ZoneGraph:
         self.visible_internal = visible_internal
         self.table = MoveTable(network, k, constant_scale(network), None if share is None else share.table)
         init = self.table.initial_state()
-        self._keys = []  # per state: (location vector, zone id in the pool)
-        self._ids = {}
-        self.states = []
-        if init is not None:
-            self._keys.append(init)
-            self._ids[init] = 0
-            self.states.append((init[0], self.table.zones[init[1]]))
-        self.edges: list[list[tuple[str | None, int]] | None] = [None] * len(self.states)
-        self._by_label: list[dict[str | None, list[int]] | None] = [None] * len(self.states)
-
-    @property
-    def n_states(self) -> int:
-        """States discovered so far."""
-        return len(self.states)
-
-    def successors(self, state: int, label: str | None) -> list[int]:
-        return self.expand(state).get(label, [])
+        self._keys = [] if init is None else [init]  # per state: (location vector, zone id in the pool)
+        self._ids = {key: sid for sid, key in enumerate(self._keys)}
+        super().__init__([None] * len(self._keys))  # None until expanded
 
     def expand(self, sid: int) -> dict[str | None, list[int]]:
         """The successors of state ``sid`` by label, computed on the first call."""
@@ -134,9 +113,8 @@ class ZoneGraph:
         if out is not None:
             return out
         locvec, zid = self._keys[sid]
-        edges = []
+        out = {}
         post = self.table.post
-        zones = self.table.zones
         for move, label, target, step, memo in self.table.moves(locvec):
             z = post(zid, step, memo)
             if z is None:
@@ -144,19 +122,16 @@ class ZoneGraph:
             nxt = (target, z)
             tid = self._ids.get(nxt)
             if tid is None:
-                if len(self.states) >= UNTIMED_STATE_BUDGET:
+                if len(self._keys) >= UNTIMED_STATE_BUDGET:
                     raise Exhausted(f"zone graph exceeded {UNTIMED_STATE_BUDGET} states")
-                tid = self._ids[nxt] = len(self.states)
+                tid = self._ids[nxt] = len(self._keys)
                 self._keys.append(nxt)
-                self.states.append((target, zones[z]))
-                self.edges.append(None)
                 self._by_label.append(None)
             if label is None and self.visible_internal:
                 ai, ti = move[0]
                 label = f"{self.network.automata[ai].name}.t{ti}"
-            edges.append((label, tid))
-        self.edges[sid] = edges
-        out = self._by_label[sid] = _group(edges)
+            out.setdefault(label, []).append(tid)
+        self._by_label[sid] = out
         return out
 
 
@@ -164,24 +139,19 @@ def build_untimed(
     network: TimedAutomatonNetwork,
     k: int | None = None,
     visible_internal: bool = False,
-) -> UntimedAutomaton:
-    """The full zone graph with k-extrapolation, edges labeled by channel.
+) -> ZoneGraph:
+    """The zone graph with k-extrapolation, edges labeled by channel, expanded
+    in full.
 
     ``visible_internal`` names internal moves "auto.tN" instead of silencing
     them; the language oracles use this to compare transition structure.
-    States keep the zone graph's discovery numbering, and the alphabet is
-    the labels on its edges.
     """
     graph = ZoneGraph(network, max_constant(network) if k is None else k, visible_internal)
-    if not graph.n_states:
-        return EMPTY_LANGUAGE
     sid = 0
     while sid < graph.n_states:  # expanding a state appends the states it discovers
         graph.expand(sid)
         sid += 1
-    edges = tuple(tuple(out) for out in graph.edges)
-    alphabet = sorted({lab for out in edges for lab, _ in out if lab is not None})
-    return UntimedAutomaton(len(edges), 0, tuple(alphabet), edges)
+    return graph
 
 
 def _closure(ua: UntimedAutomaton, states) -> frozenset[int]:
@@ -197,7 +167,7 @@ def _closure(ua: UntimedAutomaton, states) -> frozenset[int]:
 
 
 def _start(ua: UntimedAutomaton) -> frozenset[int]:
-    """States reached by the empty word; none for the empty language."""
+    """States reached by the empty word; none for an automaton without states."""
     return _closure(ua, frozenset([ua.initial])) if ua.n_states else frozenset()
 
 
@@ -244,10 +214,10 @@ class Equivalence:
 PAIR_BUDGET = 200_000
 
 
-def equivalent(a, b) -> Equivalence:
+def equivalent(a: UntimedAutomaton, b: UntimedAutomaton) -> Equivalence:
     """Language equality via on-the-fly determinization and pairwise search.
 
-    ``a`` and ``b`` are ``UntimedAutomaton``s or ``ZoneGraph``s. Both
+    ``a`` and ``b`` are ``UntimedAutomaton``s, such as ``ZoneGraph``s. Both
     languages are prefix closed with every state accepting, so the
     languages differ exactly when some word is extendable in one automaton
     and dead in the other; breadth-first pairing returns a shortest such

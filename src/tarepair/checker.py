@@ -24,7 +24,8 @@ of zones and both memos (``MoveTable``'s ``share``), as the two zone graphs
 of one admissibility check do: a repair leaves most steps as they were.
 ``check`` and ``replay`` keep tables of their own. ``check`` keys its
 states by (location vector, zone id), serves memo hits inline and decides
-the negated property's location literals once per location vector.
+the negated property's location literals once per location vector
+(``PropertyExpr.negated_atoms_at``).
 ``replay`` walks one given trace through a ``MoveTable`` the same way,
 compiling only the moves the trace takes: the repair loop's contract
 re-check, which shares no encoding with the search's trace system. An id
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 
 from . import dbm
 from .model import (
-    DnfLiteral,
     SafetyProperty,
     SyncKind,
     TimedAutomatonNetwork,
@@ -151,9 +151,10 @@ class MoveTable:
     ``moves(locvec)`` lists, once per location vector and in
     ``MoveIndex.enabled`` order, a tuple per enabled move: the move, its
     label, the target vector, its step and the step's memo. The step holds
-    the arguments of ``dbm.post`` after the zone: the guard as raw
-    ``dbm.atom_edges``, the sorted reset matrix indices, the target's
-    invariant edges and whether it may delay (no location of it is urgent).
+    the arguments of ``dbm.jump`` and ``dbm.settle`` after the zone: the
+    guard as raw ``dbm.atom_edges``, the sorted reset matrix indices, the
+    target's invariant edges and whether it may delay (no location of it is
+    urgent).
     Each step is put together from pieces compiled once per table, on first
     use: a transition's target, guard edges, sorted reset indices and label,
     and a location's invariant edges; a handshake joins the sender's piece
@@ -298,20 +299,6 @@ class MoveTable:
         return None if zid is None else (locvec, zid)
 
 
-def _location_hits(locvec, bad_dnf: tuple[tuple[DnfLiteral, ...], ...]) -> list[list]:
-    """The clock atoms of each disjunct of ``bad_dnf`` whose location literals
-    hold at ``locvec``, in disjunct order."""
-    hits = []
-    for disjunct in bad_dnf:
-        if all((locvec[lit.automaton] == lit.location) == lit.positive for lit in disjunct if lit.atom is None):
-            hits.append([lit.atom for lit in disjunct if lit.atom is not None])
-    return hits
-
-
-def _violates(locvec, zone, bad_dnf: tuple[tuple[DnfLiteral, ...], ...]) -> bool:
-    return any(dbm.intersects(zone, atoms) for atoms in _location_hits(locvec, bad_dnf))
-
-
 DEFAULT_STATE_BUDGET = 20_000
 
 
@@ -326,7 +313,6 @@ def check(
     negated property. Raises Exhausted past ``state_budget`` states.
     """
     k = max_constant(network, prop)
-    bad = prop.negated_dnf
     table = MoveTable(network, k, constant_scale(network, prop))
     init = table.initial_state()
     if init is None:
@@ -337,7 +323,7 @@ def check(
     explored = 0
     post = table.post
     zones = table.zones
-    hits_at: dict[tuple[int, ...], list[list]] = {}  # locvec -> _location_hits
+    hits_at: dict[tuple[int, ...], tuple] = {}  # locvec -> prop.negated_atoms_at(locvec)
     while queue:
         state = queue.popleft()
         explored += 1
@@ -346,7 +332,7 @@ def check(
         locvec, zid = state
         hits = hits_at.get(locvec)
         if hits is None:
-            hits = hits_at[locvec] = _location_hits(locvec, bad)
+            hits = hits_at[locvec] = prop.negated_atoms_at(locvec)
         if hits and any(dbm.intersects(zones[zid], atoms) for atoms in hits):
             path = [state]  # the states from here back to the initial one
             while parents[path[-1]] is not None:
@@ -396,7 +382,8 @@ def replay(network: TimedAutomatonNetwork, prop: SafetyProperty, stt: SymbolicTi
     if state is None:
         return False, False
     locvec, zid = state
-    return True, _violates(locvec, table.zones[zid], prop.negated_dnf)
+    zone = table.zones[zid]
+    return True, any(dbm.intersects(zone, atoms) for atoms in prop.negated_atoms_at(locvec))
 
 
 def stt_from_moves(network: TimedAutomatonNetwork, moves) -> SymbolicTimedTrace:

@@ -20,18 +20,17 @@ shortens (``_tighten``); ``extrapolate`` re-relaxes only the entries it
 loosened, and only ``canonicalize`` runs the full O(n^3) closure.
 ``bound(i, j)`` decodes an entry back to ``(Fraction | None, strict)``.
 
-``post`` is one whole symbolic step (guard, resets, invariants, delay,
-extrapolation) on one list copy of the zone, with the atoms already
-compiled to raw edges by ``atom_edges``. The explorers run it in its two
-halves, split at the jump: ``jump`` applies the guard and the resets, and
-``settle`` the invariants, the delay and the extrapolation to the jumped
-list in place. ``settle`` depends on the jumped zone alone, not on the zone
-it came from, so a caller can memoize it by the jumped raw bounds. Zones
-are plain values here: ``checker.MoveTable`` interns each one ``settle``
-returns and gives it an id within its pool, so the explorers hash a zone's
-raw bounds once. The per-operation functions compose to the same canonical
-zone and serve as the reference of ``post``, which is ``settle`` after
-``jump``.
+One whole symbolic step (guard, resets, invariants, delay, extrapolation)
+runs on one list copy of the zone, with the atoms already compiled to raw
+edges by ``atom_edges``, in two halves split at the jump: ``jump`` applies
+the guard and the resets, and ``settle`` the invariants, the delay and the
+extrapolation to the jumped list in place. ``settle`` depends on the jumped
+zone alone, not on the zone it came from, so a caller can memoize it by the
+jumped raw bounds. Zones are plain values here: ``checker.MoveTable``
+interns each one ``settle`` returns and gives it an id within its pool, so
+the explorers hash a zone's raw bounds once. The per-operation functions
+compose to the same canonical zone and serve as the reference of ``settle``
+after ``jump``.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ def _conjoin(m: list[int], dim: int, edges) -> bool:
 
 
 def jump(d: DifferenceBoundMatrix, guard, resets) -> list[int] | None:
-    """The first half of ``post``: ``reset_many(and_atoms(d, guard), resets)`` of a
+    """The first half of a step: ``reset_many(and_atoms(d, guard), resets)`` of a
     non-empty canonical zone, as a new closed list of raw bounds; None where
     the guard empties the zone.
 
@@ -165,10 +164,12 @@ def jump(d: DifferenceBoundMatrix, guard, resets) -> list[int] | None:
 
 
 def settle(d: DifferenceBoundMatrix, jumped: list[int], invariants, delay: bool, k: int) -> DifferenceBoundMatrix | None:
-    """The second half of ``post``, on ``jumped`` from ``jump(d, ...)`` in place.
+    """The second half of a step, on ``jumped`` from ``jump(d, ...)`` in place.
 
     Conjoins the raw ``invariants`` edges, delays when ``delay`` and conjoins
-    them again, then extrapolates at ``k``; None where the invariants empty
+    them again, then extrapolates at ``k``: ``extrapolate(and_atoms(up(Z),
+    inv), k)``, or ``extrapolate(Z, k)`` without ``delay``, where ``Z`` is
+    the jumped zone conjoined with ``inv``; None where the invariants empty
     the zone. ``d`` gives only the clock count and scale, so the result is a
     function of ``jumped`` and the arguments after it.
     """
@@ -180,24 +181,6 @@ def settle(d: DifferenceBoundMatrix, jumped: list[int], invariants, delay: bool,
         _conjoin(jumped, dim, invariants)  # cannot empty: the undelayed zone satisfies them
     _extrapolate(jumped, dim, 2 * k * d.scale)
     return DifferenceBoundMatrix(d.n, d.scale, tuple(jumped))
-
-
-def post(
-    d: DifferenceBoundMatrix, guard, resets, invariants, delay: bool, k: int
-) -> DifferenceBoundMatrix | None:
-    """The extrapolated successor of a non-empty canonical zone under one step:
-    ``settle`` after ``jump``.
-
-    ``guard`` and ``invariants`` are raw edges from ``atom_edges`` at
-    ``d.scale``; ``resets`` are the sorted matrix indices (clock + 1) set to 0.
-    The result equals ``extrapolate(and_atoms(up(Z), inv), k)``, or
-    ``extrapolate(Z, k)`` without ``delay``, where ``Z`` is
-    ``and_atoms(reset_many(and_atoms(d, guard), resets), inv)``; None where a
-    conjunction empties the zone. Canonical DBMs are unique, so computing it
-    on one list gives the same zone as the composition.
-    """
-    m = jump(d, guard, resets)
-    return None if m is None else settle(d, m, invariants, delay, k)
 
 
 def canonicalize(d: DifferenceBoundMatrix) -> DifferenceBoundMatrix:

@@ -116,11 +116,10 @@ class TdtConstraintSystem:
         """The disjuncts of the negated property's DNF as rows; a disjunct whose
         location literals the final locations falsify is dropped, and the other
         location literals are dropped as true."""
-        final, last = self.stt.locations[-1], self.n + 1
+        last = self.n + 1
         return tuple(
-            tuple(TraceAtom(-1, last, last, a.clock, a.op, a.bound) for a in (lit.atom for lit in d) if a is not None)
-            for d in self.prop.negated_dnf
-            if all(lit.atom is not None or (final[lit.automaton] == lit.location) == lit.positive for lit in d)
+            tuple(TraceAtom(-1, last, last, a.clock, a.op, a.bound) for a in atoms)
+            for atoms in self.prop.negated_atoms_at(self.stt.locations[-1])
         )
 
     def negated_property_atoms(self) -> list[list[LinearAtom]]:

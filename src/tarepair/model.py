@@ -184,6 +184,15 @@ class PropertyExpr:
         """``prop_to_dnf`` of the negation, the states that violate the property."""
         return tuple(map(tuple, prop_to_dnf(self.negate())))
 
+    def negated_atoms_at(self, locvec: tuple[int, ...]) -> tuple[tuple[AtomicClockConstraint, ...], ...]:
+        """The clock atoms of each ``negated_dnf`` disjunct whose location
+        literals hold at the location vector ``locvec``, in disjunct order."""
+        return tuple(
+            tuple(lit.atom for lit in disjunct if lit.atom is not None)
+            for disjunct in self.negated_dnf
+            if all(lit.atom is not None or (locvec[lit.automaton] == lit.location) == lit.positive for lit in disjunct)
+        )
+
 
 # A safety property is checked as an invariant: the model satisfies the
 # property iff every reachable state does.

@@ -64,13 +64,6 @@ def _strings(value: Any, path: str) -> list[str]:
     return value
 
 
-def format_rational(value: Fraction) -> int | str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
 _ATOM_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)\s*(<=|>=|==|<|>|=)\s*(\S+)\s*$")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .admissibility import EMPTY_LANGUAGE, UntimedAutomaton
+from .admissibility import UntimedAutomaton
 from .checker import Exhausted, MoveIndex, move_label
 from .model import AtomicClockConstraint, Op, TimedAutomatonNetwork, constant_scale, max_constant
 
@@ -124,7 +124,7 @@ def build_region_untimed(
     state_budget: int = DEFAULT_REGION_BUDGET,
 ) -> UntimedAutomaton:
     """Region transition system with silent delay edges, as an UntimedAutomaton;
-    ``EMPTY_LANGUAGE`` where the initial region violates the initial invariants."""
+    one without states where the initial region violates the initial invariants."""
     if k is None:
         k = max_constant(network)
     scale = constant_scale(network)
@@ -133,12 +133,11 @@ def build_region_untimed(
     locvec0 = tuple(a.initial for a in network.automata)
     r0 = initial_region(network.n_clocks)
     if not _satisfies_all(r0, _invariant_atoms(network, locvec0)):
-        return EMPTY_LANGUAGE
+        return UntimedAutomaton([])
     init = (locvec0, r0)
     moves = MoveIndex(network)
     ids = {init: 0}
-    order = [init]
-    edges: list[list[tuple[str | None, int]]] = [[]]
+    by_label: list[dict[str | None, list[int]]] = [{}]
     queue = deque([init])
 
     def intern(state) -> int | None:
@@ -146,9 +145,8 @@ def build_region_untimed(
             return ids[state]
         if len(ids) >= state_budget:
             raise Exhausted(f"region automaton exceeded {state_budget} states")
-        ids[state] = len(order)
-        order.append(state)
-        edges.append([])
+        ids[state] = len(ids)
+        by_label.append({})
         queue.append(state)
         return ids[state]
 
@@ -160,7 +158,7 @@ def build_region_untimed(
         if not urgent:
             nxt = delay_successor(region, k)
             if nxt is not None and _satisfies_all(nxt, _invariant_atoms(network, locvec)):
-                edges[sid].append((None, intern((locvec, nxt))))
+                by_label[sid].setdefault(None, []).append(intern((locvec, nxt)))
         for move in moves.enabled(locvec):
             ok = True
             resets: set[int] = set()
@@ -181,6 +179,5 @@ def build_region_untimed(
             if label is None and visible_internal:
                 ai, ti = move[0]
                 label = f"{network.automata[ai].name}.t{ti}"
-            edges[sid].append((label, intern((tuple(newvec), r2))))
-    alphabet = sorted({lab for out in edges for lab, _ in out if lab is not None})
-    return UntimedAutomaton(len(order), 0, tuple(alphabet), tuple(tuple(e) for e in edges))
+            by_label[sid].setdefault(label, []).append(intern((tuple(newvec), r2)))
+    return UntimedAutomaton(by_label)

@@ -19,7 +19,7 @@ randomness, so campaign reports are byte-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .checker import Exhausted, check
@@ -145,21 +145,7 @@ class KindRow:
     max_constraints: int = 0  # Cn
 
     def csv(self) -> str:
-        return ",".join(
-            str(x)
-            for x in (
-                self.kind,
-                self.seeded,
-                self.violating,
-                self.max_trace_len,
-                self.repairs,
-                self.admissible,
-                self.solved,
-                self.timeouts,
-                self.max_variables,
-                self.max_constraints,
-            )
-        )
+        return ",".join(str(getattr(self, f.name)) for f in fields(self))
 
 
 @dataclass
@@ -172,17 +158,11 @@ class SeedCampaign:
     contract_violations: int = 0  # repair runs stopped by a failed contract re-check
 
     def total(self) -> KindRow:
+        """The column-wise total: the max of the ``max_*`` columns, the sum of the rest."""
         out = KindRow("total")
-        for row in self.rows.values():
-            out.seeded += row.seeded
-            out.violating += row.violating
-            out.max_trace_len = max(out.max_trace_len, row.max_trace_len)
-            out.repairs += row.repairs
-            out.admissible += row.admissible
-            out.solved += row.solved
-            out.timeouts += row.timeouts
-            out.max_variables = max(out.max_variables, row.max_variables)
-            out.max_constraints = max(out.max_constraints, row.max_constraints)
+        for f in fields(KindRow)[1:]:
+            values = [getattr(row, f.name) for row in self.rows.values()]
+            setattr(out, f.name, max(values, default=0) if f.name.startswith("max_") else sum(values))
         return out
 
     def to_csv(self) -> str:

@@ -16,8 +16,9 @@ from tarepair.checker import Exhausted
 
 
 def alphabet(ua) -> tuple[str, ...]:
-    """An ``UntimedAutomaton``'s own alphabet; for a ``ZoneGraph``, the
-    channel names and, with ``visible_internal``, each "auto.tN"."""
+    """An ``UntimedAutomaton``'s own alphabet; for a ``ZoneGraph``, which may
+    be expanded in part, the channel names and, with ``visible_internal``,
+    each "auto.tN"."""
     if not isinstance(ua, ZoneGraph):
         return ua.alphabet
     labels = {

@@ -170,7 +170,8 @@ def test_integer_engine_agrees_with_fraction_reference(n, scale, ops_a, ops_b):
 
 
 def _composed(engine, zone, guard, resets, invariants, delay, k):
-    """One symbolic step as the per-operation composition ``dbm.post`` replaces."""
+    """One symbolic step as the per-operation composition that ``dbm.jump`` and
+    ``dbm.settle`` replace."""
     zone = engine.and_atoms(zone, guard)
     if engine.is_empty(zone):
         return None
@@ -182,8 +183,14 @@ def _composed(engine, zone, guard, resets, invariants, delay, k):
     return engine.extrapolate(zone, k)
 
 
+def _post(zone, guard, resets, invariants, delay, k):
+    """``dbm.settle`` after ``dbm.jump`` on a compiled step, the path ``MoveTable.post`` runs."""
+    jumped = dbm.jump(zone, guard, resets)
+    return None if jumped is None else dbm.settle(zone, jumped, invariants, delay, k)
+
+
 def _compiled(zone, guard, resets, invariants, delay, k):
-    """The arguments of ``dbm.post`` after the zone, for one step of atoms."""
+    """The arguments of ``_post`` after the zone, for one step of atoms."""
 
     def edges(atoms):
         return tuple(e for a in atoms for e in dbm.atom_edges(a, zone.scale))
@@ -205,10 +212,9 @@ def _halves(zone, guard, resets, invariants, delay, k):
 
 
 def _assert_same_successor(zone, ref_zone, step):
-    """``dbm.post`` against ``dbm.settle`` after ``dbm.jump`` and both engines'
-    compositions; returns its zone."""
-    got = dbm.post(zone, *_compiled(zone, *step))
-    assert got == _halves(zone, *step), step
+    """``dbm.settle`` after ``dbm.jump`` against both engines' compositions;
+    returns its zone."""
+    got = _halves(zone, *step)
     assert got == _composed(dbm, zone, *step), step
     ref = _composed(fraction_dbm, ref_zone, *step)
     assert (got is None) == (ref is None), step
@@ -290,13 +296,13 @@ def test_post_equals_the_composed_step_on_every_model_state(models):
     # Each model's zone graph, explored through the composition; every
     # (state, move), disabled moves included, also goes through its
     # MoveTable entry, through MoveTable.post's memo and straight to
-    # dbm.post, and through the Fraction engine.
+    # dbm.settle after dbm.jump, and through the Fraction engine.
     if models == "bundled":
         networks = [(name, load_bundled_model(name)[0]) for name in CORPUS]
     else:
         networks = _fischer_networks()
     pairs = 0
-    memoized = set()  # distinct (network, step, zone): the dbm.post calls of the memoized path
+    memoized = set()  # distinct (network, step, zone): the jumps of the memoized path
     for name, network in networks:
         k, scale = max_constant(network), constant_scale(network)
         table = MoveTable(network, k, scale)
@@ -315,7 +321,7 @@ def test_post_equals_the_composed_step_on_every_model_state(models):
             assert [e[:3] for e in entries] == [(s[0], move_label(network, s[0]), s[1]) for s in steps], name
             for (_move, target, *step), (*_, compiled, memo) in zip(steps, entries):
                 got = _assert_same_successor(zone, ref_zone, (*step, k))
-                assert got == dbm.post(zone, *compiled, k), name
+                assert got == _post(zone, *compiled, k), name
                 tid = table.post(zid, compiled, memo)
                 assert (None if tid is None else table.zones[tid]) == got, name
                 memoized.add((name, compiled, zone))
@@ -331,8 +337,8 @@ def test_post_equals_every_memo_entry_of_a_shared_pool():
     # Fischer N=3's zone graph lends its pool of memos to the graphs of its
     # 17 target-process mutants, as one repair run's admissibility checks
     # do; all are expanded in full. Every step memo entry of the pool,
-    # whichever graph wrote it, is dbm.post of its zone and step, and every
-    # settle memo entry is dbm.settle of its jumped zone.
+    # whichever graph wrote it, is dbm.settle after dbm.jump of its zone and
+    # step, and every settle memo entry is dbm.settle of its jumped zone.
     (_, fischer), *mutants = _fischer_networks()
     k, scale = max(max_constant(n) for _, n in mutants), constant_scale(fischer)
     assert k == max_constant(fischer)
@@ -348,7 +354,7 @@ def test_post_equals_every_memo_entry_of_a_shared_pool():
     entries = 0
     for step, memo in pool.items():
         for zid, successor in memo.items():
-            assert zone(successor) == dbm.post(zones[zid], *step, k), step
+            assert zone(successor) == _post(zones[zid], *step, k), step
             entries += 1
     jumped = 0
     for (invariants, delay), memo in settled.items():
@@ -375,7 +381,9 @@ def test_each_pool_interns_each_zone_once():
         zones, ids = graph.table.zones, graph.table._zone_ids
         assert len({z.m for z in zones}) == len(zones) == len(ids)
         assert all(ids[z.m] == zid for zid, z in enumerate(zones))
-        assert all(zones[zid] is zone for (_, zid), (_, zone) in zip(graph._keys, graph.states, strict=True))
+        # Each state names a zone of the pool, and no two states the same (location vector, zone).
+        assert all(0 <= zid < len(zones) for _, zid in graph._keys)
+        assert len(set(graph._keys)) == graph.n_states
 
 
 def _raw_add(a, b):
@@ -402,8 +410,8 @@ def _random_closed(rng, dim):
 
 def test_post_is_settle_after_jump_on_random_closed_matrices():
     # Closed matrices no exploration reaches, such as negative clock values,
-    # through dbm.post, through dbm.settle after dbm.jump, and through the
-    # per-operation compositions of both engines.
+    # through dbm.settle after dbm.jump and through the per-operation
+    # compositions of both engines.
     rng = random.Random(1801)
     outcomes = {"guard": 0, "invariants": 0, "successor": 0}
     for _ in range(1500):

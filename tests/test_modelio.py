@@ -10,10 +10,9 @@ from hypothesis import given, strategies as st
 
 from tarepair import BUNDLED_MODELS, bundled_model_path, load_bundled_model, seeding
 from tarepair.checker import check
-from tarepair.model import indexed_constraints
+from tarepair.model import AtomicClockConstraint, Op, indexed_constraints
 from tarepair.modelio import (
     ModelFormatError,
-    format_rational,
     parse_atom,
     parse_model,
     parse_property,
@@ -80,15 +79,16 @@ def test_property_grammar_precedence():
 
 def test_rational_round_trip():
     assert parse_rational("3/2", "t") == Fraction(3, 2)
-    assert format_rational(Fraction(3, 2)) == "3/2"
-    assert format_rational(Fraction(4, 2)) == 2
+    assert AtomicClockConstraint(0, Op.LE, Fraction(3, 2)).text(["x"]) == "x <= 3/2"
+    assert AtomicClockConstraint(0, Op.LE, Fraction(4, 2)).text(["x"]) == "x <= 2"
     with pytest.raises(ModelFormatError):
         parse_rational("x", "t")
 
 
-@given(st.fractions(min_value=0, max_value=1000))
-def test_rational_round_trip_property(q):
-    assert parse_rational(format_rational(q), "t") == q
+@given(st.fractions(min_value=0, max_value=1000), st.sampled_from(list(Op)))
+def test_rational_round_trip_property(q, op):
+    atom = AtomicClockConstraint(1, op, q)
+    assert parse_atom(atom.text(["x", "y"]), ["x", "y"], "t") == atom
 
 
 def test_constraint_indexing_stable_across_round_trip():
