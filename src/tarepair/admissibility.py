@@ -4,10 +4,16 @@ A repair is admissible iff the repaired network has the same untimed
 language as the network it was computed for. The language is the
 prefix-closed set of channel-action sequences observable in runs: every
 state accepts, internal transitions are silent and removed by
-epsilon-closure. Both zone graphs use one shared extrapolation constant so
-their abstractions are comparable. A network whose initial valuation
-violates its initial invariants has no run, so its language is empty: it
-does not even contain the empty word.
+epsilon-closure. A zone graph is extrapolated by Extra⁺_LU (Behrmann,
+Bouyer, Larsen & Pelánek, STTT 2006) at per-clock lower and upper bounds at
+least its network's own (``TimedAutomatonNetwork.clock_bounds``): the
+abstraction comes from a time-abstract simulation, so it keeps the untimed
+language, and far fewer zones tell the same runs apart than under one
+constant k for every clock. The two graphs of a check take the per-clock
+maximum of both networks' bounds (``shared_bounds``), so that they can
+share one pool. A network whose initial valuation violates its initial
+invariants has no run, so its language is empty: it does not even contain
+the empty word.
 
 The check runs on the fly: ``equivalent`` searches two ``ZoneGraph``s,
 which expand a state on the first query for its successors, so an unequal
@@ -27,9 +33,10 @@ compile almost every move to the same step. The repaired graph of
 ``check_admissible`` therefore shares the original's pool of zones and of
 step and settle memos (``MoveTable``'s ``share``), which serves a step of
 either graph once.
-The table shares only at the same clock count, scale and ``k``: a raw
+The table shares only at the same clock count, scale and bounds: a raw
 bound means another constant at another scale. The pool lives as long as
-the original's graph: one check, or one repair run's ``original_cache``.
+the original's graph: one check, or one ``original_cache`` (a repair run's,
+or one shared by every kind's run on the same network).
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .checker import Exhausted, MoveTable
-from .model import TimedAutomatonNetwork, constant_scale, max_constant
+from .model import TimedAutomatonNetwork, constant_scale
 
 SILENT = None  # edge label of internal moves
 
@@ -78,30 +85,32 @@ UNTIMED_STATE_BUDGET = 5_000
 
 
 class ZoneGraph(UntimedAutomaton):
-    """The k-extrapolated zone graph of a network, expanded on demand.
+    """The Extra⁺_LU zone graph of a network, expanded on demand.
 
-    States are (location vector, zone id) keys numbered in discovery order,
-    the initial one 0; there are none when the network has no run. The
-    first ``expand`` of a state builds its label map: each of its moves in
-    ``MoveTable`` order takes its successor's id from ``MoveTable.post``.
-    A move's label is its channel name; an internal move is silent, or with
-    ``visible_internal`` named "auto.tN" after its transition. ``share``,
-    another graph, passes its ``table`` to this one's ``MoveTable``, which
-    reuses its pool of zones and memos where clock count, scale and ``k``
-    match.
+    ``bounds`` is the per-clock (L, U) pair of int tuples the zones are
+    extrapolated at, by default the network's own ``clock_bounds``; any
+    bounds at least those give the same language. States are (location
+    vector, zone id) keys numbered in discovery order, the initial one 0;
+    there are none when the network has no run. The first ``expand`` of a
+    state builds its label map: each of its moves in ``MoveTable`` order
+    takes its successor's id from ``MoveTable.post``. A move's label is its
+    channel name; an internal move is silent, or with ``visible_internal``
+    named "auto.tN" after its transition. ``share``, another graph, passes
+    its ``table`` to this one's ``MoveTable``, which reuses its pool of
+    zones and memos where clock count, scale and bounds match.
     """
 
     def __init__(
         self,
         network: TimedAutomatonNetwork,
-        k: int,
+        bounds: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
         visible_internal: bool = False,
         share: ZoneGraph | None = None,
     ) -> None:
         self.network = network
-        self.k = k
         self.visible_internal = visible_internal
-        self.table = MoveTable(network, k, constant_scale(network), None if share is None else share.table)
+        bounds = network.clock_bounds if bounds is None else bounds
+        self.table = MoveTable(network, bounds, constant_scale(network), None if share is None else share.table)
         init = self.table.initial_state()
         self._keys = [] if init is None else [init]  # per state: (location vector, zone id in the pool)
         self._ids = {key: sid for sid, key in enumerate(self._keys)}
@@ -137,16 +146,16 @@ class ZoneGraph(UntimedAutomaton):
 
 def build_untimed(
     network: TimedAutomatonNetwork,
-    k: int | None = None,
+    bounds: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
     visible_internal: bool = False,
 ) -> ZoneGraph:
-    """The zone graph with k-extrapolation, edges labeled by channel, expanded
-    in full.
+    """The zone graph at ``bounds`` (``ZoneGraph``), edges labeled by channel,
+    expanded in full.
 
     ``visible_internal`` names internal moves "auto.tN" instead of silencing
     them; the language oracles use this to compare transition structure.
     """
-    graph = ZoneGraph(network, max_constant(network) if k is None else k, visible_internal)
+    graph = ZoneGraph(network, bounds, visible_internal)
     sid = 0
     while sid < graph.n_states:  # expanding a state appends the states it discovers
         graph.expand(sid)
@@ -247,25 +256,41 @@ def equivalent(a: UntimedAutomaton, b: UntimedAutomaton) -> Equivalence:
     return Equivalence(True)
 
 
+def shared_bounds(original: TimedAutomatonNetwork, repaired: TimedAutomatonNetwork):
+    """The (L, U) bounds of each graph of ``check_admissible``, (original's,
+    repaired's): per clock, the larger of the two networks' ``clock_bounds``
+    for both, so that they can share a pool; each network's own where the
+    clock counts differ, and then they share nothing."""
+    own, other = original.clock_bounds, repaired.clock_bounds
+    if own == other:
+        return own, own
+    (la, ua), (lb, ub) = own, other
+    if len(la) != len(lb):
+        return own, other
+    both = tuple(map(max, la, lb)), tuple(map(max, ua, ub))
+    return both, both
+
+
 def check_admissible(
     original: TimedAutomatonNetwork,
     repaired: TimedAutomatonNetwork,
-    original_cache: dict[int, ZoneGraph] | None = None,
+    original_cache: dict[tuple, ZoneGraph] | None = None,
 ) -> Equivalence:
-    """Shared-constant admissibility check of a repaired network, on the fly.
+    """Admissibility check of a repaired network, on the fly, at ``shared_bounds``.
 
     The repaired graph shares the original's pool of memos (``ZoneGraph``'s
-    ``share``) where their scales match, so a successor both graphs take
-    is computed once. ``original_cache`` keeps the original's ``ZoneGraph``
-    per extrapolation constant across the candidates of one repair run, so
-    the states each check expands, and the successors its move table (and
-    each earlier repaired graph) has computed, serve the next.
+    ``share``) where their scales and bounds match, so a successor both
+    graphs take is computed once. ``original_cache`` keeps the original's
+    ``ZoneGraph`` per (L, U) bounds across the candidates of one network's
+    repair runs, so the states each check expands, and the successors its
+    move table (and each earlier repaired graph) has computed, serve the
+    next.
     """
-    k = max(max_constant(original), max_constant(repaired))
-    if original_cache is not None and k in original_cache:
-        ga = original_cache[k]
+    bounds, repaired_bounds = shared_bounds(original, repaired)
+    if original_cache is not None and bounds in original_cache:
+        ga = original_cache[bounds]
     else:
-        ga = ZoneGraph(original, k)
+        ga = ZoneGraph(original, bounds)
         if original_cache is not None:
-            original_cache[k] = ga
-    return equivalent(ga, ZoneGraph(repaired, k, share=ga))
+            original_cache[bounds] = ga
+    return equivalent(ga, ZoneGraph(repaired, repaired_bounds, share=ga))

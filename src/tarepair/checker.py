@@ -19,13 +19,15 @@ vectors whose moves compile to the same step. On a miss, ``dbm.jump``
 applies the guard and the resets, and a second memo, shared by every step
 with the same target invariants and delay, serves the jumped zone's
 ``dbm.settle`` (invariants, delay, extrapolation): a reset forgets a
-clock, so different zones meet after it. A table may share another's pool
-of zones and both memos (``MoveTable``'s ``share``), as the two zone graphs
-of one admissibility check do: a repair leaves most steps as they were.
-``check`` and ``replay`` keep tables of their own. ``check`` keys its
-states by (location vector, zone id), serves memo hits inline and decides
-the negated property's location literals once per location vector
-(``PropertyExpr.negated_atoms_at``).
+clock, so different zones meet after it. A table extrapolates at one
+constant k (classic) or at per-clock lower and upper bounds (Extra⁺_LU, see
+``dbm``). A table may share another's pool of zones and both memos
+(``MoveTable``'s ``share``) when both extrapolate alike, as the two zone
+graphs of one admissibility check do: a repair leaves most steps as they
+were. ``check`` and ``replay`` keep tables of their own, at classic k.
+``check`` keys its states by (location vector, zone id), serves memo hits
+inline and decides the negated property's location literals once per
+location vector (``PropertyExpr.negated_atoms_at``).
 ``replay`` walks one given trace through a ``MoveTable`` the same way,
 compiling only the moves the trace takes: the repair loop's contract
 re-check, which shares no encoding with the search's trace system. An id
@@ -165,16 +167,22 @@ class MoveTable:
     pool share its clock count and scale, so the raw bounds alone key both
     the interning and the settle memos.
 
-    ``share``, another table, lends its pool (zones and memos) to this one
-    when both have the same clock count, scale and ``k``: ``dbm.jump`` and
-    ``dbm.settle`` are then functions of the raw bounds and the step alone,
-    so a step both networks compile is computed once for both. Otherwise
-    this table starts its own pool; a raw bound means a different constant
-    at another scale.
+    ``k`` selects the extrapolation: an int is the constant of classic
+    extrapolation, and a pair of per-clock (L, U) int tuples selects
+    Extra⁺_LU, which ``dbm.settle`` takes as ``dbm.lu_thresholds`` at
+    ``scale``.
+
+    ``share``, another table, lends its pool (zones and memos) and its
+    thresholds to this one when both have the same clock count, scale and
+    ``k`` (for Extra⁺_LU the same (L, U) tuples, so the same raw
+    thresholds): ``dbm.jump`` and ``dbm.settle`` are then functions of the
+    raw bounds and the step alone, so a step both networks compile is
+    computed once for both. Otherwise this table starts its own pool; a raw
+    bound means a different constant at another scale.
     """
 
     def __init__(
-        self, network: TimedAutomatonNetwork, k: int, scale: int, share: MoveTable | None = None
+        self, network: TimedAutomatonNetwork, k, scale: int, share: MoveTable | None = None
     ) -> None:
         self.network = network
         self.k = k
@@ -187,11 +195,13 @@ class MoveTable:
         self._moves: dict[tuple[int, ...], list[tuple]] = {}
         shape = (network.n_clocks, scale, k)
         if share is not None and (share.network.n_clocks, share.scale, share.k) == shape:
+            self._extrapolation = share._extrapolation  # the last argument of dbm.settle
             self.zones: list[dbm.DifferenceBoundMatrix] = share.zones  # id -> zone
             self._zone_ids: dict[tuple[int, ...], int] = share._zone_ids  # raw bounds -> id
             self._memos: dict[tuple, _StepMemo] = share._memos  # step -> its memo
             self._settled: dict[tuple, dict] = share._settled  # (invariants, delay) -> its memo
         else:
+            self._extrapolation = k if type(k) is int else dbm.lu_thresholds(k, scale)
             self.zones, self._zone_ids, self._memos, self._settled = [], {}, {}, {}
 
     def _intern(self, zone: dbm.DifferenceBoundMatrix | None) -> int | None:
@@ -221,7 +231,7 @@ class MoveTable:
                 settled = memo.settled
                 z = settled.get(key, _UNSEEN)
                 if z is _UNSEEN:
-                    z = settled[key] = self._intern(dbm.settle(zone, jumped, invariants, delay, self.k))
+                    z = settled[key] = self._intern(dbm.settle(zone, jumped, invariants, delay, self._extrapolation))
             memo[zid] = z
         return z
 

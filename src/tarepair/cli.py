@@ -118,8 +118,17 @@ def _cmd_repair(args) -> int:
         Path(args.dump_smt).write_text(encode(network, tdt, prop).to_smtlib(), encoding="utf-8")
         print(f"constraint system dumped to {args.dump_smt}")
     runs = []
+    original_cache: dict = {}  # the network's zone graphs, for every kind's admissibility checks
     for kind in kinds:
-        rr = run(network, prop, kind, tdt=tdt, max_repairs=args.max_repairs, qe_budget=args.qe_budget)
+        rr = run(
+            network,
+            prop,
+            kind,
+            tdt=tdt,
+            max_repairs=args.max_repairs,
+            qe_budget=args.qe_budget,
+            original_cache=original_cache,
+        )
         for ordinal, cand in enumerate(rr.candidates, start=1):
             print(f"wrote {write_repaired_model(network, prop, cand, out_dir, ordinal)}")
         runs.append(rr)

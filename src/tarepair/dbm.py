@@ -16,9 +16,16 @@ paths), so at a fixed scale matrices compare and hash structurally, and a
 canonical zone has exactly one encoding. Intersecting with an atom
 tightens one entry (two for ``=``) and re-closes the matrix in O(n^2)
 through that entry, relaxing only the rows and columns the new edge
-shortens (``_tighten``); ``extrapolate`` re-relaxes only the entries it
+shortens (``_tighten``); extrapolation re-relaxes only the entries it
 loosened, and only ``canonicalize`` runs the full O(n^3) closure.
 ``bound(i, j)`` decodes an entry back to ``(Fraction | None, strict)``.
+
+Two extrapolations sit side by side. Classic extrapolation (``extrapolate``)
+bounds every entry by one constant k; ``checker.check`` and
+``checker.replay`` use it. Extra⁺_LU (Behrmann, Bouyer, Larsen & Pelánek,
+STTT 2006) takes per clock a lower-bound constant L and an upper-bound
+constant U (``lu_thresholds``) and forgets far more; the admissibility zone
+graphs use it. ``settle`` selects one by its last argument.
 
 One whole symbolic step (guard, resets, invariants, delay, extrapolation)
 runs on one list copy of the zone, with the atoms already compiled to raw
@@ -36,6 +43,8 @@ after ``jump``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
+from operator import ge, gt
 from typing import NamedTuple
 
 from .model import AtomicClockConstraint, Op
@@ -163,15 +172,17 @@ def jump(d: DifferenceBoundMatrix, guard, resets) -> list[int] | None:
     return m
 
 
-def settle(d: DifferenceBoundMatrix, jumped: list[int], invariants, delay: bool, k: int) -> DifferenceBoundMatrix | None:
+def settle(d: DifferenceBoundMatrix, jumped: list[int], invariants, delay: bool, k) -> DifferenceBoundMatrix | None:
     """The second half of a step, on ``jumped`` from ``jump(d, ...)`` in place.
 
     Conjoins the raw ``invariants`` edges, delays when ``delay`` and conjoins
-    them again, then extrapolates at ``k``: ``extrapolate(and_atoms(up(Z),
-    inv), k)``, or ``extrapolate(Z, k)`` without ``delay``, where ``Z`` is
-    the jumped zone conjoined with ``inv``; None where the invariants empty
-    the zone. ``d`` gives only the clock count and scale, so the result is a
-    function of ``jumped`` and the arguments after it.
+    them again, then extrapolates: ``extrapolate(and_atoms(up(Z), inv), k)``,
+    or ``extrapolate(Z, k)`` without ``delay``, where ``Z`` is the jumped
+    zone conjoined with ``inv``; None where the invariants empty the zone.
+    ``k`` is either the int constant of classic extrapolation or a pair of
+    raw per-clock thresholds from ``lu_thresholds``, which selects
+    Extra⁺_LU instead. ``d`` gives only the clock count and scale, so the
+    result is a function of ``jumped`` and the arguments after it.
     """
     dim = d.n + 1
     if not _conjoin(jumped, dim, invariants):
@@ -179,7 +190,10 @@ def settle(d: DifferenceBoundMatrix, jumped: list[int], invariants, delay: bool,
     if delay:
         jumped[dim::dim] = [RAW_INF] * d.n  # up
         _conjoin(jumped, dim, invariants)  # cannot empty: the undelayed zone satisfies them
-    _extrapolate(jumped, dim, 2 * k * d.scale)
+    if type(k) is int:
+        _extrapolate(jumped, dim, 2 * k * d.scale)
+    else:
+        _extrapolate_lu(jumped, dim, *k)
     return DifferenceBoundMatrix(d.n, d.scale, tuple(jumped))
 
 
@@ -345,6 +359,91 @@ def _extrapolate(m: list[int], dim: int, raw_k: int) -> bool:
             if via < m[idx]:
                 m[idx] = via
     return True
+
+
+def lu_thresholds(bounds: tuple[tuple[int, ...], tuple[int, ...]], scale: int) -> tuple[tuple[int, ...], ...]:
+    """The raw thresholds of per-clock (L, U) bounds at ``scale``, as
+    ``_extrapolate_lu`` takes them: per matrix index the raw ``(L(x), <)``
+    and ``(U(x), <)``, 0 for the reference clock; then, derived from those
+    once, per entry the greatest bound its row keeps, and per entry of row 0
+    the least."""
+    lower = (0, *(2 * c * scale for c in bounds[0]))
+    upper = (0, *(2 * c * scale for c in bounds[1]))
+    dim = len(lower)
+    caps = (RAW_INF - 1,) * dim + tuple(lower[i] + 1 for i in range(1, dim) for _ in range(dim))
+    floors = tuple(-min(lo, up) for lo, up in zip(lower, upper))
+    return lower, upper, caps, floors
+
+
+def _extrapolate_lu(m: list[int], dim: int, lower, upper, caps, floors) -> bool:
+    """Extra⁺_LU of a closed raw matrix of non-negative clocks (no entry of row
+    0 above ``LE_ZERO``) in place, then its closure; False iff no entry
+    changed. The thresholds are ``lu_thresholds``.
+
+    Behrmann, Bouyer, Larsen & Pelánek, "Lower and upper bounds in
+    zone-based abstractions of timed automata" (STTT 2006): an entry (i, j)
+    becomes infinite when it is above ``(L(x_i), <=)``, when x_i is above
+    L(x_i) (``m[0][i] < (-L(x_i), <)``) or, for i > 0, when x_j is above
+    U(x_j); in row 0 the last case gives ``(-U(x_j), <)`` instead. The
+    abstraction keeps the untimed language of the network whose guards and
+    invariants the bounds cover.
+
+    The closure re-relaxes only what needs it. A row dropped because its
+    clock is above L stays infinite: every path out of it starts with one of
+    its entries. A column dropped because its clock x_c is above U can be
+    entered only from row 0, so its entries close to ``m[i][0] + m[0][c]``
+    once every other entry is closed, and no other path gets shorter through
+    it than through the reference clock. The entries above their row's
+    ``(L, <=)`` are re-relaxed as in ``_extrapolate``. The no-change test
+    bounds each row by its own threshold (``caps``): a clock without
+    lower-bound atoms (L = 0) fails any one test over the whole matrix.
+    Every infinite entry exceeds its cap, so no finite one does iff as many
+    entries exceed their caps as are infinite.
+    """
+    if all(map(ge, m[:dim], floors)) and sum(map(gt, m, caps)) == m.count(RAW_INF):
+        return False
+    row0 = m[:dim]
+    changed = False
+    gone = []  # the clocks above U
+    for c in range(1, dim):
+        if row0[c] < -lower[c]:  # x_c above L: its row is dropped
+            cbase = c * dim
+            if m[cbase : cbase + dim].count(RAW_INF) < dim - 1:
+                m[cbase : cbase + dim] = [RAW_INF] * dim
+                m[cbase + c] = LE_ZERO
+                changed = True
+        if row0[c] < -upper[c]:  # x_c above U: its column is dropped
+            gone.append(c)
+            m[c] = -upper[c]
+            m[c + dim :: dim] = [RAW_INF] * (dim - 1)
+            m[c * dim + c] = LE_ZERO
+    loosened = []
+    for idx in compress(range(dim, dim * dim), map(gt, m[dim:], caps[dim:])):
+        if m[idx] != RAW_INF:
+            m[idx] = RAW_INF
+            i = idx // dim
+            loosened.append((idx, i * dim, i, idx - i * dim))
+    for mid in range(dim):
+        mbase = mid * dim
+        for idx, ibase, i, j in loosened:
+            if mid == i or mid == j:
+                continue
+            d_im = m[ibase + mid]
+            if d_im == RAW_INF:
+                continue
+            d_mj = m[mbase + j]
+            if d_mj == RAW_INF:
+                continue
+            via = d_im + d_mj - ((d_im | d_mj) & 1)
+            if via < m[idx]:
+                m[idx] = via
+    for c in gone:
+        d_0c = m[c]
+        for ibase in range(dim, dim * dim, dim):
+            d_i0 = m[ibase]
+            if d_i0 != RAW_INF and ibase != c * dim:
+                m[ibase + c] = d_i0 + d_0c - ((d_i0 | d_0c) & 1)
+    return changed or bool(gone or loosened)
 
 
 def extrapolate(d: DifferenceBoundMatrix, k: int) -> DifferenceBoundMatrix:

@@ -4,10 +4,10 @@ Clocks, locations, automata and channels are referred to by dense integer
 ids scoped to their container; display names live in the owning container.
 All types are immutable after construction, so networks can be shared
 freely between concurrent analyses. A network derives its constraint
-table, largest bound and constant scale once, and a property its negated
-DNF, as ``functools.cached_property`` fields: they are no dataclass fields,
-so they enter neither ``==`` nor ``hash``, and ``dataclasses.replace``
-builds an object without them.
+table, largest bound, per-clock lower and upper bounds and constant scale
+once, and a property its negated DNF, as ``functools.cached_property``
+fields: they are no dataclass fields, so they enter neither ``==`` nor
+``hash``, and ``dataclasses.replace`` builds an object without them.
 """
 
 from __future__ import annotations
@@ -129,6 +129,22 @@ class TimedAutomatonNetwork:
         return max((ref.atom.bound for ref in self.constraint_table), default=Fraction(0))
 
     @cached_property
+    def clock_bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per clock, (L, U): L(x) the largest constant of a ``>``, ``>=`` or ``=``
+        atom on x, U(x) that of a ``<``, ``<=`` or ``=`` atom, each rounded up
+        to an integer, over the network's own guards and invariants; 0 for a
+        clock without such an atom. The bounds of Extra⁺_LU extrapolation."""
+        lower, upper = [0] * self.n_clocks, [0] * self.n_clocks
+        for ref in self.constraint_table:
+            atom = ref.atom
+            c = -(-atom.bound.numerator // atom.bound.denominator)
+            if atom.op >= Op.EQ and c > lower[atom.clock]:
+                lower[atom.clock] = c
+            if atom.op <= Op.EQ and c > upper[atom.clock]:
+                upper[atom.clock] = c
+        return tuple(lower), tuple(upper)
+
+    @cached_property
     def scale(self) -> int:
         """Least common multiple of the denominators of the network's own constraints."""
         return math.lcm(*(ref.atom.bound.denominator for ref in self.constraint_table))
@@ -225,8 +241,10 @@ def indexed_constraints(network: TimedAutomatonNetwork) -> tuple[ConstraintRef, 
 def max_constant(network: TimedAutomatonNetwork, prop: SafetyProperty | None = None) -> int:
     """Maximal constant over the model (and optionally the property).
 
-    Used as the zone extrapolation constant; a model without constraints
-    still gets k = 1 so extrapolation is well defined.
+    Used as the constant of classic zone extrapolation (``checker.check`` and
+    ``replay``; the admissibility graphs use ``clock_bounds``) and of the
+    region oracle; a model without constraints still gets k = 1 so
+    extrapolation is well defined.
     """
     bounds = [network.largest_bound]
     if prop is not None:

@@ -194,11 +194,15 @@ def run(
     tdt: SymbolicTimedTrace | None = None,
     max_repairs: int = DEFAULT_MAX_REPAIRS,
     qe_budget: int = DEFAULT_QE_BUDGET,
+    original_cache: dict | None = None,
 ) -> RepairRun:
     """Compute, apply and admissibility-check repairs of one kind.
 
     Without a supplied trace the model is checked first, within
     ``checker.DEFAULT_STATE_BUDGET``; a Safe verdict yields an empty run.
+    ``original_cache`` is ``check_admissible``'s cache of the network's zone
+    graphs; callers that run several kinds on one network pass one dict to
+    each run, and None gives this run a dict of its own.
     """
     kind = RepairKind(kind) if not isinstance(kind, RepairKind) else kind
     problems = [d for d in validate(network, prop) if not d.startswith("warning:")]
@@ -217,7 +221,8 @@ def run(
         # repair; the all-zero assignment would be a spurious empty repair.
         runout.reason = "trace-not-violating"
         return runout
-    original_cache: dict = {}
+    if original_cache is None:
+        original_cache = {}
     try:
         vs = vary(enc, kind.value)
         hard = HardConstraint(vs, qe_budget)

@@ -223,6 +223,7 @@ def campaign(
         row.max_trace_len = max(row.max_trace_len, len(verdict.trace))
         n_rep = n_adm = 0
         failed = []  # kinds whose run stopped on a failed contract re-check
+        original_cache: dict = {}  # the mutant's zone graphs, for every kind's admissibility checks
         for rk in repair_kinds:
             try:
                 rr = run(
@@ -232,6 +233,7 @@ def campaign(
                     tdt=verdict.trace,
                     max_repairs=max_repairs,
                     qe_budget=CAMPAIGN_QE_BUDGET,
+                    original_cache=original_cache,
                 )
             except Exhausted:
                 row.timeouts += 1

@@ -10,14 +10,16 @@ from conftest import no_run_model, scaled_model
 from tarepair import admissibility, bundled_model_path, load_bundled_model, orchestrator, seeding
 from tarepair.admissibility import (
     Equivalence,
+    UntimedAutomaton,
     ZoneGraph,
     accepts,
     build_untimed,
     check_admissible,
     equivalent,
+    shared_bounds,
 )
-from tarepair.checker import Exhausted, check
-from tarepair.model import desugar_urgency, max_constant
+from tarepair.checker import Exhausted, MoveTable, check
+from tarepair.model import constant_scale, desugar_urgency, max_constant
 from tarepair.modelio import parse_model
 from tarepair.regions import build_region_untimed
 from test_bench_zone_graph import _workloads
@@ -186,34 +188,86 @@ def _shared_k(a, b):
     return max(max_constant(a), max_constant(b))
 
 
-def _assert_matches_full_graphs(pairs):
-    """``check_admissible`` equals ``equivalent`` of the full untimed automata
-    at the shared k, for every (name, original, repaired) of ``pairs``; one
-    ``original_cache`` per original serves all its pairs, fresh on the first."""
-    caches, full = {}, {}
+def _classic_untimed(network, k):
+    """The zone graph under classic extrapolation at ``k``, the abstraction that
+    Extra⁺_LU replaced in ``ZoneGraph``, expanded in full from a ``MoveTable``
+    with an int ``k``: states in discovery order, edges labeled by channel."""
+    table = MoveTable(network, k, constant_scale(network))
+    init = table.initial_state()
+    keys = [] if init is None else [init]
+    ids = {key: 0 for key in keys}
+    by_label = []
+    for locvec, zid in keys:  # expanding a state appends the states it discovers
+        out = {}
+        for _move, label, target, step, memo in table.moves(locvec):
+            z = table.post(zid, step, memo)
+            if z is not None:
+                tid = ids.setdefault((target, z), len(keys))
+                if tid == len(keys):
+                    keys.append((target, z))
+                out.setdefault(label, []).append(tid)
+        by_label.append(out)
+    return UntimedAutomaton(by_label)
 
-    def untimed(network, k):
-        if (id(network), k) not in full:
-            full[id(network), k] = build_untimed(network, k)
-        return full[id(network), k]
+
+REGION_BUDGET = 20_000
+
+
+def _regions(network, k):
+    """The region automaton at ``k``; None past ``REGION_BUDGET`` regions."""
+    try:
+        return build_region_untimed(network, k, state_budget=REGION_BUDGET)
+    except Exhausted:
+        return None
+
+
+def _assert_matches_full_graphs(pairs, regions=False):
+    """``check_admissible`` equals ``equivalent`` of the full untimed automata at
+    ``shared_bounds``, and that equals ``equivalent`` of the classic graphs at
+    the shared k, for every (name, original, repaired) of ``pairs``; each
+    Extra⁺_LU graph has at most the states of its classic one. With
+    ``regions``, the verdict also equals the region oracle's wherever both
+    region automata fit ``REGION_BUDGET``; returns how many pairs that was.
+    One ``original_cache`` per original serves all its pairs, fresh on the
+    first."""
+    caches, full, by_regions = {}, {}, {}
+    compared = 0
+
+    def untimed(build, network, at):
+        key = (build, id(network), at)
+        if key not in full:
+            full[key] = build(network, at)
+        return full[key]
 
     for name, a, b in pairs:
-        k = _shared_k(a, b)
-        want = equivalent(untimed(a, k), untimed(b, k))
-        assert want == alphabet_equivalence.equivalent(untimed(a, k), untimed(b, k)), name
+        (ba, bb), k = shared_bounds(a, b), _shared_k(a, b)
+        lu = untimed(build_untimed, a, ba), untimed(build_untimed, b, bb)
+        classic = untimed(_classic_untimed, a, k), untimed(_classic_untimed, b, k)
+        want = equivalent(*lu)
+        assert want == alphabet_equivalence.equivalent(*lu) == equivalent(*classic), name
+        assert [g.n_states <= c.n_states for g, c in zip(lu, classic)] == [True, True], name
         assert check_admissible(a, b, original_cache=caches.setdefault(id(a), {})) == want, name
+        if regions:
+            key = (frozenset((id(a), id(b))), k)  # a witness is shortlex least, so one search serves both ways
+            if key not in by_regions:
+                ra, rb = untimed(_regions, a, k), untimed(_regions, b, k)
+                by_regions[key] = None if ra is None or rb is None else alphabet_equivalence.equivalent(ra, rb)
+            if by_regions[key] is not None:
+                assert by_regions[key] == want, name
+                compared += 1
+    return compared
 
 
 def _assert_matches_alphabet_search(pairs, visible_internal=False):
-    """``equivalent`` of two fresh ``ZoneGraph``s at the shared k returns what
-    the replaced per-alphabet search returns on two other fresh graphs, and
-    discovers no more states on either side; returns the states both
+    """``equivalent`` of two fresh ``ZoneGraph``s at ``shared_bounds`` returns
+    what the replaced per-alphabet search returns on two other fresh graphs,
+    and discovers no more states on either side; returns the states both
     searches discovered over all ``pairs``, (new, replaced)."""
     discovered = [0, 0]
     for name, a, b in pairs:
-        k = _shared_k(a, b)
-        new = [ZoneGraph(a, k, visible_internal), ZoneGraph(b, k, visible_internal)]
-        old = [ZoneGraph(a, k, visible_internal), ZoneGraph(b, k, visible_internal)]
+        ba, bb = shared_bounds(a, b)
+        new = [ZoneGraph(a, ba, visible_internal), ZoneGraph(b, bb, visible_internal)]
+        old = [ZoneGraph(a, ba, visible_internal), ZoneGraph(b, bb, visible_internal)]
         assert equivalent(*new) == alphabet_equivalence.equivalent(*old), name
         assert [g.n_states <= h.n_states for g, h in zip(new, old)] == [True, True], name
         discovered[0] += sum(g.n_states for g in new)
@@ -226,9 +280,11 @@ def _both_ways(name, a, b):
     return [(name, a, b), (f"{name} (reversed)", b, a)]
 
 
-def _fischer():
+def _fischer(perm=None):
+    """Fischer N=3 under the permutation ``perm``, by default the one of bench seed 1."""
     workloads = _workloads()
-    network, _ = workloads.modelio.parse_model(workloads.fischer.fischer(3, workloads.fischer.draw_permutation(3, 1)))
+    perm = workloads.fischer.draw_permutation(3, 1) if perm is None else perm
+    network, _ = workloads.modelio.parse_model(workloads.fischer.fischer(3, perm))
     return network
 
 
@@ -237,8 +293,9 @@ def test_on_the_fly_check_matches_full_graphs_on_fischer_mutants():
     mutants = seeding.seed(network)
     assert len(mutants) == 77
     pairs = [p for m in mutants for p in _both_ways(m.description, network, m.network)]
-    _assert_matches_full_graphs(pairs)
-    assert _assert_matches_alphabet_search(pairs) == (64_306, 64_484)
+    # One mutant (seed bound #4: 2 -> 4) has more than REGION_BUDGET regions.
+    assert _assert_matches_full_graphs(pairs, regions=True) == len(pairs) - 2
+    assert _assert_matches_alphabet_search(pairs) == (33_562, 33_734)
 
 
 def test_on_the_fly_check_matches_full_graphs_on_bundled_mutants():
@@ -247,8 +304,28 @@ def test_on_the_fly_check_matches_full_graphs_on_bundled_mutants():
         net, _ = load_bundled_model(name)
         pairs += [p for m in seeding.seed(net) for p in _both_ways(f"{name}: {m.description}", net, m.network)]
     assert len(pairs) > 200
-    _assert_matches_full_graphs(pairs)
+    assert _assert_matches_full_graphs(pairs, regions=True) == len(pairs)
     _assert_matches_alphabet_search(pairs)
+
+
+def test_extra_lu_keeps_the_verdicts_of_classic_graphs_and_regions():
+    # The rest of the differential oracle's corpus. Every seeded mutant of
+    # Fischer N=3 under its two other distinct permutations meets the
+    # classic graphs only: their region automata take about 25 s per
+    # permutation on a 2-core x86-64 VM, and the test above builds them for
+    # one permutation. All 25 ordered pairs of bundled models also meet the
+    # regions; 14 of them have different clock counts, so each graph takes
+    # its own network's bounds.
+    pairs = []
+    for perm in (0, 2):
+        network = _fischer(perm)
+        pairs += [(f"permutation {perm}: {m.description}", network, m.network) for m in seeding.seed(network)]
+    assert len(pairs) == 2 * 77
+    _assert_matches_full_graphs(pairs)
+    networks = {name: load_bundled_model(name)[0] for name in CORPUS}
+    pairs = [(f"{a} vs {b}", networks[a], networks[b]) for a in CORPUS for b in CORPUS]
+    assert sum(a.n_clocks != b.n_clocks for _, a, b in pairs) == 14
+    assert _assert_matches_full_graphs(pairs, regions=True) == 25
 
 
 def _repair_candidates():
@@ -266,7 +343,7 @@ def test_on_the_fly_check_matches_full_graphs_on_repair_candidates():
     candidates = _repair_candidates()
     assert len(candidates) == 21
     pairs = [p for c in candidates for p in _both_ways(*c[:3])]
-    _assert_matches_full_graphs(pairs)
+    assert _assert_matches_full_graphs(pairs, regions=True) == len(pairs)
     _assert_matches_alphabet_search(pairs)
     # Bound repairs may make constants rational; the region oracle scales them.
     # Every bound candidate's region automaton fits the default budget.
@@ -313,13 +390,13 @@ def _assert_shared_pool_changes_nothing(pairs):
     originals, fresh_originals = {}, {}
     shared = 0
     for name, a, b in pairs:
-        k = _shared_k(a, b)
-        ga = originals.setdefault((id(a), k), ZoneGraph(a, k))
-        pooled, fresh = _expanded(ZoneGraph(b, k, share=ga)), _expanded(ZoneGraph(b, k))
+        ba, bb = shared_bounds(a, b)
+        ga = originals.setdefault((id(a), ba), ZoneGraph(a, ba))
+        pooled, fresh = _expanded(ZoneGraph(b, bb, share=ga)), _expanded(ZoneGraph(b, bb))
         assert _shape(pooled) == _shape(fresh), name
-        if (id(a), k) not in fresh_originals:
-            fresh_originals[id(a), k] = _expanded(ZoneGraph(a, k))
-        want = fresh_originals[id(a), k]
+        if (id(a), ba) not in fresh_originals:
+            fresh_originals[id(a), ba] = _expanded(ZoneGraph(a, ba))
+        want = fresh_originals[id(a), ba]
         assert _shape(_expanded(ga)) == _shape(want), name
         shares = pooled.table._memos is ga.table._memos
         lent = (pooled.table._settled is ga.table._settled, pooled.table.zones is ga.table.zones)
@@ -384,18 +461,20 @@ def test_shared_pool_needs_equal_scale_and_clock_count():
     # the other scale).
     original = _one_clock(("x <= 2", "x >= 3"))
     rescaled = _one_clock(("x <= 1", "x >= 5/2"))
-    k = _shared_k(original, rescaled)
-    ga, gb = _expanded(ZoneGraph(original, k)), _expanded(ZoneGraph(rescaled, k))
+    ba, bb = shared_bounds(original, rescaled)
+    assert ba == bb == ((3,), (2,))
+    ga, gb = _expanded(ZoneGraph(original, ba)), _expanded(ZoneGraph(rescaled, bb))
     (loca, za), (locb, zb) = _states(ga)[0], _states(gb)[0]
     assert (za.scale, zb.scale) == (1, 2) and za.m == zb.m
     assert ga.table.moves(loca)[0][3] == gb.table.moves(locb)[0][3]
     settled_a, settled_b = ga.table._settled, gb.table._settled
     assert any(settled_a[key].keys() & settled_b[key].keys() for key in settled_a.keys() & settled_b.keys())
     # Nor may the rescaled graph intern its zones in the original's pool.
-    pooled = _expanded(ZoneGraph(rescaled, k, share=ga))
+    pooled = _expanded(ZoneGraph(rescaled, bb, share=ga))
     assert pooled.table.zones is not ga.table.zones and _states(pooled) == _states(gb)
-    # An added clock changes the matrices' size.
+    # An added clock changes the matrices' size, and each graph keeps its own bounds.
     two_clocks = _one_clock(("x <= 2", "x >= 3"), ("x", "y"))
+    assert shared_bounds(original, two_clocks) == (((3,), (2,)), ((3, 0), (2, 0)))
     pairs = _both_ways("rescaled", original, rescaled) + _both_ways("two clocks", original, two_clocks)
     assert _assert_shared_pool_changes_nothing(pairs) == 0
     _assert_matches_full_graphs(pairs)
@@ -406,9 +485,9 @@ def test_on_the_fly_check_matches_full_graphs_with_visible_internal_moves():
     others = [desugar_urgency(net), net] + [m.network for m in seeding.seed(net)]
     differ = 0
     for other in others:
-        k = _shared_k(net, other)
-        lazy = equivalent(ZoneGraph(net, k, visible_internal=True), ZoneGraph(other, k, visible_internal=True))
-        full = equivalent(build_untimed(net, k, visible_internal=True), build_untimed(other, k, visible_internal=True))
+        ba, bb = shared_bounds(net, other)
+        lazy = equivalent(ZoneGraph(net, ba, visible_internal=True), ZoneGraph(other, bb, visible_internal=True))
+        full = equivalent(build_untimed(net, ba, visible_internal=True), build_untimed(other, bb, visible_internal=True))
         assert lazy == full
         differ += not lazy.equal
     assert differ > 0
@@ -425,7 +504,7 @@ def test_region_oracle_scales_rational_constants():
         doubled = scaled_model(repaired, prop, 2)[0]
         ra = build_region_untimed(repaired, k, visible_internal=True)
         assert equivalent(ra, build_region_untimed(doubled, 2 * k, visible_internal=True)).equal
-        assert equivalent(ra, build_untimed(repaired, k, visible_internal=True)).equal
+        assert equivalent(ra, build_untimed(repaired, visible_internal=True)).equal
         regions = equivalent(build_region_untimed(net, k), build_region_untimed(repaired, k))
         assert check_admissible(net, repaired) == regions
 
@@ -436,7 +515,7 @@ def test_region_oracle_scales_rational_constants():
 def test_budget_counts_only_the_states_the_check_needs(monkeypatch):
     network = _fischer()
     mutant = next(m for m in seeding.seed(network) if m.description.endswith("operator #0: LE -> EQ"))
-    assert build_untimed(network).n_states == 355
+    assert build_untimed(network).n_states == 197
     monkeypatch.setattr(admissibility, "UNTIMED_STATE_BUDGET", 100)
     assert check_admissible(network, mutant.network) == Equivalence(False, ("zero1",))
     with pytest.raises(Exhausted):

@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from tarepair import admissibility, dbm
-from tarepair.model import max_constant
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 1
@@ -85,10 +84,10 @@ def test_admissible_fischer_matches_golden_records(monkeypatch):
         for name in swept:
             swept[name] += calls[name] - before[name]
         assert record == want[item.key], item.key
-        # The full untimed automata of the pair at the shared k.
+        # The full untimed automata of the pair at the check's shared bounds.
         original, mutant = item.context["original"], item.context["mutant"]
-        k = max(max_constant(original), max_constant(mutant))
-        pair = [admissibility.build_untimed(original, k).n_states, admissibility.build_untimed(mutant, k).n_states]
+        ba, bb = admissibility.shared_bounds(original, mutant)
+        pair = [admissibility.build_untimed(original, ba).n_states, admissibility.build_untimed(mutant, bb).n_states]
         full += pair
         # The on-the-fly check discovers the full graphs on an equal pair, no more on the others.
         lazy = [g.n_states for g in graphs[:2]]
@@ -98,6 +97,6 @@ def test_admissible_fischer_matches_golden_records(monkeypatch):
         else:
             assert lazy[0] <= pair[0] and lazy[1] <= pair[1], item.key
     assert len(full) == 34
-    assert sum(full) == 17_211
+    assert sum(full) == 9_470
     assert equal == 5
-    assert swept == {"jump": 3_766, "settle": 1_872}  # 5,960 jumps with one pool of memos per graph
+    assert swept == {"jump": 2_509, "settle": 1_471}  # 3,990 jumps with one pool of memos per graph

@@ -10,7 +10,7 @@ from test_admissibility import _expanded
 from test_bench_zone_graph import _workloads
 
 from tarepair import dbm, load_bundled_model
-from tarepair.admissibility import ZoneGraph
+from tarepair.admissibility import ZoneGraph, shared_bounds
 from tarepair.checker import MoveIndex, MoveTable, move_label
 from tarepair.model import AtomicClockConstraint, Op, constant_scale, max_constant
 
@@ -340,10 +340,14 @@ def test_post_equals_every_memo_entry_of_a_shared_pool():
     # whichever graph wrote it, is dbm.settle after dbm.jump of its zone and
     # step, and every settle memo entry is dbm.settle of its jumped zone.
     (_, fischer), *mutants = _fischer_networks()
-    k, scale = max(max_constant(n) for _, n in mutants), constant_scale(fischer)
-    assert k == max_constant(fischer)
-    own = ZoneGraph(fischer, k)
-    graphs = [_expanded(g) for g in [own] + [ZoneGraph(network, k, share=own) for _, network in mutants]]
+    # One pool needs one abstraction: the per-clock maximum of every network's bounds.
+    networks = [fischer] + [network for _, network in mutants]
+    bounds = tuple(tuple(map(max, *sides)) for sides in zip(*(network.clock_bounds for network in networks)))
+    assert bounds != fischer.clock_bounds
+    scale = constant_scale(fischer)
+    k = dbm.lu_thresholds(bounds, scale)
+    own = ZoneGraph(fischer, bounds)
+    graphs = [_expanded(g) for g in [own] + [ZoneGraph(network, bounds, share=own) for _, network in mutants]]
     pool, settled, zones = own.table._memos, own.table._settled, own.table.zones
     assert all(g.table._memos is pool and g.table._settled is settled and g.table.zones is zones for g in graphs)
     assert all(memo.settled is settled[step[2:]] for step, memo in pool.items())
@@ -362,10 +366,10 @@ def test_post_equals_every_memo_entry_of_a_shared_pool():
             jumped_zone = dbm.DifferenceBoundMatrix(fischer.n_clocks, scale, m)
             assert zone(successor) == dbm.settle(jumped_zone, list(m), invariants, delay, k), invariants
             jumped += 1
-    alone = _expanded(ZoneGraph(fischer, k))
-    assert sum(len(memo) for memo in alone.table._memos.values()) == 432  # the original's own entries
-    assert sum(len(memo) for memo in alone.table._settled.values()) == 202
-    assert (entries, jumped) == (3_880, 1_679)
+    alone = _expanded(ZoneGraph(fischer, bounds))
+    assert sum(len(memo) for memo in alone.table._memos.values()) == 300  # the original's own entries
+    assert sum(len(memo) for memo in alone.table._settled.values()) == 160
+    assert (entries, jumped) == (2_540, 1_254)
 
 
 def test_each_pool_interns_each_zone_once():
@@ -373,9 +377,8 @@ def test_each_pool_interns_each_zone_once():
     # bounds map to, and every state of a graph names its zone by that id:
     # Fischer N=3's pool alone, and the same pool lent to its mutants' graphs.
     (_, fischer), *mutants = _fischer_networks()
-    k = max_constant(fischer)
-    alone, own = _expanded(ZoneGraph(fischer, k)), _expanded(ZoneGraph(fischer, k))
-    graphs = [_expanded(ZoneGraph(network, k, share=own)) for _, network in mutants]
+    alone, own = _expanded(ZoneGraph(fischer)), _expanded(ZoneGraph(fischer))
+    graphs = [_expanded(ZoneGraph(network, shared_bounds(fischer, network)[1], share=own)) for _, network in mutants]
     assert len(own.table.zones) > len(alone.table.zones)
     for graph in [alone, own] + graphs:
         zones, ids = graph.table.zones, graph.table._zone_ids
@@ -521,3 +524,67 @@ def test_constrain_equals_full_closure():
         else:
             assert tuple(got) == want.m, (m, i, j, op, strict)
     assert empties > 100
+
+
+def _extra_lu_plus(zone, lower, upper):
+    """The raw entries of Extra⁺_LU of a zone of non-negative clocks as
+    Behrmann, Bouyer, Larsen & Pelánek define it (STTT 2006), entry by entry
+    on (value, strict) bounds, before any closure; ``lower`` and ``upper``
+    give L and U per clock, the reference clock's being 0."""
+    dim = zone.n + 1
+    lower, upper = (0, *lower), (0, *upper)
+    cells = list(zone.m)
+    for i in range(dim):
+        for j in range(dim):
+            if i == j:
+                continue
+            c_ij, c_0i, c_0j = zone.bound(i, j)[0], zone.bound(0, i)[0], zone.bound(0, j)[0]
+            if c_ij is not None and c_ij > lower[i]:
+                cells[i * dim + j] = dbm.RAW_INF
+            elif -c_0i > lower[i]:
+                cells[i * dim + j] = dbm.RAW_INF
+            elif -c_0j > upper[j]:
+                cells[i * dim + j] = dbm.RAW_INF if i else -dbm.raw_constant(F(upper[j]), zone.scale)
+    return tuple(cells)
+
+
+def test_extra_lu_plus_equals_the_definition_then_full_closure():
+    # The kernel drops a row whose clock is above L, a column whose clock is
+    # above U (in row 0 it puts (-U, <) there) and each entry above (L, <=)
+    # of its row, closes a dropped column from row 0 alone, re-relaxes only
+    # the other loosened entries and reports whether any entry changed; its
+    # result must be the definition's, closed in full.
+    # Matrices are closed zones of non-negative clocks with strict, weak and
+    # infinite entries, at scale 1 and 2; some clocks have L = U = 0.
+    rng = random.Random(2201)
+    seen = {"unchanged": 0, "row dropped": 0, "column dropped": 0, "above L": 0, "reclosed": 0, "zero clock": 0}
+    for _ in range(4000):
+        dim, scale = rng.randint(2, 5), rng.choice((1, 2))
+        while True:
+            cells = [
+                dbm.LE_ZERO if idx % (dim + 1) == 0 else dbm.RAW_INF if rng.random() < 0.3 else rng.randint(-12, 20)
+                for idx in range(dim * dim)
+            ]
+            cells[:dim] = [min(r, dbm.LE_ZERO) for r in cells[:dim]]  # clocks are non-negative
+            zone = dbm.canonicalize(dbm.DifferenceBoundMatrix(dim - 1, scale, tuple(cells)))
+            if not zone.empty:
+                break
+        bounds = tuple(tuple(rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(dim - 1)) for _ in "LU")
+        entries = _extra_lu_plus(zone, *bounds)
+        want = dbm.canonicalize(dbm.DifferenceBoundMatrix(zone.n, scale, entries))
+        got = list(zone.m)
+        assert dbm._extrapolate_lu(got, dim, *dbm.lu_thresholds(bounds, scale)) == (entries != zone.m), (zone, bounds)
+        assert not want.empty and tuple(got) == want.m, (zone, bounds)
+        settled = dbm.settle(zone, list(zone.m), (), False, dbm.lu_thresholds(bounds, scale))
+        assert settled == want, (zone, bounds)
+        lower, upper = (0, *bounds[0]), (0, *bounds[1])
+        c0 = [zone.bound(0, i)[0] for i in range(dim)]
+        seen["unchanged"] += entries == zone.m
+        seen["row dropped"] += any(-c0[i] > lower[i] for i in range(1, dim))
+        seen["column dropped"] += any(-c0[j] > upper[j] for j in range(1, dim))
+        seen["above L"] += any(
+            zone.bound(i, j)[0] is not None and zone.bound(i, j)[0] > lower[i] for i in range(1, dim) for j in range(dim)
+        )
+        seen["reclosed"] += want.m != entries
+        seen["zero clock"] += any(lower[i] == upper[i] == 0 for i in range(1, dim)) and entries != zone.m
+    assert min(seen.values()) > 200, seen

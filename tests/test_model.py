@@ -191,16 +191,35 @@ def test_derived_tables_follow_an_edit_and_stay_on_the_original():
     refs = indexed_constraints(net)
     assert isinstance(refs, tuple)
     assert (max_constant(net), constant_scale(net), max_constant(net, prop)) == (2, 1, 4)
+    # Clocks x, y, z, w; x has no atom, so L(x) = U(x) = 0.
+    assert net.clock_bounds == ((0, 1, 1, 1), (0, 1, 2, 2))
     raised = _bound_edit(net, 1, Fraction(7))  # the largest bound was 2
     assert indexed_constraints(raised)[1].atom.bound == 7
     assert (max_constant(raised), constant_scale(raised), max_constant(raised, prop)) == (7, 1, 7)
+    assert raised.clock_bounds == ((0, 1, 7, 1), (0, 1, 2, 2))  # z >= 7 raises L(z) alone
     halved = _bound_edit(raised, 3, Fraction(5, 2))
     assert indexed_constraints(halved)[3].atom.bound == Fraction(5, 2)
     assert (max_constant(halved), constant_scale(halved), constant_scale(halved, prop)) == (7, 2, 2)
+    assert halved.clock_bounds == ((0, 1, 7, 1), (0, 3, 2, 2))  # y <= 5/2 rounds U(y) up to 3
     assert constant_scale(raised) == 1 and indexed_constraints(raised)[3].atom.bound == 1
     assert indexed_constraints(net) is refs
     assert [r.atom.bound for r in refs] == [2, 1, 2, 1, 1, 1]
     assert (max_constant(net), constant_scale(net), max_constant(net, prop)) == (2, 1, 4)
+    assert net.clock_bounds == ((0, 1, 1, 1), (0, 1, 2, 2))
+
+
+def test_clock_bounds_take_each_operator_to_its_side():
+    # L(x) takes >, >= and = atoms, U(x) takes <, <= and = atoms.
+    for op, bounds in [
+        (Op.LT, ((0,), (3,))),
+        (Op.LE, ((0,), (3,))),
+        (Op.EQ, ((3,), (3,))),
+        (Op.GE, ((3,), (0,))),
+        (Op.GT, ((3,), (0,))),
+    ]:
+        guard = (AtomicClockConstraint(0, op, Fraction(3)),)
+        net = single_automaton((Transition(0, 1, guard, None, SyncKind.INTERNAL, frozenset()),), ((), ()))
+        assert net.clock_bounds == bounds, op
 
 
 def test_derived_tables_enter_neither_equality_nor_hash():

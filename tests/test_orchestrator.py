@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tarepair import encoder, load_bundled_model, lra, maxsmt, orchestrator
+from tarepair import admissibility, encoder, load_bundled_model, lra, maxsmt, orchestrator
 from tarepair.checker import check, replay
 from tarepair.encoder import encode, feasible, violating
 from tarepair.maxsmt import HardConstraint
@@ -152,6 +152,31 @@ def test_runs_deterministic():
         b = run(net, prop, kind)
         assert [c.modifications for c in a.candidates] == [c.modifications for c in b.candidates]
         assert a.admissible == b.admissible and a.witnesses == b.witnesses
+
+
+def test_one_original_cache_serves_every_kind(monkeypatch):
+    # The runs of every kind on one network, given one original_cache, read
+    # as with a cache each, and build fewer zone graphs of the original.
+    built = []
+
+    class Recorded(admissibility.ZoneGraph):
+        def __init__(self, network, *args, **kwargs):
+            super().__init__(network, *args, **kwargs)
+            built.append(network)
+
+    monkeypatch.setattr(admissibility, "ZoneGraph", Recorded)
+    originals = [0, 0]  # graphs of the original: a cache per run, one cache
+    for name in VIOLATING:
+        net, prop = load_bundled_model(name)
+        tdt = check(net, prop).trace
+        results = []
+        for side, cache in enumerate((None, {})):
+            built.clear()
+            runs = [run(net, prop, kind, tdt=tdt, original_cache=cache) for kind in RepairKind]
+            results.append([(r.candidates, r.admissible, r.witnesses, r.reason) for r in runs])
+            originals[side] += sum(network is net for network in built)
+        assert results[0] == results[1], name
+    assert originals == [13, 7]
 
 
 def test_max_repairs_cap():

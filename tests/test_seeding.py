@@ -3,7 +3,7 @@
 from collections import Counter
 from fractions import Fraction as F
 
-from tarepair import load_bundled_model, orchestrator
+from tarepair import load_bundled_model, orchestrator, seeding
 from tarepair.model import indexed_constraints
 from tarepair.modelio import serialize_model
 from tarepair.seeding import bound_deltas, campaign, model_max_bound, seed
@@ -105,6 +105,29 @@ def test_campaign_records_a_contract_violation_and_goes_on(monkeypatch):
     assert after.startswith("violated (trace length ") and after.endswith("; contract violation: bound")
     # the stopped run's candidates are not counted
     assert after != before + "; contract violation: bound"
+
+
+def test_campaign_gives_each_violating_mutant_one_original_cache(monkeypatch):
+    # Every kind's repair run on one mutant gets the same original_cache, and
+    # no two mutants share one.
+    net, prop = load_bundled_model()
+    default = campaign(net, prop, kinds=("bound",), model_name="client_db")
+    caches = []  # per run: (mutant network, its original_cache)
+    real = seeding.run
+
+    def recorded(network, *args, **kwargs):
+        caches.append((network, kwargs["original_cache"]))
+        return real(network, *args, **kwargs)
+
+    monkeypatch.setattr(seeding, "run", recorded)
+    result = campaign(net, prop, kinds=("bound",), model_name="client_db")
+    assert result.mutant_results == default.mutant_results
+    per_mutant = {}
+    for network, cache in caches:
+        per_mutant.setdefault(id(network), []).append(cache)
+    assert len(per_mutant) == result.total().violating == 12
+    assert all(len(runs) == 5 and all(c is runs[0] for c in runs) for runs in per_mutant.values())
+    assert len({id(runs[0]) for runs in per_mutant.values()}) == 12
 
 
 def test_campaign_empty_kind_selection_still_counts_seeds():
