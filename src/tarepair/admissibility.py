@@ -67,11 +67,6 @@ class UntimedAutomaton:
     def n_states(self) -> int:
         return len(self._by_label)
 
-    @property
-    def alphabet(self) -> tuple[str, ...]:
-        """The visible labels on its edges, sorted; of an automaton expanded in full."""
-        return tuple(sorted({lab for out in self._by_label for lab in out if lab is not None}))
-
     def successors(self, state: int, label: str | None) -> list[int]:
         return self.expand(state).get(label, [])
 
@@ -193,24 +188,6 @@ def _label_targets(ua: UntimedAutomaton, states: frozenset[int]) -> dict[str, se
             else:
                 out[label] = set(targets)
     return out
-
-
-def _post(ua: UntimedAutomaton, states: frozenset[int], label: str) -> frozenset[int]:
-    successors = ua.successors
-    out = set()
-    for s in states:
-        out.update(successors(s, label))
-    return _closure(ua, out) if out else frozenset()
-
-
-def accepts(ua: UntimedAutomaton, word) -> bool:
-    """Is the label sequence a prefix of some run (subset simulation)?"""
-    cur = _start(ua)
-    for label in word:
-        cur = _post(ua, cur, label)
-        if not cur:
-            return False
-    return bool(cur)
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,15 @@ canonical zone has exactly one encoding. Intersecting with an atom
 tightens one entry (two for ``=``) and re-closes the matrix in O(n^2)
 through that entry, relaxing only the rows and columns the new edge
 shortens (``_tighten``); extrapolation re-relaxes only the entries it
-loosened, and only ``canonicalize`` runs the full O(n^3) closure.
+loosened (``_relax``), so nothing runs a full O(n^3) closure.
 ``bound(i, j)`` decodes an entry back to ``(Fraction | None, strict)``.
 
-Two extrapolations sit side by side. Classic extrapolation (``extrapolate``)
-bounds every entry by one constant k; ``checker.check`` and
-``checker.replay`` use it. Extra⁺_LU (Behrmann, Bouyer, Larsen & Pelánek,
-STTT 2006) takes per clock a lower-bound constant L and an upper-bound
-constant U (``lu_thresholds``) and forgets far more; the admissibility zone
-graphs use it. ``settle`` selects one by its last argument.
+Two extrapolations sit side by side. Classic extrapolation bounds every
+entry by one constant k; ``checker.check`` and ``checker.replay`` use it.
+Extra⁺_LU (Behrmann, Bouyer, Larsen & Pelánek, STTT 2006) takes per clock a
+lower-bound constant L and an upper-bound constant U (``lu_thresholds``)
+and forgets far more; the admissibility zone graphs use it. ``settle``
+selects one by its last argument.
 
 One whole symbolic step (guard, resets, invariants, delay, extrapolation)
 runs on one list copy of the zone, with the atoms already compiled to raw
@@ -35,9 +35,15 @@ extrapolation to the jumped list in place. ``settle`` depends on the jumped
 zone alone, not on the zone it came from, so a caller can memoize it by the
 jumped raw bounds. Zones are plain values here: ``checker.MoveTable``
 interns each one ``settle`` returns and gives it an id within its pool, so
-the explorers hash a zone's raw bounds once. The per-operation functions
-compose to the same canonical zone and serve as the reference of ``settle``
-after ``jump``.
+the explorers hash a zone's raw bounds once.
+
+The kernel's reference is ``tests/fraction_dbm.py``, the Fraction engine
+this one replaced, which re-closes the whole matrix after every operation
+and shares no code with this module. Of the per-operation functions,
+``and_atom`` (through ``and_atoms``) is the property test ``intersects``;
+``up``, ``reset_many`` and ``extrapolate`` have no caller in the package
+and are adaptors over the kernel. These four are the zone-layer spans that
+``bench/tracing.SITES`` wraps.
 """
 
 from __future__ import annotations
@@ -52,7 +58,6 @@ from .model import AtomicClockConstraint, Op
 Bound = tuple[Fraction | None, bool]  # (value, strict); (None, True) is +inf
 
 INF: Bound = (None, True)
-ZERO: Bound = (Fraction(0), False)
 
 LE_ZERO = 1  # raw (0, <=)
 RAW_INF = 1 << 256  # above every sum of up to 2^55 raw constants below _RAW_LIMIT
@@ -154,9 +159,9 @@ def _conjoin(m: list[int], dim: int, edges) -> bool:
 
 
 def jump(d: DifferenceBoundMatrix, guard, resets) -> list[int] | None:
-    """The first half of a step: ``reset_many(and_atoms(d, guard), resets)`` of a
-    non-empty canonical zone, as a new closed list of raw bounds; None where
-    the guard empties the zone.
+    """The first half of a step: a non-empty canonical zone conjoined with the
+    guard, then the reset clocks set to 0, as a new closed list of raw
+    bounds; None where the guard empties the zone.
 
     ``guard`` holds raw edges from ``atom_edges`` at ``d.scale``; ``resets``
     the sorted matrix indices (clock + 1) set to 0. A reset forgets a clock,
@@ -175,14 +180,15 @@ def jump(d: DifferenceBoundMatrix, guard, resets) -> list[int] | None:
 def settle(d: DifferenceBoundMatrix, jumped: list[int], invariants, delay: bool, k) -> DifferenceBoundMatrix | None:
     """The second half of a step, on ``jumped`` from ``jump(d, ...)`` in place.
 
-    Conjoins the raw ``invariants`` edges, delays when ``delay`` and conjoins
-    them again, then extrapolates: ``extrapolate(and_atoms(up(Z), inv), k)``,
-    or ``extrapolate(Z, k)`` without ``delay``, where ``Z`` is the jumped
-    zone conjoined with ``inv``; None where the invariants empty the zone.
-    ``k`` is either the int constant of classic extrapolation or a pair of
-    raw per-clock thresholds from ``lu_thresholds``, which selects
-    Extra⁺_LU instead. ``d`` gives only the clock count and scale, so the
-    result is a function of ``jumped`` and the arguments after it.
+    Conjoins the raw ``invariants`` edges to the jumped zone; when ``delay``,
+    lets time elapse (drops every clock's upper bound) and conjoins them
+    again, which gives every valuation the zone reaches by a delay its
+    invariants allow; then extrapolates at ``k``. None where the invariants
+    empty the zone. ``k`` is either the int constant of classic
+    extrapolation or a pair of raw per-clock thresholds from
+    ``lu_thresholds``, which selects Extra⁺_LU instead. ``d`` gives only the
+    clock count and scale, so the result is a function of ``jumped`` and the
+    arguments after it.
     """
     dim = d.n + 1
     if not _conjoin(jumped, dim, invariants):
@@ -197,48 +203,9 @@ def settle(d: DifferenceBoundMatrix, jumped: list[int], invariants, delay: bool,
     return DifferenceBoundMatrix(d.n, d.scale, tuple(jumped))
 
 
-def canonicalize(d: DifferenceBoundMatrix) -> DifferenceBoundMatrix:
-    """Full Floyd-Warshall closure of an arbitrary matrix."""
-    dim = d.n + 1
-    m = list(d.m)
-    for k in range(dim):
-        kbase = k * dim
-        for ibase in range(0, dim * dim, dim):
-            d_ik = m[ibase + k]
-            if d_ik == RAW_INF:
-                continue
-            for j in range(dim):
-                d_kj = m[kbase + j]
-                if d_kj == RAW_INF:
-                    continue
-                via = d_ik + d_kj - ((d_ik | d_kj) & 1)
-                if via < m[ibase + j]:
-                    m[ibase + j] = via
-    if any(m[i] < LE_ZERO for i in range(0, dim * dim, dim + 1)):
-        return empty_zone(d.n, d.scale)  # a negative cycle
-    m[:: dim + 1] = [LE_ZERO] * dim
-    return DifferenceBoundMatrix(d.n, d.scale, tuple(m))
-
-
 def zero_zone(n: int, scale: int = 1) -> DifferenceBoundMatrix:
     """The singleton zone where every clock equals 0, at ``scale``."""
     return DifferenceBoundMatrix(n, scale, (LE_ZERO,) * ((n + 1) * (n + 1)))
-
-
-def is_empty(d: DifferenceBoundMatrix) -> bool:
-    return d.empty
-
-
-def up(d: DifferenceBoundMatrix) -> DifferenceBoundMatrix:
-    """Delay closure: remove the upper bounds on all clocks."""
-    if d.empty:
-        return d
-    dim = d.n + 1
-    m = list(d.m)
-    m[dim::dim] = [RAW_INF] * d.n
-    # Still canonical: M[i][j] <= M[i][0] + M[0][j] cannot be violated by
-    # weakening M[i][0], and paths through 0 only got longer.
-    return DifferenceBoundMatrix(d.n, d.scale, tuple(m))
 
 
 def and_atom(d: DifferenceBoundMatrix, atom: AtomicClockConstraint) -> DifferenceBoundMatrix:
@@ -246,31 +213,13 @@ def and_atom(d: DifferenceBoundMatrix, atom: AtomicClockConstraint) -> Differenc
     if d.empty:
         return d
     bound = atom.bound
-    v, rem = divmod(bound.numerator * d.scale, bound.denominator)  # raw_constant, inlined on this hot path
+    v, rem = divmod(bound.numerator * d.scale, bound.denominator)  # raw_constant, inlined
     if rem or v >= _RAW_LIMIT:
         raise ValueError(f"constant {bound} is not a multiple of 1/{d.scale} below 2^200")
-    dim = d.n + 1
-    c = atom.clock + 1
-    m = d.m
-    rows = None
-    upper = _UPPER_WEAK[atom.op]
-    if upper is not None:
-        b = 2 * v + upper
-        if b < m[c * dim]:
-            rows = list(m)
-            if not _tighten(rows, dim, c, 0, b):
-                return empty_zone(d.n, d.scale)
-    lower = _LOWER_WEAK[atom.op]
-    if lower is not None:
-        b = lower - 2 * v
-        if b < (m if rows is None else rows)[c]:
-            if rows is None:
-                rows = list(m)
-            if not _tighten(rows, dim, 0, c, b):
-                return empty_zone(d.n, d.scale)
-    if rows is None:
-        return d
-    return DifferenceBoundMatrix(d.n, d.scale, tuple(rows))
+    m = list(d.m)
+    if not constrain(m, d.n + 1, atom.clock + 1, 0, atom.op, 2 * v):
+        return empty_zone(d.n, d.scale)
+    return DifferenceBoundMatrix(d.n, d.scale, tuple(m))
 
 
 def constrain(m: list[int], dim: int, i: int, j: int, op: Op, strict: int) -> bool:
@@ -298,35 +247,43 @@ def and_atoms(d: DifferenceBoundMatrix, atoms) -> DifferenceBoundMatrix:
     return d
 
 
-def reset(d: DifferenceBoundMatrix, clock: int) -> DifferenceBoundMatrix:
-    """Set one clock to 0 (input must be canonical; output stays canonical)."""
-    if d.empty:
-        return d
-    dim = d.n + 1
-    c = clock + 1
-    m = list(d.m)
-    m[c * dim : (c + 1) * dim] = m[:dim]  # row c := row 0
-    m[c::dim] = m[::dim]  # column c := column 0, which sets m[c][c] to (0, <=)
-    return DifferenceBoundMatrix(d.n, d.scale, tuple(m))
-
-
-def reset_many(d: DifferenceBoundMatrix, clocks) -> DifferenceBoundMatrix:
-    for c in sorted(clocks):
-        d = reset(d, c)
-    return d
-
-
-def _extrapolate(m: list[int], dim: int, raw_k: int) -> bool:
-    """Extrapolate a closed raw matrix in place at ``raw_k``, the raw ``(k, <)``;
-    False iff no entry changed.
+def _relax(m: list[int], dim: int, loosened) -> None:
+    """Re-close in place a closed raw matrix whose ``loosened`` entries, each
+    ``(idx, i * dim, i, j)`` for entry (i, j) at ``idx``, were raised.
 
     The other entries stay shortest paths: no path got shorter, and each
     is still an edge. So closing re-relaxes only the loosened entries, in
     Floyd-Warshall order, and the zone cannot become empty. A loosened
     entry (i, j) skips the mids i and j, whose paths are the entry itself
     (``m[i][i]`` and ``m[j][j]`` are ``LE_ZERO``), and every mid it has no
-    finite edge to. One pass over the distinct finite bounds tells most
-    matrices that need no loosening apart.
+    finite edge to.
+    """
+    for mid in range(dim):
+        mbase = mid * dim
+        for idx, ibase, i, j in loosened:
+            if mid == i or mid == j:
+                continue
+            d_im = m[ibase + mid]
+            if d_im == RAW_INF:
+                continue
+            d_mj = m[mbase + j]
+            if d_mj == RAW_INF:
+                continue
+            via = d_im + d_mj - ((d_im | d_mj) & 1)
+            if via < m[idx]:
+                m[idx] = via
+
+
+def _extrapolate(m: list[int], dim: int, raw_k: int) -> bool:
+    """Classic maximal-constant extrapolation of a closed raw matrix in place at
+    ``raw_k``, the raw ``(k, <)``, then its closure (``_relax``); False iff no
+    entry changed.
+
+    Bounds above k become infinite, bounds below -k become (-k, <); this
+    keeps the zone graph finite while preserving reachability and the
+    untimed language for any k at least the maximal model constant. One
+    pass over the distinct finite bounds tells most matrices that need no
+    loosening apart.
     """
     hi = raw_k + 1  # raw (k, <=)
     lo = -raw_k  # raw (-k, <)
@@ -344,20 +301,7 @@ def _extrapolate(m: list[int], dim: int, raw_k: int) -> bool:
             continue
         i, j = divmod(idx, dim)
         loosened.append((idx, i * dim, i, j))
-    for mid in range(dim):
-        mbase = mid * dim
-        for idx, ibase, i, j in loosened:
-            if mid == i or mid == j:
-                continue
-            d_im = m[ibase + mid]
-            if d_im == RAW_INF:
-                continue
-            d_mj = m[mbase + j]
-            if d_mj == RAW_INF:
-                continue
-            via = d_im + d_mj - ((d_im | d_mj) & 1)
-            if via < m[idx]:
-                m[idx] = via
+    _relax(m, dim, loosened)
     return True
 
 
@@ -394,7 +338,7 @@ def _extrapolate_lu(m: list[int], dim: int, lower, upper, caps, floors) -> bool:
     entered only from row 0, so its entries close to ``m[i][0] + m[0][c]``
     once every other entry is closed, and no other path gets shorter through
     it than through the reference clock. The entries above their row's
-    ``(L, <=)`` are re-relaxed as in ``_extrapolate``. The no-change test
+    ``(L, <=)`` are re-relaxed (``_relax``). The no-change test
     bounds each row by its own threshold (``caps``): a clock without
     lower-bound atoms (L = 0) fails any one test over the whole matrix.
     Every infinite entry exceeds its cap, so no finite one does iff as many
@@ -423,20 +367,7 @@ def _extrapolate_lu(m: list[int], dim: int, lower, upper, caps, floors) -> bool:
             m[idx] = RAW_INF
             i = idx // dim
             loosened.append((idx, i * dim, i, idx - i * dim))
-    for mid in range(dim):
-        mbase = mid * dim
-        for idx, ibase, i, j in loosened:
-            if mid == i or mid == j:
-                continue
-            d_im = m[ibase + mid]
-            if d_im == RAW_INF:
-                continue
-            d_mj = m[mbase + j]
-            if d_mj == RAW_INF:
-                continue
-            via = d_im + d_mj - ((d_im | d_mj) & 1)
-            if via < m[idx]:
-                m[idx] = via
+    _relax(m, dim, loosened)
     for c in gone:
         d_0c = m[c]
         for ibase in range(dim, dim * dim, dim):
@@ -446,21 +377,34 @@ def _extrapolate_lu(m: list[int], dim: int, lower, upper, caps, floors) -> bool:
     return changed or bool(gone or loosened)
 
 
-def extrapolate(d: DifferenceBoundMatrix, k: int) -> DifferenceBoundMatrix:
-    """Classic maximal-constant extrapolation, then closure of the loosened entries.
+def intersects(d: DifferenceBoundMatrix, atoms) -> bool:
+    """Does the zone contain a point satisfying all atoms?"""
+    return not and_atoms(d, atoms).empty
 
-    Bounds above k become infinite, bounds below -k become (-k, <); this
-    keeps the zone graph finite while preserving reachability and the
-    untimed language for any k at least the maximal model constant.
-    """
+
+# up, reset_many and extrapolate have no caller in the package: they stay
+# only as spans that bench/tracing.SITES wraps.
+def up(d: DifferenceBoundMatrix) -> DifferenceBoundMatrix:
+    """Delay closure: remove the upper bounds on all clocks."""
     if d.empty:
         return d
+    dim = d.n + 1
     m = list(d.m)
-    if not _extrapolate(m, d.n + 1, 2 * k * d.scale):
-        return d
+    m[dim::dim] = [RAW_INF] * d.n
+    # Still canonical: M[i][j] <= M[i][0] + M[0][j] cannot be violated by
+    # weakening M[i][0], and paths through 0 only got longer.
     return DifferenceBoundMatrix(d.n, d.scale, tuple(m))
 
 
-def intersects(d: DifferenceBoundMatrix, atoms) -> bool:
-    """Does the zone contain a point satisfying all atoms?"""
-    return not is_empty(and_atoms(d, atoms))
+def reset_many(d: DifferenceBoundMatrix, clocks) -> DifferenceBoundMatrix:
+    """Set each of ``clocks`` to 0."""
+    if d.empty:
+        return d
+    return DifferenceBoundMatrix(d.n, d.scale, tuple(jump(d, (), sorted(c + 1 for c in clocks))))
+
+
+def extrapolate(d: DifferenceBoundMatrix, k: int) -> DifferenceBoundMatrix:
+    """Classic extrapolation at ``k`` (``_extrapolate``)."""
+    if d.empty:
+        return d
+    return settle(d, list(d.m), (), False, k)

@@ -4,7 +4,9 @@ This is the ``equivalent`` that ``tarepair.admissibility`` replaced, kept
 with its subset helpers: each subset pair posts every label of the union
 alphabet on both sides, present or not. The replaced ``ZoneGraph`` carried
 that alphabet itself; ``alphabet`` rebuilds it here from the graph's
-network, every label a move can carry, reachable or not.
+network, every label a move can carry, reachable or not, so a graph
+expanded in part has its whole alphabet. ``accepts``, word membership by
+the same subset simulation, serves the tests alone.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from tarepair.checker import Exhausted
 
 
 def alphabet(ua) -> tuple[str, ...]:
-    """An ``UntimedAutomaton``'s own alphabet; for a ``ZoneGraph``, which may
-    be expanded in part, the channel names and, with ``visible_internal``,
-    each "auto.tN"."""
+    """An ``UntimedAutomaton``'s alphabet: the visible labels on its edges,
+    sorted; for a ``ZoneGraph``, which may be expanded in part, the channel
+    names and, with ``visible_internal``, each "auto.tN"."""
     if not isinstance(ua, ZoneGraph):
-        return ua.alphabet
+        return tuple(sorted({label for s in range(ua.n_states) for label in ua.expand(s) if label is not None}))
     labels = {
         ua.network.channel_names[t.channel] if t.channel is not None else f"{a.name}.t{ti}"
         for a in ua.network.automata
@@ -52,6 +54,16 @@ def _post(ua, states: frozenset[int], label: str) -> frozenset[int]:
     for s in states:
         out.update(successors(s, label))
     return _closure(ua, out) if out else frozenset()
+
+
+def accepts(ua, word) -> bool:
+    """Is the label sequence a prefix of some run (subset simulation)?"""
+    cur = _start(ua)
+    for label in word:
+        cur = _post(ua, cur, label)
+        if not cur:
+            return False
+    return bool(cur)
 
 
 def equivalent(a, b) -> Equivalence:

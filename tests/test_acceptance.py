@@ -29,6 +29,7 @@ from tarepair.regions import build_region_untimed
 from tarepair.seeding import campaign, seed
 from tarepair.variations import KINDS, vary
 
+from alphabet_equivalence import _closure, _post, alphabet
 from conftest import holds, random_single_ta
 
 CORPUS_VIOLATING = ("client_db", "oneclock", "urgent_hop", "pair_sync")
@@ -197,8 +198,6 @@ def test_criterion_07_qe_extension_oracle():
 
 def _determinize(ua):
     """Explicit subset construction (oracle-local, independent code path)."""
-    from tarepair.admissibility import _closure, _post
-
     start = _closure(ua, frozenset([ua.initial]))
     states = {start: 0}
     rows = []
@@ -206,7 +205,7 @@ def _determinize(ua):
     while work:
         s = work.popleft()
         row = {}
-        for label in ua.alphabet:
+        for label in alphabet(ua):
             t = _post(ua, s, label)
             if not t:
                 continue
@@ -223,7 +222,7 @@ def _determinize(ua):
 
 def _words_differ_up_to_pumping_bound(ua, ub):
     """Shortest word in exactly one language, by explicit bounded enumeration."""
-    alphabet = sorted(set(ua.alphabet) | set(ub.alphabet))
+    labels = sorted(set(alphabet(ua)) | set(alphabet(ub)))
     ia, ta = _determinize(ua)
     ib, tb = _determinize(ub)
     bound = (len(ta)) * (len(tb)) + 1
@@ -233,7 +232,7 @@ def _words_differ_up_to_pumping_bound(ua, ub):
         sa, sb, word = work.popleft()
         if len(word) >= bound:
             continue
-        for label in alphabet:
+        for label in labels:
             na, nb = ta[sa].get(label), tb[sb].get(label)
             if (na is None) != (nb is None):
                 return word + (label,)

@@ -6,13 +6,13 @@ from fractions import Fraction as F
 import alphabet_equivalence
 import pytest
 
+from alphabet_equivalence import accepts
 from conftest import no_run_model, scaled_model
 from tarepair import admissibility, bundled_model_path, load_bundled_model, orchestrator, seeding
 from tarepair.admissibility import (
     Equivalence,
     UntimedAutomaton,
     ZoneGraph,
-    accepts,
     build_untimed,
     check_admissible,
     equivalent,
@@ -40,6 +40,19 @@ def test_running_example_language_contains_req_ser():
     assert accepts(ua, ("req", "ser", "ack"))
     assert not accepts(ua, ("ser",))
     assert not accepts(ua, ("req", "req"))
+
+
+def test_alphabet_of_a_graph_expanded_only_at_its_initial_state():
+    # The alphabet of a ZoneGraph comes from its network, so a graph expanded
+    # only at state 0 has the alphabet of the full graph: that of its edges.
+    net, _ = load_bundled_model()
+    graph = ZoneGraph(net)
+    graph.expand(0)
+    full = build_untimed(net)
+    assert 1 < graph.n_states < full.n_states
+    edges = UntimedAutomaton([full.expand(s) for s in range(full.n_states)])
+    assert alphabet_equivalence.alphabet(graph) == alphabet_equivalence.alphabet(full)
+    assert alphabet_equivalence.alphabet(graph) == alphabet_equivalence.alphabet(edges) == ("ack", "req", "ser")
 
 
 def test_equivalence_reflexive_on_corpus():

@@ -30,31 +30,25 @@ def test_up_from_origin_gives_diagonal_ray():
 def test_and_unsatisfiable_atom_is_empty():
     z = dbm.up(dbm.zero_zone(1))
     z = dbm.and_atom(z, atom(0, Op.LT, 0))
-    assert dbm.is_empty(z)
+    assert z.empty
 
 
-def test_canonicalize_derives_transitive_bound():
-    # x - y <= 2 and y <= 3 derive x <= 5 (Floyd-Warshall by hand on 3 nodes).
+def test_constrain_derives_transitive_bound():
+    # x - y <= 2 and y <= 3 derive x <= 5 (shortest paths by hand on 3 nodes).
     # Raw bounds at scale 1: (c, <=) is 2c + 1; entry [3i + j] bounds clock_i - clock_j.
     le0, inf = dbm.LE_ZERO, dbm.RAW_INF
-    raw = dbm.DifferenceBoundMatrix(
-        2,
-        1,
-        (
-            le0, inf, inf,
-            inf, le0, 2 * 2 + 1,  # x - y <= 2
-            2 * 3 + 1, inf, le0,  # y <= 3
-        ),
-    )
-    assert raw.bound(1, 0) == dbm.INF
-    closed = dbm.canonicalize(raw)
-    assert closed.bound(1, 0) == (F(5), False)
+    for order in ([(1, 2, 2), (2, 0, 3)], [(2, 0, 3), (1, 2, 2)]):
+        m = [le0, inf, inf, inf, le0, inf, inf, inf, le0]  # x and y unconstrained, even below 0
+        for i, j, c in order:
+            assert dbm.constrain(m, 3, i, j, Op.LE, 2 * c)
+        assert m[3 * 1 + 2] == 2 * 2 + 1 and m[3 * 2 + 0] == 2 * 3 + 1
+        assert m[3 * 1 + 0] == 2 * 5 + 1, order
 
 
 def test_reset_pins_clock_to_zero():
     z = dbm.up(dbm.zero_zone(2))
     z = dbm.and_atom(z, atom(0, Op.GE, 3))
-    z = dbm.reset(z, 0)
+    z = dbm.reset_many(z, {0})
     assert z.bound(1, 0) == (F(0), False) and z.bound(0, 1) == (F(0), False)
     # the other clock keeps its lower bound
     assert z.bound(0, 2) == (F(-3), False)
@@ -78,23 +72,24 @@ def test_extrapolate_drops_large_bounds():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(list(Op)), st.integers(0, 4)), max_size=6))
 def test_canonicalize_idempotent_and_ops_preserve_canonicity(atoms):
+    # Each result is its own Fraction Floyd-Warshall closure.
     z = dbm.up(dbm.zero_zone(3))
     for c, op, b in atoms:
         z = dbm.and_atom(z, atom(c, op, b))
-    assert dbm.canonicalize(z) == z
+    assert _full_closure(z) == z
     if not z.empty:
-        r = dbm.reset(z, 1)
-        assert dbm.canonicalize(r) == r
+        r = dbm.reset_many(z, {1})
+        assert _full_closure(r) == r
         u = dbm.up(r)
-        assert dbm.canonicalize(u) == u
+        assert _full_closure(u) == u
         e = dbm.extrapolate(u, 4)
-        assert dbm.canonicalize(e) == e
+        assert _full_closure(e) == e
 
 
 def test_emptiness_via_negative_cycle_only():
     z = dbm.zero_zone(1)
     z = dbm.and_atom(z, atom(0, Op.GE, 1))  # x = 0 and x >= 1
-    assert dbm.is_empty(z)
+    assert z.empty
 
 
 def test_atom_off_the_scale_is_rejected():
@@ -158,7 +153,7 @@ def test_integer_engine_agrees_with_fraction_reference(n, scale, ops_a, ops_b):
             if operation[0] == "and" and (operation[3] * scale).denominator != 1:
                 continue
             z, ref = _apply(dbm, z, operation, n), _apply(fraction_dbm, ref, operation, n)
-            assert dbm.is_empty(z) == fraction_dbm.is_empty(ref)
+            assert z.empty == ref.empty
             for i in range(n + 1):
                 for j in range(n + 1):
                     assert z.bound(i, j) == ref.bound(i, j), (operation, i, j)
@@ -167,20 +162,6 @@ def test_integer_engine_agrees_with_fraction_reference(n, scale, ops_a, ops_b):
         for b, ref_b in zones:
             assert (a == b) == (ref_a == ref_b)
             assert a != b or hash(a) == hash(b)
-
-
-def _composed(engine, zone, guard, resets, invariants, delay, k):
-    """One symbolic step as the per-operation composition that ``dbm.jump`` and
-    ``dbm.settle`` replace."""
-    zone = engine.and_atoms(zone, guard)
-    if engine.is_empty(zone):
-        return None
-    zone = engine.and_atoms(engine.reset_many(zone, resets), invariants)
-    if engine.is_empty(zone):
-        return None
-    if delay:
-        zone = engine.and_atoms(engine.up(zone), invariants)
-    return engine.extrapolate(zone, k)
 
 
 def _post(zone, guard, resets, invariants, delay, k):
@@ -198,31 +179,32 @@ def _compiled(zone, guard, resets, invariants, delay, k):
     return edges(guard), sorted(c + 1 for c in resets), edges(invariants), delay, k
 
 
-def _halves(zone, guard, resets, invariants, delay, k):
-    """``dbm.settle`` after ``dbm.jump``, the jumped zone checked against the
-    per-operation guard and resets."""
-    raw_guard, raw_resets, raw_invariants, *_ = _compiled(zone, guard, resets, invariants, delay, k)
-    jumped = dbm.jump(zone, raw_guard, raw_resets)
-    reference = dbm.and_atoms(zone, guard)
-    assert (jumped is None) == reference.empty
-    if jumped is None:
-        return None
-    assert tuple(jumped) == dbm.reset_many(reference, resets).m
-    return dbm.settle(zone, jumped, raw_invariants, delay, k)
+def _cells(zone):
+    """Every entry of a zone of either engine, decoded, row by row."""
+    dim = zone.n + 1
+    return [zone.bound(i, j) for i in range(dim) for j in range(dim)]
 
 
 def _assert_same_successor(zone, ref_zone, step):
-    """``dbm.settle`` after ``dbm.jump`` against both engines' compositions;
-    returns its zone."""
-    got = _halves(zone, *step)
-    assert got == _composed(dbm, zone, *step), step
-    ref = _composed(fraction_dbm, ref_zone, *step)
-    assert (got is None) == (ref is None), step
-    if got is not None:
-        assert not ref.empty
-        dim = zone.n + 1
-        cells = [(i, j) for i in range(dim) for j in range(dim)]
-        assert [got.bound(i, j) for i, j in cells] == [ref.bound(i, j) for i, j in cells], step
+    """``dbm.settle`` after ``dbm.jump`` against the Fraction engine's
+    per-operation composition, half by half; returns its zone."""
+    guard, resets, invariants, delay, k = step
+    raw_guard, raw_resets, raw_invariants, *_ = _compiled(zone, *step)
+    jumped = dbm.jump(zone, raw_guard, raw_resets)
+    ref = fraction_dbm.and_atoms(ref_zone, guard)
+    assert (jumped is None) == ref.empty, step
+    if jumped is None:
+        return None
+    ref = fraction_dbm.reset_many(ref, resets)
+    assert _cells(dbm.DifferenceBoundMatrix(zone.n, zone.scale, tuple(jumped))) == _cells(ref), step
+    got = dbm.settle(zone, jumped, raw_invariants, delay, k)
+    ref = fraction_dbm.and_atoms(ref, invariants)
+    assert (got is None) == ref.empty, step
+    if got is None:
+        return None
+    if delay:
+        ref = fraction_dbm.and_atoms(fraction_dbm.up(ref), invariants)
+    assert _cells(got) == _cells(fraction_dbm.extrapolate(ref, k)), step
     return got
 
 
@@ -293,10 +275,10 @@ def _to_fractions(zone):
 
 @pytest.mark.parametrize("models", ["bundled", "fischer"])
 def test_post_equals_the_composed_step_on_every_model_state(models):
-    # Each model's zone graph, explored through the composition; every
-    # (state, move), disabled moves included, also goes through its
-    # MoveTable entry, through MoveTable.post's memo and straight to
-    # dbm.settle after dbm.jump, and through the Fraction engine.
+    # Each model's zone graph, explored through dbm.settle after dbm.jump
+    # with each half checked against the Fraction engine; every (state,
+    # move), disabled moves included, also goes through its MoveTable entry
+    # and through MoveTable.post's memo.
     if models == "bundled":
         networks = [(name, load_bundled_model(name)[0]) for name in CORPUS]
     else:
@@ -389,6 +371,21 @@ def test_each_pool_interns_each_zone_once():
         assert len(set(graph._keys)) == graph.n_states
 
 
+def _full_closure(zone):
+    """A raw matrix closed by the Fraction engine's Floyd-Warshall and encoded
+    back; ``dbm.empty_zone`` where it has a negative cycle. The bounds go in
+    as exact ints in units of ``1/scale``: scaling commutes with closure, and
+    int sums keep the reference fast on thousands of random matrices."""
+    dim = zone.n + 1
+    cells = [fraction_dbm.INF if r == dbm.RAW_INF else (r >> 1, not r & 1) for r in zone.m]
+    rows = tuple(tuple(cells[i * dim : (i + 1) * dim]) for i in range(dim))
+    closed = fraction_dbm.canonicalize(fraction_dbm.DifferenceBoundMatrix(zone.n, rows))
+    if closed.empty:
+        return dbm.empty_zone(zone.n, zone.scale)
+    cells = [dbm.RAW_INF if v is None else int(2 * v) + (not strict) for v, strict in _cells(closed)]
+    return dbm.DifferenceBoundMatrix(zone.n, zone.scale, tuple(cells))
+
+
 def _raw_add(a, b):
     return dbm.RAW_INF if dbm.RAW_INF in (a, b) else a + b - ((a | b) & 1)
 
@@ -406,15 +403,15 @@ def _random_closed(rng, dim):
             dbm.LE_ZERO if idx % (dim + 1) == 0 else dbm.RAW_INF if rng.random() < 0.3 else rng.randint(-4, 14)
             for idx in range(dim * dim)
         ]
-        zone = dbm.canonicalize(dbm.DifferenceBoundMatrix(dim - 1, 1, tuple(cells)))
+        zone = _full_closure(dbm.DifferenceBoundMatrix(dim - 1, 1, tuple(cells)))
         if not zone.empty:
             return list(zone.m)
 
 
 def test_post_is_settle_after_jump_on_random_closed_matrices():
     # Closed matrices no exploration reaches, such as negative clock values,
-    # through dbm.settle after dbm.jump and through the per-operation
-    # compositions of both engines.
+    # through dbm.settle after dbm.jump and through the Fraction engine's
+    # per-operation composition.
     rng = random.Random(1801)
     outcomes = {"guard": 0, "invariants": 0, "successor": 0}
     for _ in range(1500):
@@ -426,10 +423,11 @@ def test_post_is_settle_after_jump_on_random_closed_matrices():
 
         guard, resets, invariants = atoms(), {c for c in range(dim - 1) if rng.random() < 0.3}, atoms()
         step = (guard, resets, invariants, rng.random() < 0.5, rng.randint(1, 7))
-        got = _assert_same_successor(zone, _to_fractions(zone), step)
+        ref = _to_fractions(zone)
+        got = _assert_same_successor(zone, ref, step)
         if got is not None:
             outcomes["successor"] += 1
-        elif dbm.and_atoms(zone, guard).empty:
+        elif fraction_dbm.and_atoms(ref, guard).empty:
             outcomes["guard"] += 1
         else:
             outcomes["invariants"] += 1
@@ -437,11 +435,11 @@ def test_post_is_settle_after_jump_on_random_closed_matrices():
 
 
 def _closed_with(m, dim, lowered):
-    """``canonicalize`` of ``m`` with each ``(i, j, b)`` entry lowered to ``b``."""
+    """``_full_closure`` of ``m`` with each ``(i, j, b)`` entry lowered to ``b``."""
     cells = list(m)
     for i, j, b in lowered:
         cells[i * dim + j] = min(cells[i * dim + j], b)
-    return dbm.canonicalize(dbm.DifferenceBoundMatrix(dim - 1, 1, tuple(cells)))
+    return _full_closure(dbm.DifferenceBoundMatrix(dim - 1, 1, tuple(cells)))
 
 
 def test_incremental_closure_equals_full_closure():
@@ -493,7 +491,7 @@ def test_extrapolate_equals_entrywise_then_full_closure():
         k = rng.choice((0, 1, 2, 3, 5))
         hi, lo = 2 * k + 1, -2 * k
         cells = [lo if r < lo else dbm.RAW_INF if hi < r else r for r in m]
-        want = dbm.canonicalize(dbm.DifferenceBoundMatrix(dim - 1, 1, tuple(cells)))
+        want = _full_closure(dbm.DifferenceBoundMatrix(dim - 1, 1, tuple(cells)))
         got = m.copy()
         assert dbm._extrapolate(got, dim, 2 * k) == (cells != m), (m, k)
         assert not want.empty and tuple(got) == want.m, (m, k)
@@ -544,7 +542,7 @@ def _extra_lu_plus(zone, lower, upper):
             elif -c_0i > lower[i]:
                 cells[i * dim + j] = dbm.RAW_INF
             elif -c_0j > upper[j]:
-                cells[i * dim + j] = dbm.RAW_INF if i else -dbm.raw_constant(F(upper[j]), zone.scale)
+                cells[i * dim + j] = dbm.RAW_INF if i else -2 * upper[j] * zone.scale  # (-U, <)
     return tuple(cells)
 
 
@@ -566,12 +564,12 @@ def test_extra_lu_plus_equals_the_definition_then_full_closure():
                 for idx in range(dim * dim)
             ]
             cells[:dim] = [min(r, dbm.LE_ZERO) for r in cells[:dim]]  # clocks are non-negative
-            zone = dbm.canonicalize(dbm.DifferenceBoundMatrix(dim - 1, scale, tuple(cells)))
+            zone = _full_closure(dbm.DifferenceBoundMatrix(dim - 1, scale, tuple(cells)))
             if not zone.empty:
                 break
         bounds = tuple(tuple(rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(dim - 1)) for _ in "LU")
         entries = _extra_lu_plus(zone, *bounds)
-        want = dbm.canonicalize(dbm.DifferenceBoundMatrix(zone.n, scale, entries))
+        want = _full_closure(dbm.DifferenceBoundMatrix(zone.n, scale, entries))
         got = list(zone.m)
         assert dbm._extrapolate_lu(got, dim, *dbm.lu_thresholds(bounds, scale)) == (entries != zone.m), (zone, bounds)
         assert not want.empty and tuple(got) == want.m, (zone, bounds)
