@@ -89,8 +89,7 @@ class ZoneGraph(UntimedAutomaton):
     there are none when the network has no run. The first ``expand`` of a
     state builds its label map: each of its moves in ``MoveTable`` order
     takes its successor's id from ``MoveTable.post``. A move's label is its
-    channel name; an internal move is silent, or with ``visible_internal``
-    named "auto.tN" after its transition. ``share``, another graph, passes
+    channel name; an internal move is silent. ``share``, another graph, passes
     its ``table`` to this one's ``MoveTable``, which reuses its pool of
     zones and memos where clock count, scale and bounds match.
     """
@@ -99,11 +98,9 @@ class ZoneGraph(UntimedAutomaton):
         self,
         network: TimedAutomatonNetwork,
         bounds: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-        visible_internal: bool = False,
         share: ZoneGraph | None = None,
     ) -> None:
         self.network = network
-        self.visible_internal = visible_internal
         bounds = network.clock_bounds if bounds is None else bounds
         self.table = MoveTable(network, bounds, constant_scale(network), None if share is None else share.table)
         init = self.table.initial_state()
@@ -119,7 +116,7 @@ class ZoneGraph(UntimedAutomaton):
         locvec, zid = self._keys[sid]
         out = {}
         post = self.table.post
-        for move, label, target, step, memo in self.table.moves(locvec):
+        for _, label, target, step, memo in self.table.moves(locvec):
             z = post(zid, step, memo)
             if z is None:
                 continue
@@ -131,9 +128,6 @@ class ZoneGraph(UntimedAutomaton):
                 tid = self._ids[nxt] = len(self._keys)
                 self._keys.append(nxt)
                 self._by_label.append(None)
-            if label is None and self.visible_internal:
-                ai, ti = move[0]
-                label = f"{self.network.automata[ai].name}.t{ti}"
             out.setdefault(label, []).append(tid)
         self._by_label[sid] = out
         return out
@@ -142,15 +136,10 @@ class ZoneGraph(UntimedAutomaton):
 def build_untimed(
     network: TimedAutomatonNetwork,
     bounds: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-    visible_internal: bool = False,
 ) -> ZoneGraph:
     """The zone graph at ``bounds`` (``ZoneGraph``), edges labeled by channel,
-    expanded in full.
-
-    ``visible_internal`` names internal moves "auto.tN" instead of silencing
-    them; the language oracles use this to compare transition structure.
-    """
-    graph = ZoneGraph(network, bounds, visible_internal)
+    expanded in full."""
+    graph = ZoneGraph(network, bounds)
     sid = 0
     while sid < graph.n_states:  # expanding a state appends the states it discovers
         graph.expand(sid)

@@ -87,7 +87,7 @@ class TdtConstraintSystem:
         self.atoms = atoms
         self.n = len(stt.steps)
         self._raws: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
-        self._edited_raws: dict[tuple[Fraction, int], int] = {}  # (edited bound, scale) -> raw
+        self._edited_raws: dict[tuple[int, int, int], int] = {}  # (numerator, denominator, scale) -> raw
 
     # -- linear atoms over the delays ------------------------------------------
 
@@ -192,10 +192,11 @@ class TdtConstraintSystem:
 
     def _edited_raw(self, bound: Fraction, scale: int) -> int:
         """``raw_constant(bound, scale)`` of an edited bound, converted once per
-        (bound, scale)."""
-        raw = self._edited_raws.get((bound, scale))
+        (bound, scale); keyed by ints, which hash far faster than a Fraction."""
+        key = (bound.numerator, bound.denominator, scale)
+        raw = self._edited_raws.get(key)
         if raw is None:
-            raw = self._edited_raws[bound, scale] = raw_constant(bound, scale)
+            raw = self._edited_raws[key] = raw_constant(bound, scale)
         return raw
 
     def _constrain(self, m: list[int], starts, rows) -> bool:
@@ -219,13 +220,12 @@ class TdtConstraintSystem:
             rows = ((r, c) for r, c in rows if r.constraint_index not in skip)
         return m if self._constrain(m, starts, rows) else None
 
-    def conjoin(self, m: list[int], timing, idx: int, atom: AtomicClockConstraint, strict: int) -> bool:
-        """Conjoin to ``m`` in place the rows of constraint index ``idx``, each
-        with the clock and operator of ``atom`` and the bound ``strict``, its
-        bound as ``dbm.raw_constant`` at the scale of ``m``; False iff ``m``
-        becomes empty."""
-        start, dim = timing[1][atom.clock], self.n + 2
-        return all(constrain(m, dim, r.point, start[r.step], atom.op, strict) for r in self.by_index.get(idx, ()))
+    def conjoin(self, m: list[int], timing, idx: int, atom: AtomicClockConstraint, scale: int) -> bool:
+        """Conjoin to ``m``, a raw DBM at ``scale``, in place the rows of
+        constraint index ``idx``, each with the clock, operator and bound of
+        ``atom`` (``_edited_raw``); False iff ``m`` becomes empty."""
+        start, dim, raw = timing[1][atom.clock], self.n + 2, self._edited_raw(atom.bound, scale)
+        return all(constrain(m, dim, r.point, start[r.step], atom.op, raw) for r in self.by_index.get(idx, ()))
 
     def meets_negated_property(self, m: list[int], timing, scale: int) -> bool:
         """Does the non-empty closed DBM ``m`` meet a disjunct of the negated property?"""
@@ -250,7 +250,7 @@ class TdtConstraintSystem:
         scale = lcm(self.scale, *(a.bound.denominator for a in constraint.values()))
         m = self.close(timing, scale, constraint.keys())
         if m is None or not all(
-            self.conjoin(m, timing, idx, a, self._edited_raw(a.bound, scale)) for idx, a in constraint.items()
+            self.conjoin(m, timing, idx, a, scale) for idx, a in constraint.items()
         ):
             return empty_zone(self.n + 1, scale), False
         return DifferenceBoundMatrix(self.n + 1, scale, tuple(m)), self.meets_negated_property(m, timing, scale)

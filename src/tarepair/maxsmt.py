@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .dbm import raw_constant
 from .lra import DEFAULT_QE_BUDGET, LinearAtom, atom_eq, eliminate, is_satisfiable
 from .variations import Modification, VariationVariable, VariedSystem, edit
 
@@ -58,7 +57,6 @@ class HardConstraint:
         self.qe_budget = qe_budget
         self.formula = self._bound_formula() if vs.kind == "bound" else None
         self._edits: dict[tuple[str, object], Modification] = {}
-        self._raw_bounds: dict[tuple[str, object], int] = {}  # operator and clockref kinds
         self._verdicts: dict[tuple, bool] = {}  # reset and urgent kinds: per timing
 
     def _bound_formula(self) -> tuple[list[LinearAtom], list[list[list[LinearAtom]]]]:
@@ -80,16 +78,6 @@ class HardConstraint:
         if m is None:
             m = self._edits[(var.name, value)] = edit(self.vs, var, value)
         return m
-
-    def raw_bound(self, var: VariationVariable, value) -> int:
-        """The bound of the atom that ``edit(var, value)`` puts in place, as
-        ``dbm.raw_constant`` at the base system's scale; converted once per run.
-        Operator and clock-reference edits keep the bound, so it is on that scale."""
-        key = (var.name, value)
-        raw = self._raw_bounds.get(key)
-        if raw is None:
-            raw = self._raw_bounds[key] = raw_constant(self.edit(var, value).new.bound, self.vs.base.scale)
-        return raw
 
     def edits(self, assignment: dict[str, object]) -> list[Modification]:
         """The modifications that the assignment's non-zero variables make."""
@@ -166,7 +154,7 @@ def repairing_assignments(hard: HardConstraint, modified: tuple[str, ...]):
         var = mvars[len(values)]
         for value in nonzero_values(var):
             edited = m.copy()
-            if base.conjoin(edited, timing, var.anchor[0], hard.edit(var, value).new, hard.raw_bound(var, value)):
+            if base.conjoin(edited, timing, var.anchor[0], hard.edit(var, value).new, scale):
                 walk(edited, values + (value,))
 
     m = base.close(timing, scale, {v.anchor[0] for v in mvars})

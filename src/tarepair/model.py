@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
@@ -102,9 +102,6 @@ class TimedAutomatonNetwork:
             if a.name == name:
                 return i
         raise KeyError(name)
-
-    def clock_index(self, name: str) -> int:
-        return self.clock_names.index(name)
 
     @property
     def n_clocks(self) -> int:
@@ -456,47 +453,3 @@ def prop_to_dnf(e: PropertyExpr) -> list[list[DnfLiteral]]:
         return disjuncts
 
     return go(e)
-
-
-def desugar_urgency(network: TimedAutomatonNetwork) -> TimedAutomatonNetwork:
-    """Remove urgent flags by the standard encoding.
-
-    Every automaton with urgent locations gets a fresh clock p that is
-    reset on each transition entering an urgent location, and each urgent
-    location gets the invariant p = 0. An urgent initial location needs no
-    extra reset: the fresh clock starts at 0.
-    """
-    if all(not a.urgent for a in network.automata):
-        return network
-    clock_names = list(network.clock_names)
-    new_automata = []
-    for auto in network.automata:
-        if not auto.urgent:
-            new_automata.append(auto)
-            continue
-        p = len(clock_names)
-        base = f"_p_{auto.name}"
-        name = base
-        k = 0
-        while name in clock_names:
-            k += 1
-            name = f"{base}{k}"
-        clock_names.append(name)
-        zero = AtomicClockConstraint(p, Op.EQ, Fraction(0))
-        invariants = tuple(
-            inv + (zero,) if li in auto.urgent else inv for li, inv in enumerate(auto.invariants)
-        )
-        transitions = tuple(
-            replace(t, resets=t.resets | {p}) if t.target in auto.urgent else t
-            for t in auto.transitions
-        )
-        new_automata.append(
-            replace(
-                auto,
-                invariants=invariants,
-                transitions=transitions,
-                urgent=frozenset(),
-                clocks=auto.clocks | {p},
-            )
-        )
-    return TimedAutomatonNetwork(tuple(new_automata), tuple(clock_names), network.channel_names)

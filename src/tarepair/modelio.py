@@ -216,6 +216,8 @@ def parse_model(text: str) -> tuple[TimedAutomatonNetwork, SafetyProperty]:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ModelFormatError("top level: nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("top level: expected an object")
     for key in ("automata", "channels", "property"):
@@ -380,6 +382,8 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> SymbolicTimedTrace
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ModelFormatError("top level: nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("top level: expected an object")
     if "labels" in doc:

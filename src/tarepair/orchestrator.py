@@ -51,16 +51,6 @@ class RepairCandidate:
     def describe_modifications(self) -> list[str]:
         return [m.description for m in self.modifications]
 
-    def inverse(self) -> "RepairCandidate":
-        return RepairCandidate(
-            self.kind,
-            tuple(
-                Modification(m.anchor, m.new, m.old, f"revert {m.description}")
-                for m in self.modifications
-            ),
-            self.assignment,
-        )
-
 
 def _put(items: tuple, i: int, item) -> tuple:
     return items[:i] + (item,) + items[i + 1 :]

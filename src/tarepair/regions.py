@@ -120,7 +120,6 @@ DEFAULT_REGION_BUDGET = 200_000
 def build_region_untimed(
     network: TimedAutomatonNetwork,
     k: int | None = None,
-    visible_internal: bool = False,
     state_budget: int = DEFAULT_REGION_BUDGET,
 ) -> UntimedAutomaton:
     """Region transition system with silent delay edges, as an UntimedAutomaton;
@@ -175,9 +174,5 @@ def build_region_untimed(
             r2 = reset_region(region, resets)
             if not _satisfies_all(r2, _invariant_atoms(network, tuple(newvec))):
                 continue
-            label = move_label(network, move)
-            if label is None and visible_internal:
-                ai, ti = move[0]
-                label = f"{network.automata[ai].name}.t{ti}"
-            by_label[sid].setdefault(label, []).append(intern((tuple(newvec), r2)))
+            by_label[sid].setdefault(move_label(network, move), []).append(intern((tuple(newvec), r2)))
     return UntimedAutomaton(by_label)

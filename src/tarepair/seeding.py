@@ -194,7 +194,6 @@ def campaign(
     network: TimedAutomatonNetwork,
     prop,
     kinds=KINDS,
-    repair_kinds=None,
     max_repairs: int = DEFAULT_MAX_REPAIRS,
     model_name: str = "model",
 ) -> SeedCampaign:
@@ -204,7 +203,6 @@ def campaign(
     stopped by a failed contract re-check on the mutant's line; neither
     aborts the campaign.
     """
-    repair_kinds = [RepairKind(k) for k in (repair_kinds if repair_kinds is not None else KINDS)]
     rows = {k: KindRow(k) for k in kinds}
     out = SeedCampaign(model_name, model_max_bound(network), rows)
     for mutant in seed(network, kinds):
@@ -224,7 +222,7 @@ def campaign(
         n_rep = n_adm = 0
         failed = []  # kinds whose run stopped on a failed contract re-check
         original_cache: dict = {}  # the mutant's zone graphs, for every kind's admissibility checks
-        for rk in repair_kinds:
+        for rk in RepairKind:
             try:
                 rr = run(
                     mutant.network,

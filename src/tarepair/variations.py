@@ -98,9 +98,6 @@ class VariedSystem:
     free_atoms: tuple[LinearAtom, ...] = ()
     """Bound kind only: the whole system over the delays and the v's."""
 
-    def zero_assignment(self) -> dict[str, object]:
-        return {v.name: v.zero for v in self.variables}
-
 
 def _constraint_description(sys: TdtConstraintSystem, idx: int) -> str:
     ref = indexed_constraints(sys.network)[idx]

@@ -7,29 +7,59 @@ that alphabet itself; ``alphabet`` rebuilds it here from the graph's
 network, every label a move can carry, reachable or not, so a graph
 expanded in part has its whole alphabet. ``accepts``, word membership by
 the same subset simulation, serves the tests alone.
+
+``observed`` makes a network's internal moves visible, so that the
+language tests compare transition structure and not channel traffic alone.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 
 from tarepair.admissibility import PAIR_BUDGET, SILENT, Equivalence, ZoneGraph
 from tarepair.checker import Exhausted
+from tarepair.model import SyncKind, TimedAutomaton, TimedAutomatonNetwork, Transition
+
+
+def observed(network: TimedAutomatonNetwork) -> TimedAutomatonNetwork:
+    """The network with each internal transition N of automaton A turned into a
+    send on a fresh channel "A.tN", which a clockless one-location observer,
+    appended last, receives on a self-loop. Every move keeps its place in
+    ``MoveIndex.enabled`` order and its zones, so the graph of the result is
+    the network's, state for state, with the internal moves labelled "A.tN"."""
+    channels = list(network.channel_names)
+    automata = []
+    for auto in network.automata:
+        transitions = []
+        for ti, t in enumerate(auto.transitions):
+            if t.channel is None:
+                t = replace(t, channel=len(channels), sync=SyncKind.SEND)
+                channels.append(f"{auto.name}.t{ti}")
+            transitions.append(t)
+        automata.append(replace(auto, transitions=tuple(transitions)))
+    fresh = range(len(network.channel_names), len(channels))
+    observer = TimedAutomaton(
+        "observer",
+        ("watching",),
+        0,
+        ((),),
+        frozenset(),
+        tuple(Transition(0, 0, (), c, SyncKind.RECEIVE, frozenset()) for c in fresh),
+        frozenset(),
+    )
+    return TimedAutomatonNetwork((*automata, observer), network.clock_names, tuple(channels))
 
 
 def alphabet(ua) -> tuple[str, ...]:
     """An ``UntimedAutomaton``'s alphabet: the visible labels on its edges,
-    sorted; for a ``ZoneGraph``, which may be expanded in part, the channel
-    names and, with ``visible_internal``, each "auto.tN"."""
+    sorted; for a ``ZoneGraph``, which may be expanded in part, the names of
+    its network's channels."""
     if not isinstance(ua, ZoneGraph):
         return tuple(sorted({label for s in range(ua.n_states) for label in ua.expand(s) if label is not None}))
-    labels = {
-        ua.network.channel_names[t.channel] if t.channel is not None else f"{a.name}.t{ti}"
-        for a in ua.network.automata
-        for ti, t in enumerate(a.transitions)
-        if t.channel is not None or ua.visible_internal
-    }
-    return tuple(sorted(labels))
+    network = ua.network
+    channels = {t.channel for a in network.automata for t in a.transitions if t.channel is not None}
+    return tuple(sorted(network.channel_names[c] for c in channels))
 
 
 def _closure(ua, states) -> frozenset[int]:

@@ -14,8 +14,9 @@ from tarepair.modelio import parse_model
 def random_single_ta(rng: random.Random, max_clocks=3, max_const=3, max_locs=4):
     """Random one-automaton network with integral constants.
 
-    Internal transitions only; language oracles run with visible internal
-    labels so every transition contributes to the untimed language.
+    Internal transitions only; the language oracles observe them
+    (``alphabet_equivalence.observed``) so every transition contributes to
+    the untimed language.
     """
     n_clocks = rng.randint(1, max_clocks)
     n_locs = rng.randint(2, max_locs)

@@ -29,7 +29,7 @@ from tarepair.regions import build_region_untimed
 from tarepair.seeding import campaign, seed
 from tarepair.variations import KINDS, vary
 
-from alphabet_equivalence import _closure, _post, alphabet
+from alphabet_equivalence import _closure, _post, alphabet, observed
 from conftest import holds, random_single_ta
 
 CORPUS_VIOLATING = ("client_db", "oneclock", "urgent_hop", "pair_sync")
@@ -95,7 +95,7 @@ def test_criterion_04_reset_variation():
     net, prop = load_bundled_model()
     rr = run(net, prop, RepairKind.RESET)
     assert len(rr.candidates) >= 4
-    y, z, x = (net.clock_index(c) for c in "yzx")
+    y, z, x = (net.clock_names.index(c) for c in "yzx")
     named = {
         ("remove-y", ("reset", 1, 1, y), False),
         ("remove-z", ("reset", 0, 1, z), False),
@@ -252,8 +252,8 @@ def test_criterion_08_untimed_language_oracle():
         nets.append(net)
     zone_autos = []
     for i, net in enumerate(nets):
-        ua = build_untimed(net, visible_internal=True)
-        ra = build_region_untimed(net, visible_internal=True)
+        ua = build_untimed(observed(net))
+        ra = build_region_untimed(observed(net))
         eq = equivalent(ua, ra)
         assert eq.equal, f"TA {i}: zone and region languages differ: {eq.witness}"
         assert _words_differ_up_to_pumping_bound(ua, ra) is None, f"TA {i}"
@@ -280,7 +280,7 @@ def test_criterion_09_zero_meaning_equisatisfiability():
         base = is_satisfiable(enc.linear_atoms()).sat
         for kind in KINDS:
             vs = vary(enc, kind)
-            edits = HardConstraint(vs).edits(vs.zero_assignment())
+            edits = HardConstraint(vs).edits({v.name: v.zero for v in vs.variables})
             zone, _ = enc.decide(edits)
             assert edits == [] and (not zone.empty) == base, (name, kind)
             cases += 1

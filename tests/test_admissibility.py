@@ -6,10 +6,11 @@ from fractions import Fraction as F
 import alphabet_equivalence
 import pytest
 
-from alphabet_equivalence import accepts
+from alphabet_equivalence import accepts, observed
 from conftest import no_run_model, scaled_model
 from tarepair import admissibility, bundled_model_path, load_bundled_model, orchestrator, seeding
 from tarepair.admissibility import (
+    SILENT,
     Equivalence,
     UntimedAutomaton,
     ZoneGraph,
@@ -19,10 +20,11 @@ from tarepair.admissibility import (
     shared_bounds,
 )
 from tarepair.checker import Exhausted, MoveTable, check
-from tarepair.model import constant_scale, desugar_urgency, max_constant
+from tarepair.model import constant_scale, max_constant
 from tarepair.modelio import parse_model
 from tarepair.regions import build_region_untimed
 from test_bench_zone_graph import _workloads
+from urgency_desugar import desugar_urgency
 
 CORPUS = ("client_db", "oneclock", "urgent_hop", "pair_sync", "safe_idle")
 
@@ -53,6 +55,29 @@ def test_alphabet_of_a_graph_expanded_only_at_its_initial_state():
     edges = UntimedAutomaton([full.expand(s) for s in range(full.n_states)])
     assert alphabet_equivalence.alphabet(graph) == alphabet_equivalence.alphabet(full)
     assert alphabet_equivalence.alphabet(graph) == alphabet_equivalence.alphabet(edges) == ("ack", "req", "ser")
+
+
+def test_observed_graph_is_the_graph_with_internal_moves_labelled():
+    # observed(net) sends each internal move on its own channel "A.tN" to an
+    # observer, so its zone graph is that of net, state for state, with each
+    # silent edge labelled after its transition: the graph the language
+    # oracles compare when transition structure must show.
+    fischer = _fischer()
+    nets = [load_bundled_model(name)[0] for name in CORPUS] + [fischer] + [m.network for m in seeding.seed(fischer)]
+    labelled = 0
+    for net in nets:
+        plain, seen = build_untimed(net), build_untimed(observed(net))
+        assert seen.n_states == plain.n_states
+        for s in range(plain.n_states):
+            silenced = {}
+            for label, targets in seen.expand(s).items():
+                silenced.setdefault(label if label in net.channel_names else SILENT, []).extend(targets)
+            assert silenced == plain.expand(s)
+        internal = {f"{a.name}.t{ti}" for a in net.automata for ti, t in enumerate(a.transitions) if t.channel is None}
+        channels = set(alphabet_equivalence.alphabet(ZoneGraph(net)))
+        assert alphabet_equivalence.alphabet(ZoneGraph(observed(net))) == tuple(sorted(channels | internal))
+        labelled += len(internal)
+    assert len(nets) == 83 and labelled > 0
 
 
 def test_equivalence_reflexive_on_corpus():
@@ -115,16 +140,16 @@ def test_witness_accepted_by_exactly_one_side():
 def test_desugared_network_has_same_language():
     for name in CORPUS:
         net, _ = load_bundled_model(name)
-        sugar = build_untimed(net, visible_internal=True)
-        plain = build_untimed(desugar_urgency(net), visible_internal=True)
+        sugar = build_untimed(observed(net))
+        plain = build_untimed(observed(desugar_urgency(net)))
         assert equivalent(sugar, plain).equal, name
 
 
 def test_zone_language_equals_region_language_on_corpus():
     for name in CORPUS:
         net, _ = load_bundled_model(name)
-        ua = build_untimed(net, visible_internal=True)
-        ra = build_region_untimed(net, visible_internal=True)
+        ua = build_untimed(observed(net))
+        ra = build_region_untimed(observed(net))
         assert equivalent(ua, ra) == alphabet_equivalence.equivalent(ua, ra) == Equivalence(True), name
 
 
@@ -184,12 +209,12 @@ def test_network_without_a_run_has_the_empty_language():
 
 def test_region_oracle_agrees_on_the_empty_language():
     bad, _ = parse_model(no_run_model())
-    rb = build_region_untimed(bad, visible_internal=True)
+    rb = build_region_untimed(observed(bad))
     assert rb.n_states == 0
-    assert equivalent(rb, build_untimed(bad, visible_internal=True)) == Equivalence(True)
+    assert equivalent(rb, build_untimed(observed(bad))) == Equivalence(True)
     for name in CORPUS:
         net, _ = load_bundled_model(name)
-        ua, ra = build_untimed(net, visible_internal=True), build_region_untimed(net, visible_internal=True)
+        ua, ra = build_untimed(observed(net)), build_region_untimed(observed(net))
         assert equivalent(ra, rb) == equivalent(ua, rb) == Equivalence(False, ()), name
         assert alphabet_equivalence.equivalent(ra, rb) == alphabet_equivalence.equivalent(ua, rb), name
 
@@ -271,7 +296,7 @@ def _assert_matches_full_graphs(pairs, regions=False):
     return compared
 
 
-def _assert_matches_alphabet_search(pairs, visible_internal=False):
+def _assert_matches_alphabet_search(pairs):
     """``equivalent`` of two fresh ``ZoneGraph``s at ``shared_bounds`` returns
     what the replaced per-alphabet search returns on two other fresh graphs,
     and discovers no more states on either side; returns the states both
@@ -279,8 +304,8 @@ def _assert_matches_alphabet_search(pairs, visible_internal=False):
     discovered = [0, 0]
     for name, a, b in pairs:
         ba, bb = shared_bounds(a, b)
-        new = [ZoneGraph(a, ba, visible_internal), ZoneGraph(b, bb, visible_internal)]
-        old = [ZoneGraph(a, ba, visible_internal), ZoneGraph(b, bb, visible_internal)]
+        new = [ZoneGraph(a, ba), ZoneGraph(b, bb)]
+        old = [ZoneGraph(a, ba), ZoneGraph(b, bb)]
         assert equivalent(*new) == alphabet_equivalence.equivalent(*old), name
         assert [g.n_states <= h.n_states for g, h in zip(new, old)] == [True, True], name
         discovered[0] += sum(g.n_states for g in new)
@@ -496,16 +521,17 @@ def test_shared_pool_needs_equal_scale_and_clock_count():
 def test_on_the_fly_check_matches_full_graphs_with_visible_internal_moves():
     net, _ = load_bundled_model("urgent_hop")
     others = [desugar_urgency(net), net] + [m.network for m in seeding.seed(net)]
+    net, others = observed(net), list(map(observed, others))
     differ = 0
     for other in others:
         ba, bb = shared_bounds(net, other)
-        lazy = equivalent(ZoneGraph(net, ba, visible_internal=True), ZoneGraph(other, bb, visible_internal=True))
-        full = equivalent(build_untimed(net, ba, visible_internal=True), build_untimed(other, bb, visible_internal=True))
+        lazy = equivalent(ZoneGraph(net, ba), ZoneGraph(other, bb))
+        full = equivalent(build_untimed(net, ba), build_untimed(other, bb))
         assert lazy == full
         differ += not lazy.equal
     assert differ > 0
     pairs = [(f"urgent_hop vs other {i}", net, other) for i, other in enumerate(others)]
-    _assert_matches_alphabet_search(pairs, visible_internal=True)
+    _assert_matches_alphabet_search(pairs)
 
 
 def test_region_oracle_scales_rational_constants():
@@ -515,9 +541,9 @@ def test_region_oracle_scales_rational_constants():
         repaired, _ = parse_model(text.replace(old, new))
         k = _shared_k(net, repaired)
         doubled = scaled_model(repaired, prop, 2)[0]
-        ra = build_region_untimed(repaired, k, visible_internal=True)
-        assert equivalent(ra, build_region_untimed(doubled, 2 * k, visible_internal=True)).equal
-        assert equivalent(ra, build_untimed(repaired, visible_internal=True)).equal
+        ra = build_region_untimed(observed(repaired), k)
+        assert equivalent(ra, build_region_untimed(observed(doubled), 2 * k)).equal
+        assert equivalent(ra, build_untimed(observed(repaired))).equal
         regions = equivalent(build_region_untimed(net, k), build_region_untimed(repaired, k))
         assert check_admissible(net, repaired) == regions
 

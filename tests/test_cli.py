@@ -247,6 +247,28 @@ def test_malformed_trace_document_is_a_usage_error(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "{deep}"],
+        ["repair", "{deep}", "--out", "{dir}/rep"],
+        ["seed", "{deep}", "--out", "{dir}/seeding"],
+        ["admissible", BUNDLE, "{deep}"],
+        ["repair", BUNDLE, "--tdt", "{deep_steps}", "--out", "{dir}/rep"],
+    ],
+    ids=["check", "repair", "seed", "admissible", "repair-tdt"],
+)
+def test_deeply_nested_document_is_a_usage_error(tmp_path, capsys, args):
+    # Deeper than the JSON parser's recursion limit: a usage error, not a
+    # RecursionError traceback, whose exit 1 would read as "violated".
+    deep, deep_steps = tmp_path / "deep.json", tmp_path / "steps.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    deep_steps.write_text('{"steps": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    paths = {"deep": str(deep), "deep_steps": str(deep_steps), "dir": str(tmp_path)}
+    assert main([a.format(**paths) for a in args]) == 2
+    assert capsys.readouterr().err == "error: top level: nested too deeply to parse\n"
+
+
 def _module(*args):
     """``python -m tarepair`` with ``args``, run on this checkout's sources."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

@@ -51,7 +51,7 @@ def test_reset_shapes_delay_sums():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
     sys = encode(net, verdict.trace, prop)
-    y = net.clock_index("y")
+    y = net.clock_names.index("y")
     # y is reset entering step 2 (db.t1 fired at step 1): its delay sum restarts there.
     assert [sorted(sys.delay_sum(y, j, j)) for j in range(sys.n + 2)] == [
         [], ["d0"], [], ["d2"], ["d2", "d3"]
@@ -65,10 +65,10 @@ def test_delay_sum_substitution():
     net, prop = load_bundled_model()
     verdict = check(net, prop)
     sys = encode(net, verdict.trace, prop)
-    x = net.clock_index("x")
+    x = net.clock_names.index("x")
     # x is reset at step 0, so its value at step 3 is d1 + d2.
     assert sys.delay_sum(x, 3, 3) == {delta_var(1): F(1), delta_var(2): F(1)}
-    w = net.clock_index("w")
+    w = net.clock_names.index("w")
     # w is reset at step 0 too; value at step 2 is d1.
     assert sys.delay_sum(w, 2, 2) == {delta_var(1): F(1)}
     # a clock never reset sums from step 0
@@ -98,7 +98,7 @@ def test_phi_reads_clocks_at_step_n_plus_one():
     phi = property_atoms(sys)
     # x <= 4, x reset at step 0: x's value after the last delay is d1 + d2 + d3
     assert [a.text() for a in phi] == ["d1 + d2 + d3 <= 4"]
-    x = net.clock_index("x")
+    x = net.clock_names.index("x")
     vars_used = {v for a in phi for v in a.variables()}
     assert vars_used == set(sys.delay_sum(x, sys.n + 1, sys.n + 1))
 

@@ -41,7 +41,7 @@ def test_bound_hard_constraint_admits_the_w_repair():
 def test_universal_part_excludes_all_zero():
     net, vs, hard = _bundle_hard("bound")
     # the all-zero assignment reproduces the violating system, so it is no repair
-    assert not hard.check(vs.zero_assignment())
+    assert not hard.check({v.name: v.zero for v in vs.variables})
     atoms, choices = hard.formula
     pins = [LinearAtom.make({v.name: F(1)}, Rel.EQ, 0) for v in vs.variables]
     assert not is_satisfiable(atoms + pins, choices).sat
@@ -90,7 +90,7 @@ def test_discrete_enumeration_is_deterministic_and_complete():
 
 def test_urgency_hard_checks():
     net, vs, hard = _bundle_hard("urgent")
-    zero = vs.zero_assignment()
+    zero = {v.name: v.zero for v in vs.variables}
     assert not hard.check(zero)
     flip_sr = dict(zero)
     flip_sr["uv0_2"] = True  # client.serReceiving
@@ -228,10 +228,11 @@ def _edited_systems(kind):
         trace = check(net, prop).trace
         vs = vary(encode(net, trace, prop), kind)
         hard = HardConstraint(vs)
+        zero = {v.name: v.zero for v in vs.variables}
         for m in range(3):
             for modified in itertools.combinations(vs.variables, m):
                 for values in itertools.product(*(nonzero_values(v) for v in modified)):
-                    a = dict(vs.zero_assignment(), **{v.name: x for v, x in zip(modified, values)})
+                    a = zero | {v.name: x for v, x in zip(modified, values)}
                     repaired = apply_candidate(net, _candidate_from_assignment(hard, RepairKind(kind), a))
                     yield hard, a, encode(repaired, trace, prop)
 
@@ -302,7 +303,7 @@ def test_zone_inclusion_agrees_with_lra_entailment(kind):
     verdicts = set()
     for hard, a, reenc in _edited_systems(kind):
         system = hard.vs.base.decide(hard.edits(a))[0], reenc.linear_atoms()  # (zone, atoms)
-        if a == hard.vs.zero_assignment():  # the first assignment of each model
+        if a == {v.name: v.zero for v in hard.vs.variables}:  # the first assignment of each model
             unedited = previous = system
         for other in (previous, unedited):
             for new, old in ((system, other), (other, system)):

@@ -19,7 +19,6 @@ from tarepair.model import (
     TimedAutomatonNetwork,
     Transition,
     constant_scale,
-    desugar_urgency,
     dnf_size,
     indexed_constraints,
     max_constant,
@@ -30,6 +29,8 @@ from tarepair.model import (
 from tarepair.modelio import write_report, write_repaired_model
 from tarepair.orchestrator import RepairCandidate, apply_candidate, run
 from tarepair.variations import KINDS, Modification, RepairKind
+
+from urgency_desugar import desugar_urgency
 
 
 def single_automaton(transitions, invariants, urgent=frozenset(), n_locs=2, clocks=frozenset({0})):

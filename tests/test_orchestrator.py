@@ -115,7 +115,11 @@ def test_apply_then_revert_restores_document():
         for cand in rr.candidates:
             repaired = apply_candidate(net, cand)
             assert serialize_model(repaired, prop) != original
-            restored = apply_candidate(repaired, cand.inverse())
+            reverted = tuple(
+                Modification(m.anchor, m.new, m.old, f"revert {m.description}")
+                for m in cand.modifications
+            )
+            restored = apply_candidate(repaired, RepairCandidate(cand.kind, reverted, cand.assignment))
             assert serialize_model(restored, prop) == original
 
 
@@ -189,7 +193,7 @@ def test_clockref_run_includes_receive_window_swap():
     # Exchanging clock z in z <= 2 with clock y is an admissible repair.
     net, prop = load_bundled_model()
     rr = run(net, prop, RepairKind.CLOCKREF)
-    y = net.clock_index("y")
+    y = net.clock_names.index("y")
     hit = [
         adm
         for cand, adm in zip(rr.candidates, rr.admissible)
@@ -337,7 +341,7 @@ def test_reset_variables_are_per_transition_on_a_shared_step():
     assert mutant.description == "seed reset: add w on client.t0"
     trace = check(mutant.network, prop).trace
     vs = vary(encode(mutant.network, trace, prop), "reset")
-    w = net.clock_index("w")
+    w = net.clock_names.index("w")
     assert [v.description for v in vs.variables if v.anchor[2] == w] == [
         "remove reset of w on client transition 0 (step 0)",
         "remove reset of w on db transition 0 (step 0)",
@@ -389,7 +393,7 @@ def test_reset_variables_toggle_only_declared_clocks():
     for var in vs.variables:
         ai, _, clock = var.anchor
         assert clock in automata[ai].clocks, var.description
-        flip = dict(vs.zero_assignment(), **{var.name: True})
+        flip = {v.name: v.zero for v in vs.variables} | {var.name: True}
         repaired = apply_candidate(mutant.network, _candidate_from_assignment(HardConstraint(vs), RepairKind.RESET, flip))
         assert [d for d in validate(repaired, prop) if not d.startswith("warning:")] == [], var.description
 

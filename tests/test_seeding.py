@@ -7,6 +7,7 @@ from tarepair import load_bundled_model, orchestrator, seeding
 from tarepair.model import indexed_constraints
 from tarepair.modelio import serialize_model
 from tarepair.seeding import bound_deltas, campaign, model_max_bound, seed
+from tarepair.variations import RepairKind
 
 
 def test_max_model_bound_excludes_property():
@@ -130,17 +131,24 @@ def test_campaign_gives_each_violating_mutant_one_original_cache(monkeypatch):
     assert len({id(runs[0]) for runs in per_mutant.values()}) == 12
 
 
-def test_campaign_empty_kind_selection_still_counts_seeds():
+def test_campaign_repairs_each_violating_mutant_with_every_kind_in_order(monkeypatch):
     net, prop = load_bundled_model("oneclock")
-    result = campaign(net, prop, repair_kinds=(), model_name="oneclock")
-    total = result.total()
-    assert total.repairs == 0 and total.seeded > 0
-    assert total.violating > 0  # checking still happens
+    kinds = []  # per repair run: its kind
+    real = seeding.run
+
+    def recorded(network, prop, kind, **kwargs):
+        kinds.append(kind)
+        return real(network, prop, kind, **kwargs)
+
+    monkeypatch.setattr(seeding, "run", recorded)
+    total = campaign(net, prop, model_name="oneclock").total()
+    assert total.seeded > total.violating > 0
+    assert kinds == list(RepairKind) * total.violating  # and none for a safe mutant
 
 
 def test_safe_mutants_counted_in_sd_not_t():
     net, prop = load_bundled_model("safe_idle")
-    result = campaign(net, prop, kinds=("bound",), repair_kinds=(), model_name="safe_idle")
+    result = campaign(net, prop, kinds=("bound",), model_name="safe_idle")
     row = result.rows["bound"]
     assert row.seeded > 0
     outcomes = [o for _, _, o in result.mutant_results]

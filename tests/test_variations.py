@@ -25,7 +25,7 @@ def corpus_systems():
 
 def edited(vs, **values):
     """The trace system of the model that the given variable values edit."""
-    assignment = dict(vs.zero_assignment(), **values)
+    assignment = {v.name: v.zero for v in vs.variables} | values
     candidate = _candidate_from_assignment(HardConstraint(vs), RepairKind(vs.kind), assignment)
     base = vs.base
     return encode(apply_candidate(base.network, candidate), base.stt, base.prop)
@@ -42,7 +42,7 @@ def test_zero_meaning_equisatisfiable_for_all_encoders_and_traces():
         for kind in KINDS:
             vs = vary(sys, kind)
             hard = HardConstraint(vs)
-            zero = vs.zero_assignment()
+            zero = {v.name: v.zero for v in vs.variables}
             assert hard.edits(zero) == [], (name, kind)
             zone, violates = vs.base.decide(hard.edits(zero))
             assert (not zone.empty, violates) == expected, (name, kind)
@@ -85,9 +85,9 @@ def test_clock_ref_branches_substitute_delay_sums():
     vs = vary_clock_refs(sys)
     # constraint #0 is z <= 2 on serReceiving (step 3, entry+exit copies)
     var = next(v for v in vs.variables if v.name == "cv0")
-    assert var.zero == net.clock_index("z")
+    assert var.zero == net.clock_names.index("z")
     assert len(var.domain) == 4  # clocks x, y, z, w of the owning automaton
-    y = net.clock_index("y")
+    y = net.clock_names.index("y")
     # y's value at step 3 entry is d2: the edit asserts d2 <= 2 and d2 + d3 <= 2
     assert set(texts(edited(vs, cv0=y), 0)) == {"d2 <= 2", "d2 + d3 <= 2"}
 
@@ -99,7 +99,7 @@ def test_clock_ref_zero_branch_restores_base():
     zero = edited(vs)
     base = encode(net, verdict.trace, prop)
     assert {a.text() for a in zero.linear_atoms()} == {a.text() for a in base.linear_atoms()}
-    assert vs.base.decide(HardConstraint(vs).edits(vs.zero_assignment())) == base.decide()
+    assert vs.base.decide(HardConstraint(vs).edits({v.name: v.zero for v in vs.variables})) == base.decide()
 
 
 def test_reset_variation_flip_semantics():
@@ -113,7 +113,7 @@ def test_reset_variation_flip_semantics():
         (1, 1, 0), (1, 1, 1), (1, 1, 2), (1, 1, 3),
         (0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 1, 3),
     ]
-    y = net.clock_index("y")
+    y = net.clock_names.index("y")
     var = next(v for v in vs.variables if v.anchor == (1, 1, y))
     assert var.description == "remove reset of y on db transition 1 (step 1)"
     flipped = edited(vs, **{var.name: True})
@@ -135,7 +135,7 @@ def test_reset_variation_instantiates_the_edited_system():
     sys = encode(net, verdict.trace, prop)
     vs = vary_resets(sys)
     assert vs.base is sys and vs.free_atoms == ()
-    x, y = net.clock_index("x"), net.clock_index("y")
+    x, y = net.clock_names.index("x"), net.clock_names.index("y")
     # t0 fires at steps 0 and 1 but offers each toggle once: 4 flips, not 2 per step
     assert [v.anchor for v in vs.variables] == [(0, 0, x), (0, 0, y), (0, 1, x), (0, 1, y)]
     assert vs.variables[0].description == "remove reset of x on a transition 0 (steps 0, 1)"
@@ -147,7 +147,7 @@ def test_reset_variation_instantiates_the_edited_system():
     # x is never reset now: its delay sum runs from step 0 at every step
     assert [len(flipped.delay_sum(x, j, j)) for j in range(sys.n + 2)] == [0, 1, 2, 3, 4]
     hard = HardConstraint(vs)
-    assert sys.decide(hard.edits(dict(vs.zero_assignment(), **one))) == flipped.decide()
+    assert sys.decide(hard.edits({v.name: v.zero for v in vs.variables} | one)) == flipped.decide()
 
 
 def test_urgency_variation_branches():
