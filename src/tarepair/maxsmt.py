@@ -28,12 +28,23 @@ constraint is also a formula over them (the rows with shifted bounds,
 ``VariedSystem.free_atoms``), projected by quantifier elimination over
 the delays: the existential projection conjoined with, per disjunct of
 the negated property, one choice group of ``lra.is_satisfiable`` (the
-complement of that disjunct's projection). It picks the modified sets
+complement of that disjunct's projection). It decides the modified sets
 and samples their values.
 
-``max_sat`` is one pass over the modified sets of a run: it yields every
-repairing set in ascending size and blocks the variables of each set it
-yields, so the sets it yields share no variable.
+``repairing_assignments`` decides, for every kind, which assignments of
+one modified set are repairs to emit. Within a set, an assignment whose
+edited trace system is implied by an earlier repair's is dropped: such a
+repair permits no realization the earlier one did not already permit.
+This keeps, e.g., a ``w = 1`` suggestion out when ``w <= 1`` was already
+proposed. Like the check, this filter decides by difference logic:
+implication is inclusion of the closed DBMs that ``decide`` builds. Only
+the operator and clock-reference walks can find more than one assignment
+per set, so only they filter.
+
+``max_sat`` is one pass over the modified sets of a run: it enumerates
+the sets in ascending size, yields those with a repairing assignment and
+blocks the variables of each set it yields, so the sets it yields share
+no variable.
 """
 
 from __future__ import annotations
@@ -124,31 +135,43 @@ def nonzero_values(var) -> list[object]:
 
 
 def repairing_assignments(hard: HardConstraint, modified: tuple[str, ...]):
-    """All repairing value combinations on exactly the given modified set.
+    """The repairs to emit on exactly the given modified set, in order.
 
-    Discrete kinds only; values run over each variable's non-zero domain in
-    lexicographic order, so enumeration is deterministic and follows
-    ``itertools.product``. A reset or urgency flag has one non-zero value,
-    so those sets have the one assignment that turns every flag on.
-    Operator and clock-reference edits replace whole atoms, so those kinds
-    close the trace system once without the set's constraints and conjoin
-    one variable's edited rows per level of a depth-first walk: a level
-    that closes empty prunes every assignment below it, and each leaf is
-    the DBM ``decide`` builds for it.
+    The bound kind checks the set with every other variable pinned to zero
+    (``check_with_zeros``) and, if it repairs, samples one rational
+    assignment (``sample_repair_values``). Discrete values run over each
+    variable's non-zero domain in lexicographic order, so enumeration is
+    deterministic and follows ``itertools.product``. A reset or urgency
+    flag has one non-zero value, so those sets have the one assignment that
+    turns every flag on. Operator and clock-reference edits replace whole
+    atoms, so those kinds close the trace system once without the set's
+    constraints and conjoin one variable's edited rows per level of a
+    depth-first walk: a level that closes empty prunes every assignment
+    below it, and each leaf is the DBM ``decide`` builds for it. A
+    repairing leaf that lies inside an earlier kept leaf is implied by that
+    repair and dropped; all leaves share the base scale, since these edits
+    keep every bound.
     """
     vs = hard.vs
     zeros = {v.name: v.zero for v in vs.variables if v.name not in modified}
+    if vs.kind == "bound":
+        if not hard.check_with_zeros(frozenset(zeros)):
+            return []
+        values = sample_repair_values(hard, modified)
+        return [] if values is None else [dict(zeros, **values)]
     if vs.kind not in ("operator", "clockref"):
         flipped = dict(zeros, **dict.fromkeys(modified, True))
         return [flipped] if hard.check(flipped) else []
     mvars = [v for name in modified for v in vs.variables if v.name == name]
     base = vs.base
     timing, scale = base.timing(), base.scale
-    found = []
+    found, kept = [], []  # the repairs and their leaves
 
     def walk(m: list[int], values: tuple) -> None:
         if len(values) == len(mvars):
-            if not base.meets_negated_property(m, timing, scale):
+            implied = any(all(a <= b for a, b in zip(m, k)) for k in kept)
+            if not implied and not base.meets_negated_property(m, timing, scale):
+                kept.append(m)
                 found.append(dict(zeros, **{v.name: val for v, val in zip(mvars, values)}))
             return
         var = mvars[len(values)]
@@ -234,10 +257,10 @@ def max_sat(hard: HardConstraint):
 
     Yields ``(modified, assignments)``. Sets run in ascending size and in
     lexicographic order within a size, so the first yield is optimal and
-    the order deterministic. The bound kind yields one sampled rational
-    assignment per set, the discrete kinds every repairing assignment on
-    it. Once yielded, a set's variables stay pinned to zero: later sets
-    never modify them.
+    the order deterministic. ``max_sat`` only enumerates and blocks:
+    ``repairing_assignments`` decides each set and gives its assignments,
+    and a set without one is skipped. Once yielded, a set's variables stay
+    pinned to zero: later sets never modify them.
 
     The reset kind starts with its dead toggles (``dead_reset_toggles``)
     blocked: a set holding one repairs only if the set without it does,
@@ -255,17 +278,9 @@ def max_sat(hard: HardConstraint):
         for combo in itertools.combinations(names, size):
             if not blocked.isdisjoint(combo):
                 continue
-            if vs.kind == "bound":
-                if not hard.check_with_zeros(frozenset(all_names) - set(combo)):
-                    continue
-                values = sample_repair_values(hard, combo)
-                if values is None:
-                    continue
-                assignments = [{n: values.get(n, Fraction(0)) for n in all_names}]
-            else:
-                assignments = repairing_assignments(hard, combo)
-                if not assignments:
-                    continue
+            assignments = repairing_assignments(hard, combo)
+            if not assignments:
+                continue
             blocked.update(combo)
             if not combo:
                 blocked -= dead

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -33,20 +34,36 @@ class ModelFormatError(ValueError):
     """Raised on malformed model/trace documents, with a source path."""
 
 
+_TOO_LONG = f"a number has more than {sys.get_int_max_str_digits()} digits"
+
+
+def _load_json(text: str) -> Any:
+    """The JSON document ``text``; a ModelFormatError if it cannot be read."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ModelFormatError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ModelFormatError("top level: nested too deeply to parse") from None
+    except ValueError:  # past int's limit on the digits of a string
+        raise ModelFormatError(f"top level: {_TOO_LONG}") from None
+
+
 def parse_rational(value: Any, path: str) -> Fraction:
     if isinstance(value, bool):
         raise ModelFormatError(f"{path}: expected a number, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        m = re.fullmatch(r"\s*(-?\d+)\s*/\s*(\d+)\s*", value)
+        m = re.fullmatch(r"\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?", value)
         if m:
-            if int(m.group(2)) == 0:
+            try:
+                num, den = int(m.group(1)), int(m.group(2) or 1)
+            except ValueError:  # past int's limit on the digits of a string
+                raise ModelFormatError(f"{path}: {_TOO_LONG}") from None
+            if den == 0:
                 raise ModelFormatError(f"{path}: zero denominator in {value!r}")
-            return Fraction(int(m.group(1)), int(m.group(2)))
-        m = re.fullmatch(r"\s*(-?\d+)\s*", value)
-        if m:
-            return Fraction(int(m.group(1)))
+            return Fraction(num, den)
     raise ModelFormatError(f"{path}: expected an integer or 'p/q' string, got {value!r}")
 
 
@@ -212,12 +229,7 @@ def property_text(prop: PropertyExpr, network: TimedAutomatonNetwork) -> str:
 
 def parse_model(text: str) -> tuple[TimedAutomatonNetwork, SafetyProperty]:
     """Parse a model document; raises ModelFormatError, returns a validated network."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    except RecursionError:
-        raise ModelFormatError("top level: nested too deeply to parse") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ModelFormatError("top level: expected an object")
     for key in ("automata", "channels", "property"):
@@ -378,12 +390,7 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> SymbolicTimedTrace
     witness document, or any document without ``steps``, is no trace of
     steps and is rejected.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    except RecursionError:
-        raise ModelFormatError("top level: nested too deeply to parse") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ModelFormatError("top level: expected an object")
     if "labels" in doc:

@@ -1,20 +1,16 @@
 """End-to-end repair loop: trace, variation, MaxSMT, application, admissibility.
 
 One pass of the MaxSMT search yields the repairing sets of variation
-variables, smallest first, each with its repairing value assignments
-(discrete kinds; the bound kind samples one rational assignment); the
-search blocks each set's variables once it is yielded. Candidates
-therefore appear in non-decreasing modification count, and no modified
-set repeats. Each variation variable is one syntactic edit
-(``variations.edit``), so distinct assignments are distinct repairs, and
-``apply_candidate`` applies each edit by its anchor alone.
-
-Within one set, a value assignment whose repaired trace system is implied
-by an already-emitted candidate's is skipped: such a repair permits no
-realization the earlier one did not already permit. This keeps, e.g., a
-``w = 1`` suggestion out when ``w <= 1`` was already proposed. Like the
-search, this filter decides by difference logic: implication is inclusion
-of the closed DBMs of ``TdtConstraintSystem.decide``.
+variables, smallest first, each with the value assignments to emit
+(``maxsmt.repairing_assignments``: discrete kinds give each repairing
+assignment that no earlier one of the set implies, the bound kind
+samples one rational assignment); the search blocks each set's
+variables once it is yielded. Candidates therefore appear in
+non-decreasing modification count, and no modified set repeats. Each
+variation variable is one syntactic edit (``variations.edit``), so
+distinct assignments are distinct repairs, and ``apply_candidate``
+applies each edit by its anchor alone. The run emits what the search
+yields and decides no trace system after the initial violation check.
 
 Every emitted candidate is re-verified against the semantic repair
 contract (the repaired model still realizes the trace, and no realization
@@ -108,11 +104,6 @@ def _candidate_from_assignment(hard: HardConstraint, kind: RepairKind, assignmen
     """The candidate made of the edits that the hard check of ``assignment`` decided."""
     mods = sorted(hard.edits(assignment), key=lambda m: m.anchor)
     return RepairCandidate(kind, tuple(mods), tuple(sorted(assignment.items())))
-
-
-def _entails(new, old) -> bool:
-    """Does the new closed zone lie inside the old one?"""
-    return new.empty or (new.scale == old.scale and all(a <= b for a, b in zip(new.m, old.m)))
 
 
 def _sizes(vs: VariedSystem) -> tuple[int, int]:
@@ -221,11 +212,7 @@ def run(
             runout.reason = "budget"
             return runout
         for _, assignments in max_sat(hard):
-            emitted = []  # the zones of this set's candidates
             for assignment in assignments:
-                zone, _ = enc.decide(hard.edits(assignment))
-                if any(_entails(zone, prev) for prev in emitted):
-                    continue
                 candidate = _candidate_from_assignment(hard, kind, assignment)
                 repaired = apply_candidate(network, candidate)
                 realizable, violates = replay(repaired, prop, tdt)
@@ -237,7 +224,6 @@ def run(
                 runout.candidates.append(candidate)
                 runout.admissible.append(verdict.equal)
                 runout.witnesses.append(verdict.witness)
-                emitted.append(zone)
                 if len(runout.candidates) >= max_repairs:
                     runout.reason = "budget"
                     return runout

@@ -21,7 +21,6 @@ from tarepair.maxsmt import (
     HardConstraint,
     max_sat,
     repairing_assignments,
-    sample_repair_values,
 )
 from tarepair.model import Op
 from tarepair.orchestrator import RepairKind, apply_candidate, run
@@ -143,22 +142,10 @@ def test_criterion_06_maxsmt_minimality():
             hard = HardConstraint(vs)
             first = next(max_sat(hard), None)
             best = None if first is None else len(first[0])
-            exhaustive = None
-            for m in range(0, len(names) + 1):
-                hit = False
-                for combo in itertools.combinations(names, m):
-                    if vs.kind == "bound":
-                        ok = hard.check_with_zeros(frozenset(names) - set(combo))
-                        if ok and sample_repair_values(hard, combo) is None:
-                            ok = False
-                    else:
-                        ok = bool(repairing_assignments(hard, combo))
-                    if ok:
-                        hit = True
-                        break
-                if hit:
-                    exhaustive = m
-                    break
+            exhaustive = next(
+                (m for m in range(len(names) + 1) if any(repairing_assignments(hard, c) for c in itertools.combinations(names, m))),
+                None,
+            )
             assert best == exhaustive, (name, kind, best, exhaustive)
             instances += 1
     assert instances >= 12

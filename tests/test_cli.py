@@ -269,6 +269,37 @@ def test_deeply_nested_document_is_a_usage_error(tmp_path, capsys, args):
     assert capsys.readouterr().err == "error: top level: nested too deeply to parse\n"
 
 
+@pytest.mark.parametrize(
+    "args, where",
+    [
+        (["check", "{long}"], "top level"),
+        (["repair", "{long}", "--out", "{dir}/rep"], "top level"),
+        (["seed", "{long}", "--out", "{dir}/seeding"], "top level"),
+        (["admissible", BUNDLE, "{long}"], "top level"),
+        (["repair", BUNDLE, "--tdt", "{long_steps}", "--out", "{dir}/rep"], "top level"),
+        (["check", "{long_bound}"], "property"),
+        (["repair", "{long_ratio}", "--out", "{dir}/rep"], "automata[0].locations[0]"),
+    ],
+    ids=["check", "repair", "seed", "admissible", "repair-tdt", "property-bound", "invariant-denominator"],
+)
+def test_numeral_past_the_digit_limit_is_a_usage_error(tmp_path, capsys, args, where):
+    # Python refuses to convert a string of more than sys.get_int_max_str_digits()
+    # digits to an int. That is a usage error, not a ValueError traceback,
+    # whose exit 1 would read as "violated".
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    files = {name: tmp_path / f"{name}.json" for name in ("long", "long_steps", "long_bound", "long_ratio")}
+    files["long"].write_text('{"automata": ' + digits + "}", encoding="utf-8")
+    files["long_steps"].write_text('{"steps": ' + digits + "}", encoding="utf-8")
+    doc = json.loads(loop_model())
+    files["long_bound"].write_text(json.dumps(dict(doc, property=f"x <= {digits}")), encoding="utf-8")
+    _first_invariant(f"x <= 1/{digits}")(doc)
+    files["long_ratio"].write_text(json.dumps(doc), encoding="utf-8")
+    paths = {name: str(path) for name, path in files.items()} | {"dir": str(tmp_path)}
+    assert main([a.format(**paths) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {where}: a number has more than {sys.get_int_max_str_digits()} digits\n"
+
+
 def _module(*args):
     """``python -m tarepair`` with ``args``, run on this checkout's sources."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

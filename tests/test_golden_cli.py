@@ -26,30 +26,31 @@ from tarepair import BUNDLED_MODELS, bundled_model_path
 from tarepair.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+OUT = object()
 
 
 def _invocations():
-    """``(key, argv, out_dir or None, model path)`` per pinned command."""
+    """``(key, argv, model path)`` per pinned command; ``OUT`` in ``argv``
+    stands for the output directory."""
     for name in BUNDLED_MODELS:
         model = str(bundled_model_path(name))
-        yield f"check {name}", ["check", model], None, model
-        yield f"repair {name}", ["repair", model, "--kind", "all"], "--out", model
+        yield f"check {name}", ["check", model], model
+        yield f"repair {name}", ["repair", model, "--kind", "all", "--out", OUT], model
         if name != "client_db":
-            yield f"seed {name}", ["seed", model], "--out", model
+            yield f"seed {name}", ["seed", model, "--out", OUT], model
     for a in BUNDLED_MODELS:
         for b in BUNDLED_MODELS:
             argv = ["admissible", str(bundled_model_path(a)), str(bundled_model_path(b))]
-            yield f"admissible {a} {b}", argv, None, argv[1]
+            yield f"admissible {a} {b}", argv, argv[1]
 
 
 def outputs() -> dict[str, dict]:
     """The pinned outputs of the current code, keyed by command."""
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (key, argv, out_flag, model) in enumerate(_invocations()):
+        for i, (key, argv, model) in enumerate(_invocations()):
             out_dir = Path(tmp) / str(i)
-            if out_flag:
-                argv = argv + [out_flag, str(out_dir)]
+            argv = [str(out_dir) if a is OUT else a for a in argv]
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main(argv)

@@ -19,7 +19,7 @@ from tarepair.maxsmt import (
 )
 from tarepair.model import Op
 from tarepair.modelio import parse_model
-from tarepair.orchestrator import RepairKind, _candidate_from_assignment, _entails, apply_candidate, run
+from tarepair.orchestrator import RepairKind, _candidate_from_assignment, apply_candidate, run
 from tarepair.variations import vary
 
 
@@ -62,22 +62,10 @@ def test_max_sat_agrees_with_exhaustive_subsets():
         names = [v.name for v in vs.variables]
         first = next(max_sat(hard), None)
         best = None if first is None else len(first[0])
-        exhaustive = None
-        for m in range(0, len(names) + 1):
-            found = False
-            for combo in itertools.combinations(names, m):
-                if vs.kind == "bound":
-                    ok = hard.check_with_zeros(frozenset(names) - set(combo))
-                    if ok and sample_repair_values(hard, combo) is None:
-                        ok = False
-                else:
-                    ok = bool(repairing_assignments(hard, combo))
-                if ok:
-                    found = True
-                    break
-            if found:
-                exhaustive = m
-                break
+        exhaustive = next(
+            (m for m in range(len(names) + 1) if any(repairing_assignments(hard, c) for c in itertools.combinations(names, m))),
+            None,
+        )
         assert best == exhaustive, kind
 
 
@@ -85,7 +73,13 @@ def test_discrete_enumeration_is_deterministic_and_complete():
     net, vs, hard = _bundle_hard("operator")
     assigns = repairing_assignments(hard, ("ov4",))
     values = [a["ov4"] for a in assigns]
-    assert values == [Op.LT, Op.LE, Op.EQ]
+    assert values == [Op.LT, Op.LE]
+    # The guard w = 1 repairs too, but w <= 1 permits every realization it
+    # permits: its DBM lies inside that of LE, so it is no repair to emit.
+    eq = dict(assigns[1], ov4=Op.EQ)
+    assert hard.check(eq)
+    eq_zone, le_zone = (vs.base.decide(hard.edits(a))[0] for a in (eq, assigns[1]))
+    assert eq_zone != le_zone and all(a <= b for a, b in zip(eq_zone.m, le_zone.m))
 
 
 def test_urgency_hard_checks():
@@ -307,7 +301,8 @@ def test_zone_inclusion_agrees_with_lra_entailment(kind):
             unedited = previous = system
         for other in (previous, unedited):
             for new, old in ((system, other), (other, system)):
-                verdict = _entails(new[0], old[0])
+                # does the new closed zone lie inside the old one?
+                verdict = new[0].empty or (new[0].scale == old[0].scale and all(a <= b for a, b in zip(new[0].m, old[0].m)))
                 assert verdict == _lra_entails(new[1], old[1]), a
                 verdicts.add(verdict)
         previous = system

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -83,6 +84,12 @@ def test_rational_round_trip():
     assert AtomicClockConstraint(0, Op.LE, Fraction(4, 2)).text(["x"]) == "x <= 2"
     with pytest.raises(ModelFormatError):
         parse_rational("x", "t")
+    assert parse_rational(" -7 / 2 ", "t") == Fraction(-7, 2) and parse_rational(" 5 ", "t") == 5
+    with pytest.raises(ModelFormatError, match="^t: zero denominator"):
+        parse_rational("1/0", "t")
+    # int() refuses a string past its digit limit; the error carries the path
+    with pytest.raises(ModelFormatError, match="^t: a number has more than"):
+        parse_rational("2/" + "1" * (sys.get_int_max_str_digits() + 1), "t")
 
 
 @given(st.fractions(min_value=0, max_value=1000), st.sampled_from(list(Op)))

@@ -65,8 +65,9 @@ def _assignments(vs, variables, most):
 def test_depth_first_search_yields_the_checked_product(kind):
     # Per modified set of at most 3 variables, the walk gives exactly the
     # assignments of itertools.product that the per-assignment check passes,
-    # in the same order.
-    sets = repairs = 0
+    # in the same order, less each one whose decided DBM lies inside that of
+    # an earlier one it gives: that repair is implied.
+    sets = repairs = implied = 0
     for name, hard in _hards(kind):
         vs = hard.vs
         for size in range(4):
@@ -77,11 +78,18 @@ def test_depth_first_search_yields_the_checked_product(kind):
                     dict(zeros, **{v.name: x for v, x in zip(modified, values)})
                     for values in itertools.product(*(nonzero_values(v) for v in modified))
                 ]
-                want = [a for a in product if hard.check(a)]
+                want, kept = [], []  # kept: the DBMs of want
+                for a in filter(hard.check, product):
+                    zone = vs.base.decide(hard.edits(a))[0]
+                    if any(zone.scale == k.scale and all(x <= y for x, y in zip(zone.m, k.m)) for k in kept):
+                        implied += 1
+                        continue
+                    want.append(a)
+                    kept.append(zone)
                 assert repairing_assignments(hard, names) == want, (name, names)
                 sets += 1
                 repairs += len(want)
-    assert sets == 392 and repairs > 0
+    assert sets == 392 and repairs > 0 and implied > 0
 
 
 def test_blocked_reset_toggles_leave_the_system_unchanged():
@@ -174,3 +182,27 @@ def test_edited_bounds_are_converted_once_per_run(monkeypatch):
     for item in workload.items:
         assert item.run() == want[item.key], item.key
     assert calls[0] <= 1_137
+
+
+def test_each_repair_is_decided_once_per_run(monkeypatch):
+    # One campaign_client_db pass of the benchmark (seed 1) decides 36 trace
+    # systems: 25 initial violation checks and 11 re-verifications of a
+    # sampled bound repair. It decided 123 when the repair loop decided each
+    # candidate again to skip the ones an earlier candidate implies, which
+    # the search now drops itself. Every report stays the recorded one.
+    calls = [0]
+    real = TdtConstraintSystem.decide
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(TdtConstraintSystem, "decide", counted)
+    workloads = _workloads()
+    workload = workloads.setup_campaign(SEED)
+    golden = json.loads((BENCH / "golden" / "campaign_client_db.json").read_text(encoding="utf-8"))
+    want = workloads.golden_records(workload, golden)
+    calls[0] = 0
+    for item in workload.items:
+        assert item.run() == want[item.key], item.key
+    assert calls[0] <= 36
