@@ -21,7 +21,7 @@ pair stops at a shortest witness and only an equal pair expands both graphs
 in full. Each subset pair reads its states' successors once, grouped by
 label, and visits only the labels that leave one of its subsets.
 ``Exhausted`` thus means that the states the check needs exceed
-``UNTIMED_STATE_BUDGET``. ``build_untimed`` expands a graph in full.
+``UNTIMED_STATE_BUDGET``. ``build_untimed`` expands a network's graph in full.
 
 There is one automaton type, ``UntimedAutomaton``: per state, a map from
 each label leaving it to its targets. A ``ZoneGraph`` is one filled on
@@ -133,13 +133,10 @@ class ZoneGraph(UntimedAutomaton):
         return out
 
 
-def build_untimed(
-    network: TimedAutomatonNetwork,
-    bounds: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-) -> ZoneGraph:
-    """The zone graph at ``bounds`` (``ZoneGraph``), edges labeled by channel,
+def build_untimed(network: TimedAutomatonNetwork) -> ZoneGraph:
+    """The network's zone graph (``ZoneGraph``), edges labeled by channel,
     expanded in full."""
-    graph = ZoneGraph(network, bounds)
+    graph = ZoneGraph(network)
     sid = 0
     while sid < graph.n_states:  # expanding a state appends the states it discovers
         graph.expand(sid)

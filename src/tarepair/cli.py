@@ -15,9 +15,10 @@ from pathlib import Path
 
 from .admissibility import check_admissible
 from .checker import DEFAULT_STATE_BUDGET, Exhausted, check
+from .encoder import encode
 from .lra import DEFAULT_QE_BUDGET
 from .modelio import ModelFormatError, load_model, parse_trace, serialize_trace, write_report, write_repaired_model
-from .orchestrator import DEFAULT_MAX_REPAIRS, run
+from .orchestrator import DEFAULT_MAX_REPAIRS, apply_candidate, run
 from .seeding import campaign
 from .variations import KINDS
 
@@ -113,8 +114,6 @@ def _cmd_repair(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.dump_smt:
-        from .encoder import encode
-
         Path(args.dump_smt).write_text(encode(network, tdt, prop).to_smtlib(), encoding="utf-8")
         print(f"constraint system dumped to {args.dump_smt}")
     runs = []
@@ -130,7 +129,8 @@ def _cmd_repair(args) -> int:
             original_cache=original_cache,
         )
         for ordinal, cand in enumerate(rr.candidates, start=1):
-            print(f"wrote {write_repaired_model(network, prop, cand, out_dir, ordinal)}")
+            path = write_repaired_model(apply_candidate(network, cand), prop, cand.kind, out_dir, ordinal)
+            print(f"wrote {path}")
         runs.append(rr)
     report = write_report(runs, out_dir, model_name=args.model)
     print(f"report written to {report}")

@@ -18,7 +18,6 @@ tightens one entry (two for ``=``) and re-closes the matrix in O(n^2)
 through that entry, relaxing only the rows and columns the new edge
 shortens (``_tighten``); extrapolation re-relaxes only the entries it
 loosened (``_relax``), so nothing runs a full O(n^3) closure.
-``bound(i, j)`` decodes an entry back to ``(Fraction | None, strict)``.
 
 Two extrapolations sit side by side. Classic extrapolation bounds every
 entry by one constant k; ``checker.check`` and ``checker.replay`` use it.
@@ -44,6 +43,8 @@ and shares no code with this module. Of the per-operation functions,
 ``up``, ``reset_many`` and ``extrapolate`` have no caller in the package
 and are adaptors over the kernel. These four are the zone-layer spans that
 ``bench/tracing.SITES`` wraps.
+It imports nothing from the package at run time: ``model``'s atom types
+appear in annotations only, and an operator is read by its integer value.
 """
 
 from __future__ import annotations
@@ -51,13 +52,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from operator import ge, gt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .model import AtomicClockConstraint, Op
-
-Bound = tuple[Fraction | None, bool]  # (value, strict); (None, True) is +inf
-
-INF: Bound = (None, True)
+if TYPE_CHECKING:
+    from .model import AtomicClockConstraint, Op
 
 LE_ZERO = 1  # raw (0, <=)
 RAW_INF = 1 << 256  # above every sum of up to 2^55 raw constants below _RAW_LIMIT
@@ -76,12 +74,6 @@ class DifferenceBoundMatrix(NamedTuple):
     scale: int  # every bound is a multiple of 1/scale
     m: tuple[int, ...]  # raw bounds, row-major
     empty: bool = False
-
-    def bound(self, i: int, j: int) -> Bound:
-        raw = self.m[i * (self.n + 1) + j]
-        if raw == RAW_INF:
-            return INF
-        return (Fraction(raw >> 1, self.scale), not raw & 1)
 
 
 def empty_zone(n: int, scale: int = 1) -> DifferenceBoundMatrix:

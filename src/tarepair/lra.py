@@ -14,6 +14,8 @@ removed by Gaussian substitution before any inequality elimination; each
 elimination step reduces rows to primitive form and prunes duplicates.
 
 There is no rounding anywhere: verdicts and models are exact.
+It imports nothing from the package: ``comparison_atom`` reads a model
+operator by its integer value.
 """
 
 from __future__ import annotations
@@ -92,21 +94,6 @@ class LinearAtom:
             return [[LinearAtom.make(neg, Rel.LT, -self.const)]]
         return [[LinearAtom(self.coeffs, Rel.LT, self.const)], [LinearAtom.make(neg, Rel.LT, -self.const)]]
 
-    def text(self) -> str:
-        if not self.coeffs:
-            lhs = "0"
-        else:
-            parts = []
-            for v, c in self.coeffs:
-                if c == 1:
-                    parts.append(f"+ {v}")
-                elif c == -1:
-                    parts.append(f"- {v}")
-                else:
-                    parts.append(f"{'+' if c > 0 else '-'} {abs(c)}*{v}")
-            lhs = " ".join(parts).lstrip("+ ")
-        return f"{lhs} {self.rel.value} {self.const}"
-
 
 def atom_le(coeffs: dict[str, Fraction], const) -> LinearAtom:
     return LinearAtom.make(coeffs, Rel.LE, const)
@@ -128,19 +115,13 @@ def atom_gt(coeffs: dict[str, Fraction], const) -> LinearAtom:
     return LinearAtom.make({v: -c for v, c in coeffs.items()}, Rel.LT, -Fraction(const))
 
 
+# Indexed by ``model.Op``, whose values 0-4 are <, <=, =, >=, > in this order.
+_OP_ATOMS = (atom_lt, atom_le, atom_eq, atom_ge, atom_gt)
+
+
 def comparison_atom(coeffs: dict[str, Fraction], op, const) -> list[LinearAtom]:
     """Model-level operator (five-element set) to normalized atoms; EQ stays one atom."""
-    from .model import Op
-
-    if op == Op.LT:
-        return [atom_lt(coeffs, const)]
-    if op == Op.LE:
-        return [atom_le(coeffs, const)]
-    if op == Op.EQ:
-        return [atom_eq(coeffs, const)]
-    if op == Op.GE:
-        return [atom_ge(coeffs, const)]
-    return [atom_gt(coeffs, const)]
+    return [_OP_ATOMS[op](coeffs, const)]
 
 
 def to_smtlib(atoms: Sequence[LinearAtom], choices: Sequence[Sequence[Sequence[LinearAtom]]] = ()) -> str:
@@ -221,16 +202,11 @@ def _reduce_row(vec, rel, const):
     return (vec, rel, const)
 
 
-_ZERO_TRIVIAL = object()
-_ZERO_CONTRADICTION = object()
-
-
-def _classify_constant_row(rel, const):
+def _constant_row_holds(rel, const) -> bool:
+    """Whether the row ``0 rel const`` holds."""
     if rel == Rel.EQ:
-        return _ZERO_TRIVIAL if const == 0 else _ZERO_CONTRADICTION
-    if rel == Rel.LE:
-        return _ZERO_TRIVIAL if const >= 0 else _ZERO_CONTRADICTION
-    return _ZERO_TRIVIAL if const > 0 else _ZERO_CONTRADICTION
+        return const == 0
+    return const >= 0 if rel == Rel.LE else const > 0
 
 
 class _Budget:
@@ -263,7 +239,7 @@ class _RowSystem:
             return
         self.budget.spend()
         if not any(vec):
-            if _classify_constant_row(rel, const) is _ZERO_CONTRADICTION:
+            if not _constant_row_holds(rel, const):
                 self.contradiction = True
             return
         vec, rel, const = _reduce_row(vec, rel, const)

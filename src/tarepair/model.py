@@ -4,10 +4,10 @@ Clocks, locations, automata and channels are referred to by dense integer
 ids scoped to their container; display names live in the owning container.
 All types are immutable after construction, so networks can be shared
 freely between concurrent analyses. A network derives its constraint
-table, largest bound, per-clock lower and upper bounds and constant scale
-once, and a property its negated DNF, as ``functools.cached_property``
-fields: they are no dataclass fields, so they enter neither ``==`` nor
-``hash``, and ``dataclasses.replace`` builds an object without them.
+table, per-clock lower and upper bounds and constant scale once, and a
+property its negated DNF, as ``functools.cached_property`` fields: they are
+no dataclass fields, so they enter neither ``==`` nor ``hash``, and
+``dataclasses.replace`` builds an object without them.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
+
+from .dbm import raw_constant
 
 
 class Op(enum.IntEnum):
@@ -119,11 +121,6 @@ class TimedAutomatonNetwork:
                 for pi, atom in enumerate(trans.guard):
                     out.append(ConstraintRef(len(out), ai, "guard", None, ti, pi, atom))
         return tuple(out)
-
-    @cached_property
-    def largest_bound(self) -> Fraction:
-        """The largest bound of the network's own constraints; 0 without any."""
-        return max((ref.atom.bound for ref in self.constraint_table), default=Fraction(0))
 
     @cached_property
     def clock_bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -236,17 +233,16 @@ def indexed_constraints(network: TimedAutomatonNetwork) -> tuple[ConstraintRef, 
 
 
 def max_constant(network: TimedAutomatonNetwork, prop: SafetyProperty | None = None) -> int:
-    """Maximal constant over the model (and optionally the property).
+    """Maximal constant over the model's ``clock_bounds`` (and optionally the property).
 
     Used as the constant of classic zone extrapolation (``checker.check`` and
     ``replay``; the admissibility graphs use ``clock_bounds``) and of the
     region oracle; a model without constraints still gets k = 1 so
     extrapolation is well defined.
     """
-    bounds = [network.largest_bound]
-    if prop is not None:
-        bounds += [atom.bound for atom in prop.iter_atoms()]
-    return max(1, math.ceil(max(bounds)))
+    lower, upper = network.clock_bounds
+    atoms = () if prop is None else prop.iter_atoms()
+    return max((1, *lower, *upper, *(math.ceil(atom.bound) for atom in atoms)))
 
 
 def constant_scale(network: TimedAutomatonNetwork, prop: SafetyProperty | None = None) -> int:
@@ -335,8 +331,6 @@ def validate(network: TimedAutomatonNetwork, prop: SafetyProperty | None = None)
 
 def _validate_constants(network: TimedAutomatonNetwork, prop: SafetyProperty | None) -> list[str]:
     """Constants whose raw zone encoding at ``constant_scale`` does not fit."""
-    from .dbm import raw_constant  # dbm imports this module
-
     scale = constant_scale(network, prop)
     bounds = {ref.atom.bound for ref in network.constraint_table}
     bounds |= {atom.bound for atom in prop.iter_atoms()} if prop is not None else set()

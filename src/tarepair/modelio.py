@@ -3,7 +3,9 @@
 Models are JSON documents (see docs/model.schema.json). Rational bounds are
 serialized as ``"p/q"`` strings so round trips stay exact; natural bounds
 stay plain integers. Parsing is strict: unknown names and malformed atoms
-produce errors that carry a source path.
+produce errors that carry a source path. The module reads and writes
+documents only and imports nothing of the repair loop:
+``write_repaired_model`` takes the repaired network.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ class ModelFormatError(ValueError):
     """Raised on malformed model/trace documents, with a source path."""
 
 
-_TOO_LONG = f"a number has more than {sys.get_int_max_str_digits()} digits"
-
-
 def _load_json(text: str) -> Any:
     """The JSON document ``text``; a ModelFormatError if it cannot be read."""
     try:
@@ -45,8 +44,8 @@ def _load_json(text: str) -> Any:
         raise ModelFormatError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise ModelFormatError("top level: nested too deeply to parse") from None
-    except ValueError:  # past int's limit on the digits of a string
-        raise ModelFormatError(f"top level: {_TOO_LONG}") from None
+    except ValueError:  # past int's limit on the digits of a string (its getter is new in 3.10.7)
+        raise ModelFormatError(f"top level: a number has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_rational(value: Any, path: str) -> Fraction:
@@ -60,7 +59,7 @@ def parse_rational(value: Any, path: str) -> Fraction:
             try:
                 num, den = int(m.group(1)), int(m.group(2) or 1)
             except ValueError:  # past int's limit on the digits of a string
-                raise ModelFormatError(f"{path}: {_TOO_LONG}") from None
+                raise ModelFormatError(f"{path}: a number has more than {sys.get_int_max_str_digits()} digits") from None
             if den == 0:
                 raise ModelFormatError(f"{path}: zero denominator in {value!r}")
             return Fraction(num, den)
@@ -446,19 +445,16 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> SymbolicTimedTrace
 # --- repair artifacts -----------------------------------------------------
 
 
-def write_repaired_model(network, prop, repair, out_dir: str | Path, ordinal: int) -> Path:
-    """Apply ``repair`` to ``network`` and write the repaired model document.
+def write_repaired_model(repaired, prop, kind, out_dir: str | Path, ordinal: int) -> Path:
+    """Write the repaired network's model document.
 
     The filename encodes the repair kind and a caller-assigned ordinal, e.g.
     ``repair_bound_001.json``.
     """
-    from .orchestrator import apply_candidate
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    repaired_net = apply_candidate(network, repair)
-    path = out_dir / f"repair_{repair.kind.value}_{ordinal:03d}.json"
-    path.write_text(serialize_model(repaired_net, prop), encoding="utf-8")
+    path = out_dir / f"repair_{kind.value}_{ordinal:03d}.json"
+    path.write_text(serialize_model(repaired, prop), encoding="utf-8")
     return path
 
 

@@ -41,8 +41,9 @@ class Mutant:
 
 
 def model_max_bound(network: TimedAutomatonNetwork) -> int:
-    """Maximal clock bound M occurring in the model's own constraints."""
-    return int(math.ceil(network.largest_bound))
+    """Maximal clock bound M of the model's own constraints, read off ``clock_bounds``."""
+    lower, upper = network.clock_bounds
+    return max((0, *lower, *upper))
 
 
 def bound_deltas(m: int) -> list[Fraction]:

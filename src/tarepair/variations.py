@@ -54,7 +54,6 @@ KINDS = tuple(k.value for k in RepairKind)
 @dataclass(frozen=True)
 class VariationVariable:
     name: str
-    kind: str
     anchor: tuple
     domain: tuple | None  # None: free rational (bound variation)
     zero: object
@@ -90,7 +89,8 @@ class AnchorMismatch(ValueError):
 
 @dataclass(frozen=True)
 class VariedSystem:
-    """A trace system with the variation variables of one repair kind."""
+    """A trace system with the variation variables of one repair kind, ``kind``,
+    which every variable has."""
 
     base: TdtConstraintSystem
     kind: str
@@ -119,7 +119,6 @@ def vary_bounds(sys: TdtConstraintSystem) -> VariedSystem:
         variables.append(
             VariationVariable(
                 name=vname,
-                kind="bound",
                 anchor=(idx,),
                 domain=None,
                 zero=Fraction(0),
@@ -143,7 +142,6 @@ def vary_operators(sys: TdtConstraintSystem) -> VariedSystem:
     variables = tuple(
         VariationVariable(
             name=f"ov{idx}",
-            kind="operator",
             anchor=(idx,),
             domain=tuple(Op),
             zero=rows[0].op,
@@ -160,7 +158,6 @@ def vary_clock_refs(sys: TdtConstraintSystem) -> VariedSystem:
     variables = tuple(
         VariationVariable(
             name=f"cv{idx}",
-            kind="clockref",
             anchor=(idx,),
             domain=tuple(sorted(automata[refs[idx].automaton].clocks)),
             zero=rows[0].clock,
@@ -194,7 +191,6 @@ def vary_resets(sys: TdtConstraintSystem) -> VariedSystem:
                 where = f"step{'s' if len(fired) > 1 else ''} {', '.join(fired)}"
                 variables[(ai, ti, c)] = VariationVariable(
                     name=f"rv{ai}_{ti}_{c}",
-                    kind="reset",
                     anchor=(ai, ti, c),
                     domain=(False, True),
                     zero=False,
@@ -217,7 +213,6 @@ def vary_urgency(sys: TdtConstraintSystem) -> VariedSystem:
     variables = tuple(
         VariationVariable(
             name=f"uv{ai}_{li}",
-            kind="urgent",
             anchor=(ai, li),
             domain=(False, True),
             zero=False,
@@ -253,22 +248,22 @@ def edit(vs: VariedSystem, var: VariationVariable, value) -> Modification:
     0), or with ``value`` as its operator or clock.
     """
     network = vs.base.network
-    if var.kind == "reset":
+    if vs.kind == "reset":
         ai, ti, c = var.anchor
         old = c in network.automata[ai].transitions[ti].resets
         return Modification(("reset", ai, ti, c), old, not old, var.description)
-    if var.kind == "urgent":
+    if vs.kind == "urgent":
         ai, li = var.anchor
         old = li in network.automata[ai].urgent
         return Modification(("urgent", ai, li), old, not old, var.description)
     (idx,) = var.anchor
     old = indexed_constraints(network)[idx].atom
-    if var.kind == "bound":
+    if vs.kind == "bound":
         # A lower-bound guard may be relaxed past 0; clocks never go
         # negative, so clamping to 0 applies the same constraint.
         new = replace(old, bound=max(Fraction(0), old.bound + Fraction(value)))
         change = f"bound {old.bound} -> {new.bound} (v = {Fraction(value)})"
-    elif var.kind == "operator":
+    elif vs.kind == "operator":
         new = replace(old, op=Op(value))
         change = f"operator {old.op.name} -> {new.op.name}"
     else:

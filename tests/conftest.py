@@ -11,6 +11,23 @@ from tarepair.model import AtomicClockConstraint
 from tarepair.modelio import parse_model
 
 
+def atom_text(atom) -> str:
+    """A ``LinearAtom`` printed as ``sum rel const``, e.g. ``d1 + d2 <= 4``."""
+    if not atom.coeffs:
+        lhs = "0"
+    else:
+        parts = []
+        for v, c in atom.coeffs:
+            if c == 1:
+                parts.append(f"+ {v}")
+            elif c == -1:
+                parts.append(f"- {v}")
+            else:
+                parts.append(f"{'+' if c > 0 else '-'} {abs(c)}*{v}")
+        lhs = " ".join(parts).lstrip("+ ")
+    return f"{lhs} {atom.rel.value} {atom.const}"
+
+
 def random_single_ta(rng: random.Random, max_clocks=3, max_const=3, max_locs=4):
     """Random one-automaton network with integral constants.
 

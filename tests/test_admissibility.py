@@ -23,7 +23,7 @@ from tarepair.checker import Exhausted, MoveTable, check
 from tarepair.model import constant_scale, max_constant
 from tarepair.modelio import parse_model
 from tarepair.regions import build_region_untimed
-from test_bench_zone_graph import _workloads
+from test_bench_zone_graph import _expanded, _workloads
 from urgency_desugar import desugar_urgency
 
 CORPUS = ("client_db", "oneclock", "urgent_hop", "pair_sync", "safe_idle")
@@ -259,6 +259,11 @@ def _regions(network, k):
         return None
 
 
+def _full_graph(network, bounds):
+    """``build_untimed`` at other bounds than the network's own."""
+    return _expanded(ZoneGraph(network, bounds))
+
+
 def _assert_matches_full_graphs(pairs, regions=False):
     """``check_admissible`` equals ``equivalent`` of the full untimed automata at
     ``shared_bounds``, and that equals ``equivalent`` of the classic graphs at
@@ -279,7 +284,7 @@ def _assert_matches_full_graphs(pairs, regions=False):
 
     for name, a, b in pairs:
         (ba, bb), k = shared_bounds(a, b), _shared_k(a, b)
-        lu = untimed(build_untimed, a, ba), untimed(build_untimed, b, bb)
+        lu = untimed(_full_graph, a, ba), untimed(_full_graph, b, bb)
         classic = untimed(_classic_untimed, a, k), untimed(_classic_untimed, b, k)
         want = equivalent(*lu)
         assert want == alphabet_equivalence.equivalent(*lu) == equivalent(*classic), name
@@ -394,14 +399,6 @@ def test_on_the_fly_check_matches_full_graphs_on_repair_candidates():
 
 
 # A repaired graph on the original's pool of step memos against a fresh one.
-
-
-def _expanded(graph):
-    sid = 0
-    while sid < graph.n_states:  # expanding a state appends the states it discovers
-        graph.expand(sid)
-        sid += 1
-    return graph
 
 
 def _states(graph):
@@ -526,7 +523,7 @@ def test_on_the_fly_check_matches_full_graphs_with_visible_internal_moves():
     for other in others:
         ba, bb = shared_bounds(net, other)
         lazy = equivalent(ZoneGraph(net, ba), ZoneGraph(other, bb))
-        full = equivalent(build_untimed(net, ba), build_untimed(other, bb))
+        full = equivalent(_full_graph(net, ba), _full_graph(other, bb))
         assert lazy == full
         differ += not lazy.equal
     assert differ > 0

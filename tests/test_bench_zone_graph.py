@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from tarepair import admissibility, dbm
+from tarepair.admissibility import ZoneGraph
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 1
@@ -30,6 +31,15 @@ def _workloads():
     finally:
         sys.path.remove(str(BENCH))
     return module
+
+
+def _expanded(graph):
+    """``graph`` with every state expanded, as ``admissibility.build_untimed`` leaves it."""
+    sid = 0
+    while sid < graph.n_states:  # expanding a state appends the states it discovers
+        graph.expand(sid)
+        sid += 1
+    return graph
 
 
 def test_check_fischer_matches_golden_records():
@@ -87,7 +97,7 @@ def test_admissible_fischer_matches_golden_records(monkeypatch):
         # The full untimed automata of the pair at the check's shared bounds.
         original, mutant = item.context["original"], item.context["mutant"]
         ba, bb = admissibility.shared_bounds(original, mutant)
-        pair = [admissibility.build_untimed(original, ba).n_states, admissibility.build_untimed(mutant, bb).n_states]
+        pair = [_expanded(ZoneGraph(original, ba)).n_states, _expanded(ZoneGraph(mutant, bb)).n_states]
         full += pair
         # The on-the-fly check discovers the full graphs on an equal pair, no more on the others.
         lazy = [g.n_states for g in graphs[:2]]

@@ -1,7 +1,10 @@
 """Subcommands, exit codes, and byte-stable output."""
 
+import copy
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 
 from tarepair import BUNDLED_MODELS, bundled_model_path, orchestrator
 from tarepair.cli import main
+from tarepair.variations import KINDS
 
 from conftest import loop_model, no_run_model
 
@@ -394,3 +398,102 @@ def test_malformed_model_document_is_a_usage_error(tmp_path, capsys, mutate, whe
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}") and err.count("\n") == 1, args
+
+
+def test_the_cli_imports_and_runs_without_the_digit_limit_api(tmp_path):
+    # sys.get_int_max_str_digits exists only from Python 3.10.7 and 3.11, and
+    # pyproject.toml admits 3.10.0: without it every command must still run.
+    script = (
+        "import sys; del sys.get_int_max_str_digits\n"
+        "import tarepair.modelio\n"
+        "from tarepair.cli import main\n"
+        f"assert main(['check', {BUNDLE!r}]) == 1\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("violated:")
+
+
+_JUNK = ("", " ", "<", "<=", "==", "&&", "||", "!", "(", ")", "@", ".", "/", "-", "1/0", "x", "@client.", "€", "\x00")
+_WRONG = (None, True, 7, -3, 2.5, "x", "", [], {}, ["x"], {"a": 1})
+
+
+def _places(doc):
+    """(container, key) of every value inside a JSON document, in document order."""
+    out = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        out.append((doc, key))
+        out += _places(value)
+    return out
+
+
+def _mutated(doc, rng):
+    """A copy of ``doc`` with one to three seeded mutations: a dropped key or
+    item, a value of a wrong type, junk spliced into a string, a 30-digit
+    constant, or a duplicated list item."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        places = _places(doc)
+        if not places:
+            break
+        how = rng.randrange(5)
+        if how == 2:  # splice junk into a string: an atom, a property, a name
+            places = [(c, k) for c, k in places if isinstance(c[k], str)] or places
+        elif how == 4:  # duplicate a list item
+            places = [(c, k) for c, k in places if isinstance(c, list)] or places
+        container, key = rng.choice(places)
+        value = container[key]
+        if how == 0:
+            del container[key]
+        elif how == 1:
+            container[key] = copy.deepcopy(rng.choice(_WRONG))
+        elif how == 2 and isinstance(value, str):
+            at = rng.randint(0, len(value))
+            container[key] = value[:at] + rng.choice(_JUNK) + value[at:]
+        elif how == 3:
+            digits = str(rng.randint(10**29, 10**30 - 1))
+            runs = list(re.finditer(r"\d+", value)) if isinstance(value, str) else []
+            if runs:
+                run = rng.choice(runs)
+                container[key] = value[: run.start()] + digits + value[run.end() :]
+            else:
+                container[key] = int(digits)
+        elif isinstance(container, list):
+            container.insert(key, copy.deepcopy(value))
+    return doc
+
+
+def test_seeded_malformed_documents_end_in_an_exit_code(tmp_path):
+    # Every CLI command on mutated bundled model documents and mutated trace
+    # documents returns one of the exit codes 0-4 and raises nothing.
+    model, trace, out = tmp_path / "model.json", tmp_path / "trace.json", str(tmp_path / "out")
+    small = ["--max-repairs", "2", "--qe-budget", "5000", "--state-budget", "2000", "--out", out]
+    runs = 0
+    for name in BUNDLED_MODELS:
+        original = str(bundled_model_path(name))
+        model_doc = json.loads(Path(original).read_text(encoding="utf-8"))
+        trace_out = tmp_path / f"{name}.trace.json"
+        main(["check", original, "--trace-out", str(trace_out)])
+        trace_doc = json.loads(trace_out.read_text(encoding="utf-8")) if trace_out.exists() else None
+        for seed in range(100):
+            rng = random.Random(f"{name}/{seed}")
+            kind = rng.choice([*KINDS, "all"])
+            model.write_text(json.dumps(_mutated(model_doc, rng)), encoding="utf-8")
+            commands = [
+                (model, ["check", str(model), "--state-budget", "2000"]),
+                (model, ["repair", str(model), "--kind", kind, *small]),
+                (model, ["admissible", original, str(model)]),
+            ]
+            if trace_doc is not None:
+                trace.write_text(json.dumps(_mutated(trace_doc, rng)), encoding="utf-8")
+                commands.append((trace, ["repair", original, "--tdt", str(trace), "--kind", kind, *small]))
+            for mutated, args in commands:
+                try:
+                    code = main(args)
+                except Exception as e:  # a traceback is the failure this test looks for
+                    pytest.fail(f"{args[0]} raised {e!r} on {mutated.read_text(encoding='utf-8')}")
+                assert code in range(5), (args, mutated.read_text(encoding="utf-8"))
+                runs += 1
+    assert runs == 5 * 100 * 3 + 4 * 100

@@ -6,8 +6,7 @@ from fractions import Fraction as F
 import fraction_dbm
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from test_admissibility import _expanded
-from test_bench_zone_graph import _workloads
+from test_bench_zone_graph import _expanded, _workloads
 
 from tarepair import dbm, load_bundled_model
 from tarepair.admissibility import ZoneGraph, shared_bounds
@@ -22,9 +21,9 @@ def atom(clock, op, bound):
 def test_up_from_origin_gives_diagonal_ray():
     z = dbm.up(dbm.zero_zone(2))
     # x and y unbounded above, equal to each other, nonnegative
-    assert z.bound(1, 0) == dbm.INF and z.bound(2, 0) == dbm.INF
-    assert z.bound(1, 2) == (F(0), False) and z.bound(2, 1) == (F(0), False)
-    assert z.bound(0, 1) == (F(0), False)
+    assert _bound(z, 1, 0) == fraction_dbm.INF and _bound(z, 2, 0) == fraction_dbm.INF
+    assert _bound(z, 1, 2) == (F(0), False) and _bound(z, 2, 1) == (F(0), False)
+    assert _bound(z, 0, 1) == (F(0), False)
 
 
 def test_and_unsatisfiable_atom_is_empty():
@@ -49,22 +48,22 @@ def test_reset_pins_clock_to_zero():
     z = dbm.up(dbm.zero_zone(2))
     z = dbm.and_atom(z, atom(0, Op.GE, 3))
     z = dbm.reset_many(z, {0})
-    assert z.bound(1, 0) == (F(0), False) and z.bound(0, 1) == (F(0), False)
+    assert _bound(z, 1, 0) == (F(0), False) and _bound(z, 0, 1) == (F(0), False)
     # the other clock keeps its lower bound
-    assert z.bound(0, 2) == (F(-3), False)
+    assert _bound(z, 0, 2) == (F(-3), False)
 
 
 def test_equality_atom_pins_both_sides():
     z = dbm.up(dbm.zero_zone(1))
     z = dbm.and_atom(z, atom(0, Op.EQ, 2))
-    assert z.bound(1, 0) == (F(2), False) and z.bound(0, 1) == (F(-2), False)
+    assert _bound(z, 1, 0) == (F(2), False) and _bound(z, 0, 1) == (F(-2), False)
 
 
 def test_extrapolate_drops_large_bounds():
     z = dbm.zero_zone(1)
     z = dbm.and_atom(dbm.up(z), atom(0, Op.GE, 7))
     e = dbm.extrapolate(z, 3)
-    assert e.bound(0, 1) == (F(-3), True)
+    assert _bound(e, 0, 1) == (F(-3), True)
     z2 = dbm.and_atom(dbm.zero_zone(1), atom(0, Op.LE, 0))
     assert dbm.extrapolate(z2, 3) == z2
 
@@ -94,7 +93,7 @@ def test_emptiness_via_negative_cycle_only():
 
 def test_atom_off_the_scale_is_rejected():
     z = dbm.up(dbm.zero_zone(1, 2))
-    assert dbm.and_atom(z, atom(0, Op.LE, F(3, 2))).bound(1, 0) == (F(3, 2), False)
+    assert _bound(dbm.and_atom(z, atom(0, Op.LE, F(3, 2))), 1, 0) == (F(3, 2), False)
     with pytest.raises(ValueError):
         dbm.and_atom(z, atom(0, Op.LE, F(1, 3)))
     with pytest.raises(ValueError):
@@ -156,7 +155,7 @@ def test_integer_engine_agrees_with_fraction_reference(n, scale, ops_a, ops_b):
             assert z.empty == ref.empty
             for i in range(n + 1):
                 for j in range(n + 1):
-                    assert z.bound(i, j) == ref.bound(i, j), (operation, i, j)
+                    assert _bound(z, i, j) == ref.bound(i, j), (operation, i, j)
             zones.append((z, ref))
     for a, ref_a in zones:
         for b, ref_b in zones:
@@ -179,10 +178,10 @@ def _compiled(zone, guard, resets, invariants, delay, k):
     return edges(guard), sorted(c + 1 for c in resets), edges(invariants), delay, k
 
 
-def _cells(zone):
-    """Every entry of a zone of either engine, decoded, row by row."""
-    dim = zone.n + 1
-    return [zone.bound(i, j) for i in range(dim) for j in range(dim)]
+def _bound(zone, i, j):
+    """Entry (i, j) of a kernel zone, decoded to the reference's ``(value, strict)``."""
+    raw = zone.m[i * (zone.n + 1) + j]
+    return fraction_dbm.INF if raw == dbm.RAW_INF else (F(raw >> 1, zone.scale), not raw & 1)
 
 
 def _assert_same_successor(zone, ref_zone, step):
@@ -196,7 +195,7 @@ def _assert_same_successor(zone, ref_zone, step):
     if jumped is None:
         return None
     ref = fraction_dbm.reset_many(ref, resets)
-    assert _cells(dbm.DifferenceBoundMatrix(zone.n, zone.scale, tuple(jumped))) == _cells(ref), step
+    assert _to_fractions(dbm.DifferenceBoundMatrix(zone.n, zone.scale, tuple(jumped))).m == ref.m, step
     got = dbm.settle(zone, jumped, raw_invariants, delay, k)
     ref = fraction_dbm.and_atoms(ref, invariants)
     assert (got is None) == ref.empty, step
@@ -204,7 +203,7 @@ def _assert_same_successor(zone, ref_zone, step):
         return None
     if delay:
         ref = fraction_dbm.and_atoms(fraction_dbm.up(ref), invariants)
-    assert _cells(got) == _cells(fraction_dbm.extrapolate(ref, k)), step
+    assert _to_fractions(got).m == fraction_dbm.extrapolate(ref, k).m, step
     return got
 
 
@@ -269,7 +268,7 @@ def _model_steps(network, locvec):
 
 def _to_fractions(zone):
     dim = zone.n + 1
-    rows = tuple(tuple(zone.bound(i, j) for j in range(dim)) for i in range(dim))
+    rows = tuple(tuple(_bound(zone, i, j) for j in range(dim)) for i in range(dim))
     return fraction_dbm.DifferenceBoundMatrix(zone.n, rows)
 
 
@@ -382,7 +381,7 @@ def _full_closure(zone):
     closed = fraction_dbm.canonicalize(fraction_dbm.DifferenceBoundMatrix(zone.n, rows))
     if closed.empty:
         return dbm.empty_zone(zone.n, zone.scale)
-    cells = [dbm.RAW_INF if v is None else int(2 * v) + (not strict) for v, strict in _cells(closed)]
+    cells = [dbm.RAW_INF if v is None else int(2 * v) + (not strict) for row in closed.m for v, strict in row]
     return dbm.DifferenceBoundMatrix(zone.n, zone.scale, tuple(cells))
 
 
@@ -536,7 +535,7 @@ def _extra_lu_plus(zone, lower, upper):
         for j in range(dim):
             if i == j:
                 continue
-            c_ij, c_0i, c_0j = zone.bound(i, j)[0], zone.bound(0, i)[0], zone.bound(0, j)[0]
+            c_ij, c_0i, c_0j = _bound(zone, i, j)[0], _bound(zone, 0, i)[0], _bound(zone, 0, j)[0]
             if c_ij is not None and c_ij > lower[i]:
                 cells[i * dim + j] = dbm.RAW_INF
             elif -c_0i > lower[i]:
@@ -576,12 +575,12 @@ def test_extra_lu_plus_equals_the_definition_then_full_closure():
         settled = dbm.settle(zone, list(zone.m), (), False, dbm.lu_thresholds(bounds, scale))
         assert settled == want, (zone, bounds)
         lower, upper = (0, *bounds[0]), (0, *bounds[1])
-        c0 = [zone.bound(0, i)[0] for i in range(dim)]
+        c0 = [_bound(zone, 0, i)[0] for i in range(dim)]
         seen["unchanged"] += entries == zone.m
         seen["row dropped"] += any(-c0[i] > lower[i] for i in range(1, dim))
         seen["column dropped"] += any(-c0[j] > upper[j] for j in range(1, dim))
         seen["above L"] += any(
-            zone.bound(i, j)[0] is not None and zone.bound(i, j)[0] > lower[i] for i in range(1, dim) for j in range(dim)
+            _bound(zone, i, j)[0] is not None and _bound(zone, i, j)[0] > lower[i] for i in range(1, dim) for j in range(dim)
         )
         seen["reclosed"] += want.m != entries
         seen["zero clock"] += any(lower[i] == upper[i] == 0 for i in range(1, dim)) and entries != zone.m

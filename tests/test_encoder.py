@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction as F
 
-from conftest import random_single_ta
+from conftest import atom_text, random_single_ta
 from tarepair import load_bundled_model
 from tarepair.checker import MoveIndex, SymbolicTimedTrace, check, replay, stt_from_moves
 from tarepair.encoder import delta_var, encode, feasible, violating
@@ -31,9 +31,9 @@ def test_minimal_zero_step_system():
     sys = encode(net, stt, prop)
     # no I/G rows and no zero-delay step: the A block is the whole system
     assert sys.atoms == () and sys.timing()[0] == ()
-    assert [a.text() for a in sys.linear_atoms()] == ["- d0 <= 0"]
+    assert [atom_text(a) for a in sys.linear_atoms()] == ["- d0 <= 0"]
     # c starts at 0, so the property reads it as the one delay d0
-    assert [a.text() for a in property_atoms(sys)] == ["d0 <= 1"]
+    assert [atom_text(a) for a in property_atoms(sys)] == ["d0 <= 1"]
 
 
 def test_running_example_invariant_doubling():
@@ -43,7 +43,7 @@ def test_running_example_invariant_doubling():
     sys = encode(net, verdict.trace, prop)
     w_rows = [r for r in sys.atoms if r.constraint_index == 2]
     assert [r.point - r.step for r in w_rows] == [0, 1]  # entry, then exit
-    texts = {a.text() for r in w_rows for a in sys.materialize(r)}
+    texts = {atom_text(a) for r in w_rows for a in sys.materialize(r)}
     assert texts == {"0 <= 2", "d1 <= 2"}
 
 
@@ -97,7 +97,7 @@ def test_phi_reads_clocks_at_step_n_plus_one():
     sys = encode(net, verdict.trace, prop)
     phi = property_atoms(sys)
     # x <= 4, x reset at step 0: x's value after the last delay is d1 + d2 + d3
-    assert [a.text() for a in phi] == ["d1 + d2 + d3 <= 4"]
+    assert [atom_text(a) for a in phi] == ["d1 + d2 + d3 <= 4"]
     x = net.clock_names.index("x")
     vars_used = {v for a in phi for v in a.variables()}
     assert vars_used == set(sys.delay_sum(x, sys.n + 1, sys.n + 1))
@@ -218,4 +218,4 @@ def test_linear_atom_order_is_pinned():
         net, prop = load_bundled_model(name)
         sys = encode(net, check(net, prop).trace, prop)
         assert sys.to_smtlib() == smtlib, name
-        assert [a.text() for a in vary_bounds(sys).free_atoms] == free_atoms, name
+        assert [atom_text(a) for a in vary_bounds(sys).free_atoms] == free_atoms, name

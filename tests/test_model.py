@@ -2,12 +2,14 @@
 
 import copy
 import dataclasses
+import importlib.util
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tarepair import load_bundled_model
+from tarepair import BUNDLED_MODELS, load_bundled_model, seeding
 from tarepair.checker import check
 from tarepair.model import (
     AtomicClockConstraint,
@@ -26,11 +28,13 @@ from tarepair.model import (
     prop_to_dnf,
     validate,
 )
-from tarepair.modelio import write_report, write_repaired_model
+from tarepair.modelio import parse_model, write_report, write_repaired_model
 from tarepair.orchestrator import RepairCandidate, apply_candidate, run
 from tarepair.variations import KINDS, Modification, RepairKind
 
 from urgency_desugar import desugar_urgency
+
+FISCHER = Path(__file__).resolve().parents[1] / "bench" / "fischer.py"
 
 
 def single_automaton(transitions, invariants, urgent=frozenset(), n_locs=2, clocks=frozenset({0})):
@@ -151,6 +155,33 @@ def test_max_constant_includes_property():
     assert max_constant(net, prop) == 4
 
 
+def test_largest_constant_is_read_off_the_clock_bounds():
+    # max_constant and seeding.model_max_bound read the network's clock_bounds,
+    # which round every atom up into its clock's L or U; they must equal the
+    # ceiling of the largest constant of the constraint table (and property)
+    # they were computed from before, on the bundled models, all of their
+    # seeded mutants, Fischer N=3 and N=4, and a network without clocks.
+    spec = importlib.util.spec_from_file_location("bench_fischer", FISCHER)
+    fischer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fischer)
+    cases = []
+    for name in BUNDLED_MODELS:
+        net, prop = load_bundled_model(name)
+        cases += [(net, prop)] + [(m.network, prop) for m in seeding.seed(net)]
+    cases += [parse_model(fischer.fischer(n, 0)) for n in (3, 4)]
+    clockless = single_automaton((Transition(0, 1, (), None, SyncKind.INTERNAL, frozenset()),), ((), ()), clocks=frozenset())
+    clockless = dataclasses.replace(clockless, clock_names=())
+    cases.append((clockless, PropertyExpr.of_location(0, 0)))
+    assert len(cases) == 195
+    for net, prop in cases:
+        largest = max((ref.atom.bound for ref in net.constraint_table), default=Fraction(0))
+        with_prop = max([largest, *(atom.bound for atom in prop.iter_atoms())])
+        assert max_constant(net, prop) == max(1, math.ceil(with_prop))
+        assert max_constant(net) == max(1, math.ceil(largest))
+        assert seeding.model_max_bound(net) == math.ceil(largest)
+    assert (max_constant(clockless), seeding.model_max_bound(clockless)) == (1, 0)
+
+
 def test_prop_to_dnf_negation():
     net, prop = load_bundled_model()
     bad = prop_to_dnf(prop.negate())
@@ -247,7 +278,7 @@ def _repair_all(network, prop, out_dir: Path) -> dict[str, bytes]:
     for kind in KINDS:
         rr = run(network, prop, kind, tdt=verdict.trace)
         for ordinal, cand in enumerate(rr.candidates, start=1):
-            write_repaired_model(network, prop, cand, out_dir, ordinal)
+            write_repaired_model(apply_candidate(network, cand), prop, cand.kind, out_dir, ordinal)
         runs.append(rr)
     write_report(runs, out_dir, model_name="client_db")
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}

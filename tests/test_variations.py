@@ -2,7 +2,7 @@
 
 from fractions import Fraction as F
 
-from conftest import loop_model
+from conftest import atom_text, loop_model
 from tarepair import load_bundled_model
 from tarepair.checker import check
 from tarepair.encoder import delta_var, encode, feasible, violating
@@ -33,7 +33,7 @@ def edited(vs, **values):
 
 def texts(sys, idx):
     """The delay sums of the rows of one constraint index."""
-    return [a.text() for r in sys.atoms if r.constraint_index == idx for a in sys.materialize(r)]
+    return [atom_text(a) for r in sys.atoms if r.constraint_index == idx for a in sys.materialize(r)]
 
 
 def test_zero_meaning_equisatisfiable_for_all_encoders_and_traces():
@@ -98,7 +98,7 @@ def test_clock_ref_zero_branch_restores_base():
     vs = vary_clock_refs(encode(net, verdict.trace, prop))
     zero = edited(vs)
     base = encode(net, verdict.trace, prop)
-    assert {a.text() for a in zero.linear_atoms()} == {a.text() for a in base.linear_atoms()}
+    assert {atom_text(a) for a in zero.linear_atoms()} == {atom_text(a) for a in base.linear_atoms()}
     assert vs.base.decide(HardConstraint(vs).edits({v.name: v.zero for v in vs.variables})) == base.decide()
 
 
@@ -140,7 +140,7 @@ def test_reset_variation_instantiates_the_edited_system():
     assert [v.anchor for v in vs.variables] == [(0, 0, x), (0, 0, y), (0, 1, x), (0, 1, y)]
     assert vs.variables[0].description == "remove reset of x on a transition 0 (steps 0, 1)"
     zero = edited(vs)
-    assert [a.text() for a in zero.linear_atoms()] == [a.text() for a in sys.linear_atoms()]
+    assert [atom_text(a) for a in zero.linear_atoms()] == [atom_text(a) for a in sys.linear_atoms()]
     assert zero.negated_property_atoms() == sys.negated_property_atoms()
     one = {vs.variables[0].name: True}  # remove t0's reset of x, at steps 0 and 1
     flipped = edited(vs, **one)
