@@ -18,7 +18,7 @@ from .checker import DEFAULT_STATE_BUDGET, Exhausted, check
 from .encoder import encode
 from .lra import DEFAULT_QE_BUDGET
 from .modelio import ModelFormatError, load_model, parse_trace, serialize_trace, write_report, write_repaired_model
-from .orchestrator import DEFAULT_MAX_REPAIRS, apply_candidate, run
+from .orchestrator import DEFAULT_MAX_REPAIRS, run
 from .seeding import campaign
 from .variations import KINDS
 
@@ -128,8 +128,8 @@ def _cmd_repair(args) -> int:
             qe_budget=args.qe_budget,
             original_cache=original_cache,
         )
-        for ordinal, cand in enumerate(rr.candidates, start=1):
-            path = write_repaired_model(apply_candidate(network, cand), prop, cand.kind, out_dir, ordinal)
+        for ordinal, repaired in enumerate(rr.repaired, start=1):
+            path = write_repaired_model(repaired, prop, rr.kind, out_dir, ordinal)
             print(f"wrote {path}")
         runs.append(rr)
     report = write_report(runs, out_dir, model_name=args.model)

@@ -94,22 +94,22 @@ class TdtConstraintSystem:
     def delta_vars(self) -> list[str]:
         return [delta_var(j) for j in range(self.n + 1)]
 
-    def delay_sum(self, clock: int, step: int, point: int) -> dict[str, Fraction]:
+    def delay_sum(self, clock: int, step: int, point: int) -> dict[str, int]:
         """``T_point - T_start`` as a delay sum, ``start`` being the last reset of
         ``clock`` at or before ``step`` in the unedited system."""
-        return {delta_var(i): Fraction(1) for i in range(self._unedited_timing[1][clock][step], point)}
+        return {delta_var(i): 1 for i in range(self._unedited_timing[1][clock][step], point)}
 
-    def materialize(self, row: TraceAtom) -> list[LinearAtom]:
+    def materialize(self, row: TraceAtom) -> LinearAtom:
         return comparison_atom(self.delay_sum(row.clock, row.step, row.point), row.op, row.bound)
 
     def shape_atoms(self) -> list[LinearAtom]:
         """The A block (``d_j >= 0``), then the U block (``d_j = 0`` at each zero-delay step)."""
-        advance = [LinearAtom.make({delta_var(j): Fraction(-1)}, Rel.LE, 0) for j in range(self.n + 1)]
-        urgent = [LinearAtom.make({delta_var(j): Fraction(1)}, Rel.EQ, 0) for j in self._unedited_timing[0]]
+        advance = [LinearAtom.make({delta_var(j): -1}, Rel.LE, 0) for j in range(self.n + 1)]
+        urgent = [LinearAtom.make({delta_var(j): 1}, Rel.EQ, 0) for j in self._unedited_timing[0]]
         return advance + urgent
 
     def linear_atoms(self) -> list[LinearAtom]:
-        return self.shape_atoms() + [la for row in self.atoms for la in self.materialize(row)]
+        return self.shape_atoms() + [self.materialize(row) for row in self.atoms]
 
     @cached_property
     def negated_property(self) -> tuple[tuple[TraceAtom, ...], ...]:
@@ -124,7 +124,7 @@ class TdtConstraintSystem:
 
     def negated_property_atoms(self) -> list[list[LinearAtom]]:
         """``negated_property`` over the delays: one choice group of ``lra.is_satisfiable``."""
-        return [[la for row in d for la in self.materialize(row)] for d in self.negated_property]
+        return [[self.materialize(row) for row in d] for d in self.negated_property]
 
     def to_smtlib(self) -> str:
         return to_smtlib(self.linear_atoms(), [self.negated_property_atoms()])

@@ -7,11 +7,12 @@ each of some groups of alternatives (each alternative a list of atoms).
 ``to_smtlib`` prints the same query; ``LinearAtom.negation`` gives an
 atom's complement as such a group.
 
-Atoms are kept with Fraction coefficients at the API, but every conjunction
-is compiled to primitive integer rows before solving, so the hot paths
-(emptiness checks, projections) run on machine integers. Equalities are
-removed by Gaussian substitution before any inequality elimination; each
-elimination step reduces rows to primitive form and prunes duplicates.
+Every atom is a primitive integer row: ``LinearAtom.make`` scales rational
+coefficients and constant to integers once, so the hot paths (emptiness
+checks, projections) run on machine integers and rebuild no fractions.
+Equalities are removed by Gaussian substitution before any inequality
+elimination; each elimination step reduces rows to primitive form and
+prunes duplicates.
 
 There is no rounding anywhere: verdicts and models are exact.
 It imports nothing from the package: ``comparison_atom`` reads a model
@@ -23,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -43,24 +44,29 @@ class QeBudgetExceeded(Exception):
 
 @dataclass(frozen=True, slots=True)
 class LinearAtom:
-    """``sum(coeff * var) rel const`` with exact rational coefficients."""
+    """``sum(coeff * var) rel const`` as a primitive integer row.
 
-    coeffs: tuple[tuple[str, Fraction], ...]  # sorted by variable, no zeros
+    Coefficients and constant are ints whose gcd is 1, unless there are no
+    coefficients: a constant row keeps its constant. ``make`` is the one
+    constructor that takes rationals."""
+
+    coeffs: tuple[tuple[str, int], ...]  # sorted by variable, no zeros
     rel: Rel
-    const: Fraction
+    const: int
 
     @staticmethod
     def make(coeffs: dict[str, Fraction], rel: Rel, const) -> "LinearAtom":
-        cleaned = []
-        for v, c in coeffs.items():
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-            if c:
-                cleaned.append((v, c))
-        cleaned.sort()
-        if not isinstance(const, Fraction):
-            const = Fraction(const)
-        return LinearAtom(tuple(cleaned), rel, const)
+        """The atom ``sum(coeffs[v] * v) rel const`` over int or Fraction
+        values, scaled by the lcm of their denominators."""
+        terms = sorted((v, c) for v, c in coeffs.items() if c)
+        scale = const.denominator
+        for _, c in terms:
+            scale = lcm(scale, c.denominator)
+        return _primitive(
+            tuple((v, c.numerator * (scale // c.denominator)) for v, c in terms),
+            rel,
+            const.numerator * (scale // const.denominator),
+        )
 
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.coeffs)
@@ -69,30 +75,41 @@ class LinearAtom:
         """The atom with the variables of ``values`` replaced by their values.
 
         The constant is kept as an integer fraction ``num / den`` until the
-        end, so only one ``Fraction`` is normalized per atom."""
-        num, den = self.const.numerator, self.const.denominator
+        end, when the kept coefficients are scaled by ``den`` once."""
+        num, den = self.const, 1
         kept = []
         for v, c in self.coeffs:  # sorted, and filtering keeps the order
             value = values.get(v)
             if value is None:
                 kept.append((v, c))
                 continue
-            p, q = c.numerator * value.numerator, c.denominator * value.denominator
+            p, q = c * value.numerator, value.denominator
             if q == den:
                 num -= p
             else:
                 num, den = num * q - p * den, den * q
-        return LinearAtom(tuple(kept), self.rel, Fraction(num, den))
+        if den != 1:
+            kept = [(v, c * den) for v, c in kept]
+        return _primitive(tuple(kept), self.rel, num)
 
     def negation(self) -> list[list["LinearAtom"]]:
         """The complement as alternatives of ``is_satisfiable``'s choice
         groups: one atom, or two for an equality."""
-        neg = {v: -c for v, c in self.coeffs}
+        neg = tuple((v, -c) for v, c in self.coeffs)
         if self.rel == Rel.LT:  # not(x < c)  <=>  -x <= -c
-            return [[LinearAtom.make(neg, Rel.LE, -self.const)]]
+            return [[LinearAtom(neg, Rel.LE, -self.const)]]
         if self.rel == Rel.LE:  # not(x <= c) <=>  -x < -c
-            return [[LinearAtom.make(neg, Rel.LT, -self.const)]]
-        return [[LinearAtom(self.coeffs, Rel.LT, self.const)], [LinearAtom.make(neg, Rel.LT, -self.const)]]
+            return [[LinearAtom(neg, Rel.LT, -self.const)]]
+        return [[LinearAtom(self.coeffs, Rel.LT, self.const)], [LinearAtom(neg, Rel.LT, -self.const)]]
+
+
+def _primitive(coeffs: tuple[tuple[str, int], ...], rel: Rel, const: int) -> LinearAtom:
+    """The atom of an integer row divided by its gcd; a constant row as is."""
+    g = gcd(const, *(c for _, c in coeffs)) if coeffs else 1
+    if g > 1:
+        coeffs = tuple((v, c // g) for v, c in coeffs)
+        const //= g
+    return LinearAtom(coeffs, rel, const)
 
 
 def atom_le(coeffs: dict[str, Fraction], const) -> LinearAtom:
@@ -108,20 +125,20 @@ def atom_eq(coeffs: dict[str, Fraction], const) -> LinearAtom:
 
 
 def atom_ge(coeffs: dict[str, Fraction], const) -> LinearAtom:
-    return LinearAtom.make({v: -c for v, c in coeffs.items()}, Rel.LE, -Fraction(const))
+    return LinearAtom.make({v: -c for v, c in coeffs.items()}, Rel.LE, -const)
 
 
 def atom_gt(coeffs: dict[str, Fraction], const) -> LinearAtom:
-    return LinearAtom.make({v: -c for v, c in coeffs.items()}, Rel.LT, -Fraction(const))
+    return LinearAtom.make({v: -c for v, c in coeffs.items()}, Rel.LT, -const)
 
 
 # Indexed by ``model.Op``, whose values 0-4 are <, <=, =, >=, > in this order.
 _OP_ATOMS = (atom_lt, atom_le, atom_eq, atom_ge, atom_gt)
 
 
-def comparison_atom(coeffs: dict[str, Fraction], op, const) -> list[LinearAtom]:
-    """Model-level operator (five-element set) to normalized atoms; EQ stays one atom."""
-    return [_OP_ATOMS[op](coeffs, const)]
+def comparison_atom(coeffs: dict[str, Fraction], op, const) -> LinearAtom:
+    """The atom of a model-level operator (five-element set); EQ is one atom."""
+    return _OP_ATOMS[op](coeffs, const)
 
 
 def to_smtlib(atoms: Sequence[LinearAtom], choices: Sequence[Sequence[Sequence[LinearAtom]]] = ()) -> str:
@@ -131,20 +148,9 @@ def to_smtlib(atoms: Sequence[LinearAtom], choices: Sequence[Sequence[Sequence[L
         return "(assert false)\n(check-sat)\n"
 
     def term(atom: LinearAtom) -> str:
-        if not atom.coeffs:
-            lhs = "0"
-        else:
-            parts = [
-                f"(* {c.numerator}{'' if c.denominator == 1 else f' (/ 1 {c.denominator})'} {v})"
-                for v, c in atom.coeffs
-            ]
-            lhs = parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
-        rhs = (
-            str(atom.const.numerator)
-            if atom.const.denominator == 1
-            else f"(/ {atom.const.numerator} {atom.const.denominator})"
-        )
-        return f"({atom.rel.value} {lhs} {rhs})"
+        parts = [f"(* {c} {v})" for v, c in atom.coeffs]
+        lhs = "0" if not parts else parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
+        return f"({atom.rel.value} {lhs} {atom.const})"
 
     def conj(terms: list[str]) -> str:
         if not terms:
@@ -173,29 +179,15 @@ def _compile_rows(atoms: Sequence[LinearAtom], varlist: Sequence[str]):
     n = len(varlist)
     rows = []
     for a in atoms:
-        scale = a.const.denominator
-        for _, c in a.coeffs:
-            d = c.denominator
-            if d != 1:
-                scale = scale * d // gcd(scale, d)
         vec = [0] * n
-        if scale == 1:
-            for v, c in a.coeffs:
-                vec[index[v]] = c.numerator
-            const = a.const.numerator
-        else:
-            for v, c in a.coeffs:
-                vec[index[v]] = c.numerator * (scale // c.denominator)
-            const = a.const.numerator * (scale // a.const.denominator)
-        rows.append((tuple(vec), a.rel, const))
+        for v, c in a.coeffs:
+            vec[index[v]] = c
+        rows.append((tuple(vec), a.rel, a.const))
     return rows
 
 
 def _reduce_row(vec, rel, const):
-    g = 0
-    for c in vec:
-        g = gcd(g, abs(c))
-    g = gcd(g, abs(const))
+    g = gcd(const, *vec)
     if g > 1:
         vec = tuple(c // g for c in vec)
         const = const // g
@@ -344,11 +336,8 @@ def _eliminate_rows(rows, varlist, target_idxs, budget_limit, keep_trace=False):
 
 
 def _rows_to_atoms(rows, varlist) -> list[LinearAtom]:
-    out = []
-    for vec, rel, const in rows:
-        coeffs = {varlist[i]: Fraction(c) for i, c in enumerate(vec) if c}
-        out.append(LinearAtom.make(coeffs, rel, Fraction(const)))
-    return out
+    """Atoms of reduced rows; sorted ``varlist`` keeps the coefficients sorted."""
+    return [LinearAtom(tuple((varlist[i], c) for i, c in enumerate(vec) if c), rel, const) for vec, rel, const in rows]
 
 
 DEFAULT_QE_BUDGET = 50_000
@@ -369,7 +358,7 @@ def eliminate(
     target_idxs = [i for i, v in enumerate(allvars) if v in targets]
     out, _ = _eliminate_rows(rows, allvars, target_idxs, budget)
     if out.contradiction:
-        return [LinearAtom.make({}, Rel.LT, Fraction(0))]  # canonical false
+        return [LinearAtom((), Rel.LT, 0)]  # canonical false
     return _rows_to_atoms(out.rows(), allvars)
 
 

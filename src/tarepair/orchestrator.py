@@ -130,6 +130,8 @@ class RepairRun:
     kind: RepairKind
     trace: SymbolicTimedTrace | None
     candidates: list[RepairCandidate] = field(default_factory=list)
+    repaired: list[TimedAutomatonNetwork] = field(default_factory=list)
+    """The network each candidate makes (``apply_candidate``), in order."""
     admissible: list[bool] = field(default_factory=list)
     witnesses: list[tuple[str, ...] | None] = field(default_factory=list)
     reason: str = "exhausted"
@@ -222,6 +224,7 @@ def run(
                     return runout
                 verdict = check_admissible(network, repaired, original_cache=original_cache)
                 runout.candidates.append(candidate)
+                runout.repaired.append(repaired)
                 runout.admissible.append(verdict.equal)
                 runout.witnesses.append(verdict.witness)
                 if len(runout.candidates) >= max_repairs:

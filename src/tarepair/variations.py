@@ -127,13 +127,13 @@ def vary_bounds(sys: TdtConstraintSystem) -> VariedSystem:
         )
         for row in rows:
             coeffs = sys.delay_sum(row.clock, row.step, row.point)
-            coeffs[vname] = Fraction(-1)  # lhs ~ b + v  <=>  lhs - v ~ b
-            atoms.extend(comparison_atom(coeffs, row.op, row.bound))
+            coeffs[vname] = -1  # lhs ~ b + v  <=>  lhs - v ~ b
+            atoms.append(comparison_atom(coeffs, row.op, row.bound))
         if rows[0].op == Op.GT:
             # Repaired bounds are clamped at 0. That is exact for c >= b + v,
             # but c > b + v with b + v < 0 always holds and c > 0 does not,
             # so a strict lower bound may not go below 0: -v <= b.
-            atoms.append(LinearAtom.make({vname: Fraction(-1)}, Rel.LE, rows[0].bound))
+            atoms.append(LinearAtom.make({vname: -1}, Rel.LE, rows[0].bound))
     return VariedSystem(sys, "bound", tuple(variables), tuple(atoms))
 
 

@@ -208,6 +208,43 @@ def test_repair_dump_smt(tmp_path, capsys):
     assert text.startswith("(declare-const") and "(check-sat)" in text
 
 
+def test_repair_dump_smt_prints_rational_bounds_as_integer_rows(tmp_path, capsys):
+    # w <= 3/2 reads d1 <= 3/2 over the delays; every atom is printed as an
+    # integer row, so that bound is 2*d1 <= 3 and its empty-prefix row 0 <= 3.
+    model = tmp_path / "half.json"
+    model.write_text(Path(BUNDLE).read_text(encoding="utf-8").replace('"w <= 2"', '"w <= 3/2"'), encoding="utf-8")
+    dump = tmp_path / "system.smt2"
+    assert main(["repair", str(model), "--kind", "bound", "--out", str(tmp_path / "r"), "--dump-smt", str(dump)]) == 0
+    assert dump.read_text() == (
+        "".join(f"(declare-const d{j} Real)\n" for j in range(4))
+        + "(assert (and (<= (* -1 d0) 0) (<= (* -1 d1) 0) (<= (* -1 d2) 0) (<= (* -1 d3) 0)"
+        " (<= 0 3) (<= (* 2 d1) 3) (<= 0 1) (<= (* 1 d2) 1) (<= 0 2) (<= (* 1 d3) 2)"
+        " (<= (* -1 d1) -1) (<= (* -1 d2) -1) (< (+ (* -1 d1) (* -1 d2) (* -1 d3)) -4)))\n"
+        "(check-sat)\n"
+    )
+    assert "[002] constraint #2 (db.reqReceiving invariant: w <= 3/2): bound 3/2 -> 1 (v = -1/2)" in (
+        tmp_path / "r" / "report.txt"
+    ).read_text(encoding="utf-8")
+
+
+def test_repair_applies_each_emitted_candidate_once(tmp_path, monkeypatch, capsys):
+    # The network a run built for its contract re-check is the one written.
+    real = orchestrator.apply_candidate
+    calls = []
+
+    def counting(network, candidate):
+        calls.append(candidate)
+        return real(network, candidate)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("tarepair")]:
+        if getattr(module, "apply_candidate", None) is real:
+            monkeypatch.setattr(module, "apply_candidate", counting)
+    assert main(["repair", BUNDLE, "--kind", "all", "--out", str(tmp_path)]) == 0
+    assert "14 repairs computed" in capsys.readouterr().out
+    assert len(calls) == 14
+    assert len(list(tmp_path.glob("repair_*.json"))) == 14
+
+
 def test_reset_repair_and_seed_on_repeated_transition_model(tmp_path, capsys):
     model = tmp_path / "loop.json"
     model.write_text(loop_model(), encoding="utf-8")

@@ -43,7 +43,7 @@ def test_running_example_invariant_doubling():
     sys = encode(net, verdict.trace, prop)
     w_rows = [r for r in sys.atoms if r.constraint_index == 2]
     assert [r.point - r.step for r in w_rows] == [0, 1]  # entry, then exit
-    texts = {atom_text(a) for r in w_rows for a in sys.materialize(r)}
+    texts = {atom_text(sys.materialize(r)) for r in w_rows}
     assert texts == {"0 <= 2", "d1 <= 2"}
 
 

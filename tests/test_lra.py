@@ -1,6 +1,8 @@
 """Engine-level checks: satisfiability, projection, sampling, budgets."""
 
+import collections
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -118,6 +120,56 @@ def test_substitute_pins_values_into_the_atom():
         partial = atom.substitute(pinned)
         assert set(partial.variables()) == set(atom.variables()) - set(pinned)
         assert holds(partial, full) == holds(atom, full)
+
+
+def _rational_atom(rng, names):
+    """Random rational coefficients (x0's non-zero) and constant, as a dict."""
+    coeffs = {v: F(rng.randint(-4, 4), rng.randint(1, 4)) for v in names}
+    coeffs[names[0]] = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+    return coeffs, rng.choice(list(Rel)), F(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def test_make_gives_one_primitive_integer_row_per_scaling():
+    # Scaling an atom by a positive rational gives the very same atom: make
+    # clears the denominators and divides out the gcd.
+    rng = random.Random(27)
+    names = ["x0", "x1", "x2"]
+    for _ in range(500):
+        coeffs, rel, const = _rational_atom(rng, names)
+        atom = LinearAtom.make(coeffs, rel, const)
+        assert all(type(c) is int for _, c in atom.coeffs) and type(atom.const) is int
+        assert math.gcd(atom.const, *(c for _, c in atom.coeffs)) == 1
+        c = F(rng.randint(1, 12), rng.randint(1, 12))
+        assert LinearAtom.make({v: c * k for v, k in coeffs.items()}, rel, c * const) == atom
+
+
+def _fraction_holds(coeffs, rel, const, point):
+    """The atom ``sum(coeffs[v] * v) rel const`` over Fractions, unscaled."""
+    lhs = sum((k * point[v] for v, k in coeffs.items()), F(0))
+    return lhs < const if rel == Rel.LT else lhs <= const if rel == Rel.LE else lhs == const
+
+
+def test_integer_rows_hold_where_the_fraction_form_does():
+    # make, substitute and negation against the rational inequality they
+    # replace, at points on the atom's boundary as well as off it.
+    rng = random.Random(28)
+    names = ["x0", "x1", "x2"]
+    kinds = collections.Counter()
+    for _ in range(1000):
+        coeffs, rel, _ = _rational_atom(rng, names)
+        point = {v: F(rng.randint(-6, 6), rng.randint(1, 5)) for v in names}
+        const = sum((k * point[v] for v, k in coeffs.items()), F(0)) + F(rng.randint(-1, 1), rng.randint(1, 3))
+        want = _fraction_holds(coeffs, rel, const, point)
+        atom = LinearAtom.make(coeffs, rel, const)
+        assert holds(atom, point) == want
+        pinned = {v: point[v] for v in rng.sample(names, rng.randint(0, 3))}
+        partial = atom.substitute(pinned)
+        assert all(type(c) is int for _, c in partial.coeffs) and type(partial.const) is int
+        assert not partial.coeffs or math.gcd(partial.const, *(c for _, c in partial.coeffs)) == 1
+        assert holds(partial, point) == want
+        assert any(all(holds(a, point) for a in alt) for alt in atom.negation()) == (not want)
+        kinds[rel, want] += 1
+    assert len(kinds) == 6  # every relation both holds and fails somewhere
 
 
 def test_or_branching_and_negated_equality():

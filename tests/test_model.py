@@ -277,8 +277,8 @@ def _repair_all(network, prop, out_dir: Path) -> dict[str, bytes]:
     runs = []
     for kind in KINDS:
         rr = run(network, prop, kind, tdt=verdict.trace)
-        for ordinal, cand in enumerate(rr.candidates, start=1):
-            write_repaired_model(apply_candidate(network, cand), prop, cand.kind, out_dir, ordinal)
+        for ordinal, repaired in enumerate(rr.repaired, start=1):
+            write_repaired_model(repaired, prop, rr.kind, out_dir, ordinal)
         runs.append(rr)
     write_report(runs, out_dir, model_name="client_db")
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}

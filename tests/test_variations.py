@@ -33,7 +33,7 @@ def edited(vs, **values):
 
 def texts(sys, idx):
     """The delay sums of the rows of one constraint index."""
-    return [atom_text(a) for r in sys.atoms if r.constraint_index == idx for a in sys.materialize(r)]
+    return [atom_text(sys.materialize(r)) for r in sys.atoms if r.constraint_index == idx]
 
 
 def test_zero_meaning_equisatisfiable_for_all_encoders_and_traces():
