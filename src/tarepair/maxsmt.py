@@ -20,8 +20,7 @@ edited system once, with pruning:
   per level; a level that closes empty prunes every assignment below it;
 - resets and urgency: the edits change only the timing of the system (its
   zero-delay steps and delay-sum starts), so ``HardConstraint.check``
-  keeps one verdict per timing; and reset toggles whose clock no row
-  reads after their transition first fires start blocked in ``max_sat``.
+  keeps one verdict per timing.
 
 For the bound analysis, whose variables are free rationals, the hard
 constraint is also a formula over them (the rows with shifted bounds,
@@ -41,10 +40,10 @@ implication is inclusion of the closed DBMs that ``decide`` builds. Only
 the operator and clock-reference walks can find more than one assignment
 per set, so only they filter.
 
-``max_sat`` is one pass over the modified sets of a run: it enumerates
-the sets in ascending size, yields those with a repairing assignment and
-blocks the variables of each set it yields, so the sets it yields share
-no variable.
+``max_sat`` is one pass over the modified sets of a run and reads no
+kind: it enumerates the non-empty sets in ascending size, yields those
+with a repairing assignment and blocks the variables of each set it
+yields, so the sets it yields share no variable.
 """
 
 from __future__ import annotations
@@ -157,8 +156,8 @@ def repairing_assignments(hard: HardConstraint, modified: tuple[str, ...]):
     if vs.kind == "bound":
         if not hard.check_with_zeros(frozenset(zeros)):
             return []
-        values = sample_repair_values(hard, modified)
-        return [] if values is None else [dict(zeros, **values)]
+        full = sample_repair_values(hard, modified)
+        return [] if full is None else [full]
     if vs.kind not in ("operator", "clockref"):
         flipped = dict(zeros, **dict.fromkeys(modified, True))
         return [flipped] if hard.check(flipped) else []
@@ -186,47 +185,24 @@ def repairing_assignments(hard: HardConstraint, modified: tuple[str, ...]):
     return found
 
 
-def dead_reset_toggles(vs: VariedSystem) -> set[str]:
-    """Reset variables whose clock no row of the trace system or of the negated
-    property reads after the first step where their transition fires.
-
-    Such a toggle moves only the start of its clock's delay sums after that
-    step, which nothing reads, so it leaves the edited system unchanged
-    whatever else is edited.
-    """
-    base = vs.base
-    last_read = {}  # clock -> last step whose rows read it
-    for row in itertools.chain(base.atoms, *base.negated_property):
-        last_read[row.clock] = max(last_read.get(row.clock, -1), row.step)
-    steps = base.stt.steps
-    dead = set()
-    for var in vs.variables:
-        ai, ti, c = var.anchor
-        first = next(j for j, move in enumerate(steps) if (ai, ti) in move)
-        if last_read.get(c, -1) <= first:
-            dead.add(var.name)
-    return dead
-
-
 # Largest integer magnitude sample_repair_values tries before it falls back
 # to a rational model.
 SCAN_LIMIT = 64
 
 
 def sample_repair_values(hard: HardConstraint, modified: tuple[str, ...]) -> dict[str, Fraction] | None:
-    """Concrete rational values for the modified bound variables.
+    """A full repairing assignment of the bound kind that modifies exactly
+    ``modified``, or None.
 
     Each variable is fixed in turn to the integer of minimal absolute value
     that keeps the pinned hard formula satisfiable (positive before
     negative); when no integer fits within ``SCAN_LIMIT``, a rational
-    interior point from an exact model is used instead. The scan substitutes
-    the pins (``pinned_sat``); the model query conjoins them as equalities,
-    whose elimination order picks the model. The final full assignment is
-    re-verified.
+    interior point from an exact model is used instead. Every other
+    variable stays 0. The scan substitutes the pins (``pinned_sat``); the
+    model query conjoins them as equalities, whose elimination order picks
+    the model. The full assignment is re-verified and returned.
     """
-    vs = hard.vs
-    zeros = {v.name: Fraction(0) for v in vs.variables if v.name not in modified}
-    pinned: dict[str, Fraction] = dict(zeros)
+    pinned = {v.name: Fraction(0) for v in hard.vs.variables if v.name not in modified}
     for name in modified:
         chosen = None
         for magnitude in range(1, SCAN_LIMIT + 1):
@@ -244,35 +220,27 @@ def sample_repair_values(hard: HardConstraint, modified: tuple[str, ...]) -> dic
                 return None
             chosen = res.model.get(name, Fraction(0))
         pinned[name] = chosen
-    values = {name: pinned[name] for name in modified}
-    full = dict(zeros)
-    full.update(values)
-    if not hard.check(full):
-        return None
-    return values
+    return pinned if hard.check(pinned) else None
 
 
 def max_sat(hard: HardConstraint):
     """Every repairing modified set, fewest modified variation variables first.
 
-    Yields ``(modified, assignments)``. Sets run in ascending size and in
-    lexicographic order within a size, so the first yield is optimal and
-    the order deterministic. ``max_sat`` only enumerates and blocks:
-    ``repairing_assignments`` decides each set and gives its assignments,
-    and a set without one is skipped. Once yielded, a set's variables stay
-    pinned to zero: later sets never modify them.
+    Yields ``(modified, assignments)``. Sets run in ascending size from one
+    variable and in lexicographic order within a size, so the first yield
+    is optimal and the order deterministic. ``max_sat`` only enumerates and
+    blocks: ``repairing_assignments`` decides each set and gives its
+    assignments, and a set without one is skipped. Once yielded, a set's
+    variables stay pinned to zero: later sets never modify them.
 
-    The reset kind starts with its dead toggles (``dead_reset_toggles``)
-    blocked: a set holding one repairs only if the set without it does,
-    which is searched first and, when it repairs, blocks the larger set.
-    Only the empty set, which repairs when the trace has no violation,
-    would not block it, so then they are unblocked.
+    The empty set, the unedited trace, is decided before the search:
+    ``orchestrator.run`` returns ``trace-not-violating`` instead of
+    searching when the trace has no violating realization, so here it
+    never repairs.
     """
-    vs = hard.vs
-    all_names = [v.name for v in vs.variables]
-    dead = dead_reset_toggles(vs) if vs.kind == "reset" else set()
-    blocked: set[str] = set(dead)
-    size = 0
+    all_names = [v.name for v in hard.vs.variables]
+    blocked: set[str] = set()
+    size = 1
     while size <= len(all_names) - len(blocked):
         names = [n for n in all_names if n not in blocked]
         for combo in itertools.combinations(names, size):
@@ -282,7 +250,5 @@ def max_sat(hard: HardConstraint):
             if not assignments:
                 continue
             blocked.update(combo)
-            if not combo:
-                blocked -= dead
             yield combo, assignments
         size += 1

@@ -385,9 +385,9 @@ def serialize_witness(labels: tuple[str, ...]) -> str:
 def parse_trace(text: str, network: TimedAutomatonNetwork) -> SymbolicTimedTrace:
     """The trace of a step document, replayed from the initial locations.
 
-    A step's optional ``delay`` is validated and ignored; a label-only
-    witness document, or any document without ``steps``, is no trace of
-    steps and is rejected.
+    A step's optional ``delay`` is validated (a rational, not negative)
+    and ignored; a label-only witness document, or any document without
+    ``steps``, is no trace of steps and is rejected.
     """
     doc = _load_json(text)
     if not isinstance(doc, dict):
@@ -435,8 +435,8 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> SymbolicTimedTrace
             )
         for ai, ti in fired:
             locs[ai] = network.automata[ai].transitions[ti].target
-        if sdoc.get("delay") is not None:
-            parse_rational(sdoc["delay"], path)
+        if sdoc.get("delay") is not None and parse_rational(sdoc["delay"], path) < 0:
+            raise ModelFormatError(f"{path}: negative delay {sdoc['delay']!r}")
         steps.append(tuple(fired))
         locations.append(tuple(locs))
     return SymbolicTimedTrace(tuple(steps), tuple(locations))

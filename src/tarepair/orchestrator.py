@@ -201,7 +201,8 @@ def run(
     runout = RepairRun(kind, tdt)
     if not enc.decide()[1]:
         # A supplied trace without violating realizations leaves nothing to
-        # repair; the all-zero assignment would be a spurious empty repair.
+        # repair. This check decides the empty modified set, the unedited
+        # trace, for the search, which starts at one variable.
         runout.reason = "trace-not-violating"
         return runout
     if original_cache is None:

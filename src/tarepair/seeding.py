@@ -18,7 +18,6 @@ randomness, so campaign reports are byte-stable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
@@ -47,7 +46,8 @@ def model_max_bound(network: TimedAutomatonNetwork) -> int:
 
 
 def bound_deltas(m: int) -> list[Fraction]:
-    return [Fraction(-10), Fraction(-1), Fraction(1), Fraction(math.ceil(0.1 * m)), Fraction(m)]
+    """The bound shifts of one constraint; ``+ceil(0.1*M)`` is exact for every integer M."""
+    return [Fraction(-10), Fraction(-1), Fraction(1), Fraction(-(-m // 10)), Fraction(m)]
 
 
 def seed(network: TimedAutomatonNetwork, kinds=KINDS) -> list[Mutant]:

@@ -16,7 +16,8 @@ Each encoder introduces variation variables with a declared domain and a
 - resets: one boolean flip per (transition, clock) reset toggle the trace
   offers: at each step a clock is removed from every transition of the
   step that resets it, or else added on the step's first transition whose
-  automaton declares the clock. A flip acts wherever its transition fires.
+  automaton declares the clock. A flip acts wherever its transition fires,
+  and only toggles whose clock some row reads afterwards are offered.
 - urgency: one boolean flip per distinct location visited by the trace;
   a flip inverts the zero-delay obligation of every step the location is
   resident at.
@@ -33,6 +34,7 @@ one such edit.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -168,8 +170,17 @@ def vary_clock_refs(sys: TdtConstraintSystem) -> VariedSystem:
     return VariedSystem(sys, "clockref", variables)
 
 
+def _last_reads(sys: TdtConstraintSystem) -> dict[int, int]:
+    """Clock -> the last step at which a row of the trace system or of the
+    negated property reads it."""
+    last: dict[int, int] = {}
+    for row in itertools.chain(sys.atoms, *sys.negated_property):
+        last[row.clock] = max(last.get(row.clock, -1), row.step)
+    return last
+
+
 def vary_resets(sys: TdtConstraintSystem) -> VariedSystem:
-    """One boolean flip per (transition, clock) reset toggle; true applies it.
+    """One boolean flip per live (transition, clock) reset toggle; true applies it.
 
     At step j the offered toggles remove clock c from every transition of
     the step that resets it, or else add c on the step's first transition
@@ -178,17 +189,27 @@ def vary_resets(sys: TdtConstraintSystem) -> VariedSystem:
     over the step's transitions; a toggle met again at a later step keeps
     its first place and its one variable, since the edit acts wherever its
     transition fires.
+
+    A toggle is offered only if some row reads its clock after the first
+    step where its transition fires (``_last_reads``). A dead toggle moves
+    only the start of delay sums that nothing reads, so it leaves the
+    edited system unchanged whatever else is edited: a set holding one
+    repairs exactly when the set without it does, which the search meets
+    first.
     """
     automata = sys.network.automata
     steps = sys.stt.steps
+    last_read = _last_reads(sys)
     variables: dict[tuple[int, int, int], VariationVariable] = {}
     for move in steps:
         for c in range(sys.network.n_clocks):
             declaring = [(ai, ti) for ai, ti in move if c in automata[ai].clocks]
             resetting = [(ai, ti) for ai, ti in declaring if c in automata[ai].transitions[ti].resets]
             for ai, ti in resetting or declaring[:1]:
-                fired = [str(j) for j, other in enumerate(steps) if (ai, ti) in other]
-                where = f"step{'s' if len(fired) > 1 else ''} {', '.join(fired)}"
+                fired = [j for j, other in enumerate(steps) if (ai, ti) in other]
+                if last_read.get(c, -1) <= fired[0]:
+                    continue
+                where = f"step{'s' if len(fired) > 1 else ''} {', '.join(map(str, fired))}"
                 variables[(ai, ti, c)] = VariationVariable(
                     name=f"rv{ai}_{ti}_{c}",
                     anchor=(ai, ti, c),

@@ -1,5 +1,6 @@
 """Shared generators for randomized oracles (deterministic seeds only)."""
 
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -9,6 +10,7 @@ from tarepair import bundled_model_path
 from tarepair.lra import Rel
 from tarepair.model import AtomicClockConstraint
 from tarepair.modelio import parse_model
+from tarepair.variations import VariationVariable, VariedSystem, vary_resets
 
 
 def atom_text(atom) -> str:
@@ -26,6 +28,42 @@ def atom_text(atom) -> str:
                 parts.append(f"{'+' if c > 0 else '-'} {abs(c)}*{v}")
         lhs = " ".join(parts).lstrip("+ ")
     return f"{lhs} {atom.rel.value} {atom.const}"
+
+
+def reset_toggles(sys) -> dict[tuple[int, int, int], bool]:
+    """Every (automaton, transition, clock) reset toggle the trace offers, in
+    the order ``vary_resets`` gives its variables, and whether it is live.
+
+    A toggle is dead when no row of the trace system or of the negated
+    property reads its clock after the first step where its transition
+    fires. Written apart from ``vary_resets``, as the reference that its
+    enumeration and its filter of dead toggles are compared against.
+    """
+    automata, steps = sys.network.automata, sys.stt.steps
+    last_read = {}
+    for row in itertools.chain(sys.atoms, *sys.negated_property):
+        last_read[row.clock] = max(last_read.get(row.clock, -1), row.step)
+    toggles = {}
+    for move in steps:
+        for c in range(sys.network.n_clocks):
+            declaring = [(ai, ti) for ai, ti in move if c in automata[ai].clocks]
+            resetting = [(ai, ti) for ai, ti in declaring if c in automata[ai].transitions[ti].resets]
+            for ai, ti in resetting or declaring[:1]:
+                first = next(j for j, other in enumerate(steps) if (ai, ti) in other)
+                toggles.setdefault((ai, ti, c), last_read.get(c, -1) > first)
+    return toggles
+
+
+def every_reset_toggle(sys) -> VariedSystem:
+    """The reset kind's varied system with a variable for every offered
+    toggle: ``vary_resets``'s own for the live ones, and one built directly
+    for each dead one."""
+    live = {v.anchor: v for v in vary_resets(sys).variables}
+    variables = tuple(
+        live.get(a) or VariationVariable("rv{}_{}_{}".format(*a), a, (False, True), False, f"dead reset toggle {a}")
+        for a in reset_toggles(sys)
+    )
+    return VariedSystem(sys, "reset", variables)
 
 
 def random_single_ta(rng: random.Random, max_clocks=3, max_const=3, max_locs=4):

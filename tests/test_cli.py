@@ -267,6 +267,7 @@ def test_reset_repair_and_seed_on_repeated_transition_model(tmp_path, capsys):
         {"steps": [{"fired": [{"automaton": "db", "transitionIndex": 0}]}]},
         {"labels": ["req"]},
         json.loads(loop_model()),
+        {"steps": [{"fired": [{"automaton": "client", "transitionIndex": 0}, {"automaton": "db", "transitionIndex": 0}], "delay": -5}]},
     ],
     ids=[
         "unknown-automaton",
@@ -278,6 +279,7 @@ def test_reset_repair_and_seed_on_repeated_transition_model(tmp_path, capsys):
         "receive-without-sender",
         "labels-only",
         "model-document-without-steps",
+        "negative-delay",
     ],
 )
 def test_malformed_trace_document_is_a_usage_error(tmp_path, capsys, doc):

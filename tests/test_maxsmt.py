@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import loop_model
+from conftest import every_reset_toggle, loop_model
 from tarepair import load_bundled_model
 from tarepair.checker import check, replay
 from tarepair.encoder import encode, feasible, violating
@@ -99,10 +99,9 @@ def test_urgency_hard_checks():
 
 def test_sampling_prefers_small_integers():
     net, vs, hard = _bundle_hard("bound")
-    values = sample_repair_values(hard, ("v2",))
-    assert values == {"v2": F(-1)}
-    values = sample_repair_values(hard, ("v0",))
-    assert values == {"v0": F(-1)}
+    zeros = {v.name: F(0) for v in vs.variables}
+    assert sample_repair_values(hard, ("v2",)) == zeros | {"v2": F(-1)}
+    assert sample_repair_values(hard, ("v0",)) == zeros | {"v0": F(-1)}
 
 
 def test_sampling_falls_back_to_interior_point():
@@ -205,8 +204,10 @@ def test_substituted_pins_agree_with_conjoined_equalities(monkeypatch):
     ]
     for net, prop in cases:
         run(net, prop, RepairKind.BOUND)
-    # (queries, satisfiable ones) of each kind
-    assert {k: (len(v), sum(v)) for k, v in outcomes.items()} == {"zeros": (44, 10), "scan": (418, 13)}
+    # (queries, satisfiable ones) of each kind. The zero queries were 44
+    # when max_sat also tried the empty set, once in each of the 8 runs
+    # with a violation; that query was never satisfiable.
+    assert {k: (len(v), sum(v)) for k, v in outcomes.items()} == {"zeros": (36, 10), "scan": (418, 13)}
 
 
 def _edited_systems(kind):
@@ -214,13 +215,15 @@ def _edited_systems(kind):
 
     Every assignment with at most two modified variables, each at every
     non-zero value, on the four violating bundled models and both loop
-    models (which fire t0 twice and revisit L0).
+    models (which fire t0 twice and revisit L0). The reset kind's
+    variables include the dead toggles that ``vary_resets`` drops.
     """
     cases = [load_bundled_model(name) for name in ("client_db", "oneclock", "urgent_hop", "pair_sync")]
     cases += [parse_model(loop_model()), parse_model(loop_model(("x", "y", "z"), "!@a.L1 || z <= 2"))]
     for net, prop in cases:
         trace = check(net, prop).trace
-        vs = vary(encode(net, trace, prop), kind)
+        sys = encode(net, trace, prop)
+        vs = every_reset_toggle(sys) if kind == "reset" else vary(sys, kind)
         hard = HardConstraint(vs)
         zero = {v.name: v.zero for v in vs.variables}
         for m in range(3):

@@ -138,6 +138,10 @@ def test_trace_document_delay_is_validated_and_ignored():
     doc["steps"][1]["delay"] = "soon"
     with pytest.raises(ModelFormatError, match=r"steps\[1\]: expected an integer"):
         parse_trace(json.dumps(doc), net)
+    for delay in (-5, "-1/2"):
+        doc["steps"][1]["delay"] = delay
+        with pytest.raises(ModelFormatError, match=r"steps\[1\]: negative delay"):
+            parse_trace(json.dumps(doc), net)
 
 
 def test_witness_document_is_no_trace():

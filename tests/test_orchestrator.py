@@ -25,7 +25,7 @@ from tarepair.orchestrator import (
     run,
 )
 
-from conftest import loop_model
+from conftest import every_reset_toggle, loop_model, reset_toggles
 
 VIOLATING = ("client_db", "oneclock", "urgent_hop", "pair_sync")
 
@@ -340,14 +340,15 @@ def test_reset_variables_are_per_transition_on_a_shared_step():
     mutant = seed(net)[65]
     assert mutant.description == "seed reset: add w on client.t0"
     trace = check(mutant.network, prop).trace
-    vs = vary(encode(mutant.network, trace, prop), "reset")
+    sys = encode(mutant.network, trace, prop)
+    vs = vary(sys, "reset")
     w = net.clock_names.index("w")
     assert [v.description for v in vs.variables if v.anchor[2] == w] == [
         "remove reset of w on client transition 0 (step 0)",
         "remove reset of w on db transition 0 (step 0)",
-        "add reset of w on db transition 1 (step 1)",
-        "add reset of w on client transition 1 (step 2)",
     ]
+    # Adding w's reset at step 1 or 2 is no variable: no row reads w after step 1.
+    assert [a for a, live in reset_toggles(sys).items() if a[2] == w and not live] == [(1, 1, w), (0, 1, w)]
     rr = run(mutant.network, prop, RepairKind.RESET, tdt=trace)
     assert [cand.describe_modifications() for cand in rr.candidates] == [
         ["add reset of x on db transition 1 (step 1)"],
@@ -387,8 +388,11 @@ def test_reset_variables_toggle_only_declared_clocks():
     net, prop = _fischer(3, 0)
     mutant = next(m for m in seed(net, kinds=("operator",)) if m.description == "seed operator #1: GT -> LT")
     trace = check(mutant.network, prop).trace
-    vs = vary(encode(mutant.network, trace, prop), "reset")
+    sys = encode(mutant.network, trace, prop)
     automata = mutant.network.automata
+    # Six toggles, two of them dead, whose edits are checked all the same.
+    assert len(vary(sys, "reset").variables) == 4
+    vs = every_reset_toggle(sys)
     assert len(vs.variables) == len(trace) == 6
     for var in vs.variables:
         ai, _, clock = var.anchor

@@ -8,19 +8,20 @@ twice and revisit L0) and the 22 violating mutants of Fischer N=3
 import importlib.util
 import itertools
 import json
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from conftest import loop_model
+from conftest import every_reset_toggle, loop_model, reset_toggles
 from test_bench_zone_graph import BENCH, SEED, _workloads
-from tarepair import dbm, encoder, load_bundled_model, model, seeding
+from tarepair import dbm, encoder, load_bundled_model, maxsmt, model, seeding
 from tarepair.checker import check
 from tarepair.encoder import TdtConstraintSystem, encode
-from tarepair.maxsmt import HardConstraint, dead_reset_toggles, max_sat, nonzero_values, repairing_assignments
+from tarepair.maxsmt import HardConstraint, max_sat, nonzero_values, repairing_assignments
 from tarepair.modelio import parse_model
-from tarepair.variations import vary
+from tarepair.variations import KINDS, vary
 
 FISCHER = Path(__file__).resolve().parents[1] / "bench" / "fischer.py"
 
@@ -93,20 +94,69 @@ def test_depth_first_search_yields_the_checked_product(kind):
 
 
 def test_blocked_reset_toggles_leave_the_system_unchanged():
-    # A dead toggle flipped on top of any at most two other flips gives the
-    # same closed DBM and verdict as without it.
-    blocked = 0
-    for name, hard in _hards("reset"):
-        vs, base = hard.vs, hard.vs.base
+    # vary_resets offers exactly the live toggles, in order. A dead toggle,
+    # which it drops, flipped on top of any at most two other flips (dead
+    # ones too) gives the same closed DBM and verdict as without it.
+    dropped = 0
+    for name, net, prop, trace in _cases():
+        sys = encode(net, trace, prop)
+        toggles = reset_toggles(sys)
+        assert [v.anchor for v in vary(sys, "reset").variables] == [a for a, live in toggles.items() if live], name
+        vs = every_reset_toggle(sys)
+        hard = HardConstraint(vs)
         for var in vs.variables:
-            if var.name not in dead_reset_toggles(vs):
+            if toggles[var.anchor]:
                 continue
-            blocked += 1
+            dropped += 1
             others = [v for v in vs.variables if v is not var]
             for a in _assignments(vs, others, 2):
                 flipped = dict(a, **{var.name: True})
-                assert base.decide(hard.edits(flipped)) == base.decide(hard.edits(a)), (name, var.name, a)
-    assert blocked == 50
+                assert sys.decide(hard.edits(flipped)) == sys.decide(hard.edits(a)), (name, var.name, a)
+    assert dropped == 50
+
+
+def _search_from_the_empty_set(hard: HardConstraint, dead: set[str]):
+    """``max_sat`` as it was before the repair loop decided the unedited trace
+    for it: from the empty set, with the reset kind's dead toggles among the
+    variables but blocked unless the empty set repairs."""
+    all_names = [v.name for v in hard.vs.variables]
+    blocked = set(dead)
+    size = 0
+    while size <= len(all_names) - len(blocked):
+        names = [n for n in all_names if n not in blocked]
+        for combo in itertools.combinations(names, size):
+            if not blocked.isdisjoint(combo):
+                continue
+            assignments = repairing_assignments(hard, combo)
+            if not assignments:
+                continue
+            blocked.update(combo)
+            if not combo:
+                blocked -= dead
+            yield combo, assignments
+        size += 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_max_sat_yields_what_the_search_from_the_empty_set_yields(kind):
+    # The differential oracle of max_sat, which starts at one variable over
+    # the live reset toggles, against the search it replaced: the same sets
+    # and assignments, less the dead toggles' zero entries.
+    yielded = 0
+    for name, net, prop, trace in _cases():
+        sys = encode(net, trace, prop)
+        vs = vary(sys, kind)
+        reference = every_reset_toggle(sys) if kind == "reset" else vs
+        live = {v.name for v in vs.variables}
+        dead = {v.name for v in reference.variables} - live
+        got = list(max_sat(HardConstraint(vs)))
+        want = list(_search_from_the_empty_set(HardConstraint(reference), dead))
+        assert all(a[n] is False for _, assignments in want for a in assignments for n in dead), name
+        assert got == [
+            (modified, [{n: x for n, x in a.items() if n in live} for a in assignments]) for modified, assignments in want
+        ], name
+        yielded += len(got)
+    assert yielded > 0
 
 
 @pytest.mark.parametrize("kind, shared", [("reset", 0), ("urgent", 4979)])
@@ -114,11 +164,14 @@ def test_cached_verdicts_equal_a_fresh_decide(kind, shared):
     # Every assignment with at most three flips, checked twice, against the
     # verdict of decide on a fresh system. Urgency flips of locations
     # resident at the same steps share a verdict; no two reset assignments
-    # here give one delay-sum start table.
+    # here give one delay-sum start table. The reset flips include the dead
+    # toggles that vary_resets drops.
     reused = 0
-    for name, hard in _hards(kind):
+    for name, net, prop, trace in _cases():
+        sys = encode(net, trace, prop)
+        hard = HardConstraint(every_reset_toggle(sys) if kind == "reset" else vary(sys, kind))
         vs = hard.vs
-        fresh = encode(vs.base.network, vs.base.stt, vs.base.prop)
+        fresh = encode(net, trace, prop)
         assignments = list(_assignments(vs, vs.variables, 3))
         for a in assignments + assignments:
             zone, violating = fresh.decide(hard.edits(a))
@@ -129,13 +182,15 @@ def test_cached_verdicts_equal_a_fresh_decide(kind, shared):
 
 # Full closures (``close``) and incremental conjunctions of one edited
 # constraint (``conjoin``) that ``max_sat`` makes on bundled client_db,
-# recorded from the pruned search. Checking every assignment instead makes
-# 629 operator, 52 clockref, 260 reset and 18 urgent closures there.
+# recorded from the pruned search. Checking every assignment of the sets it
+# tries instead makes 628 operator, 51 clockref, 35 reset and 17 urgent
+# closures there. Each kind closed once more when max_sat also tried the
+# empty set, the unedited trace.
 SEARCH_EFFORT = {
-    "operator": {"close": 17, "conjoin": 132},
-    "clockref": {"close": 10, "conjoin": 63},
-    "reset": {"close": 36, "conjoin": 0},
-    "urgent": {"close": 10, "conjoin": 0},
+    "operator": {"close": 16, "conjoin": 132},
+    "clockref": {"close": 9, "conjoin": 63},
+    "reset": {"close": 35, "conjoin": 0},
+    "urgent": {"close": 9, "conjoin": 0},
 }
 
 
@@ -156,54 +211,60 @@ def test_search_effort_on_client_db(kind, monkeypatch):
     assert all(counts[step] <= bound for step, bound in SEARCH_EFFORT[kind].items()), counts
 
 
-def test_edited_bounds_are_converted_once_per_run(monkeypatch):
-    # One campaign_client_db pass of the benchmark (seed 1) converts 1,137
-    # bounds to the raw DBM encoding; 1,303 when the walk's conjoin and
-    # decide kept separate caches of edited bounds, 1,333 before every
-    # kind's run on a mutant shared one original_cache, 1,400 when each move
-    # table compiled every transition's guard up front, 1,482 when decide
-    # also converted each edited bound on every call, and 2,842 when the
-    # walk's conjoin converted its edit's bound on each of its 1,638 calls.
-    # The count includes the constants that model.validate checks. Every
-    # report stays the recorded one.
-    calls = [0]
-    real = dbm.raw_constant
+def _calls_in_a_pass(monkeypatch, sites):
+    """Calls per counter over one campaign_client_db pass of the benchmark
+    (seed 1), whose every record must equal the golden one. ``sites`` maps a
+    counter to the (owner, attribute) pairs whose calls it counts."""
+    counts = Counter()
+    for key, targets in sites.items():
+        for owner, attribute in targets:
 
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
+            def counted(*args, _real=getattr(owner, attribute), _key=key, **kwargs):
+                counts[_key] += 1
+                return _real(*args, **kwargs)
 
-    for module in (dbm, encoder, model):
-        monkeypatch.setattr(module, "raw_constant", counted)
+            monkeypatch.setattr(owner, attribute, counted)
     workloads = _workloads()
     workload = workloads.setup_campaign(SEED)
     golden = json.loads((BENCH / "golden" / "campaign_client_db.json").read_text(encoding="utf-8"))
     want = workloads.golden_records(workload, golden)
-    calls[0] = 0
+    counts.clear()
     for item in workload.items:
         assert item.run() == want[item.key], item.key
-    assert calls[0] <= 1_137
+    return counts
+
+
+def test_edited_bounds_are_converted_once_per_run(monkeypatch):
+    # One campaign_client_db pass converts 1,137 bounds to the raw DBM
+    # encoding; 1,303 when the walk's conjoin and decide kept separate
+    # caches of edited bounds, 1,333 before every kind's run on a mutant
+    # shared one original_cache, 1,400 when each move table compiled every
+    # transition's guard up front, 1,482 when decide also converted each
+    # edited bound on every call, and 2,842 when the walk's conjoin
+    # converted its edit's bound on each of its 1,638 calls. The count
+    # includes the constants that model.validate checks.
+    sites = {"raw_constant": [(module, "raw_constant") for module in (dbm, encoder, model)]}
+    assert _calls_in_a_pass(monkeypatch, sites)["raw_constant"] <= 1_137
 
 
 def test_each_repair_is_decided_once_per_run(monkeypatch):
-    # One campaign_client_db pass of the benchmark (seed 1) decides 36 trace
-    # systems: 25 initial violation checks and 11 re-verifications of a
-    # sampled bound repair. It decided 123 when the repair loop decided each
-    # candidate again to skip the ones an earlier candidate implies, which
-    # the search now drops itself. Every report stays the recorded one.
-    calls = [0]
-    real = TdtConstraintSystem.decide
+    # One campaign_client_db pass decides 36 trace systems: 25 initial
+    # violation checks and 11 re-verifications of a sampled bound repair.
+    # It decided 123 when the repair loop decided each candidate again to
+    # skip the ones an earlier candidate implies, which the search now
+    # drops itself.
+    sites = {"decide": [(TdtConstraintSystem, "decide")]}
+    assert _calls_in_a_pass(monkeypatch, sites)["decide"] <= 36
 
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
 
-    monkeypatch.setattr(TdtConstraintSystem, "decide", counted)
-    workloads = _workloads()
-    workload = workloads.setup_campaign(SEED)
-    golden = json.loads((BENCH / "golden" / "campaign_client_db.json").read_text(encoding="utf-8"))
-    want = workloads.golden_records(workload, golden)
-    calls[0] = 0
-    for item in workload.items:
-        assert item.run() == want[item.key], item.key
-    assert calls[0] <= 36
+def test_the_search_leaves_the_unedited_trace_to_the_repair_loop(monkeypatch):
+    # One campaign_client_db pass decides 466 modified sets and closes 404
+    # trace systems. It decided 491 and closed 424 when max_sat also decided
+    # the empty set, which the repair loop's initial violation check has
+    # already decided, once in each of the 25 runs.
+    sites = {
+        "repairing_assignments": [(maxsmt, "repairing_assignments")],
+        "close": [(TdtConstraintSystem, "close")],
+    }
+    counts = _calls_in_a_pass(monkeypatch, sites)
+    assert counts["repairing_assignments"] <= 466 and counts["close"] <= 404, counts

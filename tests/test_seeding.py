@@ -1,11 +1,13 @@
 """Mutant enumeration goldens and campaign column invariants."""
 
+import json
+import math
 from collections import Counter
 from fractions import Fraction as F
 
-from tarepair import load_bundled_model, orchestrator, seeding
+from tarepair import bundled_model_path, load_bundled_model, orchestrator, seeding
 from tarepair.model import indexed_constraints
-from tarepair.modelio import serialize_model
+from tarepair.modelio import parse_model, serialize_model
 from tarepair.seeding import bound_deltas, campaign, model_max_bound, seed
 from tarepair.variations import RepairKind
 
@@ -17,6 +19,20 @@ def test_max_model_bound_excludes_property():
 
 def test_bound_delta_set():
     assert bound_deltas(4) == [F(-10), F(-1), F(1), F(1), F(4)]
+    for m in range(2001):
+        assert bound_deltas(m) == [F(-10), F(-1), F(1), F(math.ceil(F(m, 10))), F(m)], m
+
+
+def test_bound_delta_is_exact_for_a_bound_past_float_precision():
+    # M = 10**17 + 1: ceil(0.1 * M) in floating point gives 10**16, not 10**16 + 1.
+    doc = json.loads(bundled_model_path("oneclock").read_text(encoding="utf-8"))
+    doc["automata"][0]["locations"][0]["invariant"] = ["c <= 100000000000000001"]
+    net, _ = parse_model(json.dumps(doc))
+    assert model_max_bound(net) == 100000000000000001
+    assert bound_deltas(model_max_bound(net))[3] == 10**16 + 1
+    descriptions = [m.description for m in seed(net, kinds=("bound",))]
+    assert "seed bound #0: 100000000000000001 -> 110000000000000002" in descriptions
+    assert "seed bound #0: 100000000000000001 -> 110000000000000001" not in descriptions
 
 
 def test_bundle_mutant_counts_golden():
