@@ -24,14 +24,15 @@ constant k (classic) or at per-clock lower and upper bounds (Extra⁺_LU, see
 ``dbm``). A table may share another's pool of zones and both memos
 (``MoveTable``'s ``share``) when both extrapolate alike, as the two zone
 graphs of one admissibility check do: a repair leaves most steps as they
-were. ``check`` and ``replay`` keep tables of their own, at classic k.
-``check`` keys its states by (location vector, zone id), serves memo hits
-inline and decides the negated property's location literals once per
-location vector (``PropertyExpr.negated_atoms_at``).
-``replay`` walks one given trace through a ``MoveTable`` the same way,
-compiling only the moves the trace takes: the repair loop's contract
-re-check, which shares no encoding with the search's trace system. An id
-means something only inside its pool: no verdict or trace carries one.
+were. ``check`` keeps a table of its own, at classic k, keys its states
+by (location vector, zone id), serves memo hits inline and decides the
+negated property's location literals once per location vector
+(``PropertyExpr.negated_atoms_at``). An id means something only inside
+its pool: no verdict or trace carries one.
+``replay``, the repair loop's contract re-check, walks one given trace
+with no table: each step that ``is_enabled`` accepts goes straight to
+``dbm.jump`` and ``dbm.settle`` at the same classic k, since a trace takes
+each successor once. It shares no encoding with the search's trace system.
 """
 
 from __future__ import annotations
@@ -117,10 +118,26 @@ class MoveIndex:
                         for tj in receivers[aj][lj].get(channel, ()):
                             yield ((ai, ti), (aj, tj))
 
-    def find(self, locvec: tuple[int, ...], step: tuple[tuple[int, int], ...]):
-        """The enabled move whose sorted (automaton, transition) pairs equal
-        ``step``; None where there is none."""
-        return next((move for move in self.enabled(locvec) if tuple(sorted(move)) == step), None)
+
+def is_enabled(network: TimedAutomatonNetwork, locvec: tuple[int, ...], step) -> bool:
+    """Is ``step``, sorted (automaton, transition) pairs, a move that
+    ``MoveIndex.enabled`` lists at ``locvec``: one internal transition, or
+    a send and a receive on one channel by two automata, each leaving its
+    automaton's location there?"""
+    transitions = []
+    for ai, ti in step:
+        if not (0 <= ai < len(network.automata) and 0 <= ti < len(network.automata[ai].transitions)):
+            return False
+        t = network.automata[ai].transitions[ti]
+        if t.source != locvec[ai]:
+            return False
+        transitions.append(t)
+    if len(step) == 1:
+        return transitions[0].sync == SyncKind.INTERNAL
+    if len(step) != 2 or step[0][0] >= step[1][0]:  # two automata, sorted
+        return False
+    syncs = {t.sync for t in transitions}
+    return syncs == {SyncKind.SEND, SyncKind.RECEIVE} and transitions[0].channel == transitions[1].channel
 
 
 def move_label(network: TimedAutomatonNetwork, move) -> str | None:
@@ -367,32 +384,47 @@ def check(
 def replay(network: TimedAutomatonNetwork, prop: SafetyProperty, stt: SymbolicTimedTrace) -> tuple[bool, bool]:
     """(feasible, violating) of a trace, replayed on ``network`` with zones.
 
-    Walks only the trace's steps through a ``MoveTable``: each step takes
-    the enabled move whose sorted transitions equal it, compiling that move
-    alone, and raises ValueError when there is none. The trace is feasible
-    when every successor is non-empty, and violating when the final zone,
-    the clock values after the last delay, meets the negated property at the
-    final locations. Every atom is diagonal-free, so extrapolation at
-    ``k = max_constant(network, prop)`` changes neither the emptiness of a
+    Walks only the trace's steps, each straight through ``dbm.jump`` and
+    ``dbm.settle`` (no ``MoveTable``, no memo: every successor is computed
+    once, as the trace takes it), and raises ValueError at the first step
+    that is no enabled move (``is_enabled``). The trace is feasible when
+    every successor is non-empty, and violating when the final zone, the
+    clock values after the last delay, meets the negated property at the
+    final locations. Every atom is diagonal-free, so extrapolation at ``k =
+    max_constant(network, prop)`` changes neither the emptiness of a
     successor nor the meet with the property.
     """
     k = max_constant(network, prop)
-    table = MoveTable(network, k, constant_scale(network, prop))
-    state = table.initial_state()
+    scale = constant_scale(network, prop)
+    autos = network.automata
+
+    def settled(zone, jumped, locvec):
+        invariants = [
+            e for ai, li in enumerate(locvec) for a in autos[ai].invariants[li] for e in dbm.atom_edges(a, scale)
+        ]
+        delay = not any(li in autos[ai].urgent for ai, li in enumerate(locvec))
+        return dbm.settle(zone, jumped, invariants, delay, k)
+
+    locvec = tuple(a.initial for a in autos)
+    zone = dbm.zero_zone(network.n_clocks, scale)
+    zone = settled(zone, list(zone.m), locvec)
     for j, step in enumerate(stt.steps):
-        if state is None:
-            break
-        locvec, zid = state
-        move = table._index.find(locvec, step)
-        if move is None:
+        if zone is None:
+            return False, False
+        if not is_enabled(network, locvec, step):
             raise ValueError(f"step {j} is no enabled move of the network")
-        _move, _label, target, compiled, memo = table.compile(locvec, move)
-        zid = table.post(zid, compiled, memo)
-        state = None if zid is None else (target, zid)
-    if state is None:
+        target = list(locvec)
+        guard, resets = [], set()
+        for ai, ti in step:
+            t = autos[ai].transitions[ti]
+            target[ai] = t.target
+            guard.extend(e for a in t.guard for e in dbm.atom_edges(a, scale))
+            resets.update(c + 1 for c in t.resets)
+        locvec = tuple(target)
+        jumped = dbm.jump(zone, guard, sorted(resets))
+        zone = None if jumped is None else settled(zone, jumped, locvec)
+    if zone is None:
         return False, False
-    locvec, zid = state
-    zone = table.zones[zid]
     return True, any(dbm.intersects(zone, atoms) for atoms in prop.negated_atoms_at(locvec))
 
 
@@ -403,11 +435,10 @@ def stt_from_moves(network: TimedAutomatonNetwork, moves) -> SymbolicTimedTrace:
     transition, or one matching send/receive pair, leaving the current
     location vector.
     """
-    index = MoveIndex(network)
     steps = tuple(tuple(sorted(m)) for m in moves)
     locations = [tuple(a.initial for a in network.automata)]
     for j, step in enumerate(steps):
-        if index.find(locations[-1], step) is None:
+        if not is_enabled(network, locations[-1], step):
             raise ValueError(f"step {j} is no enabled move of the network")
         vec = list(locations[-1])
         for ai, ti in step:

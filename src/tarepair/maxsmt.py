@@ -27,8 +27,10 @@ constraint is also a formula over them (the rows with shifted bounds,
 ``VariedSystem.free_atoms``), projected by quantifier elimination over
 the delays: the existential projection conjoined with, per disjunct of
 the negated property, one choice group of ``lra.is_satisfiable`` (the
-complement of that disjunct's projection). It decides the modified sets
-and samples their values.
+complement of that disjunct's projection). ``HardConstraint.values_of``
+reads from it the exact set of values one variable can take with others
+pinned, as intervals; the first variable's read decides a modified set,
+and each read gives its variable's sampled value.
 
 ``repairing_assignments`` decides, for every kind, which assignments of
 one modified set are repairs to emit. Within a set, an assignment whose
@@ -43,15 +45,19 @@ per set, so only they filter.
 ``max_sat`` is one pass over the modified sets of a run and reads no
 kind: it enumerates the non-empty sets in ascending size, yields those
 with a repairing assignment and blocks the variables of each set it
-yields, so the sets it yields share no variable.
+yields, so the sets it yields share no variable. Before each size from
+two it asks ``HardConstraint.may_repair`` and stops where no set of
+unblocked variables can repair (the bound kind's one zero query).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import ceil, floor
+from typing import NamedTuple
 
-from .lra import DEFAULT_QE_BUDGET, LinearAtom, atom_eq, eliminate, is_satisfiable
+from .lra import DEFAULT_QE_BUDGET, LinearAtom, QeBudgetExceeded, Rel, atom_eq, eliminate, is_satisfiable
 from .variations import Modification, VariationVariable, VariedSystem, edit
 
 
@@ -59,7 +65,8 @@ class HardConstraint:
     """(exists delays. T^var) and (forall delays. T^var => Phi), checkable
     either per concrete assignment or, for the bound kind, as a formula
     over the free variation variables: ``formula`` is its ``(atoms,
-    choices)`` query for ``lra.is_satisfiable``.
+    choices)`` query for ``lra.is_satisfiable``, which ``check_with_zeros``
+    asks and ``values_of`` reads.
     """
 
     def __init__(self, vs: VariedSystem, qe_budget: int = DEFAULT_QE_BUDGET):
@@ -112,19 +119,99 @@ class HardConstraint:
             verdict = self._verdicts[timing] = m is not None and not base.meets_negated_property(m, timing, base.scale)
         return verdict
 
-    def pinned_sat(self, values: dict[str, Fraction]) -> bool:
-        """Bound kind: is the hard formula satisfiable with the variables of
-        ``values`` pinned to them? Each pin is substituted into the atoms."""
+    def _substituted(self, pins: dict[str, Fraction]):
+        """Bound kind: ``formula`` with each pin substituted into its atoms."""
         atoms, choices = self.formula
-        return is_satisfiable(
-            [a.substitute(values) for a in atoms],
-            [[[a.substitute(values) for a in alt] for alt in group] for group in choices],
-            self.qe_budget,
-        ).sat
+        return (
+            [a.substitute(pins) for a in atoms],
+            [[[a.substitute(pins) for a in alt] for alt in group] for group in choices],
+        )
 
     def check_with_zeros(self, zeros: frozenset[str]) -> bool:
         """Bound kind: is the hard formula satisfiable with these variables pinned to 0?"""
-        return self.pinned_sat(dict.fromkeys(zeros, Fraction(0)))
+        atoms, choices = self._substituted(dict.fromkeys(zeros, Fraction(0)))
+        return is_satisfiable(atoms, choices, self.qe_budget).sat
+
+    def values_of(self, name: str, pins: dict[str, Fraction]) -> list[Interval]:
+        """Bound kind: exactly the values of ``name`` for which the hard
+        formula, with the variables of ``pins`` pinned to them, is
+        satisfiable, as a union of intervals (empty where there is none).
+
+        Per choice combination, every other free variable is eliminated
+        (none where no other is free), which leaves bounds on ``name``
+        alone: the combination's interval.
+        """
+        atoms, choices = self._substituted(pins)
+        read: list[Interval] = []
+        for combo in itertools.product(*choices):
+            conj = atoms + [a for alt in combo for a in alt]
+            others = {v for a in conj for v in a.variables()} - {name}
+            interval = Interval.of(eliminate(conj, others, self.qe_budget) if others else conj)
+            if interval is not None and interval not in read:
+                read.append(interval)
+        return read
+
+    def may_repair(self, blocked: set[str]) -> bool:
+        """Can some set of unblocked variables still repair?
+
+        The bound kind asks whether the hard formula is satisfiable with only
+        the blocked variables pinned to 0: a set repairs only if all
+        unblocked variables left free together can, so False is exact. An
+        elimination past the QE budget here prunes nothing. Every other kind
+        answers True.
+        """
+        if self.vs.kind != "bound":
+            return True
+        try:
+            return self.check_with_zeros(frozenset(blocked))
+        except QeBudgetExceeded:
+            return True
+
+
+class Interval(NamedTuple):
+    """The rationals between ``lo`` and ``hi``; None is unbounded, and a
+    strict end excludes itself."""
+
+    lo: Fraction | None
+    lo_strict: bool
+    hi: Fraction | None
+    hi_strict: bool
+
+    @staticmethod
+    def of(atoms: list[LinearAtom]) -> Interval | None:
+        """The interval of a conjunction of atoms over at most one variable;
+        None where it is empty."""
+        lo, lo_strict, hi, hi_strict = None, False, None, False
+        for a in atoms:
+            strict = a.rel == Rel.LT
+            if not a.coeffs:  # 0 rel const
+                if a.const < 0 or (a.const == 0 and strict) or (a.const != 0 and a.rel == Rel.EQ):
+                    return None
+                continue
+            ((_, c),) = a.coeffs
+            bound = Fraction(a.const, c)
+            if c > 0 or a.rel == Rel.EQ:
+                if hi is None or bound < hi or (bound == hi and strict):
+                    hi, hi_strict = bound, strict
+            if c < 0 or a.rel == Rel.EQ:
+                if lo is None or bound > lo or (bound == lo and strict):
+                    lo, lo_strict = bound, strict
+        if lo is not None and hi is not None and (lo > hi or (lo == hi and (lo_strict or hi_strict))):
+            return None
+        return Interval(lo, lo_strict, hi, hi_strict)
+
+    def __contains__(self, value: Fraction) -> bool:
+        lo, hi = self.lo, self.hi
+        above = lo is None or value > lo or (value == lo and not self.lo_strict)
+        return above and (hi is None or value < hi or (value == hi and not self.hi_strict))
+
+    def least_integers(self) -> tuple[int | None, int | None]:
+        """The least positive integer in the interval and the negative one
+        of least magnitude; None where there is none."""
+        lo, hi = self.lo, self.hi
+        first = 1 if lo is None else max(1, floor(lo) + 1 if self.lo_strict else ceil(lo))
+        last = -1 if hi is None else min(-1, ceil(hi) - 1 if self.hi_strict else floor(hi))
+        return (first if first in self else None), (last if last in self else None)
 
 
 def nonzero_values(var) -> list[object]:
@@ -136,9 +223,9 @@ def nonzero_values(var) -> list[object]:
 def repairing_assignments(hard: HardConstraint, modified: tuple[str, ...]):
     """The repairs to emit on exactly the given modified set, in order.
 
-    The bound kind checks the set with every other variable pinned to zero
-    (``check_with_zeros``) and, if it repairs, samples one rational
-    assignment (``sample_repair_values``). Discrete values run over each
+    The bound kind samples one rational assignment
+    (``sample_repair_values``), whose first read, with every other variable
+    pinned to zero, decides the set. Discrete values run over each
     variable's non-zero domain in lexicographic order, so enumeration is
     deterministic and follows ``itertools.product``. A reset or urgency
     flag has one non-zero value, so those sets have the one assignment that
@@ -152,12 +239,10 @@ def repairing_assignments(hard: HardConstraint, modified: tuple[str, ...]):
     keep every bound.
     """
     vs = hard.vs
-    zeros = {v.name: v.zero for v in vs.variables if v.name not in modified}
     if vs.kind == "bound":
-        if not hard.check_with_zeros(frozenset(zeros)):
-            return []
         full = sample_repair_values(hard, modified)
         return [] if full is None else [full]
+    zeros = {v.name: v.zero for v in vs.variables if v.name not in modified}
     if vs.kind not in ("operator", "clockref"):
         flipped = dict(zeros, **dict.fromkeys(modified, True))
         return [flipped] if hard.check(flipped) else []
@@ -194,31 +279,29 @@ def sample_repair_values(hard: HardConstraint, modified: tuple[str, ...]) -> dic
     """A full repairing assignment of the bound kind that modifies exactly
     ``modified``, or None.
 
-    Each variable is fixed in turn to the integer of minimal absolute value
-    that keeps the pinned hard formula satisfiable (positive before
-    negative); when no integer fits within ``SCAN_LIMIT``, a rational
-    interior point from an exact model is used instead. Every other
-    variable stays 0. The scan substitutes the pins (``pinned_sat``); the
-    model query conjoins them as equalities, whose elimination order picks
-    the model. The full assignment is re-verified and returned.
+    Each variable in turn takes its value from its read
+    (``HardConstraint.values_of``, with every variable before it pinned):
+    the integer of minimal absolute value up to ``SCAN_LIMIT`` (positive
+    before negative); where the read holds no such integer, a rational
+    interior point from an exact model, whose query conjoins the pins as
+    equalities and whose elimination order picks the model. Every other
+    variable stays 0. The set repairs exactly when the first read is not
+    empty, since each value chosen keeps the next read non-empty. The full
+    assignment is re-verified and returned.
     """
     pinned = {v.name: Fraction(0) for v in hard.vs.variables if v.name not in modified}
     for name in modified:
-        chosen = None
-        for magnitude in range(1, SCAN_LIMIT + 1):
-            for val in (Fraction(magnitude), Fraction(-magnitude)):
-                if hard.pinned_sat(dict(pinned, **{name: val})):
-                    chosen = val
-                    break
-            if chosen is not None:
-                break
-        if chosen is None:
+        read = hard.values_of(name, pinned)
+        if not read:
+            return None
+        integers = [i for interval in read for i in interval.least_integers() if i is not None and abs(i) <= SCAN_LIMIT]
+        if integers:
+            chosen = Fraction(min(integers, key=lambda i: (abs(i), i < 0)))
+        else:  # the read is not empty, so the pinned formula has a model
             atoms, choices = hard.formula
             pins = [atom_eq({v: 1}, c) for v, c in sorted(pinned.items())]
-            res = is_satisfiable(atoms + pins, choices, hard.qe_budget, want_model=True)
-            if not res.sat:
-                return None
-            chosen = res.model.get(name, Fraction(0))
+            model = is_satisfiable(atoms + pins, choices, hard.qe_budget, want_model=True).model
+            chosen = model.get(name, Fraction(0))
         pinned[name] = chosen
     return pinned if hard.check(pinned) else None
 
@@ -231,7 +314,9 @@ def max_sat(hard: HardConstraint):
     is optimal and the order deterministic. ``max_sat`` only enumerates and
     blocks: ``repairing_assignments`` decides each set and gives its
     assignments, and a set without one is skipped. Once yielded, a set's
-    variables stay pinned to zero: later sets never modify them.
+    variables stay pinned to zero: later sets never modify them. Before
+    each size from two, the search ends where ``hard.may_repair`` says
+    that no set of the unblocked variables can repair.
 
     The empty set, the unedited trace, is decided before the search:
     ``orchestrator.run`` returns ``trace-not-violating`` instead of
@@ -242,6 +327,8 @@ def max_sat(hard: HardConstraint):
     blocked: set[str] = set()
     size = 1
     while size <= len(all_names) - len(blocked):
+        if size > 1 and not hard.may_repair(blocked):
+            return
         names = [n for n in all_names if n not in blocked]
         for combo in itertools.combinations(names, size):
             if not blocked.isdisjoint(combo):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .checker import MoveIndex, SymbolicTimedTrace
+from .checker import SymbolicTimedTrace, is_enabled
 from .model import (
     AtomicClockConstraint,
     TEXT_OP,
@@ -398,7 +398,6 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> SymbolicTimedTrace
         raise ModelFormatError("top level: a trace document needs a 'steps' list")
     steps = []
     locations = [tuple(a.initial for a in network.automata)]
-    moves = MoveIndex(network)
     step_docs = doc["steps"]
     if not isinstance(step_docs, list):
         raise ModelFormatError("steps: expected a list")
@@ -428,7 +427,7 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> SymbolicTimedTrace
                 )
             fired.append((ai, ti))
         fired.sort()
-        if moves.find(locations[-1], tuple(fired)) is None:
+        if not is_enabled(network, locations[-1], tuple(fired)):
             raise ModelFormatError(
                 f"{path}: fired transitions are not one internal transition"
                 " or one matching send/receive pair"

@@ -16,6 +16,7 @@ from tarepair.checker import (
     MoveTable,
     SymbolicTimedTrace,
     check,
+    is_enabled,
     replay,
     stt_from_moves,
 )
@@ -151,12 +152,65 @@ def test_step_that_is_no_move_is_rejected():
     with pytest.raises(ValueError, match="no enabled move"):
         stt_from_moves(net, [((0, 0), (0, 0))])
     assert len(stt_from_moves(net, [((0, 0), (1, 0))])) == 1
-    # replay reads each step from the move table and names the first one it lacks
+    # replay checks each step with is_enabled and names the first one that is no move
     net, prop = load_bundled_model()
     trace = check(net, prop).trace
     bogus = SymbolicTimedTrace(trace.steps[:1] + (((1, 0),),) + trace.steps[2:], trace.locations)
     with pytest.raises(ValueError, match="step 1 is no enabled move"):
         replay(net, prop, bogus)
+
+
+def _find(index, locvec, step):
+    """The enabled move whose sorted (automaton, transition) pairs equal
+    ``step``, None where there is none: the ``MoveIndex`` lookup that
+    ``is_enabled`` replaced."""
+    return next((move for move in index.enabled(locvec) if tuple(sorted(move)) == step), None)
+
+
+def test_is_enabled_accepts_exactly_the_steps_find_finds():
+    # Over every location vector that moves reach from the initial one, on
+    # the bundled models and Fischer N=3: every single transition, every
+    # ordered pair of transitions leaving the vector (unsorted ones, and two
+    # of one automaton, among them), each enabled move with a third such
+    # transition, and steps out of range.
+    workloads = _workloads()
+    models = [load_bundled_model(name)[0] for name in ("client_db", "oneclock", "urgent_hop", "pair_sync", "safe_idle")]
+    models.append(parse_model(workloads.fischer.fischer(3, 0))[0])
+    accepted = rejected = 0
+    for net in models:
+        index = MoveIndex(net)
+        pairs = [(ai, ti) for ai, auto in enumerate(net.automata) for ti in range(len(auto.transitions))]
+        n = len(net.automata)
+        outside = [(n, 0), (-1, 0), (0, len(net.automata[0].transitions)), (0, -1)]
+        init = tuple(a.initial for a in net.automata)
+        seen, queue = {init}, [init]
+        while queue:
+            locvec = queue.pop()
+            moves = list(index.enabled(locvec))
+            leaving = [(ai, ti) for ai, ti in pairs if net.automata[ai].transitions[ti].source == locvec[ai]]
+            steps = [(p,) for p in pairs + outside] + list(itertools.product(leaving, repeat=2))
+            steps += [(*sorted(m), p) for m in moves for p in leaving] + [(p, q) for p in leaving for q in outside]
+            steps.append(())
+            for step in steps:
+                found = _find(index, locvec, step) is not None
+                assert is_enabled(net, locvec, step) == found, (locvec, step)
+                accepted += found
+                rejected += not found
+            for move in moves:
+                vec = list(locvec)
+                for ai, ti in move:
+                    vec[ai] = net.automata[ai].transitions[ti].target
+                if tuple(vec) not in seen:
+                    seen.add(tuple(vec))
+                    queue.append(tuple(vec))
+    assert (accepted, rejected) == (368, 39_384)
+    # The kinds of step that are no move, on client_db at its initial vector.
+    net, _ = load_bundled_model()
+    index, init = MoveIndex(net), tuple(a.initial for a in net.automata)
+    handshake = ((0, 0), (1, 0))  # client's req! with db's req?
+    assert is_enabled(net, init, handshake) and _find(index, init, handshake)
+    for step in (((1, 0),), handshake[::-1], ((0, 0), (0, 1)), handshake + ((1, 1),), ((2, 0),), ((0, 9),)):
+        assert not is_enabled(net, init, step) and _find(index, init, step) is None, step
 
 
 def _scan_moves(network, locvec):
@@ -283,10 +337,11 @@ def test_each_distinct_successor_is_computed_once_per_exploration(monkeypatch):
 
 
 def test_no_memo_outlives_one_call(monkeypatch):
-    # A second check, replay or admissibility check on the same network
-    # objects computes every successor again, and its first table starts
-    # from an empty pool of zones: the pools live one call (check_admissible's
-    # without an original_cache).
+    # A second check or admissibility check on the same network objects
+    # computes every successor again, and its first table starts from an
+    # empty pool of zones: the pools live one call (check_admissible's
+    # without an original_cache). replay makes no table at all: it computes
+    # each successor of its trace, every time.
     workloads = _workloads()
     net, prop = parse_model(workloads.fischer.fischer(3, workloads.fischer.draw_permutation(3, 1)))
     mutant = next(m.network for m in seeding.seed(net) if not check(m.network, prop).safe)
@@ -300,14 +355,23 @@ def test_no_memo_outlives_one_call(monkeypatch):
         pools.append((table.zones, len(table.zones)))
 
     monkeypatch.setattr(MoveTable, "__init__", recorded)
-    for call in (lambda: check(net, prop), lambda: replay(mutant, prop, trace), lambda: check_admissible(net, mutant)):
-        counts, firsts = [], []
+    calls = {
+        "check": lambda: check(net, prop),
+        "replay": lambda: replay(mutant, prop, trace),
+        "admissibility": lambda: check_admissible(net, mutant),
+    }
+    for name, call in calls.items():
+        counts, made = [], []
         for _ in range(2):
             jumps.clear()
             settles.clear()
             pools.clear()
             call()
             counts.append((len(jumps), len(settles)))
-            firsts.append(pools[0])
-        assert counts[0] == counts[1] and counts[0][1] > 0, counts
-        assert firsts[0][0] is not firsts[1][0] and firsts[1][1] == 0
+            made.append(list(pools))
+        assert counts[0] == counts[1] and counts[0][1] > 0, (name, counts)
+        if name == "replay":  # one jump per step, and one settle more for the initial zone
+            assert made == [[], []] and counts[0] == (len(trace), len(trace) + 1), (made, counts)
+        else:
+            (first, _), (second, size) = made[0][0], made[1][0]
+            assert first is not second and size == 0, name

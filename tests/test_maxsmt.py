@@ -6,11 +6,12 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import every_reset_toggle, loop_model
-from tarepair import load_bundled_model
+from tarepair import load_bundled_model, maxsmt
 from tarepair.checker import check, replay
 from tarepair.encoder import encode, feasible, violating
 from tarepair.lra import LinearAtom, Rel, is_satisfiable
 from tarepair.maxsmt import (
+    SCAN_LIMIT,
     HardConstraint,
     max_sat,
     nonzero_values,
@@ -104,25 +105,68 @@ def test_sampling_prefers_small_integers():
     assert sample_repair_values(hard, ("v0",)) == zeros | {"v0": F(-1)}
 
 
+class _Fake:
+    """A hard constraint of the bound kind over one free variable ``v``
+    whose formula is given, and which every assignment passes."""
+
+    qe_budget = 10_000
+
+    class vs:
+        variables = ()
+
+    _substituted = HardConstraint._substituted
+    values_of = HardConstraint.values_of
+
+    def __init__(self, atoms, choices=()):
+        self.formula = atoms, choices
+
+    @staticmethod
+    def check(assignment):
+        return True
+
+
 def test_sampling_falls_back_to_interior_point():
     # A synthetic hard formula forcing v into (1/4, 1/2): no integer fits.
     from tarepair.lra import atom_gt, atom_lt
 
-    class Fake:
-        formula = [atom_gt({"v": F(1)}, F(1, 4)), atom_lt({"v": F(1)}, F(1, 2))], []
-        qe_budget = 10_000
-
-        class vs:
-            variables = ()
-
-        pinned_sat = HardConstraint.pinned_sat
-
-        @staticmethod
-        def check(assignment):
-            return True
-
-    values = sample_repair_values(Fake(), ("v",))
+    values = sample_repair_values(_Fake([atom_gt({"v": F(1)}, F(1, 4)), atom_lt({"v": F(1)}, F(1, 2))]), ("v",))
     assert values == {"v": F(3, 8)}
+
+
+@pytest.mark.parametrize(
+    "lower, upper, strict, chosen",
+    [
+        (-5, 5, False, 1),  # 0 is never tried
+        (-70, -3, False, -3),
+        (-2, -2, False, -2),
+        (2, None, False, 2),
+        (2, None, True, 3),
+        (F(3, 2), F(5, 2), True, 2),
+        (-5, -1, True, -2),
+        (None, -65, False, -65),  # past SCAN_LIMIT: the rational fallback's model
+        (0, 0, False, 0),
+    ],
+)
+def test_sampling_takes_the_integer_of_least_magnitude(lower, upper, strict, chosen):
+    from tarepair.lra import atom_ge, atom_gt, atom_le, atom_lt
+
+    atoms = [] if lower is None else [(atom_gt if strict else atom_ge)({"v": F(1)}, lower)]
+    atoms += [] if upper is None else [(atom_lt if strict else atom_le)({"v": F(1)}, upper)]
+    assert sample_repair_values(_Fake(atoms), ("v",)) == {"v": F(chosen)}
+
+
+@pytest.mark.parametrize(
+    "low, high, strict, chosen",
+    [(-2, 2, False, 2), (-2, 3, False, -2), (-3, 2, True, 3), (-2, 4, True, -3), (-70, 65, False, -70), (-65, 66, False, -65)],
+)
+def test_sampling_prefers_the_positive_integer_of_two_intervals(low, high, strict, chosen):
+    # v <= low or v >= high (< and > where strict), one choice group: the
+    # read is two intervals, and the least magnitude is over both.
+    from tarepair.lra import atom_ge, atom_gt, atom_le, atom_lt
+
+    below, above = (atom_lt, atom_gt) if strict else (atom_le, atom_ge)
+    fake = _Fake([], [[[below({"v": F(1)}, low)], [above({"v": F(1)}, high)]]])
+    assert sample_repair_values(fake, ("v",)) == {"v": F(chosen)}
 
 
 def test_unreparable_model_yields_no_solution():
@@ -179,23 +223,49 @@ def test_blocking_and_memo_reuse(monkeypatch):
 
 
 def test_substituted_pins_agree_with_conjoined_equalities(monkeypatch):
-    # Every pinned query of the bound runs on the bundled and loop models,
-    # and on a loop model under two properties whose negations have two
-    # disjuncts: the zero sets max_sat tries and the integer scan of
-    # sample_repair_values. The reference conjoins each pin as an equality,
-    # as both once did.
-    pinned_sat = HardConstraint.pinned_sat
-    outcomes = {"zeros": [], "scan": []}
+    # Every read of the bound runs on the bundled and loop models, and on a
+    # loop model under two properties whose negations have two disjuncts,
+    # against the pinned formula with each pin conjoined as an equality: an
+    # integer in +-1..SCAN_LIMIT, or the value sample_repair_values chose,
+    # lies in the read exactly when that conjunction is satisfiable. The
+    # zero queries (check_with_zeros) are compared the same way.
+    values_of, check_with_zeros = HardConstraint.values_of, HardConstraint.check_with_zeros
+    outcomes = {"zeros": [], "reads": []}
+    reads = []  # (hard, name, pins, read), in the order sample_repair_values asks them
 
-    def compared(hard, values):
-        got = pinned_sat(hard, values)
+    def reference(hard, pins):
         atoms, choices = hard.formula
-        pins = [LinearAtom.make({v: F(1)}, Rel.EQ, c) for v, c in sorted(values.items())]
-        assert got == is_satisfiable(atoms + pins, choices, hard.qe_budget).sat, values
-        outcomes["zeros" if not any(values.values()) else "scan"].append(got)
+        equalities = [LinearAtom.make({v: F(1)}, Rel.EQ, c) for v, c in sorted(pins.items())]
+        return is_satisfiable(atoms + equalities, choices, hard.qe_budget).sat
+
+    def compared_zeros(hard, zeros):
+        got = check_with_zeros(hard, zeros)
+        assert got == reference(hard, dict.fromkeys(zeros, F(0))), zeros
+        outcomes["zeros"].append(got)
         return got
 
-    monkeypatch.setattr(HardConstraint, "pinned_sat", compared)
+    def compared_read(hard, name, pins):
+        read = values_of(hard, name, pins)
+        for magnitude in range(1, SCAN_LIMIT + 1):
+            for value in (F(magnitude), F(-magnitude)):
+                assert any(value in i for i in read) == reference(hard, dict(pins, **{name: value})), (name, value)
+        reads.append((hard, name, dict(pins), read))
+        outcomes["reads"].append(bool(read))
+        return read
+
+    def compared_sample(hard, modified):
+        # Each variable of a sampled repair takes a value inside its read,
+        # where the pinned formula is satisfiable.
+        start = len(reads)
+        full = sample_repair_values(hard, modified)
+        for _, name, pins, read in reads[start:] if full is not None else ():
+            value = full[name]
+            assert any(value in i for i in read) and reference(hard, dict(pins, **{name: value})), (name, value)
+        return full
+
+    monkeypatch.setattr(HardConstraint, "check_with_zeros", compared_zeros)
+    monkeypatch.setattr(HardConstraint, "values_of", compared_read)
+    monkeypatch.setattr(maxsmt, "sample_repair_values", compared_sample)
     cases = [load_bundled_model(name) for name in ("client_db", "oneclock", "urgent_hop", "pair_sync", "safe_idle")]
     cases += [parse_model(loop_model()), parse_model(loop_model(("x", "y", "z"), "!@a.L1 || z <= 2"))]
     cases += [
@@ -204,10 +274,12 @@ def test_substituted_pins_agree_with_conjoined_equalities(monkeypatch):
     ]
     for net, prop in cases:
         run(net, prop, RepairKind.BOUND)
-    # (queries, satisfiable ones) of each kind. The zero queries were 44
-    # when max_sat also tried the empty set, once in each of the 8 runs
-    # with a violation; that query was never satisfiable.
-    assert {k: (len(v), sum(v)) for k, v in outcomes.items()} == {"zeros": (36, 10), "scan": (418, 13)}
+    # (queries, non-empty ones) of each kind. Before the reads, the runs
+    # asked (36, 10) zero queries, one per modified set, and (418, 13)
+    # pinned queries of an integer scan, one per value tried. The reads
+    # replace both: one per variable of each set tried. The zero queries
+    # left are max_sat's early stops, one per set size from 2.
+    assert {k: (len(v), sum(v)) for k, v in outcomes.items()} == {"zeros": (8, 6), "reads": (40, 16)}
 
 
 def _edited_systems(kind):

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import every_reset_toggle, loop_model, reset_toggles
 from test_bench_zone_graph import BENCH, SEED, _workloads
-from tarepair import dbm, encoder, load_bundled_model, maxsmt, model, seeding
+from tarepair import dbm, encoder, load_bundled_model, maxsmt, model, orchestrator, seeding
 from tarepair.checker import check
 from tarepair.encoder import TdtConstraintSystem, encode
 from tarepair.maxsmt import HardConstraint, max_sat, nonzero_values, repairing_assignments
@@ -211,10 +211,25 @@ def test_search_effort_on_client_db(kind, monkeypatch):
     assert all(counts[step] <= bound for step, bound in SEARCH_EFFORT[kind].items()), counts
 
 
+def _one_pass():
+    """A function that runs one campaign_client_db pass of the benchmark
+    (seed 1), whose every record must equal the golden one."""
+    workloads = _workloads()
+    workload = workloads.setup_campaign(SEED)
+    golden = json.loads((BENCH / "golden" / "campaign_client_db.json").read_text(encoding="utf-8"))
+    want = workloads.golden_records(workload, golden)
+
+    def run_pass():
+        for item in workload.items:
+            assert item.run() == want[item.key], item.key
+
+    return run_pass
+
+
 def _calls_in_a_pass(monkeypatch, sites):
-    """Calls per counter over one campaign_client_db pass of the benchmark
-    (seed 1), whose every record must equal the golden one. ``sites`` maps a
-    counter to the (owner, attribute) pairs whose calls it counts."""
+    """Calls per counter over one campaign_client_db pass (``_one_pass``).
+    ``sites`` maps a counter to the (owner, attribute) pairs whose calls it
+    counts."""
     counts = Counter()
     for key, targets in sites.items():
         for owner, attribute in targets:
@@ -224,13 +239,9 @@ def _calls_in_a_pass(monkeypatch, sites):
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(owner, attribute, counted)
-    workloads = _workloads()
-    workload = workloads.setup_campaign(SEED)
-    golden = json.loads((BENCH / "golden" / "campaign_client_db.json").read_text(encoding="utf-8"))
-    want = workloads.golden_records(workload, golden)
+    run_pass = _one_pass()
     counts.clear()
-    for item in workload.items:
-        assert item.run() == want[item.key], item.key
+    run_pass()
     return counts
 
 
@@ -258,13 +269,57 @@ def test_each_repair_is_decided_once_per_run(monkeypatch):
 
 
 def test_the_search_leaves_the_unedited_trace_to_the_repair_loop(monkeypatch):
-    # One campaign_client_db pass decides 466 modified sets and closes 404
-    # trace systems. It decided 491 and closed 424 when max_sat also decided
-    # the empty set, which the repair loop's initial violation check has
-    # already decided, once in each of the 25 runs.
+    # One campaign_client_db pass decides 440 modified sets and closes 404
+    # trace systems. It decided 466 when max_sat searched on after no
+    # unblocked set could repair (see the test below), 491 and closed 424
+    # when max_sat also decided the empty set, which the repair loop's
+    # initial violation check has already decided, once in each of the 25
+    # runs.
     sites = {
         "repairing_assignments": [(maxsmt, "repairing_assignments")],
         "close": [(TdtConstraintSystem, "close")],
     }
     counts = _calls_in_a_pass(monkeypatch, sites)
-    assert counts["repairing_assignments"] <= 466 and counts["close"] <= 404, counts
+    assert counts["repairing_assignments"] <= 440 and counts["close"] <= 404, counts
+
+
+def test_a_bound_search_stops_once_no_unblocked_set_can_repair(monkeypatch):
+    # One bound run of a campaign_client_db pass yields no set. Its search
+    # decides the 5 one-variable sets, then asks one check_with_zeros with
+    # nothing blocked, which is unsatisfiable and ends it. It decided 26
+    # sets of 2 to 5 variables more before max_sat asked may_repair.
+    runs = {}  # per bound run's hard constraint: sets decided, zero queries, sets yielded
+    decide, zero_query, search = maxsmt.repairing_assignments, HardConstraint.check_with_zeros, orchestrator.max_sat
+
+    def decided(hard, modified):
+        runs[hard][0].append(modified)
+        return decide(hard, modified)
+
+    def queried(hard, zeros):
+        verdict = zero_query(hard, zeros)
+        runs[hard][1].append((zeros, verdict))
+        return verdict
+
+    def searched(hard):
+        runs[hard] = ([], [], [])
+        for modified, assignments in search(hard):
+            runs[hard][2].append(modified)
+            yield modified, assignments
+
+    monkeypatch.setattr(maxsmt, "repairing_assignments", decided)
+    monkeypatch.setattr(HardConstraint, "check_with_zeros", queried)
+    monkeypatch.setattr(orchestrator, "max_sat", searched)
+    _one_pass()()
+    barren = [(sets, zeros) for hard, (sets, zeros, yielded) in runs.items() if hard.vs.kind == "bound" and not yielded]
+    assert len(barren) == 1
+    ((sets, zeros),) = barren
+    assert [len(m) for m in sets] == [1] * 5 and zeros == [(frozenset(), False)]
+
+
+def test_the_bound_kind_reads_intervals_instead_of_probing(monkeypatch):
+    # One campaign_client_db pass makes 5 is_satisfiable calls, all of them
+    # max_sat's early stops (check_with_zeros); no sampled value needs the
+    # rational fallback. It made 94 when each modified set was decided by a
+    # zero query and each value by a scan of pinned queries.
+    sites = {"is_satisfiable": [(module, "is_satisfiable") for module in (maxsmt, encoder, orchestrator)]}
+    assert _calls_in_a_pass(monkeypatch, sites)["is_satisfiable"] <= 5
