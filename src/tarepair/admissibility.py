@@ -32,11 +32,13 @@ A repair edits one constraint, reset or urgency flag, so the two networks
 compile almost every move to the same step. The repaired graph of
 ``check_admissible`` therefore shares the original's pool of zones and of
 step and settle memos (``MoveTable``'s ``share``), which serves a step of
-either graph once.
+either graph once, and takes the original table's compiled moves at every
+location vector the edit leaves clean.
 The table shares only at the same clock count, scale and bounds: a raw
 bound means another constant at another scale. The pool lives as long as
-the original's graph: one check, or one ``original_cache`` (a repair run's,
-or one shared by every kind's run on the same network).
+the original's graph: one check, or one ``original_cache``, which is
+``orchestrator.RepairContext.original_graphs`` when every kind's repair
+run on one trace shares it.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ class ZoneGraph(UntimedAutomaton):
     takes its successor's id from ``MoveTable.post``. A move's label is its
     channel name; an internal move is silent. ``share``, another graph, passes
     its ``table`` to this one's ``MoveTable``, which reuses its pool of
-    zones and memos where clock count, scale and bounds match.
+    zones and memos where clock count, scale and bounds match, and then its
+    compiled moves wherever this network's edits leave them equal.
     """
 
     def __init__(
@@ -243,11 +246,12 @@ def check_admissible(
 
     The repaired graph shares the original's pool of memos (``ZoneGraph``'s
     ``share``) where their scales and bounds match, so a successor both
-    graphs take is computed once. ``original_cache`` keeps the original's
-    ``ZoneGraph`` per (L, U) bounds across the candidates of one network's
-    repair runs, so the states each check expands, and the successors its
-    move table (and each earlier repaired graph) has computed, serve the
-    next.
+    graphs take is computed once, and the moves both compile alike are
+    compiled once. ``original_cache`` keeps the original's ``ZoneGraph``
+    per (L, U) bounds across the candidates of the repair runs on one
+    trace (``orchestrator.RepairContext``), so the states each check
+    expands, and the moves and successors its move table (and each earlier
+    repaired graph) has compiled and computed, serve the next.
     """
     bounds, repaired_bounds = shared_bounds(original, repaired)
     if original_cache is not None and bounds in original_cache:

@@ -24,11 +24,13 @@ constant k (classic) or at per-clock lower and upper bounds (Extra⁺_LU, see
 ``dbm``). A table may share another's pool of zones and both memos
 (``MoveTable``'s ``share``) when both extrapolate alike, as the two zone
 graphs of one admissibility check do: a repair leaves most steps as they
-were. ``check`` keeps a table of its own, at classic k, keys its states
-by (location vector, zone id), serves memo hits inline and decides the
-negated property's location literals once per location vector
-(``PropertyExpr.negated_atoms_at``). An id means something only inside
-its pool: no verdict or trace carries one.
+were, so the repaired network's table also takes the share's compiled
+moves at every location vector the repair leaves clean. ``check`` keeps a
+table of its own, at classic k, keys its states by (location vector, zone
+id), serves memo hits inline and decides the negated property's location
+literals once per location vector (``PropertyExpr.negated_atoms_at``).
+An id means something only inside its pool: no verdict or trace carries
+one.
 ``replay``, the repair loop's contract re-check, walks one given trace
 with no table: each step that ``is_enabled`` accepts goes straight to
 ``dbm.jump`` and ``dbm.settle`` at the same classic k, since a trace takes
@@ -195,7 +197,14 @@ class MoveTable:
     thresholds): ``dbm.jump`` and ``dbm.settle`` are then functions of the
     raw bounds and the step alone, so a step both networks compile is
     computed once for both. Otherwise this table starts its own pool; a raw
-    bound means a different constant at another scale.
+    bound means a different constant at another scale. A table that shares
+    the pool of a network of the same structure (repairs change no
+    automaton, location, transition source, target, sync or channel, nor a
+    channel name) also takes its ``MoveIndex`` and marks the dirty
+    locations of each automaton that is not the same object in both
+    networks (``_dirty_locations``): ``moves`` returns the share's compiled
+    list for a location vector with no dirty location, since every piece of
+    its steps is equal there, and compiles its own elsewhere.
     """
 
     def __init__(
@@ -204,12 +213,13 @@ class MoveTable:
         self.network = network
         self.k = k
         self.scale = scale
-        self._index = MoveIndex(network)
         # Per transition and per location, the pieces of the steps, compiled on first use.
         self._transitions: list[list[tuple | None]] = [[None] * len(auto.transitions) for auto in network.automata]
         self._invariants: list[list[tuple | None]] = [[None] * auto.n_locations for auto in network.automata]
         self._vectors: dict[tuple[int, ...], tuple[tuple, bool]] = {}
         self._moves: dict[tuple[int, ...], list[tuple]] = {}
+        self._share: MoveTable | None = None  # the table whose compiled moves this one reuses
+        self._dirty: list[tuple[int, frozenset[int]]] = []  # (automaton, its dirty locations)
         shape = (network.n_clocks, scale, k)
         if share is not None and (share.network.n_clocks, share.scale, share.k) == shape:
             self._extrapolation = share._extrapolation  # the last argument of dbm.settle
@@ -217,9 +227,15 @@ class MoveTable:
             self._zone_ids: dict[tuple[int, ...], int] = share._zone_ids  # raw bounds -> id
             self._memos: dict[tuple, _StepMemo] = share._memos  # step -> its memo
             self._settled: dict[tuple, dict] = share._settled  # (invariants, delay) -> its memo
+            dirty = _dirty_locations(share.network, network)
         else:
             self._extrapolation = k if type(k) is int else dbm.lu_thresholds(k, scale)
             self.zones, self._zone_ids, self._memos, self._settled = [], {}, {}, {}
+            dirty = None
+        if dirty is None:
+            self._index = MoveIndex(network)
+        else:
+            self._index, self._share, self._dirty = share._index, share, dirty
 
     def _intern(self, zone: dbm.DifferenceBoundMatrix | None) -> int | None:
         """The id of ``zone`` in the pool, added on first sight; None for None."""
@@ -309,10 +325,15 @@ class MoveTable:
         return move, label, target, step, self._memo(step)
 
     def moves(self, locvec: tuple[int, ...]) -> list[tuple]:
-        """The compiled enabled moves of one location vector."""
+        """The compiled enabled moves of one location vector: the share's list
+        where no location of ``locvec`` is dirty."""
         entries = self._moves.get(locvec)
         if entries is None:
-            entries = self._moves[locvec] = [self.compile(locvec, move) for move in self._index.enabled(locvec)]
+            if self._share is not None and not any(locvec[ai] in dirty for ai, dirty in self._dirty):
+                entries = self._share.moves(locvec)
+            else:
+                entries = [self.compile(locvec, move) for move in self._index.enabled(locvec)]
+            self._moves[locvec] = entries
         return entries
 
     def initial_state(self):
@@ -324,6 +345,39 @@ class MoveTable:
         step = ((), (), *self._vector(locvec))
         zid = self.post(zero, step, self._memo(step))
         return None if zid is None else (locvec, zid)
+
+
+def _dirty_locations(original: TimedAutomatonNetwork, network: TimedAutomatonNetwork):
+    """Per automaton of ``network`` that is not the same object in
+    ``original``, the locations whose compiled moves may differ there: those
+    whose invariant or urgency differs, and the sources of transitions whose
+    guard or resets differ or that enter such a location. Listed as
+    (automaton, locations) where any is dirty; None when the two networks
+    differ in structure (automata, locations, any transition's source,
+    target, sync or channel, or the channel names), which repairs never
+    change."""
+    if original.channel_names != network.channel_names or len(original.automata) != len(network.automata):
+        return None
+    out = []
+    for ai, (a, b) in enumerate(zip(original.automata, network.automata)):
+        if a is b:
+            continue
+        if a.n_locations != b.n_locations or len(a.transitions) != len(b.transitions):
+            return None
+        changed = {
+            li
+            for li in range(b.n_locations)
+            if a.invariants[li] != b.invariants[li] or (li in a.urgent) != (li in b.urgent)
+        }
+        dirty = set(changed)
+        for ta, tb in zip(a.transitions, b.transitions):
+            if (ta.source, ta.target, ta.sync, ta.channel) != (tb.source, tb.target, tb.sync, tb.channel):
+                return None
+            if ta.guard != tb.guard or ta.resets != tb.resets or tb.target in changed:
+                dirty.add(tb.source)
+        if dirty:
+            out.append((ai, frozenset(dirty)))
+    return out
 
 
 DEFAULT_STATE_BUDGET = 20_000

@@ -15,10 +15,9 @@ from pathlib import Path
 
 from .admissibility import check_admissible
 from .checker import DEFAULT_STATE_BUDGET, Exhausted, check
-from .encoder import encode
 from .lra import DEFAULT_QE_BUDGET
 from .modelio import ModelFormatError, load_model, parse_trace, serialize_trace, write_report, write_repaired_model
-from .orchestrator import DEFAULT_MAX_REPAIRS, run
+from .orchestrator import DEFAULT_MAX_REPAIRS, RepairContext, run
 from .seeding import campaign
 from .variations import KINDS
 
@@ -113,20 +112,19 @@ def _cmd_repair(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    context = RepairContext(network, prop, tdt)
     if args.dump_smt:
-        Path(args.dump_smt).write_text(encode(network, tdt, prop).to_smtlib(), encoding="utf-8")
+        Path(args.dump_smt).write_text(context.system.to_smtlib(), encoding="utf-8")
         print(f"constraint system dumped to {args.dump_smt}")
     runs = []
-    original_cache: dict = {}  # the network's zone graphs, for every kind's admissibility checks
     for kind in kinds:
         rr = run(
             network,
             prop,
             kind,
-            tdt=tdt,
             max_repairs=args.max_repairs,
             qe_budget=args.qe_budget,
-            original_cache=original_cache,
+            context=context,
         )
         for ordinal, repaired in enumerate(rr.repaired, start=1):
             path = write_repaired_model(repaired, prop, rr.kind, out_dir, ordinal)

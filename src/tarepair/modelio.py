@@ -387,7 +387,10 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> SymbolicTimedTrace
 
     A step's optional ``delay`` is validated (a rational, not negative)
     and ignored; a label-only witness document, or any document without
-    ``steps``, is no trace of steps and is rejected.
+    ``steps``, is no trace of steps and is rejected. The optional
+    ``initialLocations`` and ``finalLocations`` map automaton names to the
+    location the replay must start and end at; an unknown automaton or
+    location, or one the replay is not at, is rejected.
     """
     doc = _load_json(text)
     if not isinstance(doc, dict):
@@ -438,6 +441,22 @@ def parse_trace(text: str, network: TimedAutomatonNetwork) -> SymbolicTimedTrace
             raise ModelFormatError(f"{path}: negative delay {sdoc['delay']!r}")
         steps.append(tuple(fired))
         locations.append(tuple(locs))
+    for key, locvec in (("initialLocations", locations[0]), ("finalLocations", locations[-1])):
+        if key not in doc:
+            continue
+        if not isinstance(doc[key], dict):
+            raise ModelFormatError(f"{key}: expected an object")
+        for name, location in doc[key].items():
+            try:
+                ai = network.automaton_index(name)
+            except KeyError:
+                raise ModelFormatError(f"{key}: unknown automaton {name!r}") from None
+            auto = network.automata[ai]
+            if location not in auto.location_names:
+                raise ModelFormatError(f"{key}: {auto.name} has no location {location!r}")
+            reached = auto.location_names[locvec[ai]]
+            if reached != location:
+                raise ModelFormatError(f"{key}: the trace has {auto.name} at {reached!r}, not {location!r}")
     return SymbolicTimedTrace(tuple(steps), tuple(locations))
 
 

@@ -12,6 +12,11 @@ distinct assignments are distinct repairs, and ``apply_candidate``
 applies each edit by its anchor alone. The run emits what the search
 yields and decides no trace system after the initial violation check.
 
+The runs of every kind on one trace share one ``RepairContext``: the
+network is validated, the trace encoded and its initial violation decided
+once per trace, not once per kind, and every run's admissibility checks
+read the same zone graphs of the original.
+
 Every emitted candidate is re-verified against the semantic repair
 contract (the repaired model still realizes the trace, and no realization
 violates the property) by ``checker.replay``, a zone replay of the trace
@@ -170,6 +175,35 @@ class RepairRun:
 DEFAULT_MAX_REPAIRS = 64
 
 
+class RepairContext:
+    """What the repair runs of every kind on one (network, property, trace) share.
+
+    Made once per trace, it validates the network and property (ValueError
+    on an error-level diagnostic), checks the model within
+    ``checker.DEFAULT_STATE_BUDGET`` when no trace is given (``trace`` is
+    then None for a Safe verdict), encodes the trace as its constraint
+    system (``system``) and decides whether it has a violating realization
+    (``violating``). ``original_graphs`` is ``check_admissible``'s cache of
+    the network's zone graphs, so every candidate of every run checks
+    against the same graphs of the original and their pool of memos.
+    """
+
+    def __init__(
+        self, network: TimedAutomatonNetwork, prop, trace: SymbolicTimedTrace | None = None
+    ) -> None:
+        problems = [d for d in validate(network, prop) if not d.startswith("warning:")]
+        if problems:
+            raise ValueError("; ".join(problems))
+        if trace is None:
+            trace = check(network, prop).trace
+        self.network, self.prop, self.trace = network, prop, trace
+        self.system = None if trace is None else encode(network, trace, prop)
+        # The initial violation check decides the empty modified set, the
+        # unedited trace, for every kind's search, which starts at one variable.
+        self.violating = self.system is not None and self.system.decide()[1]
+        self.original_graphs: dict = {}
+
+
 def run(
     network: TimedAutomatonNetwork,
     prop,
@@ -177,38 +211,31 @@ def run(
     tdt: SymbolicTimedTrace | None = None,
     max_repairs: int = DEFAULT_MAX_REPAIRS,
     qe_budget: int = DEFAULT_QE_BUDGET,
-    original_cache: dict | None = None,
+    context: RepairContext | None = None,
 ) -> RepairRun:
     """Compute, apply and admissibility-check repairs of one kind.
 
     Without a supplied trace the model is checked first, within
     ``checker.DEFAULT_STATE_BUDGET``; a Safe verdict yields an empty run.
-    ``original_cache`` is ``check_admissible``'s cache of the network's zone
-    graphs; callers that run several kinds on one network pass one dict to
-    each run, and None gives this run a dict of its own.
+    ``context`` is the ``RepairContext`` of (network, prop, tdt); callers
+    that run several kinds on one trace pass one context to each run, and
+    None gives this run a context of its own.
     """
     kind = RepairKind(kind) if not isinstance(kind, RepairKind) else kind
-    problems = [d for d in validate(network, prop) if not d.startswith("warning:")]
-    if problems:
-        raise ValueError("; ".join(problems))
-    if tdt is None:
-        verdict = check(network, prop)
-        if verdict.safe:
-            return RepairRun(kind, None, reason="no-violation-found")
-        tdt = verdict.trace
-
-    enc = encode(network, tdt, prop)
+    if context is None:
+        context = RepairContext(network, prop, tdt)
+    elif context.network is not network or context.prop is not prop or tdt not in (None, context.trace):
+        raise ValueError("the repair context is of another network, property or trace")
+    if context.trace is None:
+        return RepairRun(kind, None, reason="no-violation-found")
+    tdt = context.trace
     runout = RepairRun(kind, tdt)
-    if not enc.decide()[1]:
-        # A supplied trace without violating realizations leaves nothing to
-        # repair. This check decides the empty modified set, the unedited
-        # trace, for the search, which starts at one variable.
+    if not context.violating:
+        # A supplied trace without violating realizations leaves nothing to repair.
         runout.reason = "trace-not-violating"
         return runout
-    if original_cache is None:
-        original_cache = {}
     try:
-        vs = vary(enc, kind.value)
+        vs = vary(context.system, kind.value)
         hard = HardConstraint(vs, qe_budget)
         runout.variable_count, runout.constraint_count = _sizes(vs)
         if max_repairs <= 0:
@@ -223,7 +250,7 @@ def run(
                     runout.reason = "contract-violation"
                     runout.rejected = candidate
                     return runout
-                verdict = check_admissible(network, repaired, original_cache=original_cache)
+                verdict = check_admissible(network, repaired, original_cache=context.original_graphs)
                 runout.candidates.append(candidate)
                 runout.repaired.append(repaired)
                 runout.admissible.append(verdict.equal)

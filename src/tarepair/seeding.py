@@ -27,7 +27,7 @@ from .model import (
     TimedAutomatonNetwork,
     indexed_constraints,
 )
-from .orchestrator import DEFAULT_MAX_REPAIRS, RepairCandidate, apply_candidate, run
+from .orchestrator import DEFAULT_MAX_REPAIRS, RepairCandidate, RepairContext, apply_candidate, run
 from .variations import KINDS, Modification, RepairKind
 
 
@@ -222,17 +222,16 @@ def campaign(
         row.max_trace_len = max(row.max_trace_len, len(verdict.trace))
         n_rep = n_adm = 0
         failed = []  # kinds whose run stopped on a failed contract re-check
-        original_cache: dict = {}  # the mutant's zone graphs, for every kind's admissibility checks
+        context = RepairContext(mutant.network, prop, verdict.trace)
         for rk in RepairKind:
             try:
                 rr = run(
                     mutant.network,
                     prop,
                     rk,
-                    tdt=verdict.trace,
                     max_repairs=max_repairs,
                     qe_budget=CAMPAIGN_QE_BUDGET,
-                    original_cache=original_cache,
+                    context=context,
                 )
             except Exhausted:
                 row.timeouts += 1

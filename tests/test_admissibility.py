@@ -414,16 +414,21 @@ def _shape(graph):
 def _assert_shared_pool_changes_nothing(pairs):
     """For every (name, original, repaired) of ``pairs``, the repaired graph built
     with ``share`` the original's graph and expanded in full has the states and
-    edges of a fresh one, and so has the original's graph, then expanded in
-    full on the pool. One graph per original and k serves all its pairs, as
-    ``original_cache`` does in a repair run, so its pool also holds the
-    earlier pairs' successors. A pool lends its zones, its step memos and its
-    settle memos together. Returns how many pairs shared a pool.
+    edges of a fresh one, whose table shares nothing, and so has the
+    original's graph, then expanded in full on the pool. One graph per
+    original and k serves all its pairs, as a ``RepairContext`` does in the
+    repair runs on one trace, so its pool also holds the earlier pairs'
+    successors. A pool lends its zones, its step memos and its settle memos
+    together, and a repaired table on a shared pool takes the original
+    table's compiled moves at each location vector its edit leaves clean.
+    Returns how many pairs shared a pool, how many of them reused the
+    original's compiled moves at some vector, and how many compiled their
+    own at some vector.
 
     ``check_admissible``, which shares the pool, meets two fresh graphs in
     ``_assert_matches_full_graphs`` on the same pairs."""
     originals, fresh_originals = {}, {}
-    shared = 0
+    shared = reused = dirty = 0
     for name, a, b in pairs:
         ba, bb = shared_bounds(a, b)
         ga = originals.setdefault((id(a), ba), ZoneGraph(a, ba))
@@ -437,7 +442,12 @@ def _assert_shared_pool_changes_nothing(pairs):
         lent = (pooled.table._settled is ga.table._settled, pooled.table.zones is ga.table.zones)
         assert lent == (shares, shares), name  # the zones and both memos, or none of them
         shared += shares
-    return shared
+        own = pooled.table._moves
+        taken = [v for v in own if own[v] is ga.table._moves.get(v)]
+        assert shares or not taken, name
+        reused += bool(taken)
+        dirty += len(taken) < len(own)
+    return shared, reused, dirty
 
 
 def _one_clock(guards, clocks=("x",)):
@@ -476,7 +486,10 @@ def test_shared_pool_changes_no_graph_on_fischer_mutants():
     # One original graph serves all 77 mutants, so its pool grows with each.
     network = _fischer()
     pairs = [(m.description, network, m.network) for m in seeding.seed(network)]
-    assert _assert_shared_pool_changes_nothing(pairs) == len(pairs) == 77
+    # Every mutant's edit leaves some reached location vector dirty, and 64
+    # of them also leave one clean, where the original's moves serve.
+    assert len(pairs) == 77
+    assert _assert_shared_pool_changes_nothing(pairs) == (77, 64, 77)
 
 
 def test_shared_pool_changes_no_graph_on_bundled_mutants_and_repair_candidates():
@@ -485,7 +498,8 @@ def test_shared_pool_changes_no_graph_on_bundled_mutants_and_repair_candidates()
         net, _ = load_bundled_model(name)
         pairs += [p for m in seeding.seed(net) for p in _both_ways(f"{name}: {m.description}", net, m.network)]
     pairs += [p for c in _repair_candidates() for p in _both_ways(*c[:3])]
-    assert _assert_shared_pool_changes_nothing(pairs) == len(pairs) == 416
+    assert len(pairs) == 416
+    assert _assert_shared_pool_changes_nothing(pairs) == (416, 314, 407)
 
 
 def test_shared_pool_needs_equal_scale_and_clock_count():
@@ -511,7 +525,7 @@ def test_shared_pool_needs_equal_scale_and_clock_count():
     two_clocks = _one_clock(("x <= 2", "x >= 3"), ("x", "y"))
     assert shared_bounds(original, two_clocks) == (((3,), (2,)), ((3, 0), (2, 0)))
     pairs = _both_ways("rescaled", original, rescaled) + _both_ways("two clocks", original, two_clocks)
-    assert _assert_shared_pool_changes_nothing(pairs) == 0
+    assert _assert_shared_pool_changes_nothing(pairs)[:2] == (0, 0)
     _assert_matches_full_graphs(pairs)
 
 

@@ -291,6 +291,32 @@ def test_malformed_trace_document_is_a_usage_error(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize(
+    "fields, error",
+    [
+        (
+            {"initialLocations": {"client": "serReceiving", "ghost": "nowhere"}, "finalLocations": {"client": "nope"}},
+            "initialLocations: the trace has client at 'reqCreating', not 'serReceiving'",
+        ),
+        ({"initialLocations": {"ghost": "nowhere"}}, "initialLocations: unknown automaton 'ghost'"),
+        ({"finalLocations": {"client": "nope"}}, "finalLocations: client has no location 'nope'"),
+        ({"finalLocations": {"db": "reqProcessing"}}, "finalLocations: the trace has db at 'reqAwaiting', not 'reqProcessing'"),
+        ({"finalLocations": ["serReceiving"]}, "finalLocations: expected an object"),
+    ],
+    ids=["both-wrong", "unknown-automaton", "unknown-location", "not-reached", "not-an-object"],
+)
+def test_trace_end_locations_must_match_the_replay(tmp_path, capsys, fields, error):
+    # The initialLocations and finalLocations that check writes name where
+    # the replay starts and ends; a trace whose fields disagree is rejected.
+    trace_file = tmp_path / "tdt.json"
+    assert main(["check", BUNDLE, "--trace-out", str(trace_file)]) == 1
+    doc = json.loads(trace_file.read_text(encoding="utf-8"))
+    trace_file.write_text(json.dumps({**doc, **fields}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["repair", BUNDLE, "--tdt", str(trace_file), "--out", str(tmp_path / "rep")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["check", "{deep}"],

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from tarepair import admissibility, encoder, load_bundled_model, lra, maxsmt, orchestrator
-from tarepair.checker import check, replay
+from tarepair.checker import SymbolicTimedTrace, check, replay
 from tarepair.encoder import encode, feasible, violating
 from tarepair.maxsmt import HardConstraint
 from tarepair.model import AtomicClockConstraint, Op, indexed_constraints, validate
@@ -19,6 +19,7 @@ from tarepair.orchestrator import (
     AnchorMismatch,
     Modification,
     RepairCandidate,
+    RepairContext,
     RepairKind,
     _candidate_from_assignment,
     apply_candidate,
@@ -158,9 +159,9 @@ def test_runs_deterministic():
         assert a.admissible == b.admissible and a.witnesses == b.witnesses
 
 
-def test_one_original_cache_serves_every_kind(monkeypatch):
-    # The runs of every kind on one network, given one original_cache, read
-    # as with a cache each, and build fewer zone graphs of the original.
+def test_one_context_serves_every_kind(monkeypatch):
+    # The runs of every kind on one trace, given one RepairContext, read as
+    # with a context each, and build fewer zone graphs of the original.
     built = []
 
     class Recorded(admissibility.ZoneGraph):
@@ -169,18 +170,31 @@ def test_one_original_cache_serves_every_kind(monkeypatch):
             built.append(network)
 
     monkeypatch.setattr(admissibility, "ZoneGraph", Recorded)
-    originals = [0, 0]  # graphs of the original: a cache per run, one cache
+    originals = [0, 0]  # graphs of the original: a context per run, one context
     for name in VIOLATING:
         net, prop = load_bundled_model(name)
         tdt = check(net, prop).trace
         results = []
-        for side, cache in enumerate((None, {})):
+        for side, shared in enumerate((False, True)):
             built.clear()
-            runs = [run(net, prop, kind, tdt=tdt, original_cache=cache) for kind in RepairKind]
+            context = RepairContext(net, prop, tdt) if shared else None
+            runs = [run(net, prop, kind, tdt=tdt, context=context) for kind in RepairKind]
             results.append([(r.candidates, r.admissible, r.witnesses, r.reason) for r in runs])
             originals[side] += sum(network is net for network in built)
         assert results[0] == results[1], name
     assert originals == [13, 7]
+
+
+def test_run_rejects_a_context_of_another_network_property_or_trace():
+    net, prop = load_bundled_model()
+    context = RepairContext(net, prop)
+    other_net, other_prop = load_bundled_model("oneclock")
+    prefix = SymbolicTimedTrace(context.trace.steps[:1], context.trace.locations[:2])
+    for args, tdt in (((other_net, prop), None), ((net, other_prop), None), ((net, prop), prefix)):
+        with pytest.raises(ValueError, match="another network, property or trace"):
+            run(*args, RepairKind.BOUND, tdt=tdt, context=context)
+    shared = run(net, prop, RepairKind.BOUND, tdt=context.trace, context=context)
+    assert shared.candidates == run(net, prop, RepairKind.BOUND).candidates
 
 
 def test_max_repairs_cap():

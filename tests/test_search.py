@@ -246,8 +246,11 @@ def _calls_in_a_pass(monkeypatch, sites):
 
 
 def test_edited_bounds_are_converted_once_per_run(monkeypatch):
-    # One campaign_client_db pass converts 1,137 bounds to the raw DBM
-    # encoding; 1,303 when the walk's conjoin and decide kept separate
+    # One campaign_client_db pass converts 745 bounds to the raw DBM
+    # encoding; 1,137 before the five kinds' runs on a mutant shared one
+    # RepairContext (one validate and one encoding) and before a repaired
+    # network's move table took its original's compiled moves, 1,303 when
+    # the walk's conjoin and decide kept separate
     # caches of edited bounds, 1,333 before every kind's run on a mutant
     # shared one original_cache, 1,400 when each move table compiled every
     # transition's guard up front, 1,482 when decide also converted each
@@ -255,17 +258,27 @@ def test_edited_bounds_are_converted_once_per_run(monkeypatch):
     # converted its edit's bound on each of its 1,638 calls. The count
     # includes the constants that model.validate checks.
     sites = {"raw_constant": [(module, "raw_constant") for module in (dbm, encoder, model)]}
-    assert _calls_in_a_pass(monkeypatch, sites)["raw_constant"] <= 1_137
+    assert _calls_in_a_pass(monkeypatch, sites)["raw_constant"] <= 745
 
 
 def test_each_repair_is_decided_once_per_run(monkeypatch):
-    # One campaign_client_db pass decides 36 trace systems: 25 initial
-    # violation checks and 11 re-verifications of a sampled bound repair.
-    # It decided 123 when the repair loop decided each candidate again to
+    # One campaign_client_db pass decides 16 trace systems: 5 initial
+    # violation checks, one per violating mutant, and 11 re-verifications
+    # of a sampled bound repair. It decided 36 when each of the five kinds'
+    # runs on a mutant decided the unedited trace again (25 initial checks),
+    # and 123 when the repair loop also decided each candidate again to
     # skip the ones an earlier candidate implies, which the search now
     # drops itself.
     sites = {"decide": [(TdtConstraintSystem, "decide")]}
-    assert _calls_in_a_pass(monkeypatch, sites)["decide"] <= 36
+    assert _calls_in_a_pass(monkeypatch, sites)["decide"] <= 16
+
+
+def test_each_violating_mutant_is_validated_and_encoded_once(monkeypatch):
+    # One campaign_client_db pass has 5 violating mutants, and the runs of
+    # all five kinds on one share its RepairContext: the mutant is validated
+    # and its trace encoded once, not once per kind (25 each).
+    sites = {"validate": [(orchestrator, "validate")], "encode": [(orchestrator, "encode")]}
+    assert _calls_in_a_pass(monkeypatch, sites) == {"validate": 5, "encode": 5}
 
 
 def test_the_search_leaves_the_unedited_trace_to_the_repair_loop(monkeypatch):

@@ -124,16 +124,16 @@ def test_campaign_records_a_contract_violation_and_goes_on(monkeypatch):
     assert after != before + "; contract violation: bound"
 
 
-def test_campaign_gives_each_violating_mutant_one_original_cache(monkeypatch):
-    # Every kind's repair run on one mutant gets the same original_cache, and
+def test_campaign_gives_each_violating_mutant_one_context(monkeypatch):
+    # Every kind's repair run on one mutant gets the same RepairContext, and
     # no two mutants share one.
     net, prop = load_bundled_model()
     default = campaign(net, prop, kinds=("bound",), model_name="client_db")
-    caches = []  # per run: (mutant network, its original_cache)
+    caches = []  # per run: (mutant network, its context)
     real = seeding.run
 
     def recorded(network, *args, **kwargs):
-        caches.append((network, kwargs["original_cache"]))
+        caches.append((network, kwargs["context"]))
         return real(network, *args, **kwargs)
 
     monkeypatch.setattr(seeding, "run", recorded)
