@@ -25,8 +25,9 @@ label, and visits only the labels that leave one of its subsets.
 
 There is one automaton type, ``UntimedAutomaton``: per state, a map from
 each label leaving it to its targets. A ``ZoneGraph`` is one filled on
-demand; it keys its states by (location vector, zone id), the id of the
-zone in its ``MoveTable``'s pool, and ids never leave the graph.
+demand; it keys its states by (vector id, zone id), the ids of the location
+vector and of the zone in its ``MoveTable``'s pool, and ids never leave the
+graph.
 
 A repair edits one constraint, reset or urgency flag, so the two networks
 compile almost every move to the same step. The repaired graph of
@@ -86,8 +87,8 @@ class ZoneGraph(UntimedAutomaton):
 
     ``bounds`` is the per-clock (L, U) pair of int tuples the zones are
     extrapolated at, by default the network's own ``clock_bounds``; any
-    bounds at least those give the same language. States are (location
-    vector, zone id) keys numbered in discovery order, the initial one 0;
+    bounds at least those give the same language. States are (vector id,
+    zone id) keys numbered in discovery order, the initial one 0;
     there are none when the network has no run. The first ``expand`` of a
     state builds its label map: each of its moves in ``MoveTable`` order
     takes its successor's id from ``MoveTable.post``. A move's label is its
@@ -107,7 +108,7 @@ class ZoneGraph(UntimedAutomaton):
         bounds = network.clock_bounds if bounds is None else bounds
         self.table = MoveTable(network, bounds, constant_scale(network), None if share is None else share.table)
         init = self.table.initial_state()
-        self._keys = [] if init is None else [init]  # per state: (location vector, zone id in the pool)
+        self._keys = [] if init is None else [init]  # per state: (vector id, zone id), both in the pool
         self._ids = {key: sid for sid, key in enumerate(self._keys)}
         super().__init__([None] * len(self._keys))  # None until expanded
 
@@ -116,10 +117,10 @@ class ZoneGraph(UntimedAutomaton):
         out = self._by_label[sid]
         if out is not None:
             return out
-        locvec, zid = self._keys[sid]
+        vid, zid = self._keys[sid]
         out = {}
         post = self.table.post
-        for _, label, target, step, memo in self.table.moves(locvec):
+        for _, label, target, step, memo in self.table.moves(vid):
             z = post(zid, step, memo)
             if z is None:
                 continue

@@ -3,34 +3,38 @@
 Exploration is a breadth-first search over (location vector, extrapolated
 zone) states, so a Violated verdict carries a trace of minimal transition
 count. Enabled moves are enumerated in lexicographic (automaton index,
-transition index) order, which makes the reported trace deterministic.
-Urgency is enforced directly: when any current location is urgent, the
-delay closure is skipped. A ``MoveTable`` compiles each location vector's
-moves once per exploration, each from pieces compiled once per table on
-first use (a transition's target, guard edges, resets and label; a
-location's invariant edges), and gives each distinct zone of
-its pool one small int id. The explorers key their visited states and the
-memos by ids, so a zone's raw bounds are hashed once per successor
-computed, not on every lookup. ``MoveTable.post`` computes the successor
-of each zone under each distinct compiled step once, in two memoized
-stages. The first memo, one per step, serves a zone the step has seen:
-interleavings of independent processes reach the same zone at location
-vectors whose moves compile to the same step. On a miss, ``dbm.jump``
-applies the guard and the resets, and a second memo, shared by every step
-with the same target invariants and delay, serves the jumped zone's
-``dbm.settle`` (invariants, delay, extrapolation): a reset forgets a
-clock, so different zones meet after it. A table extrapolates at one
-constant k (classic) or at per-clock lower and upper bounds (Extra⁺_LU, see
-``dbm``). A table may share another's pool of zones and both memos
-(``MoveTable``'s ``share``) when both extrapolate alike, as the two zone
-graphs of one admissibility check do: a repair leaves most steps as they
-were, so the repaired network's table also takes the share's compiled
-moves at every location vector the repair leaves clean. ``check`` keeps a
-table of its own, at classic k, keys its states by (location vector, zone
-id), serves memo hits inline and decides the negated property's location
-literals once per location vector (``PropertyExpr.negated_atoms_at``).
+transition index) order, which makes the reported trace deterministic; a
+send finds its partners among the automata that receive on its channel
+(``MoveIndex``). Urgency is enforced directly: when any current location is
+urgent, the delay closure is skipped. A ``MoveTable`` compiles each
+location vector's moves once per exploration, each from pieces compiled
+once per table on first use (a transition's target, guard edges, resets
+and label; a location's invariant edges), and gives each distinct zone and
+each distinct location vector of its pool one small int id. The explorers
+key their visited states and the memos by (vector id, zone id), so a
+zone's raw bounds are hashed once per successor computed, not on every
+lookup. ``MoveTable.post`` computes the successor of each zone under each
+distinct compiled step once, in two memoized stages. The first memo, one
+per step, serves a zone the step has seen: interleavings of independent
+processes reach the same zone at location vectors whose moves compile to
+the same step. On a miss, ``dbm.jump`` applies the guard and the resets,
+and a second memo, shared by every step with the same target invariants
+and delay, serves the jumped zone's ``dbm.settle`` (invariants, delay,
+extrapolation): a reset forgets a clock, so different zones meet after it.
+A table extrapolates at one constant k (classic) or at per-clock lower and
+upper bounds (Extra⁺_LU, see ``dbm``). A table may share another's pool of
+zones, vectors and both memos (``MoveTable``'s ``share``) when both
+extrapolate alike, as the two zone graphs of one admissibility check do: a
+repair leaves most steps as they were, so the repaired network's table
+also takes the share's compiled moves at every location vector the repair
+leaves clean. ``check`` keeps a table of its own, at classic k, serves memo
+hits inline and calls the miss half of ``post`` itself. It tests the
+property when a state is generated, deciding the negated property's
+location literals once per location vector
+(``PropertyExpr.negated_atoms_at``), and reports in ``states_explored`` the
+rank at which a dequeue-time search would have reached the violating state.
 An id means something only inside its pool: no verdict or trace carries
-one.
+one, and ``check`` maps vector ids back to vectors only to build a trace.
 ``replay``, the repair loop's contract re-check, walks one given trace
 with no table: each step that ``is_enabled`` accepts goes straight to
 ``dbm.jump`` and ``dbm.settle`` at the same classic k, since a trace takes
@@ -82,24 +86,29 @@ class MoveIndex:
     """The moves of one network, indexed by location; built once per exploration.
 
     ``outgoing[ai][li]`` lists ``(ti, channel)`` for the internal (channel
-    None) and send transitions leaving location li of automaton ai, and
-    ``receivers[ai][li]`` maps a channel to the receive transitions leaving
-    li, both in transition order.
+    None) and send transitions leaving location li of automaton ai, in
+    transition order. ``receivers[channel]`` lists ``(aj, by_location)`` for
+    each automaton aj that receives on the channel, in automaton order:
+    ``by_location[lj]`` holds aj's receive transitions on it that leave lj,
+    in transition order.
     """
 
     def __init__(self, network: TimedAutomatonNetwork) -> None:
         self.outgoing: list[list[list[tuple[int, int | None]]]] = []
-        self.receivers: list[list[dict[int, list[int]]]] = []
-        for auto in network.automata:
+        self.receivers: list[list[tuple[int, list[list[int]]]]] = [[] for _ in network.channel_names]
+        for ai, auto in enumerate(network.automata):
             outgoing = [[] for _ in range(auto.n_locations)]
-            receivers = [{} for _ in range(auto.n_locations)]
+            receives: dict[int, list[list[int]]] = {}  # channel -> per location: receive transitions
             for ti, t in enumerate(auto.transitions):
                 if t.sync == SyncKind.RECEIVE:
-                    receivers[t.source].setdefault(t.channel, []).append(ti)
+                    if t.channel not in receives:
+                        receives[t.channel] = [[] for _ in range(auto.n_locations)]
+                    receives[t.channel][t.source].append(ti)
                 else:
                     outgoing[t.source].append((ti, t.channel if t.sync == SyncKind.SEND else None))
             self.outgoing.append(outgoing)
-            self.receivers.append(receivers)
+            for channel, by_location in receives.items():
+                self.receivers[channel].append((ai, by_location))
 
     def enabled(self, locvec: tuple[int, ...]):
         """Structurally enabled moves from a location vector, in deterministic order.
@@ -107,7 +116,8 @@ class MoveIndex:
         Moves come in lexicographic (automaton, transition) order of the
         internal or sending transition, then of the receiver. Internal moves
         yield one (automaton, transition) pair; handshakes yield the sender
-        pair followed by the receiver pair.
+        pair followed by the receiver pair. A send reads only the automata
+        that receive on its channel.
         """
         receivers = self.receivers
         for ai, li in enumerate(locvec):
@@ -115,9 +125,9 @@ class MoveIndex:
                 if channel is None:
                     yield ((ai, ti),)
                     continue
-                for aj, lj in enumerate(locvec):
+                for aj, by_location in receivers[channel]:
                     if aj != ai:
-                        for tj in receivers[aj][lj].get(channel, ()):
+                        for tj in by_location[locvec[aj]]:
                             yield ((ai, ti), (aj, tj))
 
 
@@ -163,15 +173,18 @@ class _StepMemo(dict):
 class MoveTable:
     """The moves of one network compiled for one exploration at ``k`` and ``scale``.
 
-    A pool interns zones: ``zones`` lists each distinct zone once, and its
-    index there is the zone's id, an int that means something only inside
-    the pool. The initial zero zone and each ``dbm.settle`` result are
-    interned once, so the explorers key their memos and visited states by
-    ids and hash a zone's raw bounds once per successor computed.
+    A pool interns zones and location vectors: ``zones`` lists each
+    distinct zone once, and its index there is the zone's id; ``vectors``
+    does the same for location vectors and their vector ids. Both ids are
+    ints that mean something only inside the pool. The initial zero zone
+    and each ``dbm.settle`` result are interned once, and so is each
+    vector a move enters, so the explorers key their memos and visited
+    states by (vector id, zone id) and hash a zone's raw bounds once per
+    successor computed.
 
-    ``moves(locvec)`` lists, once per location vector and in
+    ``moves(vid)`` lists, once per location vector and in
     ``MoveIndex.enabled`` order, a tuple per enabled move: the move, its
-    label, the target vector, its step and the step's memo. The step holds
+    label, the target's vector id, its step and the step's memo. The step holds
     the arguments of ``dbm.jump`` and ``dbm.settle`` after the zone: the
     guard as raw ``dbm.atom_edges``, the sorted reset matrix indices, the
     target's invariant edges and whether it may delay (no location of it is
@@ -191,8 +204,8 @@ class MoveTable:
     Extra⁺_LU, which ``dbm.settle`` takes as ``dbm.lu_thresholds`` at
     ``scale``.
 
-    ``share``, another table, lends its pool (zones and memos) and its
-    thresholds to this one when both have the same clock count, scale and
+    ``share``, another table, lends its pool (zones, vectors and memos) and
+    its thresholds to this one when both have the same clock count, scale and
     ``k`` (for Extra⁺_LU the same (L, U) tuples, so the same raw
     thresholds): ``dbm.jump`` and ``dbm.settle`` are then functions of the
     raw bounds and the step alone, so a step both networks compile is
@@ -204,7 +217,8 @@ class MoveTable:
     locations of each automaton that is not the same object in both
     networks (``_dirty_locations``): ``moves`` returns the share's compiled
     list for a location vector with no dirty location, since every piece of
-    its steps is equal there, and compiles its own elsewhere.
+    its steps is equal there, and compiles its own elsewhere. Its entries
+    name their targets by vector ids of the pool both tables use.
     """
 
     def __init__(
@@ -216,8 +230,8 @@ class MoveTable:
         # Per transition and per location, the pieces of the steps, compiled on first use.
         self._transitions: list[list[tuple | None]] = [[None] * len(auto.transitions) for auto in network.automata]
         self._invariants: list[list[tuple | None]] = [[None] * auto.n_locations for auto in network.automata]
-        self._vectors: dict[tuple[int, ...], tuple[tuple, bool]] = {}
-        self._moves: dict[tuple[int, ...], list[tuple]] = {}
+        self._vectors: dict[tuple[int, ...], tuple[int, tuple, bool]] = {}  # vector -> (id, invariant edges, may delay)
+        self._moves: dict[int, list[tuple]] = {}  # vector id -> its compiled moves
         self._share: MoveTable | None = None  # the table whose compiled moves this one reuses
         self._dirty: list[tuple[int, frozenset[int]]] = []  # (automaton, its dirty locations)
         shape = (network.n_clocks, scale, k)
@@ -225,12 +239,15 @@ class MoveTable:
             self._extrapolation = share._extrapolation  # the last argument of dbm.settle
             self.zones: list[dbm.DifferenceBoundMatrix] = share.zones  # id -> zone
             self._zone_ids: dict[tuple[int, ...], int] = share._zone_ids  # raw bounds -> id
+            self.vectors: list[tuple[int, ...]] = share.vectors  # vector id -> location vector
+            self._vector_ids: dict[tuple[int, ...], int] = share._vector_ids  # location vector -> id
             self._memos: dict[tuple, _StepMemo] = share._memos  # step -> its memo
             self._settled: dict[tuple, dict] = share._settled  # (invariants, delay) -> its memo
             dirty = _dirty_locations(share.network, network)
         else:
             self._extrapolation = k if type(k) is int else dbm.lu_thresholds(k, scale)
             self.zones, self._zone_ids, self._memos, self._settled = [], {}, {}, {}
+            self.vectors, self._vector_ids = [], {}
             dirty = None
         if dirty is None:
             self._index = MoveIndex(network)
@@ -253,19 +270,23 @@ class MoveTable:
         ``memo``, and settled once per jumped zone and kept in
         ``memo.settled``."""
         z = memo.get(zid, _UNSEEN)
-        if z is _UNSEEN:
-            guard, resets, invariants, delay = step
-            zone = self.zones[zid]
-            jumped = dbm.jump(zone, guard, resets)
-            if jumped is None:
-                z = None
-            else:
-                key = tuple(jumped)
-                settled = memo.settled
-                z = settled.get(key, _UNSEEN)
-                if z is _UNSEEN:
-                    z = settled[key] = self._intern(dbm.settle(zone, jumped, invariants, delay, self._extrapolation))
-            memo[zid] = z
+        return self._miss(zid, step, memo) if z is _UNSEEN else z
+
+    def _miss(self, zid: int, step: tuple, memo: _StepMemo) -> int | None:
+        """``post`` for a zone ``memo`` has not seen: computes the successor
+        and keeps it in ``memo``."""
+        guard, resets, invariants, delay = step
+        zone = self.zones[zid]
+        jumped = dbm.jump(zone, guard, resets)
+        if jumped is None:
+            z = None
+        else:
+            key = tuple(jumped)
+            settled = memo.settled
+            z = settled.get(key, _UNSEEN)
+            if z is _UNSEEN:
+                z = settled[key] = self._intern(dbm.settle(zone, jumped, invariants, delay, self._extrapolation))
+        memo[zid] = z
         return z
 
     def _memo(self, step: tuple) -> _StepMemo:
@@ -288,14 +309,15 @@ class MoveTable:
         )
         return piece
 
-    def _vector(self, locvec: tuple[int, ...]) -> tuple[tuple, bool]:
-        """(invariant edges, may delay) of one location vector: the
-        concatenated invariant edges of its locations."""
+    def _vector(self, locvec: tuple[int, ...]) -> tuple[int, tuple, bool]:
+        """(vector id, invariant edges, may delay) of one location vector: its
+        id in the pool, added on first sight, the concatenated invariant
+        edges of its locations, and whether none of them is urgent."""
         entry = self._vectors.get(locvec)
         if entry is None:
             autos = self.network.automata
             compiled = self._invariants
-            invariants = ()
+            invariants, delay = (), True
             for ai, li in enumerate(locvec):
                 edges = compiled[ai][li]
                 if edges is None:
@@ -303,8 +325,13 @@ class MoveTable:
                         e for a in autos[ai].invariants[li] for e in dbm.atom_edges(a, self.scale)
                     )
                 invariants += edges
-            delay = not any(li in autos[ai].urgent for ai, li in enumerate(locvec))
-            entry = self._vectors[locvec] = (invariants, delay)
+                if li in autos[ai].urgent:
+                    delay = False
+            vid = self._vector_ids.get(locvec)
+            if vid is None:
+                vid = self._vector_ids[locvec] = len(self.vectors)
+                self.vectors.append(locvec)
+            entry = self._vectors[locvec] = (vid, invariants, delay)
         return entry
 
     def compile(self, locvec: tuple[int, ...], move) -> tuple:
@@ -320,31 +347,32 @@ class MoveTable:
             guard += edges
             if clocks:
                 resets = tuple(sorted({*resets, *clocks})) if resets else clocks
-        target = tuple(target)
-        step = (guard, resets, *self._vector(target))
-        return move, label, target, step, self._memo(step)
+        vid, invariants, delay = self._vector(tuple(target))
+        step = (guard, resets, invariants, delay)
+        return move, label, vid, step, self._memo(step)
 
-    def moves(self, locvec: tuple[int, ...]) -> list[tuple]:
-        """The compiled enabled moves of one location vector: the share's list
-        where no location of ``locvec`` is dirty."""
-        entries = self._moves.get(locvec)
+    def moves(self, vid: int) -> list[tuple]:
+        """The compiled enabled moves of the location vector of id ``vid``: the
+        share's list where no location of the vector is dirty."""
+        entries = self._moves.get(vid)
         if entries is None:
+            locvec = self.vectors[vid]
             if self._share is not None and not any(locvec[ai] in dirty for ai, dirty in self._dirty):
-                entries = self._share.moves(locvec)
+                entries = self._share.moves(vid)
             else:
                 entries = [self.compile(locvec, move) for move in self._index.enabled(locvec)]
-            self._moves[locvec] = entries
+            self._moves[vid] = entries
         return entries
 
     def initial_state(self):
-        """The initial symbolic state as (location vector, zone id), or None where
-        the initial valuation violates the initial locations' invariants (the
+        """The initial symbolic state as (vector id, zone id), or None where the
+        initial valuation violates the initial locations' invariants (the
         network has no run)."""
-        locvec = tuple(a.initial for a in self.network.automata)
+        vid, invariants, delay = self._vector(tuple(a.initial for a in self.network.automata))
         zero = self._intern(dbm.zero_zone(self.network.n_clocks, self.scale))
-        step = ((), (), *self._vector(locvec))
+        step = ((), (), invariants, delay)
         zid = self.post(zero, step, self._memo(step))
-        return None if zid is None else (locvec, zid)
+        return None if zid is None else (vid, zid)
 
 
 def _dirty_locations(original: TimedAutomatonNetwork, network: TimedAutomatonNetwork):
@@ -391,7 +419,17 @@ def check(
     """Decide invariance of ``prop``; a violation yields a shortest trace.
 
     The verdict is Safe iff no reachable symbolic state intersects the
-    negated property. Raises Exhausted past ``state_budget`` states.
+    negated property. The property is tested once per state, when the state
+    is generated: the initial state before the search, and each successor
+    when it is first reached. Breadth-first search dequeues states in the
+    order it generates them, so the first violating state generated is the
+    first one the search would dequeue, and its trace is a shortest one.
+    ``states_explored`` is what a search that tests each state when it is
+    dequeued would count: on a Violated verdict the violating state's rank
+    in breadth-first order (this search stops when it generates the state,
+    before it dequeues the states still queued ahead of it), and on a Safe
+    verdict every reachable state. Raises Exhausted once that count passes
+    ``state_budget``.
     """
     k = max_constant(network, prop)
     table = MoveTable(network, k, constant_scale(network, prop))
@@ -399,38 +437,49 @@ def check(
     if init is None:
         # No reachable states, so the property holds vacuously.
         return Verdict(True, None, 0)
-    parents: dict = {init: None}  # (locvec, zone id) -> (parent state, move)
+    vectors, zones = table.vectors, table.zones
+    parents: dict = {init: None}  # (vector id, zone id) -> (parent state, move)
+    hits_at: dict[int, tuple] = {}  # vector id -> prop.negated_atoms_at(its vector)
+
+    def violates(vid: int, zid: int) -> bool:
+        hits = hits_at.get(vid)
+        if hits is None:
+            hits = hits_at[vid] = prop.negated_atoms_at(vectors[vid])
+        return bool(hits) and any(dbm.intersects(zones[zid], atoms) for atoms in hits)
+
+    def violated(state, rank: int) -> Verdict:
+        if rank > state_budget:
+            raise Exhausted(f"state budget of {state_budget} exceeded")
+        path = [state]  # the states from here back to the initial one
+        while parents[path[-1]] is not None:
+            path.append(parents[path[-1]][0])
+        path.reverse()
+        steps = tuple(tuple(sorted(parents[s][1])) for s in path[1:])
+        return Verdict(False, SymbolicTimedTrace(steps, tuple(vectors[s[0]] for s in path)), rank)
+
+    if violates(*init):
+        return violated(init, 1)
     queue = deque([init])
     explored = 0
-    post = table.post
-    zones = table.zones
-    hits_at: dict[tuple[int, ...], tuple] = {}  # locvec -> prop.negated_atoms_at(locvec)
+    moves, miss = table.moves, table._miss
     while queue:
         state = queue.popleft()
         explored += 1
         if explored > state_budget:
             raise Exhausted(f"state budget of {state_budget} exceeded")
-        locvec, zid = state
-        hits = hits_at.get(locvec)
-        if hits is None:
-            hits = hits_at[locvec] = prop.negated_atoms_at(locvec)
-        if hits and any(dbm.intersects(zones[zid], atoms) for atoms in hits):
-            path = [state]  # the states from here back to the initial one
-            while parents[path[-1]] is not None:
-                path.append(parents[path[-1]][0])
-            path.reverse()
-            steps = tuple(tuple(sorted(parents[s][1])) for s in path[1:])
-            return Verdict(False, SymbolicTimedTrace(steps, tuple(s[0] for s in path)), explored)
-        for move, _label, target, step, memo in table.moves(locvec):
+        zid = state[1]
+        for move, _label, target, step, memo in moves(state[0]):
             z = memo.get(zid, _UNSEEN)
             if z is _UNSEEN:
-                z = post(zid, step, memo)
+                z = miss(zid, step, memo)
             if z is None:
                 continue
             nxt = (target, z)
             if nxt in parents:
                 continue
             parents[nxt] = (state, move)
+            if violates(target, z):
+                return violated(nxt, explored + len(queue) + 1)
             queue.append(nxt)
     return Verdict(True, None, explored)
 

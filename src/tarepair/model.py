@@ -196,12 +196,17 @@ class PropertyExpr:
 
     def negated_atoms_at(self, locvec: tuple[int, ...]) -> tuple[tuple[AtomicClockConstraint, ...], ...]:
         """The clock atoms of each ``negated_dnf`` disjunct whose location
-        literals hold at the location vector ``locvec``, in disjunct order."""
-        return tuple(
-            tuple(lit.atom for lit in disjunct if lit.atom is not None)
-            for disjunct in self.negated_dnf
-            if all(lit.atom is not None or (locvec[lit.automaton] == lit.location) == lit.positive for lit in disjunct)
-        )
+        literals hold at the location vector ``locvec``, in disjunct order.
+        ``checker.check`` asks once per location vector it reaches; plain
+        loops make no generator per disjunct."""
+        out = []
+        for disjunct in self.negated_dnf:
+            for lit in disjunct:
+                if lit.atom is None and (locvec[lit.automaton] == lit.location) != lit.positive:
+                    break
+            else:
+                out.append(tuple(lit.atom for lit in disjunct if lit.atom is not None))
+        return tuple(out)
 
 
 # A safety property is checked as an invariant: the model satisfies the

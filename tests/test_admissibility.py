@@ -235,9 +235,9 @@ def _classic_untimed(network, k):
     keys = [] if init is None else [init]
     ids = {key: 0 for key in keys}
     by_label = []
-    for locvec, zid in keys:  # expanding a state appends the states it discovers
+    for vid, zid in keys:  # expanding a state appends the states it discovers
         out = {}
-        for _move, label, target, step, memo in table.moves(locvec):
+        for _move, label, target, step, memo in table.moves(vid):
             z = table.post(zid, step, memo)
             if z is not None:
                 tid = ids.setdefault((target, z), len(keys))
@@ -402,8 +402,8 @@ def test_on_the_fly_check_matches_full_graphs_on_repair_candidates():
 
 
 def _states(graph):
-    """A graph's states as (location vector, zone), the zones taken from its pool."""
-    return [(locvec, graph.table.zones[zid]) for locvec, zid in graph._keys]
+    """A graph's states as (location vector, zone), both taken from its pool."""
+    return [(graph.table.vectors[vid], graph.table.zones[zid]) for vid, zid in graph._keys]
 
 
 def _shape(graph):
@@ -513,9 +513,9 @@ def test_shared_pool_needs_equal_scale_and_clock_count():
     ba, bb = shared_bounds(original, rescaled)
     assert ba == bb == ((3,), (2,))
     ga, gb = _expanded(ZoneGraph(original, ba)), _expanded(ZoneGraph(rescaled, bb))
-    (loca, za), (locb, zb) = _states(ga)[0], _states(gb)[0]
+    (_, za), (_, zb) = _states(ga)[0], _states(gb)[0]
     assert (za.scale, zb.scale) == (1, 2) and za.m == zb.m
-    assert ga.table.moves(loca)[0][3] == gb.table.moves(locb)[0][3]
+    assert ga.table.moves(ga._keys[0][0])[0][3] == gb.table.moves(gb._keys[0][0])[0][3]
     settled_a, settled_b = ga.table._settled, gb.table._settled
     assert any(settled_a[key].keys() & settled_b[key].keys() for key in settled_a.keys() & settled_b.keys())
     # Nor may the rescaled graph intern its zones in the original's pool.

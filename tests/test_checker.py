@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
@@ -11,10 +12,12 @@ from conftest import scaled_model, two_receiver_model
 from tarepair import dbm, load_bundled_model, seeding
 from tarepair.admissibility import check_admissible
 from tarepair.checker import (
+    DEFAULT_STATE_BUDGET,
     Exhausted,
     MoveIndex,
     MoveTable,
     SymbolicTimedTrace,
+    Verdict,
     check,
     is_enabled,
     replay,
@@ -231,14 +234,14 @@ def _scan_moves(network, locvec):
                             yield ((ai, ti), (aj, tj))
 
 
-def _random_sync_network(rng):
+def _random_sync_network(rng, n_automata=3, syncs=("", "a!", "a?", "b!", "b?"), channels=("a", "b")):
     automata = []
-    for ai in range(3):
+    for ai in range(n_automata):
         transitions = [
             {
                 "source": f"l{rng.randrange(3)}",
                 "target": f"l{rng.randrange(3)}",
-                "sync": rng.choice(["", "a!", "a?", "b!", "b?"]),
+                "sync": rng.choice(syncs),
                 "guard": [],
                 "resets": [],
             }
@@ -248,10 +251,30 @@ def _random_sync_network(rng):
         automata.append(
             {"name": f"p{ai}", "initial": "l0", "clocks": ["x"], "locations": locations, "transitions": transitions}
         )
-    return parse_model(json.dumps({"automata": automata, "channels": ["a", "b"], "property": "true"}))[0]
+    return parse_model(json.dumps({"automata": automata, "channels": list(channels), "property": "true"}))[0]
+
+
+def _receivers(network, channel):
+    """The automata of ``network`` with a receive transition on ``channel``."""
+    return {
+        ai
+        for ai, auto in enumerate(network.automata)
+        if any(t.sync == SyncKind.RECEIVE and t.channel == channel for t in auto.transitions)
+    }
+
+
+def _self_listener(network, channel):
+    """Does one automaton of ``network`` both send and receive on ``channel``?"""
+    return any(
+        {SyncKind.SEND, SyncKind.RECEIVE} <= {t.sync for t in auto.transitions if t.channel == channel}
+        for auto in network.automata
+    )
 
 
 def test_move_index_matches_a_direct_scan():
+    # Three automata on two channels at random; then four, where channel a
+    # has two or three receivers, p0 sends and receives on a, and channel c
+    # has senders and no receiver.
     rng = random.Random(5)
     handshakes = 0
     for _ in range(30):
@@ -262,6 +285,20 @@ def test_move_index_matches_a_direct_scan():
             assert moves == list(_scan_moves(net, locvec)), locvec
             handshakes += sum(len(m) == 2 for m in moves)
     assert handshakes > 1000
+    shapes, handshakes = set(), 0
+    while not {2, 3} <= shapes or handshakes < 1000:
+        net = _random_sync_network(rng, 4, ("", "a!", "a?", "a?", "b!", "b?", "c!"), ("a", "b", "c"))
+        a, c = 0, 2
+        sends_on_c = any(t.channel == c for auto in net.automata for t in auto.transitions)
+        if len(_receivers(net, a)) < 2 or not _self_listener(net, a) or not sends_on_c:
+            continue
+        assert not _receivers(net, c)
+        shapes.add(len(_receivers(net, a)))
+        index = MoveIndex(net)
+        for locvec in itertools.product(range(3), repeat=4):
+            moves = list(index.enabled(locvec))
+            assert moves == list(_scan_moves(net, locvec)), locvec
+            handshakes += sum(len(m) == 2 for m in moves)
 
 
 def test_a_send_with_two_receivers_takes_the_receiver_its_step_names():
@@ -276,8 +313,8 @@ def test_a_send_with_two_receivers_takes_the_receiver_its_step_names():
         assert parse_trace(serialize_trace(stt, net), net) == stt
     # The two handshakes compile to two steps, each with its own memo.
     table = MoveTable(net, max_constant(net, prop), constant_scale(net, prop))
-    locvec, zid = table.initial_state()
-    (move1, _, _, step1, memo1), (move2, _, _, step2, memo2) = table.moves(locvec)
+    vid, zid = table.initial_state()
+    (move1, _, _, step1, memo1), (move2, _, _, step2, memo2) = table.moves(vid)
     assert (move1, move2) == (to_r1, to_r2) and step1 != step2 and memo1 is not memo2
     assert table.post(zid, step1, memo1) != table.post(zid, step2, memo2)
     assert list(memo1) == list(memo2) == [zid]
@@ -309,13 +346,14 @@ def test_each_distinct_successor_is_computed_once_per_exploration(monkeypatch):
     # delay).
     workloads = _workloads()
     jumps, settles = _count_stages(monkeypatch)
-    # The initial successor, then one per (expanded state, move): check
-    # serves memo hits inline, so MoveTable.post sees only the misses.
+    # The initial successor, then one per (expanded state, move): check reads
+    # each expanded state's moves by its vector id, serves memo hits inline
+    # and calls MoveTable._miss, the miss half of MoveTable.post, for the rest.
     queries = []
     compiled, initial = MoveTable.moves, MoveTable.initial_state
 
-    def counted(table, locvec):
-        entries = compiled(table, locvec)
+    def counted(table, vid):
+        entries = compiled(table, vid)
         queries.extend(step for _, _, _, step, _ in entries)
         return entries
 
@@ -375,3 +413,161 @@ def test_no_memo_outlives_one_call(monkeypatch):
         else:
             (first, _), (second, size) = made[0][0], made[1][0]
             assert first is not second and size == 0, name
+
+
+# check tests the property when a state is generated; the search it replaced
+# tested it when a state was dequeued.
+
+
+def _dequeue_time_check(network, prop, state_budget=DEFAULT_STATE_BUDGET):
+    """The breadth-first search ``check`` ran before it tested the property at
+    generation: each state is tested when it is dequeued, so
+    ``states_explored`` counts every state dequeued."""
+    table = MoveTable(network, max_constant(network, prop), constant_scale(network, prop))
+    init = table.initial_state()
+    if init is None:
+        return Verdict(True, None, 0)
+    parents = {init: None}  # (vector id, zone id) -> (parent state, move)
+    queue = deque([init])
+    explored = 0
+    while queue:
+        state = queue.popleft()
+        explored += 1
+        if explored > state_budget:
+            raise Exhausted(f"state budget of {state_budget} exceeded")
+        vid, zid = state
+        if any(dbm.intersects(table.zones[zid], atoms) for atoms in prop.negated_atoms_at(table.vectors[vid])):
+            path = [state]
+            while parents[path[-1]] is not None:
+                path.append(parents[path[-1]][0])
+            path.reverse()
+            steps = tuple(tuple(sorted(parents[s][1])) for s in path[1:])
+            return Verdict(False, SymbolicTimedTrace(steps, tuple(table.vectors[s[0]] for s in path)), explored)
+        for move, _label, target, step, memo in table.moves(vid):
+            z = table.post(zid, step, memo)
+            if z is not None and (target, z) not in parents:
+                parents[target, z] = (state, move)
+                queue.append((target, z))
+    return Verdict(True, None, explored)
+
+
+def _outcome(search, network, prop, state_budget=DEFAULT_STATE_BUDGET):
+    """``search``'s verdict, or Exhausted (the class) where it runs out of budget."""
+    try:
+        return search(network, prop, state_budget)
+    except Exhausted:
+        return Exhausted
+
+
+def _assert_checks_agree(cases):
+    """``check`` gives the reference search's verdict, trace and
+    ``states_explored`` on each (name, network, property) of ``cases``, or
+    runs out of budget where it does; a violating network of rank r is
+    decided alike at ``state_budget=r`` and exhausts ``state_budget=r-1``.
+    Returns how many networks were safe, violating and out of budget."""
+    counts = {"safe": 0, "violating": 0, "exhausted": 0}
+    for name, network, prop in cases:
+        want = _outcome(_dequeue_time_check, network, prop)
+        got = _outcome(check, network, prop)
+        assert got == want, name
+        if want is Exhausted:
+            counts["exhausted"] += 1
+        elif want.safe:
+            counts["safe"] += 1
+        else:
+            counts["violating"] += 1
+            rank = want.states_explored
+            assert _outcome(check, network, prop, rank) == want, name
+            assert _outcome(check, network, prop, rank - 1) is Exhausted, name
+    return counts
+
+
+def _with_mutants(name, network, prop):
+    """(name, network, property) of ``network`` and of each of its seeded mutants."""
+    yield name, network, prop
+    for i, mutant in enumerate(seeding.seed(network)):
+        yield f"{name}.{i}.{mutant.description}", mutant.network, prop
+
+
+@pytest.mark.parametrize("n, perm", [(3, 0), (3, 1), (3, 2), (4, 0)])
+def test_check_matches_the_dequeue_time_search_on_fischer_mutants(n, perm):
+    network, prop = parse_model(_workloads().fischer.fischer(n, perm))
+    counts = _assert_checks_agree(_with_mutants(f"fischer{n}.{perm}", network, prop))
+    assert counts["safe"] and counts["violating"], counts
+
+
+def test_check_matches_the_dequeue_time_search_on_bundled_models():
+    cases = []
+    for name in ("client_db", "oneclock", "urgent_hop", "pair_sync", "safe_idle"):
+        cases += _with_mutants(name, *load_bundled_model(name))
+    counts = _assert_checks_agree(cases)
+    assert counts["safe"] and counts["violating"], counts
+
+
+def _random_timed_network(rng):
+    """A ``_random_sync_network`` with two clocks, guards, invariants, resets,
+    urgent locations and a property that reads locations and clocks."""
+    clocks = ("x", "y")
+
+    def atom(ops, low):
+        return f"{rng.choice(clocks)} {rng.choice(ops)} {rng.randrange(low, 5)}"
+
+    automata = []
+    for ai in range(3):
+        transitions = [
+            {
+                "source": f"l{rng.randrange(3)}",
+                "target": f"l{rng.randrange(3)}",
+                "sync": rng.choice(["", "", "a!", "a?", "b!", "b?"]),
+                "guard": [atom(("<", "<=", ">", ">="), 0)] if rng.random() < 0.5 else [],
+                "resets": [c for c in clocks if rng.random() < 0.4],
+            }
+            for _ in range(8)
+        ]
+        locations = [
+            {"name": f"l{li}", "invariant": [atom(("<", "<="), 2)] if rng.random() < 0.4 else [], "urgent": rng.random() < 0.1}
+            for li in range(3)
+        ]
+        automata.append(
+            {"name": f"p{ai}", "initial": "l0", "clocks": list(clocks), "locations": locations, "transitions": transitions}
+        )
+    a, b = rng.sample(range(3), 2)
+    prop = (
+        f"!(@p{a}.l{rng.randrange(1, 3)} && @p{b}.l{rng.randrange(1, 3)} && {rng.choice(clocks)} > {rng.randrange(2, 6)})"
+        f" && (!@p{b}.l0 || {rng.choice(clocks)} <= {rng.randrange(4, 8)})"
+    )
+    doc = {"automata": automata, "channels": ["a", "b"], "property": prop}
+    return parse_model(json.dumps(doc))
+
+
+def test_check_matches_the_dequeue_time_search_on_random_networks():
+    rng = random.Random(31)
+    cases = [(f"random{i}", *_random_timed_network(rng)) for i in range(30)]
+    counts = _assert_checks_agree(cases)
+    assert counts["safe"] >= 5 and counts["violating"] >= 5, counts
+
+
+def test_a_violation_is_found_before_the_states_ranked_ahead_of_it_are_dequeued(monkeypatch):
+    # The five violating target-process mutants of Fischer N=3, at the
+    # seed-1 permutation: the dequeue-time search dequeued 88 + 88 + 98 +
+    # 98 + 110 = 482 states, as many as their states_explored; testing at
+    # generation stops when the violating state is reached.
+    workloads = _workloads()
+    network, prop, mutants = workloads.fischer_instance(3, workloads.fischer.draw_permutation(3, 1))
+    dequeued = []
+    moves = MoveTable.moves
+
+    def counted(table, vid):
+        dequeued.append(vid)
+        return moves(table, vid)
+
+    monkeypatch.setattr(MoveTable, "moves", counted)
+    explored, expanded = [], 0
+    for mutant in mutants:
+        dequeued.clear()
+        verdict = check(mutant.network, prop)
+        if not verdict.safe:
+            explored.append(verdict.states_explored)
+            expanded += len(dequeued)
+    assert explored == [88, 88, 98, 98, 110]
+    assert expanded <= 297

@@ -290,16 +290,17 @@ def test_post_equals_the_composed_step_on_every_model_state(models):
         locvec = tuple(a.initial for a in network.automata)
         zero, ref_zero = dbm.zero_zone(network.n_clocks, scale), fraction_dbm.zero_zone(network.n_clocks)
         zone = _assert_same_successor(zero, ref_zero, ([], set(), *_settle(network, locvec), k))
-        init, zid = table.initial_state()
-        assert (init, table.zones[zid]) == (locvec, zone), name
+        vid, zid = table.initial_state()
+        assert (table.vectors[vid], table.zones[zid]) == (locvec, zone), name
         seen = {(locvec, zone)}
         queue = [(locvec, zone, zid)]
         while queue:
             locvec, zone, zid = queue.pop()
             ref_zone = _to_fractions(zone)
-            entries = table.moves(locvec)
+            entries = table.moves(table._vector_ids[locvec])
             steps = list(_model_steps(network, locvec))
-            assert [e[:3] for e in entries] == [(s[0], move_label(network, s[0]), s[1]) for s in steps], name
+            labelled = [(move, label, table.vectors[target]) for move, label, target, *_ in entries]
+            assert labelled == [(s[0], move_label(network, s[0]), s[1]) for s in steps], name
             for (_move, target, *step), (*_, compiled, memo) in zip(steps, entries):
                 got = _assert_same_successor(zone, ref_zone, (*step, k))
                 assert got == _post(zone, *compiled, k), name

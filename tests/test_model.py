@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import importlib.util
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +29,7 @@ from tarepair.model import (
     prop_to_dnf,
     validate,
 )
-from tarepair.modelio import parse_model, write_report, write_repaired_model
+from tarepair.modelio import parse_model, parse_property, write_report, write_repaired_model
 from tarepair.orchestrator import RepairCandidate, apply_candidate, run
 from tarepair.variations import KINDS, Modification, RepairKind
 
@@ -269,6 +270,37 @@ def test_negated_dnf_is_prop_to_dnf_of_the_negation_as_tuples():
     _, prop = load_bundled_model()
     assert prop.negated_dnf == tuple(map(tuple, prop_to_dnf(prop.negate())))
     assert prop.negated_dnf is prop.negated_dnf
+
+
+def test_negated_atoms_at_reads_each_disjunct_whose_location_literals_hold():
+    # At every location vector of client_db, under properties that mix
+    # clock atoms with positive and negated location literals, and of
+    # Fischer N=3 under its mutual exclusion: the disjuncts in order, each
+    # as its clock atoms.
+    net, _ = load_bundled_model()
+    texts = [
+        "x <= 4 || !@client.serReceiving",
+        "!(@client.serAwaiting && @db.reqReceiving) && (y <= 2 || @db.reqAwaiting)",
+        "(@client.clientDone || w < 1) && !(@db.reqProcessing && !@client.serAwaiting && z > 2)",
+        "true",
+        "false",
+    ]
+    cases = [(net, parse_property(text, net)) for text in texts]
+    spec = importlib.util.spec_from_file_location("bench_fischer", FISCHER)
+    fischer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fischer)
+    cases.append(parse_model(fischer.fischer(3, 0)))
+    hits = 0
+    for network, prop in cases:
+        for locvec in itertools.product(*(range(a.n_locations) for a in network.automata)):
+            want = tuple(
+                tuple(lit.atom for lit in disjunct if lit.atom is not None)
+                for disjunct in prop.negated_dnf
+                if all(lit.atom is not None or (locvec[lit.automaton] == lit.location) == lit.positive for lit in disjunct)
+            )
+            assert prop.negated_atoms_at(locvec) == want, (prop, locvec)
+            hits += bool(want)
+    assert hits > 50
 
 
 def _repair_all(network, prop, out_dir: Path) -> dict[str, bytes]:
