@@ -19,22 +19,29 @@ The check runs on the fly: ``equivalent`` searches two ``ZoneGraph``s,
 which expand a state on the first query for its successors, so an unequal
 pair stops at a shortest witness and only an equal pair expands both graphs
 in full. Each subset pair reads its states' successors once, grouped by
-label, and visits only the labels that leave one of its subsets.
-``Exhausted`` thus means that the states the check needs exceed
-``UNTIMED_STATE_BUDGET``. ``build_untimed`` expands a network's graph in full.
+label, and visits only the labels that leave one of its subsets. A subset
+of one state, the only kind a network without internal moves reaches, is
+read in place: its label map is its state's own. A label's targets are
+closed as the union of their states' closures, each computed once per
+automaton, and the witness is read back along each pair's parent pointer,
+so a pair of one-state subsets copies no map, set or word. ``Exhausted``
+thus means that the states the check needs exceed
+``UNTIMED_STATE_BUDGET``. ``build_untimed`` expands a network's graph in
+full.
 
 There is one automaton type, ``UntimedAutomaton``: per state, a map from
-each label leaving it to its targets. A ``ZoneGraph`` is one filled on
-demand; it keys its states by (vector id, zone id), the ids of the location
-vector and of the zone in its ``MoveTable``'s pool, and ids never leave the
-graph.
+each label leaving it to its targets, and the state's closure under silent
+moves once computed. A ``ZoneGraph`` is one filled on demand; it keys its
+states by (vector id, zone id), the ids of the location vector and of the
+zone in its ``MoveTable``'s pool, and ids never leave the graph.
 
 A repair edits one constraint, reset or urgency flag, so the two networks
 compile almost every move to the same step. The repaired graph of
 ``check_admissible`` therefore shares the original's pool of zones and of
 step and settle memos (``MoveTable``'s ``share``), which serves a step of
-either graph once, and takes the original table's compiled moves at every
-location vector the edit leaves clean.
+either graph once, and takes the original table's compiled moves: every
+move at a location vector the edit leaves clean, and elsewhere each move
+that fires no edited transition and enters no changed location.
 The table shares only at the same clock count, scale and bounds: a raw
 bound means another constant at another scale. The pool lives as long as
 the original's graph: one check, or one ``original_cache``, which is
@@ -44,7 +51,6 @@ run on one trace shares it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .checker import Exhausted, MoveTable
@@ -58,13 +64,15 @@ class UntimedAutomaton:
 
     ``expand(s)`` maps each label leaving state ``s`` to its targets, in
     edge order. State 0 is initial; with no states the automaton accepts no
-    word at all, not even the empty one.
+    word at all, not even the empty one. ``closure(s)`` is computed once
+    per state and kept here for ``equivalent``.
     """
 
     initial = 0
 
     def __init__(self, by_label: list[dict[str | None, list[int]]]) -> None:
         self._by_label = by_label  # per state: label -> targets
+        self._closures: dict[int, frozenset[int]] = {}  # state -> closure(state)
 
     @property
     def n_states(self) -> int:
@@ -76,6 +84,26 @@ class UntimedAutomaton:
     def expand(self, state: int) -> dict[str | None, list[int]]:
         """The successors of ``state`` by label."""
         return self._by_label[state]
+
+    def closure(self, state: int) -> frozenset[int]:
+        """The states that silent moves reach from ``state``, itself included;
+        computed, depth first, on the first call."""
+        out = self._closures.get(state)
+        if out is None:
+            expand = self.expand
+            if SILENT not in expand(state):
+                out = frozenset((state,))
+            else:
+                seen = {state}
+                stack = [state]
+                while stack:
+                    for t in expand(stack.pop()).get(SILENT, ()):
+                        if t not in seen:
+                            seen.add(t)
+                            stack.append(t)
+                out = frozenset(seen)
+            self._closures[state] = out
+        return out
 
 
 # Most states a zone graph may discover; past it ``ZoneGraph`` raises Exhausted.
@@ -94,8 +122,8 @@ class ZoneGraph(UntimedAutomaton):
     takes its successor's id from ``MoveTable.post``. A move's label is its
     channel name; an internal move is silent. ``share``, another graph, passes
     its ``table`` to this one's ``MoveTable``, which reuses its pool of
-    zones and memos where clock count, scale and bounds match, and then its
-    compiled moves wherever this network's edits leave them equal.
+    zones and memos where clock count, scale and bounds match, and then each
+    of its compiled moves that this network's edits leave equal.
     """
 
     def __init__(
@@ -148,36 +176,35 @@ def build_untimed(network: TimedAutomatonNetwork) -> ZoneGraph:
     return graph
 
 
-def _closure(ua: UntimedAutomaton, states) -> frozenset[int]:
-    seen = set(states)
-    stack = list(seen)
-    successors = ua.successors
-    while stack:
-        for t in successors(stack.pop(), SILENT):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return frozenset(seen)
-
-
 def _start(ua: UntimedAutomaton) -> frozenset[int]:
     """States reached by the empty word; none for an automaton without states."""
-    return _closure(ua, frozenset([ua.initial])) if ua.n_states else frozenset()
+    return ua.closure(ua.initial) if ua.n_states else frozenset()
 
 
-def _label_targets(ua: UntimedAutomaton, states: frozenset[int]) -> dict[str, set[int]]:
-    """The targets of each visible label leaving ``states``, before closure."""
-    out: dict[str, set[int]] = {}
-    expand = ua.expand
+def _leaving(ua: UntimedAutomaton, states: frozenset[int]) -> tuple[list[str], dict]:
+    """(sorted visible labels, label -> targets before closure) of the moves
+    leaving ``states``, all of them expanded. A one-state subset's label map
+    is its state's own, read in place (it may hold the silent label too)."""
+    if len(states) == 1:
+        (s,) = states
+        out = ua.expand(s)
+        if SILENT in out:
+            return sorted(label for label in out if label is not SILENT), out
+        return sorted(out), out
+    out = {}
     for s in states:
-        for label, targets in expand(s).items():
-            if label is SILENT:
-                continue
-            if label in out:
-                out[label].update(targets)
-            else:
-                out[label] = set(targets)
-    return out
+        for label, targets in ua.expand(s).items():
+            if label is not SILENT:
+                out[label] = out[label] + targets if label in out else targets
+    return sorted(out), out
+
+
+def _close(ua: UntimedAutomaton, targets: list[int]) -> frozenset[int]:
+    """The closure of a set of states: the union of its states' closures."""
+    if len(targets) == 1:
+        return ua.closure(targets[0])
+    closure = ua.closure
+    return frozenset().union(*[closure(t) for t in targets])
 
 
 @dataclass(frozen=True)
@@ -199,27 +226,34 @@ def equivalent(a: UntimedAutomaton, b: UntimedAutomaton) -> Equivalence:
     and dead in the other; breadth-first pairing returns a shortest such
     word as the witness. Each pair visits, in sorted order, the labels that
     leave either subset: a label that leaves only one of them ends the
-    word, and only a label both take is closed into a successor pair.
+    word, and only a label both take is closed into a successor pair, each
+    subset the union of its targets' ``closure``s. A pair keeps the index of
+    the pair it was reached from and its label, and the witness is read
+    back along them.
     """
     start = (_start(a), _start(b))
     if bool(start[0]) != bool(start[1]):
         return Equivalence(False, ())  # exactly one side has no run
     seen = {start}
-    queue: deque = deque([(start, ())])
-    visited = 0
-    while queue:
-        (pa, pb), word = queue.popleft()
-        visited += 1
-        if visited > PAIR_BUDGET:
+    pairs = [start]  # the breadth-first queue: the loop below reads the pairs it appends
+    trail: list[tuple[int, str] | None] = [None]  # per pair: (the pair it was reached from, label)
+    for i, (pa, pb) in enumerate(pairs):
+        if i >= PAIR_BUDGET:
             raise Exhausted(f"equivalence check exceeded {PAIR_BUDGET} state pairs")
-        ma, mb = _label_targets(a, pa), _label_targets(b, pb)
-        for label in sorted(ma.keys() | mb.keys()):
+        la, ma = _leaving(a, pa)
+        lb, mb = _leaving(b, pb)
+        for label in la if la == lb else sorted({*la, *lb}):
             if label not in ma or label not in mb:
-                return Equivalence(False, word + (label,))
-            pair = (_closure(a, ma[label]), _closure(b, mb[label]))
+                word = [label]
+                while trail[i] is not None:
+                    i, label = trail[i]
+                    word.append(label)
+                return Equivalence(False, tuple(reversed(word)))
+            pair = (_close(a, ma[label]), _close(b, mb[label]))
             if pair not in seen:
                 seen.add(pair)
-                queue.append((pair, word + (label,)))
+                pairs.append(pair)
+                trail.append((i, label))
     return Equivalence(True)
 
 

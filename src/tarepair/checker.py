@@ -26,13 +26,14 @@ upper bounds (Extra⁺_LU, see ``dbm``). A table may share another's pool of
 zones, vectors and both memos (``MoveTable``'s ``share``) when both
 extrapolate alike, as the two zone graphs of one admissibility check do: a
 repair leaves most steps as they were, so the repaired network's table
-also takes the share's compiled moves at every location vector the repair
-leaves clean. ``check`` keeps a table of its own, at classic k, serves memo
-hits inline and calls the miss half of ``post`` itself. It tests the
-property when a state is generated, deciding the negated property's
-location literals once per location vector
-(``PropertyExpr.negated_atoms_at``), and reports in ``states_explored`` the
-rank at which a dequeue-time search would have reached the violating state.
+also takes the share's compiled moves: each move that fires no edited
+transition and enters no changed location. ``check`` keeps a table of its
+own, at classic k, serves memo hits inline and calls the miss half of
+``post`` itself. It tests the property when a state is generated,
+deciding the negated property's location literals once per location
+vector (``PropertyExpr.negated_atoms_at``), and reports in
+``states_explored`` the rank at which a dequeue-time search would have
+reached the violating state.
 An id means something only inside its pool: no verdict or trace carries
 one, and ``check`` maps vector ids back to vectors only to build a trace.
 ``replay``, the repair loop's contract re-check, walks one given trace
@@ -213,12 +214,19 @@ class MoveTable:
     bound means a different constant at another scale. A table that shares
     the pool of a network of the same structure (repairs change no
     automaton, location, transition source, target, sync or channel, nor a
-    channel name) also takes its ``MoveIndex`` and marks the dirty
-    locations of each automaton that is not the same object in both
-    networks (``_dirty_locations``): ``moves`` returns the share's compiled
-    list for a location vector with no dirty location, since every piece of
-    its steps is equal there, and compiles its own elsewhere. Its entries
-    name their targets by vector ids of the pool both tables use.
+    channel name) also takes its ``MoveIndex`` and the edits of each
+    automaton that is not the same object in both networks
+    (``_dirty_locations``): the transitions whose guard or resets differ
+    and the locations whose invariant or urgency differs. A move's step
+    reads the pieces of the transitions it fires and the invariants and
+    urgency of the vector it enters, so a move that fires no edited
+    transition and enters no changed location compiles to the share's
+    entry. ``moves`` returns the share's list itself at a location vector
+    where no move can read an edit (no location of it is changed, nor the
+    source of an edited transition or of one entering a changed location),
+    and elsewhere a list of the share's entries with each move that reads
+    an edit compiled again. Its entries name their targets by vector ids of
+    the pool both tables use.
     """
 
     def __init__(
@@ -233,7 +241,9 @@ class MoveTable:
         self._vectors: dict[tuple[int, ...], tuple[int, tuple, bool]] = {}  # vector -> (id, invariant edges, may delay)
         self._moves: dict[int, list[tuple]] = {}  # vector id -> its compiled moves
         self._share: MoveTable | None = None  # the table whose compiled moves this one reuses
-        self._dirty: list[tuple[int, frozenset[int]]] = []  # (automaton, its dirty locations)
+        self._edited: frozenset[tuple[int, int]] = frozenset()  # (automaton, transition) edited
+        self._changed: list[tuple[int, frozenset[int]]] = []  # (automaton, locations changed)
+        self._dirty: list[tuple[int, frozenset[int]]] = []  # (automaton, locations an edit is read at)
         shape = (network.n_clocks, scale, k)
         if share is not None and (share.network.n_clocks, share.scale, share.k) == shape:
             self._extrapolation = share._extrapolation  # the last argument of dbm.settle
@@ -252,7 +262,14 @@ class MoveTable:
         if dirty is None:
             self._index = MoveIndex(network)
         else:
-            self._index, self._share, self._dirty = share._index, share, dirty
+            self._index, self._share = share._index, share
+            self._edited = frozenset((ai, ti) for ai, edited, _ in dirty for ti in edited)
+            self._changed = [(ai, changed) for ai, _, changed in dirty if changed]
+            for ai, edited, changed in dirty:
+                transitions = network.automata[ai].transitions
+                sources = {transitions[ti].source for ti in edited}
+                sources.update(t.source for t in transitions if t.target in changed)
+                self._dirty.append((ai, changed | sources))
 
     def _intern(self, zone: dbm.DifferenceBoundMatrix | None) -> int | None:
         """The id of ``zone`` in the pool, added on first sight; None for None."""
@@ -352,15 +369,29 @@ class MoveTable:
         return move, label, vid, step, self._memo(step)
 
     def moves(self, vid: int) -> list[tuple]:
-        """The compiled enabled moves of the location vector of id ``vid``: the
-        share's list where no location of the vector is dirty."""
+        """The compiled enabled moves of the location vector of id ``vid``. With
+        a share: its list where no location of the vector is dirty, and
+        elsewhere its entries with each move that fires an edited transition
+        or enters a changed location compiled again."""
         entries = self._moves.get(vid)
         if entries is None:
             locvec = self.vectors[vid]
-            if self._share is not None and not any(locvec[ai] in dirty for ai, dirty in self._dirty):
+            if self._share is None:
+                entries = [self.compile(locvec, move) for move in self._index.enabled(locvec)]
+            elif not any(locvec[ai] in dirty for ai, dirty in self._dirty):
                 entries = self._share.moves(vid)
             else:
-                entries = [self.compile(locvec, move) for move in self._index.enabled(locvec)]
+                edited, changed, vectors = self._edited, self._changed, self.vectors
+                entries = []
+                for entry in self._share.moves(vid):
+                    move = entry[0]
+                    if (
+                        move[0] in edited
+                        or move[-1] in edited
+                        or changed and any(vectors[entry[2]][ai] in locations for ai, locations in changed)
+                    ):
+                        entry = self.compile(locvec, move)
+                    entries.append(entry)
             self._moves[vid] = entries
         return entries
 
@@ -377,13 +408,13 @@ class MoveTable:
 
 def _dirty_locations(original: TimedAutomatonNetwork, network: TimedAutomatonNetwork):
     """Per automaton of ``network`` that is not the same object in
-    ``original``, the locations whose compiled moves may differ there: those
-    whose invariant or urgency differs, and the sources of transitions whose
-    guard or resets differ or that enter such a location. Listed as
-    (automaton, locations) where any is dirty; None when the two networks
-    differ in structure (automata, locations, any transition's source,
-    target, sync or channel, or the channel names), which repairs never
-    change."""
+    ``original``, what its edits change in the compiled moves: the
+    transitions whose guard or resets differ, and the locations whose
+    invariant or urgency differs. Listed as (automaton, edited transitions,
+    changed locations) where either is non-empty; None when the two
+    networks differ in structure (automata, locations, any transition's
+    source, target, sync or channel, or the channel names), which repairs
+    never change."""
     if original.channel_names != network.channel_names or len(original.automata) != len(network.automata):
         return None
     out = []
@@ -392,19 +423,19 @@ def _dirty_locations(original: TimedAutomatonNetwork, network: TimedAutomatonNet
             continue
         if a.n_locations != b.n_locations or len(a.transitions) != len(b.transitions):
             return None
-        changed = {
+        changed = frozenset(
             li
             for li in range(b.n_locations)
             if a.invariants[li] != b.invariants[li] or (li in a.urgent) != (li in b.urgent)
-        }
-        dirty = set(changed)
-        for ta, tb in zip(a.transitions, b.transitions):
+        )
+        edited = set()
+        for ti, (ta, tb) in enumerate(zip(a.transitions, b.transitions)):
             if (ta.source, ta.target, ta.sync, ta.channel) != (tb.source, tb.target, tb.sync, tb.channel):
                 return None
-            if ta.guard != tb.guard or ta.resets != tb.resets or tb.target in changed:
-                dirty.add(tb.source)
-        if dirty:
-            out.append((ai, frozenset(dirty)))
+            if ta.guard != tb.guard or ta.resets != tb.resets:
+                edited.add(ti)
+        if edited or changed:
+            out.append((ai, frozenset(edited), changed))
     return out
 
 

@@ -1,6 +1,8 @@
 """Untimed-language construction and equivalence, with the region oracle."""
 
 import json
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import alphabet_equivalence
@@ -135,6 +137,88 @@ def test_witness_accepted_by_exactly_one_side():
         repaired = apply_candidate(net, cand)
         ua, ub = build_untimed(net), build_untimed(repaired)
         assert accepts(ua, wit) != accepts(ub, wit)
+
+
+# The pair search against the replaced per-alphabet search on random automata.
+
+
+def _random_by_label(rng, n_states):
+    """Random label maps over ``n_states`` states: up to three of the labels
+    silent, a, b and c leave each state, each to one to three targets,
+    repeats allowed."""
+    by_label = []
+    for _ in range(n_states):
+        labels = rng.sample([SILENT, "a", "b", "c"], rng.randint(0, 3))
+        by_label.append({label: [rng.randrange(n_states) for _ in range(rng.randint(1, 3))] for label in labels})
+    return by_label
+
+
+def _same_language(rng, by_label):
+    """Label maps with the language of ``by_label``: each state doubled, each
+    edge into either copy of its target, and some edges through a fresh
+    state whose one move is a silent one to the target."""
+    n = len(by_label)
+    out = [{} for _ in range(2 * n)]
+    for s, moves in enumerate(by_label):
+        for copy in (s, s + n):
+            for label, targets in moves.items():
+                out[copy][label] = []
+                for t in targets:
+                    t += rng.choice((0, n))
+                    if rng.random() < 0.3:
+                        out.append({SILENT: [t]})
+                        t = len(out) - 1
+                    out[copy][label].append(t)
+    return out
+
+
+def _random_pairs(n_pairs, seed=0):
+    """(name, a, b) ``UntimedAutomaton`` pairs: a random automaton, some with no
+    states, against one of the same language (edited at one state in half
+    of the cases) or against another random one."""
+    rng = random.Random(seed)
+    pairs = []
+    for i in range(n_pairs):
+        a = _random_by_label(rng, rng.randint(0, 6))
+        if i % 3 == 2:
+            b = _random_by_label(rng, rng.randint(0, 6))
+        else:
+            b = _same_language(rng, a)
+            if b and i % 2:
+                edited = rng.choice(b)
+                label = rng.choice((SILENT, "a", "b", "c"))
+                if label in edited:
+                    del edited[label]
+                else:
+                    edited[label] = [rng.randrange(len(b))]
+        pairs.append((f"random pair {i}", UntimedAutomaton(a), UntimedAutomaton(b)))
+    return pairs
+
+
+def test_pair_search_matches_the_alphabet_search_on_random_automata(monkeypatch):
+    # Fischer's graphs have no silent move, so each subset the search meets
+    # there holds one state; these automata have silent and nondeterministic
+    # edges, so subsets hold several states and closures grow.
+    widest = {"subset": 0, "closure": 0}
+    real = admissibility._close
+
+    def close(ua, targets):
+        out = real(ua, targets)
+        widest["subset"] = max(widest["subset"], len(out))
+        widest["closure"] = max(widest["closure"], *(len(ua.closure(t)) for t in targets))
+        return out
+
+    monkeypatch.setattr(admissibility, "_close", close)
+    verdicts = {True: 0, False: 0}
+    for name, a, b in _random_pairs(600):
+        got = equivalent(a, b)
+        assert got == alphabet_equivalence.equivalent(a, b), name
+        verdicts[got.equal] += 1
+    assert min(verdicts.values()) > 100, verdicts
+    assert widest["subset"] > 3 and widest["closure"] > 2, widest
+    empty = UntimedAutomaton([])
+    for name, a, _ in _random_pairs(20, seed=1):
+        assert equivalent(a, empty) == alphabet_equivalence.equivalent(a, empty), name
 
 
 def test_desugared_network_has_same_language():
@@ -421,9 +505,12 @@ def _assert_shared_pool_changes_nothing(pairs):
     successors. A pool lends its zones, its step memos and its settle memos
     together, and a repaired table on a shared pool takes the original
     table's compiled moves at each location vector its edit leaves clean.
-    Returns how many pairs shared a pool, how many of them reused the
-    original's compiled moves at some vector, and how many compiled their
-    own at some vector.
+    At every other vector it takes the original's entry of each move that
+    fires no edited transition (guard or resets differ) and enters no
+    changed location (invariant or urgency differs), the entry object
+    itself. Returns how many pairs shared a pool, how many of them reused
+    the original's compiled moves at some vector, and how many compiled
+    their own at some vector.
 
     ``check_admissible``, which shares the pool, meets two fresh graphs in
     ``_assert_matches_full_graphs`` on the same pairs."""
@@ -447,7 +534,31 @@ def _assert_shared_pool_changes_nothing(pairs):
         assert shares or not taken, name
         reused += bool(taken)
         dirty += len(taken) < len(own)
+        if pooled.table._share is ga.table:  # a pool shared by networks of one structure
+            edited, changed = _edits(a, b)
+            for vid, entries in own.items():
+                theirs = ga.table._moves.get(vid)
+                assert theirs is not None and [e[0] for e in entries] == [e[0] for e in theirs], name
+                for mine, other in zip(entries, theirs):
+                    target = pooled.table.vectors[mine[2]]
+                    if not edited.intersection(mine[0]) and not any(target[ai] in changed[ai] for ai in changed):
+                        assert mine is other, name
     return shared, reused, dirty
+
+
+def _edits(a, b):
+    """The (automaton, transition) pairs whose guard or resets differ between
+    two networks of one structure, and per automaton the locations whose
+    invariant or urgency differs."""
+    edited, changed = set(), {}
+    for ai, (x, y) in enumerate(zip(a.automata, b.automata)):
+        for ti, (s, t) in enumerate(zip(x.transitions, y.transitions)):
+            if (s.guard, s.resets) != (t.guard, t.resets):
+                edited.add((ai, ti))
+        changed[ai] = {
+            li for li in range(y.n_locations) if x.invariants[li] != y.invariants[li] or (li in x.urgent) != (li in y.urgent)
+        }
+    return edited, changed
 
 
 def _one_clock(guards, clocks=("x",)):
@@ -500,6 +611,38 @@ def test_shared_pool_changes_no_graph_on_bundled_mutants_and_repair_candidates()
     pairs += [p for c in _repair_candidates() for p in _both_ways(*c[:3])]
     assert len(pairs) == 416
     assert _assert_shared_pool_changes_nothing(pairs) == (416, 314, 407)
+
+
+def test_a_repaired_table_compiles_only_the_moves_its_edit_touches(monkeypatch):
+    # The 17 target-process mutants of Fischer N=3 that admissible_fischer
+    # checks (bench seed 1), each against the original with no shared
+    # cache: the original's tables compile 1,131 moves and the mutants'
+    # 154, which was 508 when a repaired table compiled every move at a
+    # location vector its edit left dirty.
+    workload = _workloads().setup_admissible_fischer(1)
+    graphs, compiled = [], Counter()
+
+    class Recorded(ZoneGraph):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            graphs.append(self)
+
+    def compile(table, locvec, move, _real=MoveTable.compile):
+        compiled[table] += 1
+        return _real(table, locvec, move)
+
+    monkeypatch.setattr(admissibility, "ZoneGraph", Recorded)
+    monkeypatch.setattr(MoveTable, "compile", compile)
+    totals = [0, 0]
+    for item in workload.items:
+        graphs.clear()
+        compiled.clear()
+        item.run()
+        original, mutant = graphs
+        totals[0] += compiled[original.table]
+        totals[1] += compiled[mutant.table]
+    assert len(workload.items) == 17
+    assert totals == [1_131, 154]
 
 
 def test_shared_pool_needs_equal_scale_and_clock_count():

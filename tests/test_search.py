@@ -246,19 +246,20 @@ def _calls_in_a_pass(monkeypatch, sites):
 
 
 def test_edited_bounds_are_converted_once_per_run(monkeypatch):
-    # One campaign_client_db pass converts 745 bounds to the raw DBM
-    # encoding; 1,137 before the five kinds' runs on a mutant shared one
-    # RepairContext (one validate and one encoding) and before a repaired
-    # network's move table took its original's compiled moves, 1,303 when
-    # the walk's conjoin and decide kept separate
-    # caches of edited bounds, 1,333 before every kind's run on a mutant
-    # shared one original_cache, 1,400 when each move table compiled every
-    # transition's guard up front, 1,482 when decide also converted each
-    # edited bound on every call, and 2,842 when the walk's conjoin
-    # converted its edit's bound on each of its 1,638 calls. The count
+    # One campaign_client_db pass converts 657 bounds to the raw DBM encoding;
+    # 745 when a repaired network's move table compiled every move again at a
+    # location vector its edit touched (228 compiled moves per pass, 171 now),
+    # 1,137 before the five kinds' runs on a mutant shared one RepairContext
+    # (one validate and one encoding) and before a repaired network's move
+    # table took its original's compiled moves, 1,303 when the walk's conjoin
+    # and decide kept separate caches of edited bounds, 1,333 before every
+    # kind's run on a mutant shared one original_cache, 1,400 when each move
+    # table compiled every transition's guard up front, 1,482 when decide also
+    # converted each edited bound on every call, and 2,842 when the walk's
+    # conjoin converted its edit's bound on each of its 1,638 calls. The count
     # includes the constants that model.validate checks.
     sites = {"raw_constant": [(module, "raw_constant") for module in (dbm, encoder, model)]}
-    assert _calls_in_a_pass(monkeypatch, sites)["raw_constant"] <= 745
+    assert _calls_in_a_pass(monkeypatch, sites)["raw_constant"] <= 657
 
 
 def test_each_repair_is_decided_once_per_run(monkeypatch):
